@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -111,11 +112,11 @@ type Ledger struct {
 	group   *syncGroup
 	closed  bool
 
-	// Counters for /metrics (read via Stats without blocking appends
-	// longer than a map access).
-	nAppends int64
-	nSyncs   int64
-	nBytes   int64
+	// Counters for /metrics. Atomics, not mu: a group leader holds mu
+	// across its fsync, and a scrape must never wait for a disk.
+	nAppends atomic.Int64
+	nSyncs   atomic.Int64
+	nBytes   atomic.Int64
 }
 
 // syncGroup is one group commit in flight: followers wait on done and
@@ -261,8 +262,8 @@ func (l *Ledger) Append(typ, tenant, job, detail string) (Record, error) {
 		l.sealed = append(l.sealed, hex.EncodeToString(
 			merkleRoot(l.hashes[batch*l.cfg.BatchSize:])))
 	}
-	l.nAppends++
-	l.nBytes += int64(len(b) + 1)
+	l.nAppends.Add(1)
+	l.nBytes.Add(int64(len(b) + 1))
 
 	if l.cfg.Direct {
 		err := l.syncLocked()
@@ -299,7 +300,7 @@ func (l *Ledger) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("ledger: fsync: %w", err)
 	}
-	l.nSyncs++
+	l.nSyncs.Add(1)
 	return nil
 }
 
@@ -384,11 +385,11 @@ type Stats struct {
 	Bytes   int64 // record bytes written this process
 }
 
-// Stats snapshots the ledger's write counters.
+// Stats snapshots the ledger's write counters without taking the
+// ledger's lock (each counter is read on its own, so a snapshot taken
+// mid-append may count a record whose bytes it does not yet).
 func (l *Ledger) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Stats{Records: l.nAppends, Syncs: l.nSyncs, Bytes: l.nBytes}
+	return Stats{Records: l.nAppends.Load(), Syncs: l.nSyncs.Load(), Bytes: l.nBytes.Load()}
 }
 
 // Close flushes, fsyncs, and closes the log file.

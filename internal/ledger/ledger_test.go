@@ -214,6 +214,27 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	}
 }
 
+// TestStatsDoesNotTakeTheLock: a group leader holds mu across its
+// fsync, and /metrics reads Stats three times per scrape.
+func TestStatsDoesNotTakeTheLock(t *testing.T) {
+	l := openTest(t, filepath.Join(t.TempDir(), "audit.log"), 8)
+	defer l.Close()
+	appendN(t, l, 3)
+	l.mu.Lock()
+	got := make(chan Stats, 1)
+	go func() { got <- l.Stats() }()
+	select {
+	case st := <-got:
+		l.mu.Unlock()
+		if st.Records != 3 || st.Syncs == 0 || st.Bytes == 0 {
+			t.Fatalf("Stats = %+v after 3 appends", st)
+		}
+	case <-time.After(5 * time.Second):
+		l.mu.Unlock()
+		t.Fatal("Stats blocked on the ledger mutex")
+	}
+}
+
 func TestDirectModeSyncsEveryAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
 	l, err := Open(Config{Path: path, BatchSize: 8, Direct: true})

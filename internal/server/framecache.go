@@ -89,9 +89,7 @@ func (s *Server) frameShard(ctx context.Context, job *Job, dom string, m *shard.
 						map[string]string{"shard": info.Name, "source": "sidecar"})
 					return enc, enc.memBytes(), nil
 				}
-				s.metrics.frameStoreErrors.Inc()
-				s.logger.Warn("frame sidecar payload corrupt; re-encoding",
-					"job", job.id, "shard", info.Name, "error", perr.Error())
+				s.rejectSidecar(job, info, perr)
 			}
 			s.metrics.frameStoreMisses.Inc()
 		}

@@ -14,8 +14,9 @@
 //	otherwise       → decode+encode for this request and backfill the
 //	                  sidecar so the next cold stream takes the fast path
 //
-// A torn, truncated, or bit-flipped sidecar is rejected by its CRCs
-// and the stream silently falls back — corrupt bytes are never served.
+// A torn, truncated, or bit-flipped sidecar is rejected by its CRCs,
+// deleted, and rebuilt by the fallback it forces — corrupt bytes are
+// never served, and the damage costs one request, not every cold open.
 package server
 
 import (
@@ -60,10 +61,10 @@ func (j *Job) frameStoreHandle() (shard.Store, []byte, domain.Spec) {
 // openFrameSidecar opens one shard's sidecar and verifies its
 // metadata (format CRC, kind, record count against the manifest).
 // ok=false means "no usable sidecar" — absent (silent) or corrupt
-// (error-counted and logged) — and the caller falls back to
-// decode+encode. The payload CRC is NOT checked here; callers verify
-// it via Payload (cache fill) or VerifyPayload (range streaming)
-// before any byte reaches a client.
+// (rejectSidecar) — and the caller falls back to decode+encode. The
+// payload CRC is NOT checked here; callers verify it via Payload
+// (cache fill) or VerifyPayload (range streaming) before any byte
+// reaches a client, and reject the sidecar themselves if it fails.
 func (s *Server) openFrameSidecar(job *Job, info shard.Info, codec domain.Codec) (*domain.Sidecar, io.Closer, bool) {
 	store, key, spec := job.frameStoreHandle()
 	if store == nil {
@@ -112,12 +113,37 @@ func (s *Server) openFrameSidecar(job *Job, info shard.Info, codec domain.Codec)
 		if closer != nil {
 			closer.Close()
 		}
-		s.metrics.frameStoreErrors.Inc()
-		s.logger.Warn("frame sidecar unusable; falling back to encode",
-			"job", job.id, "shard", info.Name, "error", err.Error())
+		s.rejectSidecar(job, info, err)
 		return nil, nil, false
 	}
 	return sc, closer, true
+}
+
+// objectRemover is the optional store side that replacing a damaged
+// sidecar needs (shard.FSSink has it). Stores without it keep the file
+// and pay the fallback on every cold open.
+type objectRemover interface {
+	Remove(name string) error
+}
+
+// rejectSidecar counts and logs an unusable sidecar and deletes it:
+// the store refuses to create over a taken name, so a rejected file
+// left in place would block its own backfill and be rejected again on
+// every cold open. A concurrent request that rejected the same file
+// may delete the replacement this one's fallback just built; that
+// costs a second rebuild, never a bad byte.
+func (s *Server) rejectSidecar(job *Job, info shard.Info, cause error) {
+	s.metrics.frameStoreErrors.Inc()
+	s.logger.Warn("frame sidecar unusable; falling back to encode and rebuilding",
+		"job", job.id, "shard", info.Name, "error", cause.Error())
+	store, key, spec := job.frameStoreHandle()
+	rm, ok := store.(objectRemover)
+	if !ok {
+		return
+	}
+	if plug, err := domain.Lookup(spec.Domain); err == nil {
+		_ = rm.Remove(plug.StoredName(domain.SidecarName(info.Name), key != nil)) // already gone is fine
+	}
 }
 
 func readObject(open shard.Opener, name string) ([]byte, error) {
@@ -144,9 +170,7 @@ func (s *Server) frameSourceFor(ctx context.Context, job *Job, dom string, m *sh
 		if sc, closer, ok := s.openFrameSidecar(job, info, codec); ok {
 			if err := sc.VerifyPayload(); err != nil {
 				closer.Close()
-				s.metrics.frameStoreErrors.Inc()
-				s.logger.Warn("frame sidecar payload corrupt; falling back to encode",
-					"job", job.id, "shard", info.Name, "error", err.Error())
+				s.rejectSidecar(job, info, err)
 			} else {
 				*closers = append(*closers, closer)
 				s.metrics.frameStoreHits.Inc()
@@ -172,9 +196,12 @@ func (s *Server) frameSourceFor(ctx context.Context, job *Job, dom string, m *sh
 
 // backfillSidecar lazily materializes the sidecar for a shard that
 // lacks one — replayed pre-sidecar jobs (or a shard whose sidecar was
-// lost) converge to the disk tier on first frame access. Failure is a
-// lost optimization, never a request error; a concurrent duplicate
-// backfill loses the store's create race harmlessly (identical bytes).
+// lost or rejected) converge to the disk tier on first frame access.
+// Failure is a lost optimization, never a request error; a concurrent
+// duplicate backfill loses the store's no-replace commit harmlessly
+// (identical bytes) and is not counted. Nobody waits for a backfilled
+// sidecar's fsync: a power cut can leave it empty or torn, which the
+// next open treats like any other damage.
 func (s *Server) backfillSidecar(job *Job, info shard.Info, codec domain.Codec, payload []byte, offsets []int64) {
 	store, key, spec := job.frameStoreHandle()
 	if store == nil {
@@ -185,17 +212,27 @@ func (s *Server) backfillSidecar(job *Job, info shard.Info, codec domain.Codec, 
 		return
 	}
 	name := domain.SidecarName(info.Name)
-	if store.Size(plug.StoredName(name, key != nil)) > 0 {
+	stored := plug.StoredName(name, key != nil)
+	if store.Size(stored) > 0 {
 		return
 	}
 	b, err := domain.AppendSidecar(nil, codec.Kind(), payload, offsets)
 	if err == nil {
 		err = writeObject(plug.Sink(store, key), name, b)
 	}
+	if err != nil && store.Size(stored) == 0 {
+		// An empty file holding the name reads as absent to everyone but
+		// the store's commit. Clear it and try once more.
+		if rm, ok := store.(objectRemover); ok && rm.Remove(stored) == nil {
+			s.metrics.frameStoreErrors.Inc()
+			s.logger.Warn("empty frame sidecar replaced", "job", job.id, "shard", info.Name)
+			err = writeObject(plug.Sink(store, key), name, b)
+		}
+	}
 	if err != nil {
 		// A concurrent request may have backfilled first and won the
-		// store's create race; that's success, not an error.
-		if store.Size(plug.StoredName(name, key != nil)) > 0 {
+		// store's commit; that's success, not an error.
+		if store.Size(stored) > 0 {
 			return
 		}
 		s.metrics.frameStoreErrors.Inc()

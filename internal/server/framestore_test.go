@@ -357,3 +357,62 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestUnusableSidecarReplacedOnce: a sidecar the CRCs reject — or an
+// empty one, which reads as absent but still holds the name — is
+// deleted and rebuilt by the first stream that trips over it. The
+// damage is counted once and the second cold stream is all disk hits.
+func TestUnusableSidecarReplacedOnce(t *testing.T) {
+	dataDir := t.TempDir()
+	id := buildJobs(t, dataDir, false, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
+	files := sidecarFiles(t, dataDir, id)
+	if len(files) == 0 {
+		t.Fatal("no sidecars on disk")
+	}
+	victim := filepath.Join(dataDir, "jobs", id, files[0])
+	pristine, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), pristine...)
+	flipped[len(flipped)/2] ^= 0x01
+	damage := map[string][]byte{
+		"bitflip":  flipped,
+		"truncate": pristine[:len(pristine)*2/3],
+		"empty":    {},
+	}
+	var want []byte
+	t.Run("intact", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+		want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
+	})
+	for mode, bad := range damage {
+		t.Run(mode, func(t *testing.T) {
+			if err := os.WriteFile(victim, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+			url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
+			if first := rawFrameStream(t, url); !bytes.Equal(first, want) {
+				t.Fatalf("stream over a %s sidecar differs (%d vs %d bytes)", mode, len(first), len(want))
+			}
+			if errs, fills := s.metrics.frameStoreErrors.Value(), s.metrics.frameStoreBackfills.Value(); errs != 1 || fills != 1 {
+				t.Fatalf("first stream: %v errors, %v backfills, want 1 and 1", errs, fills)
+			}
+			if rebuilt, err := os.ReadFile(victim); err != nil || !bytes.Equal(rebuilt, pristine) {
+				t.Fatalf("sidecar not rebuilt to its original bytes (err %v, %d bytes)", err, len(rebuilt))
+			}
+			hits, misses := s.metrics.frameStoreHits.Value(), s.metrics.frameStoreMisses.Value()
+			if second := rawFrameStream(t, url); !bytes.Equal(second, want) {
+				t.Fatal("second stream differs")
+			}
+			if got := s.metrics.frameStoreHits.Value() - hits; got != float64(len(files)) {
+				t.Fatalf("second stream hit %v of %d sidecars", got, len(files))
+			}
+			if s.metrics.frameStoreMisses.Value() != misses || s.metrics.frameStoreErrors.Value() != 1 {
+				t.Fatalf("second stream still paid for the damage: %v misses, %v errors",
+					s.metrics.frameStoreMisses.Value()-misses, s.metrics.frameStoreErrors.Value())
+			}
+		})
+	}
+}

@@ -289,6 +289,15 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
+// syncDir is shard.SyncDir behind a variable so the crash-consistency
+// tests can observe which directories the server makes durable.
+var syncDir = shard.SyncDir
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
 // newStore allocates the shard storage backing one job.
 func (s *Server) newStore(jobID string) (shard.Store, error) {
 	if s.opts.NewStore != nil {
@@ -337,13 +346,16 @@ func (s *Server) openDurable() error {
 	if err != nil {
 		return err
 	}
-	log, err := openJobLog(filepath.Join(s.opts.DataDir, logName))
+	logPath := filepath.Join(s.opts.DataDir, logName)
+	ledgerPath := filepath.Join(s.opts.DataDir, ledgerName)
+	created := !fileExists(logPath) || !fileExists(ledgerPath)
+	log, err := openJobLog(logPath)
 	if err != nil {
 		return err
 	}
 	s.log = log
 	led, err := ledger.Open(ledger.Config{
-		Path:      filepath.Join(s.opts.DataDir, ledgerName),
+		Path:      ledgerPath,
 		Node:      selfID,
 		BatchSize: s.opts.LedgerBatch,
 		FlushWait: s.opts.LedgerFlushWait,
@@ -352,6 +364,15 @@ func (s *Server) openDurable() error {
 		return err
 	}
 	s.ledger = led
+	if created {
+		// Every append fsyncs its log's bytes, never the log's name: until
+		// the data dir itself is synced a power cut can take a whole log —
+		// and every done record in it — while the shard sets those records
+		// committed survive. The same sync covers jobs/ and master.key.
+		if err := syncDir(s.opts.DataDir); err != nil {
+			return fmt.Errorf("server: %w", err)
+		}
+	}
 	states, maxSeq := replayJobs(recs, selfID)
 	s.seq = maxSeq
 	var requeued []*Job
@@ -606,24 +627,18 @@ func (s *Server) runJob(job *Job) {
 		res, err = runSpec(spec, store)
 		s.metrics.observeStage("job:"+string(spec.Domain), time.Since(pipeStart).Seconds(), 1, 0)
 	}
-	// Commit durable state before announcing success: a job is only
-	// "done" once its manifest is on disk and its key is sealable, so
-	// clients never observe a done job that later un-happens.
+	// Frame-ready sidecars are written before the commit so they ride the
+	// shard set's one barrier and the first cold frame stream already
+	// serves from the disk tier. Best effort: a failed build costs
+	// decode+encode (and a lazy backfill) later, never the job.
+	if err == nil && res.servable && res.manifest != nil {
+		s.buildJobSidecars(job, store, res.manifest, res.key)
+	}
+	// Commit durable state before announcing success, so clients never
+	// observe a done job that later un-happens.
 	var sealedKey string
 	if err == nil && s.log != nil {
-		if ms, ok := store.(interface{ WriteManifest(*shard.Manifest) error }); ok && res.manifest != nil {
-			err = ms.WriteManifest(res.manifest)
-		}
-		if err == nil && res.key != nil {
-			sealedKey, err = sealJobKey(s.master, res.key, job.id)
-		}
-	}
-	// Frame-ready sidecars ride along with the sealed shard set so the
-	// first cold frame stream already serves from the disk tier. Best
-	// effort: a failed build costs decode+encode (and a lazy backfill)
-	// later, never the job.
-	if err == nil && res != nil && res.servable && res.manifest != nil {
-		s.buildJobSidecars(job, store, res.manifest, res.key)
+		sealedKey, err = s.commitJob(job.id, store, res)
 	}
 
 	job.mu.Lock()
@@ -692,9 +707,33 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
+// commitJob is a job's one durability point. Nothing the pipeline and
+// the sidecar build wrote has been fsynced by its writer (shard.FSSink
+// syncs behind them): the barrier makes every file and its directory
+// entry durable, only then is the manifest published, and only after
+// this returns may the caller log the terminal record. A power cut
+// before that record leaves a job that replay reruns or fails; after
+// it, everything the record promises is on disk.
+func (s *Server) commitJob(id string, store shard.Store, res *jobResult) (sealedKey string, err error) {
+	if sy, ok := store.(shard.Syncer); ok {
+		if err := sy.Sync(); err != nil {
+			return "", fmt.Errorf("commit shard set: %w", err)
+		}
+	}
+	if ms, ok := store.(interface{ WriteManifest(*shard.Manifest) error }); ok && res.manifest != nil {
+		if err := ms.WriteManifest(res.manifest); err != nil {
+			return "", err
+		}
+	}
+	if res.key == nil {
+		return "", nil
+	}
+	return sealJobKey(s.master, res.key, id)
+}
+
 // persistTerminal appends a finished job's terminal log record (the
-// manifest was already committed to disk by runJob before the job was
-// declared done). Without a data dir it is a no-op.
+// shard set and manifest were already committed to disk by commitJob
+// before the job was declared done). Without a data dir it is a no-op.
 func (s *Server) persistTerminal(job *Job, sealedKey string) {
 	if s.log == nil {
 		return

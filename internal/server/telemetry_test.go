@@ -9,12 +9,15 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/telemetry"
 	"repro/pkg/client"
 )
@@ -92,11 +95,14 @@ func TestMetricsStrictExposition(t *testing.T) {
 // handleMetrics scanned the whole job table holding s.mu, so a slow
 // scrape stalled every submission (and a stuck submission stalled the
 // scrape). The registry path shares no lock with the job table — a
-// scrape must complete while s.mu is held.
+// scrape must complete while s.mu is held. The same goes for the audit
+// ledger's mutex, which a group-commit leader holds across its fsync:
+// the ledger collectors read atomics, never that lock.
 func TestMetricsScrapeDoesNotBlock(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer lockLedger(t, s.ledger)()
 	done := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(ts.URL + "/metrics")
@@ -112,8 +118,22 @@ func TestMetricsScrapeDoesNotBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("/metrics blocked on the server mutex")
+		t.Fatal("/metrics blocked on the server or ledger mutex")
 	}
+}
+
+// lockLedger takes the ledger's private mutex, standing in for an
+// append stuck in fsync, and returns its unlock. Reaching into another
+// package's field is the price of pinning this from the scrape's side.
+func lockLedger(t *testing.T, l *ledger.Ledger) (unlock func()) {
+	t.Helper()
+	f := reflect.ValueOf(l).Elem().FieldByName("mu")
+	if !f.IsValid() || f.Type() != reflect.TypeOf(sync.Mutex{}) {
+		t.Fatal("ledger.Ledger no longer guards its state with a sync.Mutex named mu")
+	}
+	mu := (*sync.Mutex)(unsafe.Pointer(f.UnsafeAddr()))
+	mu.Lock()
+	return mu.Unlock
 }
 
 // TestSubmissionsFlowDuringScrapeLoad hammers /metrics from several

@@ -52,8 +52,11 @@ type RangeOpener interface {
 }
 
 // Store is full shard storage: creation, read-back, and enumeration.
-// Implementations: MemSink (in-memory), FSSink (durable files under a
-// root directory), ParfsSink (simulated striped parallel filesystem).
+// Implementations: MemSink (in-memory), FSSink (files under a root
+// directory, durable once its Syncer barrier returns), ParfsSink
+// (simulated striped parallel filesystem). A writer's Close makes an
+// object visible to Open/Names/Size; it promises nothing about a
+// power cut.
 type Store interface {
 	Sink
 	Opener

@@ -6,6 +6,12 @@
 // chunk b-tree flush), and ParfsSink routes the same traffic through
 // the simulated striped parallel filesystem so stripe contention stays
 // observable in benchmarks.
+//
+// Durability is a property of the shard SET, not of each file: a
+// writer's Close makes its file visible, background syncers fsync it
+// (write-behind), and one Sync barrier per set waits for them and
+// fsyncs the directory — the group commit of the write path. Whoever
+// publishes a set (the server's job commit) calls Sync first.
 package shard
 
 import (
@@ -16,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ManifestFile is the reserved name of the shard-set index inside an
@@ -42,12 +49,36 @@ func validName(name string) error {
 	return nil
 }
 
+// syncWorkers bounds one sink's background fsyncs. Concurrent fsyncs
+// share journal commits, which is where the saving over one-at-a-time
+// comes from; the bound keeps a large shard set from parking an OS
+// thread per file.
+const syncWorkers = 16
+
+// Syncer is the optional durability side of a store: Sync returns once
+// every object committed so far would survive a power cut. Callers
+// type-assert, as with RangeOpener; stores that are not crash-durable
+// (MemSink, ParfsSink) do not implement it.
+type Syncer interface {
+	Sync() error
+}
+
 // FSSink stores shards as files under a root directory and satisfies
 // Store. Writes are atomic: shards stream into a temp file and are
-// renamed into place on Close, so a crash never leaves a partial shard
-// visible.
+// linked into place on Close, so a process crash never leaves a partial
+// shard visible. Close does NOT make the shard durable — its fsync runs
+// behind the writer on a bounded set of background syncers, and Sync is
+// the barrier that waits for them (see the package comment).
 type FSSink struct {
 	root string
+
+	mu      sync.Mutex
+	idle    *sync.Cond // signalled when pending reaches zero
+	queue   []*fsShard // committed files awaiting their fsync
+	pending int        // files queued or being fsynced
+	workers int        // running syncer goroutines, <= syncWorkers
+	syncErr error      // first fsync failure since the last Sync
+	newRoot bool       // root's own directory entry is not yet synced
 }
 
 // NewFSSink creates root (and parents) if needed and returns a durable
@@ -56,10 +87,12 @@ func NewFSSink(root string) (*FSSink, error) {
 	if root == "" {
 		return nil, errors.New("shard: empty store root")
 	}
+	_, statErr := os.Stat(root)
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: create store root: %w", err)
 	}
-	s := &FSSink{root: root}
+	s := &FSSink{root: root, newRoot: os.IsNotExist(statErr)}
+	s.idle = sync.NewCond(&s.mu)
 	s.sweepTemp()
 	return s, nil
 }
@@ -81,6 +114,7 @@ func (s *FSSink) sweepTemp() {
 }
 
 type fsShard struct {
+	sink  *FSSink
 	f     *os.File
 	final string
 	done  bool
@@ -93,42 +127,128 @@ func (w *fsShard) Write(p []byte) (int, error) {
 	return w.f.Write(p)
 }
 
+// Close commits the shard under its final name and hands the still-open
+// file to the sink's syncers. The commit is a link, which unlike rename
+// refuses to replace: of two writers racing for one name exactly one
+// Close succeeds, and the loser's bytes are discarded.
 func (w *fsShard) Close() error {
 	if w.done {
 		return nil
 	}
 	w.done = true
 	tmp := w.f.Name()
-	if err := w.f.Sync(); err != nil {
+	err := os.Link(tmp, w.final)
+	os.Remove(tmp)
+	if err != nil {
 		w.f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("shard: sync %q: %w", w.final, err)
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("shard: close %q: %w", w.final, err)
-	}
-	if err := os.Rename(tmp, w.final); err != nil {
-		os.Remove(tmp)
+		if os.IsExist(err) {
+			return fmt.Errorf("shard: %q already exists", filepath.Base(w.final))
+		}
 		return fmt.Errorf("shard: commit %q: %w", w.final, err)
+	}
+	w.sink.syncBehind(w)
+	return nil
+}
+
+// syncBehind queues a committed file for its background fsync, starting
+// a syncer unless the full set is already running.
+func (s *FSSink) syncBehind(w *fsShard) {
+	s.mu.Lock()
+	s.queue = append(s.queue, w)
+	s.pending++
+	start := s.workers < syncWorkers
+	if start {
+		s.workers++
+	}
+	s.mu.Unlock()
+	if start {
+		go s.syncLoop()
+	}
+}
+
+// syncLoop drains the queue and exits when it is empty, so an idle sink
+// owns no goroutine; Sync is what waits for the ones in flight.
+func (s *FSSink) syncLoop() {
+	s.mu.Lock()
+	for len(s.queue) > 0 {
+		w := s.queue[0]
+		s.queue[0] = nil // the slice outlives the writer; don't pin it
+		s.queue = s.queue[1:]
+		s.mu.Unlock()
+		err := w.f.Sync()
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
+		s.mu.Lock()
+		if err != nil && s.syncErr == nil {
+			s.syncErr = fmt.Errorf("shard: sync %q: %w", w.final, err)
+		}
+		if s.pending--; s.pending == 0 {
+			s.idle.Broadcast()
+		}
+	}
+	s.workers--
+	s.mu.Unlock()
+}
+
+// Sync implements Syncer: it waits until every file committed so far is
+// fsynced, then fsyncs the root directory (and, the first time, the
+// parent that holds a root this sink created) so the files' names are
+// as durable as their bytes. A failed background fsync surfaces here,
+// once. Files still being written are not covered — close them first.
+func (s *FSSink) Sync() error {
+	s.mu.Lock()
+	for s.pending > 0 {
+		s.idle.Wait()
+	}
+	err, newRoot := s.syncErr, s.newRoot
+	s.syncErr = nil
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := SyncDir(s.root); err != nil {
+		return err
+	}
+	if newRoot {
+		if err := SyncDir(filepath.Dir(s.root)); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.newRoot = false
+		s.mu.Unlock()
 	}
 	return nil
 }
 
-// Create implements Sink: the shard becomes visible only on Close.
+// SyncDir fsyncs a directory, making the creations, links and renames
+// inside it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("shard: sync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("shard: sync dir %s: %w", dir, err)
+	}
+	return nil
+}
+
+// Create implements Sink: the shard becomes visible only on Close,
+// which is also where a name that is already taken is refused.
 func (s *FSSink) Create(name string) (io.WriteCloser, error) {
 	if err := validName(name); err != nil {
 		return nil, err
-	}
-	final := filepath.Join(s.root, name)
-	if _, err := os.Stat(final); err == nil {
-		return nil, fmt.Errorf("shard: %q already exists", name)
 	}
 	f, err := os.CreateTemp(s.root, tmpPrefix+name+"-*")
 	if err != nil {
 		return nil, fmt.Errorf("shard: create %q: %w", name, err)
 	}
-	return &fsShard{f: f, final: final}, nil
+	return &fsShard{sink: s, f: f, final: filepath.Join(s.root, name)}, nil
 }
 
 // Open implements Opener.
@@ -192,10 +312,21 @@ func (s *FSSink) Size(name string) int64 {
 	return fi.Size()
 }
 
-// WriteManifest atomically replaces the store's MANIFEST.json: the
-// encoded manifest is staged in a temp file, synced, and renamed over
-// the old one, so a concurrent or post-crash reader sees either the
-// previous complete manifest or the new one — never a prefix.
+// Remove deletes one committed object, freeing its name for a new
+// Create — how a damaged object is replaced.
+func (s *FSSink) Remove(name string) error {
+	if err := validName(name); err != nil {
+		return err
+	}
+	return os.Remove(filepath.Join(s.root, name))
+}
+
+// WriteManifest atomically and durably replaces the store's
+// MANIFEST.json: the encoded manifest is staged in a temp file, synced,
+// renamed over the old one, and the directory is synced, so a
+// concurrent or post-crash reader sees either the previous complete
+// manifest or the new one — never a prefix. It does not cover the
+// shards the manifest names; Sync before publishing them.
 func (s *FSSink) WriteManifest(m *Manifest) error {
 	b, err := m.Encode()
 	if err != nil {
@@ -220,7 +351,7 @@ func (s *FSSink) WriteManifest(m *Manifest) error {
 		os.Remove(tmp)
 		return fmt.Errorf("shard: commit manifest: %w", err)
 	}
-	return nil
+	return SyncDir(s.root)
 }
 
 // LoadManifest reads the committed MANIFEST.json.
@@ -310,4 +441,5 @@ var (
 	_ RangeOpener = (*MemSink)(nil)
 	_ RangeOpener = (*FSSink)(nil)
 	_ RangeOpener = ParfsSink{}
+	_ Syncer      = (*FSSink)(nil)
 )

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -136,20 +137,221 @@ func TestFSSinkRejectsBadNames(t *testing.T) {
 	}
 }
 
+// createObject writes one object through the store. FSSink commits at
+// Close, so that is where a taken name is refused.
+func createObject(s *FSSink, name, body string) error {
+	w, err := s.Create(name)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write([]byte(body)); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
+}
+
+func readObject(t *testing.T, s *FSSink, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(s.Root(), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// assertNoTemps fails if the store's directory holds any staging file.
+func assertNoTemps(t *testing.T, s *FSSink) {
+	t.Helper()
+	entries, err := os.ReadDir(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tmpPrefix) {
+			t.Fatalf("staging file %q left behind", e.Name())
+		}
+	}
+}
+
 func TestFSSinkDuplicateCreateFails(t *testing.T) {
 	s, err := NewFSSink(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Create("dup")
+	if err := createObject(s, "dup", "first"); err != nil {
+		t.Fatal(err)
+	}
+	if err := createObject(s, "dup", "second"); err == nil {
+		t.Fatal("duplicate commit accepted")
+	}
+	if got := readObject(t, s, "dup"); got != "first" {
+		t.Fatalf("duplicate commit replaced the object: %q", got)
+	}
+	assertNoTemps(t, s)
+}
+
+// TestFSSinkConcurrentCreateOneWinner: the commit is no-replace, so of
+// any number of writers racing for one name exactly one Close succeeds
+// and the object holds that writer's bytes.
+func TestFSSinkConcurrentCreateOneWinner(t *testing.T) {
+	s, err := NewFSSink(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	const racers = 8
+	start := make(chan struct{})
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		w, err := s.Create("contended")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Fprintf(w, "writer-%d", i); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			errs[i] = w.Close()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	winner := -1
+	for i, err := range errs {
+		if err != nil {
+			continue
+		}
+		if winner >= 0 {
+			t.Fatalf("writers %d and %d both committed %q", winner, i, "contended")
+		}
+		winner = i
+	}
+	if winner < 0 {
+		t.Fatalf("no writer committed: %v", errs)
+	}
+	if got, want := readObject(t, s, "contended"), fmt.Sprintf("writer-%d", winner); got != want {
+		t.Fatalf("object holds %q, winner wrote %q", got, want)
+	}
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create("dup"); err == nil {
-		t.Fatal("duplicate create accepted")
+	assertNoTemps(t, s)
+}
+
+// TestFSSinkSyncBarrier: Sync returns only once nothing is queued or in
+// flight, leaves no syncer running, and may race writers committing
+// more files (run under -race).
+func TestFSSinkSyncBarrier(t *testing.T) {
+	s, err := NewFSSink(filepath.Join(t.TempDir(), "jobs", "set"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("barrier over an empty store: %v", err)
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := 0; i < 3*syncWorkers; i++ {
+				if err := createObject(s, fmt.Sprintf("w%d-%03d", k, i), "payload"); err != nil {
+					t.Error(err)
+				}
+				if i%syncWorkers == 0 {
+					if err := s.Sync(); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	pending, queued, newRoot := s.pending, len(s.queue), s.newRoot
+	s.mu.Unlock()
+	if pending != 0 || queued != 0 {
+		t.Fatalf("barrier returned with %d pending, %d queued", pending, queued)
+	}
+	if newRoot {
+		t.Fatal("barrier left the new root's own directory entry unsynced")
+	}
+	// Syncers exit when the queue drains; none may outlive the work.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		workers := s.workers
+		s.mu.Unlock()
+		if workers == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d syncers still running on an idle store", workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(s.Names()); got != 4*3*syncWorkers {
+		t.Fatalf("store lists %d objects, want %d", got, 4*3*syncWorkers)
+	}
+}
+
+// TestFSSinkSyncReportsBackgroundFailure: a write-behind fsync that
+// fails has nobody to return its error to, so the next barrier must —
+// once, and a later barrier over healthy files is clean again.
+func TestFSSinkSyncReportsBackgroundFailure(t *testing.T) {
+	s, err := NewFSSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := s.Create("doomed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closing the descriptor under the writer makes the syncer's fsync
+	// fail while the path-based commit still succeeds.
+	if err := w.(*fsShard).f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if err := s.Sync(); err == nil || !strings.Contains(err.Error(), "doomed") {
+		t.Fatalf("barrier hid the failed fsync of %q: %v", "doomed", err)
+	}
+	if err := createObject(s, "healthy", "ok"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("failure reported twice: %v", err)
+	}
+}
+
+func TestFSSinkRemoveFreesName(t *testing.T) {
+	s, err := NewFSSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := createObject(s, "obj", "damaged"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove("obj"); err != nil {
+		t.Fatal(err)
+	}
+	if err := createObject(s, "obj", "rebuilt"); err != nil {
+		t.Fatalf("name not freed: %v", err)
+	}
+	if got := readObject(t, s, "obj"); got != "rebuilt" {
+		t.Fatalf("object holds %q", got)
+	}
+	if err := s.Remove("../obj"); err == nil {
+		t.Fatal("Remove accepted a path outside the root")
 	}
 }
 
