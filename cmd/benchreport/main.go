@@ -2,70 +2,41 @@
 // Figure 1 (the raw→AI-ready flow), Table 1 (the four domain archetype
 // pipelines), Table 2 (the maturity matrix), and the quantitative claims
 // C1 (parallel I/O scaling), C2 (curation-time share), and C3 (iterative
-// feedback). EXPERIMENTS.md records paper-vs-measured for each.
-//
-// The serve experiment benchmarks the draid serving tier (N concurrent
-// clients streaming batches over HTTP) and writes its result to
-// BENCH_serve.json alongside the console report, so serving throughput
-// is tracked the same way as the pipeline benchmarks. With -compare it
-// also gates CI: the fresh run is compared against a committed
-// baseline BENCH_serve.json and the process exits non-zero when serve
-// throughput regressed more than -compare-threshold.
+// feedback). It prints to stdout and writes no files. Performance of
+// the draid service is measured by the benchmark in bench/, not here.
 //
 // Usage:
 //
 //	benchreport               # run everything
-//	benchreport -exp table1   # one experiment: fig1|table1|table2|scaling|curation|feedback|serve
-//	benchreport -exp serve -compare BENCH_serve.json   # regression gate
+//	benchreport -exp table1   # one experiment: fig1|table1|table2|scaling|curation|feedback
 //	benchreport -exp trace -trace-server http://host:8080   # dump a live server's slowest trace
 //
 // The trace experiment is the odd one out: it needs a running draid
 // (-trace-server) instead of an in-process fixture, so it never runs
 // under -exp all. It fetches the fleet-assembled span tree for
 // -trace-id (default: the slowest trace the server lists) and prints
-// it as an indented tree — the "where did the time go" companion to
-// the throughput numbers the other experiments report.
+// it as an indented tree — the "where did the time go" view of one
+// request.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"maps"
-	"os"
 	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/ledger"
-	"repro/internal/server"
 	"repro/pkg/client"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig1|table1|table2|scaling|curation|feedback|serve|cluster|ledger")
+	exp := flag.String("exp", "all", "experiment: all|fig1|table1|table2|scaling|curation|feedback|trace")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	scaleMB := flag.Int("scale-mb", 16, "C1: megabytes to shard")
 	shots := flag.Int("curation-shots", 8, "C2: shots in the curation comparison")
-	serveClients := flag.Int("serve-clients", 8, "serve: concurrent streaming clients")
-	servePasses := flag.Int("serve-passes", 2, "serve: streaming passes per client")
-	serveJSON := flag.String("serve-json", "BENCH_serve.json", "serve: result file (empty disables)")
-	compare := flag.String("compare", "", "serve: baseline BENCH_serve.json to gate against (empty disables)")
-	compareThreshold := flag.Float64("compare-threshold", 0.20, "serve: max tolerated fractional fs/mem-ratio regression")
-	clusterNodes := flag.Int("cluster-nodes", 3, "cluster: fleet size")
-	clusterJobs := flag.Int("cluster-jobs", 6, "cluster: jobs spread across the fleet")
-	clusterClients := flag.Int("cluster-clients", 8, "cluster: concurrent streaming clients")
-	clusterPasses := flag.Int("cluster-passes", 2, "cluster: streaming passes per client")
-	clusterBackend := flag.String("cluster-backend", "fs", "cluster: shared shard backend (fs|parfs)")
-	clusterJSON := flag.String("cluster-json", "BENCH_cluster.json", "cluster: result file (empty disables)")
-	ledgerRecords := flag.Int("ledger-records", 2000, "ledger: audit records appended per mode")
-	ledgerAppenders := flag.Int("ledger-appenders", 64, "ledger: concurrent appender goroutines (group commit only coalesces concurrent arrivals)")
-	ledgerBatch := flag.Int("ledger-batch", 64, "ledger: Merkle batch size")
-	ledgerJSON := flag.String("ledger-json", "BENCH_ledger.json", "ledger: result file (empty disables)")
-	ledgerCompare := flag.String("ledger-compare", "", "ledger: baseline BENCH_ledger.json to gate against (empty disables)")
 	traceServer := flag.String("trace-server", "http://localhost:8080", "trace: base URL of a running draid (any fleet member)")
 	traceID := flag.String("trace-id", "", "trace: trace ID to dump (empty picks the server's slowest listed trace)")
 	flag.Parse()
@@ -145,77 +116,7 @@ func main() {
 		return nil
 	})
 
-	run("serve", func() error {
-		rep, err := server.RunServeComparison(server.ServeBenchConfig{
-			Clients: *serveClients, BatchSize: 16, Passes: *servePasses,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Render())
-		if *serveJSON != "" {
-			b, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*serveJSON, append(b, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *serveJSON)
-		}
-		if *compare != "" {
-			return compareServe(rep, *compare, *compareThreshold)
-		}
-		return nil
-	})
-
-	run("cluster", func() error {
-		res, err := server.RunClusterBenchmark(server.ClusterBenchConfig{
-			Nodes: *clusterNodes, Jobs: *clusterJobs, Clients: *clusterClients,
-			Passes: *clusterPasses, Backend: *clusterBackend,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if *clusterJSON != "" {
-			b, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*clusterJSON, append(b, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *clusterJSON)
-		}
-		return nil
-	})
-
-	run("ledger", func() error {
-		rep, err := ledger.RunLedgerBenchmark(ledger.BenchConfig{
-			Records: *ledgerRecords, Appenders: *ledgerAppenders, BatchSize: *ledgerBatch,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Render())
-		if *ledgerJSON != "" {
-			b, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*ledgerJSON, append(b, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *ledgerJSON)
-		}
-		if *ledgerCompare != "" {
-			return compareLedger(rep, *ledgerCompare, *compareThreshold)
-		}
-		return nil
-	})
-
-	known := []string{"fig1", "table1", "table2", "scaling", "curation", "feedback", "serve", "cluster", "ledger"}
+	known := []string{"fig1", "table1", "table2", "scaling", "curation", "feedback"}
 	if *exp != "all" && !slices.Contains(known, *exp) {
 		log.Fatalf("benchreport: unknown experiment %q (want all|%s|trace)", *exp, strings.Join(known, "|"))
 	}
@@ -254,132 +155,4 @@ func dumpTrace(baseURL, id string) error {
 	}
 	fmt.Print(view.RenderTree())
 	return nil
-}
-
-// compareServe gates the durable-serving cost against a committed
-// baseline using the same-run fs/mem throughput ratio: both sides of
-// the ratio are measured on the same machine in the same process, so
-// the gate tracks what the code does to the durable path rather than
-// how the CI runner compares to whoever produced the baseline. A fresh
-// ratio more than threshold below the baseline's fails the process;
-// improvements always pass.
-func compareServe(cur *server.ServeBenchReport, baselinePath string, threshold float64) error {
-	b, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("compare: %w", err)
-	}
-	var base server.ServeBenchReport
-	if err := json.Unmarshal(b, &base); err != nil {
-		return fmt.Errorf("compare: decode %s: %w", baselinePath, err)
-	}
-	if base.FSOverMem <= 0 {
-		return fmt.Errorf("compare: baseline %s has no fs/mem ratio — regenerate it with -exp serve", baselinePath)
-	}
-	if cur.FSOverMem <= 0 {
-		return fmt.Errorf("compare: current run produced no fs/mem ratio")
-	}
-	// The durable path cannot genuinely outrun the in-memory one; a
-	// baseline ratio above 1.0 is a lucky draw, and gating against it
-	// would charge that luck to every future run. Cap at parity.
-	baseRatio := base.FSOverMem
-	if baseRatio > 1 {
-		baseRatio = 1
-	}
-	gates := []ratioGate{{
-		dim:  "fs_over_mem",
-		what: "durable serve path (fs/mem throughput)",
-		cur:  cur.FSOverMem, base: baseRatio,
-	}}
-	// The remaining dimensions gate only once the baseline carries them,
-	// so older baselines keep passing until regenerated. A baseline that
-	// has a dimension the current run failed to produce is itself a
-	// failure — a silently vanished dimension is a regression.
-	if base.FrameCached != nil && base.FrameCached.CachedOverFrame > 0 {
-		if cur.FrameCached == nil || cur.FrameCached.CachedOverFrame <= 0 {
-			return fmt.Errorf("compare: baseline %s carries frame_cached (%.3f) but the current run produced no frame_cached ratio",
-				baselinePath, base.FrameCached.CachedOverFrame)
-		}
-		gates = append(gates, ratioGate{
-			dim:  "frame_cached",
-			what: "encoded-frame cache win (cached/encode throughput)",
-			cur:  cur.FrameCached.CachedOverFrame, base: base.FrameCached.CachedOverFrame,
-		})
-	}
-	for _, dom := range slices.Sorted(maps.Keys(base.FrameDisk)) {
-		bfd := base.FrameDisk[dom]
-		if bfd == nil || bfd.DiskOverEncode <= 0 {
-			continue
-		}
-		cfd := cur.FrameDisk[dom]
-		if cfd == nil || cfd.DiskOverEncode <= 0 {
-			return fmt.Errorf("compare: baseline %s carries frame_disk[%s] (%.3f) but the current run produced no frame_disk ratio for %s",
-				baselinePath, dom, bfd.DiskOverEncode, dom)
-		}
-		gates = append(gates, ratioGate{
-			dim:  "frame_disk[" + dom + "]",
-			what: "frame sidecar disk tier win (" + dom + " disk/encode throughput)",
-			cur:  cfd.DiskOverEncode, base: bfd.DiskOverEncode,
-		})
-	}
-	var failures []string
-	for _, g := range gates {
-		delta := g.cur/g.base - 1
-		fmt.Printf("serve %-22s vs %s: %.3f now, %.3f baseline — %+.1f%%\n",
-			g.dim, baselinePath, g.cur, g.base, delta*100)
-		if delta < -threshold {
-			failures = append(failures, fmt.Sprintf(
-				"%s: %s regressed %.1f%% — %.3f now vs %.3f baseline (budget %.0f%%)",
-				g.dim, g.what, -delta*100, g.cur, g.base, threshold*100))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("compare: %d dimension(s) breached the gate:\n  %s",
-			len(failures), strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// compareLedger gates the audit ledger's group-commit win against a
-// committed baseline, by the same same-run-ratio logic as compareServe:
-// both sides of batched/direct are measured in one process on one
-// machine, so the gate tracks what the code does to the append path. A
-// fresh ratio more than threshold below the baseline's fails the
-// process; improvements always pass.
-func compareLedger(cur *ledger.BenchReport, baselinePath string, threshold float64) error {
-	b, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("compare: %w", err)
-	}
-	var base ledger.BenchReport
-	if err := json.Unmarshal(b, &base); err != nil {
-		return fmt.Errorf("compare: decode %s: %w", baselinePath, err)
-	}
-	if base.BatchedOverDirect <= 0 {
-		return fmt.Errorf("compare: baseline %s has no batched/direct ratio — regenerate it with -exp ledger", baselinePath)
-	}
-	if cur.BatchedOverDirect <= 0 {
-		return fmt.Errorf("compare: current run produced no batched/direct ratio")
-	}
-	g := ratioGate{
-		dim:  "batched_over_direct",
-		what: "audit ledger group-commit win (batched/direct append throughput)",
-		cur:  cur.BatchedOverDirect, base: base.BatchedOverDirect,
-	}
-	delta := g.cur/g.base - 1
-	fmt.Printf("ledger %-20s vs %s: %.3f now, %.3f baseline — %+.1f%%\n",
-		g.dim, baselinePath, g.cur, g.base, delta*100)
-	if delta < -threshold {
-		return fmt.Errorf("compare: %s: %s regressed %.1f%% — %.3f now vs %.3f baseline (budget %.0f%%)",
-			g.dim, g.what, -delta*100, g.cur, g.base, threshold*100)
-	}
-	return nil
-}
-
-// ratioGate is one gated dimension of the serve report: a same-run,
-// same-machine throughput ratio whose fresh value must not fall more
-// than the threshold below its (possibly capped) baseline value.
-type ratioGate struct {
-	dim       string // dimension name, as it appears in BENCH_serve.json
-	what      string // what a regression on this dimension means
-	cur, base float64
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	draid                          # listen on :8080 with 4 workers, in-memory
-//	draid -addr :9000 -workers 8 -cache-mb 256
+//	draid -addr :9000 -workers 8 -serve-cache-mb 512
 //	draid -data-dir /var/lib/draid -job-ttl 24h -max-jobs 100
 //	draid -data-dir /mnt/pfs/draid -node-id n1 -advertise http://host1:8080 \
 //	      -peers n1=http://host1:8080,n2=http://host2:8080,n3=http://host3:8080
@@ -78,6 +78,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -94,8 +95,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "concurrent pipeline executions")
 	queueDepth := flag.Int("queue", 64, "max queued jobs before submissions get 429")
-	cacheMB := flag.Int64("cache-mb", 128, "deprecated: use -serve-cache-mb; decoded-shard cache budget in MiB, summed with -frame-cache-mb into the unified serve cache")
-	frameCacheMB := flag.Int64("frame-cache-mb", 128, "deprecated: use -serve-cache-mb; encoded-frame cache budget in MiB, summed with -cache-mb into the unified serve cache")
 	serveCacheMB := flag.Int64("serve-cache-mb", 256, "unified serving-cache budget in MiB, shared by the decoded-shard and encoded-frame caches under weighted eviction (0 disables both)")
 	serveMaxKBps := flag.Int("serve-max-kbps", 0, "per-stream batch throughput ceiling in KiB/s (0 = unpaced; clients can lower theirs with ?max_kbps=)")
 	serveBudgetKBps := flag.Int("serve-budget-kbps", 0, "global weighted-fair bandwidth budget in KiB/s shared by all batch streams: split across active tenants by weight, then evenly across each tenant's streams (0 = per-stream pacing only)")
@@ -119,15 +118,9 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	serveCacheBytes, cacheNote, err := resolveCacheBudget(*serveCacheMB, *cacheMB, *frameCacheMB,
-		setFlags["serve-cache-mb"], setFlags["cache-mb"] || setFlags["frame-cache-mb"])
+	serveCacheBytes, err := resolveCacheBudget(*serveCacheMB)
 	if err != nil {
 		log.Fatalf("draid: %v", err)
-	}
-	if cacheNote != "" {
-		log.Printf("draid: %s", cacheNote)
 	}
 
 	logLevel := slog.LevelInfo
@@ -214,37 +207,16 @@ func main() {
 	}
 }
 
-// resolveCacheBudget maps the cache flags onto the server's unified
-// serving-cache budget (bytes). -serve-cache-mb wins when set
-// explicitly; the deprecated split flags (-cache-mb, -frame-cache-mb)
-// otherwise sum into the budget so existing invocations keep roughly
-// the memory ceiling they asked for. Negative values on any cache flag
-// are rejected up front — a negative MiB count shifted left silently
-// becomes a huge positive byte budget otherwise. The returned note, if
-// non-empty, is a compatibility message to log at startup.
-func resolveCacheBudget(serveMB, cacheMB, frameMB int64, serveSet, splitSet bool) (int64, string, error) {
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"-serve-cache-mb", serveMB}, {"-cache-mb", cacheMB}, {"-frame-cache-mb", frameMB},
-	} {
-		if f.v < 0 {
-			return 0, "", fmt.Errorf("%s must be >= 0 (MiB), got %d", f.name, f.v)
-		}
+// resolveCacheBudget converts -serve-cache-mb to the server's serving
+// cache budget in bytes. Values the shift cannot carry are rejected up
+// front: a negative MiB count would become a huge positive budget, and
+// one above math.MaxInt64>>20 would overflow to zero or below and
+// silently disable both caches.
+func resolveCacheBudget(serveMB int64) (int64, error) {
+	if serveMB < 0 || serveMB > math.MaxInt64>>20 {
+		return 0, fmt.Errorf("-serve-cache-mb must be in [0, %d] (MiB), got %d", int64(math.MaxInt64>>20), serveMB)
 	}
-	if serveSet {
-		note := ""
-		if splitSet {
-			note = "-cache-mb/-frame-cache-mb are deprecated and ignored because -serve-cache-mb is set"
-		}
-		return serveMB << 20, note, nil
-	}
-	if splitSet {
-		return (cacheMB + frameMB) << 20, fmt.Sprintf(
-			"-cache-mb/-frame-cache-mb are deprecated; using their sum as -serve-cache-mb %d", cacheMB+frameMB), nil
-	}
-	return serveMB << 20, "", nil
+	return serveMB << 20, nil
 }
 
 // buildCluster parses "-peers id=url,..." into a fleet view. Self is

@@ -1,50 +1,41 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
-// TestResolveCacheBudget pins the flag→budget mapping: -serve-cache-mb
-// wins when set, the deprecated split flags sum into the budget, the
-// 256 MiB default applies when nothing is set, and any negative value
-// is rejected with the offending flag named.
+// TestResolveCacheBudget pins the flag→budget mapping: MiB become
+// bytes, zero disables the caches, and any value the shift cannot carry
+// — negative, or large enough to overflow int64 — is rejected with the
+// flag named instead of becoming a nonsense budget.
 func TestResolveCacheBudget(t *testing.T) {
 	cases := []struct {
-		name                string
-		serveMB, cacheMB    int64
-		frameMB             int64
-		serveSet, splitSet  bool
-		want                int64
-		wantNote, wantError string
+		name      string
+		serveMB   int64
+		want      int64
+		wantError bool
 	}{
-		{name: "default", serveMB: 256, cacheMB: 128, frameMB: 128, want: 256 << 20},
-		{name: "serve set", serveMB: 64, cacheMB: 128, frameMB: 128, serveSet: true, want: 64 << 20},
-		{name: "serve zero disables", serveMB: 0, cacheMB: 128, frameMB: 128, serveSet: true, want: 0},
-		{name: "split sums", serveMB: 256, cacheMB: 100, frameMB: 28, splitSet: true,
-			want: 128 << 20, wantNote: "deprecated"},
-		{name: "serve wins over split", serveMB: 512, cacheMB: 1, frameMB: 1, serveSet: true, splitSet: true,
-			want: 512 << 20, wantNote: "ignored"},
-		{name: "negative serve", serveMB: -1, cacheMB: 128, frameMB: 128, serveSet: true,
-			wantError: "-serve-cache-mb"},
-		{name: "negative cache", serveMB: 256, cacheMB: -5, frameMB: 128, splitSet: true,
-			wantError: "-cache-mb"},
-		{name: "negative frame", serveMB: 256, cacheMB: 128, frameMB: -9000, splitSet: true,
-			wantError: "-frame-cache-mb"},
-		// Negative values are rejected even on flags left at defaults
-		// elsewhere: the check guards every value that could be shifted.
-		{name: "negative unset still rejected", serveMB: 256, cacheMB: 128, frameMB: -1,
-			wantError: "-frame-cache-mb"},
+		{name: "default", serveMB: 256, want: 256 << 20},
+		{name: "serve set", serveMB: 64, want: 64 << 20},
+		{name: "serve zero disables", serveMB: 0, want: 0},
+		{name: "largest representable", serveMB: math.MaxInt64 >> 20, want: (math.MaxInt64 >> 20) << 20},
+		{name: "negative serve", serveMB: -1, wantError: true},
+		// 2^44 MiB shifts to exactly 2^64, which wraps to a zero budget.
+		{name: "overflow to zero", serveMB: 1 << 44, wantError: true},
+		{name: "overflow to negative", serveMB: 1 << 43, wantError: true},
+		{name: "max int64", serveMB: math.MaxInt64, wantError: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, note, err := resolveCacheBudget(tc.serveMB, tc.cacheMB, tc.frameMB, tc.serveSet, tc.splitSet)
-			if tc.wantError != "" {
+			got, err := resolveCacheBudget(tc.serveMB)
+			if tc.wantError {
 				if err == nil {
-					t.Fatalf("want error naming %s, got budget %d", tc.wantError, got)
+					t.Fatalf("want error, got budget %d", got)
 				}
-				if !strings.Contains(err.Error(), tc.wantError) {
-					t.Fatalf("error %q does not name %s", err, tc.wantError)
+				if !strings.Contains(err.Error(), "-serve-cache-mb") {
+					t.Fatalf("error %q does not name -serve-cache-mb", err)
 				}
 				return
 			}
@@ -53,12 +44,6 @@ func TestResolveCacheBudget(t *testing.T) {
 			}
 			if got != tc.want {
 				t.Fatalf("budget %d, want %d", got, tc.want)
-			}
-			if tc.wantNote == "" && note != "" {
-				t.Fatalf("unexpected note %q", note)
-			}
-			if tc.wantNote != "" && !strings.Contains(note, tc.wantNote) {
-				t.Fatalf("note %q does not mention %q", note, tc.wantNote)
 			}
 		})
 	}

@@ -28,7 +28,7 @@ func main() {
 	log.SetFlags(0)
 
 	// A real draid service, in-process.
-	srv, err := server.New(server.Options{Workers: 2, CacheBytes: 32 << 20})
+	srv, err := server.New(server.Options{Workers: 2, ServeCacheBytes: 32 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}

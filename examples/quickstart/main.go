@@ -25,7 +25,7 @@ func main() {
 
 	// 1. Run the dataset-readiness service (in-process here; cmd/draid
 	// serves the same handler over a real listener).
-	srv, err := server.New(server.Options{Workers: 2, CacheBytes: 64 << 20})
+	srv, err := server.New(server.Options{Workers: 2, ServeCacheBytes: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}

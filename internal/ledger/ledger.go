@@ -5,15 +5,14 @@
 // batches whose roots are published for offline verification. The
 // write path uses group commit: appenders share one fsync per batch
 // window instead of paying one each, which is what keeps the audit
-// trail off the submit hot path (the "Merkle batching" variant of the
-// direct-ledger design, see RunLedgerBenchmark).
+// trail off the submit hot path: 64 concurrent appends cost a handful
+// of fsyncs, not 64.
 //
 // Durability contract: Append returns only after the record's bytes
-// are fsynced (alone in direct mode, amortized across the group
-// otherwise). A crash mid-append leaves a torn final line that Open
-// truncates; any other chain damage — a reordered, edited, or deleted
-// record — fails Open with a chain-break error, because every record's
-// hash covers its predecessor's.
+// are fsynced, by its own group's commit. A crash mid-append leaves a
+// torn final line that Open truncates; any other chain damage — a
+// reordered, edited, or deleted record — fails Open with a chain-break
+// error, because every record's hash covers its predecessor's.
 package ledger
 
 import (
@@ -92,9 +91,6 @@ type Config struct {
 	// appender of a group waits this long for followers before syncing
 	// once for all of them (<0 disables waiting; 0 means 2ms).
 	FlushWait time.Duration
-	// Direct makes every Append write and fsync its own record — the
-	// no-batching reference the benchmark compares against.
-	Direct bool
 }
 
 // Ledger is an open audit log. Safe for concurrent appenders.
@@ -265,11 +261,6 @@ func (l *Ledger) Append(typ, tenant, job, detail string) (Record, error) {
 	l.nAppends.Add(1)
 	l.nBytes.Add(int64(len(b) + 1))
 
-	if l.cfg.Direct {
-		err := l.syncLocked()
-		l.mu.Unlock()
-		return rec, err
-	}
 	if g := l.group; g != nil {
 		// A leader is already coalescing: ride its fsync.
 		l.mu.Unlock()

@@ -179,6 +179,11 @@ func TestProofsVerifyAgainstPublishedRoots(t *testing.T) {
 	}
 }
 
+// TestGroupCommitAmortizesSyncs holds group commit to a floor: 64
+// concurrent appends share at most maxSyncs fsyncs. Each group's leader
+// waits FlushWait for followers, so the 64 normally land in two or
+// three groups, -race included; the floor leaves room for a slow
+// scheduler without letting per-append syncing pass.
 func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
 	l, err := Open(Config{Path: path, BatchSize: 64, FlushWait: 2 * time.Millisecond})
@@ -202,8 +207,9 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	if st.Records != n {
 		t.Fatalf("Records = %d, want %d", st.Records, n)
 	}
-	if st.Syncs >= n {
-		t.Fatalf("group commit issued %d syncs for %d appends — no amortization", st.Syncs, n)
+	const maxSyncs = 8
+	if st.Syncs > maxSyncs {
+		t.Fatalf("group commit issued %d syncs for %d concurrent appends, want <= %d", st.Syncs, n, maxSyncs)
 	}
 	// Every record must still be on disk, chained, and replayable.
 	l.Close()
@@ -232,18 +238,5 @@ func TestStatsDoesNotTakeTheLock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		l.mu.Unlock()
 		t.Fatal("Stats blocked on the ledger mutex")
-	}
-}
-
-func TestDirectModeSyncsEveryAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "audit.log")
-	l, err := Open(Config{Path: path, BatchSize: 8, Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	appendN(t, l, 5)
-	if st := l.Stats(); st.Syncs != 5 {
-		t.Fatalf("direct mode: %d syncs for 5 appends", st.Syncs)
 	}
 }

@@ -1,7 +1,6 @@
 // The unified serving-cache arena: one -serve-cache-mb byte budget
 // shared by the decoded-shard cache ([]any per shard) and the
-// encoded-frame cache (frame-ready payload bytes per shard), replacing
-// the two independent -cache-mb/-frame-cache-mb ceilings. Eviction is
+// encoded-frame cache (frame-ready payload bytes per shard). Eviction is
 // weighted: encoded payloads are cheap to refill from on-store frame
 // sidecars (a CRC pass plus a copy), while decoded entries cost a full
 // SHA-256 + gunzip + TFRecord walk + codec decode — so under pressure

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/pkg/client"
 )
 
 // fleetNode is one in-process draid fleet member under httptest.
@@ -297,7 +298,7 @@ func renumberFrom(t *testing.T, rest []byte, start int) []string {
 		if line == "" {
 			continue
 		}
-		var wire BatchWire
+		var wire client.BatchWire
 		if err := json.Unmarshal([]byte(line), &wire); err != nil {
 			t.Fatalf("resumed stream line unparsable: %v (%q)", err, line)
 		}

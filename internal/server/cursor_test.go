@@ -215,7 +215,7 @@ func resumeExhaustive(t *testing.T, ts *httptest.Server, spec JobSpec, wantKind 
 // (windowed Examples), and materials (ragged graphs) — multi-shard
 // specs so real shard boundaries are crossed.
 func TestCursorResumeExhaustive(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 2, ServeCacheBytes: 32 << 20})
 	for _, tc := range []struct {
 		name string
 		spec JobSpec
@@ -235,7 +235,7 @@ func TestCursorResumeExhaustive(t *testing.T) {
 // the decrypting opener must hand back identical plaintext wherever
 // the client reconnects.
 func TestCursorResumeBio(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.BioHealth, Seed: 5, Subjects: 32}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)

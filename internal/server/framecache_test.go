@@ -71,7 +71,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 	dataDir := t.TempDir()
 	// DisableFrameStore keeps s1 a true encode-per-request reference:
 	// with the disk tier on it would serve cold frames from sidecars.
-	s1, err := New(Options{Workers: 4, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: true})
+	s1, err := New(Options{Workers: 4, DataDir: dataDir, ServeCacheBytes: 0, DisableFrameStore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	s2, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, FrameCacheBytes: 64 << 20})
+	s2, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 // shard sets (and, unless disableStore, their sidecars) are on disk.
 func buildJobs(t *testing.T, dataDir string, disableStore bool, specs []JobSpec) []string {
 	t.Helper()
-	s, err := New(Options{Workers: 4, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: disableStore})
+	s, err := New(Options{Workers: 4, DataDir: dataDir, DisableFrameStore: disableStore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFrameDiskByteExact(t *testing.T) {
 
 	// Reference bytes from a replay server with the frame store off —
 	// a true encode-per-request server.
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: true})
+	ref, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0, DisableFrameStore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFrameDiskByteExact(t *testing.T) {
 
 	// The disk server runs with both caches off: every stream below is
 	// fully cold and must be served from the sidecars.
-	disk, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+	disk, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,14 @@ func (c *countingCodec) DecodeFramePayload(payload []byte, count int) ([]any, er
 }
 
 // TestFrameDiskZeroCodecCalls pins the acceptance criterion directly:
-// a fully-cold frame stream over a job with sidecars performs zero
-// codec Encode/Decode calls on the serving path. The fusion plugin's
-// codec is swapped for a counting wrapper after the job is built, so
-// any decode, line build, or payload encode during serving trips the
-// counter.
+// frame streams over a job with sidecars perform zero codec
+// Encode/Decode calls on the serving path, in both cache modes — a
+// fully-cold stream with the caches off (sidecar ranges straight off
+// the store), and with the serving cache on, both the cold stream that
+// fills the frame cache from sidecars and the warm stream that slices
+// the cached payloads. The fusion plugin's codec is swapped for a
+// counting wrapper after the job is built, so any decode, line build,
+// or payload encode during serving trips the counter.
 func TestFrameDiskZeroCodecCalls(t *testing.T) {
 	dataDir := t.TempDir()
 	id := buildJobs(t, dataDir, false, []JobSpec{{Domain: core.Fusion, Seed: 4, Shots: 8}})[0]
@@ -192,42 +195,61 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &countingCodec{Codec: plug.Codec}
-	wrapped := plug
-	wrapped.Codec = counting
-	if err := domain.Register(wrapped); err != nil {
-		t.Fatal(err)
-	}
 	defer domain.Register(plug)
 
-	s, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(s.Close)
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+	}{
+		{"disk", 0},
+		{"cache", 64 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counting := &countingCodec{Codec: plug.Codec}
+			wrapped := plug
+			wrapped.Codec = counting
+			if err := domain.Register(wrapped); err != nil {
+				t.Fatal(err)
+			}
 
-	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=3"
-	stream := rawFrameStream(t, url)
-	if len(stream) == 0 {
-		t.Fatal("empty frame stream")
-	}
-	if n := counting.calls.Load(); n != 0 {
-		t.Fatalf("cold sidecar-served frame stream made %d codec calls, want 0", n)
-	}
-	if hits := s.metrics.frameStoreHits.Value(); hits == 0 {
-		t.Fatal("stream was not sidecar-served")
-	}
-	// Sanity: the counter does trip on paths that must use the codec.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/batches?batch_size=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if counting.calls.Load() == 0 {
-		t.Fatal("NDJSON stream made no codec calls — counting codec is not wired in")
+			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: tc.cacheBytes})
+			url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=3"
+			cold := rawFrameStream(t, url)
+			if len(cold) == 0 {
+				t.Fatal("empty frame stream")
+			}
+			if n := counting.calls.Load(); n != 0 {
+				t.Fatalf("cold frame stream made %d codec calls, want 0", n)
+			}
+			if hits := s.metrics.frameStoreHits.Value(); hits == 0 {
+				t.Fatal("cold stream was not sidecar-served")
+			}
+			if tc.cacheBytes > 0 {
+				diskHits := s.metrics.frameStoreHits.Value()
+				if warm := rawFrameStream(t, url); !bytes.Equal(warm, cold) {
+					t.Fatal("warm frame-cache stream differs from the cold stream")
+				}
+				if n := counting.calls.Load(); n != 0 {
+					t.Fatalf("warm frame-cache stream made %d codec calls, want 0", n)
+				}
+				if fs := s.frames.Stats(); fs.Hits == 0 {
+					t.Fatalf("warm stream took no frame-cache hits: %+v", fs)
+				}
+				if s.metrics.frameStoreHits.Value() != diskHits {
+					t.Fatal("warm stream went back to the sidecars instead of the frame cache")
+				}
+			}
+			// Sanity: the counter does trip on paths that must use the codec.
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if counting.calls.Load() == 0 {
+				t.Fatal("NDJSON stream made no codec calls — counting codec is not wired in")
+			}
+		})
 	}
 }
 
@@ -242,7 +264,7 @@ func TestSidecarBackfillReplayedJobs(t *testing.T) {
 		t.Fatalf("DisableFrameStore build still wrote sidecars: %v", files)
 	}
 
-	s, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+	s, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +315,7 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 		pristine[f] = b
 	}
 
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, DisableFrameStore: true})
+	ref, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0, DisableFrameStore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +332,8 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 	// Each corruption mode runs against both cold serving modes: direct
 	// sidecar streaming (no caches) and frame-cache fill.
 	caches := map[string]Options{
-		"disk":  {Workers: 2, DataDir: dataDir, CacheBytes: 0},
-		"cache": {Workers: 2, DataDir: dataDir, CacheBytes: 32 << 20, FrameCacheBytes: 64 << 20},
+		"disk":  {Workers: 2, DataDir: dataDir, ServeCacheBytes: 0},
+		"cache": {Workers: 2, DataDir: dataDir, ServeCacheBytes: 64 << 20},
 	}
 	for mode, mutate := range corrupt {
 		for cacheName, opts := range caches {
@@ -383,7 +405,7 @@ func TestUnusableSidecarReplacedOnce(t *testing.T) {
 	}
 	var want []byte
 	t.Run("intact", func(t *testing.T) {
-		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
 		want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
 	})
 	for mode, bad := range damage {
@@ -391,7 +413,7 @@ func TestUnusableSidecarReplacedOnce(t *testing.T) {
 			if err := os.WriteFile(victim, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, CacheBytes: 0})
+			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
 			url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
 			if first := rawFrameStream(t, url); !bytes.Equal(first, want) {
 				t.Fatalf("stream over a %s sidecar differs (%d vs %d bytes)", mode, len(first), len(want))

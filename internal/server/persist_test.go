@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/pkg/client"
 )
 
 // streamAll fetches the full batch stream body, byte for byte.
@@ -105,7 +106,7 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Resume an interrupted stream across the restart: take the cursor
 	// after the first batch served by s1 and continue on s2.
-	var first BatchWire
+	var first client.BatchWire
 	firstLine := climateStream[:indexByte(climateStream, '\n')]
 	if err := json.Unmarshal(firstLine, &first); err != nil {
 		t.Fatal(err)
@@ -142,7 +143,7 @@ func restAdjusted(rest []byte) string {
 	idx := 1
 	for len(rest) > 0 {
 		i := indexByte(rest, '\n')
-		var wire BatchWire
+		var wire client.BatchWire
 		if err := json.Unmarshal(rest[:i], &wire); err != nil {
 			return "unparsable: " + err.Error()
 		}

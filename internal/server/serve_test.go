@@ -168,7 +168,7 @@ func TestAllDomainsStreamAndResumeAcrossRestart(t *testing.T) {
 // the stream to frames, and both answers are labelled with
 // Content-Type and X-Draid-Wire.
 func TestWireNegotiation(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Seed: 2, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestWireNegotiation(t *testing.T) {
 func TestServeErrorMetric(t *testing.T) {
 	dataDir := t.TempDir()
 	// Cold cache so the stream really reads the (sabotaged) store.
-	s, err := New(Options{Workers: 1, DataDir: dataDir, CacheBytes: 0})
+	s, err := New(Options{Workers: 1, DataDir: dataDir, ServeCacheBytes: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func assertPaced(t *testing.T, s *Server, url, wire string) int {
 // unpaced stream finishes the same payload far faster than the paced
 // one.
 func TestServeRateControl(t *testing.T) {
-	s, err := New(Options{Workers: 1, CacheBytes: 32 << 20})
+	s, err := New(Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,44 +420,5 @@ func TestServeRateControl(t *testing.T) {
 	}
 	if got := int64(s.metrics.serveThrottled.Value()); got != throttledBefore {
 		t.Fatalf("overflow max_kbps ticked draid_serve_throttled_total (%d -> %d)", throttledBefore, got)
-	}
-}
-
-// TestFrameCachedComparisonSmoke: the zero-copy bench dimension runs
-// end to end and produces a usable ratio with both sides populated.
-func TestFrameCachedComparisonSmoke(t *testing.T) {
-	cmp, err := RunFrameCachedComparison(ServeBenchConfig{Clients: 2, BatchSize: 8, Passes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Frame == nil || cmp.FrameCached == nil {
-		t.Fatalf("missing side: %+v", cmp)
-	}
-	if cmp.Frame.Batches == 0 || cmp.FrameCached.Batches == 0 {
-		t.Fatalf("empty runs: frame %+v cached %+v", cmp.Frame, cmp.FrameCached)
-	}
-	if cmp.Frame.Samples != cmp.FrameCached.Samples {
-		t.Fatalf("sides streamed different loads: %d vs %d samples", cmp.Frame.Samples, cmp.FrameCached.Samples)
-	}
-	if cmp.CachedOverFrame <= 0 {
-		t.Fatalf("no ratio: %+v", cmp)
-	}
-}
-
-// TestServeBenchAllCodecs is the bench smoke: every registered domain
-// streams through the benchmark harness under the mem backend.
-func TestServeBenchAllCodecs(t *testing.T) {
-	for _, plug := range domain.Plugins() {
-		res, err := RunServeBenchmark(ServeBenchConfig{
-			Clients: 2, BatchSize: 8, Passes: 1, Domain: plug.Domain})
-		if err != nil {
-			t.Fatalf("%s: %v", plug.Domain, err)
-		}
-		if res.Batches == 0 || res.Samples == 0 || res.Bytes == 0 {
-			t.Fatalf("%s: empty bench result %+v", plug.Domain, res)
-		}
-		if res.Kind != plug.Codec.Kind() || res.Domain != string(plug.Domain) {
-			t.Fatalf("%s: result not tagged: %+v", plug.Domain, res)
-		}
 	}
 }

@@ -44,27 +44,21 @@ type Options struct {
 	// are rejected with 429 (explicit backpressure, not unbounded RAM).
 	// <=0 means 64.
 	QueueDepth int
-	// CacheBytes budgets the decoded-shard LRU cache. <=0 disables it.
-	CacheBytes int64
-	// FrameCacheBytes budgets the encoded-frame shard cache: each
-	// shard's records are packed into frame-ready payload bytes once,
-	// and frame-wire batches are then served by slicing byte ranges —
-	// no per-request tensor marshalling. <=0 disables it (frame batches
-	// serve from on-store sidecars, or encode per request). NDJSON
-	// streams never use it.
-	FrameCacheBytes int64
-	// ServeCacheBytes, when positive, replaces the independent
-	// CacheBytes/FrameCacheBytes budgets with ONE byte budget shared by
-	// the decoded-shard and encoded-frame caches (the -serve-cache-mb
-	// arena). Eviction is weighted: encoded payloads are cheap to
-	// refill from frame sidecars, so they are evicted preferentially;
-	// decoded entries only pay once frames hold a small fraction of the
-	// resident bytes. <=0 keeps the split budgets.
+	// ServeCacheBytes is the one serving-cache byte budget (the
+	// -serve-cache-mb arena), shared by the decoded-shard cache and the
+	// encoded-frame cache. Frame-wire batches are served by slicing
+	// cached frame-ready payload bytes — no per-request tensor
+	// marshalling; NDJSON streams use only the decoded cache. Eviction
+	// is weighted: encoded payloads are cheap to refill from frame
+	// sidecars, so they are evicted preferentially; decoded entries only
+	// pay once frames hold a small fraction of the resident bytes. <=0
+	// disables both caches (frame batches serve from on-store sidecars,
+	// or encode per request).
 	ServeCacheBytes int64
 	// DisableFrameStore turns the on-store frame sidecar tier off
 	// entirely: sidecars are neither written at job completion, nor
 	// read, nor backfilled — every cold frame stream pays the full
-	// decode+encode. Benchmarks and byte-exactness tests use it as the
+	// decode+encode. Byte-exactness tests use it as the
 	// encode-per-request reference; production servers leave it off.
 	DisableFrameStore bool
 	// ServeMaxKBps caps every batch stream's throughput (KiB/second,
@@ -110,9 +104,9 @@ type Options struct {
 	// recently served are evicted. <=0 means unbounded.
 	MaxJobs int
 
-	// NewStore overrides per-job shard storage (benchmarks route jobs
-	// through a parfs-backed store with it). Nil picks FSSink under
-	// DataDir, or MemSink when DataDir is empty.
+	// NewStore overrides per-job shard storage (the benchmark wraps
+	// FSSink in a traced store with it; tests inject faulting stores).
+	// Nil picks FSSink under DataDir, or MemSink when DataDir is empty.
 	NewStore func(jobID string) (shard.Store, error)
 
 	// Cluster makes this server a fleet member: job-addressed requests
@@ -159,9 +153,8 @@ type Server struct {
 	cache   *ShardCache[[]any]         // decoded shard records
 	frames  *ShardCache[*encodedShard] // frame-ready shard payload bytes
 	opts    Options
-	// frameCacheOn records whether the frame cache has a byte budget
-	// (its own or the shared arena's) — the frame-wire serving path's
-	// cache-vs-disk switch.
+	// frameCacheOn records whether the serving caches have a byte
+	// budget — the frame-wire serving path's cache-vs-disk switch.
 	frameCacheOn bool
 
 	mu     sync.Mutex
@@ -222,17 +215,13 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	// The unified arena gives each cache the full joint budget as its
-	// individual ceiling; the arena's weighted rebalance is what keeps
-	// their sum under it.
-	cacheBytes, frameBytes := opts.CacheBytes, opts.FrameCacheBytes
-	if opts.ServeCacheBytes > 0 {
-		cacheBytes, frameBytes = opts.ServeCacheBytes, opts.ServeCacheBytes
-	}
+	// The arena gives each cache the full joint budget as its individual
+	// ceiling; the arena's weighted rebalance is what keeps their sum
+	// under it.
 	s := &Server{
 		mux:         http.NewServeMux(),
-		cache:       NewShardCache[[]any](cacheBytes),
-		frames:      NewShardCache[*encodedShard](frameBytes),
+		cache:       NewShardCache[[]any](opts.ServeCacheBytes),
+		frames:      NewShardCache[*encodedShard](opts.ServeCacheBytes),
 		opts:        opts,
 		jobs:        make(map[string]*Job),
 		queue:       make(chan *Job, opts.QueueDepth),
@@ -246,8 +235,8 @@ func New(opts Options) (*Server, error) {
 	if opts.ServeBudgetKBps > 0 {
 		s.fair = newFairShare(int64(opts.ServeBudgetKBps) << 10)
 	}
-	s.frameCacheOn = frameBytes > 0
-	if opts.ServeCacheBytes > 0 {
+	s.frameCacheOn = opts.ServeCacheBytes > 0
+	if s.frameCacheOn {
 		arena := &cacheArena{budget: opts.ServeCacheBytes, frames: s.frames, decoded: s.cache}
 		s.cache.arena, s.frames.arena = arena, arena
 	}

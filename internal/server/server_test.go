@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/loader"
 	"repro/internal/provenance"
+	"repro/pkg/client"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -136,7 +137,7 @@ func TestJobNotFound(t *testing.T) {
 // registry-template job over HTTP, poll to completion, stream >=2
 // batches, and verify decoded sample shapes.
 func TestEndToEndClimateServe(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2, CacheBytes: 32 << 20})
+	s, ts := newTestServer(t, Options{Workers: 2, ServeCacheBytes: 32 << 20})
 
 	spec := JobSpec{Domain: core.Climate, Name: "e2e", Seed: 7, Months: 24, Lat: 16, Lon: 32}
 	id, err := SubmitAndWait(ts.URL, spec, 60*time.Second)
@@ -175,7 +176,7 @@ func TestEndToEndClimateServe(t *testing.T) {
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	batches, samples := 0, 0
 	for sc.Scan() {
-		var wire BatchWire
+		var wire client.BatchWire
 		if err := json.Unmarshal(sc.Bytes(), &wire); err != nil {
 			t.Fatalf("line %d: %v", batches, err)
 		}
@@ -211,7 +212,7 @@ func TestEndToEndClimateServe(t *testing.T) {
 // only holds AES-GCM sealed shards, yet the serving tier streams
 // plaintext sample batches via the per-job key.
 func TestBioServeDecryptsSealedShards(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.BioHealth, Subjects: 16, SeqLen: 128}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +230,7 @@ func TestBioServeDecryptsSealedShards(t *testing.T) {
 // fusion_windows codec streams them as windowed signal batches with
 // disruption labels and horizons instead of the pre-plugin 409.
 func TestFusionStreamsWindows(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Fusion, Shots: 6}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestFusionStreamsWindows(t *testing.T) {
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	windows, dim := 0, -1
 	for sc.Scan() {
-		var wire BatchWire
+		var wire client.BatchWire
 		if err := json.Unmarshal(sc.Bytes(), &wire); err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +298,7 @@ func TestFusionStreamsWindows(t *testing.T) {
 // group per graph; the materials_graphs codec streams them as ragged
 // node/edge tensors.
 func TestMaterialsStreamsGraphs(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 32 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Materials, Structures: 12}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +322,7 @@ func TestMaterialsStreamsGraphs(t *testing.T) {
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	graphs := 0
 	for sc.Scan() {
-		var wire BatchWire
+		var wire client.BatchWire
 		if err := json.Unmarshal(sc.Bytes(), &wire); err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +397,7 @@ func TestProvenanceEndpoint(t *testing.T) {
 // TestConcurrentReadersShareCache streams the same job from many
 // readers at once; the decoded-shard cache must coalesce the decodes.
 func TestConcurrentReadersShareCache(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 64 << 20})
+	s, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 64 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 24, Lat: 16, Lon: 32}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +472,7 @@ func TestShardCacheEviction(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 1 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 1 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func scrape(t *testing.T, baseURL string) (map[string]float64, string) {
 // with the strict parser after real traffic, and checks the serving
 // histograms the acceptance criteria name.
 func TestMetricsStrictExposition(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 1 << 20})
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 1 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)

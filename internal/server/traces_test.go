@@ -76,7 +76,7 @@ func assertNested(t *testing.T, view *client.TraceView) {
 // hot-path span names, parent-child nesting, the trace listing and its
 // filters, and the exemplar riding the request histogram.
 func TestTraceSpanTreeSingleNode(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, CacheBytes: 1 << 20})
+	s, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 1 << 20})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	const trace = "span-tree-e2e.1"

@@ -337,50 +337,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0..1) from the bucket counts by
-// linear interpolation inside the holding bucket — the same estimate
-// Prometheus's histogram_quantile computes. Observations beyond the
-// last finite bucket clamp to its bound. Returns 0 with no data.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, bound := range h.buckets {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.buckets[i-1]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (bound-lower)*frac
-		}
-		cum += c
-	}
-	// Rank falls in the +Inf bucket: the bound of the last finite
-	// bucket is the best (under)estimate available.
-	if len(h.buckets) > 0 {
-		return h.buckets[len(h.buckets)-1]
-	}
-	return 0
-}
-
 func (h *Histogram) write(w io.Writer, fam *family, values []string) {
 	var cum uint64
 	for i, bound := range h.buckets {

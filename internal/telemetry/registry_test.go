@@ -93,29 +93,6 @@ func TestHistogramExpositionIsCumulative(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("draid_q_seconds", "q", []float64{0.1, 0.2, 0.4, 0.8}).With()
-	// 100 observations spread evenly into the 0–0.1 bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.05)
-	}
-	if q := h.Quantile(0.5); q <= 0 || q > 0.1 {
-		t.Errorf("p50 = %v, want in (0, 0.1]", q)
-	}
-	// Push the tail into the 0.2–0.4 bucket: p99 should land there.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.3)
-	}
-	if q := h.Quantile(0.99); q <= 0.2 || q > 0.4 {
-		t.Errorf("p99 = %v, want in (0.2, 0.4]", q)
-	}
-	var empty Histogram
-	if q := (&empty).Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", q)
-	}
-}
-
 func TestEscapeLabelValue(t *testing.T) {
 	cases := map[string]string{
 		`plain`:              `plain`,

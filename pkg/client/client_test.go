@@ -64,7 +64,7 @@ func drainAll(t *testing.T, st *client.Stream) []client.BatchWire {
 }
 
 func TestClientEndToEnd(t *testing.T) {
-	_, ts := newServer(t, server.Options{Workers: 2, CacheBytes: 32 << 20})
+	_, ts := newServer(t, server.Options{Workers: 2, ServeCacheBytes: 32 << 20})
 	c := client.New(ts.URL)
 	ctx := context.Background()
 
@@ -194,7 +194,7 @@ func (c *chokeWriter) Flush() {
 // the exact clean-run record sequence with contiguous batch numbering
 // — in both wire formats.
 func TestStreamResumeOnDisconnect(t *testing.T) {
-	s, err := server.New(server.Options{Workers: 2, CacheBytes: 32 << 20})
+	s, err := server.New(server.Options{Workers: 2, ServeCacheBytes: 32 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
