@@ -3,7 +3,6 @@ package bio
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/anonymize"
 	"repro/internal/core"
@@ -228,27 +227,15 @@ func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
 		}
 		p.Sealed = make(map[string][]byte, len(p.Manifest.Shards))
 		for _, info := range p.Manifest.Shards {
-			rc, err := staging.Open(info.Name)
+			plain, err := shard.ReadObject(staging, info.Name)
 			if err != nil {
 				return err
 			}
-			plain, err := io.ReadAll(rc)
-			if err != nil {
-				return err
-			}
-			_ = rc.Close()
 			sealed, err := anonymize.EncryptShard(cfg.EncryptionKey, info.Name, plain)
 			if err != nil {
 				return err
 			}
-			obj, err := sink.Create(info.Name + ".enc")
-			if err != nil {
-				return err
-			}
-			if _, err := obj.Write(sealed); err != nil {
-				return err
-			}
-			if err := obj.Close(); err != nil {
+			if err := shard.WriteObject(sink, info.Name+".enc", sealed); err != nil {
 				return err
 			}
 			p.Sealed[info.Name] = sealed

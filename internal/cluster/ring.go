@@ -119,7 +119,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if len(r.points) == 0 {
 		return shares
 	}
-	const space = float64(1 << 63) * 2 // 2^64 as float
+	const space = float64(1<<63) * 2 // 2^64 as float
 	for i, p := range r.points {
 		var arc uint64
 		if i == 0 {

@@ -66,14 +66,7 @@ type decryptOpener struct {
 
 // Open implements shard.Opener over sealed shards.
 func (o decryptOpener) Open(name string) (io.ReadCloser, error) {
-	rc, err := o.sink.Open(name + o.suffix)
-	if err != nil {
-		return nil, err
-	}
-	sealed, err := io.ReadAll(rc)
-	if cerr := rc.Close(); err == nil {
-		err = cerr
-	}
+	sealed, err := shard.ReadObject(o.sink, name+o.suffix)
 	if err != nil {
 		return nil, err
 	}

@@ -298,22 +298,10 @@ func BuildShardSidecars(p Plugin, store shard.Store, m *shard.Manifest, key []by
 		if err != nil {
 			return built, fmt.Errorf("domain: sidecar for %s: %w", info.Name, err)
 		}
-		if err := writeSidecar(sink, SidecarName(info.Name), b); err != nil {
+		if err := shard.WriteObject(sink, SidecarName(info.Name), b); err != nil {
 			return built, fmt.Errorf("domain: sidecar for %s: %w", info.Name, err)
 		}
 		built++
 	}
 	return built, nil
-}
-
-func writeSidecar(sink shard.Sink, name string, b []byte) error {
-	wc, err := sink.Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := wc.Write(b); err != nil {
-		wc.Close()
-		return err
-	}
-	return wc.Close()
 }

@@ -1,8 +1,8 @@
-// Package metrics instruments pipeline stages with wall-clock timing and
-// throughput accounting. The curation-time experiment (paper §3.2:
+// Stage instrumentation: wall-clock timing and throughput accounting
+// for every pipeline stage. The curation-time experiment (paper §3.2:
 // "scientists spend upwards of 70% of their time on data curation") is
 // answered by attributing stage time to categories and reporting shares.
-package metrics
+package pipeline
 
 import (
 	"fmt"

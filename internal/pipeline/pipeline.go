@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/provenance"
 )
 
@@ -93,7 +92,7 @@ type Snapshot struct {
 type Pipeline struct {
 	name       string
 	stages     []Stage
-	Collector  *metrics.Collector
+	Collector  *Collector
 	Tracker    *provenance.Tracker
 	Thresholds core.Thresholds
 	// Category labels stage time for the curation-share experiment;
@@ -123,7 +122,7 @@ func New(name string, stages ...Stage) (*Pipeline, error) {
 	return &Pipeline{
 		name:       name,
 		stages:     stages,
-		Collector:  metrics.NewCollector(),
+		Collector:  NewCollector(),
 		Tracker:    provenance.NewTracker(),
 		Thresholds: core.DefaultThresholds(),
 		Category:   make(map[string]string),

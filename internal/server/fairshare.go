@@ -1,4 +1,5 @@
-// Weighted-fair bandwidth sharing for batch streams. With
+// Bandwidth pacing for batch streams: a token bucket per stream, and
+// weighted-fair sharing of one global budget between them. With
 // -serve-budget-kbps set, the server holds ONE global byte budget and
 // splits it hierarchically: first across the tenants with at least one
 // active stream, proportionally to their configured weights, then
@@ -9,7 +10,11 @@
 // adapt mid-stream as streams open and close.
 package server
 
-import "sync"
+import (
+	"context"
+	"sync"
+	"time"
+)
 
 // fairShare tracks active streams per tenant and computes each
 // stream's current fair rate from the global budget.
@@ -92,13 +97,43 @@ func (f *fairShare) activeStreams() int {
 	return f.active
 }
 
-// newDynamicPacer returns a pacer whose rate is re-read from rateFn on
-// every pace call: the weighted-fair share moves as streams open and
+// pacer is a per-stream token bucket with a small burst so short
+// streams are not over-delayed by rounding. Its rate is re-read on
+// every pace call: a weighted-fair share moves as streams open and
 // close, and the bucket follows without restarting the stream.
-func newDynamicPacer(rateFn func() float64) *pacer {
-	p := newPacer(int64(rateFn()))
-	p.rateFn = rateFn
-	return p
+type pacer struct {
+	rate      func() float64 // bytes per second, > 0
+	tokens    float64
+	last      time.Time
+	throttled bool
+}
+
+func newPacer(rate func() float64) *pacer {
+	return &pacer{rate: rate, tokens: pacerBurst(rate()), last: time.Now()}
+}
+
+// pace charges n bytes against the bucket and sleeps off any deficit.
+// The sleep aborts when ctx ends (client disconnect), returning the
+// context's error so the caller stops streaming instead of pinning a
+// handler goroutine — a huge batch at a tiny rate would otherwise
+// sleep unbounded for a reader that may already be gone.
+func (p *pacer) pace(ctx context.Context, n int64) error {
+	rate := p.rate()
+	now := time.Now()
+	p.tokens = min(p.tokens+now.Sub(p.last).Seconds()*rate, pacerBurst(rate))
+	p.last = now
+	p.tokens -= float64(n)
+	if p.tokens < 0 {
+		p.throttled = true
+		t := time.NewTimer(time.Duration(-p.tokens / rate * float64(time.Second)))
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 // pacerBurst is the bucket capacity for a rate: a quarter-second of

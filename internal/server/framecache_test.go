@@ -5,8 +5,6 @@
 package server
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -64,14 +62,13 @@ func frameCursors(t *testing.T, stream []byte) []string {
 // codec, the frame stream served by slicing the encoded-frame cache is
 // byte-identical to the encode-per-request stream — cold (cache fill),
 // warm (cache hit), at a different batch size, resumed from a
-// mid-stream cursor, and under ?max_kbps= pacing. The reference bytes
-// come from a server with the frame cache disabled; the cached server
-// reads the same data dir after a restart.
+// mid-stream cursor, capped by max_batches, and under ?max_kbps=
+// pacing. The reference bytes come from a server with both caches off
+// whose store has no frame sidecars; the cached server reads the same
+// data dir after a restart.
 func TestFrameCacheByteExact(t *testing.T) {
 	dataDir := t.TempDir()
-	// DisableFrameStore keeps s1 a true encode-per-request reference:
-	// with the disk tier on it would serve cold frames from sidecars.
-	s1, err := New(Options{Workers: 4, DataDir: dataDir, ServeCacheBytes: 0, DisableFrameStore: true})
+	s1, err := New(Options{Workers: 4, DataDir: dataDir, ServeCacheBytes: 0, NewStore: noFrameStore(dataDir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,30 +81,15 @@ func TestFrameCacheByteExact(t *testing.T) {
 		{Domain: core.Fusion, Seed: 3, Shots: 8},
 		{Domain: core.Materials, Seed: 3, Structures: 16},
 	}
-	type refStreams struct {
-		id     string
-		full   []byte // batch_size=2, whole stream
-		odd    []byte // batch_size=3, whole stream
-		cursor string // mid-stream resume point from full
-		resume []byte // batch_size=2 from cursor
-	}
-	var refs []refStreams
-	for _, spec := range specs {
+	ids := make([]string, len(specs))
+	cases := make([][]byteExactCase, len(specs))
+	for i, spec := range specs {
 		id, err := SubmitAndWait(ts1.URL, spec, 120*time.Second)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Domain, err)
 		}
-		url := ts1.URL + "/v1/jobs/" + id + "/batches"
-		r := refStreams{id: id}
-		r.full = rawFrameStream(t, url+"?batch_size=2")
-		r.odd = rawFrameStream(t, url+"?batch_size=3")
-		cursors := frameCursors(t, r.full)
-		if len(cursors) < 3 {
-			t.Fatalf("%s: only %d batches", spec.Domain, len(cursors))
-		}
-		r.cursor = cursors[len(cursors)/2]
-		r.resume = rawFrameStream(t, url+"?batch_size=2&cursor="+r.cursor)
-		refs = append(refs, r)
+		ids[i] = id
+		cases[i] = referenceCases(t, ts1.URL+"/v1/jobs/"+id+"/batches?")
 	}
 	if hits := s1.frames.Stats().Hits; hits != 0 {
 		t.Fatalf("disabled frame cache recorded %d hits", hits)
@@ -123,30 +105,14 @@ func TestFrameCacheByteExact(t *testing.T) {
 	t.Cleanup(ts2.Close)
 	t.Cleanup(s2.Close)
 
-	for i, r := range refs {
-		dom := specs[i].Domain
-		url := ts2.URL + "/v1/jobs/" + r.id + "/batches"
-		// Cold: this stream fills the frame cache and must already be
-		// byte-identical to the encode-per-request reference.
-		if got := rawFrameStream(t, url+"?batch_size=2"); !bytes.Equal(got, r.full) {
-			t.Fatalf("%s: cold cached stream differs from reference (%d vs %d bytes)", dom, len(got), len(r.full))
-		}
-		// Warm: same request again, now served from cached payload slices.
-		if got := rawFrameStream(t, url+"?batch_size=2"); !bytes.Equal(got, r.full) {
-			t.Fatalf("%s: warm cached stream differs from reference", dom)
-		}
-		// A different batch size re-frames the same cached payload bytes.
-		if got := rawFrameStream(t, url+"?batch_size=3"); !bytes.Equal(got, r.odd) {
-			t.Fatalf("%s: batch_size=3 cached stream differs from reference", dom)
-		}
-		// Cursor resume from a mid-stream point.
-		if got := rawFrameStream(t, url+"?batch_size=2&cursor="+r.cursor); !bytes.Equal(got, r.resume) {
-			t.Fatalf("%s: resumed cached stream differs from reference", dom)
-		}
-		// Pacing charges the sliced bytes but must not change them.
-		kbps := len(r.full)/1024 + 1
-		if got := rawFrameStream(t, fmt.Sprintf("%s?batch_size=2&max_kbps=%d", url, kbps)); !bytes.Equal(got, r.full) {
-			t.Fatalf("%s: paced cached stream differs from reference", dom)
+	for i, id := range ids {
+		// The first row is cold: it fills the frame cache and must already
+		// be byte-identical to the reference. Every row after it — the
+		// first one again included — re-frames the cached payload slices.
+		url := ts2.URL + "/v1/jobs/" + id + "/batches?"
+		checkCase(t, url, cases[i][0])
+		for _, c := range cases[i] {
+			checkCase(t, url, c)
 		}
 	}
 
@@ -160,7 +126,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 
 	// NDJSON streams never touch the frame cache: same bytes, no new
 	// cache traffic.
-	ndjsonURL := ts2.URL + "/v1/jobs/" + refs[0].id + "/batches?batch_size=2"
+	ndjsonURL := ts2.URL + "/v1/jobs/" + ids[0] + "/batches?batch_size=2"
 	before := s2.frames.Stats()
 	resp, err := http.Get(ndjsonURL)
 	if err != nil {

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,14 +21,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/shard"
 )
 
 // buildJobs runs one job per spec on a fresh server over dataDir and
 // returns the job IDs. The server is closed before returning, so the
-// shard sets (and, unless disableStore, their sidecars) are on disk.
-func buildJobs(t *testing.T, dataDir string, disableStore bool, specs []JobSpec) []string {
+// shard sets and their sidecars are on disk.
+func buildJobs(t *testing.T, dataDir string, specs []JobSpec) []string {
 	t.Helper()
-	s, err := New(Options{Workers: 4, DataDir: dataDir, DisableFrameStore: disableStore})
+	s, err := New(Options{Workers: 4, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +64,113 @@ func sidecarFiles(t *testing.T, dataDir, id string) []string {
 	return out
 }
 
+// noSidecarStore is an FSSink without the frame store: sidecar objects
+// read as absent and can be neither created nor removed. A server over
+// it encodes every cold frame stream per request — the reference the
+// byte-exactness tests compare the cache and disk tiers against — and
+// leaves the real sidecars in a shared data dir untouched.
+type noSidecarStore struct{ *shard.FSSink }
+
+func isSidecar(name string) bool { return strings.Contains(name, domain.SidecarSuffix) }
+
+func (s noSidecarStore) Size(name string) int64 {
+	if isSidecar(name) {
+		return 0
+	}
+	return s.FSSink.Size(name)
+}
+
+func (s noSidecarStore) Create(name string) (io.WriteCloser, error) {
+	if isSidecar(name) {
+		return nil, errors.New("no frame store")
+	}
+	return s.FSSink.Create(name)
+}
+
+func (s noSidecarStore) Remove(name string) error {
+	if isSidecar(name) {
+		return errors.New("no frame store")
+	}
+	return s.FSSink.Remove(name)
+}
+
+// noFrameStore is the Options.NewStore of an encode-per-request
+// reference server over dataDir.
+func noFrameStore(dataDir string) func(string) (shard.Store, error) {
+	return func(id string) (shard.Store, error) {
+		fs, err := shard.NewFSSink(filepath.Join(dataDir, "jobs", id))
+		if err != nil {
+			return nil, err
+		}
+		return noSidecarStore{fs}, nil
+	}
+}
+
+// byteExactCase is one row of a byte-exactness table: a /batches query
+// and the reference frame stream it must reproduce.
+type byteExactCase struct {
+	query string
+	want  []byte
+}
+
+// referenceCases streams the byte-exactness table from a reference
+// server: two batch sizes, a mid-stream cursor resume, two max_batches
+// caps, and a ?max_kbps= pacing row (pacing charges the bytes but must
+// not change them). url ends in "/batches?".
+func referenceCases(t *testing.T, url string) []byteExactCase {
+	t.Helper()
+	full := rawFrameStream(t, url+"batch_size=2")
+	cursors := frameCursors(t, full)
+	if len(cursors) < 3 {
+		t.Fatalf("%s: only %d batches", url, len(cursors))
+	}
+	var cases []byteExactCase
+	for _, q := range []string{
+		"batch_size=2",
+		"batch_size=3",
+		"batch_size=2&cursor=" + cursors[len(cursors)/2],
+		"batch_size=2&max_batches=1",
+		"batch_size=3&max_batches=2",
+	} {
+		cases = append(cases, byteExactCase{q, rawFrameStream(t, url+q)})
+	}
+	return append(cases, byteExactCase{fmt.Sprintf("batch_size=2&max_kbps=%d", len(full)/1024+1), full})
+}
+
+// checkCase streams one table row from url ("/batches?"-terminated) and
+// requires the reference bytes. On max_batches rows it also requires
+// the NDJSON wire to stop after the same batches, at the same cursors.
+func checkCase(t *testing.T, url string, c byteExactCase) {
+	t.Helper()
+	u := url + c.query
+	got := rawFrameStream(t, u)
+	if !bytes.Equal(got, c.want) {
+		t.Fatalf("%s: stream differs from reference (%d vs %d bytes)", u, len(got), len(c.want))
+	}
+	if !strings.Contains(c.query, "max_batches=") {
+		return
+	}
+	frames := frameCursors(t, got)
+	lines := streamFrom(t, u, "")
+	if len(lines) != len(frames) {
+		t.Fatalf("%s: NDJSON stopped after %d batches, frames after %d", u, len(lines), len(frames))
+	}
+	for i, l := range lines {
+		if l.cursor != frames[i] {
+			t.Fatalf("%s: batch %d cursor %s on NDJSON, %s on frames", u, i, l.cursor, frames[i])
+		}
+	}
+}
+
 // TestFrameDiskByteExact is the disk tier's wire-invisibility proof:
 // for every codec — including the sealed bio domain, whose sidecars
 // are encrypted under the per-job key — a fully-cold frame stream
 // served from sidecars is byte-identical to the encode-per-request
-// reference, across batch sizes, cursor resume, and ?max_kbps= pacing.
+// reference, across batch sizes, cursor resume, max_batches caps, and
+// ?max_kbps= pacing.
 func TestFrameDiskByteExact(t *testing.T) {
 	dataDir := t.TempDir()
-	ids := buildJobs(t, dataDir, false, []JobSpec{
+	ids := buildJobs(t, dataDir, []JobSpec{
 		{Domain: core.Climate, Seed: 3, Months: 24, Lat: 16, Lon: 32},
 		{Domain: core.Fusion, Seed: 3, Shots: 8},
 		{Domain: core.Materials, Seed: 3, Structures: 16},
@@ -82,33 +183,19 @@ func TestFrameDiskByteExact(t *testing.T) {
 		}
 	}
 
-	// Reference bytes from a replay server with the frame store off —
-	// a true encode-per-request server.
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0, DisableFrameStore: true})
+	// Reference bytes from a replay server that cannot see the
+	// sidecars — a true encode-per-request server.
+	ref, err := New(Options{Workers: 2, DataDir: dataDir, NewStore: noFrameStore(dataDir)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refTS := httptest.NewServer(ref.Handler())
-	type refStreams struct {
-		full   []byte // batch_size=2
-		odd    []byte // batch_size=3
-		cursor string // mid-stream resume point
-		resume []byte // batch_size=2 from cursor
-	}
-	refs := make([]refStreams, len(ids))
+	cases := make([][]byteExactCase, len(ids))
 	for i, id := range ids {
-		url := refTS.URL + "/v1/jobs/" + id + "/batches"
-		refs[i].full = rawFrameStream(t, url+"?batch_size=2")
-		refs[i].odd = rawFrameStream(t, url+"?batch_size=3")
-		cursors := frameCursors(t, refs[i].full)
-		if len(cursors) < 3 {
-			t.Fatalf("%s: only %d batches", doms[i], len(cursors))
-		}
-		refs[i].cursor = cursors[len(cursors)/2]
-		refs[i].resume = rawFrameStream(t, url+"?batch_size=2&cursor="+refs[i].cursor)
+		cases[i] = referenceCases(t, refTS.URL+"/v1/jobs/"+id+"/batches?")
 	}
 	if hits := ref.metrics.frameStoreHits.Value(); hits != 0 {
-		t.Fatalf("DisableFrameStore server recorded %v sidecar hits", hits)
+		t.Fatalf("reference server recorded %v sidecar hits", hits)
 	}
 	refTS.Close()
 	ref.Close()
@@ -124,20 +211,8 @@ func TestFrameDiskByteExact(t *testing.T) {
 	t.Cleanup(disk.Close)
 
 	for i, id := range ids {
-		dom := doms[i]
-		url := diskTS.URL + "/v1/jobs/" + id + "/batches"
-		if got := rawFrameStream(t, url+"?batch_size=2"); !bytes.Equal(got, refs[i].full) {
-			t.Fatalf("%s: disk-served stream differs from reference (%d vs %d bytes)", dom, len(got), len(refs[i].full))
-		}
-		if got := rawFrameStream(t, url+"?batch_size=3"); !bytes.Equal(got, refs[i].odd) {
-			t.Fatalf("%s: batch_size=3 disk-served stream differs from reference", dom)
-		}
-		if got := rawFrameStream(t, url+"?batch_size=2&cursor="+refs[i].cursor); !bytes.Equal(got, refs[i].resume) {
-			t.Fatalf("%s: resumed disk-served stream differs from reference", dom)
-		}
-		kbps := len(refs[i].full)/1024 + 1
-		if got := rawFrameStream(t, fmt.Sprintf("%s?batch_size=2&max_kbps=%d", url, kbps)); !bytes.Equal(got, refs[i].full) {
-			t.Fatalf("%s: paced disk-served stream differs from reference", dom)
+		for _, c := range cases[i] {
+			checkCase(t, diskTS.URL+"/v1/jobs/"+id+"/batches?", c)
 		}
 	}
 	if hits := disk.metrics.frameStoreHits.Value(); hits == 0 {
@@ -189,7 +264,7 @@ func (c *countingCodec) DecodeFramePayload(payload []byte, count int) ([]any, er
 // or payload encode during serving trips the counter.
 func TestFrameDiskZeroCodecCalls(t *testing.T) {
 	dataDir := t.TempDir()
-	id := buildJobs(t, dataDir, false, []JobSpec{{Domain: core.Fusion, Seed: 4, Shots: 8}})[0]
+	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 4, Shots: 8}})[0]
 
 	plug, err := domain.Lookup(core.Fusion)
 	if err != nil {
@@ -254,14 +329,20 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 }
 
 // TestSidecarBackfillReplayedJobs: a job built before the disk tier
-// existed (simulated with DisableFrameStore) has no sidecars; the
+// existed (simulated by deleting its sidecars) has no sidecars; the
 // first frame access on a current server backfills them, and the next
 // cold stream is served from disk.
 func TestSidecarBackfillReplayedJobs(t *testing.T) {
 	dataDir := t.TempDir()
-	id := buildJobs(t, dataDir, true, []JobSpec{{Domain: core.Materials, Seed: 5, Structures: 16}})[0]
-	if files := sidecarFiles(t, dataDir, id); len(files) != 0 {
-		t.Fatalf("DisableFrameStore build still wrote sidecars: %v", files)
+	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Materials, Seed: 5, Structures: 16}})[0]
+	files := sidecarFiles(t, dataDir, id)
+	if len(files) == 0 {
+		t.Fatal("job completed without sidecars on disk")
+	}
+	for _, f := range files {
+		if err := os.Remove(filepath.Join(dataDir, "jobs", id, f)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
@@ -300,7 +381,7 @@ func TestSidecarBackfillReplayedJobs(t *testing.T) {
 // re-backfilled.
 func TestSidecarCorruptionFallback(t *testing.T) {
 	dataDir := t.TempDir()
-	id := buildJobs(t, dataDir, false, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
+	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
 	jobDir := filepath.Join(dataDir, "jobs", id)
 	files := sidecarFiles(t, dataDir, id)
 	if len(files) == 0 {
@@ -315,7 +396,7 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 		pristine[f] = b
 	}
 
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0, DisableFrameStore: true})
+	ref, err := New(Options{Workers: 2, DataDir: dataDir, NewStore: noFrameStore(dataDir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +467,7 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 // damage is counted once and the second cold stream is all disk hits.
 func TestUnusableSidecarReplacedOnce(t *testing.T) {
 	dataDir := t.TempDir()
-	id := buildJobs(t, dataDir, false, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
+	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
 	files := sidecarFiles(t, dataDir, id)
 	if len(files) == 0 {
 		t.Fatal("no sidecars on disk")
@@ -436,5 +517,67 @@ func TestUnusableSidecarReplacedOnce(t *testing.T) {
 					s.metrics.frameStoreMisses.Value()-misses, s.metrics.frameStoreErrors.Value())
 			}
 		})
+	}
+}
+
+// rangeCountingStore is an FSSink that counts the OpenRange handles
+// open at once and the most ever open together.
+type rangeCountingStore struct {
+	*shard.FSSink
+	live, peak *atomic.Int64
+}
+
+func (s rangeCountingStore) OpenRange(name string) (shard.ReaderAtCloser, int64, error) {
+	ra, size, err := s.FSSink.OpenRange(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := s.live.Add(1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	return countedHandle{ra, s.live}, size, nil
+}
+
+type countedHandle struct {
+	shard.ReaderAtCloser
+	live *atomic.Int64
+}
+
+func (h countedHandle) Close() error {
+	h.live.Add(-1)
+	return h.ReaderAtCloser.Close()
+}
+
+// TestColdFrameStreamReleasesStoreHandles: with the caches off, a frame
+// stream reads every shard's sidecar through its own store handle. Each
+// handle must be closed once the shard's last range is written — at
+// most two are open together, because one batch can span a shard
+// boundary — not held until the stream ends, which would keep a paced
+// stream over a K-shard job holding K open files.
+func TestColdFrameStreamReleasesStoreHandles(t *testing.T) {
+	dataDir := t.TempDir()
+	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 7, Shots: 16}})[0]
+	var live, peak atomic.Int64
+	s, ts := newTestServer(t, Options{Workers: 1, DataDir: dataDir, ServeCacheBytes: 0,
+		NewStore: func(jobID string) (shard.Store, error) {
+			fs, err := shard.NewFSSink(filepath.Join(dataDir, "jobs", jobID))
+			if err != nil {
+				return nil, err
+			}
+			return rangeCountingStore{fs, &live, &peak}, nil
+		}})
+	var st JobStatus
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+id, &st); code != http.StatusOK || st.Shards < 4 {
+		t.Fatalf("job status %d with %d shards; the test needs at least 4", code, st.Shards)
+	}
+	rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=3")
+	if hits := s.metrics.frameStoreHits.Value(); hits != float64(st.Shards) {
+		t.Fatalf("%v of %d shards served from sidecars", hits, st.Shards)
+	}
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("stream held %d store handles open at once, want at most 2", p)
+	}
+	if n := live.Load(); n != 0 {
+		t.Fatalf("%d store handles still open after the stream ended", n)
 	}
 }

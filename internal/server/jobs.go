@@ -9,7 +9,6 @@
 package server
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -63,9 +62,8 @@ type Job struct {
 
 	// Populated on success.
 	manifest *shard.Manifest
-	store    shard.Store  // raw shard storage (owned; destroyed on eviction)
-	open     shard.Opener // read path (plugin-wrapped for sealed domains)
-	servable bool         // a manifest-indexed shard set is attached
+	store    shard.Store // raw shard storage (owned; destroyed on eviction)
+	servable bool        // a manifest-indexed shard set is attached
 	tracker  *provenance.Tracker
 	key      []byte // per-job shard secret (sealed into the job log)
 
@@ -129,33 +127,12 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// serveHandle returns what the batch endpoint needs — the manifest, the
-// (possibly decrypting) shard opener, and the domain's wire codec — or
-// an error describing why the job cannot stream yet.
-func (j *Job) serveHandle() (*shard.Manifest, shard.Opener, domain.Codec, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.state == JobQueued || j.state == JobRunning:
-		return nil, nil, nil, fmt.Errorf("job %s is %s; batches are served once it is done", j.id, j.state)
-	case j.state == JobFailed:
-		return nil, nil, nil, fmt.Errorf("job %s failed: %s", j.id, j.err)
-	case !j.servable || j.manifest == nil:
-		return nil, nil, nil, fmt.Errorf("job %s (%s) has no servable shard set", j.id, j.spec.Domain)
-	}
-	plug, err := domain.Lookup(j.spec.Domain)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return j.manifest, j.open, plug.Codec, nil
-}
-
 // jobResult carries a finished pipeline run back onto the Job.
 type jobResult struct {
+	plug       domain.Plugin
 	trajectory []TrajectoryPoint
 	records    int64
 	manifest   *shard.Manifest
-	open       shard.Opener
 	servable   bool
 	tracker    *provenance.Tracker
 	pipe       *pipeline.Pipeline
@@ -175,7 +152,7 @@ func runSpec(spec JobSpec, sink shard.Store) (*jobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &jobResult{open: sink, pipe: run.Pipeline}
+	res := &jobResult{plug: plug, pipe: run.Pipeline}
 	snaps, err := run.Pipeline.Run(run.Dataset)
 	res.trajectory = toTrajectory(snaps)
 	res.tracker = run.Pipeline.Tracker
@@ -189,7 +166,6 @@ func runSpec(spec JobSpec, sink shard.Store) (*jobResult, error) {
 	}
 	res.manifest = manifest
 	res.key = run.Key
-	res.open = plug.Opener(sink, run.Key)
 	res.servable = true
 	return res, nil
 }

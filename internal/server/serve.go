@@ -1,0 +1,798 @@
+// Batch serving: GET /v1/jobs/{id}/batches hands a completed job's
+// shard set to the trainer — the paper's last Data Processing Stage.
+// Each stream resolves its job once into a servePlan, then runs one
+// batch loop for both wires; the only per-wire code (batchWire) is how
+// a shard resolves to a source and how one buffered batch is written.
+//
+// Every frame-wire shard read resolves through one decision tree, to
+// one of two source types:
+//
+//	frame cache on  → *encodedShard out of the frame cache; a miss fills
+//	                  it by loadFrames(inMemory): the sidecar read whole
+//	                  + CRC (zero codec calls), else decode+encode
+//	frame cache off → loadFrames(streaming): a usable sidecar becomes a
+//	                  *sidecarStream (CRC pass, then ranges io.CopyN'd
+//	                  off the store); else decode+encode into an
+//	                  *encodedShard for this request
+//	decode+encode   → backfills the sidecar, so the next cold read of
+//	                  the shard takes the sidecar branch
+//
+// A torn, truncated, or bit-flipped sidecar is rejected by its CRCs,
+// deleted, and rebuilt by the fallback it forces — corrupt bytes are
+// never served, and the damage costs one request, not every cold open.
+// NDJSON streams read decoded records through the decoded-shard cache.
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/domain"
+	"repro/internal/ledger"
+	"repro/internal/shard"
+	"repro/internal/telemetry"
+	"repro/internal/tenant"
+)
+
+// servePlan is what one batch stream reads from its job, resolved once
+// when the stream is accepted: the shard set, how to read it, and the
+// domain plugin that decodes and encodes it.
+type servePlan struct {
+	job      *Job
+	dom      string
+	manifest *shard.Manifest
+	store    shard.Store  // raw storage: sidecar sizes, range reads, removal
+	open     shard.Opener // record read path (decrypting for sealed domains)
+	key      []byte       // per-job shard secret; nil for plaintext shard sets
+	plug     domain.Plugin
+}
+
+// plan resolves the job for one stream, or says why it cannot stream
+// yet.
+func (j *Job) plan() (*servePlan, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case j.state == JobQueued || j.state == JobRunning:
+		return nil, fmt.Errorf("job %s is %s; batches are served once it is done", j.id, j.state)
+	case j.state == JobFailed:
+		return nil, fmt.Errorf("job %s failed: %s", j.id, j.err)
+	case !j.servable || j.manifest == nil:
+		return nil, fmt.Errorf("job %s (%s) has no servable shard set", j.id, j.spec.Domain)
+	}
+	plug, err := domain.Lookup(j.spec.Domain)
+	if err != nil {
+		return nil, err
+	}
+	return &servePlan{
+		job: j, dom: string(j.spec.Domain), manifest: j.manifest,
+		store: j.store, open: plug.Opener(j.store, j.key), key: j.key, plug: plug,
+	}, nil
+}
+
+// storedSidecar is a shard's sidecar object name on the store.
+func (p *servePlan) storedSidecar(info shard.Info) string {
+	return p.plug.StoredName(domain.SidecarName(info.Name), p.key != nil)
+}
+
+func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
+	if s.routedElsewhere(w, r) {
+		return
+	}
+	// Time-to-first-batch starts once the request is ours to serve —
+	// proxy hops are accounted on the node actually streaming.
+	streamStart := time.Now()
+	job := s.job(w, r)
+	if job == nil {
+		return
+	}
+	plan, err := job.plan()
+	if err != nil {
+		writeError(w, http.StatusConflict, err)
+		return
+	}
+	batchSize, err := queryInt(r, "batch_size", 32)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	maxBatches, err := queryInt(r, "max_batches", 0)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if batchSize <= 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch_size must be positive"))
+		return
+	}
+	// 0 means unlimited; a negative cap is a malformed request, not a
+	// synonym for it — same contract as batch_size and max_kbps.
+	if maxBatches < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("max_batches must not be negative"))
+		return
+	}
+	maxKBps, err := queryInt(r, "max_kbps", 0)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if maxKBps < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("max_kbps must not be negative"))
+		return
+	}
+	// Rates beyond ~1 TiB/s are indistinguishable from unpaced and
+	// would overflow the bytes/sec conversion below — treat them as no
+	// request. Applies to the operator's ceiling too.
+	const maxPaceKBps = 1 << 30
+	if maxKBps > maxPaceKBps {
+		maxKBps = 0
+	}
+	// The client may pace itself below the server-wide ceiling, never
+	// above it.
+	if lim := s.opts.ServeMaxKBps; lim > 0 && lim <= maxPaceKBps && (maxKBps <= 0 || maxKBps > lim) {
+		maxKBps = lim
+	}
+	start := Cursor{}
+	if cs := r.URL.Query().Get("cursor"); cs != "" {
+		start, err = ParseCursor(cs)
+		if err == nil {
+			err = start.validate(plan.manifest)
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
+	job.touch()
+	ident := tenant.FromContext(r.Context())
+	s.audit(ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize))
+
+	// Content negotiation: NDJSON unless the client's Accept asks for
+	// the binary frame format. X-Draid-Wire names the format actually
+	// chosen, so clients need not re-parse the content type.
+	ctx := r.Context()
+	wireName, contentType := domain.WireNDJSON, domain.ContentTypeNDJSON
+	var wire batchWire = &ndjsonWire{s: s, ctx: ctx, plan: plan}
+	if acceptsFrames(r) {
+		wireName, contentType = domain.WireFrame, domain.ContentTypeFrame
+		wire = &frameWire{s: s, ctx: ctx, plan: plan}
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set(domain.HeaderWire, wireName)
+	w.Header().Set("X-Draid-Cursor", start.String())
+	cw := &countingResponseWriter{w: w}
+	flusher, _ := w.(http.Flusher)
+	// Pacing: with a global fair-share budget the rate is the stream's
+	// live share, capped by any per-stream ?max_kbps= / server ceiling
+	// resolved above; without one, the per-stream cap alone paces.
+	var rate func() float64
+	capBytes := float64(int64(maxKBps) << 10)
+	if s.fair != nil {
+		weight := 1
+		if s.tenants != nil {
+			if t, ok := s.tenants.Get(ident.ID); ok {
+				weight = t.EffectiveWeight()
+			}
+		}
+		share, release := s.fair.acquire(ident.ID, weight)
+		defer release()
+		rate = func() float64 {
+			if r := share(); capBytes <= 0 || r < capBytes {
+				return r
+			}
+			return capBytes
+		}
+	} else if maxKBps > 0 {
+		rate = func() float64 { return capBytes }
+	}
+	var pace *pacer
+	if rate != nil {
+		pace = newPacer(rate)
+	}
+	// Histogram children resolved once per stream, not per batch.
+	firstBatchH := s.metrics.firstBatch.With(plan.dom, wireName)
+	encodeH := s.metrics.batchEncode.With(plan.dom, wireName)
+	trace := telemetry.TraceFrom(ctx)
+	kind := plan.plug.Codec.Kind()
+
+	// emitError reports a mid-stream failure in-band, in the stream's
+	// own format — and fails the request's root span so the trace is
+	// tail-sampled as notable.
+	emitError := func(err error) {
+		s.metrics.serveErrors.Inc()
+		telemetry.SpanFromContext(ctx).SetError(err.Error())
+		_, _ = cw.Write(wire.errorBytes(err))
+	}
+
+	served := 0
+	halted := false         // a shard read or a write failed: nothing more goes out
+	pos := start            // position after the last record buffered for emission
+	var ranges []batchRange // the next batch: one record range per shard it spans
+	count := 0              // records in ranges
+	var cur shardSource     // the shard being read
+	// A source is released once the batch holding its last range is
+	// written, so a cold stream holds open at most the shard it reads
+	// and the one before it; whatever it still holds at the end goes
+	// here.
+	defer func() {
+		cur.release()
+		for _, rg := range ranges {
+			rg.src.release()
+		}
+	}()
+
+	// flush writes the buffered batch, then does the per-batch
+	// bookkeeping: latency, counters, flush, and pacing — which charges
+	// the bytes actually written, so both wires are throttled alike.
+	flush := func() error {
+		defer func() {
+			for _, rg := range ranges {
+				if rg.last {
+					rg.src.release()
+				}
+			}
+			ranges, count = ranges[:0], 0
+		}()
+		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: kind}
+		before := cw.n
+		// Encode and write are timed apart: the encode histogram is
+		// codec cost only, so a slow client (or the pacer) cannot
+		// masquerade as an expensive codec.
+		encStart := time.Now()
+		head, err := wire.encode(h, count, ranges)
+		if err != nil {
+			// Encode failure with a healthy connection: nothing was
+			// written yet, so the client can still be told — same
+			// contract as the shard-read failure path. (Write/pace
+			// errors below get nothing; that connection is dead.)
+			emitError(err)
+			return err
+		}
+		encDone := time.Now()
+		encodeH.Observe(encDone.Sub(encStart).Seconds())
+		s.recordChildSpan(ctx, "batch.encode", encStart, encDone, nil)
+		if _, err := cw.Write(head); err != nil {
+			return err
+		}
+		if err := wire.writePayload(cw, ranges); err != nil {
+			return err
+		}
+		if served == 0 {
+			firstBatchH.ObserveWithExemplar(time.Since(streamStart).Seconds(), trace)
+		}
+		served++
+		s.metrics.batchesServed.Inc()
+		s.metrics.samplesServed.Add(float64(count))
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if pace == nil {
+			return nil
+		}
+		stallStart := time.Now()
+		err = pace.pace(ctx, cw.n-before)
+		// A pace call that actually slept becomes a span — token-bucket
+		// bookkeeping that never blocked is not a stall.
+		if d := time.Since(stallStart); d >= time.Millisecond {
+			s.recordChildSpan(ctx, "pace.stall", stallStart, stallStart.Add(d), nil)
+		}
+		return err
+	}
+
+shards:
+	for si := start.Shard; si < len(plan.manifest.Shards); si++ {
+		src, n, err := wire.source(plan.manifest.Shards[si])
+		if err != nil {
+			// Headers are gone; the in-band error is the only channel
+			// left — but the counter makes the failure observable
+			// beyond whoever held this one connection.
+			emitError(err)
+			halted = true
+			break
+		}
+		cur = src
+		j := 0
+		if si == start.Shard {
+			j = min(start.Record, n)
+		}
+		if j == n {
+			src.release() // nothing of this shard is left to serve
+		}
+		for j < n {
+			// Batches may span shards; a batch's records from one shard
+			// are one contiguous range.
+			take := min(n-j, batchSize-count)
+			ranges = append(ranges, batchRange{src: src, a: j, b: j + take, last: j+take == n})
+			count += take
+			j += take
+			pos = advanceCursor(plan.manifest, si, j-1)
+			if count == batchSize {
+				if err := flush(); err != nil {
+					// The batch was already written (or the writer is
+					// gone): do NOT fall through to the tail emit, which
+					// would duplicate it onto a half-dead connection.
+					halted = true
+					break shards
+				}
+				if maxBatches > 0 && served >= maxBatches {
+					break shards
+				}
+			}
+		}
+	}
+	if !halted && count > 0 {
+		_ = flush()
+	}
+	if pace != nil && pace.throttled {
+		s.metrics.serveThrottled.Inc()
+	}
+	s.metrics.bytesServed.Add(float64(cw.n))
+	s.metrics.observeStage("serve:batches", 0, 1, cw.n)
+}
+
+// batchWire is what differs between the two wire formats: how a shard
+// resolves to a source, and how one buffered batch is written — a head
+// built from the batch's ranges (the NDJSON line, or the frame
+// envelope), then any payload copied straight from the sources.
+type batchWire interface {
+	source(info shard.Info) (src shardSource, n int, err error)
+	encode(h domain.BatchHeader, count int, rs []batchRange) ([]byte, error)
+	writePayload(w io.Writer, rs []batchRange) error
+	errorBytes(err error) []byte
+}
+
+// shardSource is one shard resolved for serving: its decoded records
+// (NDJSON) or its frame-ready payload (frame wire).
+type shardSource struct {
+	records []any
+	frames  frameSource
+}
+
+// release closes the store handle a sidecar-streamed source holds
+// (other sources hold none). Releasing twice is harmless.
+func (src shardSource) release() {
+	if c, ok := src.frames.(io.Closer); ok {
+		c.Close()
+	}
+}
+
+// batchRange is the records [a, b) of one shard's source, buffered for
+// the next batch; last marks the range that ends its shard.
+type batchRange struct {
+	src  shardSource
+	a, b int
+	last bool
+}
+
+// ndjsonWire writes each batch as one JSON line built by the codec.
+type ndjsonWire struct {
+	s       *Server
+	ctx     context.Context
+	plan    *servePlan
+	pending []any // the batch's records, reused across batches
+}
+
+func (w *ndjsonWire) source(info shard.Info) (shardSource, int, error) {
+	records, err := w.s.shardRecords(w.ctx, w.plan, info)
+	return shardSource{records: records}, len(records), err
+}
+
+func (w *ndjsonWire) encode(h domain.BatchHeader, _ int, rs []batchRange) ([]byte, error) {
+	// The codec references the cached records directly — encoding only
+	// reads them, and copying every batch would double memory traffic
+	// on the serving hot path.
+	w.pending = w.pending[:0]
+	for _, rg := range rs {
+		w.pending = append(w.pending, rg.src.records[rg.a:rg.b]...)
+	}
+	line, err := w.plan.plug.Codec.Line(h, w.pending)
+	if err != nil {
+		return nil, err
+	}
+	b, err := json.Marshal(line)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+func (w *ndjsonWire) writePayload(io.Writer, []batchRange) error { return nil }
+
+func (w *ndjsonWire) errorBytes(err error) []byte {
+	line, _ := json.Marshal(map[string]string{"error": err.Error()})
+	return append(line, '\n')
+}
+
+// frameWire frames each batch under a fresh header. The envelope is a
+// handful of varint bytes; the payload is written straight from each
+// source — cached buffers, or io.CopyN off an on-store sidecar —
+// byte-identical to what EncodeFrame would produce (a codec batch
+// payload is the concatenation of its records' payloads), with the
+// encode histogram collapsing to header-assembly time.
+type frameWire struct {
+	s    *Server
+	ctx  context.Context
+	plan *servePlan
+}
+
+func (w *frameWire) source(info shard.Info) (shardSource, int, error) {
+	var src frameSource
+	var err error
+	if w.s.opts.ServeCacheBytes > 0 {
+		src, err = w.s.frames.Get(w.plan.job.id+"/"+info.Name, func() (frameSource, int64, error) {
+			return w.s.loadFrames(w.ctx, w.plan, info, true)
+		})
+	} else {
+		src, _, err = w.s.loadFrames(w.ctx, w.plan, info, false)
+	}
+	if err != nil {
+		return shardSource{}, 0, err
+	}
+	return shardSource{frames: src}, src.count(), nil
+}
+
+func (w *frameWire) encode(h domain.BatchHeader, count int, rs []batchRange) ([]byte, error) {
+	payloadLen := 0
+	for _, rg := range rs {
+		payloadLen += rg.src.frames.rangeLen(rg.a, rg.b)
+	}
+	return domain.FrameEnvelope(h, count, payloadLen)
+}
+
+func (w *frameWire) writePayload(out io.Writer, rs []batchRange) error {
+	for _, rg := range rs {
+		if err := rg.src.frames.writeRange(out, rg.a, rg.b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (w *frameWire) errorBytes(err error) []byte { return domain.EncodeErrorFrame(err.Error()) }
+
+// shardRecords returns one shard's decoded records through the LRU
+// cache, verifying checksums and decoding (via the domain codec) on
+// first access only. Misses are timed into the shard-load histogram
+// (with the loading request's trace as exemplar) and spanned as
+// shard.load; hits observe nothing — cache lookups are not loads.
+func (s *Server) shardRecords(ctx context.Context, p *servePlan, info shard.Info) ([]any, error) {
+	return s.cache.Get(p.job.id+"/"+info.Name, func() ([]any, int64, error) {
+		loadStart := time.Now()
+		one := &shard.Manifest{Prefix: p.manifest.Prefix, Compressed: p.manifest.Compressed, Shards: []shard.Info{info}}
+		var records []any
+		var bytes int64
+		err := shard.ReadAll(p.open, one, func(_ string, rec []byte) error {
+			decoded, n, derr := p.plug.Codec.Decode(rec)
+			if derr != nil {
+				return derr
+			}
+			records = append(records, decoded)
+			bytes += n
+			return nil
+		})
+		loadDone := time.Now()
+		outcome := "ok"
+		attrs := map[string]string{"shard": info.Name}
+		if err != nil {
+			outcome = "error"
+			attrs["error"] = err.Error()
+		}
+		s.metrics.shardLoad.With(p.dom, outcome).ObserveWithExemplar(
+			loadDone.Sub(loadStart).Seconds(), telemetry.TraceFrom(ctx))
+		s.recordChildSpan(ctx, "shard.load", loadStart, loadDone, attrs)
+		if err != nil {
+			return nil, 0, err
+		}
+		return records, bytes, nil
+	})
+}
+
+// frameSource is one shard's frame payload, sliceable by record range.
+type frameSource interface {
+	count() int
+	rangeLen(a, b int) int
+	writeRange(w io.Writer, a, b int) error
+	memBytes() int64 // resident bytes, charged to the frame cache
+}
+
+// encodedShard is one shard's records in frame-ready byte form, held
+// in memory: a frame-cache entry, or one request's decode+encode.
+type encodedShard struct {
+	payload []byte
+	// offsets has len(records)+1 entries; record i occupies
+	// payload[offsets[i]:offsets[i+1]].
+	offsets []int64
+}
+
+func (e *encodedShard) count() int            { return len(e.offsets) - 1 }
+func (e *encodedShard) rangeLen(a, b int) int { return int(e.offsets[b] - e.offsets[a]) }
+func (e *encodedShard) memBytes() int64       { return int64(len(e.payload)) + int64(len(e.offsets))*8 }
+func (e *encodedShard) writeRange(w io.Writer, a, b int) error {
+	_, err := w.Write(e.payload[e.offsets[a]:e.offsets[b]])
+	return err
+}
+
+// sidecarStream serves a shard's payload ranges straight off the
+// store — the fully-cold path that never touches either cache. It
+// holds the store handle behind its sidecar until Close.
+type sidecarStream struct {
+	sc *domain.Sidecar
+	ra io.Closer // nil once closed, or when the sidecar was read into memory
+}
+
+func (s *sidecarStream) count() int                             { return s.sc.Count() }
+func (s *sidecarStream) rangeLen(a, b int) int                  { return int(s.sc.RangeLen(a, b)) }
+func (s *sidecarStream) writeRange(w io.Writer, a, b int) error { return s.sc.WriteRange(w, a, b) }
+func (s *sidecarStream) memBytes() int64                        { return 0 } // the payload stays on the store
+
+// Close releases the store handle; closing again is a no-op.
+func (s *sidecarStream) Close() error {
+	if s.ra == nil {
+		return nil
+	}
+	err := s.ra.Close()
+	s.ra = nil
+	return err
+}
+
+// loadFrames resolves one shard to its frame payload and the bytes that
+// payload holds in memory. The shard's sidecar comes first — read
+// whole and CRC-checked when inMemory (a frame-cache fill), otherwise
+// CRC-checked and left on the store to stream by range — and a missing
+// or unusable one falls back to decode+encode through the decoded-shard
+// cache, backfilling the sidecar. The load is spanned as frame.fill
+// under the request (a fallback's decoded-cache read appears beside it
+// as shard.load, parented to the request span too).
+func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info, inMemory bool) (frameSource, int64, error) {
+	start := time.Now()
+	if st := s.openFrameSidecar(p, info); st != nil {
+		var src frameSource = st
+		var err error
+		if inMemory {
+			var payload []byte
+			payload, err = st.sc.Payload()
+			st.Close()
+			src = &encodedShard{payload: payload, offsets: st.sc.Offsets()}
+		} else if err = st.sc.VerifyPayload(); err != nil {
+			st.Close()
+		}
+		if err == nil {
+			s.metrics.frameStoreHits.Inc()
+			s.metrics.frameStoreBytes.Add(float64(st.sc.PayloadLen()))
+			s.recordChildSpan(ctx, "frame.fill", start, time.Now(),
+				map[string]string{"shard": info.Name, "source": "sidecar"})
+			return src, src.memBytes(), nil
+		}
+		s.rejectSidecar(p, info, err)
+	}
+	s.metrics.frameStoreMisses.Inc()
+	records, err := s.shardRecords(ctx, p, info)
+	if err != nil {
+		return nil, 0, err
+	}
+	payload, offsets, err := domain.EncodeRecordPayloads(p.plug.Codec, records)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.backfillSidecar(p, info, payload, offsets)
+	enc := &encodedShard{payload: payload, offsets: offsets}
+	s.recordChildSpan(ctx, "frame.fill", start, time.Now(),
+		map[string]string{"shard": info.Name, "source": "encode"})
+	return enc, enc.memBytes(), nil
+}
+
+// openFrameSidecar opens one shard's sidecar and verifies its metadata
+// (format CRC, kind, record count against the manifest). nil means "no
+// usable sidecar" — absent (silent) or corrupt (rejectSidecar) — and
+// the caller falls back to decode+encode. The payload CRC is NOT
+// checked here; the caller verifies it via Payload or VerifyPayload
+// before any byte reaches a client, and rejects the sidecar itself if
+// it fails.
+func (s *Server) openFrameSidecar(p *servePlan, info shard.Info) *sidecarStream {
+	if p.store.Size(p.storedSidecar(info)) == 0 {
+		return nil
+	}
+	name := domain.SidecarName(info.Name)
+	st := &sidecarStream{}
+	var err error
+	if ro, ok := p.store.(shard.RangeOpener); ok && p.key == nil {
+		// Plaintext store with random access: leave the payload on the
+		// store and read ranges on demand.
+		var ra shard.ReaderAtCloser
+		var size int64
+		if ra, size, err = ro.OpenRange(name); err == nil {
+			st.ra = ra
+			st.sc, err = domain.OpenSidecar(ra, size)
+		}
+	} else {
+		// Sealed domains (the opener decrypts whole objects) and stores
+		// without range reads: pull the sidecar into memory once.
+		var b []byte
+		if b, err = shard.ReadObject(p.open, name); err == nil {
+			st.sc, err = domain.OpenSidecar(bytes.NewReader(b), int64(len(b)))
+		}
+	}
+	if err == nil && st.sc.Kind() != p.plug.Codec.Kind() {
+		err = fmt.Errorf("sidecar kind %q, codec serves %q", st.sc.Kind(), p.plug.Codec.Kind())
+	}
+	if err == nil && st.sc.Count() != info.Records {
+		err = fmt.Errorf("sidecar holds %d records, manifest says %d", st.sc.Count(), info.Records)
+	}
+	if err != nil {
+		st.Close()
+		s.rejectSidecar(p, info, err)
+		return nil
+	}
+	return st
+}
+
+// objectRemover is the optional store side that replacing a damaged
+// sidecar needs (shard.FSSink has it). Stores without it keep the file
+// and pay the fallback on every cold open.
+type objectRemover interface {
+	Remove(name string) error
+}
+
+// rejectSidecar counts and logs an unusable sidecar and deletes it:
+// the store refuses to create over a taken name, so a rejected file
+// left in place would block its own backfill and be rejected again on
+// every cold open. A concurrent request that rejected the same file
+// may delete the replacement this one's fallback just built; that
+// costs a second rebuild, never a bad byte.
+func (s *Server) rejectSidecar(p *servePlan, info shard.Info, cause error) {
+	s.metrics.frameStoreErrors.Inc()
+	s.logger.Warn("frame sidecar unusable; falling back to encode and rebuilding",
+		"job", p.job.id, "shard", info.Name, "error", cause.Error())
+	if rm, ok := p.store.(objectRemover); ok {
+		_ = rm.Remove(p.storedSidecar(info)) // already gone is fine
+	}
+}
+
+// backfillSidecar lazily materializes the sidecar for a shard that
+// lacks one — replayed pre-sidecar jobs (or a shard whose sidecar was
+// lost or rejected) converge to the disk tier on first frame access.
+// Failure is a lost optimization, never a request error; a concurrent
+// duplicate backfill loses the store's no-replace commit harmlessly
+// (identical bytes) and is not counted. Nobody waits for a backfilled
+// sidecar's fsync: a power cut can leave it empty or torn, which the
+// next open treats like any other damage.
+func (s *Server) backfillSidecar(p *servePlan, info shard.Info, payload []byte, offsets []int64) {
+	stored := p.storedSidecar(info)
+	if p.store.Size(stored) > 0 {
+		return
+	}
+	name := domain.SidecarName(info.Name)
+	sink := p.plug.Sink(p.store, p.key)
+	b, err := domain.AppendSidecar(nil, p.plug.Codec.Kind(), payload, offsets)
+	if err == nil {
+		err = shard.WriteObject(sink, name, b)
+	}
+	if err != nil && p.store.Size(stored) == 0 {
+		// An empty file holding the name reads as absent to everyone but
+		// the store's commit. Clear it and try once more.
+		if rm, ok := p.store.(objectRemover); ok && rm.Remove(stored) == nil {
+			s.metrics.frameStoreErrors.Inc()
+			s.logger.Warn("empty frame sidecar replaced", "job", p.job.id, "shard", info.Name)
+			err = shard.WriteObject(sink, name, b)
+		}
+	}
+	if err != nil {
+		// A concurrent request may have backfilled first and won the
+		// store's commit; that's success, not an error.
+		if p.store.Size(stored) > 0 {
+			return
+		}
+		s.metrics.frameStoreErrors.Inc()
+		s.logger.Debug("sidecar backfill failed", "job", p.job.id, "shard", info.Name, "error", err.Error())
+		return
+	}
+	s.metrics.frameStoreBackfills.Inc()
+	s.logger.Debug("sidecar backfilled", "job", p.job.id, "shard", info.Name, "bytes", len(b))
+}
+
+// buildJobSidecars writes every shard's sidecar at job completion so
+// the first cold frame stream already has the disk tier. Failures are
+// logged and error-counted but never fail the job — serving falls
+// back to decode+encode (and lazy backfill) for whatever is missing.
+func (s *Server) buildJobSidecars(id string, store shard.Store, res *jobResult) {
+	built, err := domain.BuildShardSidecars(res.plug, store, res.manifest, res.key)
+	if err != nil {
+		s.metrics.frameStoreErrors.Inc()
+		s.logger.Warn("frame sidecar build incomplete", "job", id, "built", built, "error", err.Error())
+		return
+	}
+	if built > 0 {
+		s.logger.Debug("frame sidecars written", "job", id, "shards", built)
+	}
+}
+
+// recordChildSpan records a completed interval as a child of the
+// context's active span — the no-allocation-when-untraced path for
+// per-batch and cache-fill work, where a live Span object per event
+// would cost more than the work being measured.
+func (s *Server) recordChildSpan(ctx context.Context, name string, start, end time.Time, attrs map[string]string) {
+	sp := telemetry.SpanFromContext(ctx)
+	if sp == nil {
+		return
+	}
+	pc := sp.Context()
+	s.spans.Record(telemetry.SpanData{
+		TraceID: pc.TraceID, SpanID: telemetry.NewSpanID(), Parent: pc.SpanID,
+		Name: name, Start: start, End: end, Attrs: attrs,
+	})
+}
+
+// countingResponseWriter tracks bytes written for the serving metrics.
+type countingResponseWriter struct {
+	w http.ResponseWriter
+	n int64
+}
+
+func (c *countingResponseWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// acceptsFrames reports whether the request's Accept header asks for
+// the binary frame media type at least as strongly as for NDJSON.
+// Only an explicit frame mention opts in — wildcard accepts (curl's
+// */*) keep the debuggable NDJSON default — and q-values are honoured
+// per RFC 9110: ";q=0" refuses frames, and a lower frame q than the
+// client's (explicit or wildcard) NDJSON preference keeps NDJSON.
+func acceptsFrames(r *http.Request) bool {
+	frameQ, ndjsonQ, wildQ := -1.0, -1.0, -1.0
+	// A media range repeated across (or within) Accept headers keeps its
+	// most preferred weight, per RFC 9110's "most preferred" semantics —
+	// overwriting with the last occurrence would let a trailing ;q=0.1
+	// mask an earlier explicit preference.
+	keep := func(dst *float64, q float64) {
+		if q > *dst {
+			*dst = q
+		}
+	}
+	for _, accept := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(accept, ",") {
+			mt, params, _ := strings.Cut(part, ";")
+			q := acceptQ(params)
+			switch strings.ToLower(strings.TrimSpace(mt)) {
+			case domain.ContentTypeFrame:
+				keep(&frameQ, q)
+			case domain.ContentTypeNDJSON:
+				keep(&ndjsonQ, q)
+			case "*/*", "application/*":
+				keep(&wildQ, q)
+			}
+		}
+	}
+	if frameQ <= 0 {
+		return false // unmentioned or explicitly refused
+	}
+	effNDJSON := ndjsonQ
+	if effNDJSON < 0 {
+		effNDJSON = wildQ // NDJSON reachable through a wildcard only
+	}
+	return frameQ >= effNDJSON
+}
+
+// acceptQ extracts a media range's q-value from its parameter list
+// (1.0 when absent or unparsable, per RFC 9110's default weight).
+func acceptQ(params string) float64 {
+	for _, param := range strings.Split(params, ";") {
+		k, v, ok := strings.Cut(param, "=")
+		if !ok || !strings.EqualFold(strings.TrimSpace(k), "q") {
+			continue
+		}
+		if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+			return q
+		}
+	}
+	return 1
+}

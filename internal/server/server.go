@@ -10,10 +10,8 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -21,7 +19,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -55,12 +52,6 @@ type Options struct {
 	// disables both caches (frame batches serve from on-store sidecars,
 	// or encode per request).
 	ServeCacheBytes int64
-	// DisableFrameStore turns the on-store frame sidecar tier off
-	// entirely: sidecars are neither written at job completion, nor
-	// read, nor backfilled — every cold frame stream pays the full
-	// decode+encode. Byte-exactness tests use it as the
-	// encode-per-request reference; production servers leave it off.
-	DisableFrameStore bool
 	// ServeMaxKBps caps every batch stream's throughput (KiB/second,
 	// token bucket per stream). <=0 leaves streams unpaced. Clients may
 	// lower their own stream's cap with ?max_kbps= but never raise it
@@ -149,13 +140,10 @@ type Options struct {
 // stop with Close.
 type Server struct {
 	mux     *http.ServeMux
-	handler http.Handler               // mux wrapped in the telemetry middleware
-	cache   *ShardCache[[]any]         // decoded shard records
-	frames  *ShardCache[*encodedShard] // frame-ready shard payload bytes
+	handler http.Handler             // mux wrapped in the telemetry middleware
+	cache   *ShardCache[[]any]       // decoded shard records
+	frames  *ShardCache[frameSource] // frame-ready shard payloads (*encodedShard)
 	opts    Options
-	// frameCacheOn records whether the serving caches have a byte
-	// budget — the frame-wire serving path's cache-vs-disk switch.
-	frameCacheOn bool
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -221,7 +209,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		mux:         http.NewServeMux(),
 		cache:       NewShardCache[[]any](opts.ServeCacheBytes),
-		frames:      NewShardCache[*encodedShard](opts.ServeCacheBytes),
+		frames:      NewShardCache[frameSource](opts.ServeCacheBytes),
 		opts:        opts,
 		jobs:        make(map[string]*Job),
 		queue:       make(chan *Job, opts.QueueDepth),
@@ -235,8 +223,7 @@ func New(opts Options) (*Server, error) {
 	if opts.ServeBudgetKBps > 0 {
 		s.fair = newFairShare(int64(opts.ServeBudgetKBps) << 10)
 	}
-	s.frameCacheOn = opts.ServeCacheBytes > 0
-	if s.frameCacheOn {
+	if opts.ServeCacheBytes > 0 {
 		arena := &cacheArena{budget: opts.ServeCacheBytes, frames: s.frames, decoded: s.cache}
 		s.cache.arena, s.frames.arena = arena, arena
 	}
@@ -496,7 +483,6 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 		}
 	}
 	job.store = store
-	job.open = store
 	if rec.SealedKey != "" {
 		key, err := unsealJobKey(s.master, rec.SealedKey, job.id)
 		if err != nil {
@@ -506,7 +492,6 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 			return job, false, nil
 		}
 		job.key = key
-		job.open = plug.Opener(store, key)
 	}
 	if len(job.manifest.Shards) > 0 &&
 		store.Size(plug.StoredName(job.manifest.Shards[0].Name, job.key != nil)) == 0 {
@@ -621,7 +606,7 @@ func (s *Server) runJob(job *Job) {
 	// serves from the disk tier. Best effort: a failed build costs
 	// decode+encode (and a lazy backfill) later, never the job.
 	if err == nil && res.servable && res.manifest != nil {
-		s.buildJobSidecars(job, store, res.manifest, res.key)
+		s.buildJobSidecars(job.id, store, res)
 	}
 	// Commit durable state before announcing success, so clients never
 	// observe a done job that later un-happens.
@@ -654,7 +639,6 @@ func (s *Server) runJob(job *Job) {
 	}
 	job.records = res.records
 	job.manifest = res.manifest
-	job.open = res.open
 	job.key = res.key
 	job.servable = res.servable && res.manifest != nil
 	job.state = JobDone
@@ -1178,456 +1162,6 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
-	if s.routedElsewhere(w, r) {
-		return
-	}
-	// Time-to-first-batch starts once the request is ours to serve —
-	// proxy hops are accounted on the node actually streaming.
-	streamStart := time.Now()
-	job := s.job(w, r)
-	if job == nil {
-		return
-	}
-	job.mu.Lock()
-	dom := string(job.spec.Domain)
-	job.mu.Unlock()
-	manifest, open, codec, err := job.serveHandle()
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	batchSize, err := queryInt(r, "batch_size", 32)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	maxBatches, err := queryInt(r, "max_batches", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if batchSize <= 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch_size must be positive"))
-		return
-	}
-	// 0 means unlimited; a negative cap is a malformed request, not a
-	// synonym for it — same contract as batch_size and max_kbps.
-	if maxBatches < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("max_batches must not be negative"))
-		return
-	}
-	maxKBps, err := queryInt(r, "max_kbps", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if maxKBps < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("max_kbps must not be negative"))
-		return
-	}
-	// Rates beyond ~1 TiB/s are indistinguishable from unpaced and
-	// would overflow the bytes/sec conversion below — treat them as no
-	// request. Applies to the operator's ceiling too.
-	const maxPaceKBps = 1 << 30
-	if maxKBps > maxPaceKBps {
-		maxKBps = 0
-	}
-	// The client may pace itself below the server-wide ceiling, never
-	// above it.
-	if lim := s.opts.ServeMaxKBps; lim > 0 && lim <= maxPaceKBps && (maxKBps <= 0 || maxKBps > lim) {
-		maxKBps = lim
-	}
-	start := Cursor{}
-	if cs := r.URL.Query().Get("cursor"); cs != "" {
-		start, err = ParseCursor(cs)
-		if err == nil {
-			err = start.validate(manifest)
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	job.touch()
-	ident := tenant.FromContext(r.Context())
-	s.audit(ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize))
-
-	// Content negotiation: NDJSON unless the client's Accept asks for
-	// the binary frame format. X-Draid-Wire names the format actually
-	// chosen, so clients need not re-parse the content type.
-	wire := domain.WireNDJSON
-	if acceptsFrames(r) {
-		wire = domain.WireFrame
-	}
-	if wire == domain.WireFrame {
-		w.Header().Set("Content-Type", domain.ContentTypeFrame)
-	} else {
-		w.Header().Set("Content-Type", domain.ContentTypeNDJSON)
-	}
-	w.Header().Set(domain.HeaderWire, wire)
-	w.Header().Set("X-Draid-Cursor", start.String())
-	cw := &countingResponseWriter{w: w}
-	flusher, _ := w.(http.Flusher)
-	// Pacing: with a global fair-share budget every stream gets a
-	// dynamic pacer tracking its live share (capped by any per-stream
-	// ?max_kbps= / server ceiling resolved above); without one, the
-	// per-stream cap alone paces, exactly as before.
-	var pace *pacer
-	if s.fair != nil {
-		weight := 1
-		if s.tenants != nil {
-			if t, ok := s.tenants.Get(ident.ID); ok {
-				weight = t.EffectiveWeight()
-			}
-		}
-		fairRate, release := s.fair.acquire(ident.ID, weight)
-		defer release()
-		capBytes := float64(0)
-		if maxKBps > 0 {
-			capBytes = float64(int64(maxKBps) << 10)
-		}
-		pace = newDynamicPacer(func() float64 {
-			rate := fairRate()
-			if capBytes > 0 && capBytes < rate {
-				rate = capBytes
-			}
-			return rate
-		})
-	} else if maxKBps > 0 {
-		pace = newPacer(int64(maxKBps) << 10)
-	}
-	// Histogram children resolved once per stream, not per batch.
-	firstBatchH := s.metrics.firstBatch.With(dom, wire)
-	encodeH := s.metrics.batchEncode.With(dom, wire)
-	trace := telemetry.TraceFrom(r.Context())
-
-	// emitError reports a mid-stream failure in-band, in the stream's
-	// own format (NDJSON error line or error frame) — and fails the
-	// request's root span so the trace is tail-sampled as notable.
-	emitError := func(err error) {
-		s.metrics.serveErrors.Inc()
-		telemetry.SpanFromContext(r.Context()).SetError(err.Error())
-		if wire == domain.WireFrame {
-			_, _ = cw.Write(domain.EncodeErrorFrame(err.Error()))
-			return
-		}
-		line, _ := json.Marshal(map[string]string{"error": err.Error()})
-		cw.writeLine(string(line))
-	}
-
-	// Frame streams are served by slicing byte ranges out of per-shard
-	// frame sources — cached payload bytes, on-store sidecars, or a
-	// per-request encode, resolved per shard by frameSourceFor — so a
-	// single emission path covers warm, disk-tier, and fallback
-	// serving. NDJSON keeps the encode-per-request path. Sources backed
-	// by open store handles are closed when the stream ends.
-	useFrames := wire == domain.WireFrame
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-
-	served := 0
-	failed := false                // shard-read failure: error already reported in-band
-	emitFailed := false            // write/encode failure: the connection is unusable
-	pos := start                   // position after the last record buffered for emission
-	var pending []any              // NDJSON path: buffered records
-	var pendingRanges []frameRange // frame path: buffered payload ranges
-	pendingCount := 0
-
-	// post is the shared per-batch bookkeeping after a successful write:
-	// latency, counters, flush, and pacing — which charges the bytes
-	// actually written since before (cw.n), so NDJSON, encoded frames,
-	// and cache-sliced frames are throttled identically.
-	post := func(before int64) error {
-		if served == 0 {
-			firstBatchH.ObserveWithExemplar(time.Since(streamStart).Seconds(), trace)
-		}
-		served++
-		s.metrics.batchesServed.Inc()
-		s.metrics.samplesServed.Add(float64(pendingCount))
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if pace != nil {
-			stallStart := time.Now()
-			perr := pace.pace(r.Context(), cw.n-before)
-			// A pace call that actually slept becomes a span — token-bucket
-			// bookkeeping that never blocked is not a stall.
-			if d := time.Since(stallStart); d >= time.Millisecond {
-				s.recordChildSpan(r.Context(), "pace.stall", stallStart, stallStart.Add(d), nil)
-			}
-			if perr != nil {
-				return perr
-			}
-		}
-		return nil
-	}
-
-	emit := func() error {
-		// The codec references the cached record slices directly —
-		// encoding only reads them, and copying every batch would double
-		// memory traffic on the serving hot path.
-		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: codec.Kind()}
-		before := cw.n
-		// Encode and write are timed apart: the encode histogram is
-		// codec cost only, so a slow client (or the pacer) cannot
-		// masquerade as an expensive codec.
-		encStart := time.Now()
-		line, err := codec.Line(h, pending)
-		if err != nil {
-			// Encode failure with a healthy connection: nothing was
-			// written yet, so the client can still be told — same
-			// contract as the shard-read failure path. (Write/pace
-			// errors below get nothing; that connection is dead.)
-			emitError(err)
-			return err
-		}
-		b, err := json.Marshal(line)
-		if err != nil {
-			emitError(err)
-			return err
-		}
-		wireBytes := append(b, '\n')
-		encDone := time.Now()
-		encodeH.Observe(encDone.Sub(encStart).Seconds())
-		s.recordChildSpan(r.Context(), "batch.encode", encStart, encDone, nil)
-		if _, err := cw.Write(wireBytes); err != nil {
-			return err
-		}
-		return post(before)
-	}
-
-	// emitFrame frames the buffered payload ranges under a fresh
-	// header. The envelope is a handful of varint bytes; the payload is
-	// written straight from each source — cached buffers, or io.CopyN
-	// off an on-store sidecar — byte-identical to what EncodeFrame
-	// would produce (a codec batch payload is the concatenation of its
-	// records' payloads), with the encode histogram collapsing to
-	// header-assembly time.
-	emitFrame := func() error {
-		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: codec.Kind()}
-		before := cw.n
-		encStart := time.Now()
-		payloadLen := 0
-		for _, rng := range pendingRanges {
-			payloadLen += rng.src.rangeLen(rng.a, rng.b)
-		}
-		env, err := domain.FrameEnvelope(h, pendingCount, payloadLen)
-		if err != nil {
-			emitError(err)
-			return err
-		}
-		encDone := time.Now()
-		encodeH.Observe(encDone.Sub(encStart).Seconds())
-		s.recordChildSpan(r.Context(), "batch.encode", encStart, encDone, nil)
-		if _, err := cw.Write(env); err != nil {
-			return err
-		}
-		for _, rng := range pendingRanges {
-			if err := rng.src.writeRange(cw, rng.a, rng.b); err != nil {
-				return err
-			}
-		}
-		return post(before)
-	}
-
-	flush := func() error {
-		var err error
-		if useFrames {
-			err = emitFrame()
-			pendingRanges = pendingRanges[:0]
-		} else {
-			err = emit()
-			pending = pending[:0]
-		}
-		pendingCount = 0
-		return err
-	}
-
-shards:
-	for si := start.Shard; si < len(manifest.Shards); si++ {
-		info := manifest.Shards[si]
-		var records []any
-		var src frameSource
-		var n int
-		var err error
-		if useFrames {
-			src, err = s.frameSourceFor(r.Context(), job, dom, manifest, info, open, codec, &closers)
-			if err == nil {
-				n = src.count()
-			}
-		} else {
-			records, err = s.shardRecords(r.Context(), job.id, dom, manifest, info, open, codec)
-			if err == nil {
-				n = len(records)
-			}
-		}
-		if err != nil {
-			// Headers are gone; the in-band error is the only channel
-			// left — but the counter makes the failure observable
-			// beyond whoever held this one connection.
-			emitError(err)
-			failed = true
-			break
-		}
-		first := 0
-		if si == start.Shard {
-			first = start.Record
-			if first > n {
-				first = n
-			}
-		}
-		for j := first; j < n; j++ {
-			if useFrames {
-				// Batches may span shards; contiguous records within one
-				// shard coalesce into a single byte range.
-				if k := len(pendingRanges); k > 0 && pendingRanges[k-1].src == src && pendingRanges[k-1].b == j {
-					pendingRanges[k-1].b = j + 1
-				} else {
-					pendingRanges = append(pendingRanges, frameRange{src: src, a: j, b: j + 1})
-				}
-			} else {
-				pending = append(pending, records[j])
-			}
-			pendingCount++
-			pos = advanceCursor(manifest, si, j)
-			if pendingCount == batchSize {
-				if err := flush(); err != nil {
-					// The batch was already written (or the writer is
-					// gone): do NOT fall through to the tail emit, which
-					// would duplicate it onto a half-dead connection.
-					emitFailed = true
-					break shards
-				}
-				if maxBatches > 0 && served >= maxBatches {
-					break shards
-				}
-			}
-		}
-	}
-	if !failed && !emitFailed && pendingCount > 0 && (maxBatches <= 0 || served < maxBatches) {
-		_ = flush()
-	}
-	if pace != nil && pace.throttled {
-		s.metrics.serveThrottled.Inc()
-	}
-	s.metrics.bytesServed.Add(float64(cw.n))
-	s.metrics.observeStage("serve:batches", 0, 1, cw.n)
-}
-
-// shardRecords returns one shard's decoded records through the LRU
-// cache, verifying checksums and decoding (via the domain codec) on
-// first access only. Misses are timed into the shard-load histogram
-// (with the loading request's trace as exemplar) and spanned as
-// shard.load; hits observe nothing — cache lookups are not loads.
-func (s *Server) shardRecords(ctx context.Context, jobID, dom string, m *shard.Manifest, info shard.Info, open shard.Opener, codec domain.Codec) ([]any, error) {
-	key := jobID + "/" + info.Name
-	return s.cache.Get(key, func() ([]any, int64, error) {
-		loadStart := time.Now()
-		one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
-		var records []any
-		var bytes int64
-		err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
-			decoded, n, derr := codec.Decode(rec)
-			if derr != nil {
-				return derr
-			}
-			records = append(records, decoded)
-			bytes += n
-			return nil
-		})
-		loadDone := time.Now()
-		outcome := "ok"
-		attrs := map[string]string{"shard": info.Name}
-		if err != nil {
-			outcome = "error"
-			attrs["error"] = err.Error()
-		}
-		s.metrics.shardLoad.With(dom, outcome).ObserveWithExemplar(
-			loadDone.Sub(loadStart).Seconds(), telemetry.TraceFrom(ctx))
-		s.recordChildSpan(ctx, "shard.load", loadStart, loadDone, attrs)
-		if err != nil {
-			return nil, 0, err
-		}
-		return records, bytes, nil
-	})
-}
-
-// recordChildSpan records a completed interval as a child of the
-// context's active span — the no-allocation-when-untraced path for
-// per-batch and cache-fill work, where a live Span object per event
-// would cost more than the work being measured.
-func (s *Server) recordChildSpan(ctx context.Context, name string, start, end time.Time, attrs map[string]string) {
-	sp := telemetry.SpanFromContext(ctx)
-	if sp == nil {
-		return
-	}
-	pc := sp.Context()
-	s.spans.Record(telemetry.SpanData{
-		TraceID: pc.TraceID, SpanID: telemetry.NewSpanID(), Parent: pc.SpanID,
-		Name: name, Start: start, End: end, Attrs: attrs,
-	})
-}
-
-// pacer is a per-stream token bucket: rate bytes/second sustained, with
-// a small burst so short streams are not over-delayed by rounding.
-type pacer struct {
-	rate      float64 // bytes per second
-	burst     float64 // bucket capacity (bytes)
-	tokens    float64
-	last      time.Time
-	throttled bool
-	// rateFn, when set, re-resolves the rate at every pace call — the
-	// weighted-fair share moves as streams open and close elsewhere.
-	rateFn func() float64
-}
-
-// newPacer returns a pacer sustaining rateBytes per second, with the
-// pacerBurst capacity for that rate.
-func newPacer(rateBytes int64) *pacer {
-	burst := pacerBurst(float64(rateBytes))
-	return &pacer{rate: float64(rateBytes), burst: burst, tokens: burst, last: time.Now()}
-}
-
-// pace charges n bytes against the bucket and sleeps off any deficit.
-// The sleep aborts when ctx ends (client disconnect), returning the
-// context's error so the caller stops streaming instead of pinning a
-// handler goroutine — a huge batch at a tiny rate would otherwise
-// sleep unbounded for a reader that may already be gone.
-func (p *pacer) pace(ctx context.Context, n int64) error {
-	if p.rateFn != nil {
-		if r := p.rateFn(); r > 0 && r != p.rate {
-			p.rate = r
-			p.burst = pacerBurst(r)
-			if p.tokens > p.burst {
-				p.tokens = p.burst
-			}
-		}
-	}
-	now := time.Now()
-	p.tokens += now.Sub(p.last).Seconds() * p.rate
-	if p.tokens > p.burst {
-		p.tokens = p.burst
-	}
-	p.last = now
-	p.tokens -= float64(n)
-	if p.tokens < 0 {
-		p.throttled = true
-		t := time.NewTimer(time.Duration(-p.tokens / p.rate * float64(time.Second)))
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
 // handleMetrics renders the registry. It never takes s.mu: every value
 // is either updated at its state transition or collected by a callback
 // against a subsystem's own lock, so a scrape under heavy submission
@@ -1643,79 +1177,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.reg.WritePrometheus(w)
-}
-
-// countingResponseWriter tracks bytes written for the serving metrics.
-type countingResponseWriter struct {
-	w http.ResponseWriter
-	n int64
-}
-
-func (c *countingResponseWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingResponseWriter) writeLine(line string) {
-	n, _ := c.w.Write([]byte(line + "\n"))
-	c.n += int64(n)
-}
-
-// acceptsFrames reports whether the request's Accept header asks for
-// the binary frame media type at least as strongly as for NDJSON.
-// Only an explicit frame mention opts in — wildcard accepts (curl's
-// */*) keep the debuggable NDJSON default — and q-values are honoured
-// per RFC 9110: ";q=0" refuses frames, and a lower frame q than the
-// client's (explicit or wildcard) NDJSON preference keeps NDJSON.
-func acceptsFrames(r *http.Request) bool {
-	frameQ, ndjsonQ, wildQ := -1.0, -1.0, -1.0
-	// A media range repeated across (or within) Accept headers keeps its
-	// most preferred weight, per RFC 9110's "most preferred" semantics —
-	// overwriting with the last occurrence would let a trailing ;q=0.1
-	// mask an earlier explicit preference.
-	keep := func(dst *float64, q float64) {
-		if q > *dst {
-			*dst = q
-		}
-	}
-	for _, accept := range r.Header.Values("Accept") {
-		for _, part := range strings.Split(accept, ",") {
-			mt, params, _ := strings.Cut(part, ";")
-			q := acceptQ(params)
-			switch strings.ToLower(strings.TrimSpace(mt)) {
-			case domain.ContentTypeFrame:
-				keep(&frameQ, q)
-			case domain.ContentTypeNDJSON:
-				keep(&ndjsonQ, q)
-			case "*/*", "application/*":
-				keep(&wildQ, q)
-			}
-		}
-	}
-	if frameQ <= 0 {
-		return false // unmentioned or explicitly refused
-	}
-	effNDJSON := ndjsonQ
-	if effNDJSON < 0 {
-		effNDJSON = wildQ // NDJSON reachable through a wildcard only
-	}
-	return frameQ >= effNDJSON
-}
-
-// acceptQ extracts a media range's q-value from its parameter list
-// (1.0 when absent or unparsable, per RFC 9110's default weight).
-func acceptQ(params string) float64 {
-	for _, param := range strings.Split(params, ";") {
-		k, v, ok := strings.Cut(param, "=")
-		if !ok || !strings.EqualFold(strings.TrimSpace(k), "q") {
-			continue
-		}
-		if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-			return q
-		}
-	}
-	return 1
 }
 
 func queryInt(r *http.Request, key string, def int) (int, error) {

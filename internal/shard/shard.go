@@ -35,6 +35,32 @@ type Opener interface {
 	Open(name string) (io.ReadCloser, error)
 }
 
+// ReadObject reads one whole stored object.
+func ReadObject(open Opener, name string) ([]byte, error) {
+	rc, err := open.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	b, err := io.ReadAll(rc)
+	if cerr := rc.Close(); err == nil {
+		err = cerr
+	}
+	return b, err
+}
+
+// WriteObject stores b as one whole object.
+func WriteObject(sink Sink, name string, b []byte) error {
+	wc, err := sink.Create(name)
+	if err != nil {
+		return err
+	}
+	if _, err := wc.Write(b); err != nil {
+		wc.Close()
+		return err
+	}
+	return wc.Close()
+}
+
 // ReaderAtCloser is a random-access read handle on one stored object.
 type ReaderAtCloser interface {
 	io.ReaderAt

@@ -137,20 +137,6 @@ func TestFSSinkRejectsBadNames(t *testing.T) {
 	}
 }
 
-// createObject writes one object through the store. FSSink commits at
-// Close, so that is where a taken name is refused.
-func createObject(s *FSSink, name, body string) error {
-	w, err := s.Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte(body)); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
 func readObject(t *testing.T, s *FSSink, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(s.Root(), name))
@@ -174,15 +160,17 @@ func assertNoTemps(t *testing.T, s *FSSink) {
 	}
 }
 
+// FSSink commits at Close, so that is where a taken name is refused —
+// WriteObject reports it.
 func TestFSSinkDuplicateCreateFails(t *testing.T) {
 	s, err := NewFSSink(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := createObject(s, "dup", "first"); err != nil {
+	if err := WriteObject(s, "dup", []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := createObject(s, "dup", "second"); err == nil {
+	if err := WriteObject(s, "dup", []byte("second")); err == nil {
 		t.Fatal("duplicate commit accepted")
 	}
 	if got := readObject(t, s, "dup"); got != "first" {
@@ -259,7 +247,7 @@ func TestFSSinkSyncBarrier(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			for i := 0; i < 3*syncWorkers; i++ {
-				if err := createObject(s, fmt.Sprintf("w%d-%03d", k, i), "payload"); err != nil {
+				if err := WriteObject(s, fmt.Sprintf("w%d-%03d", k, i), []byte("payload")); err != nil {
 					t.Error(err)
 				}
 				if i%syncWorkers == 0 {
@@ -325,7 +313,7 @@ func TestFSSinkSyncReportsBackgroundFailure(t *testing.T) {
 	if err := s.Sync(); err == nil || !strings.Contains(err.Error(), "doomed") {
 		t.Fatalf("barrier hid the failed fsync of %q: %v", "doomed", err)
 	}
-	if err := createObject(s, "healthy", "ok"); err != nil {
+	if err := WriteObject(s, "healthy", []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
@@ -338,13 +326,13 @@ func TestFSSinkRemoveFreesName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := createObject(s, "obj", "damaged"); err != nil {
+	if err := WriteObject(s, "obj", []byte("damaged")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Remove("obj"); err != nil {
 		t.Fatal(err)
 	}
-	if err := createObject(s, "obj", "rebuilt"); err != nil {
+	if err := WriteObject(s, "obj", []byte("rebuilt")); err != nil {
 		t.Fatalf("name not freed: %v", err)
 	}
 	if got := readObject(t, s, "obj"); got != "rebuilt" {
