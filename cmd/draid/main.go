@@ -100,7 +100,6 @@ func main() {
 	serveBudgetKBps := flag.Int("serve-budget-kbps", 0, "global weighted-fair bandwidth budget in KiB/s shared by all batch streams: split across active tenants by weight, then evenly across each tenant's streams (0 = per-stream pacing only)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON: id, token, weight, admin, quotas); enables bearer-token auth and per-tenant scoping — the file must be chmod 0600")
 	ledgerBatch := flag.Int("ledger-batch", 0, "audit ledger Merkle batch size in records per published root (0 = default 64; requires -data-dir)")
-	ledgerFlush := flag.Duration("ledger-flush", 0, "audit ledger group-commit window: how long the first appender waits for followers before one fsync covers all (0 = default 2ms; negative syncs every append)")
 	dataDir := flag.String("data-dir", "", "durable root for shard sets + job log (empty keeps jobs in memory)")
 	jobTTL := flag.Duration("job-ttl", 0, "evict completed jobs idle this long, deleting their shards (0 disables)")
 	maxJobs := flag.Int("max-jobs", 0, "max retained completed jobs; least recently served evicted first (0 = unbounded)")
@@ -160,7 +159,6 @@ func main() {
 		ServeBudgetKBps: *serveBudgetKBps,
 		Tenants:         reg,
 		LedgerBatch:     *ledgerBatch,
-		LedgerFlushWait: *ledgerFlush,
 		DataDir:         *dataDir,
 		JobTTL:          *jobTTL,
 		MaxJobs:         *maxJobs,

@@ -3,20 +3,22 @@
 // opens, evictions, auth failures) where every record is hash-chained
 // to its predecessor and records are grouped into fixed-size Merkle
 // batches whose roots are published for offline verification. The
-// write path uses group commit: appenders share one fsync per batch
-// window instead of paying one each, which is what keeps the audit
-// trail off the submit hot path: 64 concurrent appends cost a handful
-// of fsyncs, not 64.
+// write path uses group commit with no timer: a lone appender syncs at
+// once, and the records that arrive while a sync is in flight share
+// the next one, so 64 concurrent appends cost a handful of fsyncs, not
+// 64, and an idle ledger adds no wait to its one fsync.
 //
 // Durability contract: Append returns only after the record's bytes
-// are fsynced, by its own group's commit. A crash mid-append leaves a
-// torn final line that Open truncates; any other chain damage — a
-// reordered, edited, or deleted record — fails Open with a chain-break
-// error, because every record's hash covers its predecessor's.
+// are fsynced, by its own group's commit, and the read side (Len,
+// Record, Prove, Roots) serves only records already fsynced. A failed
+// write or fsync is sticky: every later Append returns it and the file
+// is never written again. A crash mid-append leaves a torn final line
+// that Open truncates; any other chain damage — a reordered, edited,
+// or deleted record — fails Open with a chain-break error, because
+// every record's hash covers its predecessor's.
 package ledger
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -83,44 +85,48 @@ type Config struct {
 	Path string
 	// Node stamps records with the fleet member writing them.
 	Node string
-	// BatchSize is records per Merkle batch (<=0 means 64). Also the
-	// group-commit ceiling: a batch's worth of pending appends forces a
-	// sync even inside the coalescing window.
+	// BatchSize is records per Merkle batch (<=0 means 64).
 	BatchSize int
-	// FlushWait is the group-commit coalescing window: the first
-	// appender of a group waits this long for followers before syncing
-	// once for all of them (<0 disables waiting; 0 means 2ms).
-	FlushWait time.Duration
 }
 
 // Ledger is an open audit log. Safe for concurrent appenders.
+//
+// Appends are group-committed without a timer. Under mu an appender
+// assigns its record's seq and chain hash and adds the encoded line to
+// pending. If no sync is in flight it leads: it takes pending, releases
+// mu, writes and fsyncs the group, then re-takes mu to advance durable
+// and wake the waiters. Lines that arrive meanwhile accumulate in
+// pending and form the next group, led by the first of their waiters to
+// see the file idle. mu is never held across I/O, so a reader never
+// waits on the disk; and one leader at a time keeps file order equal to
+// seq order.
 type Ledger struct {
 	cfg Config
 
 	mu      sync.Mutex
+	synced  sync.Cond // on mu; broadcast whenever a group sync ends
 	f       *os.File
-	w       *bufio.Writer
-	seq     uint64
-	prev    string   // hash of the last appended record
-	records []Record // full history, for proofs and tenant checks
+	seq     uint64   // last assigned seq
+	prev    string   // hash of the last assigned record
+	records []Record // every assigned record, for proofs and tenant checks
 	hashes  [][]byte // raw record hashes (Merkle leaves)
 	sealed  []string // cached roots of full batches
-	group   *syncGroup
+	pending []byte   // encoded lines assigned but not yet handed to a leader
+	durable uint64   // committed-seq watermark: records up to it are fsynced
+	syncing bool     // a leader is writing and fsyncing a group outside mu
+	err     error    // first failed write or fsync; the file is never written again
 	closed  bool
 
-	// Counters for /metrics. Atomics, not mu: a group leader holds mu
-	// across its fsync, and a scrape must never wait for a disk.
+	// Counters for /metrics. Atomics, not mu: a scrape never contends
+	// with appenders for the lock.
 	nAppends atomic.Int64
 	nSyncs   atomic.Int64
 	nBytes   atomic.Int64
 }
 
-// syncGroup is one group commit in flight: followers wait on done and
-// read err, which the leader writes before closing the channel.
-type syncGroup struct {
-	done chan struct{}
-	err  error
-}
+// fsync is (*os.File).Sync behind a variable so the group-commit tests
+// can hold a sync in flight.
+var fsync = (*os.File).Sync
 
 // Open opens (or creates) the audit log at cfg.Path, replaying and
 // verifying the existing chain. A torn final line (crash mid-append)
@@ -131,10 +137,8 @@ func Open(cfg Config) (*Ledger, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.FlushWait == 0 {
-		cfg.FlushWait = 2 * time.Millisecond
-	}
 	l := &Ledger{cfg: cfg}
+	l.synced.L = &l.mu
 	if err := l.replay(); err != nil {
 		return nil, err
 	}
@@ -143,7 +147,7 @@ func Open(cfg Config) (*Ledger, error) {
 		return nil, fmt.Errorf("ledger: open %s: %w", cfg.Path, err)
 	}
 	l.f = f
-	l.w = bufio.NewWriter(f)
+	l.durable = l.seq
 	return l, nil
 }
 
@@ -226,12 +230,18 @@ func (l *Ledger) replay() error {
 }
 
 // Append commits one audit record, returning it with its assigned
-// sequence number and chain hash once it is durable on disk.
+// sequence number and chain hash once it is durable on disk. After a
+// failed commit every Append returns that failure without assigning a
+// seq: a group that failed mid-write may have left a partial line, and
+// only a reopen (which truncates it) may extend the file again.
 func (l *Ledger) Append(typ, tenant, job, detail string) (Record, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return Record{}, fmt.Errorf("ledger: closed")
+	}
+	if l.err != nil {
+		return Record{}, l.err
 	}
 	rec := Record{
 		Seq: l.seq + 1, Time: time.Now().UTC(), Type: typ,
@@ -241,13 +251,9 @@ func (l *Ledger) Append(typ, tenant, job, detail string) (Record, error) {
 	rec.Hash = HashRecord(rec)
 	b, err := json.Marshal(rec)
 	if err != nil {
-		l.mu.Unlock()
 		return Record{}, fmt.Errorf("ledger: encode record: %w", err)
 	}
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
-		l.mu.Unlock()
-		return Record{}, fmt.Errorf("ledger: append: %w", err)
-	}
+	l.pending = append(append(l.pending, b...), '\n')
 	l.seq = rec.Seq
 	l.prev = rec.Hash
 	l.records = append(l.records, rec)
@@ -258,48 +264,56 @@ func (l *Ledger) Append(typ, tenant, job, detail string) (Record, error) {
 		l.sealed = append(l.sealed, hex.EncodeToString(
 			merkleRoot(l.hashes[batch*l.cfg.BatchSize:])))
 	}
-	l.nAppends.Add(1)
-	l.nBytes.Add(int64(len(b) + 1))
-
-	if g := l.group; g != nil {
-		// A leader is already coalescing: ride its fsync.
-		l.mu.Unlock()
-		<-g.done
-		return rec, g.err
+	for l.durable < rec.Seq && l.err == nil {
+		if l.syncing {
+			l.synced.Wait()
+		} else {
+			l.commitLocked()
+		}
 	}
-	// Become the leader: give followers a short window to pile their
-	// records into this group's single fsync, then commit for everyone.
-	g := &syncGroup{done: make(chan struct{})}
-	l.group = g
+	if l.durable < rec.Seq {
+		return Record{}, l.err
+	}
+	return rec, nil
+}
+
+// commitLocked leads one group: it takes every pending line, writes
+// and fsyncs them with mu released, then advances durable (or stores
+// the failure) and wakes the waiters. Caller holds mu, no sync is in
+// flight, and l.err is nil.
+func (l *Ledger) commitLocked() {
+	buf, upto, f := l.pending, l.seq, l.f
+	l.pending = nil
+	l.syncing = true
 	l.mu.Unlock()
-	if l.cfg.FlushWait > 0 {
-		time.Sleep(l.cfg.FlushWait)
+	_, err := f.Write(buf)
+	if err != nil {
+		err = fmt.Errorf("ledger: append: %w", err)
+	} else if err = fsync(f); err != nil {
+		err = fmt.Errorf("ledger: fsync: %w", err)
 	}
 	l.mu.Lock()
-	l.group = nil
-	g.err = l.syncLocked()
-	l.mu.Unlock()
-	close(g.done)
-	return rec, g.err
+	l.syncing = false
+	if err != nil {
+		l.err = err
+	} else {
+		l.nAppends.Add(int64(upto - l.durable))
+		l.nBytes.Add(int64(len(buf)))
+		l.nSyncs.Add(1)
+		l.durable = upto
+	}
+	l.synced.Broadcast()
 }
 
-// syncLocked flushes buffered lines and fsyncs. Caller holds mu.
-func (l *Ledger) syncLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("ledger: flush: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("ledger: fsync: %w", err)
-	}
-	l.nSyncs.Add(1)
-	return nil
-}
+// The read side serves records only up to durable: a record, proof or
+// root a caller sees is on disk, so a restarted node recomputes the
+// same roots it published.
 
-// Len reports how many records the ledger holds.
+// Len reports how many durable records the ledger holds.
 func (l *Ledger) Len() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.seq
+	return l.durable
 }
 
 // Roots returns every batch root: sealed roots for full batches plus
@@ -309,51 +323,50 @@ func (l *Ledger) Roots() []BatchRoot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	size := l.cfg.BatchSize
-	out := make([]BatchRoot, 0, len(l.sealed)+1)
-	for i, root := range l.sealed {
+	n := int(l.durable)
+	out := make([]BatchRoot, 0, n/size+1)
+	for i, root := range l.sealed[:n/size] {
 		out = append(out, BatchRoot{
 			Batch: i, FirstSeq: uint64(i*size) + 1, LastSeq: uint64((i + 1) * size),
 			Records: size, Root: root, Sealed: true,
 		})
 	}
-	if tail := len(l.hashes) % size; tail > 0 {
-		batch := len(l.hashes) / size
+	if tail := n % size; tail > 0 {
+		batch := n / size
 		out = append(out, BatchRoot{
-			Batch: batch, FirstSeq: uint64(batch*size) + 1, LastSeq: uint64(len(l.hashes)),
-			Records: tail, Root: hex.EncodeToString(merkleRoot(l.hashes[batch*size:])),
+			Batch: batch, FirstSeq: uint64(batch*size) + 1, LastSeq: uint64(n),
+			Records: tail, Root: hex.EncodeToString(merkleRoot(l.hashes[batch*size : n])),
 			Sealed: false,
 		})
 	}
 	return out
 }
 
-// Record returns the record at seq (1-based).
+// Record returns the durable record at seq (1-based).
 func (l *Ledger) Record(seq uint64) (Record, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq < 1 || seq > uint64(len(l.records)) {
+	if seq < 1 || seq > l.durable {
 		return Record{}, false
 	}
 	return l.records[seq-1], true
 }
 
-// Prove builds the Merkle inclusion proof for the record at seq
-// against its batch's root (sealed, or the open batch's provisional
-// root). Verify offline with Proof.Verify plus a published root.
+// Prove builds the Merkle inclusion proof for the durable record at
+// seq against its batch's root (sealed, or the open batch's
+// provisional root). Verify offline with Proof.Verify plus a published
+// root.
 func (l *Ledger) Prove(seq uint64) (*Proof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq < 1 || seq > uint64(len(l.hashes)) {
+	if seq < 1 || seq > l.durable {
 		return nil, fmt.Errorf("ledger: no record with seq %d", seq)
 	}
 	size := l.cfg.BatchSize
 	idx := int(seq - 1)
 	batch := idx / size
 	lo := batch * size
-	hi := lo + size
-	if hi > len(l.hashes) {
-		hi = len(l.hashes)
-	}
+	hi := min(lo+size, int(l.durable))
 	leaves := l.hashes[lo:hi]
 	path := merkleProof(leaves, idx-lo)
 	steps := make([]ProofStep, len(path))
@@ -371,19 +384,21 @@ func (l *Ledger) Prove(seq uint64) (*Proof, error) {
 
 // Stats is a point-in-time counter snapshot for /metrics.
 type Stats struct {
-	Records int64 // records appended this process (replayed ones excluded)
-	Syncs   int64 // fsyncs issued (group commits count once)
-	Bytes   int64 // record bytes written this process
+	Records int64 // records made durable this process (replayed ones excluded)
+	Syncs   int64 // successful fsyncs (one per group commit)
+	Bytes   int64 // record bytes made durable this process
 }
 
 // Stats snapshots the ledger's write counters without taking the
 // ledger's lock (each counter is read on its own, so a snapshot taken
-// mid-append may count a record whose bytes it does not yet).
+// mid-commit may count a group's records but not yet its sync).
 func (l *Ledger) Stats() Stats {
 	return Stats{Records: l.nAppends.Load(), Syncs: l.nSyncs.Load(), Bytes: l.nBytes.Load()}
 }
 
-// Close flushes, fsyncs, and closes the log file.
+// Close waits for an in-flight group sync, commits whatever is still
+// pending, and closes the log file. It returns the ledger's sticky
+// commit failure, if any.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -391,7 +406,13 @@ func (l *Ledger) Close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.syncLocked()
+	for l.syncing {
+		l.synced.Wait()
+	}
+	if l.err == nil && l.durable < l.seq {
+		l.commitLocked()
+	}
+	err := l.err
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

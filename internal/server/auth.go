@@ -10,6 +10,7 @@
 package server
 
 import (
+	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/ledger"
 	"repro/internal/shard"
@@ -81,7 +83,7 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 				if tok != "" {
 					detail = "invalid token"
 				}
-				s.audit(ledger.TypeAuthFailure, "", "", detail+": "+r.Method+" "+r.URL.Path)
+				s.audit(r.Context(), ledger.TypeAuthFailure, "", "", detail+": "+r.Method+" "+r.URL.Path)
 				s.logger.Info("auth failure", "method", r.Method, "path", tenant.RedactedPath(r),
 					"trace", telemetry.TraceFrom(r.Context()))
 				w.Header().Set("WWW-Authenticate", `Bearer realm="draid"`)
@@ -101,12 +103,16 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 
 // audit appends one record to the audit ledger (no-op without a data
 // dir). Append returns once the record is durable — group-committed,
-// so concurrent auditors share an fsync.
-func (s *Server) audit(typ, tenantID, job, detail string) {
+// so concurrent auditors share an fsync. The wait is a ledger.append
+// child of ctx's span, when ctx carries one.
+func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string) {
 	if s.ledger == nil {
 		return
 	}
-	if _, err := s.ledger.Append(typ, tenantID, job, detail); err != nil {
+	start := time.Now()
+	_, err := s.ledger.Append(typ, tenantID, job, detail)
+	s.recordChildSpan(ctx, "ledger.append", start, time.Now(), map[string]string{"type": typ})
+	if err != nil {
 		s.logger.Warn("audit append failed", "type", typ, "job", job, "error", err.Error())
 	}
 }

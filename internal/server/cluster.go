@@ -124,7 +124,7 @@ func (s *Server) clusterSubmit(w http.ResponseWriter, r *http.Request, spec JobS
 	if cluster.Forwarded(r) {
 		// Terminal hop: enqueue here even if our ring view disagrees —
 		// any member can run any job, and the ID decides routing later.
-		s.submitLocal(w, spec, id, trace, tenantID)
+		s.submitLocal(r.Context(), w, spec, id)
 		return
 	}
 	body, err := json.Marshal(spec)
@@ -135,7 +135,7 @@ func (s *Server) clusterSubmit(w http.ResponseWriter, r *http.Request, spec JobS
 	for range c.Nodes() {
 		owner := c.Owner(id)
 		if owner.ID == c.Self().ID {
-			s.submitLocal(w, spec, id, trace, tenantID)
+			s.submitLocal(r.Context(), w, spec, id)
 			return
 		}
 		if cluster.WantsRedirect(r) {
@@ -180,7 +180,7 @@ func (s *Server) clusterSubmit(w http.ResponseWriter, r *http.Request, spec JobS
 		s.metrics.clusterRetries.Inc()
 		c.MarkDown(owner.ID)
 	}
-	s.submitLocal(w, spec, id, trace, tenantID) // every peer down: degrade to local service
+	s.submitLocal(r.Context(), w, spec, id) // every peer down: degrade to local service
 }
 
 // relaySpanned wraps cluster.Relay in a proxy.submit client span. r is

@@ -152,7 +152,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	}
 	job.touch()
 	ident := tenant.FromContext(r.Context())
-	s.audit(ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize))
+	s.audit(r.Context(), ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize))
 
 	// Content negotiation: NDJSON unless the client's Accept asks for
 	// the binary frame format. X-Draid-Wire names the format actually

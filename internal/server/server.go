@@ -10,6 +10,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -76,11 +77,6 @@ type Options struct {
 	// published root). <=0 uses the ledger default (64). Only
 	// meaningful with DataDir set — the ledger lives there.
 	LedgerBatch int
-	// LedgerFlushWait is the audit ledger's group-commit window: how
-	// long the first appender waits for followers before one fsync
-	// covers them all. 0 uses the default (2ms); negative syncs every
-	// append individually.
-	LedgerFlushWait time.Duration
 
 	// DataDir makes the server durable: job shard sets are written to
 	// DataDir/jobs/<id> (FSSink) and every job transition is appended to
@@ -334,7 +330,6 @@ func (s *Server) openDurable() error {
 		Path:      ledgerPath,
 		Node:      selfID,
 		BatchSize: s.opts.LedgerBatch,
-		FlushWait: s.opts.LedgerFlushWait,
 	})
 	if err != nil {
 		return err
@@ -920,7 +915,7 @@ func (s *Server) maybeEvict() {
 			_ = s.log.append(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()})
 		}
 		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
-		s.audit(ledger.TypeEvict, j.tenant, j.id, "retention")
+		s.audit(context.Background(), ledger.TypeEvict, j.tenant, j.id, "retention")
 		s.metrics.jobsEvicted.Inc()
 		s.logger.Info("job evicted", "job", j.id)
 	}
@@ -993,18 +988,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.clusterSubmit(w, r, spec)
 		return
 	}
-	s.submitLocal(w, spec, "", telemetry.TraceFrom(r.Context()), tenant.FromContext(r.Context()).ID)
+	s.submitLocal(r.Context(), w, spec, "")
 }
 
 // submitLocal enqueues a job on this node. An empty id allocates the
 // next sequence number; a pre-assigned id (cluster routing) is used
-// verbatim after a collision check. trace is the submitting request's
-// trace ID — recorded on the job and in its log record so the whole
-// lifecycle correlates back to the request. tenantID is the
-// authenticated submitter ("" with auth off): it owns the job for
-// scoping, is charged for it under quotas, and rides on the log record
-// so ownership survives replay and adoption.
-func (s *Server) submitLocal(w http.ResponseWriter, spec JobSpec, id, trace, tenantID string) {
+// verbatim after a collision check. ctx is the submitting request's:
+// its trace ID is recorded on the job and in its log record so the
+// whole lifecycle correlates back to the request, and its
+// authenticated tenant ("" with auth off) owns the job for scoping, is
+// charged for it under quotas, and rides on the log record so
+// ownership survives replay and adoption.
+func (s *Server) submitLocal(ctx context.Context, w http.ResponseWriter, spec JobSpec, id string) {
+	trace, tenantID := telemetry.TraceFrom(ctx), tenant.FromContext(ctx).ID
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -1060,7 +1056,7 @@ func (s *Server) submitLocal(w http.ResponseWriter, spec JobSpec, id, trace, ten
 				Node: s.nodeID(), Trace: trace, Tenant: tenantID,
 			})
 		}
-		s.audit(ledger.TypeSubmit, tenantID, job.id, string(spec.Domain))
+		s.audit(ctx, ledger.TypeSubmit, tenantID, job.id, string(spec.Domain))
 		s.logger.Info("job submitted", "job", job.id, "domain", string(spec.Domain), "trace", trace)
 		writeJSON(w, http.StatusAccepted, s.decorate(job.Status()))
 	default:

@@ -96,8 +96,8 @@ func TestMetricsStrictExposition(t *testing.T) {
 // scrape stalled every submission (and a stuck submission stalled the
 // scrape). The registry path shares no lock with the job table — a
 // scrape must complete while s.mu is held. The same goes for the audit
-// ledger's mutex, which a group-commit leader holds across its fsync:
-// the ledger collectors read atomics, never that lock.
+// ledger's mutex, which every appender takes: the ledger collectors
+// read atomics, never that lock.
 func TestMetricsScrapeDoesNotBlock(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
 	s.mu.Lock()
@@ -122,8 +122,8 @@ func TestMetricsScrapeDoesNotBlock(t *testing.T) {
 	}
 }
 
-// lockLedger takes the ledger's private mutex, standing in for an
-// append stuck in fsync, and returns its unlock. Reaching into another
+// lockLedger takes the ledger's private mutex, standing in for a
+// queue of appenders, and returns its unlock. Reaching into another
 // package's field is the price of pinning this from the scrape's side.
 func lockLedger(t *testing.T, l *ledger.Ledger) (unlock func()) {
 	t.Helper()

@@ -34,6 +34,7 @@ var serverSpanNames = []string{
 	"frame.fill",    // frame-cache miss: encode a shard's frame payload
 	"batch.encode",  // per-batch wire encode (header-only on cache hits)
 	"pace.stall",    // token-bucket sleep inside a paced stream
+	"ledger.append", // wait for a request's audit record to be durable
 }
 
 // handleTraces serves GET /v1/traces: this node's trace summaries,

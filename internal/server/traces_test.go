@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/telemetry"
 	"repro/pkg/client"
 )
@@ -50,6 +51,22 @@ func spanByName(view *client.TraceView) map[string]client.Span {
 	return out
 }
 
+// streamAuditParent returns the parent of the view's ledger.append span
+// for a stream open, or nil while either is missing.
+func streamAuditParent(view *client.TraceView) *client.Span {
+	for _, sp := range view.Spans {
+		if sp.Name != "ledger.append" || sp.Attrs["type"] != ledger.TypeStream {
+			continue
+		}
+		for i := range view.Spans {
+			if view.Spans[i].SpanID == sp.Parent {
+				return &view.Spans[i]
+			}
+		}
+	}
+	return nil
+}
+
 // assertNested fails unless every span whose parent is present in the
 // view lies entirely within its parent's interval — the tree-shape
 // invariant the acceptance criteria name.
@@ -73,10 +90,11 @@ func assertNested(t *testing.T, view *client.TraceView) {
 
 // TestTraceSpanTreeSingleNode drives a real job + stream under one
 // pinned trace ID and checks the recorded span tree end to end: the
-// hot-path span names, parent-child nesting, the trace listing and its
-// filters, and the exemplar riding the request histogram.
+// hot-path span names, parent-child nesting, the stream open's durable
+// audit wait under its own root, the trace listing and its filters,
+// and the exemplar riding the request histogram.
 func TestTraceSpanTreeSingleNode(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 1 << 20})
+	s, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 1 << 20, DataDir: t.TempDir()})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	const trace = "span-tree-e2e.1"
@@ -104,7 +122,7 @@ func TestTraceSpanTreeSingleNode(t *testing.T) {
 		t.Fatalf("stream status %d", resp.StatusCode)
 	}
 
-	want := []string{"http.request", "job.wait", "job.run", "job.stage", "shard.load", "batch.encode"}
+	want := []string{"http.request", "job.wait", "job.run", "job.stage", "shard.load", "batch.encode", "ledger.append"}
 	view := fetchTrace(t, c, trace, func(v *client.TraceView) bool {
 		got := spanByName(v)
 		for _, name := range want {
@@ -112,7 +130,7 @@ func TestTraceSpanTreeSingleNode(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return streamAuditParent(v) != nil
 	})
 	byName := spanByName(view)
 	for _, sp := range view.Spans {
@@ -127,6 +145,12 @@ func TestTraceSpanTreeSingleNode(t *testing.T) {
 		t.Errorf("job.stage parent %q, want job.run %q", byName["job.stage"].Parent, byName["job.run"].SpanID)
 	}
 	assertNested(t, view)
+	// The stream open waits for its audit record before the first byte;
+	// that wait hangs under the stream's own root, not the submission's.
+	if p := streamAuditParent(view); p.Name != "http.request" || !strings.Contains(p.Attrs["path"], "/batches") {
+		t.Errorf("stream ledger.append parented under %s %v, want the /batches http.request\n%s",
+			p.Name, p.Attrs, view.RenderTree())
+	}
 
 	// Every span name the store actually emitted is in the closed,
 	// documented set.
