@@ -1,12 +1,15 @@
-// Wire codecs: one per shard-record encoding. A codec's Decode runs
-// once per record at shard-cache fill time; Line runs per batch on the
-// streaming hot path, so lines reference decoded slices instead of
-// copying them.
+// Wire codecs: one per shard-record encoding. A codec's Decode and its
+// per-record encoders (AppendRecordJSON for NDJSON fragments,
+// AppendFramePayload for frames) run once per record when a shard is
+// filled into a serving cache or sidecar; batches are then sliced out
+// of the encoded bytes. Line is the reference NDJSON encoder the
+// fragments are tested against; no serving path calls it.
 package domain
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/formats/bp"
 	"repro/internal/formats/tfrecord"
@@ -40,6 +43,20 @@ type sampleLine struct {
 	BatchHeader
 	Features [][]float32 `json:"features"`
 	Labels   []int32     `json:"labels"`
+}
+
+func (sampleCodec) LineColumns() []string { return []string{"features", "labels"} }
+
+func (sampleCodec) AppendRecordJSON(cols [][]byte, r any) (err error) {
+	s, ok := r.(*loader.Sample)
+	if !ok {
+		return fmt.Errorf("domain: samples codec got %T", r)
+	}
+	if cols[0], err = appendJSONFloat32s(cols[0], s.Features); err != nil {
+		return err
+	}
+	cols[1] = strconv.AppendInt(cols[1], int64(s.Label), 10)
+	return nil
 }
 
 func (sampleCodec) Line(h BatchHeader, recs []any) (any, error) {
@@ -116,6 +133,25 @@ type fusionLine struct {
 	Shots    []int64     `json:"shots"`
 	Starts   []int64     `json:"starts"`
 	Horizons []float32   `json:"horizons"`
+}
+
+func (fusionCodec) LineColumns() []string {
+	return []string{"labels", "signals", "shots", "starts", "horizons"}
+}
+
+func (fusionCodec) AppendRecordJSON(cols [][]byte, r any) (err error) {
+	w, ok := r.(*FusionWindow)
+	if !ok {
+		return fmt.Errorf("domain: fusion codec got %T", r)
+	}
+	cols[0] = strconv.AppendInt(cols[0], w.Label, 10)
+	if cols[1], err = appendJSONFloat32s(cols[1], w.Signal); err != nil {
+		return err
+	}
+	cols[2] = strconv.AppendInt(cols[2], w.Shot, 10)
+	cols[3] = strconv.AppendInt(cols[3], w.Start, 10)
+	cols[4], err = appendJSONFloat(cols[4], float64(w.Horizon), 32)
+	return err
 }
 
 func (fusionCodec) Line(h BatchHeader, recs []any) (any, error) {
@@ -218,6 +254,41 @@ func (materialsCodec) Decode(rec []byte) (any, int64, error) {
 type materialsLine struct {
 	BatchHeader
 	Graphs []*WireGraph `json:"graphs"`
+}
+
+func (materialsCodec) LineColumns() []string { return []string{"graphs"} }
+
+func (materialsCodec) AppendRecordJSON(cols [][]byte, r any) (err error) {
+	g, ok := r.(*WireGraph)
+	if !ok {
+		return fmt.Errorf("domain: materials codec got %T", r)
+	}
+	if g == nil {
+		cols[0] = append(cols[0], "null"...)
+		return nil
+	}
+	b := append(cols[0], `{"nodes":`...)
+	b = strconv.AppendInt(b, int64(g.Nodes), 10)
+	b = append(b, `,"feature_dim":`...)
+	b = strconv.AppendInt(b, int64(g.FeatureDim), 10)
+	b = append(b, `,"node_features":`...)
+	if b, err = appendJSONFloat64s(b, g.NodeFeatures); err != nil {
+		return err
+	}
+	b = append(b, `,"edges":`...)
+	b = appendJSONInt64s(b, g.Edges)
+	b = append(b, `,"edge_lengths":`...)
+	if b, err = appendJSONFloat64s(b, g.EdgeLengths); err != nil {
+		return err
+	}
+	b = append(b, `,"energy":`...)
+	if b, err = appendJSONFloat(b, g.Energy, 64); err != nil {
+		return err
+	}
+	b = append(b, `,"class_id":`...)
+	b = strconv.AppendInt(b, g.ClassID, 10)
+	cols[0] = append(b, '}')
+	return nil
 }
 
 func (materialsCodec) Line(h BatchHeader, recs []any) (any, error) {

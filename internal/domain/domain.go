@@ -102,18 +102,28 @@ type BatchHeader struct {
 }
 
 // Codec decodes one domain's shard records into wire records and
-// assembles them into NDJSON batch lines or binary frame payloads —
-// both wire formats serve the same decoded records.
+// encodes them, record by record, for both wire formats: NDJSON line
+// fragments and binary frame payloads. The serving tier encodes each
+// shard once and slices batches out of the bytes, so both encodings
+// must make a batch the concatenation of its records' encodings.
 type Codec interface {
 	// Kind names the wire payload schema ("samples", "fusion_windows",
 	// "materials_graphs").
 	Kind() string
 	// Decode parses one shard record into an opaque wire record and
-	// reports its decoded in-memory size for cache accounting.
+	// reports an estimate of its decoded in-memory size.
 	Decode(rec []byte) (any, int64, error)
 	// Line builds one marshalable NDJSON batch line from records
-	// previously produced by Decode.
+	// previously produced by Decode. It is the reference encoding:
+	// json.Marshal of it is what a served line must equal byte for
+	// byte (see lines.go); serving itself uses the fragments.
 	Line(h BatchHeader, recs []any) (any, error)
+	// LineColumns names the line's payload columns, in line order.
+	LineColumns() []string
+	// AppendRecordJSON appends one record's element of each line
+	// column, exactly as encoding/json writes it inside Line's
+	// arrays, to cols[i] (one buffer per LineColumns entry).
+	AppendRecordJSON(cols [][]byte, rec any) error
 	// AppendFramePayload appends the records' packed little-endian
 	// binary frame payload (see frames.go for the per-kind layout).
 	AppendFramePayload(buf []byte, recs []any) ([]byte, error)

@@ -1,18 +1,18 @@
 // The unified serving-cache arena: one -serve-cache-mb byte budget
-// shared by the decoded-shard cache ([]any per shard) and the
-// encoded-frame cache (frame-ready payload bytes per shard). Eviction is
-// weighted: encoded payloads are cheap to refill from on-store frame
-// sidecars (a CRC pass plus a copy), while decoded entries cost a full
-// SHA-256 + gunzip + TFRecord walk + codec decode — so under pressure
-// the arena sheds frames first, only turning on decoded entries when
-// they dominate the budget.
+// shared by the NDJSON line cache (per-record JSON fragments per
+// shard) and the encoded-frame cache (frame-ready payload bytes per
+// shard). Eviction is weighted: frame payloads are cheap to refill
+// from on-store frame sidecars (a CRC pass plus a copy), while line
+// fragments cost a full SHA-256 + gunzip + TFRecord walk + codec
+// decode + JSON encode — so under pressure the arena sheds frames
+// first, only turning on line entries when they dominate the budget.
 package server
 
 import "sync"
 
 // frameEvictWeight biases eviction toward the frame cache: frames are
 // evicted while they hold more than 1/(weight+1) of the resident
-// bytes; beyond that the decoded side pays, so a frame-heavy workload
+// bytes; beyond that the line side pays, so a frame-heavy workload
 // still keeps a working set of cheap-to-refill payloads.
 const frameEvictWeight = 4
 
@@ -31,9 +31,9 @@ type cacheArena struct {
 	budget int64
 	mu     sync.Mutex
 	// frames is evicted preferentially (refillable from sidecars);
-	// decoded is the expensive-to-rebuild fallback victim.
-	frames  arenaCache
-	decoded arenaCache
+	// lines is the expensive-to-rebuild fallback victim.
+	frames arenaCache
+	lines  arenaCache
 }
 
 // rebalance evicts LRU entries until both caches together fit the
@@ -42,14 +42,14 @@ func (a *cacheArena) rebalance() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for {
-		f, d := a.frames.usedBytes(), a.decoded.usedBytes()
-		if f+d <= a.budget {
+		f, l := a.frames.usedBytes(), a.lines.usedBytes()
+		if f+l <= a.budget {
 			return
 		}
-		if f*frameEvictWeight >= d && a.frames.evictOne() {
+		if f*frameEvictWeight >= l && a.frames.evictOne() {
 			continue
 		}
-		if a.decoded.evictOne() {
+		if a.lines.evictOne() {
 			continue
 		}
 		if a.frames.evictOne() {

@@ -1,14 +1,15 @@
-// LRU shard-index cache for the serving tier. Opening a shard means
-// verifying its SHA-256, inflating gzip, walking TFRecord frames, and
-// decoding every record through the domain codec — work worth doing
-// once per shard, not once per reader. The cache keys cached shard
-// contents by (job, shard) and evicts least-recently-served entries
-// when the configured byte budget is exceeded, so many concurrent
-// streaming clients share one decode. Values are opaque to the cache —
-// the loader that produced one also reports its in-memory size, which
-// is what the byte budget accounts — so the same structure backs both
-// the decoded-record cache ([]any per shard) and the encoded-frame
-// cache (frame-ready payload bytes per shard).
+// LRU shard cache for the serving tier. Serving a shard means
+// verifying its SHA-256, inflating gzip, walking TFRecord frames,
+// decoding every record through the domain codec and encoding it for
+// the wire — work worth doing once per shard, not once per reader. The
+// cache keys encoded shard contents by (job, shard) and evicts least-
+// recently-served entries when the configured byte budget is exceeded,
+// so many concurrent streaming clients share one encode. Values are
+// opaque to the cache — the loader that produced one also reports its
+// in-memory size, which is what the byte budget accounts — so the same
+// structure backs both the NDJSON line cache (per-record JSON fragments
+// per shard) and the encoded-frame cache (frame-ready payload bytes
+// per shard).
 package server
 
 import (

@@ -42,6 +42,32 @@ func rawFrameStream(t *testing.T, url string) []byte {
 	return body
 }
 
+// rawNDJSONStream is rawFrameStream for the NDJSON wire.
+func rawNDJSONStream(t *testing.T, url string) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", domain.ContentTypeNDJSON)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(domain.HeaderWire); got != domain.WireNDJSON {
+		t.Fatalf("%s: X-Draid-Wire %q, want %q", url, got, domain.WireNDJSON)
+	}
+	return body
+}
+
 // frameCursors parses a raw frame stream into its batch cursors.
 func frameCursors(t *testing.T, stream []byte) []string {
 	t.Helper()
@@ -63,9 +89,10 @@ func frameCursors(t *testing.T, stream []byte) []string {
 // byte-identical to the encode-per-request stream — cold (cache fill),
 // warm (cache hit), at a different batch size, resumed from a
 // mid-stream cursor, capped by max_batches, and under ?max_kbps=
-// pacing. The reference bytes come from a server with both caches off
-// whose store has no frame sidecars; the cached server reads the same
-// data dir after a restart.
+// pacing — and so is every NDJSON line sliced out of the line cache,
+// against Line+json.Marshal over the same records. The reference bytes
+// come from a server with both caches off whose store has no frame
+// sidecars; the cached server reads the same data dir after a restart.
 func TestFrameCacheByteExact(t *testing.T) {
 	dataDir := t.TempDir()
 	s1, err := New(Options{Workers: 4, DataDir: dataDir, ServeCacheBytes: 0, NewStore: noFrameStore(dataDir)})
@@ -122,6 +149,9 @@ func TestFrameCacheByteExact(t *testing.T) {
 	}
 	if fs.Entries == 0 || fs.Bytes == 0 {
 		t.Fatalf("frame cache holds nothing after serving: %+v", fs)
+	}
+	if ls := s2.lines.Stats(); ls.Hits == 0 || ls.Entries == 0 || ls.Bytes == 0 {
+		t.Fatalf("line cache took no hits or holds nothing: %+v", ls)
 	}
 
 	// NDJSON streams never touch the frame cache: same bytes, no new

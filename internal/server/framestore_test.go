@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -107,10 +108,13 @@ func noFrameStore(dataDir string) func(string) (shard.Store, error) {
 }
 
 // byteExactCase is one row of a byte-exactness table: a /batches query
-// and the reference frame stream it must reproduce.
+// and the reference streams it must reproduce on each wire.
 type byteExactCase struct {
 	query string
-	want  []byte
+	want  []byte // the frame stream
+	// wantLines is the NDJSON stream: every batch of want as
+	// json.Marshal(Codec.Line(header, records)) plus "\n".
+	wantLines []byte
 }
 
 // referenceCases streams the byte-exactness table from a reference
@@ -132,33 +136,51 @@ func referenceCases(t *testing.T, url string) []byteExactCase {
 		"batch_size=2&max_batches=1",
 		"batch_size=3&max_batches=2",
 	} {
-		cases = append(cases, byteExactCase{q, rawFrameStream(t, url+q)})
+		frames := rawFrameStream(t, url+q)
+		cases = append(cases, byteExactCase{q, frames, marshalLines(t, frames)})
 	}
-	return append(cases, byteExactCase{fmt.Sprintf("batch_size=2&max_kbps=%d", len(full)/1024+1), full})
+	return append(cases, byteExactCase{fmt.Sprintf("batch_size=2&max_kbps=%d", len(full)/1024+1), full, marshalLines(t, full)})
 }
 
-// checkCase streams one table row from url ("/batches?"-terminated) and
-// requires the reference bytes. On max_batches rows it also requires
-// the NDJSON wire to stop after the same batches, at the same cursors.
+// marshalLines re-encodes a frame stream the reference NDJSON way:
+// each frame's records through the codec's Line and json.Marshal.
+func marshalLines(t *testing.T, frames []byte) []byte {
+	t.Helper()
+	var out []byte
+	for rest := frames; len(rest) > 0; {
+		h, recs, r, err := domain.DecodeFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec, ok := domain.CodecByKind(h.Kind)
+		if !ok {
+			t.Fatalf("no codec for kind %q", h.Kind)
+		}
+		line, err := codec.Line(h, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, b...), '\n')
+		rest = r
+	}
+	return out
+}
+
+// checkCase streams one table row from url ("/batches?"-terminated) on
+// both wires and requires the reference bytes of each.
 func checkCase(t *testing.T, url string, c byteExactCase) {
 	t.Helper()
 	u := url + c.query
-	got := rawFrameStream(t, u)
-	if !bytes.Equal(got, c.want) {
-		t.Fatalf("%s: stream differs from reference (%d vs %d bytes)", u, len(got), len(c.want))
+	if got := rawFrameStream(t, u); !bytes.Equal(got, c.want) {
+		t.Fatalf("%s: frame stream differs from reference (%d vs %d bytes)", u, len(got), len(c.want))
 	}
-	if !strings.Contains(c.query, "max_batches=") {
-		return
-	}
-	frames := frameCursors(t, got)
-	lines := streamFrom(t, u, "")
-	if len(lines) != len(frames) {
-		t.Fatalf("%s: NDJSON stopped after %d batches, frames after %d", u, len(lines), len(frames))
-	}
-	for i, l := range lines {
-		if l.cursor != frames[i] {
-			t.Fatalf("%s: batch %d cursor %s on NDJSON, %s on frames", u, i, l.cursor, frames[i])
-		}
+	if got := rawNDJSONStream(t, u); !bytes.Equal(got, c.wantLines) {
+		t.Fatalf("%s: NDJSON stream differs from Line+json.Marshal (%d vs %d bytes)\n got  %.200s\n want %.200s",
+			u, len(got), len(c.wantLines), got, c.wantLines)
 	}
 }
 
@@ -167,7 +189,8 @@ func checkCase(t *testing.T, url string, c byteExactCase) {
 // are encrypted under the per-job key — a fully-cold frame stream
 // served from sidecars is byte-identical to the encode-per-request
 // reference, across batch sizes, cursor resume, max_batches caps, and
-// ?max_kbps= pacing.
+// ?max_kbps= pacing. With the serving cache off, every NDJSON line
+// (fragments encoded per stream) equals Line+json.Marshal too.
 func TestFrameDiskByteExact(t *testing.T) {
 	dataDir := t.TempDir()
 	ids := buildJobs(t, dataDir, []JobSpec{
@@ -223,6 +246,9 @@ func TestFrameDiskByteExact(t *testing.T) {
 	}
 	if errs := disk.metrics.frameStoreErrors.Value(); errs != 0 {
 		t.Fatalf("%v sidecar errors on pristine sidecars", errs)
+	}
+	if ls := disk.lines.Stats(); ls.Entries != 0 || ls.Misses == 0 {
+		t.Fatalf("line cache with a zero budget: %+v", ls)
 	}
 }
 

@@ -20,7 +20,11 @@
 // A torn, truncated, or bit-flipped sidecar is rejected by its CRCs,
 // deleted, and rebuilt by the fallback it forces — corrupt bytes are
 // never served, and the damage costs one request, not every cold open.
-// NDJSON streams read decoded records through the decoded-shard cache.
+//
+// NDJSON streams read per-record JSON fragments (domain.LineFragments)
+// through the line cache: a miss reads, decodes and encodes the shard
+// once; every batch line is then a header plus slices of the cached
+// fragments, byte-identical to encoding the batch with encoding/json.
 package server
 
 import (
@@ -339,8 +343,9 @@ shards:
 
 // batchWire is what differs between the two wire formats: how a shard
 // resolves to a source, and how one buffered batch is written — a head
-// built from the batch's ranges (the NDJSON line, or the frame
-// envelope), then any payload copied straight from the sources.
+// built from the batch's header and ranges (the NDJSON line's header
+// fields, or the frame envelope), then the payload copied straight from
+// the sources.
 type batchWire interface {
 	source(info shard.Info) (src shardSource, n int, err error)
 	encode(h domain.BatchHeader, count int, rs []batchRange) ([]byte, error)
@@ -348,11 +353,11 @@ type batchWire interface {
 	errorBytes(err error) []byte
 }
 
-// shardSource is one shard resolved for serving: its decoded records
-// (NDJSON) or its frame-ready payload (frame wire).
+// shardSource is one shard resolved for serving: its NDJSON line
+// fragments or its frame-ready payload.
 type shardSource struct {
-	records []any
-	frames  frameSource
+	lines  *domain.LineFragments
+	frames frameSource
 }
 
 // release closes the store handle a sidecar-streamed source holds
@@ -371,39 +376,37 @@ type batchRange struct {
 	last bool
 }
 
-// ndjsonWire writes each batch as one JSON line built by the codec.
+// ndjsonWire writes each batch as one JSON line: the header fields,
+// then each column's elements sliced out of the sources' cached
+// fragments — so the encode histogram is header-assembly time.
 type ndjsonWire struct {
-	s       *Server
-	ctx     context.Context
-	plan    *servePlan
-	pending []any // the batch's records, reused across batches
+	s     *Server
+	ctx   context.Context
+	plan  *servePlan
+	head  []byte             // reused across batches
+	parts []domain.LineRange // reused across batches
 }
 
 func (w *ndjsonWire) source(info shard.Info) (shardSource, int, error) {
-	records, err := w.s.shardRecords(w.ctx, w.plan, info)
-	return shardSource{records: records}, len(records), err
+	lines, err := w.s.shardLines(w.ctx, w.plan, info)
+	if err != nil {
+		return shardSource{}, 0, err
+	}
+	return shardSource{lines: lines}, lines.Count(), nil
 }
 
-func (w *ndjsonWire) encode(h domain.BatchHeader, _ int, rs []batchRange) ([]byte, error) {
-	// The codec references the cached records directly — encoding only
-	// reads them, and copying every batch would double memory traffic
-	// on the serving hot path.
-	w.pending = w.pending[:0]
+func (w *ndjsonWire) encode(h domain.BatchHeader, _ int, _ []batchRange) ([]byte, error) {
+	w.head = domain.AppendLineHeader(w.head[:0], h)
+	return w.head, nil
+}
+
+func (w *ndjsonWire) writePayload(out io.Writer, rs []batchRange) error {
+	w.parts = w.parts[:0]
 	for _, rg := range rs {
-		w.pending = append(w.pending, rg.src.records[rg.a:rg.b]...)
+		w.parts = append(w.parts, domain.LineRange{F: rg.src.lines, A: rg.a, B: rg.b})
 	}
-	line, err := w.plan.plug.Codec.Line(h, w.pending)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(line)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return domain.WriteLineColumns(out, w.parts)
 }
-
-func (w *ndjsonWire) writePayload(io.Writer, []batchRange) error { return nil }
 
 func (w *ndjsonWire) errorBytes(err error) []byte {
 	line, _ := json.Marshal(map[string]string{"error": err.Error()})
@@ -457,41 +460,51 @@ func (w *frameWire) writePayload(out io.Writer, rs []batchRange) error {
 
 func (w *frameWire) errorBytes(err error) []byte { return domain.EncodeErrorFrame(err.Error()) }
 
-// shardRecords returns one shard's decoded records through the LRU
-// cache, verifying checksums and decoding (via the domain codec) on
-// first access only. Misses are timed into the shard-load histogram
-// (with the loading request's trace as exemplar) and spanned as
-// shard.load; hits observe nothing — cache lookups are not loads.
-func (s *Server) shardRecords(ctx context.Context, p *servePlan, info shard.Info) ([]any, error) {
-	return s.cache.Get(p.job.id+"/"+info.Name, func() ([]any, int64, error) {
-		loadStart := time.Now()
-		one := &shard.Manifest{Prefix: p.manifest.Prefix, Compressed: p.manifest.Compressed, Shards: []shard.Info{info}}
-		var records []any
-		var bytes int64
-		err := shard.ReadAll(p.open, one, func(_ string, rec []byte) error {
-			decoded, n, derr := p.plug.Codec.Decode(rec)
-			if derr != nil {
-				return derr
-			}
-			records = append(records, decoded)
-			bytes += n
-			return nil
+// shardLines returns one shard's NDJSON line fragments through the
+// line cache; a miss reads, decodes and fragment-encodes the shard.
+func (s *Server) shardLines(ctx context.Context, p *servePlan, info shard.Info) (*domain.LineFragments, error) {
+	return s.lines.Get(p.job.id+"/"+info.Name, func() (*domain.LineFragments, int64, error) {
+		lf, err := loadShard(s, ctx, p, info, func(recs []any) (*domain.LineFragments, error) {
+			return domain.EncodeRecordJSON(p.plug.Codec, recs)
 		})
-		loadDone := time.Now()
-		outcome := "ok"
-		attrs := map[string]string{"shard": info.Name}
-		if err != nil {
-			outcome = "error"
-			attrs["error"] = err.Error()
-		}
-		s.metrics.shardLoad.With(p.dom, outcome).ObserveWithExemplar(
-			loadDone.Sub(loadStart).Seconds(), telemetry.TraceFrom(ctx))
-		s.recordChildSpan(ctx, "shard.load", loadStart, loadDone, attrs)
 		if err != nil {
 			return nil, 0, err
 		}
-		return records, bytes, nil
+		return lf, lf.MemBytes(), nil
 	})
+}
+
+// loadShard reads one shard off the store (checksum verified), decodes
+// its records through the domain codec and encodes them for a wire.
+// The whole load is timed into the shard-load histogram (with the
+// loading request's trace as exemplar) and spanned as shard.load.
+func loadShard[T any](s *Server, ctx context.Context, p *servePlan, info shard.Info, encode func(recs []any) (T, error)) (T, error) {
+	loadStart := time.Now()
+	one := &shard.Manifest{Prefix: p.manifest.Prefix, Compressed: p.manifest.Compressed, Shards: []shard.Info{info}}
+	var records []any
+	var out T
+	err := shard.ReadAll(p.open, one, func(_ string, rec []byte) error {
+		decoded, _, derr := p.plug.Codec.Decode(rec)
+		if derr != nil {
+			return derr
+		}
+		records = append(records, decoded)
+		return nil
+	})
+	if err == nil {
+		out, err = encode(records)
+	}
+	loadDone := time.Now()
+	outcome := "ok"
+	attrs := map[string]string{"shard": info.Name}
+	if err != nil {
+		outcome = "error"
+		attrs["error"] = err.Error()
+	}
+	s.metrics.shardLoad.With(p.dom, outcome).ObserveWithExemplar(
+		loadDone.Sub(loadStart).Seconds(), telemetry.TraceFrom(ctx))
+	s.recordChildSpan(ctx, "shard.load", loadStart, loadDone, attrs)
+	return out, err
 }
 
 // frameSource is one shard's frame payload, sliceable by record range.
@@ -546,9 +559,9 @@ func (s *sidecarStream) Close() error {
 // payload holds in memory. The shard's sidecar comes first — read
 // whole and CRC-checked when inMemory (a frame-cache fill), otherwise
 // CRC-checked and left on the store to stream by range — and a missing
-// or unusable one falls back to decode+encode through the decoded-shard
-// cache, backfilling the sidecar. The load is spanned as frame.fill
-// under the request (a fallback's decoded-cache read appears beside it
+// or unusable one falls back to reading, decoding and encoding the
+// shard, backfilling the sidecar. The load is spanned as frame.fill
+// under the request (a fallback's read+decode+encode appears beside it
 // as shard.load, parented to the request span too).
 func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info, inMemory bool) (frameSource, int64, error) {
 	start := time.Now()
@@ -573,16 +586,14 @@ func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info, 
 		s.rejectSidecar(p, info, err)
 	}
 	s.metrics.frameStoreMisses.Inc()
-	records, err := s.shardRecords(ctx, p, info)
+	enc, err := loadShard(s, ctx, p, info, func(recs []any) (*encodedShard, error) {
+		payload, offsets, err := domain.EncodeRecordPayloads(p.plug.Codec, recs)
+		return &encodedShard{payload: payload, offsets: offsets}, err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, offsets, err := domain.EncodeRecordPayloads(p.plug.Codec, records)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.backfillSidecar(p, info, payload, offsets)
-	enc := &encodedShard{payload: payload, offsets: offsets}
+	s.backfillSidecar(p, info, enc.payload, enc.offsets)
 	s.recordChildSpan(ctx, "frame.fill", start, time.Now(),
 		map[string]string{"shard": info.Name, "source": "encode"})
 	return enc, enc.memBytes(), nil

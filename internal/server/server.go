@@ -43,15 +43,15 @@ type Options struct {
 	// <=0 means 64.
 	QueueDepth int
 	// ServeCacheBytes is the one serving-cache byte budget (the
-	// -serve-cache-mb arena), shared by the decoded-shard cache and the
-	// encoded-frame cache. Frame-wire batches are served by slicing
-	// cached frame-ready payload bytes — no per-request tensor
-	// marshalling; NDJSON streams use only the decoded cache. Eviction
-	// is weighted: encoded payloads are cheap to refill from frame
-	// sidecars, so they are evicted preferentially; decoded entries only
-	// pay once frames hold a small fraction of the resident bytes. <=0
-	// disables both caches (frame batches serve from on-store sidecars,
-	// or encode per request).
+	// -serve-cache-mb arena), shared by the NDJSON line cache and the
+	// encoded-frame cache. Both wires serve batches by slicing a shard's
+	// cached encoding — per-record JSON fragments or frame-ready payload
+	// bytes — with no per-request tensor marshalling. Eviction is
+	// weighted: frame payloads are cheap to refill from frame sidecars,
+	// so they are evicted preferentially; line entries only pay once
+	// frames hold a small fraction of the resident bytes. <=0 disables
+	// both caches (frame batches serve from on-store sidecars, or encode
+	// per request; NDJSON streams encode each shard they read).
 	ServeCacheBytes int64
 	// ServeMaxKBps caps every batch stream's throughput (KiB/second,
 	// token bucket per stream). <=0 leaves streams unpaced. Clients may
@@ -136,9 +136,9 @@ type Options struct {
 // stop with Close.
 type Server struct {
 	mux     *http.ServeMux
-	handler http.Handler             // mux wrapped in the telemetry middleware
-	cache   *ShardCache[[]any]       // decoded shard records
-	frames  *ShardCache[frameSource] // frame-ready shard payloads (*encodedShard)
+	handler http.Handler                       // mux wrapped in the telemetry middleware
+	lines   *ShardCache[*domain.LineFragments] // NDJSON line fragments
+	frames  *ShardCache[frameSource]           // frame-ready shard payloads (*encodedShard)
 	opts    Options
 
 	mu     sync.Mutex
@@ -204,7 +204,7 @@ func New(opts Options) (*Server, error) {
 	// under it.
 	s := &Server{
 		mux:         http.NewServeMux(),
-		cache:       NewShardCache[[]any](opts.ServeCacheBytes),
+		lines:       NewShardCache[*domain.LineFragments](opts.ServeCacheBytes),
 		frames:      NewShardCache[frameSource](opts.ServeCacheBytes),
 		opts:        opts,
 		jobs:        make(map[string]*Job),
@@ -220,8 +220,8 @@ func New(opts Options) (*Server, error) {
 		s.fair = newFairShare(int64(opts.ServeBudgetKBps) << 10)
 	}
 	if opts.ServeCacheBytes > 0 {
-		arena := &cacheArena{budget: opts.ServeCacheBytes, frames: s.frames, decoded: s.cache}
-		s.cache.arena, s.frames.arena = arena, arena
+		arena := &cacheArena{budget: opts.ServeCacheBytes, frames: s.frames, lines: s.lines}
+		s.lines.arena, s.frames.arena = arena, arena
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -889,7 +889,7 @@ func (s *Server) maybeEvict() {
 	s.mu.Unlock()
 
 	for _, j := range released {
-		s.cache.DropPrefix(j.id + "/")
+		s.lines.DropPrefix(j.id + "/")
 		s.frames.DropPrefix(j.id + "/")
 		// The ring owner re-retains these bytes on its side; this copy no
 		// longer charges the tenant here.
@@ -909,7 +909,7 @@ func (s *Server) maybeEvict() {
 			// interrupted) may still own a shard directory.
 			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", j.id))
 		}
-		s.cache.DropPrefix(j.id + "/")
+		s.lines.DropPrefix(j.id + "/")
 		s.frames.DropPrefix(j.id + "/")
 		if s.log != nil {
 			_ = s.log.append(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()})

@@ -395,7 +395,7 @@ func TestProvenanceEndpoint(t *testing.T) {
 }
 
 // TestConcurrentReadersShareCache streams the same job from many
-// readers at once; the decoded-shard cache must coalesce the decodes.
+// readers at once; the line cache must coalesce the shard loads.
 func TestConcurrentReadersShareCache(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 64 << 20})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 24, Lat: 16, Lon: 32}, 60*time.Second)
@@ -419,7 +419,7 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	cs := s.cache.Stats()
+	cs := s.lines.Stats()
 	if cs.Hits == 0 {
 		t.Fatalf("no cache hits across 8 readers: %+v", cs)
 	}

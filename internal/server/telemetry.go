@@ -104,10 +104,10 @@ func newServerMetrics() *serverMetrics {
 			"Time from request start to the first batch on the wire.",
 			telemetry.DefBuckets, "domain", "wire"),
 		batchEncode: reg.Histogram("draid_batch_encode_seconds",
-			"Per-batch codec encode time (excludes network writes).",
+			"Per-batch encode time: NDJSON header fields or frame envelope (payloads are sliced from encoded shards; excludes network writes).",
 			telemetry.FastBuckets, "domain", "wire"),
 		shardLoad: reg.Histogram("draid_shard_load_seconds",
-			"Shard-cache miss load time: read, verify, decode one shard.",
+			"Shard load time: read, verify, decode and wire-encode one shard (line-cache miss, or frame load without a usable sidecar).",
 			telemetry.DefBuckets, "domain", "outcome"),
 
 		stageSeconds: reg.Counter("draid_stage_seconds_total", "Pipeline stage wall time.", "stage"),
@@ -141,18 +141,18 @@ func (m *serverMetrics) observeStage(stage string, seconds float64, calls, bytes
 // scrape.
 func (s *Server) registerCollectors() {
 	reg := s.metrics.reg
-	reg.GaugeFunc("draid_shard_cache_entries", "Decoded shards resident in the LRU cache.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-	reg.GaugeFunc("draid_shard_cache_bytes", "Decoded bytes resident in the LRU cache.",
-		func() float64 { return float64(s.cache.Stats().Bytes) })
-	reg.CounterFunc("draid_shard_cache_hits_total", "Shard reads served from the cache.",
-		func() float64 { return float64(s.cache.Stats().Hits) })
-	reg.CounterFunc("draid_shard_cache_misses_total", "Shard reads that had to load and decode.",
-		func() float64 { return float64(s.cache.Stats().Misses) })
-	reg.CounterFunc("draid_shard_cache_evictions_total", "Cached shards evicted by byte-budget pressure.",
-		func() float64 { return float64(s.cache.Stats().Evictions) })
-	reg.CounterFunc("draid_shard_cache_invalidations_total", "Cached shards removed by job eviction or release (DropPrefix).",
-		func() float64 { return float64(s.cache.Stats().Invalidations) })
+	reg.GaugeFunc("draid_shard_cache_entries", "Shards resident in the NDJSON line-fragment cache.",
+		func() float64 { return float64(s.lines.Stats().Entries) })
+	reg.GaugeFunc("draid_shard_cache_bytes", "NDJSON line-fragment bytes (fragments plus offsets) resident in the cache.",
+		func() float64 { return float64(s.lines.Stats().Bytes) })
+	reg.CounterFunc("draid_shard_cache_hits_total", "NDJSON shard reads served from cached line fragments.",
+		func() float64 { return float64(s.lines.Stats().Hits) })
+	reg.CounterFunc("draid_shard_cache_misses_total", "NDJSON shard reads that had to load, decode and fragment-encode the shard.",
+		func() float64 { return float64(s.lines.Stats().Misses) })
+	reg.CounterFunc("draid_shard_cache_evictions_total", "Line-fragment shards evicted by byte-budget pressure.",
+		func() float64 { return float64(s.lines.Stats().Evictions) })
+	reg.CounterFunc("draid_shard_cache_invalidations_total", "Line-fragment shards removed by job eviction or release (DropPrefix).",
+		func() float64 { return float64(s.lines.Stats().Invalidations) })
 	reg.GaugeFunc("draid_frame_cache_entries", "Encoded-frame shards resident in the frame cache.",
 		func() float64 { return float64(s.frames.Stats().Entries) })
 	reg.GaugeFunc("draid_frame_cache_bytes", "Frame-ready payload bytes resident in the frame cache.",

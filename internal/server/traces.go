@@ -30,9 +30,9 @@ var serverSpanNames = []string{
 	"job.wait",      // queue wait: submission accepted -> worker pickup
 	"job.run",       // pipeline execution on the worker
 	"job.stage",     // one pipeline stage inside job.run
-	"shard.load",    // decoded-shard cache miss: read, verify, decode
-	"frame.fill",    // frame-cache miss: encode a shard's frame payload
-	"batch.encode",  // per-batch wire encode (header-only on cache hits)
+	"shard.load",    // shard read, verify, decode and wire encode
+	"frame.fill",    // frame-wire shard load: sidecar open, or shard.load
+	"batch.encode",  // per-batch header assembly (NDJSON header or frame envelope)
 	"pace.stall",    // token-bucket sleep inside a paced stream
 	"ledger.append", // wait for a request's audit record to be durable
 }

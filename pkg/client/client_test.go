@@ -7,10 +7,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -310,5 +312,104 @@ func TestStreamServerErrorIsTerminal(t *testing.T) {
 	var se *domain.StreamError
 	if !errors.As(err, &se) || se.Msg != "shard vanished" {
 		t.Fatalf("error %v not a StreamError", err)
+	}
+}
+
+// ndjsonServer serves /batches from handler as an NDJSON stream and
+// counts the requests it gets.
+func ndjsonServer(t *testing.T, handler func(w http.ResponseWriter, r *http.Request)) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var requests atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}/batches", func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.Header().Set(domain.HeaderWire, domain.WireNDJSON)
+		w.Header().Set("Content-Type", domain.ContentTypeNDJSON)
+		handler(w, r)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts, &requests
+}
+
+func sampleLine(batch int, cursor string) string {
+	return fmt.Sprintf(`{"batch":%d,"cursor":%q,"kind":"samples","features":[[0.5,1]],"labels":[1]}`+"\n", batch, cursor)
+}
+
+// TestStreamMalformedLineIsTerminal: a complete NDJSON line that does
+// not decode surfaces at once — resuming would replay the same bytes —
+// while the good line before it is delivered.
+func TestStreamMalformedLineIsTerminal(t *testing.T) {
+	ts, requests := ndjsonServer(t, func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, sampleLine(0, "0:1")+`{"batch":1,"cursor":"0:2",garbage}`+"\n")
+	})
+	st, err := client.New(ts.URL).StreamBatches(context.Background(), "job-000001",
+		client.StreamOptions{Wire: client.WireNDJSON, MaxResumes: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Next(); err != nil {
+		t.Fatalf("good line: %v", err)
+	}
+	if _, err := st.Next(); err == nil || err == io.EOF {
+		t.Fatalf("garbage line surfaced as %v", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("malformed line was retried: %d requests", n)
+	}
+	if _, err := st.Next(); err != io.EOF {
+		t.Fatalf("stream after a terminal error: %v", err)
+	}
+}
+
+// TestStreamTruncatedLineResumes: a final line cut mid-write (no
+// newline before EOF) is a cut connection, not a bad batch: the stream
+// resumes from the last cursor and completes.
+func TestStreamTruncatedLineResumes(t *testing.T) {
+	ts, requests := ndjsonServer(t, func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("cursor") {
+		case "":
+			next := sampleLine(1, "0:2")
+			_, _ = io.WriteString(w, sampleLine(0, "0:1")+next[:len(next)/2])
+		case "0:1":
+			_, _ = io.WriteString(w, sampleLine(0, "0:2"))
+		default:
+			http.Error(w, "unexpected cursor", http.StatusBadRequest)
+		}
+	})
+	st, err := client.New(ts.URL).StreamBatches(context.Background(), "job-000001",
+		client.StreamOptions{Wire: client.WireNDJSON})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainAll(t, st)
+	if len(got) != 2 || got[0].Cursor != "0:1" || got[1].Cursor != "0:2" || got[1].Batch != 1 {
+		t.Fatalf("resumed stream delivered %+v", got)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("%d requests, want the first and one resume", n)
+	}
+}
+
+// TestStreamLineLargerThanInitialBuffer: the line scanner grows past
+// its small starting buffer; a multi-MiB line still decodes.
+func TestStreamLineLargerThanInitialBuffer(t *testing.T) {
+	const n = 300_000 // ~2.4 MiB of features
+	features := strings.TrimSuffix(strings.Repeat("0.123456,", n), ",")
+	line := `{"batch":0,"cursor":"0:1","kind":"samples","features":[[` + features + `]],"labels":[1]}` + "\n"
+	ts, _ := ndjsonServer(t, func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, line)
+	})
+	st, err := client.New(ts.URL).StreamBatches(context.Background(), "job-000001",
+		client.StreamOptions{Wire: client.WireNDJSON})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainAll(t, st)
+	if len(got) != 1 || len(got[0].Features[0]) != n || got[0].Features[0][n-1] != 0.123456 {
+		t.Fatalf("large line decoded wrong: %d batches", len(got))
+	}
+	if st.Bytes() != int64(len(line)) {
+		t.Fatalf("stream counted %d wire bytes, line is %d", st.Bytes(), len(line))
 	}
 }

@@ -8,8 +8,8 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -145,6 +145,7 @@ type Stream struct {
 	resumesLeft int
 	body        io.ReadCloser
 	sc          *bufio.Scanner
+	lines       lineDecoder
 	fr          *domain.FrameReader
 	frStart     int64
 	done        bool
@@ -229,10 +230,31 @@ func (s *Stream) connect() error {
 	if negotiated == domain.WireFrame {
 		s.fr = domain.NewFrameReader(resp.Body)
 	} else {
+		// The scanner starts at its small default buffer and doubles up to
+		// maxLineBytes only for streams whose lines need it.
 		s.sc = bufio.NewScanner(resp.Body)
-		s.sc.Buffer(make([]byte, 1<<20), 1<<26)
+		s.sc.Buffer(nil, maxLineBytes)
+		s.sc.Split(scanLine)
 	}
 	return nil
+}
+
+// maxLineBytes caps one NDJSON batch line.
+const maxLineBytes = 64 << 20
+
+// scanLine splits a stream into newline-terminated lines, like
+// bufio.ScanLines but keeping a '\r' (JSON whitespace, and a wire byte
+// the stream accounts for). A non-empty final line without its newline
+// was cut mid-write: it fails with io.ErrUnexpectedEOF, which the
+// stream cures by resuming from its cursor.
+func scanLine(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	return 0, nil, nil
 }
 
 // Next returns the next batch, validated, or io.EOF at a clean end of
@@ -325,17 +347,18 @@ func (s *Stream) readOne() (*BatchWire, int64, error) {
 		return w, n, nil
 	}
 	if !s.sc.Scan() {
+		// A cut connection surfaces as a transport error, or as
+		// io.ErrUnexpectedEOF for a final line that never got its newline.
 		if err := s.sc.Err(); err != nil {
 			return nil, 0, err
 		}
 		return nil, 0, io.EOF
 	}
+	// A complete line: if it does not decode, resuming would replay it.
 	line := s.sc.Bytes()
 	var w BatchWire
-	if err := json.Unmarshal(line, &w); err != nil {
-		// A cut connection truncates the final line; json garbage on a
-		// healthy stream also lands here and is bounded by MaxResumes.
-		return nil, 0, fmt.Errorf("bad stream line: %w", err)
+	if err := s.lines.decode(line, &w); err != nil {
+		return nil, 0, &badBatchError{err}
 	}
 	if err := w.Validate(); err != nil {
 		var se *domain.StreamError

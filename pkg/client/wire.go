@@ -1,7 +1,8 @@
 // BatchWire: the single client-side union of every wire kind's batch
-// payload. Both wire formats decode into it — NDJSON lines unmarshal
-// directly, binary frames are converted from the codec's typed records
-// — so generic tooling handles any domain's stream in either format.
+// payload. Both wire formats decode into it — NDJSON lines through the
+// one-pass line decoder (decode.go), binary frames converted from the
+// codec's typed records — so generic tooling handles any domain's
+// stream in either format.
 package client
 
 import (
@@ -49,7 +50,10 @@ type Graph struct {
 // of every kind's payload schema. The field order matches the per-kind
 // server emission exactly, so unmarshal → re-marshal reproduces an
 // NDJSON line byte-for-byte (the resume tests and clustersmoke rely on
-// this). Exactly one payload group is populated:
+// this). The SDK decodes NDJSON lines without encoding/json's
+// reflection, into exactly the value json.Unmarshal would produce,
+// except that a line naming one field twice is rejected. Exactly one
+// payload group is populated:
 //
 //	kind "samples":          features, labels
 //	kind "fusion_windows":   labels, signals, shots, starts, horizons
