@@ -129,7 +129,9 @@ type Codec interface {
 	AppendFramePayload(buf []byte, recs []any) ([]byte, error)
 	// DecodeFramePayload parses exactly count records back out of a
 	// frame payload, consuming it fully. It must tolerate hostile
-	// input: every length is validated before allocation.
+	// input: every length is validated before allocation. It is the
+	// reference (through DecodeFrame) that the SDK's typed frame
+	// decoder is tested against; no serving or client path calls it.
 	DecodeFramePayload(payload []byte, count int) ([]any, error)
 }
 

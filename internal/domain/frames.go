@@ -36,13 +36,10 @@
 package domain
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/loader"
 )
@@ -94,15 +91,6 @@ func CodecByKind(kind string) (Codec, bool) {
 type StreamError struct{ Msg string }
 
 func (e *StreamError) Error() string { return "draid stream error: " + e.Msg }
-
-// CorruptFrameError wraps a parse failure of a fully received frame.
-// It is terminal too — reconnecting replays the same bytes — unlike
-// the io.ErrUnexpectedEOF of a cut connection, which a client cures
-// by resuming from its cursor.
-type CorruptFrameError struct{ Err error }
-
-func (e *CorruptFrameError) Error() string { return e.Err.Error() }
-func (e *CorruptFrameError) Unwrap() error { return e.Err }
 
 // framePrefixLen is the buffer space EncodeFrame reserves for the
 // frame-length uvarint, so the body never needs a second copy.
@@ -203,7 +191,8 @@ func prefixFrame(body []byte) []byte {
 // DecodeFrame parses one frame off the front of b, returning the
 // remainder. A truncated buffer yields io.ErrUnexpectedEOF (or io.EOF
 // when b is empty — a clean stream end); an "error" frame yields a
-// *StreamError.
+// *StreamError. It boxes every record and is the reference the SDK's
+// typed frame decoder (pkg/client) is tested against.
 func DecodeFrame(b []byte) (BatchHeader, []any, []byte, error) {
 	if len(b) == 0 {
 		return BatchHeader{}, nil, nil, io.EOF
@@ -218,158 +207,120 @@ func DecodeFrame(b []byte) (BatchHeader, []any, []byte, error) {
 	if uint64(len(b)-sz) < ln {
 		return BatchHeader{}, nil, nil, io.ErrUnexpectedEOF
 	}
-	h, recs, err := decodeFrameBody(b[sz : sz+int(ln)])
-	return h, recs, b[sz+int(ln):], err
+	rest := b[sz+int(ln):]
+	h, count, payload, err := ParseFrameHeader(b[sz : sz+int(ln)])
+	if err != nil {
+		return h, nil, rest, err
+	}
+	codec, _ := CodecByKind(h.Kind)
+	recs, err := codec.DecodeFramePayload(payload, count)
+	if err != nil {
+		return h, nil, rest, err
+	}
+	return h, recs, rest, nil
 }
 
-func decodeFrameBody(body []byte) (BatchHeader, []any, error) {
-	p := &frameParser{b: body}
-	kl := p.uvarint("kind length")
+// ParseFrameHeader parses the header of one frame body (the bytes after
+// its length prefix) and returns the header, the record count and the
+// payload that follows. An "error" frame yields a *StreamError carrying
+// its message. A kind no codec serves is an error, and so is a count of
+// zero or one above the payload length: every record costs at least one
+// payload byte, so count bounds any per-record allocation before a
+// payload decoder runs. The header layout is read nowhere else.
+func ParseFrameHeader(body []byte) (BatchHeader, int, []byte, error) {
+	p := NewFrameParser(body)
+	kl := p.Uvarint("kind length")
 	if p.err == nil && kl > maxKindLen {
-		p.fail("kind length %d exceeds %d", kl, maxKindLen)
+		p.Fail("kind length %d exceeds %d", kl, maxKindLen)
 	}
-	kind := string(p.bytes(int(kl), "kind"))
-	batch := p.uvarint("batch index")
+	kind := string(p.Bytes(int(kl), "kind"))
+	batch := p.Uvarint("batch index")
 	if p.err == nil && batch > math.MaxInt32 {
-		p.fail("batch index %d out of range", batch)
+		p.Fail("batch index %d out of range", batch)
 	}
-	cl := p.uvarint("cursor length")
+	cl := p.Uvarint("cursor length")
 	if p.err == nil && cl > maxCursorLen {
-		p.fail("cursor length %d exceeds %d", cl, maxCursorLen)
+		p.Fail("cursor length %d exceeds %d", cl, maxCursorLen)
 	}
-	cursor := string(p.bytes(int(cl), "cursor"))
-	count := p.uvarint("record count")
+	cursor := string(p.Bytes(int(cl), "cursor"))
+	count := p.Uvarint("record count")
 	if p.err != nil {
-		return BatchHeader{}, nil, p.err
+		return BatchHeader{}, 0, nil, p.err
 	}
 	h := BatchHeader{Batch: int(batch), Cursor: cursor, Kind: kind}
 	if kind == KindError {
-		return h, nil, &StreamError{Msg: string(p.b)}
+		return h, 0, nil, &StreamError{Msg: string(p.b)}
 	}
-	codec, ok := CodecByKind(kind)
-	if !ok {
-		return h, nil, fmt.Errorf("domain: frame with unknown wire kind %q", kind)
+	if _, ok := CodecByKind(kind); !ok {
+		return h, 0, nil, fmt.Errorf("domain: frame with unknown wire kind %q", kind)
 	}
-	// Every record costs at least one payload byte, so count bounds the
-	// []any allocation before the codec parses anything.
 	if count == 0 || count > uint64(len(p.b)) {
-		return h, nil, fmt.Errorf("domain: frame claims %d records in %d payload bytes", count, len(p.b))
+		return h, 0, nil, fmt.Errorf("domain: frame claims %d records in %d payload bytes", count, len(p.b))
 	}
-	recs, err := codec.DecodeFramePayload(p.b, int(count))
-	if err != nil {
-		return h, nil, err
-	}
-	return h, recs, nil
+	return h, int(count), p.b, nil
 }
 
-// FrameReader decodes a frame stream incrementally.
-type FrameReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-// NewFrameReader wraps r for frame-at-a-time reading.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: bufio.NewReaderSize(r, 64<<10)}
-}
-
-// BytesRead is the total wire bytes consumed so far.
-func (f *FrameReader) BytesRead() int64 { return f.n }
-
-// Next reads one frame. io.EOF means a clean end at a frame boundary;
-// io.ErrUnexpectedEOF (and transport read errors) mean the stream was
-// cut mid-frame — the caller may resume by cursor; *StreamError
-// carries an in-band server error; *CorruptFrameError means a fully
-// received frame failed to parse — both of the latter are terminal.
-func (f *FrameReader) Next() (BatchHeader, []any, error) {
-	ln, err := binary.ReadUvarint(f.r)
-	if err != nil {
-		return BatchHeader{}, nil, err
-	}
-	if ln == 0 || ln > MaxFrameBytes {
-		return BatchHeader{}, nil, &CorruptFrameError{fmt.Errorf("domain: bad frame length %d", ln)}
-	}
-	// Grow the body buffer as bytes actually arrive instead of
-	// allocating the wire-claimed length up front: a hostile prefix
-	// claiming MaxFrameBytes followed by a stall must not cost 256 MiB
-	// per connection.
-	const chunk = 64 << 10
-	body := make([]byte, 0, min(ln, chunk))
-	for uint64(len(body)) < ln {
-		want := int(min(ln-uint64(len(body)), chunk))
-		body = slices.Grow(body, want)[:len(body)+want]
-		if _, err := io.ReadFull(f.r, body[len(body)-want:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return BatchHeader{}, nil, err
-		}
-	}
-	f.n += int64(uvarintLen(ln)) + int64(ln)
-	h, recs, err := decodeFrameBody(body)
-	if err != nil {
-		var se *StreamError
-		if !errors.As(err, &se) {
-			err = &CorruptFrameError{err}
-		}
-	}
-	return h, recs, err
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// frameParser walks a frame payload with a sticky error: every length
-// is checked against the bytes remaining before any allocation.
-type frameParser struct {
+// FrameParser walks a frame body or payload with a sticky error: after
+// the first failure every read returns a zero value, and every length
+// is checked against the bytes remaining before anything is allocated.
+// The reference payload decoders here and the SDK's typed decoder share
+// it, so both apply the same bounds.
+type FrameParser struct {
 	b   []byte
 	err error
 }
 
-func (p *frameParser) fail(format string, args ...any) {
+// NewFrameParser starts a parser at the front of b.
+func NewFrameParser(b []byte) *FrameParser { return &FrameParser{b: b} }
+
+// Err is the first failure, or nil.
+func (p *FrameParser) Err() error { return p.err }
+
+// Len is the number of bytes not yet consumed.
+func (p *FrameParser) Len() int { return len(p.b) }
+
+// Fail records a failure unless one is already recorded.
+func (p *FrameParser) Fail(format string, args ...any) {
 	if p.err == nil {
 		p.err = fmt.Errorf("domain: frame: "+format, args...)
 	}
 }
 
-func (p *frameParser) uvarint(what string) uint64 {
+// Uvarint reads an unsigned varint.
+func (p *FrameParser) Uvarint(what string) uint64 {
 	if p.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(p.b)
 	if n <= 0 {
-		p.fail("bad varint for %s", what)
+		p.Fail("bad varint for %s", what)
 		return 0
 	}
 	p.b = p.b[n:]
 	return v
 }
 
-func (p *frameParser) varint(what string) int64 {
+// Varint reads a zigzag varint.
+func (p *FrameParser) Varint(what string) int64 {
 	if p.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(p.b)
 	if n <= 0 {
-		p.fail("bad varint for %s", what)
+		p.Fail("bad varint for %s", what)
 		return 0
 	}
 	p.b = p.b[n:]
 	return v
 }
 
-func (p *frameParser) bytes(n int, what string) []byte {
+// Bytes consumes the next n bytes and returns them without copying.
+func (p *FrameParser) Bytes(n int, what string) []byte {
 	if p.err != nil {
 		return nil
 	}
 	if n < 0 || n > len(p.b) {
-		p.fail("%s wants %d bytes, %d remain", what, n, len(p.b))
+		p.Fail("%s wants %d bytes, %d remain", what, n, len(p.b))
 		return nil
 	}
 	out := p.b[:n]
@@ -377,22 +328,33 @@ func (p *frameParser) bytes(n int, what string) []byte {
 	return out
 }
 
-// length reads a uvarint element count and bounds it by the payload
-// bytes remaining at elemSize bytes per element.
-func (p *frameParser) length(elemSize int, what string) int {
-	v := p.uvarint(what)
+// Length reads a uvarint element count and bounds it by the bytes
+// remaining at elemSize bytes per element.
+func (p *FrameParser) Length(elemSize int, what string) int {
+	v := p.Uvarint(what)
 	if p.err != nil {
 		return 0
 	}
 	if v > uint64(len(p.b))/uint64(elemSize) {
-		p.fail("%s %d exceeds %d remaining payload bytes", what, v, len(p.b))
+		p.Fail("%s %d exceeds %d remaining payload bytes", what, v, len(p.b))
 		return 0
 	}
 	return int(v)
 }
 
-func (p *frameParser) f32s(n int, what string) []float32 {
-	raw := p.bytes(4*n, what)
+// Finish returns the first failure, or an error if any bytes remain.
+func (p *FrameParser) Finish() error {
+	if p.err != nil {
+		return p.err
+	}
+	if len(p.b) != 0 {
+		return fmt.Errorf("domain: frame: %d trailing payload bytes", len(p.b))
+	}
+	return nil
+}
+
+func (p *FrameParser) f32s(n int, what string) []float32 {
+	raw := p.Bytes(4*n, what)
 	if p.err != nil {
 		return nil
 	}
@@ -403,8 +365,8 @@ func (p *frameParser) f32s(n int, what string) []float32 {
 	return out
 }
 
-func (p *frameParser) f64s(n int, what string) []float64 {
-	raw := p.bytes(8*n, what)
+func (p *FrameParser) f64s(n int, what string) []float64 {
+	raw := p.Bytes(8*n, what)
 	if p.err != nil {
 		return nil
 	}
@@ -415,7 +377,7 @@ func (p *frameParser) f64s(n int, what string) []float64 {
 	return out
 }
 
-func (p *frameParser) f32(what string) float32 {
+func (p *FrameParser) f32(what string) float32 {
 	v := p.f32s(1, what)
 	if p.err != nil {
 		return 0
@@ -423,23 +385,12 @@ func (p *frameParser) f32(what string) float32 {
 	return v[0]
 }
 
-func (p *frameParser) f64(what string) float64 {
+func (p *FrameParser) f64(what string) float64 {
 	v := p.f64s(1, what)
 	if p.err != nil {
 		return 0
 	}
 	return v[0]
-}
-
-// finish requires the payload to be fully consumed.
-func (p *frameParser) finish() error {
-	if p.err != nil {
-		return p.err
-	}
-	if len(p.b) != 0 {
-		return fmt.Errorf("domain: frame: %d trailing payload bytes", len(p.b))
-	}
-	return nil
 }
 
 // recsCap bounds the initial []any allocation: hostile counts never
@@ -471,21 +422,21 @@ func (sampleCodec) AppendFramePayload(buf []byte, recs []any) ([]byte, error) {
 }
 
 func (sampleCodec) DecodeFramePayload(payload []byte, count int) ([]any, error) {
-	p := &frameParser{b: payload}
+	p := NewFrameParser(payload)
 	recs := frameRecs(count)
 	for i := 0; i < count; i++ {
-		n := p.length(4, "feature count")
+		n := p.Length(4, "feature count")
 		feats := p.f32s(n, "features")
-		label := p.varint("label")
+		label := p.Varint("label")
 		if p.err == nil && (label < math.MinInt32 || label > math.MaxInt32) {
-			p.fail("label %d out of int32 range", label)
+			p.Fail("label %d out of int32 range", label)
 		}
 		if p.err != nil {
 			return nil, p.err
 		}
 		recs = append(recs, &loader.Sample{Features: feats, Label: int32(label)})
 	}
-	if err := p.finish(); err != nil {
+	if err := p.Finish(); err != nil {
 		return nil, err
 	}
 	return recs, nil
@@ -512,24 +463,24 @@ func (fusionCodec) AppendFramePayload(buf []byte, recs []any) ([]byte, error) {
 }
 
 func (fusionCodec) DecodeFramePayload(payload []byte, count int) ([]any, error) {
-	p := &frameParser{b: payload}
+	p := NewFrameParser(payload)
 	recs := frameRecs(count)
 	for i := 0; i < count; i++ {
-		n := p.length(4, "signal length")
+		n := p.Length(4, "signal length")
 		if p.err == nil && n == 0 {
-			p.fail("fusion window without signal floats")
+			p.Fail("fusion window without signal floats")
 		}
 		w := &FusionWindow{Signal: p.f32s(n, "signal")}
-		w.Shot = p.varint("shot")
-		w.Start = p.varint("start")
-		w.Label = p.varint("label")
+		w.Shot = p.Varint("shot")
+		w.Start = p.Varint("start")
+		w.Label = p.Varint("label")
 		w.Horizon = p.f32("horizon")
 		if p.err != nil {
 			return nil, p.err
 		}
 		recs = append(recs, w)
 	}
-	if err := p.finish(); err != nil {
+	if err := p.Finish(); err != nil {
 		return nil, err
 	}
 	return recs, nil
@@ -572,13 +523,13 @@ func (materialsCodec) AppendFramePayload(buf []byte, recs []any) ([]byte, error)
 }
 
 func (materialsCodec) DecodeFramePayload(payload []byte, count int) ([]any, error) {
-	p := &frameParser{b: payload}
+	p := NewFrameParser(payload)
 	recs := frameRecs(count)
 	for i := 0; i < count; i++ {
-		nodes := p.uvarint("node count")
-		dim := p.uvarint("feature dim")
+		nodes := p.Uvarint("node count")
+		dim := p.Uvarint("feature dim")
 		if p.err == nil && (nodes < 1 || dim < 1 || nodes > MaxFrameBytes || dim > MaxFrameBytes) {
-			p.fail("graph shape [%d,%d] out of range", nodes, dim)
+			p.Fail("graph shape [%d,%d] out of range", nodes, dim)
 		}
 		if p.err != nil {
 			return nil, p.err
@@ -586,7 +537,7 @@ func (materialsCodec) DecodeFramePayload(payload []byte, count int) ([]any, erro
 		// nodes and dim are each <= 2^28 here, so the product cannot
 		// overflow uint64; the byte bound then caps the allocation.
 		if nodes*dim > uint64(len(p.b))/8 {
-			p.fail("node_features [%d,%d] exceeds %d remaining payload bytes", nodes, dim, len(p.b))
+			p.Fail("node_features [%d,%d] exceeds %d remaining payload bytes", nodes, dim, len(p.b))
 			return nil, p.err
 		}
 		g := &WireGraph{
@@ -594,12 +545,12 @@ func (materialsCodec) DecodeFramePayload(payload []byte, count int) ([]any, erro
 			FeatureDim:   int(dim),
 			NodeFeatures: p.f64s(int(nodes*dim), "node_features"),
 		}
-		ne := p.length(2, "edge count") // each edge is two >=1-byte varints
+		ne := p.Length(2, "edge count") // each edge is two >=1-byte varints
 		g.Edges = make([]int64, 0, min(2*ne, recsCap))
 		for j := 0; j < 2*ne; j++ {
-			e := p.uvarint("edge endpoint")
+			e := p.Uvarint("edge endpoint")
 			if p.err == nil && e >= nodes {
-				p.fail("edge endpoint %d outside %d nodes", e, nodes)
+				p.Fail("edge endpoint %d outside %d nodes", e, nodes)
 			}
 			if p.err != nil {
 				return nil, p.err
@@ -608,13 +559,13 @@ func (materialsCodec) DecodeFramePayload(payload []byte, count int) ([]any, erro
 		}
 		g.EdgeLengths = p.f64s(ne, "edge_lengths")
 		g.Energy = p.f64("energy")
-		g.ClassID = p.varint("class_id")
+		g.ClassID = p.Varint("class_id")
 		if p.err != nil {
 			return nil, p.err
 		}
 		recs = append(recs, g)
 	}
-	if err := p.finish(); err != nil {
+	if err := p.Finish(); err != nil {
 		return nil, err
 	}
 	return recs, nil

@@ -292,24 +292,22 @@ type Exemplar struct {
 }
 
 // Histogram is a fixed-bucket distribution. Observations update one
-// bucket counter, the count, and the sum — all atomically. Each bucket
-// (including +Inf) keeps the latest exemplar via an atomic pointer.
+// bucket counter and the sum, both atomically; the count is the sum of
+// the bucket counters, so a scrape renders +Inf and _count from the
+// same snapshot as the finite buckets. Each bucket (including +Inf)
+// keeps the latest exemplar via an atomic pointer.
 type Histogram struct {
-	buckets   []float64 // upper bounds, ascending; +Inf implicit
-	counts    []atomic.Uint64
+	buckets   []float64                  // upper bounds, ascending; +Inf implicit
+	counts    []atomic.Uint64            // one per bucket + one for values above the last bound
 	exemplars []atomic.Pointer[Exemplar] // one per bucket + one for +Inf
-	count     atomic.Uint64
 	sumBits   atomic.Uint64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	// Binary search for the first bucket whose bound holds v.
-	i := sort.SearchFloat64s(h.buckets, v)
-	if i < len(h.buckets) {
-		h.counts[i].Add(1)
-	}
-	h.count.Add(1)
+	// Binary search for the first bucket whose bound holds v; past the
+	// last bound it lands on the overflow counter.
+	h.counts[sort.SearchFloat64s(h.buckets, v)].Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -332,7 +330,13 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -345,11 +349,14 @@ func (h *Histogram) write(w io.Writer, fam *family, values []string) {
 			fam.name, renderLabelsExtra(fam.labels, values, "le", formatValue(bound)), cum,
 			renderExemplar(h.exemplars[i].Load()))
 	}
+	// +Inf and _count continue the same running sum: a separately
+	// loaded total could read below a bucket an Observe had just bumped.
+	cum += h.counts[len(h.buckets)].Load()
 	fmt.Fprintf(w, "%s_bucket%s %d%s\n",
-		fam.name, renderLabelsExtra(fam.labels, values, "le", "+Inf"), h.count.Load(),
+		fam.name, renderLabelsExtra(fam.labels, values, "le", "+Inf"), cum,
 		renderExemplar(h.exemplars[len(h.buckets)].Load()))
 	fmt.Fprintf(w, "%s_sum%s %s\n", fam.name, renderLabels(fam.labels, values), formatValue(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", fam.name, renderLabels(fam.labels, values), h.count.Load())
+	fmt.Fprintf(w, "%s_count%s %d\n", fam.name, renderLabels(fam.labels, values), cum)
 }
 
 // renderExemplar renders an OpenMetrics exemplar suffix
@@ -369,7 +376,7 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	return v.fam.child(labelValues, func() metric {
 		return &Histogram{
 			buckets:   v.fam.buckets,
-			counts:    make([]atomic.Uint64, len(v.fam.buckets)),
+			counts:    make([]atomic.Uint64, len(v.fam.buckets)+1),
 			exemplars: make([]atomic.Pointer[Exemplar], len(v.fam.buckets)+1),
 		}
 	}).(*Histogram)

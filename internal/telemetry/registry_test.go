@@ -93,6 +93,30 @@ func TestHistogramExpositionIsCumulative(t *testing.T) {
 	}
 }
 
+// TestHistogramScrapeMidObserve: a scrape that lands after Observe has
+// bumped a bucket counter, and before anything else it updates, must
+// still be cumulative through +Inf and agree with _count.
+func TestHistogramScrapeMidObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("draid_mid_seconds", "Mid.", []float64{0.1, 1}).With()
+	h.Observe(0.05)
+	h.counts[1].Add(1) // the bucket half of an Observe(0.5)
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	if _, err := ParseText(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("scrape mid-Observe rejected: %v\n%s", err, buf.String())
+	}
+	for _, want := range []string{
+		`draid_mid_seconds_bucket{le="1"} 2`,
+		`draid_mid_seconds_bucket{le="+Inf"} 2`,
+		`draid_mid_seconds_count 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestEscapeLabelValue(t *testing.T) {
 	cases := map[string]string{
 		`plain`:              `plain`,

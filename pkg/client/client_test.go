@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/loader"
 	"repro/internal/server"
 	"repro/pkg/client"
 )
@@ -259,32 +261,91 @@ func TestStreamResumeOnDisconnect(t *testing.T) {
 // TestStreamCorruptFrameIsTerminal: a fully received but unparsable
 // frame must surface immediately — resuming replays the same bytes,
 // so retrying would hammer the server MaxResumes times for nothing.
+// That holds for a length prefix that overflows 64 bits too.
 func TestStreamCorruptFrameIsTerminal(t *testing.T) {
-	var requests atomic.Int64
+	for name, body := range map[string][]byte{
+		// A complete frame claiming an unknown kind: length 10, kind
+		// "garbage!" — parses as a frame, fails kind resolution.
+		"unknown kind":    append([]byte{10, 8}, []byte("garbage!\x00\x00")...),
+		"prefix overflow": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var requests atomic.Int64
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /v1/jobs/{id}/batches", func(w http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				w.Header().Set(domain.HeaderWire, domain.WireFrame)
+				w.Header().Set("Content-Type", domain.ContentTypeFrame)
+				_, _ = w.Write(body)
+			})
+			ts := httptest.NewServer(mux)
+			t.Cleanup(ts.Close)
+
+			st, err := client.New(ts.URL).StreamBatches(context.Background(), "job-000001",
+				client.StreamOptions{Wire: client.WireFrame, MaxResumes: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = st.Next()
+			var cf *client.CorruptFrameError
+			if !errors.As(err, &cf) {
+				t.Fatalf("corrupt frame surfaced as %v", err)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Fatalf("corrupt frame was retried: %d requests", n)
+			}
+		})
+	}
+}
+
+// TestFrameBatchesBelongToCaller: a batch Next returned is not touched
+// by later reads (records must not alias the reader's reused body
+// buffer), and its records are clipped, so appending to one cannot
+// overwrite the next.
+func TestFrameBatchesBelongToCaller(t *testing.T) {
+	codec, _ := domain.CodecByKind(domain.KindSamples)
+	var stream []byte
+	for i, feats := range [][2][]float32{{{1, 2, 3}, {4, 5, 6}}, {{-1, -2, -3}, {-4, -5, -6}}} {
+		h := domain.BatchHeader{Batch: i, Cursor: fmt.Sprintf("0:%d", 2*i+2), Kind: domain.KindSamples}
+		frame, err := domain.EncodeFrame(codec, h, []any{
+			&loader.Sample{Features: feats[0], Label: 1},
+			&loader.Sample{Features: feats[1], Label: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, frame...)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs/{id}/batches", func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
 		w.Header().Set(domain.HeaderWire, domain.WireFrame)
-		w.Header().Set("Content-Type", domain.ContentTypeFrame)
-		// A complete frame claiming an unknown kind: length 8, kind
-		// "garbage!" — parses as a frame, fails kind resolution.
-		_, _ = w.Write(append([]byte{10, 8}, []byte("garbage!\x00\x00")...))
+		_, _ = w.Write(stream)
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
 	st, err := client.New(ts.URL).StreamBatches(context.Background(), "job-000001",
-		client.StreamOptions{Wire: client.WireFrame, MaxResumes: 1000})
+		client.StreamOptions{Wire: client.WireFrame})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = st.Next()
-	var cf *domain.CorruptFrameError
-	if !errors.As(err, &cf) {
-		t.Fatalf("corrupt frame surfaced as %v", err)
+	first, err := st.Next()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := requests.Load(); n != 1 {
-		t.Fatalf("corrupt frame was retried: %d requests", n)
+	want := [][]float32{{1, 2, 3}, {4, 5, 6}}
+	if !reflect.DeepEqual(first.Features, want) {
+		t.Fatalf("first batch %v, want %v", first.Features, want)
+	}
+	if _, err := st.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Features, want) {
+		t.Fatalf("reading the second batch changed the first: %v", first.Features)
+	}
+	_ = append(first.Features[0], 99)
+	if !reflect.DeepEqual(first.Features[1], want[1]) {
+		t.Fatalf("appending to record 0 overwrote record 1: %v", first.Features[1])
 	}
 }
 

@@ -146,8 +146,7 @@ type Stream struct {
 	body        io.ReadCloser
 	sc          *bufio.Scanner
 	lines       lineDecoder
-	fr          *domain.FrameReader
-	frStart     int64
+	fr          *frameReader
 	done        bool
 }
 
@@ -226,9 +225,9 @@ func (s *Stream) connect() error {
 	}
 	s.negotiated = negotiated
 	s.body = resp.Body
-	s.sc, s.fr, s.frStart = nil, nil, 0
+	s.sc, s.fr = nil, nil
 	if negotiated == domain.WireFrame {
-		s.fr = domain.NewFrameReader(resp.Body)
+		s.fr = newFrameReader(resp.Body)
 	} else {
 		// The scanner starts at its small default buffer and doubles up to
 		// maxLineBytes only for streams whose lines need it.
@@ -310,7 +309,7 @@ func terminal(err error) bool {
 	if errors.As(err, &se) {
 		return true
 	}
-	var cf *domain.CorruptFrameError
+	var cf *CorruptFrameError
 	if errors.As(err, &cf) {
 		return true
 	}
@@ -329,22 +328,17 @@ func (e *badBatchError) Unwrap() error { return e.err }
 // wire byte cost.
 func (s *Stream) readOne() (*BatchWire, int64, error) {
 	if s.fr != nil {
-		h, recs, err := s.fr.Next()
+		start := s.fr.n
+		w, err := s.fr.next()
 		if err != nil {
 			// io.EOF only surfaces at a frame boundary (clean end);
 			// mid-frame cuts arrive as io.ErrUnexpectedEOF and resume.
 			return nil, 0, err
 		}
-		n := s.fr.BytesRead() - s.frStart
-		s.frStart = s.fr.BytesRead()
-		w, err := fromRecords(h, recs)
-		if err != nil {
-			return nil, 0, &badBatchError{err}
-		}
 		if err := w.Validate(); err != nil {
 			return nil, 0, &badBatchError{err}
 		}
-		return w, n, nil
+		return w, s.fr.n - start, nil
 	}
 	if !s.sc.Scan() {
 		// A cut connection surfaces as a transport error, or as

@@ -1,7 +1,7 @@
 // BatchWire: the single client-side union of every wire kind's batch
 // payload. Both wire formats decode into it — NDJSON lines through the
-// one-pass line decoder (decode.go), binary frames converted from the
-// codec's typed records — so generic tooling handles any domain's
+// one-pass line decoder (decode.go), binary frames through the typed
+// frame decoder (frames.go) — so generic tooling handles any domain's
 // stream in either format.
 package client
 
@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/domain"
-	"repro/internal/loader"
 )
 
 // StreamError is a failure the server reported in-band (an error line
@@ -62,6 +61,14 @@ type Graph struct {
 // The cursor names the position after this batch: pass it back as
 // ?cursor=… (or StreamOptions.Cursor) to resume the stream exactly
 // there after a disconnect.
+//
+// A batch decoded from a frame keeps the float tensors of all its
+// records in one backing array per column (one for features or
+// signals; for graphs one for node features and edge lengths, one for
+// edges), each record's slice clipped to its own length, so appending
+// to one record reallocates it instead of overwriting its neighbour.
+// Every batch Next returns belongs to the caller: the stream never
+// reuses or modifies it.
 type BatchWire struct {
 	Batch    int         `json:"batch"`
 	Cursor   string      `json:"cursor"`
@@ -109,60 +116,4 @@ func (w *BatchWire) Validate() error {
 		return fmt.Errorf("unknown wire kind %q", w.Kind)
 	}
 	return nil
-}
-
-// fromRecords converts one decoded frame (header + codec-typed
-// records) into the BatchWire union.
-func fromRecords(h domain.BatchHeader, recs []any) (*BatchWire, error) {
-	w := &BatchWire{Batch: h.Batch, Cursor: h.Cursor, Kind: h.Kind}
-	switch h.Kind {
-	case domain.KindSamples:
-		w.Features = make([][]float32, len(recs))
-		w.Labels = make([]int64, len(recs))
-		for i, r := range recs {
-			s, ok := r.(*loader.Sample)
-			if !ok {
-				return nil, fmt.Errorf("frame record %d is %T, want sample", i, r)
-			}
-			w.Features[i] = s.Features
-			w.Labels[i] = int64(s.Label)
-		}
-	case domain.KindFusionWindows:
-		w.Labels = make([]int64, len(recs))
-		w.Signals = make([][]float32, len(recs))
-		w.Shots = make([]int64, len(recs))
-		w.Starts = make([]int64, len(recs))
-		w.Horizons = make([]float32, len(recs))
-		for i, r := range recs {
-			f, ok := r.(*domain.FusionWindow)
-			if !ok {
-				return nil, fmt.Errorf("frame record %d is %T, want fusion window", i, r)
-			}
-			w.Labels[i] = f.Label
-			w.Signals[i] = f.Signal
-			w.Shots[i] = f.Shot
-			w.Starts[i] = f.Start
-			w.Horizons[i] = f.Horizon
-		}
-	case domain.KindMaterialsGraphs:
-		w.Graphs = make([]Graph, len(recs))
-		for i, r := range recs {
-			g, ok := r.(*domain.WireGraph)
-			if !ok {
-				return nil, fmt.Errorf("frame record %d is %T, want graph", i, r)
-			}
-			w.Graphs[i] = Graph{
-				Nodes:        g.Nodes,
-				FeatureDim:   g.FeatureDim,
-				NodeFeatures: g.NodeFeatures,
-				Edges:        g.Edges,
-				EdgeLengths:  g.EdgeLengths,
-				Energy:       g.Energy,
-				ClassID:      g.ClassID,
-			}
-		}
-	default:
-		return nil, fmt.Errorf("frame with unknown wire kind %q", h.Kind)
-	}
-	return w, nil
 }
