@@ -220,6 +220,8 @@ func TestRestartMarksInterruptedJobs(t *testing.T) {
 
 // TestJobEviction: completed jobs past the TTL are dropped, their
 // shard directories deleted, and a restart does not resurrect them.
+// maybeEvict's order is checked as its contract: 404 first, then the
+// directory goes.
 func TestJobEviction(t *testing.T) {
 	dataDir := t.TempDir()
 	s, err := New(Options{Workers: 1, DataDir: dataDir, JobTTL: 150 * time.Millisecond})
@@ -246,8 +248,15 @@ func TestJobEviction(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if _, err := os.Stat(shardDir); !os.IsNotExist(err) {
-		t.Fatalf("evicted job's shard dir still present: %v", err)
+	for {
+		_, err := os.Stat(shardDir)
+		if os.IsNotExist(err) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("evicted job's shard dir still present: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	ts.Close()
 	s.Close()

@@ -767,6 +767,12 @@ func (s *Server) evictLoop() {
 // shard storage and logging the eviction so a restart does not
 // resurrect them. In-flight streams of a victim fail on their next
 // uncached shard read — the same contract as any storage eviction.
+//
+// The order is the contract: a victim first leaves the job table,
+// under s.mu, so every new request for it gets 404 at once. Only then,
+// outside the lock, are its shard files destroyed, its cache entries
+// dropped and its recEvicted record appended. A 404 therefore does not
+// mean the files are gone yet; they go within the same call.
 func (s *Server) maybeEvict() {
 	ttl, maxJobs := s.opts.JobTTL, s.opts.MaxJobs
 	if ttl <= 0 && maxJobs <= 0 && !s.tenantByteQuotas() {

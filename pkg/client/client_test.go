@@ -4,6 +4,8 @@
 package client_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -472,5 +474,41 @@ func TestStreamLineLargerThanInitialBuffer(t *testing.T) {
 	}
 	if st.Bytes() != int64(len(line)) {
 		t.Fatalf("stream counted %d wire bytes, line is %d", st.Bytes(), len(line))
+	}
+}
+
+// TestStreamOverlongLineIsTerminal: a line longer than the SDK's 64 MiB
+// cap fails at once — a resume would download the same line again.
+func TestStreamOverlongLineIsTerminal(t *testing.T) {
+	pad := bytes.Repeat([]byte{' '}, 1<<20)
+	ts, requests := ndjsonServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("cursor") == "" {
+			_, _ = io.WriteString(w, sampleLine(0, "0:1"))
+		}
+		_, _ = io.WriteString(w, `{"batch":1,"cursor":"0:2",`)
+		for i := 0; i <= 64; i++ {
+			if _, err := w.Write(pad); err != nil {
+				return // the client hung up at the cap
+			}
+		}
+		_, _ = io.WriteString(w, `"kind":"samples","features":[[1]],"labels":[1]}`+"\n")
+	})
+	st, err := client.New(ts.URL).StreamBatches(context.Background(), "job-000001",
+		client.StreamOptions{Wire: client.WireNDJSON, MaxResumes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if _, err := st.Next(); err != nil {
+		t.Fatalf("good line: %v", err)
+	}
+	if _, err := st.Next(); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("overlong line surfaced as %v", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("overlong line was retried: %d requests", n)
+	}
+	if _, err := st.Next(); err != io.EOF {
+		t.Fatalf("stream after a terminal error: %v", err)
 	}
 }

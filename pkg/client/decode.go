@@ -4,12 +4,22 @@
 // to that), with one deliberate exception: a field that appears twice
 // in one object is an error, where encoding/json would merge or
 // overwrite.
+//
+// Numbers are converted in the same scan that checks their grammar:
+// the scan keeps the sign, up to 19 digits and the exponent, and the
+// typed readers convert that exactly wherever one IEEE operation can
+// (Clinger's fast path) or the integer has at most 18 digits. Every
+// other number — more digits, an exponent outside ±22, a float32
+// midpoint, anything near the edges of the range — goes to strconv,
+// so values, range errors and their texts are strconv's
+// (FuzzLineNumber holds the readers to it bit for bit).
 package client
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -266,8 +276,8 @@ func (d *lineDecoder) skip() error {
 	case c == 'n':
 		return d.literal("null")
 	default:
-		_, err := d.number()
-		return err
+		var n number
+		return d.number(&n)
 	}
 }
 
@@ -281,7 +291,7 @@ func (d *lineDecoder) literal(word string) error {
 
 // null consumes a null literal if one is next.
 func (d *lineDecoder) null() bool {
-	if bytes.HasPrefix(d.b[d.pos:], []byte("null")) {
+	if len(d.b)-d.pos >= 4 && string(d.b[d.pos:d.pos+4]) == "null" {
 		d.pos += 4
 		return true
 	}
@@ -378,64 +388,163 @@ func (d *lineDecoder) str() (string, error) {
 	return s, err
 }
 
+// number is a number token and its value as the scan kept it: the
+// value is ±mant × 10^exp whenever nd <= maxMantDigits.
+type number struct {
+	start int    // the token is d.b[start:d.pos] after the scan
+	mant  uint64 // the token's first maxMantDigits digits
+	nd    int    // digits in the token, leading zeros included
+	exp   int    // decimal exponent
+	neg   bool
+	isInt bool // no fraction and no exponent part
+}
+
+// maxMantDigits is how many decimal digits always fit in a uint64.
+const maxMantDigits = 19
+
+// maxExp caps the exponent the scan accumulates: past it the exponent
+// is far outside every fast path's range, and stopping there keeps it
+// from overflowing.
+const maxExp = 1 << 20
+
 // number steps over a number token, checking it against the JSON
-// grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *lineDecoder) number() ([]byte, error) {
+// grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and keeping
+// its sign, digits and exponent in the same pass.
+func (d *lineDecoder) number(n *number) error {
 	b, i := d.b, d.pos
+	*n = number{start: i, isInt: true}
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
-		i++
+		i, n.nd = i+1, 1
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		i, n.mant, n.nd = digits(b, i, 0, 0)
 	default:
-		return nil, d.errorf("invalid value")
+		return d.errorf("invalid value")
 	}
 	if i < len(b) && b[i] == '.' {
-		if i+1 >= len(b) || !isDigit(b[i+1]) {
-			return nil, d.errorf("invalid number")
+		i++
+		if i >= len(b) || !isDigit(b[i]) {
+			return d.errorf("invalid number")
 		}
-		i = digits(b, i+1)
+		frac := i
+		i, n.mant, n.nd = digits(b, i, n.mant, n.nd)
+		n.exp, n.isInt = frac-i, false
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
 			i++
 		}
 		if i >= len(b) || !isDigit(b[i]) {
-			return nil, d.errorf("invalid number")
+			return d.errorf("invalid number")
 		}
-		i = digits(b, i)
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < maxExp {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if neg {
+			e = -e
+		}
+		n.exp += e
+		n.isInt = false
 	}
-	tok := b[d.pos:i]
 	d.pos = i
-	return tok, nil
+	return nil
 }
 
-func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
+// digits steps over the run of digits at i, adding them to mant while
+// it has room and counting them all in nd.
+func digits(b []byte, i int, mant uint64, nd int) (int, uint64, int) {
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		if nd < maxMantDigits {
+			mant = mant*10 + uint64(b[i]-'0')
+		}
+		nd++
 	}
-	return i
+	return i, mant, nd
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isHex(c byte) bool { return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
 
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float64 is Clinger's fast path, strconv's own atof64exact rule: a
+// mantissa of at most 2^53 and a power of ten of at most 1e22 are both
+// exact float64s, so one multiply or divide rounds the decimal
+// correctly. ok is false for every other number.
+func (n *number) float64() (v float64, ok bool) {
+	if n.nd > maxMantDigits || n.mant > 1<<53 || n.exp < -22 || n.exp > 22 {
+		return 0, false
+	}
+	v = float64(n.mant)
+	if n.exp < 0 {
+		v /= pow10[-n.exp]
+	} else {
+		v *= pow10[n.exp]
+	}
+	if n.neg {
+		v = -v
+	}
+	return v, true
+}
+
+// float32 rounds the exact float64 to float32. That equals rounding the
+// decimal itself unless the float64 is a float32 midpoint: every
+// midpoint is a float64, so none lies strictly between the decimal and
+// its nearest float64. A midpoint is a float64 whose 29 fraction bits
+// below float32's precision are exactly 1000…0; the fast path's range,
+// 1e-22 to 2^53×1e22, is inside float32's normal range, where that
+// test holds. ok is false for a midpoint and for every number float64
+// rejects.
+func (n *number) float32() (v float32, ok bool) {
+	f, ok := n.float64()
+	if !ok || math.Float64bits(f)&(1<<29-1) == 1<<28 {
+		return 0, false
+	}
+	return float32(f), true
+}
+
+// int64 converts an integer token of at most 18 digits, which always
+// fits. ok is false for every other number.
+func (n *number) int64() (v int64, ok bool) {
+	if !n.isInt || n.nd > 18 {
+		return 0, false
+	}
+	v = int64(n.mant)
+	if n.neg {
+		v = -v
+	}
+	return v, true
+}
+
 // Scalars: null is zero; numbers parse exactly as encoding/json parses
-// them into the field's type, a range error included.
+// them into the field's type, a range error included. The exact fast
+// paths above convert what they can; strconv parses the rest.
 
 func (d *lineDecoder) i64() (int64, error) {
 	if d.null() {
 		return 0, nil
 	}
-	tok, err := d.number()
-	if err != nil {
+	var n number
+	if err := d.number(&n); err != nil {
 		return 0, err
 	}
+	if v, ok := n.int64(); ok {
+		return v, nil
+	}
+	tok := d.b[n.start:d.pos]
 	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil {
 		return 0, d.errorf("%s is not a 64-bit integer", tok)
@@ -451,26 +560,43 @@ func (d *lineDecoder) intValue() (int, error) {
 	return int(v), err
 }
 
-func (d *lineDecoder) float(bits int) (float64, error) {
+func (d *lineDecoder) f64() (float64, error) {
 	if d.null() {
 		return 0, nil
 	}
-	tok, err := d.number()
-	if err != nil {
+	var n number
+	if err := d.number(&n); err != nil {
 		return 0, err
 	}
+	if v, ok := n.float64(); ok {
+		return v, nil
+	}
+	return d.parseFloat(&n, 64)
+}
+
+func (d *lineDecoder) f32() (float32, error) {
+	if d.null() {
+		return 0, nil
+	}
+	var n number
+	if err := d.number(&n); err != nil {
+		return 0, err
+	}
+	if v, ok := n.float32(); ok {
+		return v, nil
+	}
+	v, err := d.parseFloat(&n, 32)
+	return float32(v), err
+}
+
+// parseFloat is the fallback for the numbers the fast paths leave.
+func (d *lineDecoder) parseFloat(n *number, bits int) (float64, error) {
+	tok := d.b[n.start:d.pos]
 	v, err := strconv.ParseFloat(string(tok), bits)
 	if err != nil {
 		return 0, d.errorf("%s is out of float%d range", tok, bits)
 	}
 	return v, nil
-}
-
-func (d *lineDecoder) f64() (float64, error) { return d.float(64) }
-
-func (d *lineDecoder) f32() (float32, error) {
-	v, err := d.float(32)
-	return float32(v), err
 }
 
 // numbers parses a number array (null is nil) through a scratch

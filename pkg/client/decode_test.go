@@ -2,7 +2,8 @@ package client
 
 import (
 	"encoding/json"
-	"reflect"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestDecodeBatchLineMatchesUnmarshal(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &want); err != nil {
 			t.Fatalf("%q: json.Unmarshal: %v", line, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !sameBatch(&got, &want) {
 			t.Fatalf("%q:\n got  %#v\n want %#v", line, got, want)
 		}
 	}
@@ -110,8 +111,9 @@ func TestDecodeBatchLineRejects(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatchLine: the decoder never panics, and whatever it
-// accepts json.Unmarshal accepts too, into a deeply equal BatchWire.
+// FuzzDecodeBatchLine: the decoder never panics; whatever it accepts
+// json.Unmarshal accepts too, into a bit-identical BatchWire; and what
+// json.Unmarshal accepts it rejects only for a repeated field.
 func FuzzDecodeBatchLine(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
@@ -121,16 +123,159 @@ func FuzzDecodeBatchLine(f *testing.F) {
 	f.Add([]byte(`{"graphs":[{"nodes":1,"energy":2}],"graphs":[{"nodes":3}]}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var d lineDecoder
-		var got BatchWire
-		if err := d.decode(line, &got); err != nil {
-			return
-		}
-		var want BatchWire
-		if err := json.Unmarshal(line, &want); err != nil {
-			t.Fatalf("decoder accepted %q; json.Unmarshal: %v", line, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q:\n decoder      %#v\n json.Unmarshal %#v", line, got, want)
+		var got, want BatchWire
+		err := d.decode(line, &got)
+		wantErr := json.Unmarshal(line, &want)
+		switch {
+		case err != nil && wantErr == nil:
+			if !strings.HasSuffix(err.Error(), " repeated") {
+				t.Fatalf("decoder rejected %q, which json.Unmarshal accepts: %v", line, err)
+			}
+		case err == nil && wantErr != nil:
+			t.Fatalf("decoder accepted %q; json.Unmarshal: %v", line, wantErr)
+		case err == nil && !sameBatch(&got, &want):
+			t.Fatalf("%q:\n decoder        %#v\n json.Unmarshal %#v", line, got, want)
 		}
 	})
+}
+
+// numberSeeds are number tokens at the edges of the readers' exact
+// fast paths and of strconv's range checks.
+var numberSeeds = []string{
+	// 19 and 20 digits, and fractions whose leading zeros push the
+	// digit count past 19.
+	"1234567890123456789", "12345678901234567890", "9999999999999999999", "-0.1234567890123456789",
+	"0.0000000000000000001", "0.00000000000000000001", "0.000000000000000000012345",
+	"18446744073709551616", "1.8446744073709551617", // 2^64 and 2^64+1, which wrap a uint64
+	// The float64 mantissa bound, 2^53 and 2^53+1.
+	"9007199254740992", "9007199254740993", "9007199254740992e22", "9007199254740993e-22",
+	// Exponents at and just past the exact powers of ten.
+	"1e22", "1e23", "1e-22", "1e-23", "123456789e22", "123456789e-23", "4.5e-22", "4.5e+23",
+	"1E22", "0e400", "1e99999999999999999999", "1e-99999999999999999999",
+	"1e18446744073709551621", "1e-18446744073709551621", // 2^64+5, which wraps an int to 5
+	// Signed zero, float range edges and subnormals.
+	"-0", "-0.0", "0", "-0e5", "1e-400", "-1e-400", "1e400",
+	"3.4028235e38", "3.4028236e38", "3.4028234663852886e38", "1.4e-45", "7e-46", "1.17549435e-38",
+	"1.7976931348623157e308", "1.7976931348623159e308", "5e-324", "2.4703282292062327e-324",
+	// int64 range edges, and integers a float reader parses but an
+	// integer reader refuses.
+	"9223372036854775806", "9223372036854775807", "9223372036854775808",
+	"-9223372036854775807", "-9223372036854775808", "-9223372036854775809",
+	"999999999999999999", "-999999999999999999", "1.0", "1e2", "100",
+	// Float32 midpoints: 2^24+1, 2^24+3, 2^20+2^-4 and 2^12+2^-12 are
+	// exact within the fast path; 1+2^-24 has 25 digits.
+	"16777217", "-16777219", "1048576.0625", "4096.000244140625", "1.000000059604644775390625",
+	// Not numbers, or not only a number.
+	"", "-", "01", "1.", ".5", "+1", "1e", "1e+", "0x10", "1_0", "NaN", "Infinity", "1 ", " 1", "1,",
+}
+
+// float32Midpoints returns the float64 halfway between each of a few
+// float32s at exponent e and the next float32 up.
+func float32Midpoints(e int) []float64 {
+	var out []float64
+	for _, frac := range []float64{1, 1.25, 1.5 + 1.0/(1<<20), 2 - 1.0/(1<<23)} {
+		x := float32(math.Ldexp(frac, e))
+		if x == 0 || math.IsInf(float64(x), 0) {
+			continue
+		}
+		up := math.Nextafter32(x, float32(math.Inf(1)))
+		if math.IsInf(float64(up), 0) {
+			continue
+		}
+		out = append(out, (float64(x)+float64(up))/2)
+	}
+	return out
+}
+
+// midpointTokens prints m exactly and rounded to 7–17 significant
+// digits, with both signs.
+func midpointTokens(m float64) []string {
+	exact := strings.TrimRight(strconv.FormatFloat(m, 'f', 160, 64), "0")
+	out := []string{strings.TrimSuffix(exact, ".")}
+	for digits := 7; digits <= 17; digits++ {
+		out = append(out, strconv.FormatFloat(m, 'e', digits-1, 64))
+	}
+	for _, tok := range out[:len(out):len(out)] {
+		out = append(out, "-"+tok)
+	}
+	return out
+}
+
+// checkNumber runs the decoder's float32, float64 and int64 readers on
+// tok and requires what encoding/json would do: accept exactly the
+// JSON number tokens strconv can parse into the type, and yield
+// strconv's value bit for bit.
+func checkNumber(t *testing.T, tok string) {
+	t.Helper()
+	if strings.HasPrefix(tok, "null") {
+		return // null is every reader's zero, not a number
+	}
+	// A JSON value that starts like a number and holds no whitespace is
+	// exactly one number token.
+	valid := tok != "" && (tok[0] == '-' || isDigit(tok[0])) &&
+		!strings.ContainsAny(tok, " \t\r\n") && json.Valid([]byte(tok))
+	reader := func(read func(*lineDecoder) error) bool {
+		d := lineDecoder{b: []byte(tok)}
+		return read(&d) == nil && d.pos == len(tok)
+	}
+
+	var got32 float32
+	ok := reader(func(d *lineDecoder) (err error) { got32, err = d.f32(); return })
+	want, err := strconv.ParseFloat(tok, 32)
+	if wantOK := valid && err == nil; ok != wantOK {
+		t.Fatalf("f32 %q: decoder accepts %v, strconv %v (%v)", tok, ok, wantOK, err)
+	}
+	if ok && math.Float32bits(got32) != math.Float32bits(float32(want)) {
+		t.Fatalf("f32 %q: decoder %g (%#x), strconv %g (%#x)", tok, got32, math.Float32bits(got32), want, math.Float32bits(float32(want)))
+	}
+
+	var got64 float64
+	ok = reader(func(d *lineDecoder) (err error) { got64, err = d.f64(); return })
+	want, err = strconv.ParseFloat(tok, 64)
+	if wantOK := valid && err == nil; ok != wantOK {
+		t.Fatalf("f64 %q: decoder accepts %v, strconv %v (%v)", tok, ok, wantOK, err)
+	}
+	if ok && math.Float64bits(got64) != math.Float64bits(want) {
+		t.Fatalf("f64 %q: decoder %g (%#x), strconv %g (%#x)", tok, got64, math.Float64bits(got64), want, math.Float64bits(want))
+	}
+
+	var gotInt int64
+	ok = reader(func(d *lineDecoder) (err error) { gotInt, err = d.i64(); return })
+	wantInt, err := strconv.ParseInt(tok, 10, 64)
+	if wantOK := valid && err == nil; ok != wantOK {
+		t.Fatalf("i64 %q: decoder accepts %v, strconv %v (%v)", tok, ok, wantOK, err)
+	}
+	if ok && gotInt != wantInt {
+		t.Fatalf("i64 %q: decoder %d, strconv %d", tok, gotInt, wantInt)
+	}
+}
+
+// TestLineNumberFloat32Midpoints walks float32 midpoints across every
+// float32 exponent, subnormals included: the exact decimal of each,
+// and each rounded to 7–17 digits, must read as strconv reads it.
+func TestLineNumberFloat32Midpoints(t *testing.T) {
+	for e := -149; e <= 127; e++ {
+		for _, m := range float32Midpoints(e) {
+			for _, tok := range midpointTokens(m) {
+				checkNumber(t, tok)
+			}
+		}
+	}
+}
+
+// FuzzLineNumber: the float32, float64 and int64 readers accept the
+// tokens strconv accepts, within the JSON grammar, and yield strconv's
+// values bit for bit.
+func FuzzLineNumber(f *testing.F) {
+	for _, tok := range numberSeeds {
+		f.Add(tok)
+	}
+	for _, e := range []int{-149, -127, -126, -40, -24, -1, 0, 23, 24, 53, 100, 127} {
+		for _, m := range float32Midpoints(e) {
+			for _, tok := range midpointTokens(m) {
+				f.Add(tok)
+			}
+		}
+	}
+	f.Fuzz(checkNumber)
 }

@@ -302,8 +302,9 @@ func (s *Stream) Next() (*BatchWire, error) {
 }
 
 // terminal reports whether err can never be cured by reconnecting
-// from the same cursor: in-band server errors and malformed (but
-// fully received) batches or frames, as opposed to cut connections.
+// from the same cursor: in-band server errors, malformed (but fully
+// received) batches or frames, and lines over the cap, as opposed to
+// cut connections.
 func terminal(err error) bool {
 	var se *domain.StreamError
 	if errors.As(err, &se) {
@@ -318,7 +319,8 @@ func terminal(err error) bool {
 }
 
 // badBatchError wraps a decode/validation failure of a fully received
-// batch — retrying would replay the same bytes.
+// batch, or a line over maxLineBytes — retrying would replay the same
+// bytes.
 type badBatchError struct{ err error }
 
 func (e *badBatchError) Error() string { return e.err.Error() }
@@ -343,7 +345,10 @@ func (s *Stream) readOne() (*BatchWire, int64, error) {
 	if !s.sc.Scan() {
 		// A cut connection surfaces as a transport error, or as
 		// io.ErrUnexpectedEOF for a final line that never got its newline.
-		if err := s.sc.Err(); err != nil {
+		// A line over the cap would be over it again after a resume.
+		if err := s.sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+			return nil, 0, &badBatchError{fmt.Errorf("client: batch line over %d bytes: %w", maxLineBytes, err)}
+		} else if err != nil {
 			return nil, 0, err
 		}
 		return nil, 0, io.EOF
