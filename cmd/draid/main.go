@@ -50,7 +50,7 @@
 //	GET  /v1/audit/roots             this node's published Merkle audit roots
 //	GET  /v1/audit/proof?seq=N       inclusion proof for one audit record
 //	GET  /metrics                    serving + pipeline + cluster metrics (with exemplars)
-//	GET  /healthz                    liveness (also the fleet probe target)
+//	GET  /healthz                    liveness, 503 once a durable log failed (also the fleet probe target)
 //
 // With -tenants, every request (bar /healthz and /metrics) must carry a
 // registered tenant's bearer token; jobs, traces, and audit records are

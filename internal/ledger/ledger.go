@@ -2,20 +2,11 @@
 // NDJSON file of security-relevant events (job submissions, stream
 // opens, evictions, auth failures) where every record is hash-chained
 // to its predecessor and records are grouped into fixed-size Merkle
-// batches whose roots are published for offline verification. The
-// write path uses group commit with no timer: a lone appender syncs at
-// once, and the records that arrive while a sync is in flight share
-// the next one, so 64 concurrent appends cost a handful of fsyncs, not
-// 64, and an idle ledger adds no wait to its one fsync.
-//
-// Durability contract: Append returns only after the record's bytes
-// are fsynced, by its own group's commit, and the read side (Len,
-// Record, Prove, Roots) serves only records already fsynced. A failed
-// write or fsync is sticky: every later Append returns it and the file
-// is never written again. A crash mid-append leaves a torn final line
-// that Open truncates; any other chain damage — a reordered, edited,
-// or deleted record — fails Open with a chain-break error, because
-// every record's hash covers its predecessor's.
+// batches whose roots are published for offline verification. The file
+// is an internal/wal log: group-committed, sticky on failure, torn tail
+// truncated on open. Reads serve only fsynced records, so a restarted
+// node recomputes the roots it published; any other chain damage — a
+// reordered, edited, or deleted record — fails Open.
 package ledger
 
 import (
@@ -24,10 +15,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/wal"
 )
 
 // Audit record types.
@@ -89,160 +80,75 @@ type Config struct {
 	BatchSize int
 }
 
-// Ledger is an open audit log. Safe for concurrent appenders.
-//
-// Appends are group-committed without a timer. Under mu an appender
-// assigns its record's seq and chain hash and adds the encoded line to
-// pending. If no sync is in flight it leads: it takes pending, releases
-// mu, writes and fsyncs the group, then re-takes mu to advance durable
-// and wake the waiters. Lines that arrive meanwhile accumulate in
-// pending and form the next group, led by the first of their waiters to
-// see the file idle. mu is never held across I/O, so a reader never
-// waits on the disk; and one leader at a time keeps file order equal to
-// seq order.
+// Ledger is an open audit log, safe for concurrent appenders. Under mu
+// an appender assigns its record's seq and hash and adds its line to the
+// WAL, so file order is seq order; it waits for the commit with mu
+// released, so a reader never waits on the disk.
 type Ledger struct {
 	cfg Config
+	w   *wal.Log
 
 	mu      sync.Mutex
-	synced  sync.Cond // on mu; broadcast whenever a group sync ends
-	f       *os.File
 	seq     uint64   // last assigned seq
+	durable uint64   // committed-seq watermark: records up to it are fsynced
 	prev    string   // hash of the last assigned record
 	records []Record // every assigned record, for proofs and tenant checks
 	hashes  [][]byte // raw record hashes (Merkle leaves)
 	sealed  []string // cached roots of full batches
-	pending []byte   // encoded lines assigned but not yet handed to a leader
-	durable uint64   // committed-seq watermark: records up to it are fsynced
-	syncing bool     // a leader is writing and fsyncing a group outside mu
-	err     error    // first failed write or fsync; the file is never written again
-	closed  bool
-
-	// Counters for /metrics. Atomics, not mu: a scrape never contends
-	// with appenders for the lock.
-	nAppends atomic.Int64
-	nSyncs   atomic.Int64
-	nBytes   atomic.Int64
 }
 
-// fsync is (*os.File).Sync behind a variable so the group-commit tests
-// can hold a sync in flight.
-var fsync = (*os.File).Sync
-
 // Open opens (or creates) the audit log at cfg.Path, replaying and
-// verifying the existing chain. A torn final line (crash mid-append)
-// is truncated away; any interior damage or hash mismatch is a
-// chain-break error — the ledger refuses to extend a history it
-// cannot certify.
+// verifying the existing chain. Damage other than a torn tail is a
+// chain-break error: the ledger refuses to extend a history it cannot
+// certify.
 func Open(cfg Config) (*Ledger, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
 	l := &Ledger{cfg: cfg}
-	l.synced.L = &l.mu
-	if err := l.replay(); err != nil {
+	w, err := wal.Open(cfg.Path, l.replay)
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: open %s: %w", cfg.Path, err)
-	}
-	l.f = f
-	l.durable = l.seq
+	l.w, l.durable = w, l.seq
 	return l, nil
 }
 
-// replay loads and verifies the existing log. Offsets are tracked per
-// line so a torn tail can be truncated to the last committed record.
-func (l *Ledger) replay() error {
-	b, err := os.ReadFile(l.cfg.Path)
-	if os.IsNotExist(err) {
+// replay verifies one complete line of the existing log and extends the
+// chain with it. Blank lines are skipped.
+func (l *Ledger) replay(line []byte) error {
+	if len(bytes.TrimSpace(line)) == 0 {
 		return nil
 	}
-	if err != nil {
-		return fmt.Errorf("ledger: read %s: %w", l.cfg.Path, err)
+	var rec Record
+	if json.Unmarshal(line, &rec) != nil {
+		return fmt.Errorf("ledger: %s: unparsable record after seq %d (chain broken)", l.cfg.Path, l.seq)
 	}
-	good := int64(0) // offset just past the last verified record
-	off := int64(0)
-	for len(b) > 0 {
-		nl := bytes.IndexByte(b, '\n')
-		line := b
-		torn := nl < 0 // no newline: the append was cut mid-write
-		if !torn {
-			line = b[:nl]
-			b = b[nl+1:]
-		} else {
-			b = nil
-		}
-		lineLen := int64(len(line))
-		if !torn {
-			lineLen++
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			off += lineLen
-			if !torn {
-				good = off
-			}
-			continue
-		}
-		var rec Record
-		if jerr := json.Unmarshal(line, &rec); jerr != nil {
-			if torn || len(b) == 0 {
-				break // torn tail: truncate below
-			}
-			return fmt.Errorf("ledger: %s: unparsable record after seq %d (chain broken)", l.cfg.Path, l.seq)
-		}
-		if rec.Seq != l.seq+1 || rec.Prev != l.prev || HashRecord(rec) != rec.Hash {
-			if torn {
-				break
-			}
-			return fmt.Errorf("ledger: %s: hash chain broken at seq %d", l.cfg.Path, rec.Seq)
-		}
-		if torn {
-			// Even a fully parsable tail without its newline never
-			// completed its fsync (line and terminator are written as one
-			// buffer), so its Append never returned success. Drop it: a
-			// record either committed fully or never happened.
-			break
-		}
-		l.seq = rec.Seq
-		l.prev = rec.Hash
-		l.records = append(l.records, rec)
-		raw, derr := hex.DecodeString(rec.Hash)
-		if derr != nil {
-			return fmt.Errorf("ledger: %s: bad hash encoding at seq %d", l.cfg.Path, rec.Seq)
-		}
-		l.hashes = append(l.hashes, raw)
-		off += lineLen
-		good = off
+	if rec.Seq != l.seq+1 || rec.Prev != l.prev || HashRecord(rec) != rec.Hash {
+		return fmt.Errorf("ledger: %s: hash chain broken at seq %d", l.cfg.Path, rec.Seq)
 	}
-	if fi, serr := os.Stat(l.cfg.Path); serr == nil && fi.Size() > good {
-		if terr := os.Truncate(l.cfg.Path, good); terr != nil {
-			return fmt.Errorf("ledger: truncate torn tail of %s: %w", l.cfg.Path, terr)
-		}
-	}
-	// Seal the roots of every full batch up front so Roots and Prove
-	// never recompute them.
-	for batch := 0; (batch+1)*l.cfg.BatchSize <= len(l.hashes); batch++ {
-		l.sealed = append(l.sealed, hex.EncodeToString(
-			merkleRoot(l.hashes[batch*l.cfg.BatchSize:(batch+1)*l.cfg.BatchSize])))
-	}
+	l.extend(rec)
 	return nil
+}
+
+// extend links rec onto the chain and seals its batch's root when rec
+// fills it, so Roots and Prove never recompute a sealed root.
+func (l *Ledger) extend(rec Record) {
+	raw, _ := hex.DecodeString(rec.Hash) // HashRecord's hex: it decodes
+	l.seq, l.prev = rec.Seq, rec.Hash
+	l.records = append(l.records, rec)
+	l.hashes = append(l.hashes, raw)
+	if size := l.cfg.BatchSize; len(l.hashes)%size == 0 {
+		l.sealed = append(l.sealed, hex.EncodeToString(merkleRoot(l.hashes[len(l.hashes)-size:])))
+	}
 }
 
 // Append commits one audit record, returning it with its assigned
 // sequence number and chain hash once it is durable on disk. After a
 // failed commit every Append returns that failure without assigning a
-// seq: a group that failed mid-write may have left a partial line, and
-// only a reopen (which truncates it) may extend the file again.
+// seq.
 func (l *Ledger) Append(typ, tenant, job, detail string) (Record, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return Record{}, fmt.Errorf("ledger: closed")
-	}
-	if l.err != nil {
-		return Record{}, l.err
-	}
 	rec := Record{
 		Seq: l.seq + 1, Time: time.Now().UTC(), Type: typ,
 		Tenant: tenant, Job: job, Detail: detail, Node: l.cfg.Node,
@@ -251,63 +157,25 @@ func (l *Ledger) Append(typ, tenant, job, detail string) (Record, error) {
 	rec.Hash = HashRecord(rec)
 	b, err := json.Marshal(rec)
 	if err != nil {
+		l.mu.Unlock()
 		return Record{}, fmt.Errorf("ledger: encode record: %w", err)
 	}
-	l.pending = append(append(l.pending, b...), '\n')
-	l.seq = rec.Seq
-	l.prev = rec.Hash
-	l.records = append(l.records, rec)
-	raw, _ := hex.DecodeString(rec.Hash)
-	l.hashes = append(l.hashes, raw)
-	if len(l.hashes)%l.cfg.BatchSize == 0 {
-		batch := len(l.hashes)/l.cfg.BatchSize - 1
-		l.sealed = append(l.sealed, hex.EncodeToString(
-			merkleRoot(l.hashes[batch*l.cfg.BatchSize:])))
+	n, err := l.w.Add(b)
+	if err != nil {
+		l.mu.Unlock()
+		return Record{}, err
 	}
-	for l.durable < rec.Seq && l.err == nil {
-		if l.syncing {
-			l.synced.Wait()
-		} else {
-			l.commitLocked()
-		}
+	l.extend(rec)
+	l.mu.Unlock()
+	if err := l.w.Wait(n); err != nil {
+		return Record{}, err
 	}
-	if l.durable < rec.Seq {
-		return Record{}, l.err
-	}
+	// The WAL commits in Add order, so every lower seq is durable too.
+	l.mu.Lock()
+	l.durable = max(l.durable, rec.Seq)
+	l.mu.Unlock()
 	return rec, nil
 }
-
-// commitLocked leads one group: it takes every pending line, writes
-// and fsyncs them with mu released, then advances durable (or stores
-// the failure) and wakes the waiters. Caller holds mu, no sync is in
-// flight, and l.err is nil.
-func (l *Ledger) commitLocked() {
-	buf, upto, f := l.pending, l.seq, l.f
-	l.pending = nil
-	l.syncing = true
-	l.mu.Unlock()
-	_, err := f.Write(buf)
-	if err != nil {
-		err = fmt.Errorf("ledger: append: %w", err)
-	} else if err = fsync(f); err != nil {
-		err = fmt.Errorf("ledger: fsync: %w", err)
-	}
-	l.mu.Lock()
-	l.syncing = false
-	if err != nil {
-		l.err = err
-	} else {
-		l.nAppends.Add(int64(upto - l.durable))
-		l.nBytes.Add(int64(len(buf)))
-		l.nSyncs.Add(1)
-		l.durable = upto
-	}
-	l.synced.Broadcast()
-}
-
-// The read side serves records only up to durable: a record, proof or
-// root a caller sees is on disk, so a restarted node recomputes the
-// same roots it published.
 
 // Len reports how many durable records the ledger holds.
 func (l *Ledger) Len() uint64 {
@@ -368,7 +236,7 @@ func (l *Ledger) Prove(seq uint64) (*Proof, error) {
 	lo := batch * size
 	hi := min(lo+size, int(l.durable))
 	leaves := l.hashes[lo:hi]
-	path := merkleProof(leaves, idx-lo)
+	path, root := merkleProof(leaves, idx-lo)
 	steps := make([]ProofStep, len(path))
 	for i, st := range path {
 		steps[i] = ProofStep{Hash: hex.EncodeToString(st.hash), Left: st.left}
@@ -378,43 +246,19 @@ func (l *Ledger) Prove(seq uint64) (*Proof, error) {
 		Batch:  batch,
 		Record: l.records[idx],
 		Path:   steps,
-		Root:   hex.EncodeToString(merkleRoot(leaves)),
+		Root:   hex.EncodeToString(root),
 	}, nil
 }
 
-// Stats is a point-in-time counter snapshot for /metrics.
-type Stats struct {
-	Records int64 // records made durable this process (replayed ones excluded)
-	Syncs   int64 // successful fsyncs (one per group commit)
-	Bytes   int64 // record bytes made durable this process
-}
+// Stats is the audit log's write counters for /metrics.
+type Stats = wal.Stats
 
-// Stats snapshots the ledger's write counters without taking the
-// ledger's lock (each counter is read on its own, so a snapshot taken
-// mid-commit may count a group's records but not yet its sync).
-func (l *Ledger) Stats() Stats {
-	return Stats{Records: l.nAppends.Load(), Syncs: l.nSyncs.Load(), Bytes: l.nBytes.Load()}
-}
+// Stats snapshots the write counters without taking the ledger's lock.
+func (l *Ledger) Stats() Stats { return l.w.Stats() }
 
-// Close waits for an in-flight group sync, commits whatever is still
-// pending, and closes the log file. It returns the ledger's sticky
-// commit failure, if any.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	for l.syncing {
-		l.synced.Wait()
-	}
-	if l.err == nil && l.durable < l.seq {
-		l.commitLocked()
-	}
-	err := l.err
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Err returns the log's sticky commit failure, or nil.
+func (l *Ledger) Err() error { return l.w.Err() }
+
+// Close commits whatever is pending and closes the log, returning its
+// sticky commit failure, if any.
+func (l *Ledger) Close() error { return l.w.Close() }

@@ -11,16 +11,34 @@ import (
 	"fmt"
 )
 
-// merkleRoot folds leaf hashes up to the batch root. Empty input
-// returns the hash of nothing — callers never pass it, but a defined
-// answer beats a panic in a verifier.
+// merkleRoot folds leaf hashes up to the batch root.
 func merkleRoot(leaves [][]byte) []byte {
+	_, root := merkleProof(leaves, 0)
+	return root
+}
+
+// proofStep is one sibling on the path to the root; left says the
+// sibling hashes on the left of the running value.
+type proofStep struct {
+	hash []byte
+	left bool
+}
+
+// merkleProof returns the sibling path for leaf idx and the root it
+// folds up to. Levels where the running node is unpaired contribute no
+// step (the node was promoted). Empty input returns the hash of
+// nothing — callers never pass it, but a defined answer beats a panic
+// in a verifier.
+func merkleProof(leaves [][]byte, idx int) (path []proofStep, root []byte) {
 	if len(leaves) == 0 {
 		sum := sha256.Sum256(nil)
-		return sum[:]
+		return nil, sum[:]
 	}
 	level := append([][]byte(nil), leaves...)
-	for len(level) > 1 {
+	for ; len(level) > 1; idx /= 2 {
+		if sib := idx ^ 1; sib < len(level) {
+			path = append(path, proofStep{hash: level[sib], left: sib < idx})
+		}
 		next := level[:0]
 		for i := 0; i < len(level); i += 2 {
 			if i+1 == len(level) {
@@ -32,39 +50,7 @@ func merkleRoot(leaves [][]byte) []byte {
 		}
 		level = next
 	}
-	return level[0]
-}
-
-// proofStep is one sibling on the path to the root; left says the
-// sibling hashes on the left of the running value.
-type proofStep struct {
-	hash []byte
-	left bool
-}
-
-// merkleProof returns the sibling path for leaf idx. Levels where the
-// running node is unpaired contribute no step (the node was promoted).
-func merkleProof(leaves [][]byte, idx int) []proofStep {
-	var path []proofStep
-	level := append([][]byte(nil), leaves...)
-	for len(level) > 1 {
-		sib := idx ^ 1
-		if sib < len(level) {
-			path = append(path, proofStep{hash: level[sib], left: sib < idx})
-		}
-		next := level[:0:0]
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				break
-			}
-			sum := sha256.Sum256(append(append([]byte(nil), level[i]...), level[i+1]...))
-			next = append(next, sum[:])
-		}
-		level = next
-		idx /= 2
-	}
-	return path
+	return path, level[0]
 }
 
 // ProofStep is one hop of a serialized inclusion proof.

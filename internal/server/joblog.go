@@ -2,13 +2,12 @@
 // directory recording every job's spec, state transitions, readiness
 // trajectory, shard manifest, and (for bio jobs) the per-job shard key
 // sealed under a server master key. A restarted draid replays the log
-// and re-serves completed jobs' shard sets straight from disk — the
-// same recover-by-replay design as an audit ledger, where the log is
-// the source of truth and process memory is just a cache of its tail.
+// and re-serves completed jobs' shard sets straight from disk. This file
+// holds the record format; appends, fsyncs and torn tails are
+// internal/wal's, shared with the audit ledger.
 package server
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -18,12 +17,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/anonymize"
 	"repro/internal/cluster"
 	"repro/internal/shard"
+	"repro/internal/wal"
 	"repro/pkg/client"
 )
 
@@ -72,84 +71,29 @@ type logRecord struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// jobLog appends NDJSON records to jobs.log, syncing each append so a
-// crash loses at most the record being written (which replay then
-// discards as a torn tail).
-type jobLog struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func openJobLog(path string) (*jobLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("server: open job log: %w", err)
-	}
-	// A crash mid-append leaves a torn line with no trailing newline.
-	// Seal it so the next record starts on its own line instead of
-	// merging into the garbage; replay skips the sealed fragment.
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		tail := make([]byte, 1)
-		if _, err := f.ReadAt(tail, fi.Size()-1); err == nil && tail[0] != '\n' {
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("server: seal torn job log tail: %w", err)
-			}
-		}
-	}
-	return &jobLog{f: f}, nil
-}
-
-func (l *jobLog) append(rec logRecord) error {
+// appendLog commits one record to this node's job log.
+func (s *Server) appendLog(rec logRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("server: encode job log record: %w", err)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("server: append job log: %w", err)
-	}
-	return l.f.Sync()
+	return s.log.Append(b)
 }
 
-func (l *jobLog) close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
-}
-
-// readJobLog parses every complete line of the log. Unparsable lines
-// (torn appends from a crash, later sealed by openJobLog) are skipped:
-// a record either committed fully — one line, one fsync — or it never
-// happened.
+// readJobLog parses every complete line of a job log without modifying
+// it (it may be a live peer's). Unparsable lines are skipped: data dirs
+// written before torn tails were truncated on open hold torn fragments
+// sealed by a newline.
 func readJobLog(path string) ([]logRecord, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("server: read job log: %w", err)
-	}
-	defer f.Close()
 	var recs []logRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
+	err := wal.Scan(path, func(line []byte) error {
 		var rec logRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			continue
+		if json.Unmarshal(line, &rec) == nil {
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("server: scan job log: %w", err)
-	}
-	return recs, nil
+		return nil
+	})
+	return recs, err
 }
 
 // readAllJobLogs merges every job log under the data dir: "jobs.log"

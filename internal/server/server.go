@@ -31,6 +31,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
+	"repro/internal/wal"
 	"repro/pkg/client"
 )
 
@@ -152,7 +153,7 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	// Durability (nil/empty when DataDir is unset).
-	log      *jobLog
+	log      *wal.Log
 	master   []byte
 	nodeLock *shard.NodeLock
 	// ledger is the append-only audit log (nil without DataDir);
@@ -321,7 +322,9 @@ func (s *Server) openDurable() error {
 	logPath := filepath.Join(s.opts.DataDir, logName)
 	ledgerPath := filepath.Join(s.opts.DataDir, ledgerName)
 	created := !fileExists(logPath) || !fileExists(ledgerPath)
-	log, err := openJobLog(logPath)
+	// recs already holds this log's complete lines; Open only truncates
+	// a torn tail.
+	log, err := wal.Open(logPath, func([]byte) error { return nil })
 	if err != nil {
 		return err
 	}
@@ -432,7 +435,7 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 			Detail: job.err, Trace: job.trace,
 		})
 		// Record the loss so the next replay converges without this branch.
-		_ = s.log.append(logRecord{Type: recFailed, ID: job.id, Time: time.Now(), Error: job.err, Node: s.nodeID()})
+		_ = s.appendLog(logRecord{Type: recFailed, ID: job.id, Time: time.Now(), Error: job.err, Node: s.nodeID()})
 		return job, false, nil
 	}
 	rec := st.rec
@@ -528,7 +531,7 @@ func (s *Server) Close() {
 	close(s.stop)
 	s.wg.Wait()
 	if s.log != nil {
-		_ = s.log.close()
+		_ = s.log.Close()
 	}
 	if s.ledger != nil {
 		_ = s.ledger.Close()
@@ -702,12 +705,13 @@ func (s *Server) commitJob(id string, store shard.Store, res *jobResult) (sealed
 // persistTerminal appends a finished job's terminal log record (the
 // shard set and manifest were already committed to disk by commitJob
 // before the job was declared done). Without a data dir it is a no-op.
+// The record is built under job.mu and appended after it is released,
+// so status polls never wait on the log's fsync.
 func (s *Server) persistTerminal(job *Job, sealedKey string) {
 	if s.log == nil {
 		return
 	}
 	job.mu.Lock()
-	defer job.mu.Unlock()
 	rec := logRecord{
 		ID:      job.id,
 		Time:    job.finished,
@@ -725,15 +729,17 @@ func (s *Server) persistTerminal(job *Job, sealedKey string) {
 		rec.Traject = job.trajectory
 		rec.SealedKey = sealedKey
 	}
+	tracker := job.tracker
+	job.mu.Unlock()
 	// The lineage DAG rides along on every terminal record so replayed
 	// jobs keep serving /provenance (a failed run's partial lineage is
 	// worth as much as a successful one's for debugging).
-	if job.tracker != nil {
-		if b, perr := job.tracker.Export(); perr == nil {
+	if tracker != nil {
+		if b, perr := tracker.Export(); perr == nil {
 			rec.Provenance = b
 		}
 	}
-	_ = s.log.append(rec)
+	_ = s.appendLog(rec)
 }
 
 // evictLoop applies TTL eviction on a timer (LRU pressure is also
@@ -918,7 +924,7 @@ func (s *Server) maybeEvict() {
 		s.lines.DropPrefix(j.id + "/")
 		s.frames.DropPrefix(j.id + "/")
 		if s.log != nil {
-			_ = s.log.append(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()})
+			_ = s.appendLog(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()})
 		}
 		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
 		s.audit(context.Background(), ledger.TypeEvict, j.tenant, j.id, "retention")
@@ -927,11 +933,23 @@ func (s *Server) maybeEvict() {
 	}
 }
 
+// handleHealthz answers 503, naming the log, once the job log or the
+// audit ledger has a sticky commit failure: the node would drop every
+// later record, so the fleet's probes must route around it.
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if s.log != nil && s.log.Err() != nil {
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job log: %w", s.log.Err()))
+		return
+	}
+	if s.ledger != nil && s.ledger.Err() != nil {
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("audit ledger: %w", s.ledger.Err()))
+		return
+	}
+	fmt.Fprintln(w, "ok")
+}
+
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/templates", s.handleTemplates)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -1057,7 +1075,7 @@ func (s *Server) submitLocal(ctx context.Context, w http.ResponseWriter, spec Jo
 		s.metrics.jobsQueued.Add(1)
 		if s.log != nil {
 			spec := job.spec
-			_ = s.log.append(logRecord{
+			_ = s.appendLog(logRecord{
 				Type: recSubmitted, ID: job.id, Time: job.submitted, Spec: &spec,
 				Node: s.nodeID(), Trace: trace, Tenant: tenantID,
 			})

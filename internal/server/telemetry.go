@@ -388,7 +388,7 @@ func (s *Server) addDurableEvent(job *Job, event, detail string) {
 	job.mu.Lock()
 	trace := job.trace
 	job.mu.Unlock()
-	_ = s.log.append(logRecord{
+	_ = s.appendLog(logRecord{
 		Type: recEvent, ID: job.id, Time: time.Now(),
 		Event: event, Error: detail, Node: s.nodeID(), Trace: trace,
 	})
