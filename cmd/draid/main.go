@@ -95,7 +95,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "concurrent pipeline executions")
 	queueDepth := flag.Int("queue", 64, "max queued jobs before submissions get 429")
-	serveCacheMB := flag.Int64("serve-cache-mb", 256, "unified serving-cache budget in MiB, shared by the NDJSON line cache and the encoded-frame cache under weighted eviction (0 disables both)")
+	serveCacheMB := flag.Int64("serve-cache-mb", 256, "serving-cache budget in MiB: one LRU over shards encoded for either wire, NDJSON line fragments or frame payloads (0 retains nothing)")
 	serveMaxKBps := flag.Int("serve-max-kbps", 0, "per-stream batch throughput ceiling in KiB/s (0 = unpaced; clients can lower theirs with ?max_kbps=)")
 	serveBudgetKBps := flag.Int("serve-budget-kbps", 0, "global weighted-fair bandwidth budget in KiB/s shared by all batch streams: split across active tenants by weight, then evenly across each tenant's streams (0 = per-stream pacing only)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON: id, token, weight, admin, quotas); enables bearer-token auth and per-tenant scoping — the file must be chmod 0600")
@@ -209,7 +209,7 @@ func main() {
 // cache budget in bytes. Values the shift cannot carry are rejected up
 // front: a negative MiB count would become a huge positive budget, and
 // one above math.MaxInt64>>20 would overflow to zero or below and
-// silently disable both caches.
+// silently disable the cache.
 func resolveCacheBudget(serveMB int64) (int64, error) {
 	if serveMB < 0 || serveMB > math.MaxInt64>>20 {
 		return 0, fmt.Errorf("-serve-cache-mb must be in [0, %d] (MiB), got %d", int64(math.MaxInt64>>20), serveMB)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestResolveCacheBudget pins the flag→budget mapping: MiB become
-// bytes, zero disables the caches, and any value the shift cannot carry
+// bytes, zero disables the cache, and any value the shift cannot carry
 // — negative, or large enough to overflow int64 — is rejected with the
 // flag named instead of becoming a nonsense budget.
 func TestResolveCacheBudget(t *testing.T) {

@@ -104,9 +104,9 @@ func EncodeSidecarFile(c Codec, recs []any) ([]byte, error) {
 }
 
 // Sidecar is a parsed, metadata-verified sidecar handle. The payload
-// stays behind the ReaderAt — range serving reads only the bytes a
-// batch needs — but the header, index, and footer have already been
-// read, bounds-checked, and CRC-verified.
+// stays behind the ReaderAt until Payload, VerifyPayload or WriteRange
+// reads it, but the header, index, and footer have already been read,
+// bounds-checked, and CRC-verified.
 type Sidecar struct {
 	kind       string
 	ra         io.ReaderAt
@@ -219,8 +219,8 @@ func (s *Sidecar) PayloadLen() int64 { return s.payloadLen }
 func (s *Sidecar) RangeLen(a, b int) int64 { return s.offsets[b] - s.offsets[a] }
 
 // WriteRange copies the payload bytes of records [a,b) to w without
-// materializing the rest of the payload — the io.CopyN disk tier of
-// the zero-copy frame path.
+// materializing the rest of the payload. It does not check the payload
+// CRC; call VerifyPayload first.
 func (s *Sidecar) WriteRange(w io.Writer, a, b int) error {
 	n := s.RangeLen(a, b)
 	if n == 0 {
@@ -234,7 +234,7 @@ func (s *Sidecar) WriteRange(w io.Writer, a, b int) error {
 }
 
 // Payload reads the whole payload, verifies its CRC, and returns it —
-// the cache-fill path, which wants the bytes in memory anyway.
+// how the server reads a sidecar into its serving cache.
 func (s *Sidecar) Payload() ([]byte, error) {
 	p := make([]byte, s.payloadLen)
 	if _, err := io.ReadFull(io.NewSectionReader(s.ra, s.payloadOff, s.payloadLen), p); err != nil {
@@ -251,9 +251,8 @@ func (s *Sidecar) Payload() ([]byte, error) {
 func (s *Sidecar) Offsets() []int64 { return s.offsets }
 
 // VerifyPayload streams the payload once and checks its CRC without
-// keeping it in memory — the range-serving path's pre-flight, so a
-// bit-flipped payload is caught before any of it is copied to a
-// client.
+// keeping it in memory — the pre-flight for WriteRange, so a
+// bit-flipped payload is caught before any of it is copied out.
 func (s *Sidecar) VerifyPayload() error {
 	h := crc32.New(sidecarCRC)
 	if _, err := io.CopyN(h, io.NewSectionReader(s.ra, s.payloadOff, s.payloadLen), s.payloadLen); err != nil {

@@ -6,21 +6,30 @@ import (
 	"testing"
 )
 
+// lineKey and frameKey name one shard's entry for each wire.
+func lineKey(shard string) cacheKey  { return cacheKey{wireLines, shard} }
+func frameKey(shard string) cacheKey { return cacheKey{wireFrames, shard} }
+
+// sized is a cache loader returning a value charged n bytes.
+func sized(val any, n int64) func() (any, int64, error) {
+	return func() (any, int64, error) { return val, n, nil }
+}
+
 // TestShardCacheDropPrefixDuringLoad pins the eviction-vs-load race: a
 // DropPrefix that runs while a matching load is in flight must prevent
 // that load's completion from re-inserting the dropped job's data. The
 // load is gated on a channel so the interleaving is deterministic.
 func TestShardCacheDropPrefixDuringLoad(t *testing.T) {
-	c := NewShardCache[[]any](1 << 20)
+	c := NewShardCache(1 << 20)
 
 	started := make(chan struct{})
 	release := make(chan struct{})
 	got := make(chan error, 1)
 	go func() {
-		_, err := c.Get("job1/shard-0", func() ([]any, int64, error) {
+		_, err := c.Get(lineKey("job1/shard-0"), func() (any, int64, error) {
 			close(started)
 			<-release
-			return []any{"deleted-job-data"}, 10, nil
+			return "deleted-job-data", 10, nil
 		})
 		got <- err
 	}()
@@ -32,19 +41,17 @@ func TestShardCacheDropPrefixDuringLoad(t *testing.T) {
 		t.Fatalf("Get: %v", err)
 	}
 
-	cs := c.Stats()
+	cs := c.Stats(wireLines)
 	if cs.Entries != 0 {
 		t.Fatalf("load completed after DropPrefix resurrected the entry: %+v", cs)
 	}
 
 	// A load that starts after the DropPrefix sees the new generation and
 	// must insert normally.
-	if _, err := c.Get("job1/shard-0", func() ([]any, int64, error) {
-		return []any{"fresh"}, 10, nil
-	}); err != nil {
+	if _, err := c.Get(lineKey("job1/shard-0"), sized("fresh", 10)); err != nil {
 		t.Fatalf("Get after drop: %v", err)
 	}
-	if cs := c.Stats(); cs.Entries != 1 {
+	if cs := c.Stats(wireLines); cs.Entries != 1 {
 		t.Fatalf("post-drop load did not cache: %+v", cs)
 	}
 }
@@ -52,17 +59,17 @@ func TestShardCacheDropPrefixDuringLoad(t *testing.T) {
 // TestShardCacheDropPrefixScoped checks that an in-flight load whose key
 // does NOT match the dropped prefix still inserts.
 func TestShardCacheDropPrefixScoped(t *testing.T) {
-	c := NewShardCache[[]any](1 << 20)
+	c := NewShardCache(1 << 20)
 
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := c.Get("job2/shard-0", func() ([]any, int64, error) {
+		if _, err := c.Get(frameKey("job2/shard-0"), func() (any, int64, error) {
 			close(started)
 			<-release
-			return []any{"other-job"}, 10, nil
+			return "other-job", 10, nil
 		}); err != nil {
 			t.Errorf("Get: %v", err)
 		}
@@ -73,17 +80,17 @@ func TestShardCacheDropPrefixScoped(t *testing.T) {
 	close(release)
 	<-done
 
-	if cs := c.Stats(); cs.Entries != 1 {
+	if cs := c.Stats(wireFrames); cs.Entries != 1 {
 		t.Fatalf("unrelated DropPrefix suppressed insert: %+v", cs)
 	}
 }
 
-// TestShardCacheDropPrefixRace hammers concurrent Gets against
-// DropPrefix under the race detector and asserts the invariant the
-// tombstones exist for: after the final DropPrefix with no loads in
+// TestShardCacheDropPrefixRace hammers concurrent Gets of both wires
+// against DropPrefix under the race detector and asserts the invariant
+// the tombstones exist for: after the final DropPrefix with no loads in
 // flight, nothing under the dropped prefix is resident.
 func TestShardCacheDropPrefixRace(t *testing.T) {
-	c := NewShardCache[[]any](1 << 20)
+	c := NewShardCache(1 << 20)
 
 	const (
 		workers = 8
@@ -95,11 +102,9 @@ func TestShardCacheDropPrefixRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				key := fmt.Sprintf("job%d/shard-%d", w%2, i%4)
-				if _, err := c.Get(key, func() ([]any, int64, error) {
-					return []any{key}, 16, nil
-				}); err != nil {
-					t.Errorf("Get %s: %v", key, err)
+				key := cacheKey{cacheWire(i % int(numWires)), fmt.Sprintf("job%d/shard-%d", w%2, i%4)}
+				if _, err := c.Get(key, sized(key.shard, 16)); err != nil {
+					t.Errorf("Get %v: %v", key, err)
 					return
 				}
 			}
@@ -115,21 +120,20 @@ func TestShardCacheDropPrefixRace(t *testing.T) {
 	wg.Wait()
 
 	c.DropPrefix("job0/")
-	cs := c.Stats()
 	for key := range c.entries {
-		if len(key) >= 5 && key[:5] == "job0/" {
-			t.Fatalf("dropped key %s resurrected: %+v", key, cs)
+		if len(key.shard) >= 5 && key.shard[:5] == "job0/" {
+			t.Fatalf("dropped key %v resurrected", key)
 		}
 	}
-	if cs.Invalidations == 0 {
-		t.Fatalf("no invalidations recorded: %+v", cs)
+	if c.Stats(wireLines).Invalidations+c.Stats(wireFrames).Invalidations == 0 {
+		t.Fatal("no invalidations recorded")
 	}
 }
 
 // TestShardCacheSingleflight checks concurrent misses on one key run the
 // loader once and share the result.
 func TestShardCacheSingleflight(t *testing.T) {
-	c := NewShardCache[[]any](1 << 20)
+	c := NewShardCache(1 << 20)
 
 	var mu sync.Mutex
 	loads := 0
@@ -139,14 +143,14 @@ func TestShardCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.Get("job/shard", func() ([]any, int64, error) {
+			v, err := c.Get(frameKey("job/shard"), func() (any, int64, error) {
 				mu.Lock()
 				loads++
 				mu.Unlock()
 				<-release
-				return []any{"v"}, 8, nil
+				return "v", 8, nil
 			})
-			if err != nil || len(v) != 1 {
+			if err != nil || v != "v" {
 				t.Errorf("Get: %v %v", v, err)
 			}
 		}()
@@ -167,5 +171,53 @@ func TestShardCacheSingleflight(t *testing.T) {
 	defer mu.Unlock()
 	if loads != 1 {
 		t.Fatalf("loader ran %d times, want 1", loads)
+	}
+}
+
+// TestArenaSharedBudget checks the invariant -serve-cache-mb promises:
+// shards encoded for either wire draw from one budget in one recency
+// order. Filling past the budget evicts the least recently served entry
+// whatever its wire, a hit protects an entry of either wire, and the
+// resident bytes never stay above the budget.
+func TestArenaSharedBudget(t *testing.T) {
+	const budget, entry = 1 << 20, 64 << 10
+	c := NewShardCache(budget)
+	for i := 0; i < 12; i++ {
+		if _, err := c.Get(frameKey(fmt.Sprintf("j/f%d", i)), sized(i, entry)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Get(lineKey(fmt.Sprintf("j/l%d", i)), sized(i, entry)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 6 {
+			// 14 of 16 slots are full: a hit moves the oldest line
+			// entry ahead of every other entry of either wire.
+			if _, err := c.Get(lineKey("j/l0"), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fs, ls := c.Stats(wireFrames), c.Stats(wireLines)
+	if got := fs.Bytes + ls.Bytes; got > budget {
+		t.Fatalf("wires hold %d bytes over the %d-byte shared budget", got, budget)
+	}
+	if fs.Entries+ls.Entries != budget/entry {
+		t.Fatalf("%d frame + %d line entries resident, want %d together", fs.Entries, ls.Entries, budget/entry)
+	}
+	// 24 inserts into 16 slots: the 8 least recently served go —
+	// f0 f1 l1 f2 l2 f3 l3 f4, l0 being spared by its hit.
+	if fs.Evictions != 5 || ls.Evictions != 3 {
+		t.Fatalf("evictions: %d frame, %d line; want 5 and 3", fs.Evictions, ls.Evictions)
+	}
+	if fs.MaxBytes != budget || ls.MaxBytes != budget {
+		t.Fatalf("MaxBytes %d/%d, want the shared %d", fs.MaxBytes, ls.MaxBytes, budget)
+	}
+	for _, k := range []cacheKey{lineKey("j/l0"), frameKey("j/f11"), lineKey("j/l11")} {
+		if _, ok := c.entries[k]; !ok {
+			t.Fatalf("recently served %v was evicted", k)
+		}
+	}
+	if _, ok := c.entries[frameKey("j/f0")]; ok {
+		t.Fatal("least recently served frame entry survived")
 	}
 }

@@ -91,7 +91,7 @@ func frameCursors(t *testing.T, stream []byte) []string {
 // mid-stream cursor, capped by max_batches, and under ?max_kbps=
 // pacing — and so is every NDJSON line sliced out of the line cache,
 // against Line+json.Marshal over the same records. The reference bytes
-// come from a server with both caches off whose store has no frame
+// come from a server with the serving cache off whose store has no frame
 // sidecars; the cached server reads the same data dir after a restart.
 func TestFrameCacheByteExact(t *testing.T) {
 	dataDir := t.TempDir()
@@ -118,7 +118,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 		ids[i] = id
 		cases[i] = referenceCases(t, ts1.URL+"/v1/jobs/"+id+"/batches?")
 	}
-	if hits := s1.frames.Stats().Hits; hits != 0 {
+	if hits := s1.cache.Stats(wireFrames).Hits; hits != 0 {
 		t.Fatalf("disabled frame cache recorded %d hits", hits)
 	}
 	ts1.Close()
@@ -143,21 +143,21 @@ func TestFrameCacheByteExact(t *testing.T) {
 		}
 	}
 
-	fs := s2.frames.Stats()
+	fs := s2.cache.Stats(wireFrames)
 	if fs.Hits == 0 {
 		t.Fatalf("frame cache took no hits: %+v", fs)
 	}
 	if fs.Entries == 0 || fs.Bytes == 0 {
 		t.Fatalf("frame cache holds nothing after serving: %+v", fs)
 	}
-	if ls := s2.lines.Stats(); ls.Hits == 0 || ls.Entries == 0 || ls.Bytes == 0 {
+	if ls := s2.cache.Stats(wireLines); ls.Hits == 0 || ls.Entries == 0 || ls.Bytes == 0 {
 		t.Fatalf("line cache took no hits or holds nothing: %+v", ls)
 	}
 
-	// NDJSON streams never touch the frame cache: same bytes, no new
-	// cache traffic.
+	// NDJSON streams never touch frame entries: same bytes, no new
+	// frame-wire cache traffic.
 	ndjsonURL := ts2.URL + "/v1/jobs/" + ids[0] + "/batches?batch_size=2"
-	before := s2.frames.Stats()
+	before := s2.cache.Stats(wireFrames)
 	resp, err := http.Get(ndjsonURL)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestFrameCacheByteExact(t *testing.T) {
 	if len(body) == 0 || body[0] != '{' {
 		t.Fatalf("NDJSON stream looks wrong: %.60s", body)
 	}
-	after := s2.frames.Stats()
+	after := s2.cache.Stats(wireFrames)
 	if after.Hits != before.Hits || after.Misses != before.Misses {
 		t.Fatalf("NDJSON stream moved frame-cache counters: %+v -> %+v", before, after)
 	}

@@ -223,7 +223,7 @@ func TestFrameDiskByteExact(t *testing.T) {
 	refTS.Close()
 	ref.Close()
 
-	// The disk server runs with both caches off: every stream below is
+	// The disk server runs with the serving cache off: every stream below is
 	// fully cold and must be served from the sidecars.
 	disk, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
 	if err != nil {
@@ -247,7 +247,7 @@ func TestFrameDiskByteExact(t *testing.T) {
 	if errs := disk.metrics.frameStoreErrors.Value(); errs != 0 {
 		t.Fatalf("%v sidecar errors on pristine sidecars", errs)
 	}
-	if ls := disk.lines.Stats(); ls.Entries != 0 || ls.Misses == 0 {
+	if ls := disk.cache.Stats(wireLines); ls.Entries != 0 || ls.Misses == 0 {
 		t.Fatalf("line cache with a zero budget: %+v", ls)
 	}
 }
@@ -282,8 +282,8 @@ func (c *countingCodec) DecodeFramePayload(payload []byte, count int) ([]any, er
 // TestFrameDiskZeroCodecCalls pins the acceptance criterion directly:
 // frame streams over a job with sidecars perform zero codec
 // Encode/Decode calls on the serving path, in both cache modes — a
-// fully-cold stream with the caches off (sidecar ranges straight off
-// the store), and with the serving cache on, both the cold stream that
+// fully-cold stream with the serving cache off (every sidecar read for
+// the stream), and with the cache on, both the cold stream that
 // fills the frame cache from sidecars and the warm stream that slices
 // the cached payloads. The fusion plugin's codec is swapped for a
 // counting wrapper after the job is built, so any decode, line build,
@@ -333,7 +333,7 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 				if n := counting.calls.Load(); n != 0 {
 					t.Fatalf("warm frame-cache stream made %d codec calls, want 0", n)
 				}
-				if fs := s.frames.Stats(); fs.Hits == 0 {
+				if fs := s.cache.Stats(wireFrames); fs.Hits == 0 {
 					t.Fatalf("warm stream took no frame-cache hits: %+v", fs)
 				}
 				if s.metrics.frameStoreHits.Value() != diskHits {
@@ -574,12 +574,12 @@ func (h countedHandle) Close() error {
 	return h.ReaderAtCloser.Close()
 }
 
-// TestColdFrameStreamReleasesStoreHandles: with the caches off, a frame
+// TestColdFrameStreamReleasesStoreHandles: with the cache off, a frame
 // stream reads every shard's sidecar through its own store handle. Each
-// handle must be closed once the shard's last range is written — at
-// most two are open together, because one batch can span a shard
-// boundary — not held until the stream ends, which would keep a paced
-// stream over a K-shard job holding K open files.
+// handle is closed once the sidecar is read and checked, before any of
+// its bytes are written — so one is open at a time, even while a batch
+// spans a shard boundary, and a paced stream over a K-shard job never
+// holds files open while it waits on its client.
 func TestColdFrameStreamReleasesStoreHandles(t *testing.T) {
 	dataDir := t.TempDir()
 	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 7, Shots: 16}})[0]
@@ -600,8 +600,8 @@ func TestColdFrameStreamReleasesStoreHandles(t *testing.T) {
 	if hits := s.metrics.frameStoreHits.Value(); hits != float64(st.Shards) {
 		t.Fatalf("%v of %d shards served from sidecars", hits, st.Shards)
 	}
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("stream held %d store handles open at once, want at most 2", p)
+	if p := peak.Load(); p > 1 {
+		t.Fatalf("stream held %d store handles open at once, want at most 1", p)
 	}
 	if n := live.Load(); n != 0 {
 		t.Fatalf("%d store handles still open after the stream ended", n)

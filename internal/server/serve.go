@@ -4,27 +4,20 @@
 // batch loop for both wires; the only per-wire code (batchWire) is how
 // a shard resolves to a source and how one buffered batch is written.
 //
-// Every frame-wire shard read resolves through one decision tree, to
-// one of two source types:
+// Every shard read of either wire goes through the serving cache
+// (cache.go), which holds the shard encoded for that wire. A frame-wire
+// miss is loadFrames: the shard's sidecar read whole and CRC-checked
+// (zero codec calls), or, when it has no usable one, the shard read,
+// decoded and encoded, which backfills the sidecar so the next cold
+// read takes the sidecar branch. A torn, truncated, or bit-flipped
+// sidecar is rejected by its CRCs, deleted, and rebuilt by the fallback
+// it forces — corrupt bytes are never served, and the damage costs one
+// request, not every cold open.
 //
-//	frame cache on  → *encodedShard out of the frame cache; a miss fills
-//	                  it by loadFrames(inMemory): the sidecar read whole
-//	                  + CRC (zero codec calls), else decode+encode
-//	frame cache off → loadFrames(streaming): a usable sidecar becomes a
-//	                  *sidecarStream (CRC pass, then ranges io.CopyN'd
-//	                  off the store); else decode+encode into an
-//	                  *encodedShard for this request
-//	decode+encode   → backfills the sidecar, so the next cold read of
-//	                  the shard takes the sidecar branch
-//
-// A torn, truncated, or bit-flipped sidecar is rejected by its CRCs,
-// deleted, and rebuilt by the fallback it forces — corrupt bytes are
-// never served, and the damage costs one request, not every cold open.
-//
-// NDJSON streams read per-record JSON fragments (domain.LineFragments)
-// through the line cache: a miss reads, decodes and encodes the shard
-// once; every batch line is then a header plus slices of the cached
-// fragments, byte-identical to encoding the batch with encoding/json.
+// An NDJSON miss reads, decodes and encodes the shard into per-record
+// JSON fragments (domain.LineFragments); every batch line is then a
+// header plus slices of the fragments, byte-identical to encoding the
+// batch with encoding/json.
 package server
 
 import (
@@ -220,30 +213,12 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	pos := start            // position after the last record buffered for emission
 	var ranges []batchRange // the next batch: one record range per shard it spans
 	count := 0              // records in ranges
-	var cur shardSource     // the shard being read
-	// A source is released once the batch holding its last range is
-	// written, so a cold stream holds open at most the shard it reads
-	// and the one before it; whatever it still holds at the end goes
-	// here.
-	defer func() {
-		cur.release()
-		for _, rg := range ranges {
-			rg.src.release()
-		}
-	}()
 
 	// flush writes the buffered batch, then does the per-batch
 	// bookkeeping: latency, counters, flush, and pacing — which charges
 	// the bytes actually written, so both wires are throttled alike.
 	flush := func() error {
-		defer func() {
-			for _, rg := range ranges {
-				if rg.last {
-					rg.src.release()
-				}
-			}
-			ranges, count = ranges[:0], 0
-		}()
+		defer func() { ranges, count = ranges[:0], 0 }()
 		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: kind}
 		before := cw.n
 		// Encode and write are timed apart: the encode histogram is
@@ -301,19 +276,15 @@ shards:
 			halted = true
 			break
 		}
-		cur = src
 		j := 0
 		if si == start.Shard {
 			j = min(start.Record, n)
-		}
-		if j == n {
-			src.release() // nothing of this shard is left to serve
 		}
 		for j < n {
 			// Batches may span shards; a batch's records from one shard
 			// are one contiguous range.
 			take := min(n-j, batchSize-count)
-			ranges = append(ranges, batchRange{src: src, a: j, b: j + take, last: j+take == n})
+			ranges = append(ranges, batchRange{src: src, a: j, b: j + take})
 			count += take
 			j += take
 			pos = advanceCursor(plan.manifest, si, j-1)
@@ -357,23 +328,14 @@ type batchWire interface {
 // fragments or its frame-ready payload.
 type shardSource struct {
 	lines  *domain.LineFragments
-	frames frameSource
-}
-
-// release closes the store handle a sidecar-streamed source holds
-// (other sources hold none). Releasing twice is harmless.
-func (src shardSource) release() {
-	if c, ok := src.frames.(io.Closer); ok {
-		c.Close()
-	}
+	frames *encodedShard
 }
 
 // batchRange is the records [a, b) of one shard's source, buffered for
-// the next batch; last marks the range that ends its shard.
+// the next batch.
 type batchRange struct {
 	src  shardSource
 	a, b int
-	last bool
 }
 
 // ndjsonWire writes each batch as one JSON line: the header fields,
@@ -415,10 +377,10 @@ func (w *ndjsonWire) errorBytes(err error) []byte {
 
 // frameWire frames each batch under a fresh header. The envelope is a
 // handful of varint bytes; the payload is written straight from each
-// source — cached buffers, or io.CopyN off an on-store sidecar —
-// byte-identical to what EncodeFrame would produce (a codec batch
-// payload is the concatenation of its records' payloads), with the
-// encode histogram collapsing to header-assembly time.
+// source's encoded bytes, byte-identical to what EncodeFrame would
+// produce (a codec batch payload is the concatenation of its records'
+// payloads), with the encode histogram collapsing to header-assembly
+// time.
 type frameWire struct {
 	s    *Server
 	ctx  context.Context
@@ -426,19 +388,11 @@ type frameWire struct {
 }
 
 func (w *frameWire) source(info shard.Info) (shardSource, int, error) {
-	var src frameSource
-	var err error
-	if w.s.opts.ServeCacheBytes > 0 {
-		src, err = w.s.frames.Get(w.plan.job.id+"/"+info.Name, func() (frameSource, int64, error) {
-			return w.s.loadFrames(w.ctx, w.plan, info, true)
-		})
-	} else {
-		src, _, err = w.s.loadFrames(w.ctx, w.plan, info, false)
-	}
+	enc, err := w.s.shardFrames(w.ctx, w.plan, info)
 	if err != nil {
 		return shardSource{}, 0, err
 	}
-	return shardSource{frames: src}, src.count(), nil
+	return shardSource{frames: enc}, enc.count(), nil
 }
 
 func (w *frameWire) encode(h domain.BatchHeader, count int, rs []batchRange) ([]byte, error) {
@@ -461,9 +415,9 @@ func (w *frameWire) writePayload(out io.Writer, rs []batchRange) error {
 func (w *frameWire) errorBytes(err error) []byte { return domain.EncodeErrorFrame(err.Error()) }
 
 // shardLines returns one shard's NDJSON line fragments through the
-// line cache; a miss reads, decodes and fragment-encodes the shard.
+// serving cache; a miss reads, decodes and fragment-encodes the shard.
 func (s *Server) shardLines(ctx context.Context, p *servePlan, info shard.Info) (*domain.LineFragments, error) {
-	return s.lines.Get(p.job.id+"/"+info.Name, func() (*domain.LineFragments, int64, error) {
+	v, err := s.cache.Get(cacheKey{wireLines, p.job.id + "/" + info.Name}, func() (any, int64, error) {
 		lf, err := loadShard(s, ctx, p, info, func(recs []any) (*domain.LineFragments, error) {
 			return domain.EncodeRecordJSON(p.plug.Codec, recs)
 		})
@@ -472,6 +426,26 @@ func (s *Server) shardLines(ctx context.Context, p *servePlan, info shard.Info) 
 		}
 		return lf, lf.MemBytes(), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*domain.LineFragments), nil
+}
+
+// shardFrames returns one shard's frame-ready payload through the
+// serving cache; a miss is loadFrames.
+func (s *Server) shardFrames(ctx context.Context, p *servePlan, info shard.Info) (*encodedShard, error) {
+	v, err := s.cache.Get(cacheKey{wireFrames, p.job.id + "/" + info.Name}, func() (any, int64, error) {
+		enc, err := s.loadFrames(ctx, p, info)
+		if err != nil {
+			return nil, 0, err
+		}
+		return enc, enc.memBytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*encodedShard), nil
 }
 
 // loadShard reads one shard off the store (checksum verified), decodes
@@ -507,16 +481,8 @@ func loadShard[T any](s *Server, ctx context.Context, p *servePlan, info shard.I
 	return out, err
 }
 
-// frameSource is one shard's frame payload, sliceable by record range.
-type frameSource interface {
-	count() int
-	rangeLen(a, b int) int
-	writeRange(w io.Writer, a, b int) error
-	memBytes() int64 // resident bytes, charged to the frame cache
-}
-
-// encodedShard is one shard's records in frame-ready byte form, held
-// in memory: a frame-cache entry, or one request's decode+encode.
+// encodedShard is one shard's records in frame-ready byte form: the
+// serving cache's frame-wire value.
 type encodedShard struct {
 	payload []byte
 	// offsets has len(records)+1 entries; record i occupies
@@ -532,116 +498,88 @@ func (e *encodedShard) writeRange(w io.Writer, a, b int) error {
 	return err
 }
 
-// sidecarStream serves a shard's payload ranges straight off the
-// store — the fully-cold path that never touches either cache. It
-// holds the store handle behind its sidecar until Close.
-type sidecarStream struct {
-	sc *domain.Sidecar
-	ra io.Closer // nil once closed, or when the sidecar was read into memory
-}
-
-func (s *sidecarStream) count() int                             { return s.sc.Count() }
-func (s *sidecarStream) rangeLen(a, b int) int                  { return int(s.sc.RangeLen(a, b)) }
-func (s *sidecarStream) writeRange(w io.Writer, a, b int) error { return s.sc.WriteRange(w, a, b) }
-func (s *sidecarStream) memBytes() int64                        { return 0 } // the payload stays on the store
-
-// Close releases the store handle; closing again is a no-op.
-func (s *sidecarStream) Close() error {
-	if s.ra == nil {
-		return nil
-	}
-	err := s.ra.Close()
-	s.ra = nil
-	return err
-}
-
-// loadFrames resolves one shard to its frame payload and the bytes that
-// payload holds in memory. The shard's sidecar comes first — read
-// whole and CRC-checked when inMemory (a frame-cache fill), otherwise
-// CRC-checked and left on the store to stream by range — and a missing
-// or unusable one falls back to reading, decoding and encoding the
-// shard, backfilling the sidecar. The load is spanned as frame.fill
-// under the request (a fallback's read+decode+encode appears beside it
-// as shard.load, parented to the request span too).
-func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info, inMemory bool) (frameSource, int64, error) {
+// loadFrames reads one shard's frame-ready payload: its sidecar when
+// one is usable, else the shard read, decoded and encoded, which
+// backfills the sidecar. The load is spanned as frame.fill under the
+// request (a fallback's read+decode+encode appears beside it as
+// shard.load, parented to the request span too).
+func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info) (*encodedShard, error) {
 	start := time.Now()
-	if st := s.openFrameSidecar(p, info); st != nil {
-		var src frameSource = st
+	source := "sidecar"
+	enc := s.readFrameSidecar(p, info)
+	if enc == nil {
+		s.metrics.frameStoreMisses.Inc()
 		var err error
-		if inMemory {
-			var payload []byte
-			payload, err = st.sc.Payload()
-			st.Close()
-			src = &encodedShard{payload: payload, offsets: st.sc.Offsets()}
-		} else if err = st.sc.VerifyPayload(); err != nil {
-			st.Close()
+		enc, err = loadShard(s, ctx, p, info, func(recs []any) (*encodedShard, error) {
+			payload, offsets, err := domain.EncodeRecordPayloads(p.plug.Codec, recs)
+			return &encodedShard{payload: payload, offsets: offsets}, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		if err == nil {
-			s.metrics.frameStoreHits.Inc()
-			s.metrics.frameStoreBytes.Add(float64(st.sc.PayloadLen()))
-			s.recordChildSpan(ctx, "frame.fill", start, time.Now(),
-				map[string]string{"shard": info.Name, "source": "sidecar"})
-			return src, src.memBytes(), nil
-		}
-		s.rejectSidecar(p, info, err)
+		s.backfillSidecar(p, info, enc.payload, enc.offsets)
+		source = "encode"
 	}
-	s.metrics.frameStoreMisses.Inc()
-	enc, err := loadShard(s, ctx, p, info, func(recs []any) (*encodedShard, error) {
-		payload, offsets, err := domain.EncodeRecordPayloads(p.plug.Codec, recs)
-		return &encodedShard{payload: payload, offsets: offsets}, err
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	s.backfillSidecar(p, info, enc.payload, enc.offsets)
 	s.recordChildSpan(ctx, "frame.fill", start, time.Now(),
-		map[string]string{"shard": info.Name, "source": "encode"})
-	return enc, enc.memBytes(), nil
+		map[string]string{"shard": info.Name, "source": source})
+	return enc, nil
 }
 
-// openFrameSidecar opens one shard's sidecar and verifies its metadata
-// (format CRC, kind, record count against the manifest). nil means "no
-// usable sidecar" — absent (silent) or corrupt (rejectSidecar) — and
-// the caller falls back to decode+encode. The payload CRC is NOT
-// checked here; the caller verifies it via Payload or VerifyPayload
-// before any byte reaches a client, and rejects the sidecar itself if
-// it fails.
-func (s *Server) openFrameSidecar(p *servePlan, info shard.Info) *sidecarStream {
+// readFrameSidecar reads one shard's sidecar into memory. nil means "no
+// usable sidecar" — absent (silent) or rejected (rejectSidecar) — and
+// the caller falls back to decode+encode.
+func (s *Server) readFrameSidecar(p *servePlan, info shard.Info) *encodedShard {
 	if p.store.Size(p.storedSidecar(info)) == 0 {
 		return nil
 	}
-	name := domain.SidecarName(info.Name)
-	st := &sidecarStream{}
-	var err error
-	if ro, ok := p.store.(shard.RangeOpener); ok && p.key == nil {
-		// Plaintext store with random access: leave the payload on the
-		// store and read ranges on demand.
-		var ra shard.ReaderAtCloser
-		var size int64
-		if ra, size, err = ro.OpenRange(name); err == nil {
-			st.ra = ra
-			st.sc, err = domain.OpenSidecar(ra, size)
-		}
-	} else {
-		// Sealed domains (the opener decrypts whole objects) and stores
-		// without range reads: pull the sidecar into memory once.
-		var b []byte
-		if b, err = shard.ReadObject(p.open, name); err == nil {
-			st.sc, err = domain.OpenSidecar(bytes.NewReader(b), int64(len(b)))
-		}
-	}
-	if err == nil && st.sc.Kind() != p.plug.Codec.Kind() {
-		err = fmt.Errorf("sidecar kind %q, codec serves %q", st.sc.Kind(), p.plug.Codec.Kind())
-	}
-	if err == nil && st.sc.Count() != info.Records {
-		err = fmt.Errorf("sidecar holds %d records, manifest says %d", st.sc.Count(), info.Records)
-	}
+	enc, err := p.readSidecar(info)
 	if err != nil {
-		st.Close()
 		s.rejectSidecar(p, info, err)
 		return nil
 	}
-	return st
+	s.metrics.frameStoreHits.Inc()
+	s.metrics.frameStoreBytes.Add(float64(len(enc.payload)))
+	return enc
+}
+
+// readSidecar reads one shard's sidecar and checks all of it — format
+// and payload CRCs, kind, and record count against the manifest —
+// before any byte can reach a client. A plaintext store with random
+// access is read by range (header, footer, index, payload) through a
+// handle closed before it returns; a sealed sidecar is read whole
+// through the decrypting opener.
+func (p *servePlan) readSidecar(info shard.Info) (*encodedShard, error) {
+	name := domain.SidecarName(info.Name)
+	var sc *domain.Sidecar
+	if ro, ok := p.store.(shard.RangeOpener); ok && p.key == nil {
+		ra, size, err := ro.OpenRange(name)
+		if err != nil {
+			return nil, err
+		}
+		defer ra.Close()
+		if sc, err = domain.OpenSidecar(ra, size); err != nil {
+			return nil, err
+		}
+	} else {
+		b, err := shard.ReadObject(p.open, name)
+		if err != nil {
+			return nil, err
+		}
+		if sc, err = domain.OpenSidecar(bytes.NewReader(b), int64(len(b))); err != nil {
+			return nil, err
+		}
+	}
+	if sc.Kind() != p.plug.Codec.Kind() {
+		return nil, fmt.Errorf("sidecar kind %q, codec serves %q", sc.Kind(), p.plug.Codec.Kind())
+	}
+	if sc.Count() != info.Records {
+		return nil, fmt.Errorf("sidecar holds %d records, manifest says %d", sc.Count(), info.Records)
+	}
+	payload, err := sc.Payload()
+	if err != nil {
+		return nil, err
+	}
+	return &encodedShard{payload: payload, offsets: sc.Offsets()}, nil
 }
 
 // objectRemover is the optional store side that replacing a damaged

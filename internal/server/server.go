@@ -43,16 +43,12 @@ type Options struct {
 	// are rejected with 429 (explicit backpressure, not unbounded RAM).
 	// <=0 means 64.
 	QueueDepth int
-	// ServeCacheBytes is the one serving-cache byte budget (the
-	// -serve-cache-mb arena), shared by the NDJSON line cache and the
-	// encoded-frame cache. Both wires serve batches by slicing a shard's
-	// cached encoding — per-record JSON fragments or frame-ready payload
-	// bytes — with no per-request tensor marshalling. Eviction is
-	// weighted: frame payloads are cheap to refill from frame sidecars,
-	// so they are evicted preferentially; line entries only pay once
-	// frames hold a small fraction of the resident bytes. <=0 disables
-	// both caches (frame batches serve from on-store sidecars, or encode
-	// per request; NDJSON streams encode each shard they read).
+	// ServeCacheBytes is the serving cache's byte budget
+	// (-serve-cache-mb): one LRU over shards encoded for either wire —
+	// per-record JSON fragments or frame-ready payload bytes — which
+	// both wires slice batches from with no per-request tensor
+	// marshalling. <=0 retains nothing: each stream loads every shard it
+	// reads (concurrent loads of one shard still coalesce).
 	ServeCacheBytes int64
 	// ServeMaxKBps caps every batch stream's throughput (KiB/second,
 	// token bucket per stream). <=0 leaves streams unpaced. Clients may
@@ -137,9 +133,8 @@ type Options struct {
 // stop with Close.
 type Server struct {
 	mux     *http.ServeMux
-	handler http.Handler                       // mux wrapped in the telemetry middleware
-	lines   *ShardCache[*domain.LineFragments] // NDJSON line fragments
-	frames  *ShardCache[frameSource]           // frame-ready shard payloads (*encodedShard)
+	handler http.Handler // mux wrapped in the telemetry middleware
+	cache   *ShardCache  // shards encoded for either wire (cache.go)
 	opts    Options
 
 	mu     sync.Mutex
@@ -200,13 +195,9 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	// The arena gives each cache the full joint budget as its individual
-	// ceiling; the arena's weighted rebalance is what keeps their sum
-	// under it.
 	s := &Server{
 		mux:         http.NewServeMux(),
-		lines:       NewShardCache[*domain.LineFragments](opts.ServeCacheBytes),
-		frames:      NewShardCache[frameSource](opts.ServeCacheBytes),
+		cache:       NewShardCache(opts.ServeCacheBytes),
 		opts:        opts,
 		jobs:        make(map[string]*Job),
 		queue:       make(chan *Job, opts.QueueDepth),
@@ -219,10 +210,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.ServeBudgetKBps > 0 {
 		s.fair = newFairShare(int64(opts.ServeBudgetKBps) << 10)
-	}
-	if opts.ServeCacheBytes > 0 {
-		arena := &cacheArena{budget: opts.ServeCacheBytes, frames: s.frames, lines: s.lines}
-		s.lines.arena, s.frames.arena = arena, arena
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -901,14 +888,13 @@ func (s *Server) maybeEvict() {
 	s.mu.Unlock()
 
 	for _, j := range released {
-		s.lines.DropPrefix(j.id + "/")
-		s.frames.DropPrefix(j.id + "/")
+		s.cache.DropPrefix(j.id + "/")
 		// The ring owner re-retains these bytes on its side; this copy no
 		// longer charges the tenant here.
 		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
 	}
 	for _, j := range victims {
-		// Destroy the shard files before invalidating the caches: a load
+		// Destroy the shard files before invalidating the cache: a load
 		// that starts in the gap then either fails (files gone — nothing
 		// inserted) or completes before DropPrefix and is swept or
 		// tombstoned by it. The reverse order would let a load beginning
@@ -921,8 +907,7 @@ func (s *Server) maybeEvict() {
 			// interrupted) may still own a shard directory.
 			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", j.id))
 		}
-		s.lines.DropPrefix(j.id + "/")
-		s.frames.DropPrefix(j.id + "/")
+		s.cache.DropPrefix(j.id + "/")
 		if s.log != nil {
 			_ = s.appendLog(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()})
 		}

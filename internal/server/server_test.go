@@ -419,7 +419,7 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	cs := s.lines.Stats()
+	cs := s.cache.Stats(wireLines)
 	if cs.Hits == 0 {
 		t.Fatalf("no cache hits across 8 readers: %+v", cs)
 	}
@@ -434,18 +434,13 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 }
 
 func TestShardCacheEviction(t *testing.T) {
-	c := NewShardCache[[]any](100)
-	load := func(n int64) func() ([]any, int64, error) {
-		return func() ([]any, int64, error) {
-			return []any{&loader.Sample{Features: []float32{1}, Label: 1}}, n, nil
-		}
-	}
+	c := NewShardCache(100)
 	for i := 0; i < 5; i++ {
-		if _, err := c.Get(fmt.Sprintf("k%d", i), load(40)); err != nil {
+		if _, err := c.Get(lineKey(fmt.Sprintf("k%d", i)), sized(&loader.Sample{Features: []float32{1}, Label: 1}, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cs := c.Stats()
+	cs := c.Stats(wireLines)
 	if cs.Bytes > 100 {
 		t.Fatalf("cache over budget: %+v", cs)
 	}
@@ -459,7 +454,7 @@ func TestShardCacheEviction(t *testing.T) {
 		t.Fatalf("no entries resident: %+v", cs)
 	}
 	c.DropPrefix("k")
-	cs = c.Stats()
+	cs = c.Stats(wireLines)
 	if cs.Entries != 0 || cs.Bytes != 0 {
 		t.Fatalf("DropPrefix left entries: %+v", cs)
 	}

@@ -141,30 +141,30 @@ func (m *serverMetrics) observeStage(stage string, seconds float64, calls, bytes
 // scrape.
 func (s *Server) registerCollectors() {
 	reg := s.metrics.reg
-	reg.GaugeFunc("draid_shard_cache_entries", "Shards resident in the NDJSON line-fragment cache.",
-		func() float64 { return float64(s.lines.Stats().Entries) })
-	reg.GaugeFunc("draid_shard_cache_bytes", "NDJSON line-fragment bytes (fragments plus offsets) resident in the cache.",
-		func() float64 { return float64(s.lines.Stats().Bytes) })
+	reg.GaugeFunc("draid_shard_cache_entries", "Shards resident in the serving cache as NDJSON line fragments.",
+		func() float64 { return float64(s.cache.Stats(wireLines).Entries) })
+	reg.GaugeFunc("draid_shard_cache_bytes", "NDJSON line-fragment bytes (fragments plus offsets) resident in the serving cache.",
+		func() float64 { return float64(s.cache.Stats(wireLines).Bytes) })
 	reg.CounterFunc("draid_shard_cache_hits_total", "NDJSON shard reads served from cached line fragments.",
-		func() float64 { return float64(s.lines.Stats().Hits) })
+		func() float64 { return float64(s.cache.Stats(wireLines).Hits) })
 	reg.CounterFunc("draid_shard_cache_misses_total", "NDJSON shard reads that had to load, decode and fragment-encode the shard.",
-		func() float64 { return float64(s.lines.Stats().Misses) })
+		func() float64 { return float64(s.cache.Stats(wireLines).Misses) })
 	reg.CounterFunc("draid_shard_cache_evictions_total", "Line-fragment shards evicted by byte-budget pressure.",
-		func() float64 { return float64(s.lines.Stats().Evictions) })
+		func() float64 { return float64(s.cache.Stats(wireLines).Evictions) })
 	reg.CounterFunc("draid_shard_cache_invalidations_total", "Line-fragment shards removed by job eviction or release (DropPrefix).",
-		func() float64 { return float64(s.lines.Stats().Invalidations) })
-	reg.GaugeFunc("draid_frame_cache_entries", "Encoded-frame shards resident in the frame cache.",
-		func() float64 { return float64(s.frames.Stats().Entries) })
-	reg.GaugeFunc("draid_frame_cache_bytes", "Frame-ready payload bytes resident in the frame cache.",
-		func() float64 { return float64(s.frames.Stats().Bytes) })
-	reg.CounterFunc("draid_frame_cache_hits_total", "Frame-wire shard reads served from pre-encoded payload bytes.",
-		func() float64 { return float64(s.frames.Stats().Hits) })
-	reg.CounterFunc("draid_frame_cache_misses_total", "Frame-wire shard reads that had to encode the shard's payload.",
-		func() float64 { return float64(s.frames.Stats().Misses) })
-	reg.CounterFunc("draid_frame_cache_evictions_total", "Encoded-frame shards evicted by byte-budget pressure.",
-		func() float64 { return float64(s.frames.Stats().Evictions) })
-	reg.CounterFunc("draid_frame_cache_invalidations_total", "Encoded-frame shards removed by job eviction or release (DropPrefix).",
-		func() float64 { return float64(s.frames.Stats().Invalidations) })
+		func() float64 { return float64(s.cache.Stats(wireLines).Invalidations) })
+	reg.GaugeFunc("draid_frame_cache_entries", "Shards resident in the serving cache as frame-ready payloads.",
+		func() float64 { return float64(s.cache.Stats(wireFrames).Entries) })
+	reg.GaugeFunc("draid_frame_cache_bytes", "Frame-ready payload bytes (payload plus offsets) resident in the serving cache.",
+		func() float64 { return float64(s.cache.Stats(wireFrames).Bytes) })
+	reg.CounterFunc("draid_frame_cache_hits_total", "Frame-wire shard reads served from cached payload bytes.",
+		func() float64 { return float64(s.cache.Stats(wireFrames).Hits) })
+	reg.CounterFunc("draid_frame_cache_misses_total", "Frame-wire shard reads that had to load the shard's payload (sidecar, or decode+encode).",
+		func() float64 { return float64(s.cache.Stats(wireFrames).Misses) })
+	reg.CounterFunc("draid_frame_cache_evictions_total", "Frame-payload shards evicted by byte-budget pressure.",
+		func() float64 { return float64(s.cache.Stats(wireFrames).Evictions) })
+	reg.CounterFunc("draid_frame_cache_invalidations_total", "Frame-payload shards removed by job eviction or release (DropPrefix).",
+		func() float64 { return float64(s.cache.Stats(wireFrames).Invalidations) })
 	if c := s.opts.Cluster; c != nil {
 		reg.GaugeFunc("draid_cluster_members", "Configured fleet size.",
 			func() float64 { return float64(len(c.Nodes())) })
