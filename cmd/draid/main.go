@@ -95,7 +95,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "concurrent pipeline executions")
 	queueDepth := flag.Int("queue", 64, "max queued jobs before submissions get 429")
-	serveCacheMB := flag.Int64("serve-cache-mb", 256, "serving-cache budget in MiB: one LRU over shards encoded for either wire, NDJSON line fragments or frame payloads (0 retains nothing)")
+	serveCacheMB := flag.Int64("serve-cache-mb", 256, "serving-cache budget in MiB: one LRU over shards encoded for either wire, NDJSON line fragments or frame sidecar images, admitting a load that would evict only if its shard was read at least as often as the LRU victim (0 retains nothing)")
 	serveMaxKBps := flag.Int("serve-max-kbps", 0, "per-stream batch throughput ceiling in KiB/s (0 = unpaced; clients can lower theirs with ?max_kbps=)")
 	serveBudgetKBps := flag.Int("serve-budget-kbps", 0, "global weighted-fair bandwidth budget in KiB/s shared by all batch streams: split across active tenants by weight, then evenly across each tenant's streams (0 = per-stream pacing only)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON: id, token, weight, admin, quotas); enables bearer-token auth and per-tenant scoping — the file must be chmod 0600")

@@ -64,7 +64,9 @@ type decryptOpener struct {
 	suffix string
 }
 
-// Open implements shard.Opener over sealed shards.
+// Open implements shard.Opener over sealed shards. A sealed object that
+// was read but does not open under the key fails with ErrCorrupt; the
+// store's own errors pass through unwrapped.
 func (o decryptOpener) Open(name string) (io.ReadCloser, error) {
 	sealed, err := shard.ReadObject(o.sink, name+o.suffix)
 	if err != nil {
@@ -72,10 +74,16 @@ func (o decryptOpener) Open(name string) (io.ReadCloser, error) {
 	}
 	plain, err := anonymize.DecryptShard(o.key, name, sealed)
 	if err != nil {
-		return nil, err
+		return nil, corruptError{err}
 	}
-	return io.NopCloser(bytes.NewReader(plain)), nil
+	return plainObject{bytes.NewReader(plain)}, nil
 }
+
+// plainObject is an opened sealed object's plaintext. Its Size lets
+// shard.ReadObject read it into one buffer of the exact length.
+type plainObject struct{ *bytes.Reader }
+
+func (plainObject) Close() error { return nil }
 
 // encryptSink is decryptOpener's write-path mirror: objects created
 // under a plaintext name are sealed on Close and stored as

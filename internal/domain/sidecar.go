@@ -1,9 +1,10 @@
 // Frame-ready shard sidecars: each sealed shard can carry a
 // `<shard>.fpay` companion holding its records already packed in the
 // frame wire's payload encoding, plus the per-record boundary offsets.
-// A cold frame stream is then served by writing FrameEnvelope headers
-// and io.CopyN-ing payload byte ranges straight off the store — zero
-// codec Encode/Decode calls — instead of decode+encode per request.
+// A cold frame read is then one read of the whole sidecar, verified by
+// ParseSidecar and served as byte ranges of that one image under fresh
+// FrameEnvelope headers — zero codec Encode/Decode calls — instead of
+// decode+encode per request.
 //
 // Sidecar layout (all fixed-width integers little-endian):
 //
@@ -19,8 +20,8 @@
 //
 // The index and footer trail the payload so a writer can stream the
 // payload without knowing record boundaries up front, and a reader
-// can locate everything from the file size alone: footer at size-28,
-// index just before it. Both CRCs split the failure domains — crcMeta
+// can locate everything from the image's size alone: footer at
+// size-28, index just before it. Both CRCs split the failure domains — crcMeta
 // guards the bytes the parser trusts for addressing, crcPayload
 // guards the record bytes themselves — so a torn or bit-flipped
 // sidecar is detected before a single corrupt byte reaches the wire.
@@ -28,6 +29,7 @@ package domain
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -103,166 +105,167 @@ func EncodeSidecarFile(c Codec, recs []any) ([]byte, error) {
 	return AppendSidecar(nil, c.Kind(), payload, offsets)
 }
 
-// Sidecar is a parsed, metadata-verified sidecar handle. The payload
-// stays behind the ReaderAt until Payload, VerifyPayload or WriteRange
-// reads it, but the header, index, and footer have already been read,
-// bounds-checked, and CRC-verified.
-type Sidecar struct {
-	kind       string
-	ra         io.ReaderAt
-	payloadOff int64
-	payloadLen int64
-	offsets    []int64
-	crcPayload uint32
+// ErrCorrupt is wrapped by every error meaning an object's bytes were
+// read in full but fail a format or integrity check: a sidecar
+// ParseSidecar refuses, or a sealed object that does not open under its
+// key. A store's own failures (a missing or unreadable object) never
+// wrap it, so a reader can delete what is damaged and keep what it
+// merely could not read this time.
+var ErrCorrupt = errors.New("domain: corrupt object")
+
+// corruptError marks err as ErrCorrupt without changing its text.
+type corruptError struct{ err error }
+
+func (e corruptError) Error() string   { return e.err.Error() }
+func (e corruptError) Unwrap() []error { return []error{ErrCorrupt, e.err} }
+
+func corruptf(format string, args ...any) error {
+	return corruptError{fmt.Errorf(format, args...)}
 }
 
-// OpenSidecar parses and verifies a sidecar's metadata from a
-// random-access handle of the given total size. Every length is
-// checked against size before anything is allocated, so a truncated,
-// torn, or hostile file fails cleanly here. The payload bytes are NOT
-// verified — call VerifyPayload (streaming) or Payload (in-memory)
-// before serving from it.
-func OpenSidecar(ra io.ReaderAt, size int64) (*Sidecar, error) {
+// maxSidecarBytes bounds a sidecar's size: the largest payload, plus
+// one index entry per payload byte (every record costs at least one),
+// plus header and footer. OpenSidecar refuses a larger size before it
+// allocates anything.
+const maxSidecarBytes = sidecarHeaderMin + maxKindLen + MaxFrameBytes + (MaxFrameBytes+1)*8 + sidecarFooterLen
+
+// Sidecar is a parsed and fully verified sidecar held in memory: its
+// kind, payload and offset index are sub-slices of the one image it was
+// parsed from, and both CRCs have been checked. It is immutable and
+// safe to share between readers.
+type Sidecar struct {
+	image   []byte // the whole sidecar
+	kind    string
+	payload []byte // image's payload section
+	index   []byte // image's offset index: Count()+1 little-endian u64s
+}
+
+// ParseSidecar verifies a whole sidecar image — header, footer, the
+// exact-size equation, the metadata CRC, every index offset and the
+// payload CRC — and returns it as a Sidecar over b, copying nothing. A
+// truncated, torn, bit-flipped or hostile image fails here, with an
+// error wrapping ErrCorrupt, before a single byte of it can be served.
+// b must not be modified afterwards.
+func ParseSidecar(b []byte) (*Sidecar, error) {
+	size := uint64(len(b))
 	if size < sidecarHeaderMin+8+sidecarFooterLen {
-		return nil, fmt.Errorf("domain: sidecar %d bytes is too short", size)
+		return nil, corruptf("domain: sidecar %d bytes is too short", size)
 	}
-	var head [sidecarHeaderMin + maxKindLen]byte
-	hn := int64(len(head))
-	if hn > size-sidecarFooterLen {
-		hn = size - sidecarFooterLen
+	if [4]byte(b[:4]) != sidecarMagic {
+		return nil, corruptf("domain: sidecar magic %q is not %q", b[:4], sidecarMagic)
 	}
-	if _, err := io.ReadFull(io.NewSectionReader(ra, 0, hn), head[:hn]); err != nil {
-		return nil, fmt.Errorf("domain: sidecar header: %w", err)
+	if b[4] != sidecarVersion {
+		return nil, corruptf("domain: sidecar version %d not supported (want %d)", b[4], sidecarVersion)
 	}
-	if [4]byte(head[:4]) != sidecarMagic {
-		return nil, fmt.Errorf("domain: sidecar magic %q is not %q", head[:4], sidecarMagic)
-	}
-	if head[4] != sidecarVersion {
-		return nil, fmt.Errorf("domain: sidecar version %d not supported (want %d)", head[4], sidecarVersion)
-	}
-	kindLen := int64(head[5])
-	if kindLen == 0 || kindLen > maxKindLen || sidecarHeaderMin+kindLen > hn {
-		return nil, fmt.Errorf("domain: sidecar kind length %d out of range", kindLen)
+	kindLen := uint64(b[5])
+	if kindLen == 0 || kindLen > maxKindLen || sidecarHeaderMin+kindLen > size-sidecarFooterLen {
+		return nil, corruptf("domain: sidecar kind length %d out of range", kindLen)
 	}
 	headerLen := sidecarHeaderMin + kindLen
 
-	var foot [sidecarFooterLen]byte
-	if _, err := ra.ReadAt(foot[:], size-sidecarFooterLen); err != nil {
-		return nil, fmt.Errorf("domain: sidecar footer: %w", err)
-	}
+	foot := b[size-sidecarFooterLen:]
 	if [4]byte(foot[24:28]) != sidecarTrailer {
-		return nil, fmt.Errorf("domain: sidecar trailer %q is not %q", foot[24:28], sidecarTrailer)
+		return nil, corruptf("domain: sidecar trailer %q is not %q", foot[24:28], sidecarTrailer)
 	}
 	count := binary.LittleEndian.Uint64(foot[0:8])
 	payloadLen := binary.LittleEndian.Uint64(foot[8:16])
 	if payloadLen > MaxFrameBytes {
-		return nil, fmt.Errorf("domain: sidecar payload %d bytes exceeds %d", payloadLen, MaxFrameBytes)
+		return nil, corruptf("domain: sidecar payload %d bytes exceeds %d", payloadLen, MaxFrameBytes)
 	}
 	// Every record costs at least one payload byte (matching the frame
-	// decoder's bound), so count<=payloadLen caps the index allocation,
-	// and the exact-size equation rejects any torn/truncated file.
+	// decoder's bound), so count<=payloadLen bounds the index, and the
+	// exact-size equation rejects any torn/truncated file.
 	if count > payloadLen {
-		return nil, fmt.Errorf("domain: sidecar claims %d records in %d payload bytes", count, payloadLen)
+		return nil, corruptf("domain: sidecar claims %d records in %d payload bytes", count, payloadLen)
 	}
 	indexLen := (count + 1) * 8
-	if uint64(size) != uint64(headerLen)+payloadLen+indexLen+sidecarFooterLen {
-		return nil, fmt.Errorf("domain: sidecar size %d does not match header %d + payload %d + index %d + footer %d",
+	if size != headerLen+payloadLen+indexLen+sidecarFooterLen {
+		return nil, corruptf("domain: sidecar size %d does not match header %d + payload %d + index %d + footer %d",
 			size, headerLen, payloadLen, indexLen, sidecarFooterLen)
 	}
 
-	index := make([]byte, indexLen)
-	indexOff := headerLen + int64(payloadLen)
-	if _, err := ra.ReadAt(index, indexOff); err != nil {
-		return nil, fmt.Errorf("domain: sidecar index: %w", err)
-	}
-	crcMeta := crc32.Checksum(head[:headerLen], sidecarCRC)
+	indexOff := headerLen + payloadLen
+	index := b[indexOff : indexOff+indexLen : indexOff+indexLen]
+	crcMeta := crc32.Checksum(b[:headerLen], sidecarCRC)
 	crcMeta = crc32.Update(crcMeta, sidecarCRC, index)
 	crcMeta = crc32.Update(crcMeta, sidecarCRC, foot[:20])
 	if got := binary.LittleEndian.Uint32(foot[20:24]); got != crcMeta {
-		return nil, fmt.Errorf("domain: sidecar metadata CRC mismatch (stored %08x, computed %08x)", got, crcMeta)
+		return nil, corruptf("domain: sidecar metadata CRC mismatch (stored %08x, computed %08x)", got, crcMeta)
 	}
-
-	offsets := make([]int64, count+1)
-	for i := range offsets {
+	var prev uint64
+	for i := uint64(0); i <= count; i++ {
 		off := binary.LittleEndian.Uint64(index[i*8:])
 		if off > payloadLen {
-			return nil, fmt.Errorf("domain: sidecar offset %d exceeds payload %d", off, payloadLen)
+			return nil, corruptf("domain: sidecar offset %d exceeds payload %d", off, payloadLen)
 		}
-		offsets[i] = int64(off)
-		if i > 0 && offsets[i] < offsets[i-1] {
-			return nil, fmt.Errorf("domain: sidecar offsets decrease at record %d", i-1)
+		if off < prev {
+			return nil, corruptf("domain: sidecar offsets decrease at record %d", i-1)
 		}
+		prev = off
 	}
-	if offsets[0] != 0 || offsets[count] != int64(payloadLen) {
-		return nil, fmt.Errorf("domain: sidecar offsets do not span the payload")
+	if binary.LittleEndian.Uint64(index) != 0 || prev != payloadLen {
+		return nil, corruptf("domain: sidecar offsets do not span the payload")
 	}
-	return &Sidecar{
-		kind:       string(head[sidecarHeaderMin:headerLen]),
-		ra:         ra,
-		payloadOff: headerLen,
-		payloadLen: int64(payloadLen),
-		offsets:    offsets,
-		crcPayload: binary.LittleEndian.Uint32(foot[16:20]),
-	}, nil
+
+	payload := b[headerLen:indexOff:indexOff]
+	if want, got := binary.LittleEndian.Uint32(foot[16:20]), crc32.Checksum(payload, sidecarCRC); got != want {
+		return nil, corruptf("domain: sidecar payload CRC mismatch (stored %08x, computed %08x)", want, got)
+	}
+	return &Sidecar{image: b, kind: string(b[sidecarHeaderMin:headerLen]), payload: payload, index: index}, nil
+}
+
+// OpenSidecar reads a whole sidecar of the given size from a
+// random-access handle in one ReadAt and parses it with ParseSidecar. A
+// size no sidecar can have is refused before anything is allocated. A
+// failed read returns the handle's error as is, so only the parser's
+// verdicts wrap ErrCorrupt.
+func OpenSidecar(ra io.ReaderAt, size int64) (*Sidecar, error) {
+	if size < 0 || size > maxSidecarBytes {
+		return nil, corruptf("domain: sidecar size %d out of range", size)
+	}
+	b := make([]byte, size)
+	if n, err := ra.ReadAt(b, 0); n < len(b) {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("domain: sidecar read: %w", err)
+	}
+	return ParseSidecar(b)
 }
 
 // Kind returns the wire kind the sidecar's payload is packed as.
 func (s *Sidecar) Kind() string { return s.kind }
 
 // Count returns the number of records in the payload.
-func (s *Sidecar) Count() int { return len(s.offsets) - 1 }
+func (s *Sidecar) Count() int { return len(s.index)/8 - 1 }
+
+// offset returns where record i starts in the payload; offset(Count())
+// is the payload length.
+func (s *Sidecar) offset(i int) int64 { return int64(binary.LittleEndian.Uint64(s.index[i*8:])) }
 
 // PayloadLen returns the total packed payload size in bytes.
-func (s *Sidecar) PayloadLen() int64 { return s.payloadLen }
+func (s *Sidecar) PayloadLen() int64 { return int64(len(s.payload)) }
 
 // RangeLen returns the payload byte length of records [a,b).
-func (s *Sidecar) RangeLen(a, b int) int64 { return s.offsets[b] - s.offsets[a] }
+func (s *Sidecar) RangeLen(a, b int) int64 { return s.offset(b) - s.offset(a) }
 
-// WriteRange copies the payload bytes of records [a,b) to w without
-// materializing the rest of the payload. It does not check the payload
-// CRC; call VerifyPayload first.
+// Bytes returns the whole sidecar image — byte for byte what a store
+// holds for it. Callers must not modify it.
+func (s *Sidecar) Bytes() []byte { return s.image }
+
+// WriteRange writes the payload bytes of records [a,b) to w.
 func (s *Sidecar) WriteRange(w io.Writer, a, b int) error {
-	n := s.RangeLen(a, b)
-	if n == 0 {
+	if a == b {
 		return nil
 	}
-	sr := io.NewSectionReader(s.ra, s.payloadOff+s.offsets[a], n)
-	if _, err := io.CopyN(w, sr, n); err != nil {
-		return fmt.Errorf("domain: sidecar payload range [%d,%d): %w", a, b, err)
-	}
-	return nil
+	_, err := w.Write(s.payload[s.offset(a):s.offset(b)])
+	return err
 }
 
-// Payload reads the whole payload, verifies its CRC, and returns it —
-// how the server reads a sidecar into its serving cache.
-func (s *Sidecar) Payload() ([]byte, error) {
-	p := make([]byte, s.payloadLen)
-	if _, err := io.ReadFull(io.NewSectionReader(s.ra, s.payloadOff, s.payloadLen), p); err != nil {
-		return nil, fmt.Errorf("domain: sidecar payload: %w", err)
-	}
-	if got := crc32.Checksum(p, sidecarCRC); got != s.crcPayload {
-		return nil, fmt.Errorf("domain: sidecar payload CRC mismatch (stored %08x, computed %08x)", s.crcPayload, got)
-	}
-	return p, nil
-}
-
-// Offsets returns the record boundary offsets (len Count()+1). The
-// slice is the Sidecar's own — callers must not mutate it.
-func (s *Sidecar) Offsets() []int64 { return s.offsets }
-
-// VerifyPayload streams the payload once and checks its CRC without
-// keeping it in memory — the pre-flight for WriteRange, so a
-// bit-flipped payload is caught before any of it is copied out.
-func (s *Sidecar) VerifyPayload() error {
-	h := crc32.New(sidecarCRC)
-	if _, err := io.CopyN(h, io.NewSectionReader(s.ra, s.payloadOff, s.payloadLen), s.payloadLen); err != nil {
-		return fmt.Errorf("domain: sidecar payload: %w", err)
-	}
-	if got := h.Sum32(); got != s.crcPayload {
-		return fmt.Errorf("domain: sidecar payload CRC mismatch (stored %08x, computed %08x)", s.crcPayload, got)
-	}
-	return nil
-}
+// VerifyPayload reports whether the payload matches its CRC. ParseSidecar
+// checks it before it returns a Sidecar, so this is always nil; it stays
+// for callers that open a sidecar and verify it as two steps.
+func (s *Sidecar) VerifyPayload() error { return nil }
 
 // BuildShardSidecars materializes the frame-ready sidecar for every
 // shard in m that does not already have one, reading records through

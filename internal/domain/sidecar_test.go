@@ -1,11 +1,13 @@
 // Tests for the frame-ready shard sidecar format: round-trip fidelity,
 // and — the property the disk tier's safety rests on — that every
-// torn, truncated, or bit-flipped sidecar is rejected by OpenSidecar
-// or VerifyPayload before a corrupt byte could reach a client.
+// torn, truncated, or bit-flipped sidecar is rejected by ParseSidecar,
+// with an error wrapping ErrCorrupt, before a corrupt byte could reach
+// a client.
 package domain
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -39,20 +41,19 @@ func TestSidecarRoundTrip(t *testing.T) {
 	if sc.PayloadLen() != int64(len(payload)) {
 		t.Fatalf("payload len %d, want %d", sc.PayloadLen(), len(payload))
 	}
-	for i, off := range sc.Offsets() {
-		if off != offsets[i] {
-			t.Fatalf("offset[%d] = %d, want %d", i, off, offsets[i])
+	for i, off := range offsets {
+		if got := sc.offset(i); got != off {
+			t.Fatalf("offset[%d] = %d, want %d", i, got, off)
 		}
 	}
 	if err := sc.VerifyPayload(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sc.Payload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
+	if got := sc.payload; !bytes.Equal(got, payload) {
 		t.Fatalf("payload %q, want %q", got, payload)
+	}
+	if !bytes.Equal(sc.Bytes(), file) {
+		t.Fatal("Bytes is not the image the sidecar was read from")
 	}
 	// Every record range streams exactly its payload slice, including
 	// the empty record and multi-record spans.
@@ -119,19 +120,21 @@ func TestAppendSidecarRejects(t *testing.T) {
 }
 
 // openAndVerify runs the full reader-side verification a server does
-// before serving: parse + metadata CRC, then payload CRC.
+// before serving — ParseSidecar checks format and both CRCs — and
+// requires every rejection to be marked ErrCorrupt, which is what lets
+// the server delete a damaged sidecar and keep an unreadable one.
 func openAndVerify(b []byte) error {
-	sc, err := OpenSidecar(bytes.NewReader(b), int64(len(b)))
-	if err != nil {
-		return err
+	_, err := ParseSidecar(b)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		return errors.New("rejection does not wrap ErrCorrupt: " + err.Error())
 	}
-	return sc.VerifyPayload()
+	return err
 }
 
 // TestSidecarCorruptionDetected: every single-byte flip anywhere in
 // the file, every truncation, and trailing garbage must all be caught
-// by OpenSidecar or VerifyPayload. The sidecar's two CRCs plus the
-// exact-size equation make this exhaustive check cheap.
+// by ParseSidecar. The sidecar's two CRCs plus the exact-size equation
+// make this exhaustive check cheap.
 func TestSidecarCorruptionDetected(t *testing.T) {
 	_, _, _, file := testSidecar(t)
 	if err := openAndVerify(file); err != nil {
@@ -157,9 +160,26 @@ func TestSidecarCorruptionDetected(t *testing.T) {
 	}
 }
 
-// FuzzSidecarDecode: OpenSidecar on arbitrary bytes must never panic
-// or over-allocate, and anything it accepts must hold the addressing
-// invariants range serving relies on.
+// TestOpenSidecarReadError: a handle that cannot deliver the whole
+// sidecar is a read failure, not damage — the error must not wrap
+// ErrCorrupt, or the server would delete a sound file over an I/O
+// hiccup.
+func TestOpenSidecarReadError(t *testing.T) {
+	_, _, _, file := testSidecar(t)
+	_, err := OpenSidecar(bytes.NewReader(file[:len(file)-1]), int64(len(file)))
+	if err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("short read: err = %v, want a read error that is not ErrCorrupt", err)
+	}
+	if _, err := OpenSidecar(bytes.NewReader(file), maxSidecarBytes+1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("impossible size: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzSidecarDecode: ParseSidecar on arbitrary bytes must never panic
+// or over-allocate, anything it accepts must hold the addressing
+// invariants range serving relies on, and OpenSidecar over a reader of
+// the same bytes must agree with it on accept/reject, kind, count and
+// payload.
 func FuzzSidecarDecode(f *testing.F) {
 	_, _, _, file := testSidecar(f)
 	f.Add(file)
@@ -171,33 +191,41 @@ func FuzzSidecarDecode(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte("FPAY"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, err := OpenSidecar(bytes.NewReader(data), int64(len(data)))
+		sc, err := ParseSidecar(data)
+		osc, oerr := OpenSidecar(bytes.NewReader(data), int64(len(data)))
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("ParseSidecar err %v, OpenSidecar err %v", err, oerr)
+		}
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(oerr, ErrCorrupt) {
+				t.Fatalf("rejections do not wrap ErrCorrupt: %v / %v", err, oerr)
+			}
 			return
 		}
-		offs := sc.Offsets()
-		if len(offs) != sc.Count()+1 || offs[0] != 0 || offs[sc.Count()] != sc.PayloadLen() {
-			t.Fatalf("accepted sidecar with inconsistent offsets: %v vs payload %d", offs, sc.PayloadLen())
+		if osc.Kind() != sc.Kind() || osc.Count() != sc.Count() || !bytes.Equal(osc.payload, sc.payload) {
+			t.Fatalf("OpenSidecar disagrees: kind %q/%q count %d/%d", osc.Kind(), sc.Kind(), osc.Count(), sc.Count())
 		}
-		if sc.RangeLen(0, sc.Count()) != sc.PayloadLen() {
-			t.Fatalf("full range %d != payload %d", sc.RangeLen(0, sc.Count()), sc.PayloadLen())
+		if !bytes.Equal(sc.Bytes(), data) {
+			t.Fatal("accepted sidecar's image is not its input")
 		}
-		if sc.VerifyPayload() != nil {
-			return
+		n := sc.Count()
+		if sc.offset(0) != 0 || sc.offset(n) != sc.PayloadLen() || int64(len(sc.payload)) != sc.PayloadLen() {
+			t.Fatalf("accepted sidecar with inconsistent bounds: [%d,%d] vs payload %d", sc.offset(0), sc.offset(n), sc.PayloadLen())
 		}
-		// Payload verified: the streamed ranges must reassemble to the
-		// in-memory payload exactly.
-		p, err := sc.Payload()
-		if err != nil {
-			t.Fatalf("VerifyPayload passed but Payload failed: %v", err)
+		if sc.RangeLen(0, n) != sc.PayloadLen() {
+			t.Fatalf("full range %d != payload %d", sc.RangeLen(0, n), sc.PayloadLen())
 		}
+		// The per-record ranges must reassemble the payload exactly.
 		var buf bytes.Buffer
-		for i := 0; i < sc.Count(); i++ {
+		for i := 0; i < n; i++ {
+			if sc.offset(i) > sc.offset(i+1) {
+				t.Fatalf("offsets decrease at record %d", i)
+			}
 			if err := sc.WriteRange(&buf, i, i+1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !bytes.Equal(buf.Bytes(), p) {
+		if !bytes.Equal(buf.Bytes(), sc.payload) {
 			t.Fatal("per-record ranges do not reassemble the payload")
 		}
 	})

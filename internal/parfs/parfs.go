@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"sort"
 	"strings"
 	"sync"
@@ -164,7 +165,7 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 	f, ok := fs.files[name]
 	fs.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("parfs: %q not found", name)
+		return nil, fmt.Errorf("parfs: %q not found: %w", name, iofs.ErrNotExist)
 	}
 	f.mu.Lock()
 	data := append([]byte(nil), f.data...)
@@ -193,7 +194,7 @@ func (fs *FS) ReadAt(name string, p []byte, off int64) (int, error) {
 	f, ok := fs.files[name]
 	fs.mu.Unlock()
 	if !ok {
-		return 0, fmt.Errorf("parfs: %q not found", name)
+		return 0, fmt.Errorf("parfs: %q not found: %w", name, iofs.ErrNotExist)
 	}
 	f.mu.Lock()
 	if off > int64(len(f.data)) {

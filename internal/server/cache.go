@@ -1,19 +1,32 @@
 // The serving cache: one byte-budgeted LRU over encoded shards, shared
-// by both wires. Serving a shard means verifying its SHA-256, inflating
-// gzip, walking TFRecord frames, decoding every record and encoding it
-// for the wire — or, for frames, reading and CRC-checking its sidecar —
-// work worth doing once per shard, not once per reader. An entry is one
-// shard encoded for one wire: NDJSON line fragments
-// (*domain.LineFragments) or frame-ready payload bytes (*encodedShard),
-// keyed by (wire, job/shard). Both kinds share the -serve-cache-mb
-// budget and one recency order: the entry served least recently is
-// evicted first, whichever wire it serves. The loader that produced a
-// value reports its in-memory size, which is what the budget accounts;
-// counters are kept per wire for /metrics.
+// by both wires, with frequency-based admission. Serving a shard means
+// verifying its SHA-256, inflating gzip, walking TFRecord frames,
+// decoding every record and encoding it for the wire — or, for frames,
+// reading and CRC-checking its sidecar — work worth doing once per
+// shard, not once per reader. An entry is one shard encoded for one
+// wire: NDJSON line fragments (*domain.LineFragments) or a verified
+// sidecar image (*domain.Sidecar), keyed by (wire, job/shard). Both
+// kinds share the -serve-cache-mb budget and one recency order: the
+// entry served least recently is evicted first, whichever wire it
+// serves. The loader that produced a value reports its in-memory size,
+// which is what the budget accounts; counters are kept per wire for
+// /metrics.
+//
+// Admission is TinyLFU's (Einziger, Friedman & Manes, arXiv:1512.00727):
+// every Get counts a touch of its key in a frequency table, and a load
+// that would evict is inserted only if its key has been touched at
+// least as often as each LRU victim's. A one-pass scan of cold shards
+// then cannot flush a hot working set, while ties admit — so a cache
+// with room, or traffic without skew, behaves exactly like plain LRU.
+// The table is keyed by a 64-bit hash (it holds no key strings) and is
+// aged by halving every count, dropping the zeros, once every 10 ×
+// resident-entries touches, which bounds it to a small multiple of the
+// resident entries without a tunable.
 package server
 
 import (
 	"container/list"
+	"hash/maphash"
 	"strings"
 	"sync"
 )
@@ -36,10 +49,15 @@ type cacheKey struct {
 // cacheEntry is one cached shard value.
 type cacheEntry struct {
 	key   cacheKey
+	hash  uint64 // the key's frequency-table slot
 	val   any
 	bytes int64
 	elem  *list.Element
 }
+
+// agingTouches is how many touches per resident entry pass between two
+// halvings of the frequency table.
+const agingTouches = 10
 
 // inflight coalesces concurrent loads of the same key (singleflight):
 // the first reader loads, the rest wait on done. gen snapshots the
@@ -77,6 +95,13 @@ type ShardCache struct {
 	gen   int64
 	tombs []tombstone
 
+	// freq counts touches per key hash since the last aging; touches
+	// counts them all, and at agingTouches × resident entries every
+	// count is halved.
+	seed    maphash.Seed
+	freq    map[uint64]uint32
+	touches int
+
 	wires [numWires]CacheStats // per-wire counters; MaxBytes is filled by Stats
 }
 
@@ -89,6 +114,35 @@ func NewShardCache(maxBytes int64) *ShardCache {
 		entries: make(map[cacheKey]*cacheEntry),
 		lru:     list.New(),
 		loads:   make(map[cacheKey]*inflight),
+		seed:    maphash.MakeSeed(),
+		freq:    make(map[uint64]uint32),
+	}
+}
+
+// hash returns key's frequency-table slot.
+func (c *ShardCache) hash(key cacheKey) uint64 {
+	return maphash.String(c.seed, key.shard) ^ uint64(key.wire)*0x9e3779b97f4a7c15
+}
+
+// touch counts one read of the key hashed to h, and ages the table
+// once it has seen agingTouches touches per resident entry. A cache
+// that retains nothing never admits, so it counts nothing. Caller
+// holds c.mu.
+func (c *ShardCache) touch(h uint64) {
+	if c.max <= 0 {
+		return
+	}
+	c.freq[h]++
+	if c.touches++; c.touches < agingTouches*max(len(c.entries), 1) {
+		return
+	}
+	c.touches = 0
+	for k, n := range c.freq {
+		if n /= 2; n == 0 {
+			delete(c.freq, k)
+		} else {
+			c.freq[k] = n
+		}
 	}
 }
 
@@ -96,7 +150,9 @@ func NewShardCache(maxBytes int64) *ShardCache {
 // Concurrent misses on one key run load once and share the result. The
 // returned value is shared — callers must not mutate it.
 func (c *ShardCache) Get(key cacheKey, load func() (any, int64, error)) (any, error) {
+	h := c.hash(key)
 	c.mu.Lock()
+	c.touch(h)
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		c.wires[key.wire].Hits++
@@ -127,7 +183,7 @@ func (c *ShardCache) Get(key cacheKey, load func() (any, int64, error)) (any, er
 	// waiters above still get this load's result, which is the same
 	// contract as reading the shard uncached mid-eviction.
 	if fl.err == nil && c.max > 0 && !c.droppedSince(key.shard, fl.gen) {
-		c.insert(key, fl.val, fl.bytes)
+		c.insert(key, h, fl.val, fl.bytes)
 	}
 	if len(c.loads) == 0 {
 		c.tombs = nil
@@ -148,12 +204,24 @@ func (c *ShardCache) droppedSince(shard string, gen int64) bool {
 
 // insert adds an entry and evicts from the LRU tail until within
 // budget; an entry larger than the whole budget stays until the next
-// insert. Caller holds c.mu.
-func (c *ShardCache) insert(key cacheKey, val any, bytes int64) {
+// insert. An insert that would evict is first put to admission: it is
+// refused, and counted as a rejection, if its key has been touched
+// less often than any of the LRU victims it would evict. Caller holds
+// c.mu.
+func (c *ShardCache) insert(key cacheKey, h uint64, val any, bytes int64) {
 	if _, ok := c.entries[key]; ok {
 		return
 	}
-	e := &cacheEntry{key: key, val: val, bytes: bytes}
+	need := c.size + bytes - c.max
+	for el := c.lru.Back(); el != nil && need > 0; el = el.Prev() {
+		victim := el.Value.(*cacheEntry)
+		if c.freq[h] < c.freq[victim.hash] {
+			c.wires[key.wire].Rejections++
+			return
+		}
+		need -= victim.bytes
+	}
+	e := &cacheEntry{key: key, hash: h, val: val, bytes: bytes}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.size += bytes
@@ -209,6 +277,10 @@ type CacheStats struct {
 	// small" from "jobs churning".
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
+	// Rejections counts loads admission kept out of a full cache: the
+	// key had been read less often than an entry it would evict. A
+	// rejected load is served, then dropped; it is not an eviction.
+	Rejections int64 `json:"rejections"`
 }
 
 // Stats snapshots one wire's counters.

@@ -221,3 +221,61 @@ func TestArenaSharedBudget(t *testing.T) {
 		t.Fatal("least recently served frame entry survived")
 	}
 }
+
+// TestShardCacheScanResistance: at full budget, a hot key set read a
+// few times survives a one-pass scan of cold keys worth 4× the budget.
+// Plain LRU would evict every hot entry; admission keeps each cold load
+// out, because its key has been read less often than the LRU victim's.
+func TestShardCacheScanResistance(t *testing.T) {
+	const budget, entry = 1 << 20, 64 << 10
+	c := NewShardCache(budget)
+	hot := budget / entry
+	for round := 0; round < 3; round++ {
+		for i := 0; i < hot; i++ {
+			if _, err := c.Get(frameKey(fmt.Sprintf("hot/s%d", i)), sized(i, entry)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan := 4 * hot
+	for i := 0; i < scan; i++ {
+		if _, err := c.Get(frameKey(fmt.Sprintf("cold/s%d", i)), sized(i, entry)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < hot; i++ {
+		if _, ok := c.entries[frameKey(fmt.Sprintf("hot/s%d", i))]; !ok {
+			t.Fatalf("hot key %d was flushed by the scan", i)
+		}
+	}
+	st := c.Stats(wireFrames)
+	if st.Rejections != int64(scan) || st.Evictions != 0 || st.Bytes != budget {
+		t.Fatalf("after the scan: %+v, want %d rejections, 0 evictions, %d bytes", st, scan, budget)
+	}
+}
+
+// TestShardCacheFrequencyBounded: the frequency table ages as it
+// counts, so a stream of distinct keys worth 100× the budget leaves it
+// holding at most a fixed multiple of the resident entries — at every
+// point of the stream, not just at the end.
+func TestShardCacheFrequencyBounded(t *testing.T) {
+	const budget, entry = 1 << 20, 64 << 10
+	c := NewShardCache(budget)
+	peak := 0
+	for i := 0; i < 100*budget/entry; i++ {
+		key := cacheKey{cacheWire(i % int(numWires)), fmt.Sprintf("j/s%d", i)}
+		if _, err := c.Get(key, sized(i, entry)); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, len(c.freq))
+	}
+	resident := len(c.entries)
+	if resident != budget/entry {
+		t.Fatalf("%d entries resident, want %d", resident, budget/entry)
+	}
+	// Counts sum to at most 2 × agingTouches × resident just before an
+	// aging, and every slot holds a count of at least 1.
+	if limit := 2 * agingTouches * resident; peak > limit {
+		t.Fatalf("frequency table reached %d slots for %d resident entries (limit %d)", peak, resident, limit)
+	}
+}

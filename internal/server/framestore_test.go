@@ -11,12 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -66,10 +68,12 @@ func sidecarFiles(t *testing.T, dataDir, id string) []string {
 }
 
 // noSidecarStore is an FSSink without the frame store: sidecar objects
-// read as absent and can be neither created nor removed. A server over
-// it encodes every cold frame stream per request — the reference the
-// byte-exactness tests compare the cache and disk tiers against — and
-// leaves the real sidecars in a shared data dir untouched.
+// read as absent — to Size, Open and OpenRange alike, since a cold read
+// opens the sidecar without a stat first — and can be neither created
+// nor removed. A server over it encodes every cold frame stream per
+// request — the reference the byte-exactness tests compare the cache
+// and disk tiers against — and leaves the real sidecars in a shared
+// data dir untouched.
 type noSidecarStore struct{ *shard.FSSink }
 
 func isSidecar(name string) bool { return strings.Contains(name, domain.SidecarSuffix) }
@@ -79,6 +83,20 @@ func (s noSidecarStore) Size(name string) int64 {
 		return 0
 	}
 	return s.FSSink.Size(name)
+}
+
+func (s noSidecarStore) Open(name string) (io.ReadCloser, error) {
+	if isSidecar(name) {
+		return nil, fs.ErrNotExist
+	}
+	return s.FSSink.Open(name)
+}
+
+func (s noSidecarStore) OpenRange(name string) (shard.ReaderAtCloser, int64, error) {
+	if isSidecar(name) {
+		return nil, 0, fs.ErrNotExist
+	}
+	return s.FSSink.OpenRange(name)
 }
 
 func (s noSidecarStore) Create(name string) (io.WriteCloser, error) {
@@ -491,58 +509,144 @@ func TestSidecarCorruptionFallback(t *testing.T) {
 // empty one, which reads as absent but still holds the name — is
 // deleted and rebuilt by the first stream that trips over it. The
 // damage is counted once and the second cold stream is all disk hits.
+// A sealed (bio) sidecar whose bytes do not decrypt is damage too. It
+// is rebuilt under a fresh nonce, so only a plaintext sidecar can be
+// compared with its original bytes.
 func TestUnusableSidecarReplacedOnce(t *testing.T) {
+	dataDir := t.TempDir()
+	ids := buildJobs(t, dataDir, []JobSpec{
+		{Domain: core.Fusion, Seed: 6, Shots: 8},
+		{Domain: core.BioHealth, Seed: 6},
+	})
+	for i, id := range ids {
+		prefix := []string{"", "sealed/"}[i] // subtest name prefix
+		files := sidecarFiles(t, dataDir, id)
+		if len(files) == 0 {
+			t.Fatal("no sidecars on disk")
+		}
+		victim := filepath.Join(dataDir, "jobs", id, files[0])
+		sealed := strings.HasSuffix(victim, ".enc")
+		pristine, err := os.ReadFile(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := append([]byte(nil), pristine...)
+		flipped[len(flipped)/2] ^= 0x01
+		damage := map[string][]byte{
+			"bitflip":  flipped,
+			"truncate": pristine[:len(pristine)*2/3],
+			"empty":    {},
+		}
+		var want []byte
+		t.Run(prefix+"intact", func(t *testing.T) {
+			_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+			want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
+		})
+		for mode, bad := range damage {
+			t.Run(prefix+mode, func(t *testing.T) {
+				if err := os.WriteFile(victim, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+				url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
+				if first := rawFrameStream(t, url); !bytes.Equal(first, want) {
+					t.Fatalf("stream over a %s sidecar differs (%d vs %d bytes)", mode, len(first), len(want))
+				}
+				if errs, fills := s.metrics.frameStoreErrors.Value(), s.metrics.frameStoreBackfills.Value(); errs != 1 || fills != 1 {
+					t.Fatalf("first stream: %v errors, %v backfills, want 1 and 1", errs, fills)
+				}
+				rebuilt, err := os.ReadFile(victim)
+				if err != nil || len(rebuilt) != len(pristine) || !sealed && !bytes.Equal(rebuilt, pristine) {
+					t.Fatalf("sidecar not rebuilt to its original bytes (err %v, %d bytes)", err, len(rebuilt))
+				}
+				hits, misses := s.metrics.frameStoreHits.Value(), s.metrics.frameStoreMisses.Value()
+				if second := rawFrameStream(t, url); !bytes.Equal(second, want) {
+					t.Fatal("second stream differs")
+				}
+				if got := s.metrics.frameStoreHits.Value() - hits; got != float64(len(files)) {
+					t.Fatalf("second stream hit %v of %d sidecars", got, len(files))
+				}
+				if s.metrics.frameStoreMisses.Value() != misses || s.metrics.frameStoreErrors.Value() != 1 {
+					t.Fatalf("second stream still paid for the damage: %v misses, %v errors",
+						s.metrics.frameStoreMisses.Value()-misses, s.metrics.frameStoreErrors.Value())
+				}
+			})
+		}
+	}
+}
+
+// flakyRangeStore is an FSSink whose next fail sidecar OpenRange calls
+// fail with EIO — an I/O error, not a missing object.
+type flakyRangeStore struct {
+	*shard.FSSink
+	fail *atomic.Int64
+}
+
+func (s flakyRangeStore) OpenRange(name string) (shard.ReaderAtCloser, int64, error) {
+	if isSidecar(name) && s.fail.Add(-1) >= 0 {
+		return nil, 0, fmt.Errorf("open %s: %w", name, syscall.EIO)
+	}
+	return s.FSSink.OpenRange(name)
+}
+
+// TestSidecarIOErrorKeepsFile: a sidecar that cannot be opened this
+// time is not damage. The stream falls back to decode+encode and stays
+// byte-exact, the failure counts one store error, the file is neither
+// deleted nor rewritten, and the next cold read is a store hit.
+func TestSidecarIOErrorKeepsFile(t *testing.T) {
 	dataDir := t.TempDir()
 	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
 	files := sidecarFiles(t, dataDir, id)
 	if len(files) == 0 {
 		t.Fatal("no sidecars on disk")
 	}
-	victim := filepath.Join(dataDir, "jobs", id, files[0])
-	pristine, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := append([]byte(nil), pristine...)
-	flipped[len(flipped)/2] ^= 0x01
-	damage := map[string][]byte{
-		"bitflip":  flipped,
-		"truncate": pristine[:len(pristine)*2/3],
-		"empty":    {},
+	jobDir := filepath.Join(dataDir, "jobs", id)
+	pristine := make(map[string][]byte, len(files))
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(jobDir, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine[f] = b
 	}
 	var want []byte
 	t.Run("intact", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
 		want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
 	})
-	for mode, bad := range damage {
-		t.Run(mode, func(t *testing.T) {
-			if err := os.WriteFile(victim, bad, 0o644); err != nil {
-				t.Fatal(err)
+
+	var fail atomic.Int64
+	fail.Store(1)
+	s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0,
+		NewStore: func(jobID string) (shard.Store, error) {
+			fs, err := shard.NewFSSink(filepath.Join(dataDir, "jobs", jobID))
+			if err != nil {
+				return nil, err
 			}
-			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
-			url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
-			if first := rawFrameStream(t, url); !bytes.Equal(first, want) {
-				t.Fatalf("stream over a %s sidecar differs (%d vs %d bytes)", mode, len(first), len(want))
-			}
-			if errs, fills := s.metrics.frameStoreErrors.Value(), s.metrics.frameStoreBackfills.Value(); errs != 1 || fills != 1 {
-				t.Fatalf("first stream: %v errors, %v backfills, want 1 and 1", errs, fills)
-			}
-			if rebuilt, err := os.ReadFile(victim); err != nil || !bytes.Equal(rebuilt, pristine) {
-				t.Fatalf("sidecar not rebuilt to its original bytes (err %v, %d bytes)", err, len(rebuilt))
-			}
-			hits, misses := s.metrics.frameStoreHits.Value(), s.metrics.frameStoreMisses.Value()
-			if second := rawFrameStream(t, url); !bytes.Equal(second, want) {
-				t.Fatal("second stream differs")
-			}
-			if got := s.metrics.frameStoreHits.Value() - hits; got != float64(len(files)) {
-				t.Fatalf("second stream hit %v of %d sidecars", got, len(files))
-			}
-			if s.metrics.frameStoreMisses.Value() != misses || s.metrics.frameStoreErrors.Value() != 1 {
-				t.Fatalf("second stream still paid for the damage: %v misses, %v errors",
-					s.metrics.frameStoreMisses.Value()-misses, s.metrics.frameStoreErrors.Value())
-			}
-		})
+			return flakyRangeStore{fs, &fail}, nil
+		}})
+	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
+	if got := rawFrameStream(t, url); !bytes.Equal(got, want) {
+		t.Fatalf("stream past an unreadable sidecar differs (%d vs %d bytes)", len(got), len(want))
+	}
+	m := s.metrics
+	if errs, misses, fills := m.frameStoreErrors.Value(), m.frameStoreMisses.Value(), m.frameStoreBackfills.Value(); errs != 1 || misses != 1 || fills != 0 {
+		t.Fatalf("first stream: %v errors, %v misses, %v backfills; want 1, 1, 0", errs, misses, fills)
+	}
+	for f, b := range pristine {
+		if got, err := os.ReadFile(filepath.Join(jobDir, f)); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("sidecar %s was removed or changed by an I/O error (err %v)", f, err)
+		}
+	}
+	hits := m.frameStoreHits.Value()
+	if got := rawFrameStream(t, url); !bytes.Equal(got, want) {
+		t.Fatal("second stream differs")
+	}
+	if got := m.frameStoreHits.Value() - hits; got != float64(len(files)) {
+		t.Fatalf("second stream hit %v of %d sidecars", got, len(files))
+	}
+	if m.frameStoreMisses.Value() != 1 || m.frameStoreErrors.Value() != 1 {
+		t.Fatalf("second stream missed the store: %v misses, %v errors", m.frameStoreMisses.Value(), m.frameStoreErrors.Value())
 	}
 }
 

@@ -6,13 +6,15 @@
 //
 // Every shard read of either wire goes through the serving cache
 // (cache.go), which holds the shard encoded for that wire. A frame-wire
-// miss is loadFrames: the shard's sidecar read whole and CRC-checked
-// (zero codec calls), or, when it has no usable one, the shard read,
-// decoded and encoded, which backfills the sidecar so the next cold
-// read takes the sidecar branch. A torn, truncated, or bit-flipped
-// sidecar is rejected by its CRCs, deleted, and rebuilt by the fallback
-// it forces — corrupt bytes are never served, and the damage costs one
-// request, not every cold open.
+// miss is loadFrames: the shard's sidecar read whole — one open and one
+// exact-size read — and verified by domain.ParseSidecar (zero codec
+// calls), or, when it has no usable one, the shard read, decoded and
+// encoded into the same sidecar image, which backfills the sidecar so
+// the next cold read takes the sidecar branch. A torn, truncated, or
+// bit-flipped sidecar is rejected by its CRCs, deleted, and rebuilt by
+// the fallback it forces — corrupt bytes are never served, and the
+// damage costs one request, not every cold open. A sidecar that could
+// not be read (an I/O error, not damage) is left in place.
 //
 // An NDJSON miss reads, decodes and encodes the shard into per-record
 // JSON fragments (domain.LineFragments); every batch line is then a
@@ -21,11 +23,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"strconv"
 	"strings"
@@ -325,10 +328,10 @@ type batchWire interface {
 }
 
 // shardSource is one shard resolved for serving: its NDJSON line
-// fragments or its frame-ready payload.
+// fragments or its verified frame-ready sidecar image.
 type shardSource struct {
 	lines  *domain.LineFragments
-	frames *encodedShard
+	frames *domain.Sidecar
 }
 
 // batchRange is the records [a, b) of one shard's source, buffered for
@@ -388,24 +391,24 @@ type frameWire struct {
 }
 
 func (w *frameWire) source(info shard.Info) (shardSource, int, error) {
-	enc, err := w.s.shardFrames(w.ctx, w.plan, info)
+	sc, err := w.s.shardFrames(w.ctx, w.plan, info)
 	if err != nil {
 		return shardSource{}, 0, err
 	}
-	return shardSource{frames: enc}, enc.count(), nil
+	return shardSource{frames: sc}, sc.Count(), nil
 }
 
 func (w *frameWire) encode(h domain.BatchHeader, count int, rs []batchRange) ([]byte, error) {
 	payloadLen := 0
 	for _, rg := range rs {
-		payloadLen += rg.src.frames.rangeLen(rg.a, rg.b)
+		payloadLen += int(rg.src.frames.RangeLen(rg.a, rg.b))
 	}
 	return domain.FrameEnvelope(h, count, payloadLen)
 }
 
 func (w *frameWire) writePayload(out io.Writer, rs []batchRange) error {
 	for _, rg := range rs {
-		if err := rg.src.frames.writeRange(out, rg.a, rg.b); err != nil {
+		if err := rg.src.frames.WriteRange(out, rg.a, rg.b); err != nil {
 			return err
 		}
 	}
@@ -432,20 +435,20 @@ func (s *Server) shardLines(ctx context.Context, p *servePlan, info shard.Info) 
 	return v.(*domain.LineFragments), nil
 }
 
-// shardFrames returns one shard's frame-ready payload through the
-// serving cache; a miss is loadFrames.
-func (s *Server) shardFrames(ctx context.Context, p *servePlan, info shard.Info) (*encodedShard, error) {
+// shardFrames returns one shard's verified sidecar image through the
+// serving cache, charged its whole length; a miss is loadFrames.
+func (s *Server) shardFrames(ctx context.Context, p *servePlan, info shard.Info) (*domain.Sidecar, error) {
 	v, err := s.cache.Get(cacheKey{wireFrames, p.job.id + "/" + info.Name}, func() (any, int64, error) {
-		enc, err := s.loadFrames(ctx, p, info)
+		sc, err := s.loadFrames(ctx, p, info)
 		if err != nil {
 			return nil, 0, err
 		}
-		return enc, enc.memBytes(), nil
+		return sc, int64(len(sc.Bytes())), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*encodedShard), nil
+	return v.(*domain.Sidecar), nil
 }
 
 // loadShard reads one shard off the store (checksum verified), decodes
@@ -481,105 +484,96 @@ func loadShard[T any](s *Server, ctx context.Context, p *servePlan, info shard.I
 	return out, err
 }
 
-// encodedShard is one shard's records in frame-ready byte form: the
-// serving cache's frame-wire value.
-type encodedShard struct {
-	payload []byte
-	// offsets has len(records)+1 entries; record i occupies
-	// payload[offsets[i]:offsets[i+1]].
-	offsets []int64
-}
-
-func (e *encodedShard) count() int            { return len(e.offsets) - 1 }
-func (e *encodedShard) rangeLen(a, b int) int { return int(e.offsets[b] - e.offsets[a]) }
-func (e *encodedShard) memBytes() int64       { return int64(len(e.payload)) + int64(len(e.offsets))*8 }
-func (e *encodedShard) writeRange(w io.Writer, a, b int) error {
-	_, err := w.Write(e.payload[e.offsets[a]:e.offsets[b]])
-	return err
-}
-
-// loadFrames reads one shard's frame-ready payload: its sidecar when
-// one is usable, else the shard read, decoded and encoded, which
-// backfills the sidecar. The load is spanned as frame.fill under the
-// request (a fallback's read+decode+encode appears beside it as
-// shard.load, parented to the request span too).
-func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info) (*encodedShard, error) {
+// loadFrames reads one shard's frame-ready sidecar image: the stored
+// sidecar when one is usable, else the shard read, decoded and encoded
+// into the same image, which backfills the sidecar. The load is spanned
+// as frame.fill under the request (a fallback's read+decode+encode
+// appears beside it as shard.load, parented to the request span too).
+func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info) (*domain.Sidecar, error) {
 	start := time.Now()
 	source := "sidecar"
-	enc := s.readFrameSidecar(p, info)
-	if enc == nil {
+	sc := s.readFrameSidecar(p, info)
+	if sc == nil {
 		s.metrics.frameStoreMisses.Inc()
 		var err error
-		enc, err = loadShard(s, ctx, p, info, func(recs []any) (*encodedShard, error) {
-			payload, offsets, err := domain.EncodeRecordPayloads(p.plug.Codec, recs)
-			return &encodedShard{payload: payload, offsets: offsets}, err
+		sc, err = loadShard(s, ctx, p, info, func(recs []any) (*domain.Sidecar, error) {
+			b, err := domain.EncodeSidecarFile(p.plug.Codec, recs)
+			if err != nil {
+				return nil, err
+			}
+			return domain.ParseSidecar(b)
 		})
 		if err != nil {
 			return nil, err
 		}
-		s.backfillSidecar(p, info, enc.payload, enc.offsets)
+		s.backfillSidecar(p, info, sc.Bytes())
 		source = "encode"
 	}
 	s.recordChildSpan(ctx, "frame.fill", start, time.Now(),
 		map[string]string{"shard": info.Name, "source": source})
-	return enc, nil
+	return sc, nil
 }
 
 // readFrameSidecar reads one shard's sidecar into memory. nil means "no
-// usable sidecar" — absent (silent) or rejected (rejectSidecar) — and
-// the caller falls back to decode+encode.
-func (s *Server) readFrameSidecar(p *servePlan, info shard.Info) *encodedShard {
-	if p.store.Size(p.storedSidecar(info)) == 0 {
-		return nil
-	}
-	enc, err := p.readSidecar(info)
-	if err != nil {
+// usable sidecar", and the caller falls back to decode+encode. The
+// sidecar is then absent (silent), damaged (rejectSidecar counts and
+// deletes it), or could not be read this time (counted and logged; the
+// file stays, and the next cold read tries it again).
+func (s *Server) readFrameSidecar(p *servePlan, info shard.Info) *domain.Sidecar {
+	sc, err := p.readSidecar(info)
+	switch {
+	case sc != nil:
+		s.metrics.frameStoreHits.Inc()
+		s.metrics.frameStoreBytes.Add(float64(sc.PayloadLen()))
+	case errors.Is(err, domain.ErrCorrupt):
 		s.rejectSidecar(p, info, err)
-		return nil
+	case err != nil:
+		s.metrics.frameStoreErrors.Inc()
+		s.logger.Warn("frame sidecar unreadable; falling back to encode",
+			"job", p.job.id, "shard", info.Name, "error", err.Error())
 	}
-	s.metrics.frameStoreHits.Inc()
-	s.metrics.frameStoreBytes.Add(float64(len(enc.payload)))
-	return enc
+	return sc
 }
 
-// readSidecar reads one shard's sidecar and checks all of it — format
-// and payload CRCs, kind, and record count against the manifest —
-// before any byte can reach a client. A plaintext store with random
-// access is read by range (header, footer, index, payload) through a
-// handle closed before it returns; a sealed sidecar is read whole
-// through the decrypting opener.
-func (p *servePlan) readSidecar(info shard.Info) (*encodedShard, error) {
+// readSidecar reads one shard's sidecar with one open and one read of
+// its whole stored size — no stat first — and checks all of it (format,
+// both CRCs, kind, and record count against the manifest) before any
+// byte can reach a client. A plaintext store with random access is read
+// by OpenRange and one exact-size ReadAt, through a handle closed before
+// it returns; a sealed sidecar is read whole through the decrypting
+// opener. It returns (nil, nil) for an absent sidecar — no such object,
+// or an empty one — and an error wrapping domain.ErrCorrupt for one
+// whose bytes were read but fail a check.
+func (p *servePlan) readSidecar(info shard.Info) (*domain.Sidecar, error) {
 	name := domain.SidecarName(info.Name)
 	var sc *domain.Sidecar
+	var err error
 	if ro, ok := p.store.(shard.RangeOpener); ok && p.key == nil {
-		ra, size, err := ro.OpenRange(name)
-		if err != nil {
-			return nil, err
-		}
-		defer ra.Close()
-		if sc, err = domain.OpenSidecar(ra, size); err != nil {
-			return nil, err
+		var ra shard.ReaderAtCloser
+		var size int64
+		if ra, size, err = ro.OpenRange(name); err == nil {
+			if size > 0 {
+				sc, err = domain.OpenSidecar(ra, size)
+			}
+			ra.Close()
 		}
 	} else {
-		b, err := shard.ReadObject(p.open, name)
-		if err != nil {
-			return nil, err
-		}
-		if sc, err = domain.OpenSidecar(bytes.NewReader(b), int64(len(b))); err != nil {
-			return nil, err
+		var b []byte
+		if b, err = shard.ReadObject(p.open, name); err == nil && len(b) > 0 {
+			sc, err = domain.ParseSidecar(b)
 		}
 	}
-	if sc.Kind() != p.plug.Codec.Kind() {
-		return nil, fmt.Errorf("sidecar kind %q, codec serves %q", sc.Kind(), p.plug.Codec.Kind())
-	}
-	if sc.Count() != info.Records {
-		return nil, fmt.Errorf("sidecar holds %d records, manifest says %d", sc.Count(), info.Records)
-	}
-	payload, err := sc.Payload()
-	if err != nil {
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil
+	case err != nil || sc == nil:
 		return nil, err
+	case sc.Kind() != p.plug.Codec.Kind():
+		return nil, fmt.Errorf("%w: sidecar kind %q, codec serves %q", domain.ErrCorrupt, sc.Kind(), p.plug.Codec.Kind())
+	case sc.Count() != info.Records:
+		return nil, fmt.Errorf("%w: sidecar holds %d records, manifest says %d", domain.ErrCorrupt, sc.Count(), info.Records)
 	}
-	return &encodedShard{payload: payload, offsets: sc.Offsets()}, nil
+	return sc, nil
 }
 
 // objectRemover is the optional store side that replacing a damaged
@@ -612,17 +606,14 @@ func (s *Server) rejectSidecar(p *servePlan, info shard.Info, cause error) {
 // (identical bytes) and is not counted. Nobody waits for a backfilled
 // sidecar's fsync: a power cut can leave it empty or torn, which the
 // next open treats like any other damage.
-func (s *Server) backfillSidecar(p *servePlan, info shard.Info, payload []byte, offsets []int64) {
+func (s *Server) backfillSidecar(p *servePlan, info shard.Info, b []byte) {
 	stored := p.storedSidecar(info)
 	if p.store.Size(stored) > 0 {
 		return
 	}
 	name := domain.SidecarName(info.Name)
 	sink := p.plug.Sink(p.store, p.key)
-	b, err := domain.AppendSidecar(nil, p.plug.Codec.Kind(), payload, offsets)
-	if err == nil {
-		err = shard.WriteObject(sink, name, b)
-	}
+	err := shard.WriteObject(sink, name, b)
 	if err != nil && p.store.Size(stored) == 0 {
 		// An empty file holding the name reads as absent to everyone but
 		// the store's commit. Clear it and try once more.

@@ -45,10 +45,13 @@ type Options struct {
 	QueueDepth int
 	// ServeCacheBytes is the serving cache's byte budget
 	// (-serve-cache-mb): one LRU over shards encoded for either wire —
-	// per-record JSON fragments or frame-ready payload bytes — which
+	// per-record JSON fragments or verified frame sidecar images — which
 	// both wires slice batches from with no per-request tensor
-	// marshalling. <=0 retains nothing: each stream loads every shard it
-	// reads (concurrent loads of one shard still coalesce).
+	// marshalling. A load that would evict is admitted only if its
+	// shard has been read at least as often as the LRU victim (see
+	// cache.go); nothing about that is configurable. <=0 retains
+	// nothing: each stream loads every shard it reads (concurrent loads
+	// of one shard still coalesce).
 	ServeCacheBytes int64
 	// ServeMaxKBps caps every batch stream's throughput (KiB/second,
 	// token bucket per stream). <=0 leaves streams unpaced. Clients may

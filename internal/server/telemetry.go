@@ -153,6 +153,8 @@ func (s *Server) registerCollectors() {
 		func() float64 { return float64(s.cache.Stats(wireLines).Evictions) })
 	reg.CounterFunc("draid_shard_cache_invalidations_total", "Line-fragment shards removed by job eviction or release (DropPrefix).",
 		func() float64 { return float64(s.cache.Stats(wireLines).Invalidations) })
+	reg.CounterFunc("draid_shard_cache_rejections_total", "Line-fragment loads kept out of the full cache by admission (read less often than the LRU victim).",
+		func() float64 { return float64(s.cache.Stats(wireLines).Rejections) })
 	reg.GaugeFunc("draid_frame_cache_entries", "Shards resident in the serving cache as frame-ready payloads.",
 		func() float64 { return float64(s.cache.Stats(wireFrames).Entries) })
 	reg.GaugeFunc("draid_frame_cache_bytes", "Frame-ready payload bytes (payload plus offsets) resident in the serving cache.",
@@ -165,6 +167,8 @@ func (s *Server) registerCollectors() {
 		func() float64 { return float64(s.cache.Stats(wireFrames).Evictions) })
 	reg.CounterFunc("draid_frame_cache_invalidations_total", "Frame-payload shards removed by job eviction or release (DropPrefix).",
 		func() float64 { return float64(s.cache.Stats(wireFrames).Invalidations) })
+	reg.CounterFunc("draid_frame_cache_rejections_total", "Frame-payload loads kept out of the full cache by admission (read less often than the LRU victim).",
+		func() float64 { return float64(s.cache.Stats(wireFrames).Rejections) })
 	if c := s.opts.Cluster; c != nil {
 		reg.GaugeFunc("draid_cluster_members", "Configured fleet size.",
 			func() float64 { return float64(len(c.Nodes())) })

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"sync"
 
@@ -35,17 +36,43 @@ type Opener interface {
 	Open(name string) (io.ReadCloser, error)
 }
 
-// ReadObject reads one whole stored object.
+// ReadObject reads one whole stored object. When the handle knows the
+// object's length — an *os.File by Stat, an in-memory or decrypted
+// object by Size — the object is read into one buffer of exactly that
+// size; any other handle is read with io.ReadAll. Stored objects are
+// immutable once committed, so the length cannot change under the read.
 func ReadObject(open Opener, name string) ([]byte, error) {
 	rc, err := open.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	b, err := io.ReadAll(rc)
+	b, err := readWhole(rc)
 	if cerr := rc.Close(); err == nil {
 		err = cerr
 	}
 	return b, err
+}
+
+// readWhole reads r to its end, in one exact-size buffer when r can say
+// how long it is.
+func readWhole(r io.Reader) ([]byte, error) {
+	size := int64(-1)
+	switch h := r.(type) {
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := h.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+	case interface{ Size() int64 }:
+		size = h.Size()
+	}
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, size)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // WriteObject stores b as one whole object.
@@ -68,11 +95,12 @@ type ReaderAtCloser interface {
 }
 
 // RangeOpener is the optional random-access side of a store: stores
-// that can serve byte ranges without materializing whole objects
-// (FSSink via pread, ParfsSink via striped range reads, MemSink
-// trivially) expose it so the serving tier's disk-tier frame path can
-// io.CopyN payload ranges straight off the store. Callers type-assert;
-// absence falls back to Open + ReadAll.
+// that can read at an offset (FSSink via pread, ParfsSink via striped
+// range reads, MemSink trivially) expose it, and OpenRange reports the
+// object's size with the handle — so the serving tier reads a whole
+// sidecar with one open and one exact-size ReadAt, and never stats it
+// first. Callers type-assert; absence falls back to ReadObject. A
+// missing object is an error wrapping fs.ErrNotExist.
 type RangeOpener interface {
 	OpenRange(name string) (ReaderAtCloser, int64, error)
 }
@@ -137,9 +165,9 @@ func (s *MemSink) Open(name string) (io.ReadCloser, error) {
 	defer s.mu.Unlock()
 	buf, ok := s.shards[name]
 	if !ok {
-		return nil, fmt.Errorf("shard: %q not found", name)
+		return nil, notFound(name)
 	}
-	return io.NopCloser(bytes.NewReader(buf.Bytes())), nil
+	return memRange{bytes.NewReader(buf.Bytes())}, nil
 }
 
 // Names lists stored shard names sorted.
@@ -154,7 +182,13 @@ func (s *MemSink) Names() []string {
 	return names
 }
 
-// memRange is a no-op-close ReaderAt over a finished shard's bytes.
+// notFound is the error for a missing object: it wraps fs.ErrNotExist,
+// and no other failure does.
+func notFound(name string) error {
+	return fmt.Errorf("shard: %q not found: %w", name, fs.ErrNotExist)
+}
+
+// memRange is a no-op-close reader over a finished shard's bytes.
 type memRange struct{ *bytes.Reader }
 
 func (memRange) Close() error { return nil }
@@ -167,7 +201,7 @@ func (s *MemSink) OpenRange(name string) (ReaderAtCloser, int64, error) {
 	defer s.mu.Unlock()
 	buf, ok := s.shards[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("shard: %q not found", name)
+		return nil, 0, notFound(name)
 	}
 	return memRange{bytes.NewReader(buf.Bytes())}, int64(buf.Len()), nil
 }

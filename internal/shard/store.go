@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -258,9 +259,19 @@ func (s *FSSink) Open(name string) (io.ReadCloser, error) {
 	}
 	f, err := os.Open(filepath.Join(s.root, name))
 	if err != nil {
-		return nil, fmt.Errorf("shard: %q not found: %w", name, err)
+		return nil, openError(name, err)
 	}
 	return f, nil
+}
+
+// openError labels a failed os.Open: "not found" (wrapping
+// fs.ErrNotExist) only when the object is missing, the open error
+// itself for anything else — EMFILE or EIO is not an absent object.
+func openError(name string, err error) error {
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("shard: %q not found: %w", name, err)
+	}
+	return fmt.Errorf("shard: open %q: %w", name, err)
 }
 
 // OpenRange implements RangeOpener: an os.File is already an
@@ -271,7 +282,7 @@ func (s *FSSink) OpenRange(name string) (ReaderAtCloser, int64, error) {
 	}
 	f, err := os.Open(filepath.Join(s.root, name))
 	if err != nil {
-		return nil, 0, fmt.Errorf("shard: %q not found: %w", name, err)
+		return nil, 0, openError(name, err)
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -428,7 +439,11 @@ func (p ParfsSink) OpenRange(name string) (ReaderAtCloser, int64, error) {
 	}
 	size := p.FS.Size(name)
 	if size == 0 {
-		return nil, 0, fmt.Errorf("shard: %q not found", name)
+		// Size cannot tell an empty object from a missing one; an empty
+		// read can, failing only for a missing object.
+		if _, err := rfs.ReadAt(name, nil, 0); err != nil {
+			return nil, 0, err
+		}
 	}
 	return parfsRange{fs: rfs, name: name}, size, nil
 }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -413,5 +415,66 @@ func TestParfsSinkRoundTripChargesIO(t *testing.T) {
 	st := fs.Stats()
 	if st.Ops == 0 || st.Bytes == 0 {
 		t.Fatalf("no simulated I/O charged: %+v", st)
+	}
+}
+
+// TestStoresReportMissingAsNotExist: every store's Open and OpenRange
+// wrap fs.ErrNotExist for a missing object, an existing empty object
+// opens (size 0), and a failure that is not a missing object — here an
+// FSSink whose root was replaced by a plain file (ENOTDIR) — neither
+// wraps fs.ErrNotExist nor calls itself "not found". ReadObject reads
+// every store's objects back exactly.
+func TestStoresReportMissingAsNotExist(t *testing.T) {
+	pfs, err := parfs.New(parfs.Config{OSTs: 2, StripeSize: 1 << 10, BandwidthMBps: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfs.SetSleep(func(time.Duration) {})
+	fsSink, err := NewFSSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]Store{"mem": NewMemSink(), "fs": fsSink, "parfs": NewParfsSink(pfs)}
+	for name, s := range stores {
+		t.Run(name, func(t *testing.T) {
+			if err := WriteObject(s, "full", []byte("0123456789")); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteObject(s, "empty", nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Open("missing"); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Open(missing) = %v, want fs.ErrNotExist", err)
+			}
+			ro := s.(RangeOpener)
+			if _, _, err := ro.OpenRange("missing"); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("OpenRange(missing) = %v, want fs.ErrNotExist", err)
+			}
+			ra, size, err := ro.OpenRange("empty")
+			if err != nil || size != 0 {
+				t.Fatalf("OpenRange(empty) = size %d, err %v; want 0, nil", size, err)
+			}
+			ra.Close()
+			for obj, want := range map[string]string{"full": "0123456789", "empty": ""} {
+				if b, err := ReadObject(s, obj); err != nil || string(b) != want {
+					t.Fatalf("ReadObject(%s) = %q, %v", obj, b, err)
+				}
+			}
+		})
+	}
+
+	root := fsSink.Root()
+	if err := os.RemoveAll(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(root, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = fsSink.Open("full")
+	_, _, rerr := fsSink.OpenRange("full")
+	for _, err := range []error{err, rerr} {
+		if err == nil || errors.Is(err, fs.ErrNotExist) || strings.Contains(err.Error(), "not found") {
+			t.Fatalf("open under a non-directory root: %v; want an open error that is not \"not found\"", err)
+		}
 	}
 }
