@@ -16,7 +16,6 @@ import (
 	"io"
 	iofs "io/fs"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -181,59 +180,6 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 	return data, nil
 }
 
-// ReadAt serves a byte range of a file, charging only the OSTs whose
-// stripes the range covers — and each only for its covered bytes. This
-// is what makes sidecar range serving cheap on a striped store: a
-// small range touches one OST for a fraction of a stripe instead of
-// replaying the whole file's stripe schedule the way ReadFile does.
-func (fs *FS) ReadAt(name string, p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("parfs: negative read offset %d", off)
-	}
-	fs.mu.Lock()
-	f, ok := fs.files[name]
-	fs.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("parfs: %q not found: %w", name, iofs.ErrNotExist)
-	}
-	f.mu.Lock()
-	if off > int64(len(f.data)) {
-		f.mu.Unlock()
-		return 0, io.EOF
-	}
-	n := copy(p, f.data[off:])
-	f.mu.Unlock()
-	stripe := int64(fs.cfg.StripeSize)
-	for k, end := int(off/stripe), off+int64(n); int64(k)*stripe < end; k++ {
-		lo, hi := int64(k)*stripe, int64(k+1)*stripe
-		if lo < off {
-			lo = off
-		}
-		if hi > end {
-			hi = end
-		}
-		fs.charge(fs.ostFor(name, k), int(hi-lo))
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Size returns a file's stored byte size without charging I/O (a
-// metadata operation, like stat on a real parallel FS).
-func (fs *FS) Size(name string) int64 {
-	fs.mu.Lock()
-	f, ok := fs.files[name]
-	fs.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int64(len(f.data))
-}
-
 // Exists reports whether a file is present.
 func (fs *FS) Exists(name string) bool {
 	fs.mu.Lock()
@@ -326,56 +272,4 @@ func (fs *FS) Open(name string) (io.ReadCloser, error) {
 		return nil, err
 	}
 	return io.NopCloser(bytes.NewReader(data)), nil
-}
-
-// --- namespaced views -------------------------------------------------------
-
-// SubFS is a prefixed view of an FS: every name is transparently stored
-// as "<prefix>/<name>". A fleet of draid nodes sharing one simulated
-// parallel filesystem mounts each job's shard set under its own prefix,
-// so shard names from different jobs (or nodes) never collide while the
-// underlying OSTs — and therefore stripe contention — stay shared,
-// which is exactly the coordination a real parallel FS gives co-mounted
-// compute nodes.
-type SubFS struct {
-	fs     *FS
-	prefix string
-}
-
-// Sub returns a view of the filesystem rooted at prefix. Sub of the
-// same prefix on any node yields the same files, making the view the
-// failover handle: a surviving node re-mounts a dead node's job prefix
-// and serves its shards.
-func (fs *FS) Sub(prefix string) *SubFS {
-	return &SubFS{fs: fs, prefix: strings.TrimSuffix(prefix, "/") + "/"}
-}
-
-// Create implements shard.Sink under the prefix.
-func (s *SubFS) Create(name string) (io.WriteCloser, error) {
-	if name == "" {
-		return nil, errors.New("parfs: empty shard name")
-	}
-	return s.fs.Create(s.prefix + name)
-}
-
-// Open implements shard.Opener under the prefix.
-func (s *SubFS) Open(name string) (io.ReadCloser, error) { return s.fs.Open(s.prefix + name) }
-
-// List returns the names under the prefix, trimmed and sorted.
-func (s *SubFS) List() []string {
-	var names []string
-	for _, n := range s.fs.List() {
-		if strings.HasPrefix(n, s.prefix) {
-			names = append(names, strings.TrimPrefix(n, s.prefix))
-		}
-	}
-	return names
-}
-
-// Size returns a file's size under the prefix (0 if absent).
-func (s *SubFS) Size(name string) int64 { return s.fs.Size(s.prefix + name) }
-
-// ReadAt serves a byte range under the prefix with striped accounting.
-func (s *SubFS) ReadAt(name string, p []byte, off int64) (int, error) {
-	return s.fs.ReadAt(s.prefix+name, p, off)
 }

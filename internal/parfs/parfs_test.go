@@ -305,53 +305,3 @@ func BenchmarkParfsStriping(b *testing.B) {
 		})
 	}
 }
-
-func TestSubNamespacesShareOneFS(t *testing.T) {
-	fs, err := New(Config{OSTs: 4, StripeSize: 64, BandwidthMBps: 1 << 20, LatencyMicros: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.SetSleep(func(time.Duration) {})
-	a, b := fs.Sub("jobs/a"), fs.Sub("jobs/b")
-
-	write := func(sub *SubFS, name, data string) {
-		t.Helper()
-		w, err := sub.Create(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write([]byte(data)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Same shard name under two prefixes must not collide.
-	write(a, "shard-0", "alpha")
-	write(b, "shard-0", "beta")
-
-	if got := a.List(); len(got) != 1 || got[0] != "shard-0" {
-		t.Fatalf("a.List() = %v", got)
-	}
-	if got := fs.List(); len(got) != 2 {
-		t.Fatalf("root List() = %v, want both prefixed files", got)
-	}
-	rc, err := b.Open("shard-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(rc)
-	rc.Close()
-	if string(data) != "beta" {
-		t.Fatalf("b/shard-0 = %q", data)
-	}
-	if a.Size("shard-0") != 5 || a.Size("missing") != 0 {
-		t.Fatalf("Size through Sub wrong: %d", a.Size("shard-0"))
-	}
-	// A second view of the same prefix sees the same files — the
-	// failover handle for a surviving node adopting a dead node's jobs.
-	if got := fs.Sub("jobs/a").Size("shard-0"); got != 5 {
-		t.Fatalf("re-mounted prefix Size = %d, want 5", got)
-	}
-}

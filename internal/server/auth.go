@@ -104,10 +104,12 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 // audit appends one record to the audit ledger (no-op without a data
 // dir). Append returns once the record is durable — group-committed,
 // so concurrent auditors share an fsync. The wait is a ledger.append
-// child of ctx's span, when ctx carries one.
-func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string) {
+// child of ctx's span, when ctx carries one. A failed append is logged
+// and returned: a stream open refuses to serve unaudited, the other
+// callers go on.
+func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string) error {
 	if s.ledger == nil {
-		return
+		return nil
 	}
 	start := time.Now()
 	_, err := s.ledger.Append(typ, tenantID, job, detail)
@@ -115,6 +117,7 @@ func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string) {
 	if err != nil {
 		s.logger.Warn("audit append failed", "type", typ, "job", job, "error", err.Error())
 	}
+	return err
 }
 
 // handleAuditRoots serves GET /v1/audit/roots: the ledger's published
@@ -249,19 +252,21 @@ func (s *Server) tenantRetained(tenantID string) int64 {
 	return s.tenantBytes[tenantID]
 }
 
-// tenantByteQuotas reports whether any configured tenant has a
-// retained-byte cap — the trigger for quota-pressure eviction even
-// when TTL/MaxJobs retention is off.
-func (s *Server) tenantByteQuotas() bool {
+// quotaOverage returns, for each byte-capped tenant, its retained bytes
+// minus its cap (negative while under it) — retention's byte-cap input.
+// It is empty when no tenant has a cap, and then quota pressure never
+// triggers eviction.
+func (s *Server) quotaOverage() map[string]int64 {
 	if s.tenants == nil {
-		return false
+		return nil
 	}
+	over := make(map[string]int64)
 	for _, t := range s.tenants.Tenants() {
 		if t.MaxShardBytes > 0 {
-			return true
+			over[t.ID] = s.tenantRetained(t.ID) - t.MaxShardBytes
 		}
 	}
-	return false
+	return over
 }
 
 // manifestStoredBytes is the on-disk footprint a manifest pins — the

@@ -14,6 +14,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -302,54 +303,21 @@ func (s *Server) adoptOrphans(filterID string) {
 	for _, st := range states {
 		s.scanIDs[st.sub.ID] = true
 	}
-	for _, st := range states {
-		id := st.sub.ID
-		if filterID != "" && id != filterID {
-			continue
-		}
-		// Full scans only take what the ring says is ours. A targeted
-		// adoption skips that check: the request reached us because
-		// *some* member's ring routed it here, and that member may have
-		// observed the owner's death before we probed it — refusing
-		// until our own ring catches up would 404 a servable job.
-		if filterID == "" && !s.opts.Cluster.IsLocal(id) {
-			continue
-		}
-		// Never seize a job another member may still be running: a
-		// non-terminal record plus a fresh lock-file heartbeat from the
-		// member that accepted it means "slow, not dead" — marking it
-		// failed (or wiping its half-written shards under -requeue)
-		// would turn a transient ring disagreement into data loss.
-		// Terminal jobs are immutable on disk and always safe to adopt.
-		if !st.hasTerm && st.sub.Node != "" && st.sub.Node != s.nodeID() && s.nodeLockFresh(st.sub.Node) {
-			continue
-		}
-		s.mu.Lock()
-		_, exists := s.jobs[id]
-		s.mu.Unlock()
-		if exists {
-			continue
-		}
-		job, requeue, err := s.restoreJob(st)
-		if err != nil {
-			continue
-		}
-		s.mu.Lock()
-		if _, raced := s.jobs[id]; raced {
-			s.mu.Unlock()
-			continue
-		}
-		s.jobs[id] = job
-		s.order = append(s.order, id)
-		s.metrics.jobsTotal.Set(float64(len(s.jobs)))
-		s.mu.Unlock()
+	// A targeted adoption takes only the asked-for job and skips the
+	// ring check: the request reached us because *some* member's ring
+	// routed it here, and that member may have observed the owner's
+	// death before we probed it — refusing until our own ring catches up
+	// would 404 a servable job.
+	if filterID != "" {
+		states = slices.DeleteFunc(states, func(st *replayState) bool { return st.sub.ID != filterID })
+	}
+	// A job that cannot be restored stays in the logs; the next scan
+	// retries it.
+	_ = s.restore(states, filterID != "", func(job *Job) {
 		s.metrics.clusterAdopted.Inc()
 		s.addDurableEvent(job, client.EventAdopted, "replayed from shared log after ownership change")
-		s.logger.Info("job adopted", "job", id, "trace", job.trace)
-		if requeue {
-			s.enqueueRestored(job)
-		}
-	}
+		s.logger.Info("job adopted", "job", job.id, "trace", job.trace)
+	})
 }
 
 // adoptJob is the lazy single-job adoption used on a table miss: a

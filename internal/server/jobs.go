@@ -9,14 +9,25 @@
 package server
 
 import (
+	"cmp"
+	"context"
+	"errors"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/domain"
+	"repro/internal/ledger"
 	"repro/internal/pipeline"
 	"repro/internal/provenance"
 	"repro/internal/shard"
+	"repro/internal/telemetry"
 	"repro/pkg/client"
 )
 
@@ -130,6 +141,7 @@ func (j *Job) Status() JobStatus {
 // jobResult carries a finished pipeline run back onto the Job.
 type jobResult struct {
 	plug       domain.Plugin
+	store      shard.Store // nil when none could be allocated
 	trajectory []TrajectoryPoint
 	records    int64
 	manifest   *shard.Manifest
@@ -137,22 +149,25 @@ type jobResult struct {
 	tracker    *provenance.Tracker
 	pipe       *pipeline.Pipeline
 	key        []byte
+	sealedKey  string // key sealed under the master key by commitJob
 }
 
 // runSpec resolves the domain plugin, synthesizes the input, and runs
-// the archetype pipeline over the job's shard store (in-memory, durable
-// FSSink, or parfs, chosen by the server) — the body of one worker-pool
-// slot.
+// the archetype pipeline over the job's shard store (in-memory or
+// durable FSSink, chosen by the server) — the body of one worker-pool
+// slot. The result is never nil: a failed run still hands back its
+// store and whatever trajectory and lineage it produced.
 func runSpec(spec JobSpec, sink shard.Store) (*jobResult, error) {
+	res := &jobResult{store: sink}
 	plug, err := domain.Lookup(spec.Domain)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
 	run, err := plug.Build(spec, sink)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	res := &jobResult{plug: plug, pipe: run.Pipeline}
+	res.plug, res.pipe = plug, run.Pipeline
 	snaps, err := run.Pipeline.Run(run.Dataset)
 	res.trajectory = toTrajectory(snaps)
 	res.tracker = run.Pipeline.Tracker
@@ -182,4 +197,519 @@ func toTrajectory(snaps []pipeline.Snapshot) []TrajectoryPoint {
 		}
 	}
 	return out
+}
+
+// --- lifecycle ---------------------------------------------------------
+//
+// A job enters the table through submitLocal or restore, becomes done
+// or failed only through finish, and leaves through maybeEvict.
+
+// restore is the one loop that puts replayed jobs into the table, at
+// startup and on fleet adoption alike. In a fleet it skips a job the
+// ring gives another member — unless anyOwner: a targeted adoption was
+// routed here by some member's ring, which may have seen the owner die
+// before we did. It also skips a non-terminal job whose accepting
+// member still heartbeats its lock file: slow, not dead, and failing
+// it (or wiping its half-written shards under -requeue) would turn a
+// transient ring disagreement into data loss. Terminal jobs are
+// immutable on disk and always safe to take. Each job put in the table
+// is charged to its tenant if done, handed to added (when non-nil) and,
+// if it was replayed unfinished under Options.Requeue, enqueued again
+// once the loop is over. A job that cannot be restored is skipped, and
+// its error returned.
+func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job)) error {
+	var requeued []*Job
+	var errs []error
+	for _, st := range states {
+		id := st.sub.ID
+		if c := s.opts.Cluster; c != nil {
+			if !anyOwner && !c.IsLocal(id) {
+				continue
+			}
+			if !st.hasTerm && st.sub.Node != "" && st.sub.Node != s.nodeID() && s.nodeLockFresh(st.sub.Node) {
+				continue
+			}
+		}
+		// Checked before restoreJob as well as after: restoring opens the
+		// job's store and, for an unfinished job, logs its loss.
+		s.mu.Lock()
+		_, held := s.jobs[id]
+		s.mu.Unlock()
+		if held {
+			continue
+		}
+		job, requeue, err := s.restoreJob(st)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		done := job.state == JobDone // read before the job is published
+		s.mu.Lock()
+		if _, held = s.jobs[id]; !held {
+			s.jobs[id] = job
+			s.order = append(s.order, id)
+			s.metrics.jobsTotal.Set(float64(len(s.jobs)))
+		}
+		s.mu.Unlock()
+		if held {
+			continue
+		}
+		if done {
+			s.quotaRetain(job.tenant, manifestStoredBytes(job.manifest))
+		}
+		if added != nil {
+			added(job)
+		}
+		if requeue {
+			requeued = append(requeued, job)
+		}
+	}
+	for _, job := range requeued {
+		s.enqueueRestored(job)
+	}
+	return errors.Join(errs...)
+}
+
+// restoreJob rebuilds one job from its log records. Jobs the crash
+// caught queued or running come back as failed (their partial output
+// is gone) — or, with Options.Requeue, as queued again (restore
+// enqueues them). Done jobs reattach to their on-disk shard set and
+// reimport their persisted provenance DAG.
+func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error) {
+	job = &Job{
+		id:         st.sub.ID,
+		spec:       *st.sub.Spec,
+		submitted:  st.sub.Time,
+		lastAccess: st.sub.Time,
+		trace:      st.sub.Trace,
+		tenant:     st.sub.Tenant,
+		events:     replayEvents(st),
+	}
+	if !st.hasTerm {
+		if s.opts.Requeue {
+			job.state = JobQueued
+			return job, true, nil
+		}
+		job.state = JobFailed
+		job.err = "interrupted by server restart"
+		job.events = append(job.events, JobEvent{
+			Event: client.EventFailed, Time: time.Now(), Node: s.nodeID(),
+			Detail: job.err, Trace: job.trace,
+		})
+		// Record the loss so the next replay converges without this branch.
+		_ = s.appendLog(logRecord{Type: recFailed, ID: job.id, Time: time.Now(), Error: job.err, Node: s.nodeID()})
+		return job, false, nil
+	}
+	rec := st.rec
+	job.started = rec.Started
+	job.finished = rec.Time
+	job.lastAccess = rec.Time
+	if len(rec.Provenance) > 0 {
+		if tr, perr := provenance.Import(rec.Provenance); perr == nil {
+			job.tracker = tr
+		}
+	}
+	if rec.Type == recFailed {
+		job.state = JobFailed
+		job.err = rec.Error
+		return job, false, nil
+	}
+	job.state = JobDone
+	job.records = rec.Records
+	job.trajectory = rec.Traject
+	// A job is servable whenever a manifest-indexed shard set exists and
+	// its domain has a plugin. (Logs predating the plugin architecture
+	// recorded servable=false for fusion/materials jobs even though
+	// their manifests were persisted — those become streamable on
+	// replay, which is exactly the upgrade this field order buys.)
+	job.manifest = rec.Manifest
+	plug, perr := domain.Lookup(job.spec.Domain)
+	job.servable = rec.Manifest != nil && perr == nil
+	if !job.servable {
+		return job, false, nil
+	}
+	store, err := s.newStore(job.id)
+	if err != nil {
+		return nil, false, err
+	}
+	// Trust the on-store manifest over the log copy when present: it is
+	// committed atomically alongside the shards it describes. Stores
+	// without manifest persistence (MemSink) serve from the log copy.
+	if lm, ok := store.(interface {
+		LoadManifest() (*shard.Manifest, error)
+	}); ok {
+		if m, merr := lm.LoadManifest(); merr == nil {
+			job.manifest = m
+		}
+	}
+	job.store = store
+	if rec.SealedKey != "" {
+		key, err := unsealJobKey(s.master, rec.SealedKey, job.id)
+		if err != nil {
+			job.state = JobFailed
+			job.err = fmt.Sprintf("restore: %v", err)
+			job.servable = false
+			return job, false, nil
+		}
+		job.key = key
+	}
+	if len(job.manifest.Shards) > 0 &&
+		store.Size(plug.StoredName(job.manifest.Shards[0].Name, job.key != nil)) == 0 {
+		job.state = JobFailed
+		job.err = "restore: shard files missing from data dir"
+		job.servable = false
+	}
+	return job, false, nil
+}
+
+// enqueueRestored resubmits a job replayed in queued/running state: its
+// partial shard output is wiped so the deterministic rerun starts
+// clean. The job takes its quota slot before it tries the queue, so an
+// overflow (more interrupted jobs than QueueDepth) fails it through
+// finish like any other job — the non-requeue outcome.
+func (s *Server) enqueueRestored(job *Job) {
+	if st, err := s.newStore(job.id); err == nil {
+		if d, ok := st.(interface{ Destroy() error }); ok {
+			_ = d.Destroy()
+		}
+	}
+	s.quotaActivate(job.tenant)
+	select {
+	case s.queue <- job:
+		s.metrics.jobsQueued.Add(1)
+		s.addDurableEvent(job, client.EventRequeued, "interrupted job resubmitted after restart")
+		s.logger.Info("job requeued", "job", job.id, "trace", job.trace)
+	default:
+		s.finish(job, &jobResult{}, errors.New("requeue: job queue full"))
+	}
+}
+
+func (s *Server) worker() {
+	defer s.wg.Done()
+	for {
+		// Check stop first: a blocking select alone picks randomly when
+		// both channels are ready, which would keep draining a full
+		// queue instead of shutting down.
+		select {
+		case <-s.stop:
+			return
+		default:
+		}
+		select {
+		case <-s.stop:
+			return
+		case job := <-s.queue:
+			s.runJob(job)
+		}
+	}
+}
+
+// runJob runs one job on a worker: pipeline, sidecar build, commit,
+// then finish. A job's id, spec, trace, tenant and submission time never
+// change once it is in the table, so they are read without job.mu.
+func (s *Server) runJob(job *Job) {
+	spec, trace, started := job.spec, job.trace, time.Now()
+	job.mu.Lock()
+	job.state, job.started = JobRunning, started
+	job.mu.Unlock()
+	s.metrics.jobsQueued.Add(-1)
+	s.metrics.jobsInFlight.Add(1)
+	defer s.metrics.jobsInFlight.Add(-1)
+	s.addEvent(job, client.EventRunning, "", "")
+	s.logger.Info("job running", "job", job.id, "domain", string(spec.Domain), "trace", trace)
+
+	// Job spans live in the submission's trace but are top-level there:
+	// the submission request span ended long before the worker picked the
+	// job up, so parenting under it would violate interval nesting.
+	var runSpan *telemetry.Span
+	if telemetry.ValidTraceID(trace) {
+		s.spans.Record(telemetry.SpanData{
+			TraceID: trace, SpanID: telemetry.NewSpanID(), Name: "job.wait",
+			Start: job.submitted, End: started,
+			Attrs: map[string]string{"job": job.id},
+		})
+		runSpan = s.spans.StartChild("job.run", telemetry.SpanContext{TraceID: trace})
+		runSpan.SetAttr("job", job.id)
+		runSpan.SetAttr("domain", string(spec.Domain))
+	}
+
+	res := &jobResult{}
+	var pipeStart time.Time
+	store, err := s.newStore(job.id)
+	if err == nil {
+		pipeStart = time.Now()
+		res, err = runSpec(spec, store)
+		s.metrics.observeStage("job:"+string(spec.Domain), time.Since(pipeStart).Seconds(), 1, 0)
+	}
+	// Frame-ready sidecars are written before the commit so they ride the
+	// shard set's one barrier and the first cold frame stream already
+	// serves from the disk tier. Best effort: a failed build costs
+	// decode+encode (and a lazy backfill) later, never the job.
+	if err == nil && res.servable && res.manifest != nil {
+		s.buildJobSidecars(job.id, res)
+	}
+	if err == nil && s.log != nil {
+		err = s.commitJob(job.id, res)
+	}
+	if err = s.finish(job, res, err); err != nil {
+		runSpan.SetError(err.Error())
+		runSpan.End()
+		return
+	}
+
+	// Fold the pipeline's per-stage timings into the stage counters so
+	// /metrics aggregates stage cost across all jobs.
+	for _, st := range res.pipe.Collector.ByStage() {
+		s.metrics.observeStage(st.Stage, st.Total.Seconds(), int64(st.Calls), st.Bytes)
+	}
+
+	// Synthesize job.stage child spans from the pipeline's sample record:
+	// samples were taken sequentially during runSpec, so laying them end
+	// to end from the pipeline start reconstructs the stage timeline
+	// (clamped so children never escape job.run's interval).
+	if runSpan != nil {
+		parent := runSpan.Context()
+		cursor := pipeStart
+		for _, sm := range res.pipe.Collector.Samples() {
+			end := cursor.Add(sm.Duration)
+			if end.After(time.Now()) {
+				end = time.Now()
+			}
+			s.spans.Record(telemetry.SpanData{
+				TraceID: parent.TraceID, SpanID: telemetry.NewSpanID(), Parent: parent.SpanID,
+				Name: "job.stage", Start: cursor, End: end,
+				Attrs: map[string]string{"stage": sm.Stage, "category": sm.Category},
+			})
+			cursor = end
+		}
+		runSpan.End()
+	}
+}
+
+// commitJob is a job's one durability point. Nothing the pipeline and
+// the sidecar build wrote has been fsynced by its writer (shard.FSSink
+// syncs behind them): the barrier makes every file and its directory
+// entry durable, only then is the manifest published, and only after
+// this returns may finish log the terminal record. A power cut before
+// that record leaves a job that replay reruns or fails; after it,
+// everything the record promises is on disk.
+func (s *Server) commitJob(id string, res *jobResult) (err error) {
+	if sy, ok := res.store.(shard.Syncer); ok {
+		if err := sy.Sync(); err != nil {
+			return fmt.Errorf("commit shard set: %w", err)
+		}
+	}
+	if ms, ok := res.store.(interface{ WriteManifest(*shard.Manifest) error }); ok && res.manifest != nil {
+		if err := ms.WriteManifest(res.manifest); err != nil {
+			return err
+		}
+	}
+	if res.key != nil {
+		res.sealedKey, err = sealJobKey(s.master, res.key, id)
+	}
+	return err
+}
+
+// finish is the one place a live job becomes done or failed: the end
+// of runJob, either way, and a requeue that found the queue full. With
+// a data dir the terminal record is made durable first; only then does
+// the state flip and the event go out, so no client sees a job done
+// that a restart would not find done. A failed append fails the job
+// with an error naming the job log — the log is sticky-failed by then,
+// so a restart finds no terminal record and replays the job as
+// interrupted. The record is built and appended outside job.mu, so
+// status polls never wait on its fsync. finish returns the job's final
+// error: nil when it is done.
+func (s *Server) finish(job *Job, res *jobResult, err error) error {
+	// Only runJob writes job.started, and it is finish's caller then.
+	now := time.Now()
+	rec := logRecord{ID: job.id, Time: now, Started: job.started, Node: s.nodeID()}
+	servable := res.servable && res.manifest != nil
+	if err == nil {
+		rec.Type, rec.Records, rec.Servable = recDone, res.records, servable
+		rec.Manifest, rec.Traject, rec.SealedKey = res.manifest, res.trajectory, res.sealedKey
+	} else {
+		rec.Type, rec.Error = recFailed, err.Error()
+	}
+	// The lineage DAG rides along on every terminal record so replayed
+	// jobs keep serving /provenance (a failed run's partial lineage is
+	// worth as much as a successful one's for debugging).
+	if res.tracker != nil {
+		if b, perr := res.tracker.Export(); perr == nil {
+			rec.Provenance = b
+		}
+	}
+	if s.log != nil {
+		if lerr := s.appendLog(rec); lerr != nil && err == nil {
+			err = fmt.Errorf("job log: %w", lerr)
+		}
+	}
+
+	job.mu.Lock()
+	job.finished, job.lastAccess = now, now
+	job.store = res.store
+	job.trajectory, job.tracker = res.trajectory, res.tracker
+	if err != nil {
+		job.state, job.err = JobFailed, err.Error()
+	} else {
+		job.state = JobDone
+		job.records, job.manifest, job.key, job.servable = res.records, res.manifest, res.key, servable
+	}
+	job.mu.Unlock()
+	s.quotaDeactivate(job.tenant)
+	if err != nil {
+		s.metrics.jobsFailed.Inc()
+		s.addEvent(job, client.EventFailed, err.Error(), "")
+		s.logger.Info("job failed", "job", job.id, "error", err.Error(), "trace", job.trace)
+	} else {
+		s.quotaRetain(job.tenant, manifestStoredBytes(res.manifest))
+		s.metrics.jobsDone.Inc()
+		s.addEvent(job, client.EventDone, "", "")
+		s.logger.Info("job done", "job", job.id, "records", res.records, "trace", job.trace)
+	}
+	s.maybeEvict()
+	return err
+}
+
+// evictLoop applies TTL eviction on a timer (LRU pressure is also
+// checked at every job completion).
+func (s *Server) evictLoop() {
+	defer s.wg.Done()
+	interval := time.Second
+	if ttl := s.opts.JobTTL; ttl > 0 {
+		interval = min(max(ttl/4, 50*time.Millisecond), 30*time.Second)
+	}
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-t.C:
+			s.maybeEvict()
+		}
+	}
+}
+
+// retained is a completed job as retention sees it.
+type retained struct {
+	job   *Job
+	last  time.Time // lastAccess: completion or the latest batch stream
+	bytes int64     // stored bytes its manifest pins
+	owned bool      // this node is its ring owner (always, outside a fleet)
+}
+
+// retentionVictims picks what retention removes from jobs. A job this
+// node does not own is released: in a fleet only the current ring owner
+// may evict, since destroying a shard set out from under the member
+// serving it would race on the shared dir. The owned jobs are walked
+// once, oldest first (lastAccess, then ID), and a victim is one idle
+// longer than ttl, one of the oldest beyond maxJobs, or — while its
+// tenant's over (retained bytes minus the cap, byte-capped tenants
+// only) is still positive — one that frees bytes. TTL victims are the
+// oldest prefix and the maxJobs excess the next, so when the byte check
+// reaches any other job its tenant's over already nets out every
+// earlier victim. ttl and maxJobs <= 0 are off; over is not modified.
+func retentionVictims(jobs []retained, now time.Time, ttl time.Duration, maxJobs int, over map[string]int64) (victims, released []*Job) {
+	var owned []retained
+	for _, r := range jobs {
+		if r.owned {
+			owned = append(owned, r)
+		} else {
+			released = append(released, r.job)
+		}
+	}
+	slices.SortFunc(owned, func(a, b retained) int {
+		return cmp.Or(a.last.Compare(b.last), strings.Compare(a.job.id, b.job.id))
+	})
+	left := maps.Clone(over)
+	for i, r := range owned {
+		expired := ttl > 0 && now.Sub(r.last) > ttl
+		excess := maxJobs > 0 && i < len(owned)-maxJobs
+		if expired || excess || (left[r.job.tenant] > 0 && r.bytes > 0) {
+			victims = append(victims, r.job)
+			if _, capped := left[r.job.tenant]; capped {
+				left[r.job.tenant] -= r.bytes
+			}
+		}
+	}
+	return victims, released
+}
+
+// maybeEvict applies retention: under s.mu it collects the completed
+// jobs, selects victims with retentionVictims and drops them from the
+// table; then it applies the eviction outside the lock. In-flight
+// streams of a victim fail on their next uncached shard read — the
+// same contract as any storage eviction.
+//
+// The order is the contract. A victim first leaves the job table, so
+// every new request for it gets 404 at once. Then its recEvicted record
+// is appended, and only once that is durable are its shard files
+// destroyed: if the record cannot be written the files stay, and a
+// restart re-serves the job instead of replaying one whose shards are
+// gone. A 404 therefore does not mean the files are gone yet; they go
+// within the same call.
+func (s *Server) maybeEvict() {
+	ttl, maxJobs, over := s.opts.JobTTL, s.opts.MaxJobs, s.quotaOverage()
+	if ttl <= 0 && maxJobs <= 0 && len(over) == 0 {
+		return
+	}
+	now := time.Now()
+	s.mu.Lock()
+	var done []retained
+	for _, j := range s.jobs {
+		j.mu.Lock()
+		if j.state == JobDone || j.state == JobFailed {
+			done = append(done, retained{job: j, last: j.lastAccess, bytes: manifestStoredBytes(j.manifest),
+				owned: s.opts.Cluster == nil || s.opts.Cluster.IsLocal(j.id)})
+		}
+		j.mu.Unlock()
+	}
+	victims, released := retentionVictims(done, now, ttl, maxJobs, over)
+	leaving := slices.Concat(victims, released)
+	if len(leaving) == 0 {
+		s.mu.Unlock()
+		return
+	}
+	for _, j := range leaving {
+		delete(s.jobs, j.id)
+	}
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.jobs[id] == nil })
+	s.metrics.jobsTotal.Set(float64(len(s.jobs)))
+	s.mu.Unlock()
+
+	var evicted []*Job
+	for _, j := range victims {
+		if s.log != nil {
+			if err := s.appendLog(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()}); err != nil {
+				s.logger.Warn("eviction not logged; shard files kept", "job", j.id, "error", err.Error())
+				continue
+			}
+		}
+		if d, ok := j.store.(interface{ Destroy() error }); ok {
+			_ = d.Destroy()
+		} else if s.opts.DataDir != "" {
+			// Restored jobs without an attached store (failed or
+			// interrupted) may still own a shard directory.
+			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", j.id))
+		}
+		evicted = append(evicted, j)
+	}
+	// Files are destroyed before the cache is invalidated: a load that
+	// starts in the gap then either fails (files gone — nothing
+	// inserted) or completes before DropPrefix and is swept or
+	// tombstoned by it. The reverse order would let a load beginning
+	// just after DropPrefix read still-present files and cache the
+	// deleted job's records forever. A released copy's bytes are
+	// retained by the ring owner on its side; this node stops charging
+	// them here.
+	for _, j := range leaving {
+		s.cache.DropPrefix(j.id + "/")
+		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
+	}
+	for _, j := range evicted {
+		s.audit(context.Background(), ledger.TypeEvict, j.tenant, j.id, "retention")
+		s.metrics.jobsEvicted.Inc()
+		s.logger.Info("job evicted", "job", j.id)
+	}
 }

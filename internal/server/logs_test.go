@@ -117,8 +117,9 @@ func TestNewLogsAreOwnerOnly(t *testing.T) {
 }
 
 // TestStatusDoesNotWaitOnTerminalSync: the terminal record is appended
-// after job.mu is released, so a status poll (what WaitDone does)
-// answers while that record's fsync is still in flight.
+// outside job.mu, so a status poll (what WaitDone does) answers while
+// that record's fsync is still in flight — and answers running: a job
+// turns done only once its terminal record is durable.
 func TestStatusDoesNotWaitOnTerminalSync(t *testing.T) {
 	entered, held := make(chan struct{}), make(chan struct{})
 	onLogSync(t, "jobs.log", func(n int) error {
@@ -147,8 +148,8 @@ func TestStatusDoesNotWaitOnTerminalSync(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var got JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || got.State != JobDone {
-		t.Fatalf("status during the held sync: %+v, %v; want done", got, err)
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || got.State != JobRunning {
+		t.Fatalf("status during the held sync: %+v, %v; want running", got, err)
 	}
 	release()
 }

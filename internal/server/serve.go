@@ -152,7 +152,12 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	}
 	job.touch()
 	ident := tenant.FromContext(r.Context())
-	s.audit(r.Context(), ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize))
+	// Audit before serve: a stream open whose record cannot commit is
+	// refused before any header, never served unaudited.
+	if err := s.audit(r.Context(), ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize)); err != nil {
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("audit ledger: %w", err))
+		return
+	}
 
 	// Content negotiation: NDJSON unless the client's Accept asks for
 	// the binary frame format. X-Draid-Wire names the format actually
@@ -641,8 +646,8 @@ func (s *Server) backfillSidecar(p *servePlan, info shard.Info, b []byte) {
 // the first cold frame stream already has the disk tier. Failures are
 // logged and error-counted but never fail the job — serving falls
 // back to decode+encode (and lazy backfill) for whatever is missing.
-func (s *Server) buildJobSidecars(id string, store shard.Store, res *jobResult) {
-	built, err := domain.BuildShardSidecars(res.plug, store, res.manifest, res.key)
+func (s *Server) buildJobSidecars(id string, res *jobResult) {
+	built, err := domain.BuildShardSidecars(res.plug, res.store, res.manifest, res.key)
 	if err != nil {
 		s.metrics.frameStoreErrors.Inc()
 		s.logger.Warn("frame sidecar build incomplete", "job", id, "built", built, "error", err.Error())

@@ -18,7 +18,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/domain"
 	"repro/internal/ledger"
-	"repro/internal/provenance"
 	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -238,7 +236,7 @@ func New(opts Options) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if opts.JobTTL > 0 || opts.MaxJobs > 0 || s.tenantByteQuotas() {
+	if opts.JobTTL > 0 || opts.MaxJobs > 0 || len(s.quotaOverage()) > 0 {
 		s.wg.Add(1)
 		go s.evictLoop()
 	}
@@ -339,155 +337,7 @@ func (s *Server) openDurable() error {
 	}
 	states, maxSeq := replayJobs(recs, selfID)
 	s.seq = maxSeq
-	var requeued []*Job
-	for _, st := range states {
-		if s.opts.Cluster != nil && !s.opts.Cluster.IsLocal(st.sub.ID) {
-			continue // another live member's job; adoption picks it up if that member dies
-		}
-		// Same guard as adoption: a non-terminal job whose accepting
-		// member still heartbeats its lock file is running, not lost.
-		if s.opts.Cluster != nil && !st.hasTerm &&
-			st.sub.Node != "" && st.sub.Node != selfID && s.nodeLockFresh(st.sub.Node) {
-			continue
-		}
-		job, requeue, err := s.restoreJob(st)
-		if err != nil {
-			return err
-		}
-		s.jobs[job.id] = job
-		s.order = append(s.order, job.id)
-		if job.state == JobDone {
-			s.quotaRetain(job.tenant, manifestStoredBytes(job.manifest))
-		}
-		if requeue {
-			requeued = append(requeued, job)
-		}
-	}
-	for _, job := range requeued {
-		s.enqueueRestored(job)
-	}
-	s.metrics.jobsTotal.Set(float64(len(s.jobs)))
-	return nil
-}
-
-// enqueueRestored resubmits a job replayed in queued/running state: its
-// partial shard output is wiped so the deterministic rerun starts
-// clean. Queue overflow (more interrupted jobs than QueueDepth) falls
-// back to the non-requeue behaviour — the job is marked failed.
-func (s *Server) enqueueRestored(job *Job) {
-	if st, err := s.newStore(job.id); err == nil {
-		if d, ok := st.(interface{ Destroy() error }); ok {
-			_ = d.Destroy()
-		}
-	}
-	select {
-	case s.queue <- job:
-		s.quotaActivate(job.tenant)
-		s.metrics.jobsQueued.Add(1)
-		s.addDurableEvent(job, client.EventRequeued, "interrupted job resubmitted after restart")
-		s.logger.Info("job requeued", "job", job.id, "trace", job.trace)
-	default:
-		job.mu.Lock()
-		job.state = JobFailed
-		job.err = "requeue: job queue full"
-		job.finished = time.Now()
-		job.mu.Unlock()
-		s.metrics.jobsFailed.Inc()
-		s.addEvent(job, client.EventFailed, "requeue: job queue full", "")
-		s.persistTerminal(job, "")
-	}
-}
-
-// restoreJob rebuilds one job from its log records. Jobs the crash
-// caught queued or running come back as failed (their partial output
-// is gone) — or, with Options.Requeue, as queued again (the caller
-// enqueues them). Done jobs reattach to their on-disk shard set and
-// reimport their persisted provenance DAG.
-func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error) {
-	job = &Job{
-		id:         st.sub.ID,
-		spec:       *st.sub.Spec,
-		submitted:  st.sub.Time,
-		lastAccess: st.sub.Time,
-		trace:      st.sub.Trace,
-		tenant:     st.sub.Tenant,
-		events:     replayEvents(st),
-	}
-	if !st.hasTerm {
-		if s.opts.Requeue {
-			job.state = JobQueued
-			return job, true, nil
-		}
-		job.state = JobFailed
-		job.err = "interrupted by server restart"
-		job.events = append(job.events, JobEvent{
-			Event: client.EventFailed, Time: time.Now(), Node: s.nodeID(),
-			Detail: job.err, Trace: job.trace,
-		})
-		// Record the loss so the next replay converges without this branch.
-		_ = s.appendLog(logRecord{Type: recFailed, ID: job.id, Time: time.Now(), Error: job.err, Node: s.nodeID()})
-		return job, false, nil
-	}
-	rec := st.rec
-	job.started = rec.Started
-	job.finished = rec.Time
-	job.lastAccess = rec.Time
-	if len(rec.Provenance) > 0 {
-		if tr, perr := provenance.Import(rec.Provenance); perr == nil {
-			job.tracker = tr
-		}
-	}
-	if rec.Type == recFailed {
-		job.state = JobFailed
-		job.err = rec.Error
-		return job, false, nil
-	}
-	job.state = JobDone
-	job.records = rec.Records
-	job.trajectory = rec.Traject
-	// A job is servable whenever a manifest-indexed shard set exists and
-	// its domain has a plugin. (Logs predating the plugin architecture
-	// recorded servable=false for fusion/materials jobs even though
-	// their manifests were persisted — those become streamable on
-	// replay, which is exactly the upgrade this field order buys.)
-	job.manifest = rec.Manifest
-	plug, perr := domain.Lookup(job.spec.Domain)
-	job.servable = rec.Manifest != nil && perr == nil
-	if !job.servable {
-		return job, false, nil
-	}
-	store, err := s.newStore(job.id)
-	if err != nil {
-		return nil, false, err
-	}
-	// Trust the on-store manifest over the log copy when present: it is
-	// committed atomically alongside the shards it describes. Stores
-	// without manifest persistence (parfs) serve from the log copy.
-	if lm, ok := store.(interface {
-		LoadManifest() (*shard.Manifest, error)
-	}); ok {
-		if m, merr := lm.LoadManifest(); merr == nil {
-			job.manifest = m
-		}
-	}
-	job.store = store
-	if rec.SealedKey != "" {
-		key, err := unsealJobKey(s.master, rec.SealedKey, job.id)
-		if err != nil {
-			job.state = JobFailed
-			job.err = fmt.Sprintf("restore: %v", err)
-			job.servable = false
-			return job, false, nil
-		}
-		job.key = key
-	}
-	if len(job.manifest.Shards) > 0 &&
-		store.Size(plug.StoredName(job.manifest.Shards[0].Name, job.key != nil)) == 0 {
-		job.state = JobFailed
-		job.err = "restore: shard files missing from data dir"
-		job.servable = false
-	}
-	return job, false, nil
+	return s.restore(states, false, nil)
 }
 
 // nodeID is this server's fleet member ID ("" single-node).
@@ -528,396 +378,6 @@ func (s *Server) Close() {
 	}
 	if s.nodeLock != nil {
 		_ = s.nodeLock.Release()
-	}
-}
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		// Check stop first: a blocking select alone picks randomly when
-		// both channels are ready, which would keep draining a full
-		// queue instead of shutting down.
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		select {
-		case <-s.stop:
-			return
-		case job := <-s.queue:
-			s.runJob(job)
-		}
-	}
-}
-
-func (s *Server) runJob(job *Job) {
-	job.mu.Lock()
-	job.state = JobRunning
-	job.started = time.Now()
-	spec := job.spec
-	trace := job.trace
-	submitted := job.submitted
-	started := job.started
-	job.mu.Unlock()
-	s.metrics.jobsQueued.Add(-1)
-	s.metrics.jobsInFlight.Add(1)
-	defer s.metrics.jobsInFlight.Add(-1)
-	s.addEvent(job, client.EventRunning, "", "")
-	s.logger.Info("job running", "job", job.id, "domain", string(spec.Domain), "trace", trace)
-
-	// Job spans live in the submission's trace but are top-level there:
-	// the submission request span ended long before the worker picked the
-	// job up, so parenting under it would violate interval nesting.
-	var runSpan *telemetry.Span
-	if telemetry.ValidTraceID(trace) {
-		s.spans.Record(telemetry.SpanData{
-			TraceID: trace, SpanID: telemetry.NewSpanID(), Name: "job.wait",
-			Start: submitted, End: started,
-			Attrs: map[string]string{"job": job.id},
-		})
-		runSpan = s.spans.StartChild("job.run", telemetry.SpanContext{TraceID: trace})
-		runSpan.SetAttr("job", job.id)
-		runSpan.SetAttr("domain", string(spec.Domain))
-	}
-
-	var res *jobResult
-	var pipeStart time.Time
-	store, err := s.newStore(job.id)
-	if err == nil {
-		pipeStart = time.Now()
-		res, err = runSpec(spec, store)
-		s.metrics.observeStage("job:"+string(spec.Domain), time.Since(pipeStart).Seconds(), 1, 0)
-	}
-	// Frame-ready sidecars are written before the commit so they ride the
-	// shard set's one barrier and the first cold frame stream already
-	// serves from the disk tier. Best effort: a failed build costs
-	// decode+encode (and a lazy backfill) later, never the job.
-	if err == nil && res.servable && res.manifest != nil {
-		s.buildJobSidecars(job.id, store, res)
-	}
-	// Commit durable state before announcing success, so clients never
-	// observe a done job that later un-happens.
-	var sealedKey string
-	if err == nil && s.log != nil {
-		sealedKey, err = s.commitJob(job.id, store, res)
-	}
-
-	job.mu.Lock()
-	job.finished = time.Now()
-	job.lastAccess = job.finished
-	job.store = store
-	if res != nil {
-		job.trajectory = res.trajectory
-		job.tracker = res.tracker
-	}
-	if err != nil {
-		job.state = JobFailed
-		job.err = err.Error()
-		job.mu.Unlock()
-		s.quotaDeactivate(job.tenant)
-		runSpan.SetError(err.Error())
-		runSpan.End()
-		s.metrics.jobsFailed.Inc()
-		s.addEvent(job, client.EventFailed, err.Error(), "")
-		s.logger.Info("job failed", "job", job.id, "error", err.Error(), "trace", trace)
-		s.persistTerminal(job, "")
-		s.maybeEvict()
-		return
-	}
-	job.records = res.records
-	job.manifest = res.manifest
-	job.key = res.key
-	job.servable = res.servable && res.manifest != nil
-	job.state = JobDone
-	job.mu.Unlock()
-	s.quotaDeactivate(job.tenant)
-	s.quotaRetain(job.tenant, manifestStoredBytes(res.manifest))
-	s.metrics.jobsDone.Inc()
-	s.addEvent(job, client.EventDone, "", "")
-	s.logger.Info("job done", "job", job.id, "records", res.records, "trace", trace)
-	s.persistTerminal(job, sealedKey)
-	s.maybeEvict()
-
-	// Fold the pipeline's per-stage timings into the stage counters so
-	// /metrics aggregates stage cost across all jobs.
-	for _, st := range res.pipe.Collector.ByStage() {
-		s.metrics.observeStage(st.Stage, st.Total.Seconds(), int64(st.Calls), st.Bytes)
-	}
-
-	// Synthesize job.stage child spans from the pipeline's sample record:
-	// samples were taken sequentially during runSpec, so laying them end
-	// to end from the pipeline start reconstructs the stage timeline
-	// (clamped so children never escape job.run's interval).
-	if runSpan != nil {
-		parent := runSpan.Context()
-		cursor := pipeStart
-		for _, sm := range res.pipe.Collector.Samples() {
-			end := cursor.Add(sm.Duration)
-			if end.After(time.Now()) {
-				end = time.Now()
-			}
-			s.spans.Record(telemetry.SpanData{
-				TraceID: parent.TraceID, SpanID: telemetry.NewSpanID(), Parent: parent.SpanID,
-				Name: "job.stage", Start: cursor, End: end,
-				Attrs: map[string]string{"stage": sm.Stage, "category": sm.Category},
-			})
-			cursor = end
-		}
-		runSpan.End()
-	}
-}
-
-// commitJob is a job's one durability point. Nothing the pipeline and
-// the sidecar build wrote has been fsynced by its writer (shard.FSSink
-// syncs behind them): the barrier makes every file and its directory
-// entry durable, only then is the manifest published, and only after
-// this returns may the caller log the terminal record. A power cut
-// before that record leaves a job that replay reruns or fails; after
-// it, everything the record promises is on disk.
-func (s *Server) commitJob(id string, store shard.Store, res *jobResult) (sealedKey string, err error) {
-	if sy, ok := store.(shard.Syncer); ok {
-		if err := sy.Sync(); err != nil {
-			return "", fmt.Errorf("commit shard set: %w", err)
-		}
-	}
-	if ms, ok := store.(interface{ WriteManifest(*shard.Manifest) error }); ok && res.manifest != nil {
-		if err := ms.WriteManifest(res.manifest); err != nil {
-			return "", err
-		}
-	}
-	if res.key == nil {
-		return "", nil
-	}
-	return sealJobKey(s.master, res.key, id)
-}
-
-// persistTerminal appends a finished job's terminal log record (the
-// shard set and manifest were already committed to disk by commitJob
-// before the job was declared done). Without a data dir it is a no-op.
-// The record is built under job.mu and appended after it is released,
-// so status polls never wait on the log's fsync.
-func (s *Server) persistTerminal(job *Job, sealedKey string) {
-	if s.log == nil {
-		return
-	}
-	job.mu.Lock()
-	rec := logRecord{
-		ID:      job.id,
-		Time:    job.finished,
-		Started: job.started,
-		Node:    s.nodeID(),
-	}
-	if job.state == JobFailed {
-		rec.Type = recFailed
-		rec.Error = job.err
-	} else {
-		rec.Type = recDone
-		rec.Records = job.records
-		rec.Servable = job.servable
-		rec.Manifest = job.manifest
-		rec.Traject = job.trajectory
-		rec.SealedKey = sealedKey
-	}
-	tracker := job.tracker
-	job.mu.Unlock()
-	// The lineage DAG rides along on every terminal record so replayed
-	// jobs keep serving /provenance (a failed run's partial lineage is
-	// worth as much as a successful one's for debugging).
-	if tracker != nil {
-		if b, perr := tracker.Export(); perr == nil {
-			rec.Provenance = b
-		}
-	}
-	_ = s.appendLog(rec)
-}
-
-// evictLoop applies TTL eviction on a timer (LRU pressure is also
-// checked at every job completion).
-func (s *Server) evictLoop() {
-	defer s.wg.Done()
-	interval := time.Second
-	if ttl := s.opts.JobTTL; ttl > 0 {
-		interval = ttl / 4
-		if interval < 50*time.Millisecond {
-			interval = 50 * time.Millisecond
-		}
-		if interval > 30*time.Second {
-			interval = 30 * time.Second
-		}
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.maybeEvict()
-		}
-	}
-}
-
-// maybeEvict removes completed jobs past the TTL or beyond the
-// retained-job bound (least recently served first), deleting their
-// shard storage and logging the eviction so a restart does not
-// resurrect them. In-flight streams of a victim fail on their next
-// uncached shard read — the same contract as any storage eviction.
-//
-// The order is the contract: a victim first leaves the job table,
-// under s.mu, so every new request for it gets 404 at once. Only then,
-// outside the lock, are its shard files destroyed, its cache entries
-// dropped and its recEvicted record appended. A 404 therefore does not
-// mean the files are gone yet; they go within the same call.
-func (s *Server) maybeEvict() {
-	ttl, maxJobs := s.opts.JobTTL, s.opts.MaxJobs
-	if ttl <= 0 && maxJobs <= 0 && !s.tenantByteQuotas() {
-		return
-	}
-	now := time.Now()
-	var victims, released []*Job
-
-	s.mu.Lock()
-	type candidate struct {
-		job  *Job
-		last time.Time
-	}
-	var completed []candidate
-	for _, j := range s.jobs {
-		// In a fleet only the current ring owner may evict: destroying
-		// a shard set out from under the member actually serving it
-		// (after ownership moved back) would be a cross-node eviction
-		// race on the shared dir. A copy we no longer own (adopted
-		// during an outage, owner since returned) is instead released —
-		// dropped from the table and cache, storage untouched — so it
-		// neither lingers forever nor serves a dir the owner may evict.
-		if c := s.opts.Cluster; c != nil && !c.IsLocal(j.id) {
-			j.mu.Lock()
-			terminal := j.state == JobDone || j.state == JobFailed
-			j.mu.Unlock()
-			if terminal {
-				released = append(released, j)
-			}
-			continue
-		}
-		j.mu.Lock()
-		terminal := j.state == JobDone || j.state == JobFailed
-		last := j.lastAccess
-		j.mu.Unlock()
-		if !terminal {
-			continue
-		}
-		if ttl > 0 && now.Sub(last) > ttl {
-			victims = append(victims, j)
-			continue
-		}
-		completed = append(completed, candidate{job: j, last: last})
-	}
-	if maxJobs > 0 && len(completed) > maxJobs {
-		sort.Slice(completed, func(i, k int) bool {
-			return completed[i].last.Before(completed[k].last)
-		})
-		for _, c := range completed[:len(completed)-maxJobs] {
-			victims = append(victims, c.job)
-		}
-	}
-	if s.tenants != nil {
-		// Tenant byte-quota pressure: a tenant past its retained-bytes cap
-		// has its least recently served completed jobs evicted until it
-		// fits again, so over-quota hoarding degrades into LRU turnover
-		// instead of freezing the tenant's submissions forever. Reading a
-		// victim's manifest without its lock is safe here: the state read
-		// above confirmed the job terminal under job.mu, after which the
-		// manifest never changes.
-		chosen := make(map[string]bool, len(victims))
-		for _, j := range victims {
-			chosen[j.id] = true
-		}
-		over := make(map[string]int64)
-		for _, t := range s.tenants.Tenants() {
-			if t.MaxShardBytes <= 0 {
-				continue
-			}
-			usage := s.tenantRetained(t.ID)
-			for _, j := range victims {
-				if j.tenant == t.ID {
-					usage -= manifestStoredBytes(j.manifest)
-				}
-			}
-			if usage > t.MaxShardBytes {
-				over[t.ID] = usage - t.MaxShardBytes
-			}
-		}
-		if len(over) > 0 {
-			sort.Slice(completed, func(i, k int) bool {
-				return completed[i].last.Before(completed[k].last)
-			})
-			for _, c := range completed {
-				j := c.job
-				if chosen[j.id] || over[j.tenant] <= 0 {
-					continue
-				}
-				bytes := manifestStoredBytes(j.manifest)
-				if bytes <= 0 {
-					continue
-				}
-				victims = append(victims, j)
-				chosen[j.id] = true
-				over[j.tenant] -= bytes
-			}
-		}
-	}
-	if len(victims) == 0 && len(released) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	gone := make(map[string]bool, len(victims)+len(released))
-	for _, j := range victims {
-		gone[j.id] = true
-		delete(s.jobs, j.id)
-	}
-	for _, j := range released {
-		gone[j.id] = true
-		delete(s.jobs, j.id)
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if !gone[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.order = kept
-	s.metrics.jobsTotal.Set(float64(len(s.jobs)))
-	s.mu.Unlock()
-
-	for _, j := range released {
-		s.cache.DropPrefix(j.id + "/")
-		// The ring owner re-retains these bytes on its side; this copy no
-		// longer charges the tenant here.
-		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
-	}
-	for _, j := range victims {
-		// Destroy the shard files before invalidating the cache: a load
-		// that starts in the gap then either fails (files gone — nothing
-		// inserted) or completes before DropPrefix and is swept or
-		// tombstoned by it. The reverse order would let a load beginning
-		// just after DropPrefix read still-present files and cache the
-		// deleted job's records forever.
-		if d, ok := j.store.(interface{ Destroy() error }); ok {
-			_ = d.Destroy()
-		} else if s.opts.DataDir != "" {
-			// Restored jobs without an attached store (failed or
-			// interrupted) may still own a shard directory.
-			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", j.id))
-		}
-		s.cache.DropPrefix(j.id + "/")
-		if s.log != nil {
-			_ = s.appendLog(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()})
-		}
-		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
-		s.audit(context.Background(), ledger.TypeEvict, j.tenant, j.id, "retention")
-		s.metrics.jobsEvicted.Inc()
-		s.logger.Info("job evicted", "job", j.id)
 	}
 }
 

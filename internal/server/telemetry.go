@@ -389,12 +389,9 @@ func (s *Server) addDurableEvent(job *Job, event, detail string) {
 	if s.log == nil {
 		return
 	}
-	job.mu.Lock()
-	trace := job.trace
-	job.mu.Unlock()
 	_ = s.appendLog(logRecord{
 		Type: recEvent, ID: job.id, Time: time.Now(),
-		Event: event, Error: detail, Node: s.nodeID(), Trace: trace,
+		Event: event, Error: detail, Node: s.nodeID(), Trace: job.trace,
 	})
 }
 

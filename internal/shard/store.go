@@ -3,9 +3,7 @@
 // persists shards as plain files under a root directory with an
 // atomically replaced MANIFEST.json (temp file + rename, so readers
 // never observe a torn manifest — the same commit discipline as HDF5's
-// chunk b-tree flush), and ParfsSink routes the same traffic through
-// the simulated striped parallel filesystem so stripe contention stays
-// observable in benchmarks.
+// chunk b-tree flush).
 //
 // Durability is a property of the shard SET, not of each file: a
 // writer's Close makes its file visible, background syncers fsync it
@@ -59,7 +57,7 @@ const syncWorkers = 16
 // Syncer is the optional durability side of a store: Sync returns once
 // every object committed so far would survive a power cut. Callers
 // type-assert, as with RangeOpener; stores that are not crash-durable
-// (MemSink, ParfsSink) do not implement it.
+// (MemSink) do not implement it.
 type Syncer interface {
 	Sync() error
 }
@@ -380,81 +378,11 @@ func (s *FSSink) Destroy() error {
 	return os.RemoveAll(s.root)
 }
 
-// StripedFS is the surface ParfsSink needs from a parallel-filesystem
-// simulation. *parfs.FS satisfies it; the indirection exists because
-// parfs's own tests exercise shard writers, so shard cannot import
-// parfs without a test-build cycle.
-type StripedFS interface {
-	Create(name string) (io.WriteCloser, error)
-	Open(name string) (io.ReadCloser, error)
-	List() []string
-	Size(name string) int64
-}
-
-// ParfsSink adapts a simulated striped parallel filesystem to Store:
-// every shard write and read is striped across OSTs and charged
-// bandwidth + latency, so benchmarks over this sink expose the stripe
-// contention the paper's C1 scaling claim is about.
-type ParfsSink struct {
-	FS StripedFS
-}
-
-// NewParfsSink wraps a striped filesystem as a shard store.
-func NewParfsSink(fs StripedFS) ParfsSink { return ParfsSink{FS: fs} }
-
-// Create implements Sink.
-func (p ParfsSink) Create(name string) (io.WriteCloser, error) { return p.FS.Create(name) }
-
-// Open implements Opener.
-func (p ParfsSink) Open(name string) (io.ReadCloser, error) { return p.FS.Open(name) }
-
-// Names lists stored shard names, sorted.
-func (p ParfsSink) Names() []string { return p.FS.List() }
-
-// Size returns a shard's stored byte size (0 if absent).
-func (p ParfsSink) Size(name string) int64 { return p.FS.Size(name) }
-
-// stripedRangeFS is the optional random-access extension of StripedFS.
-// *parfs.FS satisfies it with stripe-accurate accounting: a range read
-// charges only the OSTs whose stripes the range covers.
-type stripedRangeFS interface {
-	ReadAt(name string, p []byte, off int64) (int, error)
-}
-
-// parfsRange adapts a striped filesystem's named ReadAt to io.ReaderAt.
-type parfsRange struct {
-	fs   stripedRangeFS
-	name string
-}
-
-func (r parfsRange) ReadAt(p []byte, off int64) (int, error) { return r.fs.ReadAt(r.name, p, off) }
-func (r parfsRange) Close() error                            { return nil }
-
-// OpenRange implements RangeOpener when the underlying striped
-// filesystem supports range reads.
-func (p ParfsSink) OpenRange(name string) (ReaderAtCloser, int64, error) {
-	rfs, ok := p.FS.(stripedRangeFS)
-	if !ok {
-		return nil, 0, fmt.Errorf("shard: %T supports no range reads", p.FS)
-	}
-	size := p.FS.Size(name)
-	if size == 0 {
-		// Size cannot tell an empty object from a missing one; an empty
-		// read can, failing only for a missing object.
-		if _, err := rfs.ReadAt(name, nil, 0); err != nil {
-			return nil, 0, err
-		}
-	}
-	return parfsRange{fs: rfs, name: name}, size, nil
-}
-
 // Interface conformance.
 var (
 	_ Store       = (*MemSink)(nil)
 	_ Store       = (*FSSink)(nil)
-	_ Store       = ParfsSink{}
 	_ RangeOpener = (*MemSink)(nil)
 	_ RangeOpener = (*FSSink)(nil)
-	_ RangeOpener = ParfsSink{}
 	_ Syncer      = (*FSSink)(nil)
 )

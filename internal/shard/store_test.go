@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/parfs"
 )
 
 // writeSet shards n records through a Writer over the store and
@@ -392,32 +390,6 @@ func TestFSSinkDestroy(t *testing.T) {
 	}
 }
 
-func TestParfsSinkRoundTripChargesIO(t *testing.T) {
-	fs, err := parfs.New(parfs.Config{OSTs: 4, StripeSize: 1 << 10, BandwidthMBps: 1 << 20, LatencyMicros: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.SetSleep(func(time.Duration) {}) // timing is not under test here
-	s := NewParfsSink(fs)
-	m := writeSet(t, s, "pf", 30)
-	recs := readSet(t, s, m)
-	if len(recs) != 30 {
-		t.Fatalf("read %d records", len(recs))
-	}
-	if len(s.Names()) != len(m.Shards) {
-		t.Fatalf("names=%v vs %d shards", s.Names(), len(m.Shards))
-	}
-	for _, info := range m.Shards {
-		if s.Size(info.Name) != info.StoredBytes {
-			t.Fatalf("size mismatch for %s", info.Name)
-		}
-	}
-	st := fs.Stats()
-	if st.Ops == 0 || st.Bytes == 0 {
-		t.Fatalf("no simulated I/O charged: %+v", st)
-	}
-}
-
 // TestStoresReportMissingAsNotExist: every store's Open and OpenRange
 // wrap fs.ErrNotExist for a missing object, an existing empty object
 // opens (size 0), and a failure that is not a missing object — here an
@@ -425,16 +397,11 @@ func TestParfsSinkRoundTripChargesIO(t *testing.T) {
 // wraps fs.ErrNotExist nor calls itself "not found". ReadObject reads
 // every store's objects back exactly.
 func TestStoresReportMissingAsNotExist(t *testing.T) {
-	pfs, err := parfs.New(parfs.Config{OSTs: 2, StripeSize: 1 << 10, BandwidthMBps: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs.SetSleep(func(time.Duration) {})
 	fsSink, err := NewFSSink(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := map[string]Store{"mem": NewMemSink(), "fs": fsSink, "parfs": NewParfsSink(pfs)}
+	stores := map[string]Store{"mem": NewMemSink(), "fs": fsSink}
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
 			if err := WriteObject(s, "full", []byte("0123456789")); err != nil {
