@@ -72,7 +72,7 @@ type Cluster struct {
 	probe map[string]time.Time
 	ring  *Ring // over alive members; rebuilt on transitions
 
-	// peerAuth, when set, is stamped on every outbound relay and peer
+	// peerAuth, when set, is stamped on every outbound forward and peer
 	// fetch (X-Draid-Peer-Auth) so receivers can tell fleet-internal
 	// requests from client ones. Set once at startup via SetPeerAuth,
 	// before any traffic.
@@ -182,7 +182,7 @@ func (c *Cluster) VNodes() int { return c.cfg.VNodes }
 func (c *Cluster) SetOnChange(fn func()) { c.cfg.OnChange = fn }
 
 // SetPeerAuth installs the fleet-internal authentication secret
-// stamped on outbound relays and peer fetches. The server derives it
+// stamped on outbound forwards and peer fetches. The server derives it
 // from the shared master key, so every member of one data dir holds
 // the same secret and nothing new needs distributing. Call before
 // Start, alongside SetOnChange — it is not synchronized either.

@@ -28,9 +28,6 @@ const (
 	// stops a second hop, so ring disagreement degrades to an error
 	// instead of a proxy loop.
 	HeaderForwarded = "X-Draid-Forwarded"
-	// HeaderJobID pre-assigns the job ID on a forwarded submission (the
-	// receiving node already hashed it to pick the owner).
-	HeaderJobID = "X-Draid-Job-Id"
 	// HeaderServedBy names the node that actually answered.
 	HeaderServedBy = "X-Draid-Served-By"
 	// HeaderPeerAuth authenticates node-to-node requests (see
@@ -67,12 +64,15 @@ func Redirect(w http.ResponseWriter, r *http.Request, owner Node) {
 	http.Redirect(w, r, target, http.StatusTemporaryRedirect)
 }
 
-// Forward proxies the request to the owner and relays the response.
-// A transport error (the owner is unreachable) is returned *before*
+// Forward proxies the request to the owner and relays the response. A
+// transport error (the owner is unreachable) is returned *before*
 // anything is written to w, so the caller can mark the peer down and
-// retry against the recomputed owner. Errors after the response header
-// is relayed are terminal: the stream just ends, and the client resumes
-// by cursor against a survivor.
+// retry against the recomputed owner. If the *upstream* dies after
+// the response header was relayed, the proxied connection is aborted
+// uncleanly (no terminal chunk): batches end at line/frame
+// boundaries, so a clean end here would be indistinguishable from
+// stream completion and the client would silently accept a truncated
+// dataset instead of resuming its cursor against a survivor.
 func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner Node) error {
 	target := owner.URL + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -82,21 +82,8 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, owner Node) er
 	if err != nil {
 		return fmt.Errorf("cluster: build forward to %s: %w", owner.ID, err)
 	}
+	req.ContentLength = r.ContentLength
 	req.Header = r.Header.Clone()
-	return c.Relay(w, req, owner)
-}
-
-// Relay sends an already-built request to a peer and streams the
-// response back — the forwarding primitive for callers (like job
-// submission) whose upstream body was already consumed and re-encoded.
-// Same error contract as Forward: a returned error means nothing was
-// written to w. If the *upstream* dies after the response header was
-// relayed, the proxied connection is aborted uncleanly (no terminal
-// chunk): batches end at line/frame boundaries, so a clean end here
-// would be indistinguishable from stream completion and the client
-// would silently accept a truncated dataset instead of resuming its
-// cursor against a survivor.
-func (c *Cluster) Relay(w http.ResponseWriter, req *http.Request, owner Node) error {
 	req.Header.Set(HeaderForwarded, c.self.ID)
 	if c.peerAuth != "" {
 		req.Header.Set(HeaderPeerAuth, c.peerAuth)

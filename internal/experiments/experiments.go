@@ -1,9 +1,8 @@
 // Package experiments implements the reproduction's experiment harness:
 // one runner per paper artifact (Figure 1, Table 1, Table 2) and one per
 // quantitative claim (C1 parallel I/O scaling, C2 curation-time share,
-// C3 iterative feedback). cmd/benchreport renders them; the root
-// bench_test.go wraps them in testing.B benchmarks. See EXPERIMENTS.md
-// for the paper-vs-measured record.
+// C3 iterative feedback). cmd/benchreport renders the runners: one
+// with -exp <name>, all six by default.
 package experiments
 
 import (

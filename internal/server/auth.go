@@ -175,10 +175,11 @@ func (s *Server) handleAuditProof(w http.ResponseWriter, r *http.Request) {
 // job lock while holding it, so call sites may hold either.
 
 // quotaAdmit checks and reserves one active-job slot for a tenant at
-// submission. Nil tenant (auth off, or an identity with no registry
-// row) admits freely — quotas bind only configured tenants.
-func (s *Server) quotaAdmit(ten *tenant.Tenant) error {
-	if ten == nil {
+// submission. Auth off, or an identity with no registry row, admits
+// freely — quotas bind only configured tenants.
+func (s *Server) quotaAdmit(tenantID string) error {
+	ten, ok := s.tenants.Get(tenantID)
+	if !ok {
 		return nil
 	}
 	s.tenantMu.Lock()

@@ -7,11 +7,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"slices"
@@ -41,20 +39,20 @@ func (s *Server) jobID(seq int) string {
 	return fmt.Sprintf("job-%06d", seq)
 }
 
-// routedElsewhere forwards or redirects a /v1/jobs/{id}/* request to
-// the ring owner, returning true when the response was written. False
-// means the request is ours: we own the ID, the request already took
-// its one proxy hop (ring disagreement degrades to local best-effort,
-// never a loop), or every peer is unreachable and we are the fleet of
-// last resort. An unreachable owner is marked down on the spot — the
-// passive detection path — so the ring reassigns its ranges at request
-// speed and the retry lands on the new owner.
-func (s *Server) routedElsewhere(w http.ResponseWriter, r *http.Request) bool {
+// routedElsewhere forwards or redirects a job-addressed request — a
+// /v1/jobs/{id}/* read, or a submission pinned to its ID by ?job_id= —
+// to the ring owner of id, returning true when the response was
+// written. False means the request is ours: we own the ID, the request
+// already took its one proxy hop (ring disagreement degrades to local
+// best-effort, never a loop), or every peer is unreachable and we are
+// the fleet of last resort. An unreachable owner is marked down on the
+// spot — the passive detection path — so the ring reassigns its ranges
+// at request speed and the retry lands on the new owner.
+func (s *Server) routedElsewhere(w http.ResponseWriter, r *http.Request, id string) bool {
 	c := s.opts.Cluster
 	if c == nil || cluster.Forwarded(r) {
 		return false
 	}
-	id := r.PathValue("id")
 	for range c.Nodes() {
 		owner := c.Owner(id)
 		if owner.ID == c.Self().ID {
@@ -79,9 +77,15 @@ func (s *Server) routedElsewhere(w http.ResponseWriter, r *http.Request) bool {
 // and stamps it as the parent the owner's server span will link under
 // (Forward clones the request headers, so overwriting X-Draid-Span
 // here re-parents the downstream hop from our root to this client
-// span). The End is deferred: Forward panics with http.ErrAbortHandler
-// when the upstream dies mid-stream, and the span must record anyway.
+// span). A body the handler buffered (r.GetBody, a submission's spec)
+// is re-armed for every attempt: a failed one may have consumed it.
+// That GetBody wraps bytes in memory and cannot fail. The End is
+// deferred: Forward panics with http.ErrAbortHandler when the upstream
+// dies mid-stream, and the span must record anyway.
 func (s *Server) forwardSpanned(w http.ResponseWriter, r *http.Request, owner cluster.Node) (err error) {
+	if r.GetBody != nil {
+		r.Body, _ = r.GetBody()
+	}
 	var fwd *telemetry.Span
 	if sp := telemetry.SpanFromContext(r.Context()); sp != nil {
 		fwd = s.spans.StartChild("proxy.forward", sp.Context())
@@ -95,113 +99,6 @@ func (s *Server) forwardSpanned(w http.ResponseWriter, r *http.Request, owner cl
 		fwd.End()
 	}()
 	return s.opts.Cluster.Forward(w, r, owner)
-}
-
-// clusterSubmit routes a job submission. The receiving node allocates
-// the job ID (hashing it picks the owner), then hands the spec to the
-// owner with the ID pre-assigned — via transparent proxy, or via a 307
-// carrying ?job_id= when the client asked for redirects.
-func (s *Server) clusterSubmit(w http.ResponseWriter, r *http.Request, spec JobSpec) {
-	c := s.opts.Cluster
-	trace := telemetry.TraceFrom(r.Context())
-	tenantID := tenant.FromContext(r.Context()).ID
-	id := r.Header.Get(cluster.HeaderJobID)
-	if id == "" {
-		id = r.URL.Query().Get("job_id")
-	}
-	if id != "" {
-		// Pre-assigned: reject anything that does not parse as a fleet
-		// job ID — the ID names a shard directory on the shared dir.
-		if node, _, ok := parseJobID(id); !ok || node == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid pre-assigned job id %q", id))
-			return
-		}
-	} else {
-		s.mu.Lock()
-		s.seq++
-		id = s.jobID(s.seq)
-		s.mu.Unlock()
-	}
-	if cluster.Forwarded(r) {
-		// Terminal hop: enqueue here even if our ring view disagrees —
-		// any member can run any job, and the ID decides routing later.
-		s.submitLocal(r.Context(), w, spec, id)
-		return
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	for range c.Nodes() {
-		owner := c.Owner(id)
-		if owner.ID == c.Self().ID {
-			s.submitLocal(r.Context(), w, spec, id)
-			return
-		}
-		if cluster.WantsRedirect(r) {
-			s.metrics.clusterRedirected.Inc()
-			w.Header().Set(cluster.HeaderServedBy, owner.ID)
-			http.Redirect(w, r, owner.URL+"/v1/jobs?job_id="+url.QueryEscape(id), http.StatusTemporaryRedirect)
-			return
-		}
-		req, rerr := http.NewRequestWithContext(r.Context(), http.MethodPost, owner.URL+"/v1/jobs", bytes.NewReader(body))
-		if rerr != nil {
-			writeError(w, http.StatusInternalServerError, rerr)
-			return
-		}
-		// Propagate the caller's content negotiation instead of
-		// clobbering it: the terminal hop must see the same Accept (and
-		// any content-type parameters) the client sent, or forwarded
-		// requests would silently lose wire-format negotiation.
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if accept := r.Header.Get("Accept"); accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		req.Header.Set(cluster.HeaderJobID, id)
-		// The relayed submission is a new request, not a clone — carry
-		// the trace (and our span as the parent context) explicitly so
-		// the owner logs the same ID and its server span links under
-		// this hop. The authenticated tenant rides the same way (Relay
-		// stamps the peer secret that makes it trustworthy).
-		if trace != "" {
-			req.Header.Set(telemetry.TraceHeader, trace)
-		}
-		if tenantID != "" {
-			req.Header.Set(cluster.HeaderTenant, tenantID)
-		}
-		if err := s.relaySpanned(w, r, req, owner); err == nil {
-			s.metrics.clusterProxied.Inc()
-			return
-		}
-		s.metrics.clusterRetries.Inc()
-		c.MarkDown(owner.ID)
-	}
-	s.submitLocal(r.Context(), w, spec, id) // every peer down: degrade to local service
-}
-
-// relaySpanned wraps cluster.Relay in a proxy.submit client span. r is
-// the inbound request (the span parent); req is the outbound relay.
-// Deferred End for the same reason as forwardSpanned: Relay aborts
-// uncleanly when the upstream dies mid-response.
-func (s *Server) relaySpanned(w http.ResponseWriter, r, req *http.Request, owner cluster.Node) (err error) {
-	var rly *telemetry.Span
-	if sp := telemetry.SpanFromContext(r.Context()); sp != nil {
-		rly = s.spans.StartChild("proxy.submit", sp.Context())
-		rly.SetAttr("peer", owner.ID)
-		req.Header.Set(telemetry.SpanHeader, rly.Context().String())
-	}
-	defer func() {
-		if err != nil {
-			rly.SetError(err.Error())
-		}
-		rly.End()
-	}()
-	return s.opts.Cluster.Relay(w, req, owner)
 }
 
 // clusterInfo is the /v1/cluster document.

@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/pkg/client"
 )
 
@@ -308,4 +312,171 @@ func renumberFrom(t *testing.T, rest []byte, start int) []string {
 		out = append(out, string(b))
 	}
 	return out
+}
+
+// TestSubmitRedirectRouting: a submission that asks for redirects and
+// lands on a non-owner gets a 307 to the owner's /v1/jobs?job_id=<id>,
+// the ID the entry node allocated. Following it creates the job on the
+// owner under that ID, carrying the client's trace.
+func TestSubmitRedirectRouting(t *testing.T) {
+	fleet := startFleet(t, t.TempDir(), 3, nil)
+	const trace = "submit-redirect.1"
+	body := `{"domain":"climate","months":2,"lat":4,"lon":8,"seed":5}`
+	post := func(url string, redirect bool) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(telemetry.TraceHeader, trace)
+		if redirect {
+			req.Header.Set(cluster.HeaderRoute, cluster.RouteRedirect)
+		}
+		resp, err := http.DefaultTransport.RoundTrip(req) // no auto-follow
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for attempt := 0; attempt < 20; attempt++ {
+		resp := post(fleet[0].ts.URL+"/v1/jobs", true)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusAccepted {
+			continue // the entry node owns the ID it allocated
+		}
+		if resp.StatusCode != http.StatusTemporaryRedirect {
+			t.Fatalf("redirect-routed submit: status %d, want 307", resp.StatusCode)
+		}
+		loc, err := url.Parse(resp.Header.Get("Location"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := loc.Query().Get("job_id")
+		if node, _, ok := parseJobID(id); !ok || node != fleet[0].id {
+			t.Fatalf("Location %s pre-assigns %q; want an ID in %s's namespace", loc, id, fleet[0].id)
+		}
+		owner := fleet[ownerOf(t, fleet, 0, id)]
+		if want := owner.ts.URL + "/v1/jobs?job_id=" + id; loc.String() != want {
+			t.Fatalf("Location %s, want %s", loc, want)
+		}
+
+		resp = post(loc.String(), true)
+		defer resp.Body.Close()
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("followed 307: status %d, %v", resp.StatusCode, err)
+		}
+		if st.ID != id || st.Node != owner.id {
+			t.Fatalf("followed 307 made job %s on %s; want %s on %s", st.ID, st.Node, id, owner.id)
+		}
+		var local []JobStatus
+		if code := getJSON(t, owner.ts.URL+"/v1/jobs?scope=local", &local); code != http.StatusOK {
+			t.Fatalf("owner local list status %d", code)
+		}
+		if !slices.ContainsFunc(local, func(s JobStatus) bool { return s.ID == id }) {
+			t.Fatalf("owner %s does not hold %s locally", owner.id, id)
+		}
+		var events []JobEvent
+		if code := getJSON(t, owner.ts.URL+"/v1/jobs/"+id+"/events", &events); code != http.StatusOK ||
+			len(events) == 0 || events[0].Event != client.EventSubmitted || events[0].Trace != trace {
+			t.Fatalf("events of %s on its owner: status %d, %+v; want submitted under trace %q", id, code, events, trace)
+		}
+		return
+	}
+	t.Fatal("20 submissions all hashed to the entry node; cannot exercise the redirect")
+}
+
+// TestSubmitRetryResendsBody: a member whose ring still names a stopped
+// owner proxies a submission there, fails, marks the owner down and
+// retries on the survivor the ring names next. The retry must carry the
+// whole spec again — the first attempt may have consumed the body.
+func TestSubmitRetryResendsBody(t *testing.T) {
+	// No probing: the entry node learns of the dead owner only from its
+	// failed forward.
+	fleet := startFleet(t, t.TempDir(), 3, func(i int, o *Options) {
+		cl, err := cluster.New(cluster.Config{Self: o.Cluster.Self().ID, Nodes: o.Cluster.Nodes(),
+			ProbeInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Cluster = cl
+	})
+	// Pre-assign an ID that n2 owns and that n3 owns once n2 is down, so
+	// the retry leaves the entry node.
+	survivors := cluster.NewRing([]string{fleet[0].id, fleet[2].id}, cluster.DefaultVNodes)
+	var id string
+	for seq := 1; id == ""; seq++ {
+		cand := fmt.Sprintf("job-%s-%06d", fleet[0].id, seq)
+		if fleet[0].s.opts.Cluster.Owner(cand).ID == fleet[1].id && survivors.Owner(cand) == fleet[2].id {
+			id = cand
+		}
+	}
+	fleet[1].kill()
+
+	spec := JobSpec{Domain: core.Climate, Name: "resent", Seed: 11, Months: 2, Lat: 4, Lon: 8}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(fleet[0].ts.URL+"/v1/jobs?job_id="+id, "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit past a stopped owner: status %d, %v (%+v)", resp.StatusCode, err, st)
+	}
+	if st.ID != id || st.Node != fleet[2].id {
+		t.Fatalf("job %s landed on %q; want %s on the survivor %s", st.ID, st.Node, id, fleet[2].id)
+	}
+	if st.Spec != spec {
+		t.Fatalf("survivor ran spec %+v; want the full submitted spec %+v", st.Spec, spec)
+	}
+}
+
+// TestSubmitPreassignedIDOnce: concurrent submissions pre-assigning one
+// ID race through admission, whose record append runs outside the
+// server lock. Exactly one is accepted; the rest are 409s.
+func TestSubmitPreassignedIDOnce(t *testing.T) {
+	fleet := startFleet(t, t.TempDir(), 1, nil)
+	const racers = 8
+	codes := make([]int, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(fleet[0].ts.URL+"/v1/jobs?job_id=job-n1-000007", "application/json",
+				strings.NewReader(`{"domain":"climate","months":2,"lat":4,"lon":8}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}()
+	}
+	close(start)
+	wg.Wait()
+	accepted := 0
+	for _, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			accepted++
+		case http.StatusConflict:
+		default:
+			t.Errorf("racing submission: status %d", code)
+		}
+	}
+	var local []JobStatus
+	if code := getJSON(t, fleet[0].ts.URL+"/v1/jobs?scope=local", &local); code != http.StatusOK {
+		t.Fatalf("local list status %d", code)
+	}
+	if accepted != 1 || len(local) != 1 {
+		t.Fatalf("%d of %d racing submissions of one ID accepted, %d jobs listed; want 1 and 1", accepted, racers, len(local))
+	}
 }

@@ -263,17 +263,14 @@ func replayJobs(recs []logRecord, selfNode string) (jobs []*replayState, maxSeq 
 	return jobs, maxSeq
 }
 
-// replayEvents reconstructs a job's lifecycle timeline from its log
-// records: submitted/queued from the submission record, running and the
-// terminal state from the terminal record, plus any recEvent records
-// (adoption, requeue) in between. The synthesized timeline is why the
-// hot path needs no per-transition log appends — the state-bearing
-// records already imply the transitions.
+// replayEvents reconstructs the part of a job's lifecycle timeline its
+// submitted record does not (newJob builds submitted/queued from that):
+// running and the terminal state from the terminal record, plus any
+// recEvent records (adoption, requeue). The synthesized timeline is why
+// the hot path needs no per-transition log appends — the state-bearing
+// records already imply the transitions. Job.Events orders the whole.
 func replayEvents(st *replayState) []JobEvent {
-	ev := []JobEvent{
-		{Event: client.EventSubmitted, Time: st.sub.Time, Node: st.sub.Node, Trace: st.sub.Trace},
-		{Event: client.EventQueued, Time: st.sub.Time, Node: st.sub.Node, Trace: st.sub.Trace},
-	}
+	var ev []JobEvent
 	if st.hasTerm {
 		rec := st.rec
 		if !rec.Started.IsZero() {
@@ -288,7 +285,6 @@ func replayEvents(st *replayState) []JobEvent {
 	for _, rec := range st.events {
 		ev = append(ev, JobEvent{Event: rec.Event, Time: rec.Time, Node: rec.Node, Detail: rec.Error, Trace: rec.Trace})
 	}
-	sort.SliceStable(ev, func(i, k int) bool { return ev[i].Time.Before(ev[k].Time) })
 	return ev
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -92,6 +93,20 @@ type Job struct {
 	// after construction — set before the job is published to the
 	// table, so readers need no lock.
 	tenant string
+}
+
+// newJob builds a job, queued, from its submitted record: a live
+// submission and a replayed one start from the same code, so their
+// timelines do too.
+func newJob(sub logRecord) *Job {
+	return &Job{
+		id: sub.ID, spec: *sub.Spec, state: JobQueued, submitted: sub.Time, lastAccess: sub.Time,
+		trace: sub.Trace, tenant: sub.Tenant,
+		events: []JobEvent{
+			{Event: client.EventSubmitted, Time: sub.Time, Node: sub.Node, Trace: sub.Trace},
+			{Event: client.EventQueued, Time: sub.Time, Node: sub.Node, Trace: sub.Trace},
+		},
+	}
 }
 
 // touch refreshes the eviction clock.
@@ -201,8 +216,67 @@ func toTrajectory(snaps []pipeline.Snapshot) []TrajectoryPoint {
 
 // --- lifecycle ---------------------------------------------------------
 //
-// A job enters the table through submitLocal or restore, becomes done
-// or failed only through finish, and leaves through maybeEvict.
+// A job enters the table through admit or restore, reaches the queue
+// only through admit, becomes done or failed only through finish, and
+// leaves through maybeEvict.
+
+// admit is the one way onto the queue: for a new job (sub is its
+// submitted record) and for a replayed job that restore requeues (sub
+// nil: the job is in the table and its record in the log). All that
+// can refuse the job is checked first, under s.mu, so a refused job has
+// logged nothing: a full queue and, for a new job, a closed server, a
+// taken ID or its tenant's job quota. The job then holds a queue slot
+// in s.admitting while a new job's record is made durable; if that
+// fails, the slot and the quota are released and the job never enters
+// the table. Only then is a new job published and the job queued. The
+// send cannot block: every send is this one, and the slot is released
+// only once the job is in the queue. A refusal returns the status code
+// the submitter gets.
+func (s *Server) admit(job *Job, sub *logRecord) (code int, err error) {
+	s.mu.Lock()
+	switch {
+	case sub != nil && s.closed:
+		code, err = http.StatusServiceUnavailable, errors.New("server is shutting down")
+	case sub != nil && (s.jobs[job.id] != nil || s.admitting[job.id]):
+		code, err = http.StatusConflict, fmt.Errorf("job %q already exists", job.id)
+	case len(s.queue)+len(s.admitting) >= cap(s.queue):
+		code, err = http.StatusTooManyRequests, fmt.Errorf("job queue full (%d waiting)", cap(s.queue))
+	case sub != nil:
+		if err = s.quotaAdmit(job.tenant); err != nil {
+			code = http.StatusTooManyRequests
+			s.metrics.tenantQuotaRejections.Inc()
+		}
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return code, err
+	}
+	s.admitting[job.id] = true
+	s.mu.Unlock()
+	if sub != nil && s.log != nil {
+		if err = s.appendLog(*sub); err != nil {
+			s.quotaDeactivate(job.tenant)
+		}
+	}
+	if err == nil {
+		if sub != nil {
+			s.mu.Lock()
+			s.jobs[job.id] = job
+			s.order = append(s.order, job.id)
+			s.metrics.jobsTotal.Set(float64(len(s.jobs)))
+			s.mu.Unlock()
+		}
+		s.queue <- job
+		s.metrics.jobsQueued.Add(1)
+	}
+	s.mu.Lock()
+	delete(s.admitting, job.id)
+	s.mu.Unlock()
+	if err != nil {
+		return http.StatusServiceUnavailable, fmt.Errorf("job log: %w", err)
+	}
+	return http.StatusAccepted, nil
+}
 
 // restore is the one loop that puts replayed jobs into the table, at
 // startup and on fleet adoption alike. In a fleet it skips a job the
@@ -214,9 +288,13 @@ func toTrajectory(snaps []pipeline.Snapshot) []TrajectoryPoint {
 // transient ring disagreement into data loss. Terminal jobs are
 // immutable on disk and always safe to take. Each job put in the table
 // is charged to its tenant if done, handed to added (when non-nil) and,
-// if it was replayed unfinished under Options.Requeue, enqueued again
-// once the loop is over. A job that cannot be restored is skipped, and
-// its error returned.
+// if it was replayed unfinished under Options.Requeue, requeued once
+// the loop is over: its partial output is wiped so the deterministic
+// rerun starts clean, and it takes its tenant's job slot unchecked — it
+// was admitted under the quota before the crash — before it tries the
+// queue. A requeue the queue cannot hold (more interrupted jobs than
+// QueueDepth) fails through finish, the non-requeue outcome. A job that
+// cannot be restored is skipped, and its error returned.
 func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job)) error {
 	var requeued []*Job
 	var errs []error
@@ -265,7 +343,18 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 		}
 	}
 	for _, job := range requeued {
-		s.enqueueRestored(job)
+		if st, err := s.newStore(job.id); err == nil {
+			if d, ok := st.(interface{ Destroy() error }); ok {
+				_ = d.Destroy()
+			}
+		}
+		s.quotaActivate(job.tenant)
+		if _, err := s.admit(job, nil); err != nil {
+			s.finish(job, &jobResult{}, fmt.Errorf("requeue: %w", err))
+			continue
+		}
+		s.addDurableEvent(job, client.EventRequeued, "interrupted job resubmitted after restart")
+		s.logger.Info("job requeued", "job", job.id, "trace", job.trace)
 	}
 	return errors.Join(errs...)
 }
@@ -273,21 +362,13 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 // restoreJob rebuilds one job from its log records. Jobs the crash
 // caught queued or running come back as failed (their partial output
 // is gone) — or, with Options.Requeue, as queued again (restore
-// enqueues them). Done jobs reattach to their on-disk shard set and
+// requeues them). Done jobs reattach to their on-disk shard set and
 // reimport their persisted provenance DAG.
 func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error) {
-	job = &Job{
-		id:         st.sub.ID,
-		spec:       *st.sub.Spec,
-		submitted:  st.sub.Time,
-		lastAccess: st.sub.Time,
-		trace:      st.sub.Trace,
-		tenant:     st.sub.Tenant,
-		events:     replayEvents(st),
-	}
+	job = newJob(st.sub)
+	job.events = append(job.events, replayEvents(st)...)
 	if !st.hasTerm {
 		if s.opts.Requeue {
-			job.state = JobQueued
 			return job, true, nil
 		}
 		job.state = JobFailed
@@ -360,28 +441,6 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 		job.servable = false
 	}
 	return job, false, nil
-}
-
-// enqueueRestored resubmits a job replayed in queued/running state: its
-// partial shard output is wiped so the deterministic rerun starts
-// clean. The job takes its quota slot before it tries the queue, so an
-// overflow (more interrupted jobs than QueueDepth) fails it through
-// finish like any other job — the non-requeue outcome.
-func (s *Server) enqueueRestored(job *Job) {
-	if st, err := s.newStore(job.id); err == nil {
-		if d, ok := st.(interface{ Destroy() error }); ok {
-			_ = d.Destroy()
-		}
-	}
-	s.quotaActivate(job.tenant)
-	select {
-	case s.queue <- job:
-		s.metrics.jobsQueued.Add(1)
-		s.addDurableEvent(job, client.EventRequeued, "interrupted job resubmitted after restart")
-		s.logger.Info("job requeued", "job", job.id, "trace", job.trace)
-	default:
-		s.finish(job, &jobResult{}, errors.New("requeue: job queue full"))
-	}
 }
 
 func (s *Server) worker() {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/tenant"
 	"repro/internal/wal"
 )
 
@@ -170,8 +171,15 @@ func TestHealthzFailsWithLog(t *testing.T) {
 			if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 				t.Fatalf("healthz before any failure: %d", code)
 			}
-			if _, code := postJob(t, ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}); code != http.StatusAccepted {
-				t.Fatalf("submit status %d", code)
+			// The failed job-log fsync is the submitted record's, so that
+			// submission is refused (TestSubmitFailsClosed); an unaudited
+			// submission still runs.
+			wantSubmit := http.StatusAccepted
+			if name == "jobs.log" {
+				wantSubmit = http.StatusServiceUnavailable
+			}
+			if _, code := postJob(t, ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}); code != wantSubmit {
+				t.Fatalf("submit status %d, want %d", code, wantSubmit)
 			}
 			var body map[string]string
 			if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusServiceUnavailable ||
@@ -182,5 +190,46 @@ func TestHealthzFailsWithLog(t *testing.T) {
 				t.Fatalf("metrics status %d", code)
 			}
 		})
+	}
+}
+
+// TestSubmitFailsClosed: a submission is accepted only once its
+// submitted record is durable. When that fsync fails the client gets a
+// 503 naming the job log and nothing of the job remains: no table
+// entry, no shard dir, no quota charge — and /healthz reports the log.
+func TestSubmitFailsClosed(t *testing.T) {
+	onLogSync(t, "jobs.log", func(n int) error {
+		if n == 1 {
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	})
+	reg := testRegistry(t, &tenant.Tenant{ID: "alice", Token: "alice-secret-token", MaxJobs: 1})
+	dataDir := t.TempDir()
+	s, ts := newTestServer(t, Options{Workers: 1, DataDir: dataDir, Tenants: reg})
+
+	resp := authedDo(t, http.MethodPost, ts.URL+"/v1/jobs", "alice-secret-token",
+		`{"domain":"climate","months":2,"lat":4,"lon":8}`, nil)
+	var body map[string]string
+	_ = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body["error"], "job log") {
+		t.Fatalf("submit with a failed record fsync: %d %v; want 503 naming the job log", resp.StatusCode, body)
+	}
+	var jobs []JobStatus
+	if code := authedJSON(t, ts.URL+"/v1/jobs", "alice-secret-token", &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Fatalf("job list after a refused submission: %d %+v; want empty", code, jobs)
+	}
+	if dirs, err := os.ReadDir(filepath.Join(dataDir, "jobs")); err != nil || len(dirs) != 0 {
+		t.Fatalf("shard dirs after a refused submission: %v %v; want none", dirs, err)
+	}
+	s.tenantMu.Lock()
+	active := s.tenantJobs["alice"]
+	s.tenantMu.Unlock()
+	if active != 0 {
+		t.Fatalf("alice holds %d active jobs after a refused submission, want 0", active)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusServiceUnavailable || !strings.Contains(body["error"], "job log") {
+		t.Fatalf("healthz after the failed fsync: %d %v", code, body)
 	}
 }

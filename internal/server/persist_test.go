@@ -428,3 +428,52 @@ func TestMasterKeyRoundTrip(t *testing.T) {
 		t.Fatal("sealed key opened under the wrong job ID")
 	}
 }
+
+// TestOrphanShardDirsSwept: eviction logs its record before it deletes
+// the job's files, so a crash between the two leaves a shard dir that
+// no replay names. Startup removes the dir of every evicted ID — and
+// only those: a dir with no record may be a peer's job in flight.
+func TestOrphanShardDirsSwept(t *testing.T) {
+	dataDir := t.TempDir()
+	s1, err := New(Options{Workers: 1, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	id, err := SubmitAndWait(ts1.URL, JobSpec{Domain: core.Climate, Months: 2, Lat: 4, Lon: 8}, 60*time.Second)
+	ts1.Close()
+	s1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dataDir, "jobs", id)
+	unlogged := filepath.Join(dataDir, "jobs", "job-000099")
+	if _, err := os.Stat(orphan); err != nil {
+		t.Fatalf("done job has no shard dir: %v", err)
+	}
+	if err := os.MkdirAll(unlogged, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dataDir, "jobs.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Write(logLines(t, logRecord{Type: recEvicted, ID: id, Time: time.Now()}))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, Options{Workers: 1, DataDir: dataDir})
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("evicted job's shard dir survived the restart: %v", err)
+	}
+	if _, err := os.Stat(unlogged); err != nil {
+		t.Fatalf("a dir no record names was swept: %v", err)
+	}
+	if code := getJSON(t, ts2.URL+"/v1/jobs/"+id, nil); code != http.StatusNotFound {
+		t.Fatalf("evicted job: status %d, want 404", code)
+	}
+}

@@ -83,7 +83,7 @@ func (p *servePlan) storedSidecar(info shard.Info) string {
 }
 
 func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
-	if s.routedElsewhere(w, r) {
+	if s.routedElsewhere(w, r, r.PathValue("id")) {
 		return
 	}
 	// Time-to-first-batch starts once the request is ours to serve —

@@ -10,9 +10,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -143,6 +146,9 @@ type Server struct {
 	order  []string // submission order for listing
 	seq    int
 	closed bool
+	// admitting holds the IDs between admit's checks and their queue
+	// send: each holds a queue slot, and a new one its ID (see admit).
+	admitting map[string]bool
 
 	queue chan *Job
 	stop  chan struct{}
@@ -201,6 +207,7 @@ func New(opts Options) (*Server, error) {
 		cache:       NewShardCache(opts.ServeCacheBytes),
 		opts:        opts,
 		jobs:        make(map[string]*Job),
+		admitting:   make(map[string]bool),
 		queue:       make(chan *Job, opts.QueueDepth),
 		stop:        make(chan struct{}),
 		metrics:     newServerMetrics(),
@@ -337,6 +344,16 @@ func (s *Server) openDurable() error {
 	}
 	states, maxSeq := replayJobs(recs, selfID)
 	s.seq = maxSeq
+	// Eviction logs its record before it destroys the job's files, so a
+	// crash between the two leaves a dir that no replay names. Eviction
+	// is forever, so those dirs go now; one that cannot be removed is
+	// retried at the next start. A dir with no record stays: it may hold
+	// another member's job in flight.
+	for _, rec := range recs {
+		if _, _, ok := parseJobID(rec.ID); ok && rec.Type == recEvicted {
+			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", rec.ID))
+		}
+	}
 	return s.restore(states, false, nil)
 }
 
@@ -440,9 +457,29 @@ func (s *Server) handleTemplates(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// maxSpecBytes caps a submission body. A spec is a few hundred bytes;
+// without the cap one request carrying a huge JSON string would be
+// buffered whole.
+const maxSpecBytes = 1 << 20
+
+// handleSubmit reads and validates a spec and fixes the job's ID: the
+// next in this node's sequence or, in a fleet, one pre-assigned by
+// ?job_id=. The ID is pinned on the request as ?job_id= and the body
+// re-armed from its bytes, so the submission reaches the ID's owner
+// through the same routing loop as every other job-addressed request —
+// a 307 and each proxy attempt carry both.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("read job spec: %w", err))
+		return
+	}
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
 		return
 	}
@@ -456,88 +493,48 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.clusterMode() {
-		s.clusterSubmit(w, r, spec)
+	r = r.Clone(r.Context()) // the middleware reads r after this returns
+	q := r.URL.Query()
+	id := q.Get("job_id")
+	if !s.clusterMode() || id == "" {
+		s.mu.Lock()
+		s.seq++
+		id = s.jobID(s.seq)
+		s.mu.Unlock()
+	} else if node, _, ok := parseJobID(id); !ok || node == "" {
+		// The ID names a shard directory on the shared dir.
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid pre-assigned job id %q", id))
 		return
 	}
-	s.submitLocal(r.Context(), w, spec, "")
+	q.Set("job_id", id)
+	r.URL.RawQuery = q.Encode()
+	r.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	if s.routedElsewhere(w, r, id) {
+		return
+	}
+	s.submitLocal(r.Context(), w, spec, id)
 }
 
-// submitLocal enqueues a job on this node. An empty id allocates the
-// next sequence number; a pre-assigned id (cluster routing) is used
-// verbatim after a collision check. ctx is the submitting request's:
-// its trace ID is recorded on the job and in its log record so the
-// whole lifecycle correlates back to the request, and its
+// submitLocal admits a job under id on this node. ctx is the submitting
+// request's: its trace ID is recorded on the job and in its log record
+// so the whole lifecycle correlates back to the request, and its
 // authenticated tenant ("" with auth off) owns the job for scoping, is
 // charged for it under quotas, and rides on the log record so
 // ownership survives replay and adoption.
 func (s *Server) submitLocal(ctx context.Context, w http.ResponseWriter, spec JobSpec, id string) {
-	trace, tenantID := telemetry.TraceFrom(ctx), tenant.FromContext(ctx).ID
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down"))
+	if spec.Name == "" {
+		spec.Name = id
+	}
+	sub := logRecord{Type: recSubmitted, ID: id, Time: time.Now(), Spec: &spec, Node: s.nodeID(),
+		Trace: telemetry.TraceFrom(ctx), Tenant: tenant.FromContext(ctx).ID}
+	job := newJob(sub)
+	if code, err := s.admit(job, &sub); err != nil {
+		writeError(w, code, err)
 		return
 	}
-	if id == "" {
-		s.seq++
-		id = s.jobID(s.seq)
-	} else if _, exists := s.jobs[id]; exists {
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Errorf("job %q already exists", id))
-		return
-	}
-	var ten *tenant.Tenant
-	if s.tenants != nil && tenantID != "" {
-		if t, ok := s.tenants.Get(tenantID); ok {
-			ten = t
-		}
-	}
-	if err := s.quotaAdmit(ten); err != nil {
-		s.mu.Unlock()
-		s.metrics.tenantQuotaRejections.Inc()
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	job := &Job{
-		id:        id,
-		spec:      spec,
-		state:     JobQueued,
-		submitted: time.Now(),
-		trace:     trace,
-		tenant:    tenantID,
-	}
-	if job.spec.Name == "" {
-		job.spec.Name = job.id
-	}
-	job.events = []JobEvent{
-		{Event: client.EventSubmitted, Time: job.submitted, Node: s.nodeID(), Trace: trace},
-		{Event: client.EventQueued, Time: job.submitted, Node: s.nodeID(), Trace: trace},
-	}
-	select {
-	case s.queue <- job:
-		s.jobs[job.id] = job
-		s.order = append(s.order, job.id)
-		s.metrics.jobsTotal.Set(float64(len(s.jobs)))
-		s.mu.Unlock()
-		s.metrics.jobsQueued.Add(1)
-		if s.log != nil {
-			spec := job.spec
-			_ = s.appendLog(logRecord{
-				Type: recSubmitted, ID: job.id, Time: job.submitted, Spec: &spec,
-				Node: s.nodeID(), Trace: trace, Tenant: tenantID,
-			})
-		}
-		s.audit(ctx, ledger.TypeSubmit, tenantID, job.id, string(spec.Domain))
-		s.logger.Info("job submitted", "job", job.id, "domain", string(spec.Domain), "trace", trace)
-		writeJSON(w, http.StatusAccepted, s.decorate(job.Status()))
-	default:
-		s.mu.Unlock()
-		if ten != nil {
-			s.quotaDeactivate(ten.ID)
-		}
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("job queue full (%d waiting)", cap(s.queue)))
-	}
+	s.audit(ctx, ledger.TypeSubmit, job.tenant, job.id, string(spec.Domain))
+	s.logger.Info("job submitted", "job", job.id, "domain", string(spec.Domain), "trace", job.trace)
+	writeJSON(w, http.StatusAccepted, s.decorate(job.Status()))
 }
 
 // decorate stamps a status with this node's fleet identity.
@@ -598,7 +595,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if s.routedElsewhere(w, r) {
+	if s.routedElsewhere(w, r, r.PathValue("id")) {
 		return
 	}
 	if job := s.job(w, r); job != nil {
@@ -607,7 +604,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	if s.routedElsewhere(w, r) {
+	if s.routedElsewhere(w, r, r.PathValue("id")) {
 		return
 	}
 	job := s.job(w, r)

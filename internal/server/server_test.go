@@ -518,6 +518,34 @@ func TestGracefulShutdownRejectsNewJobs(t *testing.T) {
 	s.Close()
 }
 
+// TestSubmitBodyCapped: a submission body is read under a fixed cap.
+// One byte over it is a 413 and no job; a body at the cap is read and
+// judged on its content.
+func TestSubmitBodyCapped(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	post := func(domain string, size int) int {
+		t.Helper()
+		head, tail := `{"domain":"`+domain+`","name":"`, `"}`
+		body := head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("climate", maxSpecBytes+1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the cap: status %d, want 413", code)
+	}
+	if code := post("no-such-domain", maxSpecBytes); code != http.StatusBadRequest {
+		t.Fatalf("body at the cap naming an unknown domain: status %d, want 400", code)
+	}
+	var jobs []JobStatus
+	if code := getJSON(t, ts.URL+"/v1/jobs", &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Fatalf("job list after oversized submissions: %d %+v; want empty", code, jobs)
+	}
+}
+
 func TestQueueBackpressure(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	// A job large enough to hold the single worker for the duration of

@@ -396,7 +396,7 @@ func (s *Server) addDurableEvent(job *Job, event, detail string) {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.routedElsewhere(w, r) {
+	if s.routedElsewhere(w, r, r.PathValue("id")) {
 		return
 	}
 	job := s.job(w, r)

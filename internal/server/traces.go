@@ -26,7 +26,6 @@ import (
 var serverSpanNames = []string{
 	"http.request",  // middleware root span, one per traced request
 	"proxy.forward", // client span around a transparent proxy hop
-	"proxy.submit",  // client span around a relayed job submission
 	"job.wait",      // queue wait: submission accepted -> worker pickup
 	"job.run",       // pipeline execution on the worker
 	"job.stage",     // one pipeline stage inside job.run

@@ -350,6 +350,42 @@ func TestFleetAssembledTraceView(t *testing.T) {
 	}
 }
 
+// TestSubmitProxySpan: a submission proxied to its owner takes the same
+// hop as any job-addressed request, so it records a proxy.forward span
+// on the entry node, and the owner's POST root parents under it.
+func TestSubmitProxySpan(t *testing.T) {
+	fleet := startFleet(t, t.TempDir(), 3, nil)
+	const trace = "submit-proxy-span.1"
+	c0 := client.New(fleet[0].ts.URL, client.WithTrace(trace))
+	var owner *fleetNode
+	for seed := 1; owner == nil && seed <= 20; seed++ {
+		st, err := c0.SubmitJob(context.Background(), JobSpec{Domain: core.Climate, Months: 2, Lat: 4, Lon: 8, Seed: int64(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := ownerOf(t, fleet, 0, st.ID); o != 0 {
+			owner = fleet[o]
+		}
+	}
+	if owner == nil {
+		t.Fatal("20 submissions all hashed to the entry node; cannot exercise the proxy hop")
+	}
+	fetchTrace(t, c0, trace, func(v *client.TraceView) bool {
+		for _, fwd := range v.Spans {
+			if fwd.Name != "proxy.forward" || fwd.Node != fleet[0].id || fwd.Attrs["peer"] != owner.id {
+				continue
+			}
+			for _, sp := range v.Spans {
+				if sp.Name == "http.request" && sp.Node == owner.id && sp.Parent == fwd.SpanID &&
+					sp.Attrs["route"] == "POST /v1/jobs" {
+					return true
+				}
+			}
+		}
+		return false
+	})
+}
+
 // TestSlowRequestLoggedAtInfo pins the satellite: a request crossing
 // the tail-sampling threshold logs at Info — visible without -debug —
 // while fast, clean traffic stays at Debug.
