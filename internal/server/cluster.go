@@ -192,6 +192,7 @@ func (s *Server) adoptOrphans(filterID string) {
 		return
 	}
 	states, _ := replayJobs(recs, s.opts.Cluster.Self().ID)
+	s.noteEvicted(recs)
 	// Memo only the IDs that survived replay: an evicted job's records
 	// are still in the logs, but it can never be adopted, so repeated
 	// requests for it must hit the early return, not a fresh scan.

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -478,5 +480,136 @@ func TestSubmitPreassignedIDOnce(t *testing.T) {
 	}
 	if accepted != 1 || len(local) != 1 {
 		t.Fatalf("%d of %d racing submissions of one ID accepted, %d jobs listed; want 1 and 1", accepted, racers, len(local))
+	}
+}
+
+// TestAdoptionSkipsJobBeingAdmitted: a new job's submitted record is in
+// the shared logs before the job is in the table. An adoption scan in
+// that window must leave the job to its admission: not fail it as
+// interrupted, and under Requeue not queue it a second time.
+func TestAdoptionSkipsJobBeingAdmitted(t *testing.T) {
+	for _, requeue := range []bool{false, true} {
+		t.Run(fmt.Sprintf("requeue=%v", requeue), func(t *testing.T) {
+			entered, release := make(chan struct{}), make(chan struct{})
+			var hold sync.Once
+			onLogSync(t, "jobs-n1.log", func(int) error {
+				hold.Do(func() {
+					close(entered)
+					<-release
+				})
+				return nil
+			})
+			dataDir := t.TempDir()
+			fleet := startFleet(t, dataDir, 1, func(_ int, o *Options) { o.Requeue = requeue })
+			const id = "job-n1-000001"
+			codes := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(fleet[0].ts.URL+"/v1/jobs", "application/json",
+					strings.NewReader(`{"domain":"climate","months":2,"lat":4,"lon":8}`))
+				if err != nil {
+					codes <- 0
+					return
+				}
+				resp.Body.Close()
+				codes <- resp.StatusCode
+			}()
+			<-entered
+			adopted := make(chan struct{})
+			go func() {
+				fleet[0].s.adoptOrphans("")
+				close(adopted)
+			}()
+			select {
+			case <-adopted:
+			case <-time.After(2 * time.Second): // the scan waits on the held log to fail the job
+			}
+			close(release)
+			<-adopted
+			if code := <-codes; code != http.StatusAccepted {
+				t.Fatalf("submit status %d, want 202", code)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				var st JobStatus
+				if code := getJSON(t, fleet[0].ts.URL+"/v1/jobs/"+id, &st); code != http.StatusOK {
+					t.Fatalf("poll %s: status %d", id, code)
+				}
+				if st.State == client.JobFailed {
+					t.Fatalf("job failed: %s", st.Error)
+				}
+				if st.State == client.JobDone {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job not done: %+v", st)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			time.Sleep(200 * time.Millisecond) // room for a second run to land
+			recs, err := readAllJobLogs(dataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := map[string]int{}
+			for _, rec := range recs {
+				if rec.ID == id {
+					count[rec.Type+rec.Event]++
+				}
+			}
+			if count[recSubmitted] != 1 || count[recDone] != 1 || len(count) != 2 {
+				t.Fatalf("job log records for %s: %v; want one submitted and one done", id, count)
+			}
+			s := fleet[0].s
+			s.mu.Lock()
+			listed := 0
+			for _, o := range s.order {
+				if o == id {
+					listed++
+				}
+			}
+			s.mu.Unlock()
+			if listed != 1 {
+				t.Fatalf("job %s listed %d times, want once", id, listed)
+			}
+		})
+	}
+}
+
+// TestSubmitEvictedIDRefused: eviction is forever, so a submission that
+// pre-assigns an evicted job's ID (a client re-sending an old redirect)
+// is refused, by the member that evicted it and after a restart.
+func TestSubmitEvictedIDRefused(t *testing.T) {
+	dataDir := t.TempDir()
+	fleet := startFleet(t, dataDir, 1, func(_ int, o *Options) { o.JobTTL = 100 * time.Millisecond })
+	const spec = `{"domain":"climate","months":2,"lat":4,"lon":8}`
+	submit := func(base string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/jobs?job_id=job-n2-000003", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := submit(fleet[0].ts.URL); code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d, want 202", code)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for getJSON(t, fleet[0].ts.URL+"/v1/jobs/job-n2-000003", nil) != http.StatusNotFound {
+		if time.Now().After(deadline) {
+			t.Fatal("job not evicted after its TTL")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if code := submit(fleet[0].ts.URL); code != http.StatusConflict {
+		t.Fatalf("resubmitted evicted ID: status %d, want 409", code)
+	}
+	fleet[0].kill()
+	fleet = startFleet(t, dataDir, 1, nil)
+	if code := submit(fleet[0].ts.URL); code != http.StatusConflict {
+		t.Fatalf("resubmitted evicted ID after restart: status %d, want 409", code)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "jobs", "job-n2-000003")); !os.IsNotExist(err) {
+		t.Fatalf("evicted job's dir: %v; want it gone", err)
 	}
 }

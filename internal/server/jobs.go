@@ -225,7 +225,7 @@ func toTrajectory(snaps []pipeline.Snapshot) []TrajectoryPoint {
 // nil: the job is in the table and its record in the log). All that
 // can refuse the job is checked first, under s.mu, so a refused job has
 // logged nothing: a full queue and, for a new job, a closed server, a
-// taken ID or its tenant's job quota. The job then holds a queue slot
+// taken or evicted ID or its tenant's job quota. The job then holds a queue slot
 // in s.admitting while a new job's record is made durable; if that
 // fails, the slot and the quota are released and the job never enters
 // the table. Only then is a new job published and the job queued. The
@@ -239,6 +239,8 @@ func (s *Server) admit(job *Job, sub *logRecord) (code int, err error) {
 		code, err = http.StatusServiceUnavailable, errors.New("server is shutting down")
 	case sub != nil && (s.jobs[job.id] != nil || s.admitting[job.id]):
 		code, err = http.StatusConflict, fmt.Errorf("job %q already exists", job.id)
+	case sub != nil && s.evicted[job.id]:
+		code, err = http.StatusConflict, fmt.Errorf("job %q was evicted; job IDs are never reused", job.id)
 	case len(s.queue)+len(s.admitting) >= cap(s.queue):
 		code, err = http.StatusTooManyRequests, fmt.Errorf("job queue full (%d waiting)", cap(s.queue))
 	case sub != nil:
@@ -309,9 +311,12 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 			}
 		}
 		// Checked before restoreJob as well as after: restoring opens the
-		// job's store and, for an unfinished job, logs its loss.
+		// job's store and, for an unfinished job, logs its loss. A job
+		// admit is still making durable is held too: its record can be
+		// in the logs before the job is in the table, and it stays in
+		// s.admitting until it is.
 		s.mu.Lock()
-		_, held := s.jobs[id]
+		held := s.jobs[id] != nil || s.admitting[id]
 		s.mu.Unlock()
 		if held {
 			continue
@@ -323,7 +328,7 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 		}
 		done := job.state == JobDone // read before the job is published
 		s.mu.Lock()
-		if _, held = s.jobs[id]; !held {
+		if held = s.jobs[id] != nil || s.admitting[id]; !held {
 			s.jobs[id] = job
 			s.order = append(s.order, id)
 			s.metrics.jobsTotal.Set(float64(len(s.jobs)))
@@ -732,6 +737,9 @@ func (s *Server) maybeEvict() {
 	}
 	for _, j := range leaving {
 		delete(s.jobs, j.id)
+	}
+	for _, j := range victims {
+		s.evicted[j.id] = true
 	}
 	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.jobs[id] == nil })
 	s.metrics.jobsTotal.Set(float64(len(s.jobs)))

@@ -227,6 +227,7 @@ func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage m
 		cache:       NewShardCache(0),
 		opts:        Options{JobTTL: ttl, MaxJobs: maxJobs, Cluster: cl},
 		jobs:        make(map[string]*Job),
+		evicted:     make(map[string]bool),
 		metrics:     newServerMetrics(),
 		logger:      slog.New(slog.DiscardHandler),
 		tenants:     reg,

@@ -149,6 +149,11 @@ type Server struct {
 	// admitting holds the IDs between admit's checks and their queue
 	// send: each holds a queue slot, and a new one its ID (see admit).
 	admitting map[string]bool
+	// evicted holds every job ID this member knows was evicted: from the
+	// logs at startup and at each adoption scan, and its own evictions.
+	// admit refuses them, since eviction is forever and IDs are never
+	// reused (a client may re-send an old pre-assigned ID).
+	evicted map[string]bool
 
 	queue chan *Job
 	stop  chan struct{}
@@ -208,6 +213,7 @@ func New(opts Options) (*Server, error) {
 		opts:        opts,
 		jobs:        make(map[string]*Job),
 		admitting:   make(map[string]bool),
+		evicted:     make(map[string]bool),
 		queue:       make(chan *Job, opts.QueueDepth),
 		stop:        make(chan struct{}),
 		metrics:     newServerMetrics(),
@@ -349,12 +355,26 @@ func (s *Server) openDurable() error {
 	// is forever, so those dirs go now; one that cannot be removed is
 	// retried at the next start. A dir with no record stays: it may hold
 	// another member's job in flight.
-	for _, rec := range recs {
-		if _, _, ok := parseJobID(rec.ID); ok && rec.Type == recEvicted {
-			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", rec.ID))
+	for _, id := range s.noteEvicted(recs) {
+		if _, _, ok := parseJobID(id); ok {
+			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", id))
 		}
 	}
 	return s.restore(states, false, nil)
+}
+
+// noteEvicted adds the IDs that recs evict to s.evicted and returns
+// them.
+func (s *Server) noteEvicted(recs []logRecord) (ids []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range recs {
+		if rec.Type == recEvicted {
+			s.evicted[rec.ID] = true
+			ids = append(ids, rec.ID)
+		}
+	}
+	return ids
 }
 
 // nodeID is this server's fleet member ID ("" single-node).
