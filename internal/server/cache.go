@@ -147,18 +147,32 @@ func (c *ShardCache) touch(h uint64) {
 }
 
 // Get returns the cached value for key, loading it via load on a miss.
-// Concurrent misses on one key run load once and share the result. The
-// returned value is shared — callers must not mutate it.
-func (c *ShardCache) Get(key cacheKey, load func() (any, int64, error)) (any, error) {
+// Concurrent misses on one key run load once and share the result. On a
+// miss, Get first calls miss (when non-nil) with no load claimed and no
+// lock held — a batch stream sends what it has buffered there, so none
+// of it waits behind a load — then looks the key up again. A load, once
+// claimed, runs at once, so a reader that blocks in miss delays no other
+// reader of the key. The returned value is shared — callers must not
+// mutate it.
+func (c *ShardCache) Get(key cacheKey, miss func(), load func() (any, int64, error)) (any, error) {
 	h := c.hash(key)
 	c.mu.Lock()
 	c.touch(h)
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		c.wires[key.wire].Hits++
-		val := e.val
+	for {
+		if e, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(e.elem)
+			c.wires[key.wire].Hits++
+			val := e.val
+			c.mu.Unlock()
+			return val, nil
+		}
+		if miss == nil {
+			break
+		}
 		c.mu.Unlock()
-		return val, nil
+		miss()
+		miss = nil
+		c.mu.Lock()
 	}
 	if fl, ok := c.loads[key]; ok {
 		// Another reader is loading this shard; wait for it.

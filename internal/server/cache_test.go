@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // lineKey and frameKey name one shard's entry for each wire.
@@ -26,7 +27,7 @@ func TestShardCacheDropPrefixDuringLoad(t *testing.T) {
 	release := make(chan struct{})
 	got := make(chan error, 1)
 	go func() {
-		_, err := c.Get(lineKey("job1/shard-0"), func() (any, int64, error) {
+		_, err := c.Get(lineKey("job1/shard-0"), nil, func() (any, int64, error) {
 			close(started)
 			<-release
 			return "deleted-job-data", 10, nil
@@ -48,7 +49,7 @@ func TestShardCacheDropPrefixDuringLoad(t *testing.T) {
 
 	// A load that starts after the DropPrefix sees the new generation and
 	// must insert normally.
-	if _, err := c.Get(lineKey("job1/shard-0"), sized("fresh", 10)); err != nil {
+	if _, err := c.Get(lineKey("job1/shard-0"), nil, sized("fresh", 10)); err != nil {
 		t.Fatalf("Get after drop: %v", err)
 	}
 	if cs := c.Stats(wireLines); cs.Entries != 1 {
@@ -66,7 +67,7 @@ func TestShardCacheDropPrefixScoped(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := c.Get(frameKey("job2/shard-0"), func() (any, int64, error) {
+		if _, err := c.Get(frameKey("job2/shard-0"), nil, func() (any, int64, error) {
 			close(started)
 			<-release
 			return "other-job", 10, nil
@@ -103,7 +104,7 @@ func TestShardCacheDropPrefixRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				key := cacheKey{cacheWire(i % int(numWires)), fmt.Sprintf("job%d/shard-%d", w%2, i%4)}
-				if _, err := c.Get(key, sized(key.shard, 16)); err != nil {
+				if _, err := c.Get(key, nil, sized(key.shard, 16)); err != nil {
 					t.Errorf("Get %v: %v", key, err)
 					return
 				}
@@ -143,7 +144,7 @@ func TestShardCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.Get(frameKey("job/shard"), func() (any, int64, error) {
+			v, err := c.Get(frameKey("job/shard"), nil, func() (any, int64, error) {
 				mu.Lock()
 				loads++
 				mu.Unlock()
@@ -174,6 +175,51 @@ func TestShardCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestShardCacheMissHookHoldsNoLoad checks that a reader blocked in its
+// miss hook (a batch stream sending to a client that is not reading)
+// has claimed no load: a concurrent Get of the same key loads and
+// returns while the hook is still blocked.
+func TestShardCacheMissHookHoldsNoLoad(t *testing.T) {
+	c := NewShardCache(1 << 20)
+	key := frameKey("job/shard")
+
+	inHook, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Get(key, func() {
+			close(inHook)
+			<-release
+		}, sized("first", 8))
+		first <- err
+	}()
+	<-inHook
+
+	second := make(chan error, 1)
+	go func() {
+		v, err := c.Get(key, nil, sized("second", 8))
+		if err == nil && v != "second" {
+			err = fmt.Errorf("got %v, want the second reader's load", v)
+		}
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatalf("concurrent Get: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("concurrent Get waited on a reader blocked in its miss hook")
+	}
+
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("hooked Get: %v", err)
+	}
+	if cs := c.Stats(wireFrames); cs.Misses != 1 || cs.Hits != 1 {
+		t.Fatalf("stats %+v, want 1 miss (the load) and 1 hit (the hooked reader's retry)", cs)
+	}
+}
+
 // TestArenaSharedBudget checks the invariant -serve-cache-mb promises:
 // shards encoded for either wire draw from one budget in one recency
 // order. Filling past the budget evicts the least recently served entry
@@ -183,16 +229,16 @@ func TestArenaSharedBudget(t *testing.T) {
 	const budget, entry = 1 << 20, 64 << 10
 	c := NewShardCache(budget)
 	for i := 0; i < 12; i++ {
-		if _, err := c.Get(frameKey(fmt.Sprintf("j/f%d", i)), sized(i, entry)); err != nil {
+		if _, err := c.Get(frameKey(fmt.Sprintf("j/f%d", i)), nil, sized(i, entry)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Get(lineKey(fmt.Sprintf("j/l%d", i)), sized(i, entry)); err != nil {
+		if _, err := c.Get(lineKey(fmt.Sprintf("j/l%d", i)), nil, sized(i, entry)); err != nil {
 			t.Fatal(err)
 		}
 		if i == 6 {
 			// 14 of 16 slots are full: a hit moves the oldest line
 			// entry ahead of every other entry of either wire.
-			if _, err := c.Get(lineKey("j/l0"), nil); err != nil {
+			if _, err := c.Get(lineKey("j/l0"), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -232,14 +278,14 @@ func TestShardCacheScanResistance(t *testing.T) {
 	hot := budget / entry
 	for round := 0; round < 3; round++ {
 		for i := 0; i < hot; i++ {
-			if _, err := c.Get(frameKey(fmt.Sprintf("hot/s%d", i)), sized(i, entry)); err != nil {
+			if _, err := c.Get(frameKey(fmt.Sprintf("hot/s%d", i)), nil, sized(i, entry)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	scan := 4 * hot
 	for i := 0; i < scan; i++ {
-		if _, err := c.Get(frameKey(fmt.Sprintf("cold/s%d", i)), sized(i, entry)); err != nil {
+		if _, err := c.Get(frameKey(fmt.Sprintf("cold/s%d", i)), nil, sized(i, entry)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +310,7 @@ func TestShardCacheFrequencyBounded(t *testing.T) {
 	peak := 0
 	for i := 0; i < 100*budget/entry; i++ {
 		key := cacheKey{cacheWire(i % int(numWires)), fmt.Sprintf("j/s%d", i)}
-		if _, err := c.Get(key, sized(i, entry)); err != nil {
+		if _, err := c.Get(key, nil, sized(i, entry)); err != nil {
 			t.Fatal(err)
 		}
 		peak = max(peak, len(c.freq))

@@ -112,12 +112,14 @@ func newPacer(rate func() float64) *pacer {
 	return &pacer{rate: rate, tokens: pacerBurst(rate()), last: time.Now()}
 }
 
-// pace charges n bytes against the bucket and sleeps off any deficit.
-// The sleep aborts when ctx ends (client disconnect), returning the
-// context's error so the caller stops streaming instead of pinning a
-// handler goroutine — a huge batch at a tiny rate would otherwise
-// sleep unbounded for a reader that may already be gone.
-func (p *pacer) pace(ctx context.Context, n int64) error {
+// pace charges n bytes against the bucket and sleeps off any deficit,
+// calling send first: nothing the stream has buffered waits out the
+// sleep. A failed send ends the stream without sleeping. The sleep
+// aborts when ctx ends (client disconnect), returning the context's
+// error so the caller stops streaming instead of pinning a handler
+// goroutine — a huge batch at a tiny rate would otherwise sleep
+// unbounded for a reader that may already be gone.
+func (p *pacer) pace(ctx context.Context, n int64, send func() error) error {
 	rate := p.rate()
 	now := time.Now()
 	p.tokens = min(p.tokens+now.Sub(p.last).Seconds()*rate, pacerBurst(rate))
@@ -125,6 +127,9 @@ func (p *pacer) pace(ctx context.Context, n int64) error {
 	p.tokens -= float64(n)
 	if p.tokens < 0 {
 		p.throttled = true
+		if err := send(); err != nil {
+			return err
+		}
 		t := time.NewTimer(time.Duration(-p.tokens / rate * float64(time.Second)))
 		defer t.Stop()
 		select {

@@ -15,57 +15,54 @@ import (
 	"repro/internal/domain"
 )
 
-// rawFrameStream fetches url as a frame-wire stream and returns the raw
-// response bytes, unparsed — the unit of comparison for byte-exactness.
-func rawFrameStream(t *testing.T, url string) []byte {
+// openRaw starts one batch stream in the given wire (domain.WireFrame
+// or domain.WireNDJSON) and checks that the server answered 200 in it.
+func openRaw(t *testing.T, url, wire string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", domain.ContentTypeFrame)
+	accept := domain.ContentTypeNDJSON
+	if wire == domain.WireFrame {
+		accept = domain.ContentTypeFrame
+	}
+	req.Header.Set("Accept", accept)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(domain.HeaderWire) != wire {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("%s: status %d, wire %q, want 200 and %q: %s", url, resp.StatusCode, resp.Header.Get(domain.HeaderWire), wire, body)
+	}
+	return resp
+}
+
+// rawStream fetches url as a stream in the given wire and returns the
+// raw response bytes, unparsed — the unit of comparison for
+// byte-exactness.
+func rawStream(t *testing.T, url, wire string) []byte {
+	t.Helper()
+	resp := openRaw(t, url, wire)
+	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
-	}
-	if got := resp.Header.Get(domain.HeaderWire); got != domain.WireFrame {
-		t.Fatalf("%s: X-Draid-Wire %q, want %q", url, got, domain.WireFrame)
 	}
 	return body
 }
 
-// rawNDJSONStream is rawFrameStream for the NDJSON wire.
+// rawFrameStream and rawNDJSONStream are rawStream for one wire.
+func rawFrameStream(t *testing.T, url string) []byte {
+	t.Helper()
+	return rawStream(t, url, domain.WireFrame)
+}
+
 func rawNDJSONStream(t *testing.T, url string) []byte {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", domain.ContentTypeNDJSON)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
-	}
-	if got := resp.Header.Get(domain.HeaderWire); got != domain.WireNDJSON {
-		t.Fatalf("%s: X-Draid-Wire %q, want %q", url, got, domain.WireNDJSON)
-	}
-	return body
+	return rawStream(t, url, domain.WireNDJSON)
 }
 
 // frameCursors parses a raw frame stream into its batch cursors.

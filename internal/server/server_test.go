@@ -436,7 +436,7 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 func TestShardCacheEviction(t *testing.T) {
 	c := NewShardCache(100)
 	for i := 0; i < 5; i++ {
-		if _, err := c.Get(lineKey(fmt.Sprintf("k%d", i)), sized(&loader.Sample{Features: []float32{1}, Label: 1}, 40)); err != nil {
+		if _, err := c.Get(lineKey(fmt.Sprintf("k%d", i)), nil, sized(&loader.Sample{Features: []float32{1}, Label: 1}, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -254,8 +254,9 @@ func (rs *runtimeSampler) gcPause() float64 {
 }
 
 // statusWriter captures the response status for the request histogram
-// while passing flushes through — batch streams flush per batch and
-// must keep doing so under the middleware.
+// while passing flushes through — a batch stream flushes to send its
+// first batch, before each wait and at the end, and must keep doing so
+// under the middleware.
 type statusWriter struct {
 	w      http.ResponseWriter
 	status int
