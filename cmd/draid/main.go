@@ -91,6 +91,15 @@ import (
 	"repro/internal/tenant"
 )
 
+// Connection time bounds. A client that sends no request head within
+// readHeaderTimeout, or leaves a keep-alive connection idle between
+// requests for idleTimeout, is disconnected. There is deliberately no
+// write timeout: it would cut long batch streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "concurrent pipeline executions")
@@ -173,7 +182,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("draid: %v", err)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()

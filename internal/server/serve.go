@@ -280,7 +280,10 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	// emitBatch writes the pending batch into the stream buffer, sends
 	// it if it is the stream's first, then does the per-batch
 	// bookkeeping: latency, counters, and pacing — which charges the
-	// bytes the batch produced, so both wires are throttled alike.
+	// bytes the batch produced, so both wires are throttled alike. The
+	// batch that reaches max_batches is not paced: the stream ends with
+	// it, and a sleep would hold the handler, its buffer and its fair
+	// share with nothing left to send.
 	emitBatch := func() error {
 		defer func() { ranges, count = ranges[:0], 0 }()
 		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: kind}
@@ -318,7 +321,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		served++
 		s.metrics.batchesServed.Inc()
 		s.metrics.samplesServed.Add(float64(count))
-		if pace == nil {
+		if pace == nil || maxBatches > 0 && served >= maxBatches {
 			return nil
 		}
 		stallStart := time.Now()

@@ -352,6 +352,55 @@ func assertPaced(t *testing.T, s *Server, url, wire string) int {
 	return kbps
 }
 
+// TestCappedStreamEndsUnpaced: the batch that reaches max_batches is
+// not paced. A stream capped at one batch far over the pacer's 4 KiB
+// burst ends at once — the SDK's Next reads the response's end well
+// inside the batch's pacing deficit — its fair-share slot is free by
+// then, and since it never slept it is not counted as throttled.
+func TestCappedStreamEndsUnpaced(t *testing.T) {
+	s, err := New(Options{Workers: 1, ServeCacheBytes: 32 << 20, ServeBudgetKBps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
+	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Seed: 3, Months: 24, Lat: 32, Lon: 64}, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=16&max_batches=1"
+	for _, wire := range domain.Wires() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		st, err := client.OpenStreamURL(ctx, nil, url, "", wire, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Next(); err != nil {
+			t.Fatal(err)
+		}
+		// 1 KiB/s against a batch of about 32 KiB: its deficit is ~28 s.
+		deficit := time.Duration(float64(st.Bytes()-4<<10) / 1024 * float64(time.Second))
+		if deficit < 20*time.Second {
+			t.Fatalf("%s batch of %d bytes too small to show the pacing deficit", wire, st.Bytes())
+		}
+		start := time.Now()
+		if _, err := st.Next(); err != io.EOF {
+			t.Fatalf("%s: Next at the cap: %v", wire, err)
+		}
+		if d := time.Since(start); d > deficit/10 {
+			t.Fatalf("%s: Next at the cap took %s; the last batch's deficit is %s", wire, d, deficit)
+		}
+		if n := metricValue(t, ts.URL, "draid_tenant_active_streams"); n != 0 {
+			t.Fatalf("%s: %d active streams after the capped stream ended", wire, n)
+		}
+		cancel()
+	}
+	if n := metricValue(t, ts.URL, "draid_serve_throttled_total"); n != 0 {
+		t.Fatalf("capped streams that never slept counted %d times as throttled", n)
+	}
+}
+
 // TestServeRateControl: ?max_kbps= paces the stream with a token bucket
 // and the throttled-streams counter ticks — in both wire formats. The
 // unpaced stream finishes the same payload far faster than the paced

@@ -95,22 +95,21 @@ type ReaderAtCloser interface {
 }
 
 // RangeOpener is the optional random-access side of a store: stores
-// that can read at an offset (FSSink via pread, ParfsSink via striped
-// range reads, MemSink trivially) expose it, and OpenRange reports the
-// object's size with the handle — so the serving tier reads a whole
-// sidecar with one open and one exact-size ReadAt, and never stats it
-// first. Callers type-assert; absence falls back to ReadObject. A
-// missing object is an error wrapping fs.ErrNotExist.
+// that can read at an offset (FSSink via pread, MemSink trivially)
+// expose it, and OpenRange reports the object's size with the handle —
+// so the serving tier reads a whole sidecar with one open and one
+// exact-size ReadAt, and never stats it first. Callers type-assert;
+// absence falls back to ReadObject. A missing object is an error
+// wrapping fs.ErrNotExist.
 type RangeOpener interface {
 	OpenRange(name string) (ReaderAtCloser, int64, error)
 }
 
 // Store is full shard storage: creation, read-back, and enumeration.
-// Implementations: MemSink (in-memory), FSSink (files under a root
-// directory, durable once its Syncer barrier returns), ParfsSink
-// (simulated striped parallel filesystem). A writer's Close makes an
-// object visible to Open/Names/Size; it promises nothing about a
-// power cut.
+// Implementations: MemSink (in-memory) and FSSink (files under a root
+// directory, durable once its Syncer barrier returns). A writer's Close
+// makes an object visible to Open/Names/Size; it promises nothing about
+// a power cut.
 type Store interface {
 	Sink
 	Opener

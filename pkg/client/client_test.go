@@ -13,9 +13,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,10 +198,38 @@ func (c *chokeWriter) Flush() {
 	}
 }
 
+// queryLog records the query of every /batches request a handler sees.
+type queryLog struct {
+	mu      sync.Mutex
+	queries []url.Values
+}
+
+func (l *queryLog) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/batches") {
+			l.mu.Lock()
+			l.queries = append(l.queries, r.URL.Query())
+			l.mu.Unlock()
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// take returns the queries recorded so far and forgets them.
+func (l *queryLog) take() []url.Values {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	q := l.queries
+	l.queries = nil
+	return q
+}
+
 // TestStreamResumeOnDisconnect: with every batch connection cut after
 // a few KiB, Stream.Next reconnects from the last cursor and delivers
 // the exact clean-run record sequence with contiguous batch numbering
-// — in both wire formats.
+// — in both wire formats. A capped stream asks every connection for the
+// cap that remains, whether the cap came in StreamOptions or in the
+// URL given to OpenStreamURL.
 func TestStreamResumeOnDisconnect(t *testing.T) {
 	s, err := server.New(server.Options{Workers: 2, ServeCacheBytes: 32 << 20})
 	if err != nil {
@@ -207,7 +238,8 @@ func TestStreamResumeOnDisconnect(t *testing.T) {
 	t.Cleanup(s.Close)
 	clean := httptest.NewServer(s.Handler())
 	t.Cleanup(clean.Close)
-	choked := httptest.NewServer(chokeHandler(s.Handler(), 4<<10))
+	var log queryLog
+	choked := httptest.NewServer(log.wrap(chokeHandler(s.Handler(), 4<<10)))
 	t.Cleanup(choked.Close)
 
 	done := submitDone(t, client.New(clean.URL), client.JobSpec{Domain: core.Climate, Seed: 4, Months: 24, Lat: 16, Lon: 32})
@@ -245,17 +277,46 @@ func TestStreamResumeOnDisconnect(t *testing.T) {
 			}
 
 			// MaxBatches is a total across resumes, not per connection:
-			// even though each resumed connection restarts the server's
-			// count, the stream must stop at the cap.
+			// each connection asks for the cap less what the stream has
+			// delivered, and the stream stops at the cap.
 			cap := len(want) - 2
+			delivered := map[string]int{"": 0} // cursor -> batches delivered before it
+			for i, b := range want {
+				delivered[b.Cursor] = i + 1
+			}
+			checkCapped := func(how string, st *client.Stream) {
+				t.Helper()
+				if got := drainAll(t, st); len(got) != cap {
+					t.Fatalf("%s: cap %d delivered %d batches across resumes", how, cap, len(got))
+				}
+				queries := log.take()
+				if len(queries) < 2 {
+					t.Fatalf("%s: %d connections; the choke should force resumes", how, len(queries))
+				}
+				for i, q := range queries {
+					d, ok := delivered[q.Get("cursor")]
+					if !ok {
+						t.Fatalf("%s: connection %d resumed at unknown cursor %q", how, i, q.Get("cursor"))
+					}
+					if mb := q["max_batches"]; len(mb) != 1 || mb[0] != strconv.Itoa(cap-d) {
+						t.Fatalf("%s: connection %d, after %d batches, asked for max_batches=%v, want %d", how, i, d, mb, cap-d)
+					}
+				}
+			}
+			log.take()
 			capped, err := client.New(choked.URL).StreamBatches(ctx, done.ID,
 				client.StreamOptions{BatchSize: 1, Wire: wire, MaxBatches: cap, MaxResumes: 10000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := drainAll(t, capped); len(got) != cap {
-				t.Fatalf("MaxBatches=%d delivered %d batches across resumes", cap, len(got))
+			checkCapped("StreamBatches", capped)
+
+			u := fmt.Sprintf("%s/v1/jobs/%s/batches?batch_size=1&max_batches=%d", choked.URL, done.ID, cap)
+			capped, err = client.OpenStreamURL(ctx, nil, u, "", wire, 10000)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkCapped("OpenStreamURL", capped)
 		})
 	}
 }

@@ -51,9 +51,6 @@ func (c *Client) StreamBatches(ctx context.Context, jobID string, opts StreamOpt
 	if opts.BatchSize > 0 {
 		q.Set("batch_size", strconv.Itoa(opts.BatchSize))
 	}
-	if opts.MaxBatches > 0 {
-		q.Set("max_batches", strconv.Itoa(opts.MaxBatches))
-	}
 	if opts.MaxKBps > 0 {
 		q.Set("max_kbps", strconv.Itoa(opts.MaxKBps))
 	}
@@ -65,31 +62,45 @@ func (c *Client) StreamBatches(ctx context.Context, jobID string, opts StreamOpt
 	if wire == "" {
 		wire = c.wire
 	}
-	s, err := openStream(ctx, c.httpc, u, opts.Cursor, wire, opts.MaxResumes, c.newTrace(), c.token)
-	if err != nil {
-		return nil, err
-	}
-	// The server's max_batches cap is per-connection; carry it on the
-	// stream so transparent resumes cannot overshoot it.
-	s.maxBatches = opts.MaxBatches
-	return s, nil
+	return openStream(ctx, c.httpc, u, opts.Cursor, wire, opts.MaxBatches, opts.MaxResumes, c.newTrace(), c.token)
 }
 
 // OpenStreamURL opens a batch stream against an already-built
 // /batches URL (which must not carry a cursor parameter — cursor is
-// passed separately so resume can rebuild it). httpc nil uses
-// http.DefaultClient; wire "" means WireAuto; maxResumes as in
-// StreamOptions.
+// passed separately so resume can rebuild it). A positive max_batches
+// in the URL is the stream's total cap, as StreamOptions.MaxBatches.
+// httpc nil uses http.DefaultClient; wire "" means WireAuto; maxResumes
+// as in StreamOptions.
 func OpenStreamURL(ctx context.Context, httpc *http.Client, rawURL, cursor, wire string, maxResumes int) (*Stream, error) {
-	return openStream(ctx, httpc, rawURL, cursor, wire, maxResumes, "", "")
+	rawURL, maxBatches := takeMaxBatches(rawURL)
+	return openStream(ctx, httpc, rawURL, cursor, wire, maxBatches, maxResumes, "", "")
 }
 
-// openStream is OpenStreamURL with an explicit trace ID ("" generates a
-// fresh one) and bearer token ("" sends no Authorization). The same ID
-// and token ride every connection of the stream — resumes included —
-// so the whole logical stream correlates to one trace across the fleet
-// and reconnects re-authenticate instead of dying with 401.
-func openStream(ctx context.Context, httpc *http.Client, rawURL, cursor, wire string, maxResumes int, trace, token string) (*Stream, error) {
+// takeMaxBatches removes a positive max_batches from a URL's query and
+// returns it; connect sends the cap that remains on every connection.
+// Any other value stays in the URL for the server to judge.
+func takeMaxBatches(rawURL string) (string, int) {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return rawURL, 0
+	}
+	q := u.Query()
+	n, err := strconv.Atoi(q.Get("max_batches"))
+	if err != nil || n <= 0 {
+		return rawURL, 0
+	}
+	q.Del("max_batches")
+	u.RawQuery = q.Encode()
+	return u.String(), n
+}
+
+// openStream is OpenStreamURL with the cap taken out of the URL, an
+// explicit trace ID ("" generates a fresh one) and bearer token (""
+// sends no Authorization). The same ID and token ride every connection
+// of the stream — resumes included — so the whole logical stream
+// correlates to one trace across the fleet and reconnects
+// re-authenticate instead of dying with 401.
+func openStream(ctx context.Context, httpc *http.Client, rawURL, cursor, wire string, maxBatches, maxResumes int, trace, token string) (*Stream, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
@@ -115,6 +126,7 @@ func openStream(ctx context.Context, httpc *http.Client, rawURL, cursor, wire st
 		url:         rawURL,
 		wire:        wire,
 		cursor:      cursor,
+		maxBatches:  maxBatches,
 		resumesLeft: maxResumes,
 		trace:       trace,
 		token:       token,
@@ -126,7 +138,10 @@ func openStream(ctx context.Context, httpc *http.Client, rawURL, cursor, wire st
 }
 
 // Stream is an open batch stream. Read with Next until io.EOF; Close
-// is only needed to abandon a stream early.
+// is only needed to abandon a stream early. A stream read to its end,
+// or to its MaxBatches cap, hands its connection back to the
+// http.Client's idle pool, so the next stream to the same server skips
+// the dial; one closed before either drops its connection.
 type Stream struct {
 	ctx   context.Context
 	httpc *http.Client
@@ -163,23 +178,51 @@ func (s *Stream) Cursor() string { return s.cursor }
 // Bytes is the total wire bytes consumed so far.
 func (s *Stream) Bytes() int64 { return s.bytes }
 
-// Close abandons the stream.
+// Close ends the stream. Before its cap or its end, that abandons the
+// stream and drops its connection; at its cap, Close reads the
+// response's end first, as Next does, so the connection is handed back.
 func (s *Stream) Close() error {
-	s.done = true
-	if s.body != nil {
-		return s.body.Close()
+	if !s.done && s.atCap() {
+		s.readEnd()
 	}
-	return nil
+	s.done = true
+	return s.body.Close()
 }
 
+// atCap reports whether the stream has delivered its MaxBatches cap.
+func (s *Stream) atCap() bool { return s.maxBatches > 0 && s.delivered >= s.maxBatches }
+
+// readEnd reads past the last batch of a stream at its cap, so that a
+// response which ends there is read to its clean end and net/http puts
+// the connection back in its idle pool (HTTP/1.1 reuses a connection
+// only once its response is read through). Every connection asks the
+// server for exactly the cap that remains, so a server that honours it
+// ends the response here. It reads at most one further frame or line
+// and decodes nothing: whatever arrives instead of the end — a batch
+// past the cap, an in-band error, a cut — is left for the caller's
+// body Close, which drops the connection.
+func (s *Stream) readEnd() {
+	if s.fr != nil {
+		_, _ = s.fr.r.Peek(1)
+	} else {
+		s.sc.Scan()
+	}
+}
+
+// connect opens one connection of the stream at its cursor, asking for
+// the cap that remains, so a resumed connection also ends at the cap.
 func (s *Stream) connect() error {
 	u := s.url
+	sep := "?"
+	if strings.Contains(u, "?") {
+		sep = "&"
+	}
 	if s.cursor != "" {
-		sep := "?"
-		if strings.Contains(u, "?") {
-			sep = "&"
-		}
 		u += sep + "cursor=" + url.QueryEscape(s.cursor)
+		sep = "&"
+	}
+	if s.maxBatches > 0 {
+		u += sep + "max_batches=" + strconv.Itoa(s.maxBatches-s.delivered)
 	}
 	req, err := http.NewRequestWithContext(s.ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -257,16 +300,17 @@ func scanLine(data []byte, atEOF bool) (int, []byte, error) {
 }
 
 // Next returns the next batch, validated, or io.EOF at a clean end of
-// stream. Transport failures mid-stream are retried transparently by
-// reconnecting from the current cursor (bounded by MaxResumes);
-// server-reported errors and malformed batches are terminal.
+// stream or once MaxBatches batches have been delivered. Transport
+// failures mid-stream are retried transparently by reconnecting from
+// the current cursor (bounded by MaxResumes); server-reported errors
+// and malformed batches are terminal. The io.EOF at the end or at the
+// cap hands the connection back for reuse.
 func (s *Stream) Next() (*BatchWire, error) {
 	if s.done {
 		return nil, io.EOF
 	}
-	if s.maxBatches > 0 && s.delivered >= s.maxBatches {
-		s.done = true
-		s.body.Close()
+	if s.atCap() {
+		s.Close()
 		return nil, io.EOF
 	}
 	for {
