@@ -5,16 +5,17 @@
 //
 // Usage:
 //
-//	draid                          # listen on :8080 with 4 workers, in-memory
+//	draid                          # listen on :8080 with 4 workers, private temp data dir
 //	draid -addr :9000 -workers 8 -serve-cache-mb 512
 //	draid -data-dir /var/lib/draid -job-ttl 24h -max-jobs 100
 //	draid -data-dir /mnt/pfs/draid -node-id n1 -advertise http://host1:8080 \
 //	      -peers n1=http://host1:8080,n2=http://host2:8080,n3=http://host3:8080
 //
-// With -data-dir, completed jobs' shard sets are written to
-// <data-dir>/jobs/<id> with an atomic MANIFEST.json and every job
-// transition is appended to a job log; a restarted draid replays the
-// log and re-serves completed jobs from disk. -job-ttl and -max-jobs
+// Completed jobs' shard sets are written to <data-dir>/jobs/<id> with
+// an atomic MANIFEST.json and every job transition is appended to a job
+// log; a restarted draid replays the log and re-serves completed jobs
+// from disk. Without -data-dir, draid runs the same durable server on a
+// private temp data dir, removed at exit. -job-ttl and -max-jobs
 // evict idle completed jobs (deleting their shard directories) so
 // retained state stays bounded. -requeue resubmits jobs interrupted by
 // a crash instead of marking them failed.
@@ -56,10 +57,10 @@
 // registered tenant's bearer token; jobs, traces, and audit records are
 // scoped to the owning tenant (admin tenants see everything), per-tenant
 // job/byte quotas apply, and -serve-budget-kbps splits a global bandwidth
-// budget across active tenants by weight. With -data-dir, every
-// submission, stream open, eviction, and auth failure is appended to a
-// hash-chained audit ledger whose Merkle batch roots are published on
-// /v1/audit/roots for offline verification.
+// budget across active tenants by weight. Every submission, stream
+// open, eviction, and auth failure is appended to a hash-chained audit
+// ledger whose Merkle batch roots are published on /v1/audit/roots for
+// offline verification.
 //
 // Every request carries an X-Draid-Trace ID (inherited from the client
 // or generated) that is echoed in the response, logged, and propagated
@@ -108,8 +109,8 @@ func main() {
 	serveMaxKBps := flag.Int("serve-max-kbps", 0, "per-stream batch throughput ceiling in KiB/s (0 = unpaced; clients can lower theirs with ?max_kbps=)")
 	serveBudgetKBps := flag.Int("serve-budget-kbps", 0, "global weighted-fair bandwidth budget in KiB/s shared by all batch streams: split across active tenants by weight, then evenly across each tenant's streams (0 = per-stream pacing only)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON: id, token, weight, admin, quotas); enables bearer-token auth and per-tenant scoping — the file must be chmod 0600")
-	ledgerBatch := flag.Int("ledger-batch", 0, "audit ledger Merkle batch size in records per published root (0 = default 64; requires -data-dir)")
-	dataDir := flag.String("data-dir", "", "durable root for shard sets + job log (empty keeps jobs in memory)")
+	ledgerBatch := flag.Int("ledger-batch", 0, "audit ledger Merkle batch size in records per published root (0 = default 64)")
+	dataDir := flag.String("data-dir", "", "durable root for shard sets, job log and audit ledger (empty = a private temp data dir, removed at exit)")
 	jobTTL := flag.Duration("job-ttl", 0, "evict completed jobs idle this long, deleting their shards (0 disables)")
 	maxJobs := flag.Int("max-jobs", 0, "max retained completed jobs; least recently served evicted first (0 = unbounded)")
 	requeue := flag.Bool("requeue", false, "resubmit jobs interrupted by a crash instead of marking them failed")
@@ -153,9 +154,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("draid: %v", err)
 		}
-		if *dataDir == "" {
-			log.Fatalf("draid: -peers requires -data-dir on a filesystem shared by the fleet")
-		}
 	} else if *nodeID != "" {
 		log.Fatalf("draid: -node-id is meaningless without -peers")
 	}
@@ -191,7 +189,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	durability := "in-memory jobs"
+	durability := "private temp data dir, removed at exit"
 	if *dataDir != "" {
 		durability = "data dir " + *dataDir
 	}
@@ -205,6 +203,9 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
+			// Close first: it flushes the logs and removes a private
+			// data dir, which Fatalf's exit would skip.
+			s.Close()
 			log.Fatalf("draid: %v", err)
 		}
 	case got := <-sig:

@@ -67,8 +67,7 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 			return
 		}
 		var ident tenant.Identity
-		if s.peerAuth != "" &&
-			subtle.ConstantTimeCompare([]byte(r.Header.Get(tenant.HeaderPeerAuth)), []byte(s.peerAuth)) == 1 {
+		if subtle.ConstantTimeCompare([]byte(r.Header.Get(tenant.HeaderPeerAuth)), []byte(s.peerAuth)) == 1 {
 			id := r.Header.Get(tenant.HeaderTenant)
 			ident = tenant.Identity{ID: id, Admin: id == ""}
 			if t, ok := s.tenants.Get(id); ok && t.Admin {
@@ -101,16 +100,13 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 	})
 }
 
-// audit appends one record to the audit ledger (no-op without a data
-// dir). Append returns once the record is durable — group-committed,
+// audit appends one record to the audit ledger. Append returns once
+// the record is durable — group-committed,
 // so concurrent auditors share an fsync. The wait is a ledger.append
 // child of ctx's span, when ctx carries one. A failed append is logged
 // and returned: a stream open refuses to serve unaudited, the other
 // callers go on.
 func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string) error {
-	if s.ledger == nil {
-		return nil
-	}
 	start := time.Now()
 	_, err := s.ledger.Append(typ, tenantID, job, detail)
 	s.recordChildSpan(ctx, "ledger.append", start, time.Now(), map[string]string{"type": typ})
@@ -125,10 +121,6 @@ func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string) e
 // reveal nothing about record contents, and verifying a proof against
 // an independently fetched root is the whole point.
 func (s *Server) handleAuditRoots(w http.ResponseWriter, _ *http.Request) {
-	if s.ledger == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("audit ledger disabled (start with -data-dir)"))
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"node":    s.nodeID(),
 		"records": s.ledger.Len(),
@@ -141,10 +133,6 @@ func (s *Server) handleAuditRoots(w http.ResponseWriter, _ *http.Request) {
 // may prove only their own records (admin proves any), so the audit
 // API leaks no cross-tenant activity.
 func (s *Server) handleAuditProof(w http.ResponseWriter, r *http.Request) {
-	if s.ledger == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("audit ledger disabled (start with -data-dir)"))
-		return
-	}
 	seq, err := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
 	if err != nil || seq == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("query seq must be a positive integer"))

@@ -137,9 +137,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	info.Self = c.Self().ID
 	info.VNodes = c.VNodes()
 	info.Members = c.Status()
-	if s.opts.DataDir != "" {
-		info.Registered = shard.ListNodeLocks(filepath.Join(s.opts.DataDir, "nodes"))
-	}
+	info.Registered = shard.ListNodeLocks(filepath.Join(s.opts.DataDir, "nodes"))
 	if id := r.URL.Query().Get("job"); id != "" {
 		// Ownership lookups are scoped like the job itself: placement
 		// reveals which member holds a tenant's data.
@@ -168,7 +166,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // requeued under Options.Requeue, rerunning the deterministic spec).
 // filterID restricts the scan to one job ("" adopts everything owed).
 func (s *Server) adoptOrphans(filterID string) {
-	if s.opts.Cluster == nil || s.opts.DataDir == "" {
+	if s.opts.Cluster == nil {
 		return
 	}
 	s.adoptMu.Lock()

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/pkg/client"
 )
 
 // barrierStore is an FSSink whose Sync the test controls: it announces
@@ -307,5 +309,35 @@ func TestLogCreationSyncsDataDir(t *testing.T) {
 	s2.Close()
 	if len(synced) != 1 {
 		t.Fatalf("restart over existing logs synced again: %v", synced)
+	}
+}
+
+// shortStore is a job store without the durable methods the server
+// calls: a bare MemSink, which has no Sync.
+type shortStore struct{ *shard.MemSink }
+
+// TestShortJobStoreFails: a NewStore override whose store falls short
+// of the durable methods is refused, not trusted. Its job fails with an
+// error naming the store and is never reported done — trusted, it
+// would be done with no commit barrier behind it.
+func TestShortJobStoreFails(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1,
+		NewStore: func(string) (shard.Store, error) { return shortStore{shard.NewMemSink()}, nil }})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	c := client.New(ts.URL, client.WithPollInterval(5*time.Millisecond))
+	sub, err := c.SubmitJob(ctx, barrierSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.WaitDone(ctx, sub.ID)
+	if err == nil || st == nil || st.State != JobFailed {
+		t.Fatalf("job on a store without Sync: status %+v, err %v; want failed", st, err)
+	}
+	if !strings.Contains(st.Error, "shortStore") {
+		t.Fatalf("job error %q does not name the store", st.Error)
+	}
+	if n := metricValue(t, ts.URL, "draid_jobs_done_total"); n != 0 {
+		t.Fatalf("%d jobs reported done", n)
 	}
 }

@@ -74,8 +74,8 @@ type Job struct {
 
 	// Populated on success.
 	manifest *shard.Manifest
-	store    shard.Store // raw shard storage (owned; destroyed on eviction)
-	servable bool        // a manifest-indexed shard set is attached
+	store    jobStore // raw shard storage (owned; destroyed on eviction)
+	servable bool     // a manifest-indexed shard set is attached
 	tracker  *provenance.Tracker
 	key      []byte // per-job shard secret (sealed into the job log)
 
@@ -156,7 +156,7 @@ func (j *Job) Status() JobStatus {
 // jobResult carries a finished pipeline run back onto the Job.
 type jobResult struct {
 	plug       domain.Plugin
-	store      shard.Store // nil when none could be allocated
+	store      jobStore // nil when none could be allocated
 	trajectory []TrajectoryPoint
 	records    int64
 	manifest   *shard.Manifest
@@ -168,11 +168,10 @@ type jobResult struct {
 }
 
 // runSpec resolves the domain plugin, synthesizes the input, and runs
-// the archetype pipeline over the job's shard store (in-memory or
-// durable FSSink, chosen by the server) — the body of one worker-pool
-// slot. The result is never nil: a failed run still hands back its
-// store and whatever trajectory and lineage it produced.
-func runSpec(spec JobSpec, sink shard.Store) (*jobResult, error) {
+// the archetype pipeline over the job's shard store — the body of one
+// worker-pool slot. The result is never nil: a failed run still hands
+// back its store and whatever trajectory and lineage it produced.
+func runSpec(spec JobSpec, sink jobStore) (*jobResult, error) {
 	res := &jobResult{store: sink}
 	plug, err := domain.Lookup(spec.Domain)
 	if err != nil {
@@ -255,7 +254,7 @@ func (s *Server) admit(job *Job, sub *logRecord) (code int, err error) {
 	}
 	s.admitting[job.id] = true
 	s.mu.Unlock()
-	if sub != nil && s.log != nil {
+	if sub != nil {
 		if err = s.appendLog(*sub); err != nil {
 			s.quotaDeactivate(job.tenant)
 		}
@@ -349,9 +348,7 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 	}
 	for _, job := range requeued {
 		if st, err := s.newStore(job.id); err == nil {
-			if d, ok := st.(interface{ Destroy() error }); ok {
-				_ = d.Destroy()
-			}
+			_ = st.Destroy()
 		}
 		s.quotaActivate(job.tenant)
 		if _, err := s.admit(job, nil); err != nil {
@@ -419,14 +416,9 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 		return nil, false, err
 	}
 	// Trust the on-store manifest over the log copy when present: it is
-	// committed atomically alongside the shards it describes. Stores
-	// without manifest persistence (MemSink) serve from the log copy.
-	if lm, ok := store.(interface {
-		LoadManifest() (*shard.Manifest, error)
-	}); ok {
-		if m, merr := lm.LoadManifest(); merr == nil {
-			job.manifest = m
-		}
+	// committed atomically alongside the shards it describes.
+	if m, merr := store.LoadManifest(); merr == nil {
+		job.manifest = m
 	}
 	job.store = store
 	if rec.SealedKey != "" {
@@ -512,7 +504,7 @@ func (s *Server) runJob(job *Job) {
 	if err == nil && res.servable && res.manifest != nil {
 		s.buildJobSidecars(job.id, res)
 	}
-	if err == nil && s.log != nil {
+	if err == nil {
 		err = s.commitJob(job.id, res)
 	}
 	if err = s.finish(job, res, err); err != nil {
@@ -558,13 +550,11 @@ func (s *Server) runJob(job *Job) {
 // that record leaves a job that replay reruns or fails; after it,
 // everything the record promises is on disk.
 func (s *Server) commitJob(id string, res *jobResult) (err error) {
-	if sy, ok := res.store.(shard.Syncer); ok {
-		if err := sy.Sync(); err != nil {
-			return fmt.Errorf("commit shard set: %w", err)
-		}
+	if err := res.store.Sync(); err != nil {
+		return fmt.Errorf("commit shard set: %w", err)
 	}
-	if ms, ok := res.store.(interface{ WriteManifest(*shard.Manifest) error }); ok && res.manifest != nil {
-		if err := ms.WriteManifest(res.manifest); err != nil {
+	if res.manifest != nil {
+		if err := res.store.WriteManifest(res.manifest); err != nil {
 			return err
 		}
 	}
@@ -575,8 +565,8 @@ func (s *Server) commitJob(id string, res *jobResult) (err error) {
 }
 
 // finish is the one place a live job becomes done or failed: the end
-// of runJob, either way, and a requeue that found the queue full. With
-// a data dir the terminal record is made durable first; only then does
+// of runJob, either way, and a requeue that found the queue full. The
+// terminal record is made durable first; only then does
 // the state flip and the event go out, so no client sees a job done
 // that a restart would not find done. A failed append fails the job
 // with an error naming the job log — the log is sticky-failed by then,
@@ -603,10 +593,8 @@ func (s *Server) finish(job *Job, res *jobResult, err error) error {
 			rec.Provenance = b
 		}
 	}
-	if s.log != nil {
-		if lerr := s.appendLog(rec); lerr != nil && err == nil {
-			err = fmt.Errorf("job log: %w", lerr)
-		}
+	if lerr := s.appendLog(rec); lerr != nil && err == nil {
+		err = fmt.Errorf("job log: %w", lerr)
 	}
 
 	job.mu.Lock()
@@ -747,15 +735,13 @@ func (s *Server) maybeEvict() {
 
 	var evicted []*Job
 	for _, j := range victims {
-		if s.log != nil {
-			if err := s.appendLog(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()}); err != nil {
-				s.logger.Warn("eviction not logged; shard files kept", "job", j.id, "error", err.Error())
-				continue
-			}
+		if err := s.appendLog(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()}); err != nil {
+			s.logger.Warn("eviction not logged; shard files kept", "job", j.id, "error", err.Error())
+			continue
 		}
-		if d, ok := j.store.(interface{ Destroy() error }); ok {
-			_ = d.Destroy()
-		} else if s.opts.DataDir != "" {
+		if j.store != nil {
+			_ = j.store.Destroy()
+		} else {
 			// Restored jobs without an attached store (failed or
 			// interrupted) may still own a shard directory.
 			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", j.id))

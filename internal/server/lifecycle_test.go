@@ -21,8 +21,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/shard"
 	"repro/internal/tenant"
+	"repro/internal/wal"
 	"repro/pkg/client"
 )
 
@@ -194,7 +196,7 @@ func assertNames(t *testing.T, what string, got, want []string) {
 
 // destroyRecorder is a job store whose Destroy only records the job.
 type destroyRecorder struct {
-	*shard.MemSink
+	*shard.FSSink
 	name      string
 	destroyed *[]string
 }
@@ -206,7 +208,7 @@ func (d destroyRecorder) Destroy() error {
 
 // retentionServer builds a server (no workers, no eviction loop) whose
 // table holds the row's jobs, done, with their lastAccess, tenant and
-// stored bytes. A foreign job gets an ID the two-member ring assigns
+// stored bytes, over a job log and ledger in a temp dir. A foreign job gets an ID the two-member ring assigns
 // to the other member. ids maps each row name to its job ID.
 func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage map[string]int64, jobs []retentionJob) (s *Server, ids map[string]string, destroyed *[]string) {
 	t.Helper()
@@ -223,6 +225,17 @@ func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage m
 		}
 		reg = testRegistry(t, ts...)
 	}
+	dir := t.TempDir()
+	log, err := wal.Open(filepath.Join(dir, "jobs.log"), func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	led, err := ledger.Open(ledger.Config{Path: filepath.Join(dir, "audit.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { led.Close() })
 	s = &Server{
 		cache:       NewShardCache(0),
 		opts:        Options{JobTTL: ttl, MaxJobs: maxJobs, Cluster: cl},
@@ -230,6 +243,8 @@ func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage m
 		evicted:     make(map[string]bool),
 		metrics:     newServerMetrics(),
 		logger:      slog.New(slog.DiscardHandler),
+		log:         log,
+		ledger:      led,
 		tenants:     reg,
 		tenantJobs:  make(map[string]int),
 		tenantBytes: make(map[string]int64),
@@ -247,8 +262,12 @@ func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage m
 			}
 		}
 		ids[rj.name] = id
+		sink, err := shard.NewFSSink(filepath.Join(dir, "jobs", id))
+		if err != nil {
+			t.Fatal(err)
+		}
 		j := &Job{id: id, tenant: rj.tenant, state: JobDone, lastAccess: now.Add(-rj.age),
-			store: destroyRecorder{MemSink: shard.NewMemSink(), name: rj.name, destroyed: destroyed}}
+			store: destroyRecorder{FSSink: sink, name: rj.name, destroyed: destroyed}}
 		if rj.bytes > 0 {
 			j.manifest = &shard.Manifest{Shards: []shard.Info{{Name: "s0", StoredBytes: rj.bytes}}}
 		}

@@ -1,18 +1,23 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/shard"
 	"repro/pkg/client"
 )
@@ -475,5 +480,77 @@ func TestOrphanShardDirsSwept(t *testing.T) {
 	}
 	if code := getJSON(t, ts2.URL+"/v1/jobs/"+id, nil); code != http.StatusNotFound {
 		t.Fatalf("evicted job: status %d, want 404", code)
+	}
+}
+
+// TestPrivateDataDir: a server started without DataDir is the durable
+// server on a private draid-* temp dir, logged once at Info. It runs a
+// job with the job log and audit ledger behind it, shares nothing with
+// another such server, and Close removes its dir. A New that fails
+// after the choice — a fleet member needs a shared dir — leaves none.
+func TestPrivateDataDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	logs := &lockedBuf{}
+	a, tsA := newTestServer(t, Options{Workers: 1, Logger: slog.New(slog.NewTextHandler(logs, nil))})
+	b, tsB := newTestServer(t, Options{Workers: 1})
+	for _, s := range []*Server{a, b} {
+		if filepath.Dir(s.opts.DataDir) != tmp || !strings.HasPrefix(filepath.Base(s.opts.DataDir), "draid-") {
+			t.Fatalf("private data dir %q, want a draid-* dir under %s", s.opts.DataDir, tmp)
+		}
+	}
+	if a.opts.DataDir == b.opts.DataDir {
+		t.Fatalf("two servers share the data dir %s", a.opts.DataDir)
+	}
+	if n := strings.Count(logs.String(), "dir="+a.opts.DataDir); n != 1 {
+		t.Fatalf("private data dir logged %d times, want once:\n%s", n, logs.String())
+	}
+
+	id, err := SubmitAndWait(tsA.URL, JobSpec{Domain: core.Climate, Seed: 1, Months: 12, Lat: 8, Lon: 16}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fileExists(filepath.Join(a.opts.DataDir, "jobs", id, shard.ManifestFile)) {
+		t.Fatalf("job %s has no committed manifest in the private dir", id)
+	}
+	var roots client.AuditRoots
+	if code := getJSON(t, tsA.URL+"/v1/audit/roots", &roots); code != http.StatusOK || roots.Records == 0 || len(roots.Roots) == 0 {
+		t.Fatalf("audit roots: status %d, %+v", code, roots)
+	}
+	var proof client.AuditProof
+	if code := getJSON(t, tsA.URL+"/v1/audit/proof?seq=1", &proof); code != http.StatusOK {
+		t.Fatalf("audit proof: status %d", code)
+	}
+	if proof.Record.Type != ledger.TypeSubmit || proof.Record.Job != id {
+		t.Fatalf("first audit record %+v, want the submit of %s", proof.Record, id)
+	}
+	if err := proof.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The other server saw none of it.
+	var jobs []JobStatus
+	if getJSON(t, tsB.URL+"/v1/jobs", &jobs); len(jobs) != 0 {
+		t.Fatalf("second server lists %d jobs", len(jobs))
+	}
+	if getJSON(t, tsB.URL+"/v1/audit/roots", &roots); roots.Records != 0 {
+		t.Fatalf("second server's ledger holds %d records", roots.Records)
+	}
+	if bytes.Equal(a.master, b.master) {
+		t.Fatal("two servers share a master key")
+	}
+
+	a.Close()
+	b.Close()
+	cl, err := cluster.New(cluster.Config{Self: "n1", Nodes: []cluster.Node{{ID: "n1", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(Options{Cluster: cl}); err == nil {
+		s.Close()
+		t.Fatal("fleet member started without a shared DataDir")
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("%d entries left in the temp dir after Close and a failed New: %v", len(left), left)
 	}
 }

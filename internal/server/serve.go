@@ -72,7 +72,7 @@ type servePlan struct {
 	job      *Job
 	dom      string
 	manifest *shard.Manifest
-	store    shard.Store  // raw storage: sidecar sizes, range reads, removal
+	store    jobStore     // raw storage: sidecar sizes, range reads, removal
 	open     shard.Opener // record read path (decrypting for sealed domains)
 	key      []byte       // per-job shard secret; nil for plaintext shard sets
 	plug     domain.Plugin
@@ -277,15 +277,28 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	var ranges []batchRange // the next batch: one record range per shard it spans
 	count := 0              // records in ranges
 
-	// emitBatch writes the pending batch into the stream buffer, sends
-	// it if it is the stream's first, then does the per-batch
-	// bookkeeping: latency, counters, and pacing — which charges the
-	// bytes the batch produced, so both wires are throttled alike. The
-	// batch that reaches max_batches is not paced: the stream ends with
-	// it, and a sleep would hold the handler, its buffer and its fair
-	// share with nothing left to send.
+	// emitBatch first pays the pacer what the previous batch owes, then
+	// writes the pending batch into the stream buffer, sends it if it is
+	// the stream's first, and does the per-batch bookkeeping: latency,
+	// counters, and the bytes it produced, which it owes — so both wires
+	// are throttled alike, and a stream's last batch is never paced: a
+	// stream that has sent everything ends at once instead of holding
+	// its handler, buffer and fair share through a sleep.
+	var owed int64
 	emitBatch := func() error {
 		defer func() { ranges, count = ranges[:0], 0 }()
+		if pace != nil {
+			stallStart := time.Now()
+			err := pace.pace(ctx, owed, send)
+			// A pace call that actually slept becomes a span — token-bucket
+			// bookkeeping that never blocked is not a stall.
+			if d := time.Since(stallStart); d >= time.Millisecond {
+				s.recordChildSpan(ctx, "pace.stall", stallStart, stallStart.Add(d), nil)
+			}
+			if err != nil {
+				return err
+			}
+		}
 		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: kind}
 		before := produced()
 		// Encode and write are timed apart: the encode histogram is
@@ -321,17 +334,8 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		served++
 		s.metrics.batchesServed.Inc()
 		s.metrics.samplesServed.Add(float64(count))
-		if pace == nil || maxBatches > 0 && served >= maxBatches {
-			return nil
-		}
-		stallStart := time.Now()
-		err = pace.pace(ctx, produced()-before, send)
-		// A pace call that actually slept becomes a span — token-bucket
-		// bookkeeping that never blocked is not a stall.
-		if d := time.Since(stallStart); d >= time.Millisecond {
-			s.recordChildSpan(ctx, "pace.stall", stallStart, stallStart.Add(d), nil)
-		}
-		return err
+		owed = produced() - before
+		return nil
 	}
 
 shards:
@@ -607,20 +611,20 @@ func (s *Server) readFrameSidecar(p *servePlan, info shard.Info) *domain.Sidecar
 // readSidecar reads one shard's sidecar with one open and one read of
 // its whole stored size — no stat first — and checks all of it (format,
 // both CRCs, kind, and record count against the manifest) before any
-// byte can reach a client. A plaintext store with random access is read
-// by OpenRange and one exact-size ReadAt, through a handle closed before
-// it returns; a sealed sidecar is read whole through the decrypting
-// opener. It returns (nil, nil) for an absent sidecar — no such object,
-// or an empty one — and an error wrapping domain.ErrCorrupt for one
-// whose bytes were read but fail a check.
+// byte can reach a client. A plaintext sidecar is read by OpenRange and
+// one exact-size ReadAt, through a handle closed before it returns; a
+// sealed one is read whole through the decrypting opener. It returns
+// (nil, nil) for an absent sidecar — no such object, or an empty one —
+// and an error wrapping domain.ErrCorrupt for one whose bytes were read
+// but fail a check.
 func (p *servePlan) readSidecar(info shard.Info) (*domain.Sidecar, error) {
 	name := domain.SidecarName(info.Name)
 	var sc *domain.Sidecar
 	var err error
-	if ro, ok := p.store.(shard.RangeOpener); ok && p.key == nil {
+	if p.key == nil {
 		var ra shard.ReaderAtCloser
 		var size int64
-		if ra, size, err = ro.OpenRange(name); err == nil {
+		if ra, size, err = p.store.OpenRange(name); err == nil {
 			if size > 0 {
 				sc, err = domain.OpenSidecar(ra, size)
 			}
@@ -645,13 +649,6 @@ func (p *servePlan) readSidecar(info shard.Info) (*domain.Sidecar, error) {
 	return sc, nil
 }
 
-// objectRemover is the optional store side that replacing a damaged
-// sidecar needs (shard.FSSink has it). Stores without it keep the file
-// and pay the fallback on every cold open.
-type objectRemover interface {
-	Remove(name string) error
-}
-
 // rejectSidecar counts and logs an unusable sidecar and deletes it:
 // the store refuses to create over a taken name, so a rejected file
 // left in place would block its own backfill and be rejected again on
@@ -662,9 +659,7 @@ func (s *Server) rejectSidecar(p *servePlan, info shard.Info, cause error) {
 	s.metrics.frameStoreErrors.Inc()
 	s.logger.Warn("frame sidecar unusable; falling back to encode and rebuilding",
 		"job", p.job.id, "shard", info.Name, "error", cause.Error())
-	if rm, ok := p.store.(objectRemover); ok {
-		_ = rm.Remove(p.storedSidecar(info)) // already gone is fine
-	}
+	_ = p.store.Remove(p.storedSidecar(info)) // already gone is fine
 }
 
 // backfillSidecar lazily materializes the sidecar for a shard that
@@ -686,7 +681,7 @@ func (s *Server) backfillSidecar(p *servePlan, info shard.Info, b []byte) {
 	if err != nil && p.store.Size(stored) == 0 {
 		// An empty file holding the name reads as absent to everyone but
 		// the store's commit. Clear it and try once more.
-		if rm, ok := p.store.(objectRemover); ok && rm.Remove(stored) == nil {
+		if p.store.Remove(stored) == nil {
 			s.metrics.frameStoreErrors.Inc()
 			s.logger.Warn("empty frame sidecar replaced", "job", p.job.id, "shard", info.Name)
 			err = shard.WriteObject(sink, name, b)

@@ -401,6 +401,46 @@ func TestCappedStreamEndsUnpaced(t *testing.T) {
 	}
 }
 
+// TestUncappedStreamEndsUnpaced: a stream's last batch is not paced
+// either when no cap ends it. One batch covers the whole job, far over
+// the pacer's 4 KiB burst at an 8 KiB/s budget; the SDK's Next after it
+// reads the response's end well inside that batch's pacing deficit,
+// and the stream's fair-share slot is free by then.
+func TestUncappedStreamEndsUnpaced(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, ServeCacheBytes: 32 << 20, ServeBudgetKBps: 8})
+	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Seed: 3, Months: 24, Lat: 32, Lon: 64}, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=100000"
+	for _, wire := range domain.Wires() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		st, err := client.OpenStreamURL(ctx, nil, url, "", wire, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Next(); err != nil {
+			t.Fatal(err)
+		}
+		deficit := time.Duration(float64(st.Bytes()-4<<10) / (8 << 10) * float64(time.Second))
+		if deficit < 3*time.Second {
+			t.Fatalf("%s batch of %d bytes too small to show the pacing deficit", wire, st.Bytes())
+		}
+		start := time.Now()
+		if _, err := st.Next(); err != io.EOF {
+			t.Fatalf("%s: Next after the only batch: %v", wire, err)
+		}
+		if d := time.Since(start); d > deficit/10 {
+			t.Fatalf("%s: the stream took %s to end; its last batch's deficit is %s", wire, d, deficit)
+		}
+		if n := metricValue(t, ts.URL, "draid_tenant_active_streams"); n != 0 {
+			t.Fatalf("%s: %d active streams after the stream ended", wire, n)
+		}
+		st.Close()
+		cancel()
+	}
+}
+
 // TestServeRateControl: ?max_kbps= paces the stream with a token bucket
 // and the throttled-streams counter ticks — in both wire formats. The
 // unpaced stream finishes the same payload far faster than the paced

@@ -75,14 +75,15 @@ type Options struct {
 	// single-user behavior, byte for byte.
 	Tenants *tenant.Registry
 	// LedgerBatch is the audit ledger's Merkle batch size (records per
-	// published root). <=0 uses the ledger default (64). Only
-	// meaningful with DataDir set — the ledger lives there.
+	// published root). <=0 uses the ledger default (64).
 	LedgerBatch int
 
-	// DataDir makes the server durable: job shard sets are written to
-	// DataDir/jobs/<id> (FSSink) and every job transition is appended to
+	// DataDir is the server's durable root: job shard sets go to
+	// DataDir/jobs/<id> (FSSink), every job transition is appended to
 	// DataDir/jobs.log, which New replays so a restarted server re-serves
-	// completed jobs from disk. Empty keeps everything in memory.
+	// completed jobs from disk, and the audit ledger and master.key live
+	// beside them. Empty runs the same server on a private draid-* temp
+	// dir, logged at Info and removed by Close.
 	DataDir string
 	// JobTTL evicts completed (done or failed) jobs idle longer than
 	// this — their shard directories are deleted and the eviction is
@@ -94,7 +95,9 @@ type Options struct {
 
 	// NewStore overrides per-job shard storage (the benchmark wraps
 	// FSSink in a traced store with it; tests inject faulting stores).
-	// Nil picks FSSink under DataDir, or MemSink when DataDir is empty.
+	// Its stores must have FSSink's durable methods (see jobStore;
+	// embedding *shard.FSSink gives them all): a job whose store falls
+	// short fails, naming its type. Nil picks FSSink under DataDir.
 	NewStore func(jobID string) (shard.Store, error)
 
 	// Cluster makes this server a fleet member: job-addressed requests
@@ -102,8 +105,8 @@ type Options struct {
 	// membership, and jobs stranded by dead members are adopted from
 	// the shared DataDir (which every member must point at the same
 	// parallel filesystem). The server takes over the cluster's
-	// lifecycle: New starts its probing, Close stops it. Requires
-	// DataDir (or a shared NewStore) for failover to mean anything.
+	// lifecycle: New starts its probing, Close stops it. It needs a
+	// DataDir: a private temp dir is shared with no one.
 	Cluster *cluster.Cluster
 	// Requeue resubmits jobs replayed in queued/running state instead
 	// of marking them failed: their partial output is wiped and the
@@ -159,12 +162,15 @@ type Server struct {
 	stop  chan struct{}
 	wg    sync.WaitGroup
 
-	// Durability (nil/empty when DataDir is unset).
-	log      *wal.Log
-	master   []byte
-	nodeLock *shard.NodeLock
-	// ledger is the append-only audit log (nil without DataDir);
-	// peerAuth is the master-key-derived fleet-internal secret.
+	// Durability. nodeLock is nil outside a fleet; privateDir is the
+	// temp DataDir New made (empty when the caller gave one), which
+	// Close removes.
+	log        *wal.Log
+	master     []byte
+	nodeLock   *shard.NodeLock
+	privateDir string
+	// ledger is the append-only audit log; peerAuth is the
+	// master-key-derived fleet-internal secret.
 	ledger   *ledger.Ledger
 	peerAuth string
 
@@ -197,9 +203,9 @@ type Server struct {
 	logger   *slog.Logger
 }
 
-// New starts a server's worker pool and registers its routes. With
-// Options.DataDir set it also replays the persisted job log, so
-// completed jobs from previous runs are immediately servable.
+// New starts a server's worker pool and registers its routes. It
+// replays the job log in Options.DataDir, so completed jobs from
+// previous runs are immediately servable.
 func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
@@ -235,10 +241,9 @@ func New(opts Options) (*Server, error) {
 	}
 	s.spans = telemetry.NewSpanStore(s.nodeID(), opts.TraceSpans, opts.TraceNotable, opts.TraceSlow)
 	s.registerCollectors()
-	if opts.DataDir != "" {
-		if err := s.openDurable(); err != nil {
-			return nil, err
-		}
+	if err := s.openDurable(); err != nil {
+		_ = os.RemoveAll(s.privateDir) // "" removes nothing
+		return nil, err
 	}
 	s.routes()
 	// Auth sits inside telemetry so 401s are traced and latency-counted
@@ -272,24 +277,64 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// newStore allocates the shard storage backing one job.
-func (s *Server) newStore(jobID string) (shard.Store, error) {
-	if s.opts.NewStore != nil {
-		return s.opts.NewStore(jobID)
-	}
-	if s.opts.DataDir != "" {
-		return shard.NewFSSink(filepath.Join(s.opts.DataDir, "jobs", jobID))
-	}
-	return shard.NewMemSink(), nil
+// jobStore is the storage behind one job: a shard.Store plus the
+// durable methods the server calls on it — range reads for sidecars,
+// the commit barrier and manifest, replacing a damaged sidecar, and
+// removal at eviction or requeue. Every job store has all of them, so
+// no call site asks which it has.
+type jobStore interface {
+	shard.Store
+	shard.RangeOpener
+	shard.Syncer
+	WriteManifest(*shard.Manifest) error
+	LoadManifest() (*shard.Manifest, error)
+	Remove(name string) error
+	Destroy() error
 }
 
-// openDurable prepares the data directory and rebuilds the job table
-// from the persisted log. In cluster mode the data dir is shared by the
-// fleet: this node registers a heartbeating lock file, appends to its
-// own per-node log (so members never interleave writes into one file),
+var _ jobStore = (*shard.FSSink)(nil)
+
+// newStore allocates the shard storage backing one job: an FSSink under
+// DataDir, or the Options.NewStore override's store, checked here once
+// for the methods of jobStore.
+func (s *Server) newStore(jobID string) (jobStore, error) {
+	if s.opts.NewStore == nil {
+		sink, err := shard.NewFSSink(filepath.Join(s.opts.DataDir, "jobs", jobID))
+		if err != nil {
+			return nil, err
+		}
+		return sink, nil
+	}
+	st, err := s.opts.NewStore(jobID)
+	if err != nil {
+		return nil, err
+	}
+	js, ok := st.(jobStore)
+	if !ok {
+		return nil, fmt.Errorf("job store %T lacks the durable methods the server calls (Sync, OpenRange, WriteManifest, LoadManifest, Remove, Destroy)", st)
+	}
+	return js, nil
+}
+
+// openDurable prepares the data directory — a private temp dir when
+// Options.DataDir is empty — and rebuilds the job table from the
+// persisted log. In cluster mode the data dir is shared by the fleet:
+// this node registers a heartbeating lock file, appends to its own
+// per-node log (so members never interleave writes into one file),
 // replays the merged logs of every member, and keeps only the jobs the
 // ring assigns to it.
 func (s *Server) openDurable() error {
+	if s.opts.DataDir == "" {
+		if s.opts.Cluster != nil {
+			return errors.New("server: a fleet member needs a DataDir shared by the fleet")
+		}
+		dir, err := os.MkdirTemp("", "draid-")
+		if err != nil {
+			return fmt.Errorf("server: create private data dir: %w", err)
+		}
+		s.opts.DataDir, s.privateDir = dir, dir
+		s.logger.Info("private data dir, removed at Close", "dir", dir)
+	}
 	if err := os.MkdirAll(filepath.Join(s.opts.DataDir, "jobs"), 0o755); err != nil {
 		return fmt.Errorf("server: create data dir: %w", err)
 	}
@@ -392,7 +437,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // Close initiates graceful shutdown: no new submissions are accepted,
 // running jobs finish, and workers exit. Jobs still queued stay queued
-// and are reported as such.
+// and are reported as such. A private data dir (see Options.DataDir)
+// is removed, and with it every job.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -407,26 +453,23 @@ func (s *Server) Close() {
 	}
 	close(s.stop)
 	s.wg.Wait()
-	if s.log != nil {
-		_ = s.log.Close()
-	}
-	if s.ledger != nil {
-		_ = s.ledger.Close()
-	}
+	_ = s.log.Close()
+	_ = s.ledger.Close()
 	if s.nodeLock != nil {
 		_ = s.nodeLock.Release()
 	}
+	_ = os.RemoveAll(s.privateDir) // "" removes nothing
 }
 
 // handleHealthz answers 503, naming the log, once the job log or the
 // audit ledger has a sticky commit failure: the node would drop every
 // later record, so the fleet's probes must route around it.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.log != nil && s.log.Err() != nil {
+	if s.log.Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job log: %w", s.log.Err()))
 		return
 	}
-	if s.ledger != nil && s.ledger.Err() != nil {
+	if s.ledger.Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("audit ledger: %w", s.ledger.Err()))
 		return
 	}
@@ -589,7 +632,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 	s.mu.Lock()
 	job, ok := s.jobs[id]
 	s.mu.Unlock()
-	if !ok && s.clusterMode() && s.opts.DataDir != "" {
+	if !ok && s.clusterMode() {
 		// The job may be stranded on the shared dir by a dead member
 		// whose hash range just became ours: adopt it on the spot.
 		// Malformed IDs can't name a logged job — don't scan for them.

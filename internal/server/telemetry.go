@@ -175,9 +175,9 @@ func (s *Server) registerCollectors() {
 		reg.GaugeFunc("draid_cluster_peers_alive", "Fleet members currently passing probes.",
 			func() float64 { return float64(c.AliveCount()) })
 	}
-	// Tenancy/ledger collectors are registered unconditionally (nil-
-	// guarded) so the family set — and the docs-hygiene contract over
-	// it — does not depend on server configuration.
+	// The tenancy collector is registered unconditionally (nil-guarded),
+	// like the ledger's, so the family set — and the docs-hygiene
+	// contract over it — does not depend on server configuration.
 	reg.GaugeFunc("draid_tenant_active_streams", "Batch streams currently drawing from the weighted-fair bandwidth budget.",
 		func() float64 {
 			if s.fair == nil {
@@ -186,26 +186,11 @@ func (s *Server) registerCollectors() {
 			return float64(s.fair.activeStreams())
 		})
 	reg.CounterFunc("draid_ledger_records_total", "Records appended to the audit ledger.",
-		func() float64 {
-			if s.ledger == nil {
-				return 0
-			}
-			return float64(s.ledger.Stats().Records)
-		})
+		func() float64 { return float64(s.ledger.Stats().Records) })
 	reg.CounterFunc("draid_ledger_syncs_total", "fsync calls issued by the audit ledger (group commit amortizes these).",
-		func() float64 {
-			if s.ledger == nil {
-				return 0
-			}
-			return float64(s.ledger.Stats().Syncs)
-		})
+		func() float64 { return float64(s.ledger.Stats().Syncs) })
 	reg.CounterFunc("draid_ledger_bytes_total", "Bytes appended to the audit ledger.",
-		func() float64 {
-			if s.ledger == nil {
-				return 0
-			}
-			return float64(s.ledger.Stats().Bytes)
-		})
+		func() float64 { return float64(s.ledger.Stats().Bytes) })
 	reg.CounterFunc("draid_spans_recorded_total", "Completed spans recorded into the span store.",
 		func() float64 { return float64(s.spans.Stats().Recorded) })
 	reg.CounterFunc("draid_spans_dropped_total", "Recorded spans overwritten by ring pressure.",
@@ -387,9 +372,6 @@ func (s *Server) addEvent(job *Job, event, detail, trace string) {
 // in-memory append.
 func (s *Server) addDurableEvent(job *Job, event, detail string) {
 	s.addEvent(job, event, detail, "")
-	if s.log == nil {
-		return
-	}
 	_ = s.appendLog(logRecord{
 		Type: recEvent, ID: job.id, Time: time.Now(),
 		Event: event, Error: detail, Node: s.nodeID(), Trace: job.trace,

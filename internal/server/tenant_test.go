@@ -575,16 +575,6 @@ func TestMasterKeyLooseModeRejected(t *testing.T) {
 	s.Close()
 }
 
-func TestAuditEndpointsWithoutLedger(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	if code := getJSON(t, ts.URL+"/v1/audit/roots", nil); code != http.StatusNotFound {
-		t.Fatalf("roots without ledger: status %d, want 404", code)
-	}
-	if code := getJSON(t, ts.URL+"/v1/audit/proof?seq=1", nil); code != http.StatusNotFound {
-		t.Fatalf("proof without ledger: status %d, want 404", code)
-	}
-}
-
 func TestDebugLogsRedactTokens(t *testing.T) {
 	// The satellite security contract: bearer credentials never reach
 	// logs. Drive an access_token request through a debug-logging server

@@ -98,9 +98,9 @@ type ReaderAtCloser interface {
 // that can read at an offset (FSSink via pread, MemSink trivially)
 // expose it, and OpenRange reports the object's size with the handle —
 // so the serving tier reads a whole sidecar with one open and one
-// exact-size ReadAt, and never stats it first. Callers type-assert;
-// absence falls back to ReadObject. A missing object is an error
-// wrapping fs.ErrNotExist.
+// exact-size ReadAt, and never stats it first. The server requires it
+// of every job store. A missing object is an error wrapping
+// fs.ErrNotExist.
 type RangeOpener interface {
 	OpenRange(name string) (ReaderAtCloser, int64, error)
 }

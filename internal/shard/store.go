@@ -55,9 +55,9 @@ func validName(name string) error {
 const syncWorkers = 16
 
 // Syncer is the optional durability side of a store: Sync returns once
-// every object committed so far would survive a power cut. Callers
-// type-assert, as with RangeOpener; stores that are not crash-durable
-// (MemSink) do not implement it.
+// every object committed so far would survive a power cut. Stores that
+// are not crash-durable (MemSink) do not implement it, and the server
+// refuses them as job stores.
 type Syncer interface {
 	Sync() error
 }

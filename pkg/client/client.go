@@ -247,8 +247,7 @@ func (c *Client) Provenance(ctx context.Context, id string) (json.RawMessage, er
 }
 
 // AuditRoots fetches the serving node's published Merkle batch roots
-// from its audit ledger. Errors when the server runs without a data
-// directory (no ledger).
+// from its audit ledger.
 func (c *Client) AuditRoots(ctx context.Context) (*AuditRoots, error) {
 	var out AuditRoots
 	if err := c.getJSON(ctx, "/v1/audit/roots", &out); err != nil {
