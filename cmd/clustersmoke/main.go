@@ -13,9 +13,9 @@
 // every node runs with a -tenants registry, and the smoke requires
 // cross-tenant 403s to hold on the owner-direct, proxied, AND
 // redirected paths (identity must survive fleet hops), admin tokens to
-// see across tenants, and the owner's audit ledger to hold the
-// submission and stream records with inclusion proofs that verify
-// against its published Merkle roots.
+// see across tenants, and the owner's audit ledger — its one log — to
+// hold the job's submitted record and the stream record with inclusion
+// proofs that verify against its published Merkle roots.
 //
 // Usage:
 //
@@ -421,7 +421,7 @@ func tenancySmoke(ctx context.Context, nodes []*node) {
 	// open, each with an inclusion proof that verifies against the
 	// published Merkle roots; bob cannot prove alice's records.
 	rootCli := client.New(owner.url, client.WithToken(rootToken))
-	sub := findAuditSmoke(ctx, rootCli, ledger.TypeSubmit, st.ID)
+	sub := findAuditSmoke(ctx, rootCli, ledger.TypeSubmitted, st.ID)
 	str := findAuditSmoke(ctx, rootCli, ledger.TypeStream, st.ID)
 	for _, rec := range []*client.AuditProof{sub, str} {
 		if rec.Record.Tenant != "alice" {
@@ -432,7 +432,7 @@ func tenancySmoke(ctx context.Context, nodes []*node) {
 	if got := authedStatus(proofURL, bobToken, ""); got != http.StatusForbidden {
 		log.Fatalf("clustersmoke: bob proving alice's audit record: status %d, want 403", got)
 	}
-	log.Printf("clustersmoke: audit trail verified on %s (submit seq %d, stream seq %d) — tenancy PASS",
+	log.Printf("clustersmoke: audit trail verified on %s (submitted seq %d, stream seq %d) — tenancy PASS",
 		owner.id, sub.Record.Seq, str.Record.Seq)
 }
 

@@ -12,9 +12,10 @@
 //	      -peers n1=http://host1:8080,n2=http://host2:8080,n3=http://host3:8080
 //
 // Completed jobs' shard sets are written to <data-dir>/jobs/<id> with
-// an atomic MANIFEST.json and every job transition is appended to a job
-// log; a restarted draid replays the log and re-serves completed jobs
-// from disk. Without -data-dir, draid runs the same durable server on a
+// an atomic MANIFEST.json and every job transition replay needs is
+// appended to the node's one log, its audit ledger; a restarted draid
+// replays the ledger and re-serves completed jobs from disk. A data dir
+// holding a jobs*.log from an earlier version is refused. Without -data-dir, draid runs the same durable server on a
 // private temp data dir, removed at exit. -job-ttl and -max-jobs
 // evict idle completed jobs (deleting their shard directories) so
 // retained state stays bounded. -requeue resubmits jobs interrupted by
@@ -25,7 +26,7 @@
 // are transparently proxied, or 307-redirected when the client sends
 // "X-Draid-Route: redirect"), every member must point -data-dir at the
 // same shared/parallel filesystem, and a dead member's jobs are adopted
-// by the survivors via job-log replay from that shared dir.
+// by the survivors, which replay its ledger from that shared dir.
 //
 // Every domain streams: each template registers a wire codec
 // (internal/domain), so climate/bio loader samples, fusion windowed
@@ -51,16 +52,16 @@
 //	GET  /v1/audit/roots             this node's published Merkle audit roots
 //	GET  /v1/audit/proof?seq=N       inclusion proof for one audit record
 //	GET  /metrics                    serving + pipeline + cluster metrics (with exemplars)
-//	GET  /healthz                    liveness, 503 once a durable log failed (also the fleet probe target)
+//	GET  /healthz                    liveness, 503 once the ledger failed (also the fleet probe target)
 //
 // With -tenants, every request (bar /healthz and /metrics) must carry a
 // registered tenant's bearer token; jobs, traces, and audit records are
 // scoped to the owning tenant (admin tenants see everything), per-tenant
 // job/byte quotas apply, and -serve-budget-kbps splits a global bandwidth
-// budget across active tenants by weight. Every submission, stream
-// open, eviction, and auth failure is appended to a hash-chained audit
-// ledger whose Merkle batch roots are published on /v1/audit/roots for
-// offline verification.
+// budget across active tenants by weight. Every job record (submission,
+// end, eviction), stream open and auth failure is appended to the
+// hash-chained audit ledger, whose Merkle batch roots are published on
+// /v1/audit/roots for offline verification.
 //
 // Every request carries an X-Draid-Trace ID (inherited from the client
 // or generated) that is echoed in the response, logged, and propagated
@@ -109,8 +110,8 @@ func main() {
 	serveMaxKBps := flag.Int("serve-max-kbps", 0, "per-stream batch throughput ceiling in KiB/s (0 = unpaced; clients can lower theirs with ?max_kbps=)")
 	serveBudgetKBps := flag.Int("serve-budget-kbps", 0, "global weighted-fair bandwidth budget in KiB/s shared by all batch streams: split across active tenants by weight, then evenly across each tenant's streams (0 = per-stream pacing only)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON: id, token, weight, admin, quotas); enables bearer-token auth and per-tenant scoping — the file must be chmod 0600")
-	ledgerBatch := flag.Int("ledger-batch", 0, "audit ledger Merkle batch size in records per published root (0 = default 64)")
-	dataDir := flag.String("data-dir", "", "durable root for shard sets, job log and audit ledger (empty = a private temp data dir, removed at exit)")
+	ledgerBatch := flag.Int("ledger-batch", 0, "audit ledger Merkle batch size in records per published root, job records included (0 = default 64)")
+	dataDir := flag.String("data-dir", "", "durable root for shard sets and the audit ledger, which holds the job records (empty = a private temp data dir, removed at exit)")
 	jobTTL := flag.Duration("job-ttl", 0, "evict completed jobs idle this long, deleting their shards (0 disables)")
 	maxJobs := flag.Int("max-jobs", 0, "max retained completed jobs; least recently served evicted first (0 = unbounded)")
 	requeue := flag.Bool("requeue", false, "resubmit jobs interrupted by a crash instead of marking them failed")

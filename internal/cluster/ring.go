@@ -5,7 +5,7 @@
 // coordinator, no gossip), and the shared parallel filesystem under every
 // node's data dir is what makes failover cheap: when a node dies its hash
 // ranges fall deterministically to the survivors, which replay the dead
-// node's job log straight from the shared dir and keep serving.
+// node's ledger straight from the shared dir and keep serving.
 package cluster
 
 import (

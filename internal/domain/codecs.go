@@ -103,7 +103,7 @@ func (fusionCodec) Decode(rec []byte) (any, int64, error) {
 	// error (a silently-defaulted label=0 would mis-serve "disruption"
 	// ground truth). start/horizon were added with the serving codecs
 	// and legitimately default to zero on pre-plugin shards replayed
-	// from old job logs.
+	// from older data dirs.
 	requiredInt := func(name string) (int64, error) {
 		ints := ex.Features[name].Ints
 		if len(ints) == 0 {

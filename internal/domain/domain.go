@@ -88,7 +88,8 @@ type Run struct {
 	Pipeline *pipeline.Pipeline
 	Dataset  *pipeline.Dataset
 	// Key is the per-job shard secret (nil for domains whose shards
-	// rest in plaintext). The serving tier seals it into its job log.
+	// rest in plaintext). The serving tier seals it into the job's done
+	// record in its ledger.
 	Key []byte
 }
 

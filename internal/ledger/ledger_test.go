@@ -1,11 +1,15 @@
 package ledger
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -28,7 +32,7 @@ func openTest(t testing.TB, path string, batch int) *Ledger {
 func appendN(t testing.TB, l *Ledger, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := l.Append(TypeSubmit, "acme", fmt.Sprintf("job-%06d", i+1), ""); err != nil {
+		if _, err := l.Append(TypeSubmitted, "acme", fmt.Sprintf("job-%06d", i+1), ""); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
@@ -61,15 +65,15 @@ func TestAppendReplayRecomputesRoots(t *testing.T) {
 		t.Fatalf("sealing flags wrong: %+v", rootsAfter)
 	}
 	// The chain must extend seamlessly after replay.
-	rec, err := l2.Append(TypeEvict, "acme", "job-000001", "")
+	rec, err := l2.Append(TypeEvicted, "acme", "job-000001", "")
 	if err != nil {
 		t.Fatalf("Append after replay: %v", err)
 	}
 	if rec.Seq != 11 {
 		t.Fatalf("post-replay Seq = %d, want 11", rec.Seq)
 	}
-	prev, _ := l2.Record(10)
-	if rec.Prev != prev.Hash {
+	prev, _ := l2.Prove(10)
+	if rec.Prev != prev.Record.Hash {
 		t.Fatalf("post-replay record does not chain to replayed tail")
 	}
 }
@@ -202,7 +206,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			if _, err := l.Append(TypeSubmit, "t", fmt.Sprintf("job-%06d", i), ""); err != nil {
+			if _, err := l.Append(TypeSubmitted, "t", fmt.Sprintf("job-%06d", i), ""); err != nil {
 				t.Errorf("Append: %v", err)
 			}
 		}(i)
@@ -304,12 +308,9 @@ func TestGroupCommitDuringHeldSync(t *testing.T) {
 	}()
 	<-entered
 
-	within(t, "Len/Record/Prove/Roots", func() {
+	within(t, "Len/Prove/Roots", func() {
 		if got := l.Len(); got != 3 {
 			t.Errorf("Len = %d during the held sync, want 3", got)
-		}
-		if _, ok := l.Record(4); ok {
-			t.Error("Record(4) served before its fsync finished")
 		}
 		if _, err := l.Prove(4); err == nil {
 			t.Error("Prove(4) served before its fsync finished")
@@ -326,8 +327,8 @@ func TestGroupCommitDuringHeldSync(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatalf("held Append: %v", err)
 	}
-	if _, ok := l.Record(4); !ok {
-		t.Fatal("Record(4) not served after its fsync finished")
+	if _, err := l.Prove(4); err != nil {
+		t.Fatalf("Prove(4) after its fsync finished: %v", err)
 	}
 	if got := l.Roots(); len(got) != 1 || !got[0].Sealed || got[0].Records != 4 {
 		t.Fatalf("Roots = %+v after seq 4 is durable, want batch 0 sealed", got)
@@ -354,11 +355,11 @@ func TestCommitFailureIsSticky(t *testing.T) {
 	}
 	t.Cleanup(func() { wal.Fsync = orig })
 
-	if _, err := l.Append(TypeSubmit, "acme", "job-000006", ""); err == nil {
+	if _, err := l.Append(TypeSubmitted, "acme", "job-000006", ""); err == nil {
 		t.Fatal("Append through a failed fsync succeeded")
 	}
 	seq := l.seq
-	if _, err := l.Append(TypeSubmit, "acme", "job-000007", ""); err == nil {
+	if _, err := l.Append(TypeSubmitted, "acme", "job-000007", ""); err == nil {
 		t.Fatal("Append after a failed commit succeeded")
 	}
 	if l.seq != seq {
@@ -405,10 +406,78 @@ func TestStatsDoesNotTakeTheLock(t *testing.T) {
 	}
 }
 
+// appendBodies appends n records, every other one with a body.
+func appendBodies(t testing.TB, l *Ledger, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		var body []byte
+		if i%2 == 0 {
+			body = fmt.Appendf(nil, `{"spec":{"domain":"climate","seed":%d},"sealed_key":"%064x"}`, i, i)
+		}
+		if _, err := l.AppendBody(TypeSubmitted, "acme", fmt.Sprintf("job-%06d", i+1), "climate", body); err != nil {
+			t.Fatalf("AppendBody %d: %v", i, err)
+		}
+	}
+}
+
+// TestBodiesReplayed: Open hands every record and its body to Replay in
+// file order, a proof covers the header (with its body_hash) and not the
+// body, and a Tail reads only what was appended since it last read.
+func TestBodiesReplayed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l := openTest(t, path, 4)
+	appendBodies(t, l, 5)
+	l.Close()
+
+	var bodies []string
+	l, err := Open(Config{Path: path, BatchSize: 4, Replay: func(rec Record, body []byte) error {
+		bodies = append(bodies, fmt.Sprintf("%d:%s", rec.Seq, body))
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(bodies) != 5 || bodies[1] != "2:" || !strings.HasPrefix(bodies[2], `3:{"spec":{"domain":"climate","seed":2}`) {
+		t.Fatalf("replayed %q", bodies)
+	}
+	p, err := l.Prove(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Verify(); err != nil || p.Record.BodyHash == "" {
+		t.Fatalf("proof of a body record: %v, body_hash %q", err, p.Record.BodyHash)
+	}
+	if b, _ := json.Marshal(p); strings.Contains(string(b), "sealed_key") || strings.Contains(string(b), "spec") {
+		t.Fatalf("proof reveals the body: %s", b)
+	}
+
+	tail := l.Tail()
+	var seqs []uint64
+	collect := func(rec Record, _ []byte) error {
+		seqs = append(seqs, rec.Seq)
+		return nil
+	}
+	if err := tail.Next(collect); err != nil || len(seqs) != 0 {
+		t.Fatalf("a Tail from Open read %v (%v); want nothing", seqs, err)
+	}
+	appendBodies(t, l, 2)
+	if err := tail.Next(collect); err != nil || fmt.Sprint(seqs) != "[6 7]" {
+		t.Fatalf("Tail read %v (%v); want [6 7]", seqs, err)
+	}
+	seqs = nil
+	if err := NewTail(path).Next(collect); err != nil || len(seqs) != 7 {
+		t.Fatalf("a new Tail read %v (%v); want all 7", seqs, err)
+	}
+}
+
 // FuzzLedgerReplay feeds arbitrary bytes to Open as an existing log.
-// Open must never panic, and a log it accepts must extend cleanly: one
-// more append, a close and a reopen give Len()+1 and leave every
-// already-sealed batch root unchanged.
+// Open must never panic, and it accepts exactly the logs whose every
+// complete non-blank line is a record that extends the chain with a
+// body matching its body_hash. A log it accepts must extend cleanly:
+// one more append, a close and a reopen give Len()+1 and leave every
+// already-sealed batch root unchanged. Changing one byte of an accepted
+// record's body fails Open as a chain break.
 func FuzzLedgerReplay(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "audit.log")
 	l := openTest(f, path, 2)
@@ -428,17 +497,60 @@ func FuzzLedgerReplay(f *testing.F) {
 	f.Add([]byte(strings.Join(append(lines[:2:2], lines[3:]...), ""))) // record deleted
 	f.Add([]byte(strings.Replace(string(valid), "job-000003", "job-999999", 1)))
 	f.Add(append(append([]byte(nil), valid...), "\n  \n{\"seq\":6"...))
+	path = filepath.Join(f.TempDir(), "bodies.log")
+	l = openTest(f, path, 2)
+	appendBodies(f, l, 5)
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	bodies, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bodies)
+	f.Add([]byte(strings.Replace(string(bodies), `"seed":2`, `"seed":3`, 1)))            // body edited
+	f.Add([]byte(strings.Replace(string(bodies), `"body_hash":"`, `"body_hash":"0`, 1))) // digest edited
+	f.Add(regexp.MustCompile(`,"body":.*}\n`).ReplaceAll(bodies, []byte("}\n")))         // bodies dropped
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "audit.log")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(Config{Path: path, BatchSize: 2})
+		type replayed struct {
+			rec  Record
+			body []byte
+		}
+		var got []replayed
+		l, err := Open(Config{Path: path, BatchSize: 2, Replay: func(rec Record, body []byte) error {
+			got = append(got, replayed{rec, body})
+			return nil
+		}})
 		if err != nil {
 			return
 		}
+		complete := 0
+		for _, ln := range bytes.SplitAfter(data, []byte("\n")) {
+			if bytes.HasSuffix(ln, []byte("\n")) && len(bytes.TrimSpace(ln)) > 0 {
+				complete++
+			}
+		}
+		if len(got) != complete {
+			l.Close()
+			t.Fatalf("Open accepted %d records from %d complete lines", len(got), complete)
+		}
+		for i, r := range got {
+			want := ""
+			if len(r.body) > 0 {
+				sum := sha256.Sum256(r.body)
+				want = hex.EncodeToString(sum[:])
+			}
+			if r.rec.Seq != uint64(i+1) || r.rec.BodyHash != want || HashRecord(r.rec) != r.rec.Hash {
+				l.Close()
+				t.Fatalf("Open accepted record %d that does not check: %+v", i+1, r.rec)
+			}
+		}
 		n, roots := l.Len(), l.Roots()
-		if _, err := l.Append(TypeSubmit, "t", "job-fuzz", ""); err != nil {
+		if _, err := l.Append(TypeSubmitted, "t", "job-fuzz", ""); err != nil {
 			t.Fatalf("Append to an accepted log: %v", err)
 		}
 		if err := l.Close(); err != nil {
@@ -457,6 +569,34 @@ func FuzzLedgerReplay(f *testing.F) {
 			if r.Sealed && after[i] != r {
 				t.Fatalf("sealed batch %d changed across append+reopen: %+v vs %+v", i, r, after[i])
 			}
+		}
+		// One changed byte in the middle of a body: Open fails as a chain
+		// break, or — if the byte was not the record's body after all (a
+		// copy of it in a field the header ignores) — yields the same.
+		end := bytes.LastIndexByte(data, '\n') + 1
+		for _, r := range got {
+			if len(r.body) == 0 {
+				continue
+			}
+			changed := append([]byte(nil), data...)
+			changed[bytes.LastIndex(data[:end], r.body)+len(r.body)/2] ^= 1
+			if err := os.WriteFile(path, changed, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			var again []replayed
+			l3, err := Open(Config{Path: path, BatchSize: 2, Replay: func(rec Record, body []byte) error {
+				again = append(again, replayed{rec, body})
+				return nil
+			}})
+			if err == nil {
+				l3.Close()
+				if fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", got) {
+					t.Fatalf("a changed byte in record %d's body was accepted", r.rec.Seq)
+				}
+			} else if !strings.Contains(err.Error(), "chain broken") {
+				t.Fatalf("a changed body byte failed Open with %v, want a chain break", err)
+			}
+			break
 		}
 	})
 }

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/ledger"
 	"repro/internal/shard"
@@ -82,7 +80,7 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 				if tok != "" {
 					detail = "invalid token"
 				}
-				s.audit(r.Context(), ledger.TypeAuthFailure, "", "", detail+": "+r.Method+" "+r.URL.Path)
+				s.audit(r.Context(), ledger.TypeAuthFailure, "", "", detail+": "+r.Method+" "+r.URL.Path, nil)
 				s.logger.Info("auth failure", "method", r.Method, "path", tenant.RedactedPath(r),
 					"trace", telemetry.TraceFrom(r.Context()))
 				w.Header().Set("WWW-Authenticate", `Bearer realm="draid"`)
@@ -98,22 +96,6 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 		telemetry.SpanFromContext(r.Context()).SetAttr("tenant", ident.ID)
 		next.ServeHTTP(w, r.WithContext(tenant.WithIdentity(r.Context(), ident)))
 	})
-}
-
-// audit appends one record to the audit ledger. Append returns once
-// the record is durable — group-committed,
-// so concurrent auditors share an fsync. The wait is a ledger.append
-// child of ctx's span, when ctx carries one. A failed append is logged
-// and returned: a stream open refuses to serve unaudited, the other
-// callers go on.
-func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string) error {
-	start := time.Now()
-	_, err := s.ledger.Append(typ, tenantID, job, detail)
-	s.recordChildSpan(ctx, "ledger.append", start, time.Now(), map[string]string{"type": typ})
-	if err != nil {
-		s.logger.Warn("audit append failed", "type", typ, "job", job, "error", err.Error())
-	}
-	return err
 }
 
 // handleAuditRoots serves GET /v1/audit/roots: the ledger's published
@@ -138,21 +120,16 @@ func (s *Server) handleAuditProof(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("query seq must be a positive integer"))
 		return
 	}
-	rec, ok := s.ledger.Record(seq)
-	if !ok {
+	proof, err := s.ledger.Prove(seq)
+	if err != nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no audit record with seq %d", seq))
 		return
 	}
 	if s.tenants != nil {
-		if ident := tenant.FromContext(r.Context()); !ident.CanAccess(rec.Tenant) {
+		if ident := tenant.FromContext(r.Context()); !ident.CanAccess(proof.Record.Tenant) {
 			writeError(w, http.StatusForbidden, fmt.Errorf("audit record %d belongs to another tenant", seq))
 			return
 		}
-	}
-	proof, err := s.ledger.Prove(seq)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
 	}
 	writeJSON(w, http.StatusOK, proof)
 }

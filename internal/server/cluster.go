@@ -2,23 +2,24 @@
 // member every job-addressed request is checked against the consistent-
 // hash ring and transparently proxied (or 307-redirected on request) to
 // the owning node; /v1/cluster reports membership and ownership; and
-// jobs stranded by a dead member are adopted — replayed from the shared
-// data dir's job logs — the moment the ring reassigns their hash range.
+// jobs stranded by a dead member are adopted — replayed from the
+// members' ledgers on the shared data dir — the moment the ring
+// reassigns their hash range.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ledger"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -158,13 +159,41 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// adoptOrphans scans the shared data dir's merged job logs and takes
-// ownership of every job the current ring assigns to this node but
-// which is missing from the local table — the re-ownership half of
-// failover. Dead members' completed jobs come back servable from their
-// on-disk shard sets; jobs they were still running come back failed (or
-// requeued under Options.Requeue, rerunning the deterministic spec).
-// filterID restricts the scan to one job ("" adopts everything owed).
+// scanFleet extends s.fold with what the members' ledgers gained since
+// the last scan, reading only the appended bytes. A ledger that no
+// longer extends what was read — cut back by a failed commit and written
+// anew by a restart, or damaged — makes the scan fold every ledger again
+// from the start, once. Caller holds adoptMu, or is openDurable.
+func (s *Server) scanFleet() {
+	paths, _ := filepath.Glob(filepath.Join(s.opts.DataDir, "audit*.log"))
+	for pass := 1; pass <= 2; pass++ {
+		var broken error
+		for _, p := range paths {
+			if s.tails[p] == nil {
+				s.tails[p] = ledger.NewTail(p)
+			}
+			if err := s.tails[p].Next(s.fold.add); err != nil {
+				broken = err
+			}
+		}
+		if broken == nil {
+			return
+		}
+		s.logger.Warn("ledger scan broken", "pass", pass, "error", broken.Error())
+		if pass == 1 {
+			s.fold, s.tails = newJobFold(s.nodeID()), map[string]*ledger.Tail{}
+		}
+	}
+}
+
+// adoptOrphans folds what the members' ledgers gained into s.fold and
+// takes ownership of every job the current ring assigns to
+// this node but which is missing from the local table — the
+// re-ownership half of failover. Dead members' completed jobs come back
+// servable from their on-disk shard sets; jobs they were still running
+// come back failed (or requeued under Options.Requeue, rerunning the
+// deterministic spec). filterID restricts the adoption to one job (""
+// adopts everything owed).
 func (s *Server) adoptOrphans(filterID string) {
 	if s.opts.Cluster == nil {
 		return
@@ -177,48 +206,26 @@ func (s *Server) adoptOrphans(filterID string) {
 	if closed {
 		return
 	}
-	// Cheap pre-check before the full log read: if no member's log grew
-	// since the last scan and the asked-for ID was not in them, there is
-	// nothing to adopt — without this, every request for a bogus or
-	// evicted ID would re-read the whole shared log set under adoptMu.
-	sig := jobLogSig(s.opts.DataDir)
-	if filterID != "" && sig == s.scanSig && s.scanIDs != nil && !s.scanIDs[filterID] {
-		return
-	}
-	recs, err := readAllJobLogs(s.opts.DataDir)
-	if err != nil {
-		return
-	}
-	states, _ := replayJobs(recs, s.opts.Cluster.Self().ID)
-	s.noteEvicted(recs)
-	// Memo only the IDs that survived replay: an evicted job's records
-	// are still in the logs, but it can never be adopted, so repeated
-	// requests for it must hit the early return, not a fresh scan.
-	s.scanSig = sig
-	s.scanIDs = make(map[string]bool, len(states))
-	for _, st := range states {
-		s.scanIDs[st.sub.ID] = true
-	}
+	s.scanFleet()
+	s.mu.Lock()
+	maps.Copy(s.evicted, s.fold.evicted)
+	s.mu.Unlock()
 	// A targeted adoption takes only the asked-for job and skips the
 	// ring check: the request reached us because *some* member's ring
 	// routed it here, and that member may have observed the owner's
 	// death before we probed it — refusing until our own ring catches up
-	// would 404 a servable job.
-	if filterID != "" {
-		states = slices.DeleteFunc(states, func(st *replayState) bool { return st.sub.ID != filterID })
-	}
-	// A job that cannot be restored stays in the logs; the next scan
-	// retries it.
-	_ = s.restore(states, filterID != "", func(job *Job) {
+	// would 404 a servable job. A job that cannot be restored stays in
+	// the fold; the next scan retries it.
+	_ = s.restore(s.fold.states(filterID), filterID != "", func(job *Job) {
 		s.metrics.clusterAdopted.Inc()
-		s.addDurableEvent(job, client.EventAdopted, "replayed from shared log after ownership change")
+		s.addDurableEvent(job, client.EventAdopted, "replayed from shared ledger after ownership change")
 		s.logger.Info("job adopted", "job", job.id, "trace", job.trace)
 	})
 }
 
 // adoptJob is the lazy single-job adoption used on a table miss: a
 // request for a job we own but never saw (its owner died and we have
-// not probed that yet) replays it from the shared logs on the spot.
+// not probed that yet) replays it from the shared ledgers on the spot.
 func (s *Server) adoptJob(id string) *Job {
 	s.adoptOrphans(id)
 	s.mu.Lock()
@@ -236,25 +243,6 @@ const nodeLockStale = 10 * time.Second
 func (s *Server) nodeLockFresh(nodeID string) bool {
 	fi, err := os.Stat(filepath.Join(s.opts.DataDir, "nodes", nodeID+".lock"))
 	return err == nil && time.Since(fi.ModTime()) <= nodeLockStale
-}
-
-// jobLogSig fingerprints the shared dir's job logs (name, size, mtime)
-// so repeated adoption scans can skip re-reading unchanged logs.
-func jobLogSig(dataDir string) string {
-	paths, err := filepath.Glob(filepath.Join(dataDir, "jobs*.log"))
-	if err != nil {
-		return ""
-	}
-	sort.Strings(paths)
-	var b strings.Builder
-	for _, p := range paths {
-		fi, err := os.Stat(p)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%s:%d:%d;", p, fi.Size(), fi.ModTime().UnixNano())
-	}
-	return b.String()
 }
 
 // mergeClusterList fans the job list out to alive peers and merges

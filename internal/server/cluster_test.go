@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/telemetry"
 	"repro/pkg/client"
 )
@@ -484,7 +485,7 @@ func TestSubmitPreassignedIDOnce(t *testing.T) {
 }
 
 // TestAdoptionSkipsJobBeingAdmitted: a new job's submitted record is in
-// the shared logs before the job is in the table. An adoption scan in
+// its ledger before the job is in the table. An adoption scan in
 // that window must leave the job to its admission: not fail it as
 // interrupted, and under Requeue not queue it a second time.
 func TestAdoptionSkipsJobBeingAdmitted(t *testing.T) {
@@ -492,7 +493,7 @@ func TestAdoptionSkipsJobBeingAdmitted(t *testing.T) {
 		t.Run(fmt.Sprintf("requeue=%v", requeue), func(t *testing.T) {
 			entered, release := make(chan struct{}), make(chan struct{})
 			var hold sync.Once
-			onLogSync(t, "jobs-n1.log", func(int) error {
+			onLogSync(t, "audit-n1.log", func(int) error {
 				hold.Do(func() {
 					close(entered)
 					<-release
@@ -546,18 +547,14 @@ func TestAdoptionSkipsJobBeingAdmitted(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 			}
 			time.Sleep(200 * time.Millisecond) // room for a second run to land
-			recs, err := readAllJobLogs(dataDir)
-			if err != nil {
-				t.Fatal(err)
-			}
 			count := map[string]int{}
-			for _, rec := range recs {
-				if rec.ID == id {
-					count[rec.Type+rec.Event]++
+			for _, rec := range readRecords(t, filepath.Join(dataDir, "audit-n1.log")) {
+				if rec.Job == id {
+					count[rec.Type+rec.Detail]++
 				}
 			}
-			if count[recSubmitted] != 1 || count[recDone] != 1 || len(count) != 2 {
-				t.Fatalf("job log records for %s: %v; want one submitted and one done", id, count)
+			if count[ledger.TypeSubmitted+"climate"] != 1 || count[ledger.TypeDone] != 1 || len(count) != 2 {
+				t.Fatalf("ledger records for %s: %v; want one submitted and one done", id, count)
 			}
 			s := fleet[0].s
 			s.mu.Lock()

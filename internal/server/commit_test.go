@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/shard"
 	"repro/pkg/client"
 )
@@ -94,16 +95,12 @@ func awaitState(t *testing.T, baseURL, id string, want JobState) JobStatus {
 	}
 }
 
-// terminalRecords returns the done/failed records the job log holds for id.
-func terminalRecords(t *testing.T, dataDir, id string) []logRecord {
+// terminalRecords returns the done/failed records the ledger holds for id.
+func terminalRecords(t *testing.T, dataDir, id string) []jobRecord {
 	t.Helper()
-	recs, err := readJobLog(filepath.Join(dataDir, "jobs.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []logRecord
-	for _, r := range recs {
-		if r.ID == id && (r.Type == recDone || r.Type == recFailed) {
+	var out []jobRecord
+	for _, r := range readRecords(t, filepath.Join(dataDir, "audit.log")) {
+		if r.Job == id && (r.Type == ledger.TypeDone || r.Type == ledger.TypeFailed) {
 			out = append(out, r)
 		}
 	}
@@ -134,7 +131,7 @@ func TestFailedBarrierFailsJob(t *testing.T) {
 		t.Fatal("manifest published over a shard set that failed its barrier")
 	}
 	term := terminalRecords(t, dataDir, st.ID)
-	if len(term) != 1 || term[0].Type != recFailed {
+	if len(term) != 1 || term[0].Type != ledger.TypeFailed {
 		t.Fatalf("terminal records %+v, want exactly one failed", term)
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/batches", nil); code != http.StatusConflict {
@@ -172,7 +169,7 @@ func TestBlockedBarrierHoldsDone(t *testing.T) {
 	if !manifestOnDisk(dataDir, st.ID) {
 		t.Fatal("done job has no manifest on disk")
 	}
-	if term := terminalRecords(t, dataDir, st.ID); len(term) != 1 || term[0].Type != recDone {
+	if term := terminalRecords(t, dataDir, st.ID); len(term) != 1 || term[0].Type != ledger.TypeDone {
 		t.Fatalf("terminal records %+v, want exactly one done", term)
 	}
 	if len(streamAll(t, ts.URL+"/v1/jobs/"+st.ID+"/batches?batch_size=4")) == 0 {
@@ -276,9 +273,9 @@ func TestPowerCutBeforeBarrier(t *testing.T) {
 	}
 }
 
-// TestLogCreationSyncsDataDir: the first start creates jobs.log,
-// audit.log and master.key; their names are durable only once the data
-// dir is fsynced. A restart that creates nothing syncs nothing.
+// TestLogCreationSyncsDataDir: the first start creates audit.log — the
+// node's one log — and master.key; their names are durable only once
+// the data dir is fsynced. A restart that creates nothing syncs nothing.
 func TestLogCreationSyncsDataDir(t *testing.T) {
 	var synced []string
 	orig := syncDir
@@ -297,7 +294,7 @@ func TestLogCreationSyncsDataDir(t *testing.T) {
 	if len(synced) != 1 || synced[0] != dataDir {
 		t.Fatalf("first start synced %v, want the data dir once", synced)
 	}
-	for _, name := range []string{"jobs.log", "audit.log", masterKeyFile} {
+	for _, name := range []string{"audit.log", masterKeyFile} {
 		if !fileExists(filepath.Join(dataDir, name)) {
 			t.Fatalf("%s not created", name)
 		}

@@ -1,127 +1,84 @@
-// Persistent job log: an append-only NDJSON file under the data
-// directory recording every job's spec, state transitions, readiness
-// trajectory, shard manifest, and (for bio jobs) the per-job shard key
-// sealed under a server master key. A restarted draid replays the log
-// and re-serves completed jobs' shard sets straight from disk. This file
-// holds the record format; appends, fsyncs and torn tails are
-// internal/wal's, shared with the audit ledger.
+// Job records: a job's lifecycle is written to the node's one log, its
+// audit ledger. A record's header names its type, job, tenant and node;
+// its body — spec, shard manifest, readiness trajectory, lineage and,
+// for bio jobs, the per-job shard key sealed under a server master key
+// — is covered by the chain through its digest, so an audit proof never
+// reveals it. A restarted draid folds its ledger back into its job table
+// as Open verifies the chain and re-serves completed jobs' shard sets
+// from disk; a fleet member folds the other members' ledgers the same
+// way to adopt their jobs.
 package server
 
 import (
+	"cmp"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/anonymize"
 	"repro/internal/cluster"
+	"repro/internal/ledger"
 	"repro/internal/shard"
-	"repro/internal/wal"
-	"repro/pkg/client"
 )
 
-// Log record types, one per line of jobs.log.
-const (
-	recSubmitted = "submitted" // job accepted into the queue
-	recDone      = "done"      // pipeline finished; payload fields set
-	recFailed    = "failed"    // pipeline errored (or lost to a restart)
-	recEvicted   = "evicted"   // completed job expired; shards deleted
-	recEvent     = "event"     // timeline-only transition (adoption, requeue)
-)
-
-// logRecord is one NDJSON line. Only the fields relevant to its Type
-// are populated.
-type logRecord struct {
-	Type      string            `json:"type"`
-	ID        string            `json:"id"`
-	Time      time.Time         `json:"time"`
+// jobBody is a job record's body. Only the fields relevant to its type
+// are set.
+type jobBody struct {
 	Spec      *JobSpec          `json:"spec,omitempty"`
 	Error     string            `json:"error,omitempty"`
 	Started   time.Time         `json:"started,omitzero"`
 	Records   int64             `json:"records,omitempty"`
-	Servable  bool              `json:"servable,omitempty"`
 	Manifest  *shard.Manifest   `json:"manifest,omitempty"`
 	Traject   []TrajectoryPoint `json:"trajectory,omitempty"`
 	SealedKey string            `json:"sealed_key,omitempty"` // hex(AES-GCM(master, jobKey))
-	// Provenance is the job's exported lineage DAG (provenance.Report
-	// JSON), persisted with the terminal record so replayed jobs keep
-	// answering /v1/jobs/{id}/provenance instead of 409ing.
+	// Provenance is the lineage DAG (provenance.Report JSON), so a
+	// replayed job still answers /v1/jobs/{id}/provenance.
 	Provenance json.RawMessage `json:"provenance,omitempty"`
-	// Node names the fleet member that wrote the record (empty on
-	// single-node logs) — observability only; ownership is always
-	// recomputed from the job ID hash.
-	Node string `json:"node,omitempty"`
-	// Trace is the request trace ID that caused the record — on
-	// submissions the client's end-to-end ID, so a job's whole timeline
-	// correlates back to the submitting request across restarts.
+	// Trace is the submitting request's trace ID, so a job's timeline
+	// correlates back to it across restarts.
 	Trace string `json:"trace,omitempty"`
-	// Event names a timeline-only transition on recEvent records —
-	// lifecycle moments (adoption, requeue) that the state-bearing
-	// record types cannot reconstruct on replay.
-	Event string `json:"event,omitempty"`
-	// Tenant owns the job (submission records; empty with auth off).
-	// Persisted so ownership — and therefore visibility scoping and
-	// quota charging — survives replay, adoption, and fleet restarts.
-	Tenant string `json:"tenant,omitempty"`
 }
 
-// appendLog commits one record to this node's job log.
-func (s *Server) appendLog(rec logRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("server: encode job log record: %w", err)
-	}
-	return s.log.Append(b)
+// jobRecord is one job record: the ledger header (Job is the job's ID,
+// Tenant its owner, Node the member that wrote it, Detail an event
+// record's event name) and its decoded body.
+type jobRecord struct {
+	ledger.Record
+	jobBody
 }
 
-// readJobLog parses every complete line of a job log without modifying
-// it (it may be a live peer's). Unparsable lines are skipped: data dirs
-// written before torn tails were truncated on open hold torn fragments
-// sealed by a newline.
-func readJobLog(path string) ([]logRecord, error) {
-	var recs []logRecord
-	err := wal.Scan(path, func(line []byte) error {
-		var rec logRecord
-		if json.Unmarshal(line, &rec) == nil {
-			recs = append(recs, rec)
+// audit makes one record durable in the ledger — a job record when body
+// is non-nil — group-committed, so concurrent appenders share an fsync.
+// The wait is a ledger.append child of ctx's span, when ctx carries
+// one. A failed append is logged and returned, naming the ledger.
+func (s *Server) audit(ctx context.Context, typ, tenantID, job, detail string, body *jobBody) error {
+	var b []byte
+	if body != nil {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
+			return fmt.Errorf("audit ledger: encode %s record: %w", typ, err)
 		}
-		return nil
-	})
-	return recs, err
-}
-
-// readAllJobLogs merges every job log under the data dir: "jobs.log"
-// (single-node) plus each fleet member's "jobs-<node>.log" on a shared
-// parallel filesystem. Records are ordered by timestamp (stable, so
-// same-instant records keep their per-file append order) — the merged
-// view is what lets any node replay any job, which is the whole point
-// of pointing a fleet at one data dir.
-func readAllJobLogs(dataDir string) ([]logRecord, error) {
-	paths, err := filepath.Glob(filepath.Join(dataDir, "jobs*.log"))
+	}
+	start := time.Now()
+	_, err := s.ledger.AppendBody(typ, tenantID, job, detail, b)
+	s.recordChildSpan(ctx, "ledger.append", start, time.Now(), map[string]string{"type": typ})
 	if err != nil {
-		return nil, fmt.Errorf("server: glob job logs: %w", err)
+		s.logger.Warn("audit append failed", "type", typ, "job", job, "error", err.Error())
+		return fmt.Errorf("audit ledger: %w", err)
 	}
-	sort.Strings(paths)
-	var all []logRecord
-	for _, p := range paths {
-		recs, err := readJobLog(p)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, recs...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Time.Before(all[j].Time) })
-	return all, nil
+	return nil
 }
 
 // masterKeyFile holds the 32-byte key that seals per-job bio shard
-// keys inside log records, so plaintext shard keys never rest on disk.
+// keys inside job records, so plaintext shard keys never rest on disk.
 const masterKeyFile = "master.key"
 
 // loadOrCreateMasterKey returns the data directory's sealing key,
@@ -184,7 +141,7 @@ func loadOrCreateMasterKey(dataDir string) ([]byte, error) {
 	return nil, fmt.Errorf("server: master key at %s raced and could not be read back", path)
 }
 
-// sealJobKey protects a per-job shard key for the log, binding it to
+// sealJobKey protects a per-job shard key for its done record, binding it to
 // the job ID so sealed keys cannot be swapped between records.
 func sealJobKey(master, jobKey []byte, jobID string) (string, error) {
 	sealed, err := anonymize.EncryptShard(master, "jobkey/"+jobID, jobKey)
@@ -203,89 +160,89 @@ func unsealJobKey(master []byte, sealedHex, jobID string) ([]byte, error) {
 	return anonymize.DecryptShard(master, "jobkey/"+jobID, sealed)
 }
 
-// replayState is a job reconstructed from the log.
+// replayState is a job reconstructed from its records: the submitted
+// one, the latest terminal one (nil while it runs) and its events.
 type replayState struct {
-	rec     logRecord // the terminal (or submitted) record
-	sub     logRecord // the submitted record
-	hasSub  bool
-	hasTerm bool
-	// events are the recEvent records seen for the job, in merged log
-	// order — replayed into the timeline alongside the transitions
-	// synthesized from the submitted/terminal records.
-	events []logRecord
+	sub, term *jobRecord
+	events    []jobRecord
 }
 
-// replayJobs folds the log into the surviving job set, in submission
-// order, and returns the highest job sequence number allocated by
-// selfNode ("" for single-node logs) — other members' sequences live in
-// their own ID namespace and must not advance ours.
-func replayJobs(recs []logRecord, selfNode string) (jobs []*replayState, maxSeq int) {
-	byID := map[string]*replayState{}
-	evicted := map[string]bool{}
-	var order []string
-	for _, rec := range recs {
-		if node, n, ok := parseJobID(rec.ID); ok && node == selfNode && n > maxSeq {
-			maxSeq = n
-		}
-		// Eviction is forever: job IDs are never reused, so once any
-		// member logged an eviction every other record for that ID is
-		// dead — regardless of merge order, which cross-node clock skew
-		// can perturb. Without this, a submission record sorting after
-		// the eviction would resurrect a job whose shards are deleted.
-		if evicted[rec.ID] {
-			continue
-		}
-		if rec.Type == recEvicted {
-			evicted[rec.ID] = true
-			delete(byID, rec.ID)
-			continue
-		}
-		st := byID[rec.ID]
-		if st == nil {
-			st = &replayState{}
-			byID[rec.ID] = st
-			order = append(order, rec.ID)
-		}
-		switch rec.Type {
-		case recSubmitted:
-			st.sub, st.hasSub = rec, true
-		case recDone, recFailed:
-			st.rec, st.hasTerm = rec, true
-		case recEvent:
-			st.events = append(st.events, rec)
-		}
-	}
-	for _, id := range order {
-		if st, ok := byID[id]; ok && st.hasSub {
-			jobs = append(jobs, st)
-		}
-	}
-	return jobs, maxSeq
+// jobFold folds job records, from any number of ledgers read in any
+// order, into the jobs they describe: startup folds its own ledger as
+// Open verifies it, and a fleet member keeps one fold that its adoption
+// scans extend with what every member appended since.
+type jobFold struct {
+	self    string // this member's ID: maxSeq counts only its job IDs
+	byID    map[string]*replayState
+	evicted map[string]bool
+	maxSeq  int // highest sequence of a job ID self allocated
 }
 
-// replayEvents reconstructs the part of a job's lifecycle timeline its
-// submitted record does not (newJob builds submitted/queued from that):
-// running and the terminal state from the terminal record, plus any
-// recEvent records (adoption, requeue). The synthesized timeline is why
-// the hot path needs no per-transition log appends — the state-bearing
-// records already imply the transitions. Job.Events orders the whole.
-func replayEvents(st *replayState) []JobEvent {
-	var ev []JobEvent
-	if st.hasTerm {
-		rec := st.rec
-		if !rec.Started.IsZero() {
-			ev = append(ev, JobEvent{Event: client.EventRunning, Time: rec.Started, Node: rec.Node, Trace: st.sub.Trace})
-		}
-		name := client.EventDone
-		if rec.Type == recFailed {
-			name = client.EventFailed
-		}
-		ev = append(ev, JobEvent{Event: name, Time: rec.Time, Node: rec.Node, Detail: rec.Error, Trace: st.sub.Trace})
+func newJobFold(self string) *jobFold {
+	return &jobFold{self: self, byID: map[string]*replayState{}, evicted: map[string]bool{}}
+}
+
+// add folds one ledger record in. Other record types, and job records
+// whose body does not decode, are skipped.
+func (f *jobFold) add(hdr ledger.Record, body []byte) error {
+	switch hdr.Type {
+	case ledger.TypeSubmitted, ledger.TypeDone, ledger.TypeFailed, ledger.TypeEvicted, ledger.TypeEvent:
+	default:
+		return nil
 	}
-	for _, rec := range st.events {
-		ev = append(ev, JobEvent{Event: rec.Event, Time: rec.Time, Node: rec.Node, Detail: rec.Error, Trace: rec.Trace})
+	rec := jobRecord{Record: hdr}
+	if len(body) > 0 && json.Unmarshal(body, &rec.jobBody) != nil {
+		return nil
 	}
-	return ev
+	if node, n, ok := parseJobID(rec.Job); ok && node == f.self && n > f.maxSeq {
+		f.maxSeq = n
+	}
+	// Eviction is forever: job IDs are never reused, so once any member
+	// logged an eviction every other record for that ID is dead —
+	// whatever order the ledgers are read in. Without this, a submitted
+	// record read after the eviction would resurrect a job whose shards
+	// are deleted.
+	if f.evicted[rec.Job] {
+		return nil
+	}
+	if rec.Type == ledger.TypeEvicted {
+		f.evicted[rec.Job] = true
+		delete(f.byID, rec.Job)
+		return nil
+	}
+	st := f.byID[rec.Job]
+	if st == nil {
+		st = &replayState{}
+		f.byID[rec.Job] = st
+	}
+	switch rec.Type {
+	case ledger.TypeSubmitted:
+		if rec.Spec != nil {
+			st.sub = &rec
+		}
+	case ledger.TypeDone, ledger.TypeFailed:
+		// The latest terminal record wins, whichever ledger held it.
+		if st.term == nil || !rec.Time.Before(st.term.Time) {
+			st.term = &rec
+		}
+	case ledger.TypeEvent:
+		st.events = append(st.events, rec)
+	}
+	return nil
+}
+
+// states returns the submitted jobs the fold holds, in submission
+// order: all of them, or only id's when id is not empty.
+func (f *jobFold) states(id string) (out []*replayState) {
+	for jid, st := range f.byID {
+		if st.sub != nil && (id == "" || jid == id) {
+			out = append(out, st)
+		}
+	}
+	slices.SortFunc(out, func(a, b *replayState) int {
+		return cmp.Or(a.sub.Time.Compare(b.sub.Time), strings.Compare(a.sub.Job, b.sub.Job))
+	})
+	return out
 }
 
 // parseJobID splits a job ID into its allocating node and sequence:

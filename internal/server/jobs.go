@@ -77,7 +77,7 @@ type Job struct {
 	store    jobStore // raw shard storage (owned; destroyed on eviction)
 	servable bool     // a manifest-indexed shard set is attached
 	tracker  *provenance.Tracker
-	key      []byte // per-job shard secret (sealed into the job log)
+	key      []byte // per-job shard secret (sealed into its done record)
 
 	// lastAccess drives TTL/LRU eviction: completion and every batch
 	// stream refresh it.
@@ -85,7 +85,7 @@ type Job struct {
 
 	// trace is the submitting request's trace ID; events is the
 	// lifecycle timeline served by /v1/jobs/{id}/events (rebuilt from
-	// the job log on replay, so it spans restarts).
+	// the ledger on replay, so it spans restarts).
 	trace  string
 	events []JobEvent
 
@@ -98,9 +98,9 @@ type Job struct {
 // newJob builds a job, queued, from its submitted record: a live
 // submission and a replayed one start from the same code, so their
 // timelines do too.
-func newJob(sub logRecord) *Job {
+func newJob(sub jobRecord) *Job {
 	return &Job{
-		id: sub.ID, spec: *sub.Spec, state: JobQueued, submitted: sub.Time, lastAccess: sub.Time,
+		id: sub.Job, spec: *sub.Spec, state: JobQueued, submitted: sub.Time, lastAccess: sub.Time,
 		trace: sub.Trace, tenant: sub.Tenant,
 		events: []JobEvent{
 			{Event: client.EventSubmitted, Time: sub.Time, Node: sub.Node, Trace: sub.Trace},
@@ -160,7 +160,6 @@ type jobResult struct {
 	trajectory []TrajectoryPoint
 	records    int64
 	manifest   *shard.Manifest
-	servable   bool
 	tracker    *provenance.Tracker
 	pipe       *pipeline.Pipeline
 	key        []byte
@@ -195,7 +194,6 @@ func runSpec(spec JobSpec, sink jobStore) (*jobResult, error) {
 	}
 	res.manifest = manifest
 	res.key = run.Key
-	res.servable = true
 	return res, nil
 }
 
@@ -221,17 +219,18 @@ func toTrajectory(snaps []pipeline.Snapshot) []TrajectoryPoint {
 
 // admit is the one way onto the queue: for a new job (sub is its
 // submitted record) and for a replayed job that restore requeues (sub
-// nil: the job is in the table and its record in the log). All that
+// nil: the job is in the table and its record in the ledger). All that
 // can refuse the job is checked first, under s.mu, so a refused job has
 // logged nothing: a full queue and, for a new job, a closed server, a
-// taken or evicted ID or its tenant's job quota. The job then holds a queue slot
-// in s.admitting while a new job's record is made durable; if that
-// fails, the slot and the quota are released and the job never enters
-// the table. Only then is a new job published and the job queued. The
-// send cannot block: every send is this one, and the slot is released
-// only once the job is in the queue. A refusal returns the status code
-// the submitter gets.
-func (s *Server) admit(job *Job, sub *logRecord) (code int, err error) {
+// taken or evicted ID or its tenant's job quota. The job then holds a
+// queue slot in s.admitting while a new job's record is made durable in
+// the ledger — which is its audit record too; if that fails, the slot
+// and the quota are released and the job never enters the table. Only
+// then is a new job published and the job queued. The send cannot
+// block: every send is this one, and the slot is released only once the
+// job is in the queue. A refusal returns the status code the submitter
+// gets. ctx is the submitting request's, for the append's span.
+func (s *Server) admit(ctx context.Context, job *Job, sub *jobRecord) (code int, err error) {
 	s.mu.Lock()
 	switch {
 	case sub != nil && s.closed:
@@ -255,7 +254,7 @@ func (s *Server) admit(job *Job, sub *logRecord) (code int, err error) {
 	s.admitting[job.id] = true
 	s.mu.Unlock()
 	if sub != nil {
-		if err = s.appendLog(*sub); err != nil {
+		if err = s.audit(ctx, sub.Type, sub.Tenant, sub.Job, string(sub.Spec.Domain), &sub.jobBody); err != nil {
 			s.quotaDeactivate(job.tenant)
 		}
 	}
@@ -274,7 +273,7 @@ func (s *Server) admit(job *Job, sub *logRecord) (code int, err error) {
 	delete(s.admitting, job.id)
 	s.mu.Unlock()
 	if err != nil {
-		return http.StatusServiceUnavailable, fmt.Errorf("job log: %w", err)
+		return http.StatusServiceUnavailable, err
 	}
 	return http.StatusAccepted, nil
 }
@@ -300,19 +299,19 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 	var requeued []*Job
 	var errs []error
 	for _, st := range states {
-		id := st.sub.ID
+		id := st.sub.Job
 		if c := s.opts.Cluster; c != nil {
 			if !anyOwner && !c.IsLocal(id) {
 				continue
 			}
-			if !st.hasTerm && st.sub.Node != "" && st.sub.Node != s.nodeID() && s.nodeLockFresh(st.sub.Node) {
+			if st.term == nil && st.sub.Node != "" && st.sub.Node != s.nodeID() && s.nodeLockFresh(st.sub.Node) {
 				continue
 			}
 		}
 		// Checked before restoreJob as well as after: restoring opens the
 		// job's store and, for an unfinished job, logs its loss. A job
 		// admit is still making durable is held too: its record can be
-		// in the logs before the job is in the table, and it stays in
+		// in the ledger before the job is in the table, and it stays in
 		// s.admitting until it is.
 		s.mu.Lock()
 		held := s.jobs[id] != nil || s.admitting[id]
@@ -351,7 +350,7 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 			_ = st.Destroy()
 		}
 		s.quotaActivate(job.tenant)
-		if _, err := s.admit(job, nil); err != nil {
+		if _, err := s.admit(context.Background(), job, nil); err != nil {
 			s.finish(job, &jobResult{}, fmt.Errorf("requeue: %w", err))
 			continue
 		}
@@ -361,29 +360,34 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 	return errors.Join(errs...)
 }
 
-// restoreJob rebuilds one job from its log records. Jobs the crash
+// restoreJob rebuilds one job from its records. Jobs the crash
 // caught queued or running come back as failed (their partial output
 // is gone) — or, with Options.Requeue, as queued again (restore
 // requeues them). Done jobs reattach to their on-disk shard set and
-// reimport their persisted provenance DAG.
+// reimport their persisted provenance DAG. The timeline newJob starts
+// gets the event records (adoption, requeue) and what the terminal
+// record implies — running and the end — so no other transition is
+// ever appended; Job.Events orders the whole.
 func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error) {
-	job = newJob(st.sub)
-	job.events = append(job.events, replayEvents(st)...)
-	if !st.hasTerm {
+	job = newJob(*st.sub)
+	for _, ev := range st.events {
+		job.events = append(job.events, JobEvent{Event: ev.Detail, Time: ev.Time, Node: ev.Node, Detail: ev.Error, Trace: ev.Trace})
+	}
+	rec := st.term
+	if rec == nil {
 		if s.opts.Requeue {
 			return job, true, nil
 		}
 		job.state = JobFailed
 		job.err = "interrupted by server restart"
-		job.events = append(job.events, JobEvent{
-			Event: client.EventFailed, Time: time.Now(), Node: s.nodeID(),
-			Detail: job.err, Trace: job.trace,
-		})
+		s.addEvent(job, client.EventFailed, job.err)
 		// Record the loss so the next replay converges without this branch.
-		_ = s.appendLog(logRecord{Type: recFailed, ID: job.id, Time: time.Now(), Error: job.err, Node: s.nodeID()})
+		_ = s.audit(context.Background(), ledger.TypeFailed, job.tenant, job.id, "", &jobBody{Error: job.err})
 		return job, false, nil
 	}
-	rec := st.rec
+	if !rec.Started.IsZero() {
+		job.events = append(job.events, JobEvent{Event: client.EventRunning, Time: rec.Started, Node: rec.Node, Trace: job.trace})
+	}
 	job.started = rec.Started
 	job.finished = rec.Time
 	job.lastAccess = rec.Time
@@ -392,19 +396,18 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 			job.tracker = tr
 		}
 	}
-	if rec.Type == recFailed {
+	if rec.Type == ledger.TypeFailed {
 		job.state = JobFailed
 		job.err = rec.Error
+		job.events = append(job.events, JobEvent{Event: client.EventFailed, Time: rec.Time, Node: rec.Node, Detail: rec.Error, Trace: job.trace})
 		return job, false, nil
 	}
 	job.state = JobDone
+	job.events = append(job.events, JobEvent{Event: client.EventDone, Time: rec.Time, Node: rec.Node, Trace: job.trace})
 	job.records = rec.Records
 	job.trajectory = rec.Traject
 	// A job is servable whenever a manifest-indexed shard set exists and
-	// its domain has a plugin. (Logs predating the plugin architecture
-	// recorded servable=false for fusion/materials jobs even though
-	// their manifests were persisted — those become streamable on
-	// replay, which is exactly the upgrade this field order buys.)
+	// its domain has a plugin.
 	job.manifest = rec.Manifest
 	plug, perr := domain.Lookup(job.spec.Domain)
 	job.servable = rec.Manifest != nil && perr == nil
@@ -415,8 +418,8 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 	if err != nil {
 		return nil, false, err
 	}
-	// Trust the on-store manifest over the log copy when present: it is
-	// committed atomically alongside the shards it describes.
+	// Trust the on-store manifest over the record's copy when present:
+	// it is committed atomically alongside the shards it describes.
 	if m, merr := store.LoadManifest(); merr == nil {
 		job.manifest = m
 	}
@@ -471,7 +474,7 @@ func (s *Server) runJob(job *Job) {
 	s.metrics.jobsQueued.Add(-1)
 	s.metrics.jobsInFlight.Add(1)
 	defer s.metrics.jobsInFlight.Add(-1)
-	s.addEvent(job, client.EventRunning, "", "")
+	s.addEvent(job, client.EventRunning, "")
 	s.logger.Info("job running", "job", job.id, "domain", string(spec.Domain), "trace", trace)
 
 	// Job spans live in the submission's trace but are top-level there:
@@ -501,7 +504,7 @@ func (s *Server) runJob(job *Job) {
 	// shard set's one barrier and the first cold frame stream already
 	// serves from the disk tier. Best effort: a failed build costs
 	// decode+encode (and a lazy backfill) later, never the job.
-	if err == nil && res.servable && res.manifest != nil {
+	if err == nil && res.manifest != nil {
 		s.buildJobSidecars(job.id, res)
 	}
 	if err == nil {
@@ -546,7 +549,7 @@ func (s *Server) runJob(job *Job) {
 // the sidecar build wrote has been fsynced by its writer (shard.FSSink
 // syncs behind them): the barrier makes every file and its directory
 // entry durable, only then is the manifest published, and only after
-// this returns may finish log the terminal record. A power cut before
+// this returns may finish append the terminal record. A power cut before
 // that record leaves a job that replay reruns or fails; after it,
 // everything the record promises is on disk.
 func (s *Server) commitJob(id string, res *jobResult) (err error) {
@@ -569,34 +572,32 @@ func (s *Server) commitJob(id string, res *jobResult) (err error) {
 // terminal record is made durable first; only then does
 // the state flip and the event go out, so no client sees a job done
 // that a restart would not find done. A failed append fails the job
-// with an error naming the job log — the log is sticky-failed by then,
-// so a restart finds no terminal record and replays the job as
+// with an error naming the audit ledger — the ledger is sticky-failed
+// by then, so a restart finds no terminal record and replays the job as
 // interrupted. The record is built and appended outside job.mu, so
 // status polls never wait on its fsync. finish returns the job's final
 // error: nil when it is done.
 func (s *Server) finish(job *Job, res *jobResult, err error) error {
 	// Only runJob writes job.started, and it is finish's caller then.
-	now := time.Now()
-	rec := logRecord{ID: job.id, Time: now, Started: job.started, Node: s.nodeID()}
-	servable := res.servable && res.manifest != nil
+	typ, body := ledger.TypeDone, jobBody{Started: job.started}
 	if err == nil {
-		rec.Type, rec.Records, rec.Servable = recDone, res.records, servable
-		rec.Manifest, rec.Traject, rec.SealedKey = res.manifest, res.trajectory, res.sealedKey
+		body.Records, body.Manifest, body.Traject, body.SealedKey = res.records, res.manifest, res.trajectory, res.sealedKey
 	} else {
-		rec.Type, rec.Error = recFailed, err.Error()
+		typ, body.Error = ledger.TypeFailed, err.Error()
 	}
 	// The lineage DAG rides along on every terminal record so replayed
 	// jobs keep serving /provenance (a failed run's partial lineage is
 	// worth as much as a successful one's for debugging).
 	if res.tracker != nil {
 		if b, perr := res.tracker.Export(); perr == nil {
-			rec.Provenance = b
+			body.Provenance = b
 		}
 	}
-	if lerr := s.appendLog(rec); lerr != nil && err == nil {
-		err = fmt.Errorf("job log: %w", lerr)
+	if lerr := s.audit(context.Background(), typ, job.tenant, job.id, "", &body); lerr != nil && err == nil {
+		err = lerr
 	}
 
+	now := time.Now()
 	job.mu.Lock()
 	job.finished, job.lastAccess = now, now
 	job.store = res.store
@@ -605,18 +606,18 @@ func (s *Server) finish(job *Job, res *jobResult, err error) error {
 		job.state, job.err = JobFailed, err.Error()
 	} else {
 		job.state = JobDone
-		job.records, job.manifest, job.key, job.servable = res.records, res.manifest, res.key, servable
+		job.records, job.manifest, job.key, job.servable = res.records, res.manifest, res.key, res.manifest != nil
 	}
 	job.mu.Unlock()
 	s.quotaDeactivate(job.tenant)
 	if err != nil {
 		s.metrics.jobsFailed.Inc()
-		s.addEvent(job, client.EventFailed, err.Error(), "")
+		s.addEvent(job, client.EventFailed, err.Error())
 		s.logger.Info("job failed", "job", job.id, "error", err.Error(), "trace", job.trace)
 	} else {
 		s.quotaRetain(job.tenant, manifestStoredBytes(res.manifest))
 		s.metrics.jobsDone.Inc()
-		s.addEvent(job, client.EventDone, "", "")
+		s.addEvent(job, client.EventDone, "")
 		s.logger.Info("job done", "job", job.id, "records", res.records, "trace", job.trace)
 	}
 	s.maybeEvict()
@@ -695,11 +696,11 @@ func retentionVictims(jobs []retained, now time.Time, ttl time.Duration, maxJobs
 // same contract as any storage eviction.
 //
 // The order is the contract. A victim first leaves the job table, so
-// every new request for it gets 404 at once. Then its recEvicted record
-// is appended, and only once that is durable are its shard files
-// destroyed: if the record cannot be written the files stay, and a
-// restart re-serves the job instead of replaying one whose shards are
-// gone. A 404 therefore does not mean the files are gone yet; they go
+// every new request for it gets 404 at once. Then its evicted record —
+// its audit record too — is appended, and only once that is durable are
+// its shard files destroyed: if the record cannot be written the files
+// stay, and a restart re-serves the job instead of replaying one whose
+// shards are gone. A 404 therefore does not mean the files are gone yet; they go
 // within the same call.
 func (s *Server) maybeEvict() {
 	ttl, maxJobs, over := s.opts.JobTTL, s.opts.MaxJobs, s.quotaOverage()
@@ -735,7 +736,7 @@ func (s *Server) maybeEvict() {
 
 	var evicted []*Job
 	for _, j := range victims {
-		if err := s.appendLog(logRecord{Type: recEvicted, ID: j.id, Time: now, Node: s.nodeID()}); err != nil {
+		if err := s.audit(context.Background(), ledger.TypeEvicted, j.tenant, j.id, "retention", nil); err != nil {
 			s.logger.Warn("eviction not logged; shard files kept", "job", j.id, "error", err.Error())
 			continue
 		}
@@ -761,7 +762,6 @@ func (s *Server) maybeEvict() {
 		s.quotaRelease(j.tenant, manifestStoredBytes(j.manifest))
 	}
 	for _, j := range evicted {
-		s.audit(context.Background(), ledger.TypeEvict, j.tenant, j.id, "retention")
 		s.metrics.jobsEvicted.Inc()
 		s.logger.Info("job evicted", "job", j.id)
 	}

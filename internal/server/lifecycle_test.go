@@ -24,7 +24,6 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/shard"
 	"repro/internal/tenant"
-	"repro/internal/wal"
 	"repro/pkg/client"
 )
 
@@ -208,7 +207,7 @@ func (d destroyRecorder) Destroy() error {
 
 // retentionServer builds a server (no workers, no eviction loop) whose
 // table holds the row's jobs, done, with their lastAccess, tenant and
-// stored bytes, over a job log and ledger in a temp dir. A foreign job gets an ID the two-member ring assigns
+// stored bytes, over a ledger in a temp dir. A foreign job gets an ID the two-member ring assigns
 // to the other member. ids maps each row name to its job ID.
 func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage map[string]int64, jobs []retentionJob) (s *Server, ids map[string]string, destroyed *[]string) {
 	t.Helper()
@@ -226,11 +225,6 @@ func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage m
 		reg = testRegistry(t, ts...)
 	}
 	dir := t.TempDir()
-	log, err := wal.Open(filepath.Join(dir, "jobs.log"), func([]byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { log.Close() })
 	led, err := ledger.Open(ledger.Config{Path: filepath.Join(dir, "audit.log")})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +237,6 @@ func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage m
 		evicted:     make(map[string]bool),
 		metrics:     newServerMetrics(),
 		logger:      slog.New(slog.DiscardHandler),
-		log:         log,
 		ledger:      led,
 		tenants:     reg,
 		tenantJobs:  make(map[string]int),
@@ -279,10 +272,10 @@ func retentionServer(t *testing.T, ttl time.Duration, maxJobs int, caps, usage m
 
 // TestTerminalSyncFailureFailsJob: a job is done only once its terminal
 // record is durable. When that record's fsync fails the job ends
-// failed, naming the job log, and is never seen done on the way; the
-// node reports the sticky log failure on /healthz.
+// failed, naming the audit ledger, and is never seen done on the way;
+// the node reports the sticky ledger failure on /healthz.
 func TestTerminalSyncFailureFailsJob(t *testing.T) {
-	onLogSync(t, "jobs.log", func(n int) error {
+	onLogSync(t, "audit.log", func(n int) error {
 		if n >= 2 { // 1 is the submitted record, 2 the terminal one
 			return errors.New("injected fsync failure")
 		}
@@ -306,8 +299,8 @@ func TestTerminalSyncFailureFailsJob(t *testing.T) {
 			t.Fatalf("status %d", code)
 		}
 	}
-	if !strings.Contains(st.Error, "job log") || !strings.Contains(st.Error, "injected fsync failure") {
-		t.Fatalf("failed job's error %q does not name the job log failure", st.Error)
+	if !strings.Contains(st.Error, "audit ledger") || !strings.Contains(st.Error, "injected fsync failure") {
+		t.Fatalf("failed job's error %q does not name the audit ledger failure", st.Error)
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after a failed terminal sync: %d, want 503", code)
@@ -320,8 +313,8 @@ func TestTerminalSyncFailureFailsJob(t *testing.T) {
 // re-serves the job.
 func TestUnloggedEvictionKeepsFiles(t *testing.T) {
 	dataDir := t.TempDir()
-	onLogSync(t, "jobs.log", func(n int) error {
-		if n >= 3 { // 1 submitted, 2 done, 3 evicted
+	onLogSync(t, "audit.log", func(n int) error {
+		if n == 4 { // 1 submitted, 2 done, 3 the stream below, 4 evicted
 			return errors.New("injected fsync failure")
 		}
 		return nil
@@ -370,7 +363,12 @@ func TestUnloggedEvictionKeepsFiles(t *testing.T) {
 // TestUnauditedStreamRefused: a stream open whose audit record cannot
 // commit gets 503 before any header or stream byte, on either wire.
 func TestUnauditedStreamRefused(t *testing.T) {
-	onLogSync(t, "audit.log", func(int) error { return errors.New("injected fsync failure") })
+	onLogSync(t, "audit.log", func(n int) error {
+		if n >= 3 { // 1 submitted, 2 done, 3 the first stream open
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	})
 	_, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
 	if err != nil {

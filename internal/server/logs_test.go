@@ -1,7 +1,7 @@
-// Tests for the server's two durable logs, the job log and the audit
-// ledger, as they sit on internal/wal: torn tails, read-only replay of
-// peers' logs, file modes, status polls during a held fsync, and
-// /healthz after a failed one.
+// Tests for the server's one durable log, the audit ledger that holds
+// its job records, as it sits on internal/wal: torn tails, read-only
+// replay of peers' ledgers, file modes, status polls during a held
+// fsync, and /healthz and submissions after a failed one.
 package server
 
 import (
@@ -18,8 +18,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/tenant"
 	"repro/internal/wal"
+	"repro/pkg/client"
 )
 
 // onLogSync runs fn before every fsync of the log file called name,
@@ -41,9 +43,10 @@ func onLogSync(t *testing.T, name string, fn func(n int) error) {
 	t.Cleanup(func() { wal.Fsync = orig })
 }
 
-// TestJobLogCompleteTornTailDropped: a final job-log line that is a
-// well-formed record but lacks its '\n' never committed (line and '\n'
-// are one write), so a restart must not replay it and must cut it off.
+// TestJobLogCompleteTornTailDropped: a final ledger line that is a
+// well-formed job record but lacks its '\n' never committed (line and
+// '\n' are one write), so a restart must not replay it and must cut it
+// off.
 func TestJobLogCompleteTornTailDropped(t *testing.T) {
 	dataDir := t.TempDir()
 	s, err := New(Options{Workers: 1, DataDir: dataDir})
@@ -51,17 +54,22 @@ func TestJobLogCompleteTornTailDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	logPath := filepath.Join(dataDir, "jobs.log")
+	logPath := filepath.Join(dataDir, "audit.log")
 	before, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := json.Marshal(logRecord{Type: recSubmitted, ID: "job-000042", Time: time.Now(),
-		Spec: &JobSpec{Domain: core.Climate}})
+	// The record the ledger would append next, written without its '\n'.
+	next := filepath.Join(t.TempDir(), "audit.log")
+	if err := os.WriteFile(next, before, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	writeRecords(t, next, "", jobRec(ledger.TypeSubmitted, "job-000042", jobBody{Spec: &JobSpec{Domain: core.Climate}}))
+	rec, err := os.ReadFile(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(logPath, append(before, rec...), 0o600); err != nil {
+	if err := os.WriteFile(logPath, bytes.TrimSuffix(rec, []byte("\n")), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,50 +78,50 @@ func TestJobLogCompleteTornTailDropped(t *testing.T) {
 		t.Fatalf("job from an uncommitted tail record: status %d, want 404", code)
 	}
 	if after, _ := os.ReadFile(logPath); !bytes.Equal(after, before) {
-		t.Fatalf("job log holds %q after reopen, want the torn tail cut off (%q)", after, before)
+		t.Fatalf("ledger holds %q after reopen, want the torn tail cut off (%q)", after, before)
 	}
 }
 
-// TestPeerLogTailLeftInPlace: startup replays every member's log on the
-// shared dir, but a peer's log is live — its partial last line may be
-// an append in flight — so replay reads it without modifying it.
+// TestPeerLogTailLeftInPlace: a fleet member's startup folds every
+// member's ledger on the shared dir, but a peer's ledger is live — its
+// partial last line may be an append in flight — so it is read without
+// being modified.
 func TestPeerLogTailLeftInPlace(t *testing.T) {
 	dataDir := t.TempDir()
-	peer := filepath.Join(dataDir, "jobs-n2.log")
-	body := append(logLines(t, logRecord{Type: recSubmitted, ID: "job-n2-000001", Time: time.Now(),
-		Spec: &JobSpec{Domain: core.Climate}, Node: "n2"}), `{"type":"submitted","id":"job-n2-0000`...)
-	if err := os.WriteFile(peer, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := readAllJobLogs(dataDir)
+	peer := filepath.Join(dataDir, "audit-n2.log")
+	writeRecords(t, peer, "n2", jobRec(ledger.TypeSubmitted, "job-n2-000001", jobBody{Spec: &JobSpec{Domain: core.Climate}}))
+	f, err := os.OpenFile(peer, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].ID != "job-n2-000001" {
-		t.Fatalf("replayed %+v, want the one complete record", recs)
+	if _, err := f.WriteString(`{"seq":2,"time":"2026-07-01T00:00:00Z","type":"submitted","job":"job-n2-0000`); err != nil {
+		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Options{Workers: 1, DataDir: dataDir})
-	if code := getJSON(t, ts.URL+"/v1/jobs/job-n2-000001", nil); code != http.StatusOK {
+	f.Close()
+	body, err := os.ReadFile(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := startFleet(t, dataDir, 1, nil)
+	if code := getJSON(t, fleet[0].ts.URL+"/v1/jobs/job-n2-000001", nil); code != http.StatusOK {
 		t.Fatalf("peer's complete record not replayed: status %d", code)
 	}
 	if after, _ := os.ReadFile(peer); !bytes.Equal(after, body) {
-		t.Fatalf("replay modified the peer's log: %q", after)
+		t.Fatalf("replay modified the peer's ledger: %q", after)
 	}
 }
 
-// TestNewLogsAreOwnerOnly: jobs.log carries sealed job keys and tenant
-// IDs, so both logs are created 0600, like master.key.
+// TestNewLogsAreOwnerOnly: the ledger carries sealed job keys and
+// tenant IDs, so it is created 0600, like master.key.
 func TestNewLogsAreOwnerOnly(t *testing.T) {
 	dataDir := t.TempDir()
 	newTestServer(t, Options{Workers: 1, DataDir: dataDir})
-	for _, name := range []string{"jobs.log", "audit.log"} {
-		fi, err := os.Stat(filepath.Join(dataDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode := fi.Mode().Perm(); mode != 0o600 {
-			t.Errorf("%s created with mode %04o, want 0600", name, mode)
-		}
+	fi, err := os.Stat(filepath.Join(dataDir, "audit.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o600 {
+		t.Errorf("audit.log created with mode %04o, want 0600", mode)
 	}
 }
 
@@ -123,7 +131,7 @@ func TestNewLogsAreOwnerOnly(t *testing.T) {
 // turns done only once its terminal record is durable.
 func TestStatusDoesNotWaitOnTerminalSync(t *testing.T) {
 	entered, held := make(chan struct{}), make(chan struct{})
-	onLogSync(t, "jobs.log", func(n int) error {
+	onLogSync(t, "audit.log", func(n int) error {
 		if n == 2 { // 1 is the submitted record, 2 the terminal one
 			close(entered)
 			<-held
@@ -155,50 +163,45 @@ func TestStatusDoesNotWaitOnTerminalSync(t *testing.T) {
 	release()
 }
 
-// TestHealthzFailsWithLog: once either log has a sticky commit failure
+// TestHealthzFailsWithLog: once the ledger has a sticky commit failure
 // the node drops every later record, so /healthz answers 503 naming the
-// log (and the fleet's probes route around it); /metrics still answers.
+// audit ledger (and the fleet's probes route around it); /metrics still
+// answers.
 func TestHealthzFailsWithLog(t *testing.T) {
-	for name, want := range map[string]string{"jobs.log": "job log", "audit.log": "audit ledger"} {
-		t.Run(name, func(t *testing.T) {
-			onLogSync(t, name, func(n int) error {
-				if n == 1 {
-					return errors.New("injected fsync failure")
-				}
-				return nil
-			})
-			_, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
-			if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-				t.Fatalf("healthz before any failure: %d", code)
+	t.Run("audit.log", func(t *testing.T) {
+		onLogSync(t, "audit.log", func(n int) error {
+			if n == 1 {
+				return errors.New("injected fsync failure")
 			}
-			// The failed job-log fsync is the submitted record's, so that
-			// submission is refused (TestSubmitFailsClosed); an unaudited
-			// submission still runs.
-			wantSubmit := http.StatusAccepted
-			if name == "jobs.log" {
-				wantSubmit = http.StatusServiceUnavailable
-			}
-			if _, code := postJob(t, ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}); code != wantSubmit {
-				t.Fatalf("submit status %d, want %d", code, wantSubmit)
-			}
-			var body map[string]string
-			if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusServiceUnavailable ||
-				!strings.Contains(body["error"], want) || !strings.Contains(body["error"], "injected fsync failure") {
-				t.Fatalf("healthz after a failed %s fsync: %d %v", name, code, body)
-			}
-			if code := getJSON(t, ts.URL+"/metrics", nil); code != http.StatusOK {
-				t.Fatalf("metrics status %d", code)
-			}
+			return nil
 		})
-	}
+		_, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
+		if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+			t.Fatalf("healthz before any failure: %d", code)
+		}
+		// The failed fsync is the submitted record's, so that submission
+		// is refused (TestSubmitFailsClosed).
+		if _, code := postJob(t, ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}); code != http.StatusServiceUnavailable {
+			t.Fatalf("submit status %d, want 503", code)
+		}
+		var body map[string]string
+		if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusServiceUnavailable ||
+			!strings.Contains(body["error"], "audit ledger") || !strings.Contains(body["error"], "injected fsync failure") {
+			t.Fatalf("healthz after a failed ledger fsync: %d %v", code, body)
+		}
+		if code := getJSON(t, ts.URL+"/metrics", nil); code != http.StatusOK {
+			t.Fatalf("metrics status %d", code)
+		}
+	})
 }
 
 // TestSubmitFailsClosed: a submission is accepted only once its
-// submitted record is durable. When that fsync fails the client gets a
-// 503 naming the job log and nothing of the job remains: no table
-// entry, no shard dir, no quota charge — and /healthz reports the log.
+// submitted record — its audit record too — is durable. When that fsync
+// fails the client gets a 503 naming the audit ledger and nothing of the
+// job remains: no table entry, nothing queued, no shard dir, no quota
+// charge, no ledger record — and /healthz reports the ledger.
 func TestSubmitFailsClosed(t *testing.T) {
-	onLogSync(t, "jobs.log", func(n int) error {
+	onLogSync(t, "audit.log", func(n int) error {
 		if n == 1 {
 			return errors.New("injected fsync failure")
 		}
@@ -213,12 +216,15 @@ func TestSubmitFailsClosed(t *testing.T) {
 	var body map[string]string
 	_ = json.NewDecoder(resp.Body).Decode(&body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body["error"], "job log") {
-		t.Fatalf("submit with a failed record fsync: %d %v; want 503 naming the job log", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body["error"], "audit ledger") {
+		t.Fatalf("submit with a failed record fsync: %d %v; want 503 naming the audit ledger", resp.StatusCode, body)
 	}
 	var jobs []JobStatus
 	if code := authedJSON(t, ts.URL+"/v1/jobs", "alice-secret-token", &jobs); code != http.StatusOK || len(jobs) != 0 {
 		t.Fatalf("job list after a refused submission: %d %+v; want empty", code, jobs)
+	}
+	if n := len(s.queue); n != 0 {
+		t.Fatalf("%d jobs queued after a refused submission, want 0", n)
 	}
 	if dirs, err := os.ReadDir(filepath.Join(dataDir, "jobs")); err != nil || len(dirs) != 0 {
 		t.Fatalf("shard dirs after a refused submission: %v %v; want none", dirs, err)
@@ -229,7 +235,11 @@ func TestSubmitFailsClosed(t *testing.T) {
 	if active != 0 {
 		t.Fatalf("alice holds %d active jobs after a refused submission, want 0", active)
 	}
-	if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusServiceUnavailable || !strings.Contains(body["error"], "job log") {
+	var roots client.AuditRoots
+	if code := authedJSON(t, ts.URL+"/v1/audit/roots", "alice-secret-token", &roots); code != http.StatusOK || roots.Records != 0 {
+		t.Fatalf("audit roots after a refused submission: %d, %d records; want 0", code, roots.Records)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusServiceUnavailable || !strings.Contains(body["error"], "audit ledger") {
 		t.Fatalf("healthz after the failed fsync: %d %v", code, body)
 	}
 }

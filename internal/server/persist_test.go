@@ -44,7 +44,7 @@ func streamAll(t *testing.T, url string) []byte {
 // completion against a data dir, kill the server, recreate it from the
 // same dir, and require the job list, manifests, and streamed batches
 // to be byte-identical — including a bio job whose shards rest sealed
-// and whose key round-trips through the sealed job log.
+// and whose key round-trips sealed through the ledger.
 func TestCrashRecovery(t *testing.T) {
 	dataDir := t.TempDir()
 	s1, err := New(Options{Workers: 2, DataDir: dataDir})
@@ -376,12 +376,12 @@ func TestJobLogTornTail(t *testing.T) {
 	ts.Close()
 	s.Close()
 
-	logPath := filepath.Join(dataDir, "jobs.log")
+	logPath := filepath.Join(dataDir, "audit.log")
 	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"type":"submitted","id":"job-9`); err != nil {
+	if _, err := f.WriteString(`{"seq":3,"time":"2026-07-01T00:00:00Z","type":"submitted","job":"job-9`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -459,17 +459,7 @@ func TestOrphanShardDirsSwept(t *testing.T) {
 	if err := os.MkdirAll(unlogged, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(filepath.Join(dataDir, "jobs.log"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.Write(logLines(t, logRecord{Type: recEvicted, ID: id, Time: time.Now()}))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, filepath.Join(dataDir, "audit.log"), "", jobRec(ledger.TypeEvicted, id, jobBody{}))
 
 	_, ts2 := newTestServer(t, Options{Workers: 1, DataDir: dataDir})
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
@@ -485,7 +475,7 @@ func TestOrphanShardDirsSwept(t *testing.T) {
 
 // TestPrivateDataDir: a server started without DataDir is the durable
 // server on a private draid-* temp dir, logged once at Info. It runs a
-// job with the job log and audit ledger behind it, shares nothing with
+// job with the audit ledger behind it, shares nothing with
 // another such server, and Close removes its dir. A New that fails
 // after the choice — a fleet member needs a shared dir — leaves none.
 func TestPrivateDataDir(t *testing.T) {
@@ -521,8 +511,8 @@ func TestPrivateDataDir(t *testing.T) {
 	if code := getJSON(t, tsA.URL+"/v1/audit/proof?seq=1", &proof); code != http.StatusOK {
 		t.Fatalf("audit proof: status %d", code)
 	}
-	if proof.Record.Type != ledger.TypeSubmit || proof.Record.Job != id {
-		t.Fatalf("first audit record %+v, want the submit of %s", proof.Record, id)
+	if proof.Record.Type != ledger.TypeSubmitted || proof.Record.Job != id {
+		t.Fatalf("first audit record %+v, want the submitted record of %s", proof.Record, id)
 	}
 	if err := proof.Verify(); err != nil {
 		t.Fatal(err)
@@ -553,4 +543,82 @@ func TestPrivateDataDir(t *testing.T) {
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Fatalf("%d entries left in the temp dir after Close and a failed New: %v", len(left), left)
 	}
+}
+
+// TestOneLogPerNode: a node keeps one log. After a submission, a stream
+// and an eviction the data dir holds audit.log and no other log, and
+// the job's submitted and evicted records — its audit records too — are
+// each in it exactly once.
+func TestOneLogPerNode(t *testing.T) {
+	dataDir := t.TempDir()
+	_, ts := newTestServer(t, Options{Workers: 1, DataDir: dataDir, JobTTL: 150 * time.Millisecond})
+	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamAll(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=4")
+	// The shard dir goes only once the evicted record is durable.
+	for deadline := time.Now().Add(10 * time.Second); fileExists(filepath.Join(dataDir, "jobs", id)); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("job not evicted after its TTL")
+		}
+	}
+	logs, err := filepath.Glob(filepath.Join(dataDir, "*.log"))
+	if err != nil || len(logs) != 1 || filepath.Base(logs[0]) != "audit.log" {
+		t.Fatalf("logs in the data dir: %v %v; want audit.log alone", logs, err)
+	}
+	count := map[string]int{}
+	for _, rec := range readRecords(t, logs[0]) {
+		if rec.Job == id {
+			count[rec.Type]++
+		}
+	}
+	if count[ledger.TypeSubmitted] != 1 || count[ledger.TypeEvicted] != 1 || count[ledger.TypeDone] != 1 || count[ledger.TypeStream] != 1 {
+		t.Fatalf("ledger records of %s: %v; want one each of submitted, done, stream and evicted", id, count)
+	}
+}
+
+// TestOldJobLogRefused: a data dir written before the ledger held the
+// job records has a jobs*.log this version does not read. New refuses
+// it, naming the file, rather than starting without those jobs.
+func TestOldJobLogRefused(t *testing.T) {
+	dataDir := t.TempDir()
+	old := filepath.Join(dataDir, "jobs-n2.log")
+	if err := os.WriteFile(old, []byte(`{"type":"submitted","id":"job-n2-000001"}`+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{Workers: 1, DataDir: dataDir}); err == nil || !strings.Contains(err.Error(), old) {
+		t.Fatalf("New over an old job log: %v; want an error naming %s", err, old)
+	}
+}
+
+// TestFailedNewReleasesNodeLock: a New that fails after taking the
+// fleet node lock gives it back (and closes what it opened), so a New
+// with the same node ID in the same process succeeds once the cause is
+// gone.
+func TestFailedNewReleasesNodeLock(t *testing.T) {
+	dataDir := t.TempDir()
+	member := func() *cluster.Cluster {
+		cl, err := cluster.New(cluster.Config{Self: "n1", Nodes: []cluster.Node{{ID: "n1", URL: "http://127.0.0.1:1"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	blocker := filepath.Join(dataDir, "audit-n1.log")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(Options{Workers: 1, DataDir: dataDir, Cluster: member()}); err == nil {
+		s.Close()
+		t.Fatal("New opened a ledger that is a directory")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Workers: 1, DataDir: dataDir, Cluster: member()})
+	if err != nil {
+		t.Fatalf("New after the failed one: %v", err)
+	}
+	s.Close()
 }

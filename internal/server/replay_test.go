@@ -13,136 +13,163 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ledger"
 )
 
-// logLines joins NDJSON log records (and raw fragments, for torn
-// tails) into a jobs.log body.
-func logLines(t *testing.T, recs ...any) []byte {
+// writeRecords appends job records to the ledger at path, as member
+// node (their Time is the ledger's: append order).
+func writeRecords(t *testing.T, path, node string, recs ...jobRecord) {
 	t.Helper()
-	var out []byte
-	for _, r := range recs {
-		switch v := r.(type) {
-		case string:
-			out = append(out, v...)
-		case logRecord:
-			b, err := json.Marshal(v)
-			if err != nil {
+	l, err := ledger.Open(ledger.Config{Path: path, Node: node})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, rec := range recs {
+		var body []byte
+		if rec.Type != ledger.TypeEvicted {
+			if body, err = json.Marshal(rec.jobBody); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, b...)
-			out = append(out, '\n')
-		default:
-			t.Fatalf("bad log line %T", r)
 		}
+		if _, err := l.AppendBody(rec.Type, rec.Tenant, rec.Job, rec.Detail, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// jobRec builds a job record for writeRecords.
+func jobRec(typ, id string, body jobBody) jobRecord {
+	return jobRecord{Record: ledger.Record{Type: typ, Job: id}, jobBody: body}
+}
+
+// readRecords returns every job record of the ledger at path, in file
+// order.
+func readRecords(t *testing.T, path string) []jobRecord {
+	t.Helper()
+	var out []jobRecord
+	err := ledger.NewTail(path).Next(func(hdr ledger.Record, body []byte) error {
+		rec := jobRecord{Record: hdr}
+		if len(body) > 0 {
+			if err := json.Unmarshal(body, &rec.jobBody); err != nil {
+				return err
+			}
+		}
+		out = append(out, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
-// TestReplayOrderingInterleaved drives replay through a log where
+// TestReplayOrderingInterleaved drives replay through a ledger where
 // evicted, provenance-bearing, and torn-tail records interleave: the
 // evicted job must stay gone even though its done record carries
-// provenance, the torn fragment must be skipped without desyncing later
-// records, a terminal record arriving after eviction must not resurrect
-// the job (its submitted record was consumed by the eviction), and the
-// last terminal record must win when duplicates appear.
+// provenance, a terminal record arriving after eviction must not
+// resurrect the job (its submitted record was consumed by the
+// eviction), the last terminal record must win when duplicates appear,
+// stream records are passed over, and the torn tail is dropped.
 func TestReplayOrderingInterleaved(t *testing.T) {
-	t0 := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
 	spec := &JobSpec{Domain: core.Climate}
 	prov := json.RawMessage(`{"artifacts":{},"activities":[]}`)
-
-	body := logLines(t,
-		logRecord{Type: recSubmitted, ID: "job-000001", Time: at(0), Spec: spec},
-		logRecord{Type: recSubmitted, ID: "job-000002", Time: at(1), Spec: spec},
-		// Torn append in the middle of the file: must be skipped, not
-		// merged into a neighbour.
-		`{"type":"done","id":"job-0000`+"\n",
-		logRecord{Type: recDone, ID: "job-000001", Time: at(2), Provenance: prov},
-		logRecord{Type: recEvicted, ID: "job-000001", Time: at(3)},
+	path := filepath.Join(t.TempDir(), "audit.log")
+	writeRecords(t, path, "",
+		jobRec(ledger.TypeSubmitted, "job-000001", jobBody{Spec: spec}),
+		jobRec(ledger.TypeSubmitted, "job-000002", jobBody{Spec: spec}),
+		jobRec(ledger.TypeStream, "job-000001", jobBody{}),
+		jobRec(ledger.TypeDone, "job-000001", jobBody{Provenance: prov}),
+		jobRec(ledger.TypeEvicted, "job-000001", jobBody{}),
 		// Terminal for an evicted job (out-of-order writer): no
 		// submitted record survives, so it must not resurrect.
-		logRecord{Type: recDone, ID: "job-000001", Time: at(4), Provenance: prov},
+		jobRec(ledger.TypeDone, "job-000001", jobBody{Provenance: prov}),
 		// Duplicate terminals: the later record wins.
-		logRecord{Type: recFailed, ID: "job-000002", Time: at(5), Error: "first"},
-		logRecord{Type: recDone, ID: "job-000002", Time: at(6), Provenance: prov, Servable: false},
-		logRecord{Type: recSubmitted, ID: "job-000007", Time: at(7), Spec: spec},
-		// Trailing torn fragment (crash mid-append at EOF).
-		`{"type":"submitted","id":"job-000008","tim`,
+		jobRec(ledger.TypeFailed, "job-000002", jobBody{Error: "first"}),
+		jobRec(ledger.TypeDone, "job-000002", jobBody{Provenance: prov}),
+		jobRec(ledger.TypeSubmitted, "job-000007", jobBody{Spec: spec}),
 	)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.log")
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := readJobLog(path)
+	// Trailing torn fragment (crash mid-append at EOF).
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 8 {
-		t.Fatalf("readJobLog parsed %d records, want 8 (torn lines skipped)", len(recs))
+	if _, err := f.WriteString(`{"seq":10,"time":"2026-07-01T00:00:00Z","type":"submitted","job":"job-0000`); err != nil {
+		t.Fatal(err)
 	}
-	states, maxSeq := replayJobs(recs, "")
-	if maxSeq != 7 {
-		t.Fatalf("maxSeq = %d, want 7", maxSeq)
+	f.Close()
+
+	fold := newJobFold("")
+	l, err := ledger.Open(ledger.Config{Path: path, Replay: fold.add})
+	if err != nil {
+		t.Fatal(err)
 	}
+	l.Close()
+	if fold.maxSeq != 7 {
+		t.Fatalf("maxSeq = %d, want 7", fold.maxSeq)
+	}
+	states := fold.states("")
 	if len(states) != 2 {
 		ids := make([]string, len(states))
 		for i, st := range states {
-			ids[i] = st.sub.ID
+			ids[i] = st.sub.Job
 		}
 		t.Fatalf("replay kept %v, want [job-000002 job-000007]", ids)
 	}
-	if states[0].sub.ID != "job-000002" || states[1].sub.ID != "job-000007" {
-		t.Fatalf("replay order %s, %s", states[0].sub.ID, states[1].sub.ID)
+	if states[0].sub.Job != "job-000002" || states[1].sub.Job != "job-000007" {
+		t.Fatalf("replay order %s, %s", states[0].sub.Job, states[1].sub.Job)
 	}
-	if !states[0].hasTerm || states[0].rec.Type != recDone {
-		t.Fatalf("job-000002 terminal = %+v, want the later done record", states[0].rec)
+	if states[0].term == nil || states[0].term.Type != ledger.TypeDone {
+		t.Fatalf("job-000002 terminal = %+v, want the later done record", states[0].term)
 	}
-	if len(states[0].rec.Provenance) == 0 {
+	if len(states[0].term.Provenance) == 0 {
 		t.Fatal("provenance lost through replay")
 	}
-	if states[1].hasTerm {
+	if states[1].term != nil {
 		t.Fatal("job-000007 has no terminal record yet")
+	}
+	if !fold.evicted["job-000001"] || len(fold.evicted) != 1 {
+		t.Fatalf("evicted %v, want job-000001", fold.evicted)
 	}
 }
 
 // TestReplayMergesPerNodeLogs: records for one job spread across two
-// members' logs on the shared dir (submitted by the owner, failed later
-// by an adopter) must merge time-ordered into one coherent history.
+// members' ledgers on the shared dir (submitted by the owner, failed
+// later by an adopter) must fold into one coherent history, whichever
+// ledger is read first.
 func TestReplayMergesPerNodeLogs(t *testing.T) {
-	t0 := time.Now().UTC().Truncate(time.Second)
 	spec := &JobSpec{Domain: core.Climate}
 	dir := t.TempDir()
-	writeLog := func(name string, recs ...any) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), logLines(t, recs...), 0o644); err != nil {
-			t.Fatal(err)
+	n1, n2 := filepath.Join(dir, "audit-n1.log"), filepath.Join(dir, "audit-n2.log")
+	writeRecords(t, n2, "n2",
+		jobRec(ledger.TypeSubmitted, "job-n2-000001", jobBody{Spec: spec}),
+		jobRec(ledger.TypeSubmitted, "job-n2-000002", jobBody{Spec: spec}),
+	)
+	writeRecords(t, n1, "n1",
+		jobRec(ledger.TypeFailed, "job-n2-000001", jobBody{Error: "adopted after n2 died"}),
+	)
+	for _, order := range [][]string{{n1, n2}, {n2, n1}} {
+		folds := map[string]*jobFold{"n1": newJobFold("n1"), "n2": newJobFold("n2")}
+		for _, fold := range folds {
+			for _, p := range order {
+				if err := ledger.NewTail(p).Next(fold.add); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	writeLog("jobs-n2.log",
-		logRecord{Type: recSubmitted, ID: "job-n2-000001", Time: t0, Spec: spec, Node: "n2"},
-		logRecord{Type: recSubmitted, ID: "job-n2-000002", Time: t0.Add(time.Second), Spec: spec, Node: "n2"},
-	)
-	writeLog("jobs-n1.log",
-		logRecord{Type: recFailed, ID: "job-n2-000001", Time: t0.Add(2 * time.Second), Error: "adopted after n2 died", Node: "n1"},
-	)
-	recs, err := readAllJobLogs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, maxSeq := replayJobs(recs, "n2")
-	if maxSeq != 2 {
-		t.Fatalf("n2 maxSeq = %d, want 2", maxSeq)
-	}
-	if _, n1Seq := replayJobs(recs, "n1"); n1Seq != 0 {
-		t.Fatalf("n1 maxSeq = %d; other members' sequences must not leak", n1Seq)
-	}
-	if len(states) != 2 {
-		t.Fatalf("replay kept %d jobs, want 2", len(states))
-	}
-	if !states[0].hasTerm || states[0].rec.Error != "adopted after n2 died" {
-		t.Fatalf("cross-log terminal not merged: %+v", states[0].rec)
+		if got := folds["n2"].maxSeq; got != 2 {
+			t.Fatalf("n2 maxSeq = %d, want 2", got)
+		}
+		if got := folds["n1"].maxSeq; got != 0 {
+			t.Fatalf("n1 maxSeq = %d; other members' sequences must not leak", got)
+		}
+		states := folds["n2"].states("")
+		if len(states) != 2 {
+			t.Fatalf("replay kept %d jobs, want 2", len(states))
+		}
+		if states[0].term == nil || states[0].term.Error != "adopted after n2 died" || states[0].sub.Node != "n2" {
+			t.Fatalf("cross-ledger history not folded: %+v", states[0])
+		}
 	}
 }
 
@@ -266,22 +293,14 @@ func TestRequeueInterruptedJobs(t *testing.T) {
 // cannot all requeue; the overflow must come back failed, not lost.
 func TestRequeueOverflowFails(t *testing.T) {
 	dataDir := t.TempDir()
-	// Craft a log with three interrupted jobs, then restart with a
+	// Craft a ledger with three interrupted jobs, then restart with a
 	// 1-deep queue: one requeues, two must fail visibly.
-	var body []byte
-	t0 := time.Now().UTC()
+	var recs []jobRecord
 	for i := 1; i <= 3; i++ {
-		rec := logRecord{Type: recSubmitted, ID: fmt.Sprintf("job-%06d", i),
-			Time: t0.Add(time.Duration(i) * time.Millisecond), Spec: &JobSpec{Domain: core.Climate, Seed: 3}}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = append(append(body, b...), '\n')
+		recs = append(recs, jobRec(ledger.TypeSubmitted, fmt.Sprintf("job-%06d", i),
+			jobBody{Spec: &JobSpec{Domain: core.Climate, Seed: 3}}))
 	}
-	if err := os.WriteFile(filepath.Join(dataDir, "jobs.log"), body, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, filepath.Join(dataDir, "audit.log"), "", recs...)
 	s, err := New(Options{Workers: 1, QueueDepth: 1, DataDir: dataDir, Requeue: true})
 	if err != nil {
 		t.Fatal(err)

@@ -178,8 +178,8 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	ident := tenant.FromContext(r.Context())
 	// Audit before serve: a stream open whose record cannot commit is
 	// refused before any header, never served unaudited.
-	if err := s.audit(r.Context(), ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize)); err != nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("audit ledger: %w", err))
+	if err := s.audit(r.Context(), ledger.TypeStream, ident.ID, job.id, "cursor="+start.String()+" batch_size="+strconv.Itoa(batchSize), nil); err != nil {
+		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -32,7 +33,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
-	"repro/internal/wal"
 	"repro/pkg/client"
 )
 
@@ -75,15 +75,18 @@ type Options struct {
 	// single-user behavior, byte for byte.
 	Tenants *tenant.Registry
 	// LedgerBatch is the audit ledger's Merkle batch size (records per
-	// published root). <=0 uses the ledger default (64).
+	// published root; job records count like every other). <=0 uses the
+	// ledger default (64).
 	LedgerBatch int
 
 	// DataDir is the server's durable root: job shard sets go to
-	// DataDir/jobs/<id> (FSSink), every job transition is appended to
-	// DataDir/jobs.log, which New replays so a restarted server re-serves
-	// completed jobs from disk, and the audit ledger and master.key live
-	// beside them. Empty runs the same server on a private draid-* temp
-	// dir, logged at Info and removed by Close.
+	// DataDir/jobs/<id> (FSSink), and every job record is appended to the
+	// audit ledger DataDir/audit.log (audit-<node>.log in a fleet), which
+	// New replays so a restarted server re-serves completed jobs from
+	// disk; master.key lives beside them. A DataDir holding a jobs*.log
+	// (the job log of earlier versions) is refused. Empty runs the same
+	// server on a private draid-* temp dir, logged at Info and removed by
+	// Close.
 	DataDir string
 	// JobTTL evicts completed (done or failed) jobs idle longer than
 	// this — their shard directories are deleted and the eviction is
@@ -153,7 +156,7 @@ type Server struct {
 	// send: each holds a queue slot, and a new one its ID (see admit).
 	admitting map[string]bool
 	// evicted holds every job ID this member knows was evicted: from the
-	// logs at startup and at each adoption scan, and its own evictions.
+	// ledgers at startup and at each adoption scan, and its own evictions.
 	// admit refuses them, since eviction is forever and IDs are never
 	// reused (a client may re-send an old pre-assigned ID).
 	evicted map[string]bool
@@ -165,12 +168,11 @@ type Server struct {
 	// Durability. nodeLock is nil outside a fleet; privateDir is the
 	// temp DataDir New made (empty when the caller gave one), which
 	// Close removes.
-	log        *wal.Log
 	master     []byte
 	nodeLock   *shard.NodeLock
 	privateDir string
-	// ledger is the append-only audit log; peerAuth is the
-	// master-key-derived fleet-internal secret.
+	// ledger is the append-only audit log, job records included;
+	// peerAuth is the master-key-derived fleet-internal secret.
 	ledger   *ledger.Ledger
 	peerAuth string
 
@@ -184,12 +186,13 @@ type Server struct {
 	tenantJobs  map[string]int   // tenant -> jobs queued or running
 	tenantBytes map[string]int64 // tenant -> retained shard bytes of done jobs
 
-	// adoptMu serializes shared-log adoption scans (probe callbacks and
-	// request-path misses can race into adoptOrphans) and guards the
-	// scan memo below, which lets repeated misses skip unchanged logs.
+	// adoptMu serializes adoption scans (probe callbacks and
+	// request-path misses can race into adoptOrphans) and guards what
+	// they extend: fold, of every member's ledger, and per ledger file
+	// the Tail that knows how far fold has read it (nil outside a fleet).
 	adoptMu sync.Mutex
-	scanSig string
-	scanIDs map[string]bool
+	fold    *jobFold
+	tails   map[string]*ledger.Tail
 
 	// metrics is the server's telemetry registry: all counters and
 	// gauges move at the transition that changes them, so a /metrics
@@ -204,7 +207,7 @@ type Server struct {
 }
 
 // New starts a server's worker pool and registers its routes. It
-// replays the job log in Options.DataDir, so completed jobs from
+// replays the ledger in Options.DataDir, so completed jobs from
 // previous runs are immediately servable.
 func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
@@ -242,7 +245,7 @@ func New(opts Options) (*Server, error) {
 	s.spans = telemetry.NewSpanStore(s.nodeID(), opts.TraceSpans, opts.TraceNotable, opts.TraceSlow)
 	s.registerCollectors()
 	if err := s.openDurable(); err != nil {
-		_ = os.RemoveAll(s.privateDir) // "" removes nothing
+		s.release()
 		return nil, err
 	}
 	s.routes()
@@ -318,11 +321,11 @@ func (s *Server) newStore(jobID string) (jobStore, error) {
 
 // openDurable prepares the data directory — a private temp dir when
 // Options.DataDir is empty — and rebuilds the job table from the
-// persisted log. In cluster mode the data dir is shared by the fleet:
-// this node registers a heartbeating lock file, appends to its own
-// per-node log (so members never interleave writes into one file),
-// replays the merged logs of every member, and keeps only the jobs the
-// ring assigns to it.
+// ledger, folding its job records in as Open verifies the chain. In
+// cluster mode the data dir is shared by the fleet: this node registers
+// a heartbeating lock file, appends to its own ledger (so members never
+// interleave writes into one file), folds in every other member's
+// ledger too, and keeps only the jobs the ring assigns to it.
 func (s *Server) openDurable() error {
 	if s.opts.DataDir == "" {
 		if s.opts.Cluster != nil {
@@ -334,6 +337,11 @@ func (s *Server) openDurable() error {
 		}
 		s.opts.DataDir, s.privateDir = dir, dir
 		s.logger.Info("private data dir, removed at Close", "dir", dir)
+	}
+	// Job logs of earlier versions are not read: replaying them would be
+	// a second replay path kept forever.
+	if old, _ := filepath.Glob(filepath.Join(s.opts.DataDir, "jobs*.log")); len(old) > 0 {
+		return fmt.Errorf("server: %s is a job log of an earlier draid, which this version does not read; start on a new data dir", old[0])
 	}
 	if err := os.MkdirAll(filepath.Join(s.opts.DataDir, "jobs"), 0o755); err != nil {
 		return fmt.Errorf("server: create data dir: %w", err)
@@ -347,13 +355,10 @@ func (s *Server) openDurable() error {
 	// the shared master key — every member of this data dir computes the
 	// same value, so peer hops survive tenancy without key distribution.
 	s.peerAuth = peerAuthSecret(master)
+	selfID, ledgerName := "", "audit.log"
 	if c := s.opts.Cluster; c != nil {
 		c.SetPeerAuth(s.peerAuth)
-	}
-	selfID, logName, ledgerName := "", "jobs.log", "audit.log"
-	if c := s.opts.Cluster; c != nil {
 		selfID = c.Self().ID
-		logName = "jobs-" + selfID + ".log"
 		ledgerName = "audit-" + selfID + ".log"
 		lock, err := shard.AcquireNodeLock(filepath.Join(s.opts.DataDir, "nodes"), selfID, c.Self().URL, nodeLockStale)
 		if err != nil {
@@ -361,65 +366,48 @@ func (s *Server) openDurable() error {
 		}
 		s.nodeLock = lock
 	}
-	recs, err := readAllJobLogs(s.opts.DataDir)
-	if err != nil {
-		return err
-	}
-	logPath := filepath.Join(s.opts.DataDir, logName)
 	ledgerPath := filepath.Join(s.opts.DataDir, ledgerName)
-	created := !fileExists(logPath) || !fileExists(ledgerPath)
-	// recs already holds this log's complete lines; Open only truncates
-	// a torn tail.
-	log, err := wal.Open(logPath, func([]byte) error { return nil })
-	if err != nil {
-		return err
-	}
-	s.log = log
+	created := !fileExists(ledgerPath)
+	fold := newJobFold(selfID)
 	led, err := ledger.Open(ledger.Config{
 		Path:      ledgerPath,
 		Node:      selfID,
 		BatchSize: s.opts.LedgerBatch,
+		Replay:    fold.add,
 	})
 	if err != nil {
 		return err
 	}
 	s.ledger = led
 	if created {
-		// Every append fsyncs its log's bytes, never the log's name: until
-		// the data dir itself is synced a power cut can take a whole log —
+		// Every append fsyncs the ledger's bytes, never its name: until the
+		// data dir itself is synced a power cut can take the whole ledger —
 		// and every done record in it — while the shard sets those records
 		// committed survive. The same sync covers jobs/ and master.key.
 		if err := syncDir(s.opts.DataDir); err != nil {
 			return fmt.Errorf("server: %w", err)
 		}
 	}
-	states, maxSeq := replayJobs(recs, selfID)
-	s.seq = maxSeq
+	if s.opts.Cluster != nil {
+		s.fold, s.tails = fold, map[string]*ledger.Tail{ledgerPath: led.Tail()}
+		s.scanFleet()
+		fold = s.fold
+	}
+	s.seq = fold.maxSeq
 	// Eviction logs its record before it destroys the job's files, so a
 	// crash between the two leaves a dir that no replay names. Eviction
 	// is forever, so those dirs go now; one that cannot be removed is
 	// retried at the next start. A dir with no record stays: it may hold
 	// another member's job in flight.
-	for _, id := range s.noteEvicted(recs) {
+	s.mu.Lock()
+	maps.Copy(s.evicted, fold.evicted)
+	s.mu.Unlock()
+	for id := range fold.evicted {
 		if _, _, ok := parseJobID(id); ok {
 			_ = os.RemoveAll(filepath.Join(s.opts.DataDir, "jobs", id))
 		}
 	}
-	return s.restore(states, false, nil)
-}
-
-// noteEvicted adds the IDs that recs evict to s.evicted and returns
-// them.
-func (s *Server) noteEvicted(recs []logRecord) (ids []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range recs {
-		if rec.Type == recEvicted {
-			s.evicted[rec.ID] = true
-			ids = append(ids, rec.ID)
-		}
-	}
-	return ids
+	return s.restore(fold.states(""), false, nil)
 }
 
 // nodeID is this server's fleet member ID ("" single-node).
@@ -453,22 +441,25 @@ func (s *Server) Close() {
 	}
 	close(s.stop)
 	s.wg.Wait()
-	_ = s.log.Close()
-	_ = s.ledger.Close()
+	s.release()
+}
+
+// release gives back what openDurable took, as far as it got: the
+// ledger, the node lock and a private data dir.
+func (s *Server) release() {
+	if s.ledger != nil {
+		_ = s.ledger.Close()
+	}
 	if s.nodeLock != nil {
 		_ = s.nodeLock.Release()
 	}
 	_ = os.RemoveAll(s.privateDir) // "" removes nothing
 }
 
-// handleHealthz answers 503, naming the log, once the job log or the
-// audit ledger has a sticky commit failure: the node would drop every
-// later record, so the fleet's probes must route around it.
+// handleHealthz answers 503, naming the audit ledger, once the ledger
+// has a sticky commit failure: the node would drop every later record,
+// so the fleet's probes must route around it.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.log.Err() != nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job log: %w", s.log.Err()))
-		return
-	}
 	if s.ledger.Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("audit ledger: %w", s.ledger.Err()))
 		return
@@ -579,23 +570,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitLocal admits a job under id on this node. ctx is the submitting
-// request's: its trace ID is recorded on the job and in its log record
-// so the whole lifecycle correlates back to the request, and its
+// request's: its trace ID is recorded on the job and in its submitted
+// record so the whole lifecycle correlates back to the request, and its
 // authenticated tenant ("" with auth off) owns the job for scoping, is
-// charged for it under quotas, and rides on the log record so
-// ownership survives replay and adoption.
+// charged for it under quotas, and heads each of its records, so
+// ownership survives replay and adoption and tenants prove their own.
 func (s *Server) submitLocal(ctx context.Context, w http.ResponseWriter, spec JobSpec, id string) {
 	if spec.Name == "" {
 		spec.Name = id
 	}
-	sub := logRecord{Type: recSubmitted, ID: id, Time: time.Now(), Spec: &spec, Node: s.nodeID(),
-		Trace: telemetry.TraceFrom(ctx), Tenant: tenant.FromContext(ctx).ID}
+	sub := jobRecord{
+		Record:  ledger.Record{Type: ledger.TypeSubmitted, Job: id, Time: time.Now(), Node: s.nodeID(), Tenant: tenant.FromContext(ctx).ID},
+		jobBody: jobBody{Spec: &spec, Trace: telemetry.TraceFrom(ctx)},
+	}
 	job := newJob(sub)
-	if code, err := s.admit(job, &sub); err != nil {
+	if code, err := s.admit(ctx, job, &sub); err != nil {
 		writeError(w, code, err)
 		return
 	}
-	s.audit(ctx, ledger.TypeSubmit, job.tenant, job.id, string(spec.Domain))
 	s.logger.Info("job submitted", "job", job.id, "domain", string(spec.Domain), "trace", job.trace)
 	writeJSON(w, http.StatusAccepted, s.decorate(job.Status()))
 }

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/pkg/client"
@@ -117,7 +119,7 @@ func newServerMetrics() *serverMetrics {
 		clusterProxied:    reg.Counter1("draid_cluster_proxied_total", "Requests transparently proxied to their ring owner."),
 		clusterRedirected: reg.Counter1("draid_cluster_redirected_total", "Requests answered with a 307 to their ring owner."),
 		clusterRetries:    reg.Counter1("draid_cluster_forward_retries_total", "Forward attempts that failed and marked a peer down."),
-		clusterAdopted:    reg.Counter1("draid_cluster_jobs_adopted_total", "Jobs adopted from the shared logs after an ownership change."),
+		clusterAdopted:    reg.Counter1("draid_cluster_jobs_adopted_total", "Jobs adopted from the shared ledgers after an ownership change."),
 
 		tenantAuthFailures:    reg.Counter1("draid_tenant_auth_failures_total", "Requests rejected 401 for a missing or invalid bearer token."),
 		tenantQuotaRejections: reg.Counter1("draid_tenant_quota_rejections_total", "Submissions rejected 429 by a per-tenant job or byte quota."),
@@ -352,30 +354,24 @@ type JobEvent = client.JobEvent
 
 // addEvent appends a lifecycle event to a job's in-memory timeline.
 // Most transitions are NOT separately persisted — replay re-derives
-// them from the submitted/terminal records already in the job log, so
+// them from the submitted/terminal records already in the ledger, so
 // the hot path pays no extra fsyncs. Transitions replay cannot derive
 // (adoption, requeue) go through addDurableEvent instead.
-func (s *Server) addEvent(job *Job, event, detail, trace string) {
+func (s *Server) addEvent(job *Job, event, detail string) {
 	now := time.Now()
 	job.mu.Lock()
-	if trace == "" {
-		trace = job.trace
-	}
 	job.events = append(job.events, JobEvent{
-		Event: event, Time: now, Node: s.nodeID(), Detail: detail, Trace: trace,
+		Event: event, Time: now, Node: s.nodeID(), Detail: detail, Trace: job.trace,
 	})
 	job.mu.Unlock()
 }
 
 // addDurableEvent records a transition replay cannot reconstruct from
-// the existing record types, persisting a recEvent line alongside the
+// the other record types, persisting an event record alongside the
 // in-memory append.
 func (s *Server) addDurableEvent(job *Job, event, detail string) {
-	s.addEvent(job, event, detail, "")
-	_ = s.appendLog(logRecord{
-		Type: recEvent, ID: job.id, Time: time.Now(),
-		Event: event, Error: detail, Node: s.nodeID(), Trace: job.trace,
-	})
+	s.addEvent(job, event, detail)
+	_ = s.audit(context.Background(), ledger.TypeEvent, job.tenant, job.id, event, &jobBody{Error: detail, Trace: job.trace})
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -199,7 +199,7 @@ func BenchmarkMetricsScrape(b *testing.B) {
 }
 
 // TestJobEventsTimeline checks the full lifecycle timeline — and that a
-// restarted server replays it from the job log, pre-restart transitions
+// restarted server replays it from the ledger, pre-restart transitions
 // included.
 func TestJobEventsTimeline(t *testing.T) {
 	dir := t.TempDir()

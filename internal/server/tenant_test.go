@@ -6,9 +6,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -334,16 +336,16 @@ func TestByteQuotaEvictionPressure(t *testing.T) {
 	var rec ledger.Record
 	found := false
 	for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
-		if r, ok := lookupAuditRecord(t, ts.URL, "root-secret-token", ledger.TypeEvict, st.ID); ok {
+		if r, ok := lookupAuditRecord(t, ts.URL, "root-secret-token", ledger.TypeEvicted, st.ID); ok {
 			rec, found = r, true
 			break
 		}
 	}
 	if !found {
-		t.Fatalf("no evict audit record for job %s", st.ID)
+		t.Fatalf("no evicted record for job %s", st.ID)
 	}
 	if rec.Tenant != "alice" {
-		t.Fatalf("evict record tenant %q, want alice", rec.Tenant)
+		t.Fatalf("evicted record tenant %q, want alice", rec.Tenant)
 	}
 }
 
@@ -411,9 +413,9 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 	}
 	stream.Body.Close()
 
-	sub := findAuditRecord(t, ts.URL, "root-secret-token", ledger.TypeSubmit, st.ID)
+	sub := findAuditRecord(t, ts.URL, "root-secret-token", ledger.TypeSubmitted, st.ID)
 	if sub.Tenant != "alice" {
-		t.Fatalf("submit record tenant %q, want alice", sub.Tenant)
+		t.Fatalf("submitted record tenant %q, want alice", sub.Tenant)
 	}
 	str := findAuditRecord(t, ts.URL, "root-secret-token", ledger.TypeStream, st.ID)
 	if str.Tenant != "alice" {
@@ -595,5 +597,46 @@ func TestDebugLogsRedactTokens(t *testing.T) {
 	}
 	if !strings.Contains(out, "access_token=REDACTED") {
 		t.Fatalf("expected redacted access_token in logs:\n%s", out)
+	}
+}
+
+// TestJobRecordProofHidesBody: a job record's proof certifies its
+// header — type, job, tenant and the body's digest — and not its body.
+// The proof of a bio job's done record verifies against the published
+// roots, carries the body_hash of the line in the ledger, and holds none
+// of the job's spec, provenance or sealed key.
+func TestJobRecordProofHidesBody(t *testing.T) {
+	dataDir := t.TempDir()
+	_, ts := newTestServer(t, Options{Workers: 1, DataDir: dataDir})
+	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.BioHealth, Name: "b", Seed: 3, Subjects: 12}, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done jobRecord
+	for _, rec := range readRecords(t, filepath.Join(dataDir, "audit.log")) {
+		if rec.Type == ledger.TypeDone && rec.Job == id {
+			done = rec
+		}
+	}
+	if done.SealedKey == "" || len(done.Provenance) == 0 || done.BodyHash == "" {
+		t.Fatalf("done record of a bio job without sealed key, provenance or body hash: %+v", done.Record)
+	}
+	rec := findAuditRecord(t, ts.URL, "", ledger.TypeDone, id) // verifies against the roots
+	if rec.BodyHash != done.BodyHash {
+		t.Fatalf("proved body_hash %q, want the ledger line's %q", rec.BodyHash, done.BodyHash)
+	}
+	resp := authedDo(t, http.MethodGet, fmt.Sprintf("%s/v1/audit/proof?seq=%d", ts.URL, rec.Seq), "", "", nil)
+	proof, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(proof, []byte(`"body_hash": "`+done.BodyHash)) {
+		t.Fatalf("proof lacks the body_hash:\n%s", proof)
+	}
+	for _, secret := range []string{done.SealedKey, "sealed_key", "provenance", `"spec"`, "subjects", string(done.Provenance[:min(len(done.Provenance), 32)])} {
+		if bytes.Contains(proof, []byte(secret)) {
+			t.Fatalf("proof reveals %q:\n%s", secret, proof)
+		}
 	}
 }

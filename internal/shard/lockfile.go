@@ -2,7 +2,7 @@
 // data directory on a parallel filesystem. Each node registers itself
 // by exclusively creating <dir>/<id>.lock and heartbeating its mtime;
 // a second process claiming the same node ID fails fast instead of
-// interleaving writes into the same job log, and a lock whose heartbeat
+// interleaving writes into the same ledger, and a lock whose heartbeat
 // stopped (a SIGKILLed node) goes stale and can be reclaimed.
 package shard
 

@@ -1,5 +1,6 @@
-// Package wal is draid's one append-only log file, under both the audit
-// ledger and the job log: newline-terminated lines, group-committed.
+// Package wal is the append-only log file under draid's audit ledger,
+// which is also each node's job log: newline-terminated lines,
+// group-committed.
 //
 // Durability contract: Append returns only once its line is fsynced, by
 // its own group's commit. There is no timer: a lone appender syncs at
@@ -16,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -71,17 +73,19 @@ func Open(path string, replay func(line []byte) error) (*Log, error) {
 	return l, nil
 }
 
-// Scan calls fn with each complete line of the log at path, in file
-// order and without its '\n', and stops at the first error fn returns.
-// It only reads: a partial last line (a torn tail, or another process's
-// append in flight) is skipped and left in place.
-func Scan(path string, fn func(line []byte) error) error {
+// Scan calls fn with each complete line of the log at path from byte
+// offset off on (a line start: the caller counts each line's length
+// plus its '\n'), in file order and without its '\n', and stops at the
+// first error fn returns. It only reads: a partial last line (a torn
+// tail, or another process's append in flight) is skipped and left in
+// place.
+func Scan(path string, off int64, fn func(line []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	defer f.Close()
-	_, _, err = scan(f, fn)
+	_, _, err = scan(io.NewSectionReader(f, off, math.MaxInt64-off), fn)
 	return err
 }
 

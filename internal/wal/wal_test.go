@@ -271,7 +271,8 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 
 // TestScanLeavesPartialTail: Scan reads a peer's live log, whose last
 // line may be an append still in flight. It yields only complete lines
-// and never modifies the file.
+// and never modifies the file; a Scan from just past the lines already
+// read yields a line completed later once, whole.
 func TestScanLeavesPartialTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	body := []byte("a\nb\n{\"par")
@@ -279,10 +280,11 @@ func TestScanLeavesPartialTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lines []string
-	if err := Scan(path, func(line []byte) error {
+	collect := func(line []byte) error {
 		lines = append(lines, string(line))
 		return nil
-	}); err != nil {
+	}
+	if err := Scan(path, 0, collect); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(lines) != "[a b]" {
@@ -290,6 +292,16 @@ func TestScanLeavesPartialTail(t *testing.T) {
 	}
 	if b, _ := os.ReadFile(path); !bytes.Equal(b, body) {
 		t.Fatalf("Scan modified the log: %q", b)
+	}
+	if err := os.WriteFile(path, append(body, "t\"}\nc\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines = nil
+	if err := Scan(path, int64(len("a\nb\n")), collect); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%q", lines) != `["{\"part\"}" "c"]` {
+		t.Fatalf("Scan from the offset yielded %q, want the completed line and c", lines)
 	}
 }
 

@@ -83,7 +83,7 @@ const (
 
 // JobEvent is one entry in a job's lifecycle timeline, served by
 // GET /v1/jobs/{id}/events. Events survive server restarts: the
-// timeline is replayed from the persistent job log, so pre-restart
+// timeline is replayed from the node's ledger, so pre-restart
 // transitions (with the node that performed them) remain visible.
 type JobEvent struct {
 	Event  string    `json:"event"`

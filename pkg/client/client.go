@@ -183,7 +183,7 @@ func (c *Client) SubmitJob(ctx context.Context, spec JobSpec) (*JobStatus, error
 
 // Events fetches a job's lifecycle timeline — every state transition
 // with its timestamp, fleet node, and trace ID, including transitions
-// from before a server restart (replayed from the job log).
+// from before a server restart (replayed from the node's ledger).
 func (c *Client) Events(ctx context.Context, id string) ([]JobEvent, error) {
 	var out []JobEvent
 	if err := c.getJSON(ctx, "/v1/jobs/"+url.PathEscape(id)+"/events", &out); err != nil {
