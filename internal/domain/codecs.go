@@ -1,9 +1,9 @@
-// Wire codecs: one per shard-record encoding. A codec's Decode and its
-// per-record encoders (AppendRecordJSON for NDJSON fragments,
-// AppendFramePayload for frames) run once per record when a shard is
-// filled into a serving cache or sidecar; batches are then sliced out
-// of the encoded bytes. Line is the reference NDJSON encoder the
-// fragments are tested against; no serving path calls it.
+// Wire codecs: one per shard-record encoding. A codec's Decode and
+// AppendFramePayload run once per record when a shard's sidecar is
+// built; an NDJSON fill decodes the sidecar (DecodeFramePayload) and
+// runs AppendRecordJSON once per record. Batches are then sliced out of
+// the encoded bytes. Line is the reference NDJSON encoder the fragments
+// are tested against; no serving path calls it.
 package domain
 
 import (

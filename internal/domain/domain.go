@@ -104,15 +104,17 @@ type BatchHeader struct {
 
 // Codec decodes one domain's shard records into wire records and
 // encodes them, record by record, for both wire formats: NDJSON line
-// fragments and binary frame payloads. The serving tier encodes each
-// shard once and slices batches out of the bytes, so both encodings
-// must make a batch the concatenation of its records' encodings.
+// fragments and binary frame payloads. The serving tier packs each
+// shard once into a frame-payload sidecar; both wires fill from it and
+// slice batches out of the bytes, so both encodings must make a batch
+// the concatenation of its records' encodings.
 type Codec interface {
 	// Kind names the wire payload schema ("samples", "fusion_windows",
 	// "materials_graphs").
 	Kind() string
 	// Decode parses one shard record into an opaque wire record and
-	// reports an estimate of its decoded in-memory size.
+	// reports an estimate of its decoded in-memory size. It runs only
+	// to build a sidecar (ShardSidecar).
 	Decode(rec []byte) (any, int64, error)
 	// Line builds one marshalable NDJSON batch line from records
 	// previously produced by Decode. It is the reference encoding:
@@ -130,9 +132,10 @@ type Codec interface {
 	AppendFramePayload(buf []byte, recs []any) ([]byte, error)
 	// DecodeFramePayload parses exactly count records back out of a
 	// frame payload, consuming it fully. It must tolerate hostile
-	// input: every length is validated before allocation. It is the
-	// reference (through DecodeFrame) that the SDK's typed frame
-	// decoder is tested against; no serving or client path calls it.
+	// input: every length is validated before allocation. It serves
+	// NDJSON fills (Sidecar.Lines decodes a verified sidecar with it),
+	// and it is the reference (through DecodeFrame) that the SDK's
+	// typed frame decoder is tested against.
 	DecodeFramePayload(payload []byte, count int) ([]any, error)
 }
 

@@ -4,7 +4,9 @@
 // A cold frame read is then one read of the whole sidecar, verified by
 // ParseSidecar and served as byte ranges of that one image under fresh
 // FrameEnvelope headers — zero codec Encode/Decode calls — instead of
-// decode+encode per request.
+// decode+encode per request. A cold NDJSON read fills from the same
+// verified image (Sidecar.Lines), so the native shard is decoded only
+// to build a sidecar (ShardSidecar).
 //
 // Sidecar layout (all fixed-width integers little-endian):
 //
@@ -262,6 +264,18 @@ func (s *Sidecar) WriteRange(w io.Writer, a, b int) error {
 	return err
 }
 
+// Lines decodes the sidecar's records with c and encodes them as NDJSON
+// line fragments: the NDJSON wire's fill from a verified sidecar. It
+// fails where json.Marshal of a line holding the records fails (NaN or
+// ±Inf), with the same message.
+func (s *Sidecar) Lines(c Codec) (*LineFragments, error) {
+	recs, err := c.DecodeFramePayload(s.payload, s.Count())
+	if err != nil {
+		return nil, err
+	}
+	return EncodeRecordJSON(c, recs)
+}
+
 // VerifyPayload reports whether the payload matches its CRC. ParseSidecar
 // checks it before it returns a Sidecar, so this is always nil; it stays
 // for callers that open a sidecar and verify it as two steps.
@@ -273,7 +287,7 @@ func (s *Sidecar) VerifyPayload() error { return nil }
 // (re-sealing sidecars under the same key). It is idempotent —
 // existing sidecars are kept — and returns how many were built.
 // Callers treat failure as a lost optimization, not a failed job: the
-// serving tier falls back to decode+encode when a sidecar is absent.
+// serving tier builds a missing sidecar on its first read.
 func BuildShardSidecars(p Plugin, store shard.Store, m *shard.Manifest, key []byte) (int, error) {
 	open := p.Opener(store, key)
 	sink := p.Sink(store, key)
@@ -283,27 +297,36 @@ func BuildShardSidecars(p Plugin, store shard.Store, m *shard.Manifest, key []by
 		if store.Size(p.StoredName(SidecarName(info.Name), sealed)) > 0 {
 			continue
 		}
-		one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
-		recs := make([]any, 0, info.Records)
-		err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
-			r, _, err := p.Codec.Decode(rec)
-			if err != nil {
-				return err
-			}
-			recs = append(recs, r)
-			return nil
-		})
-		if err != nil {
-			return built, fmt.Errorf("domain: sidecar for %s: %w", info.Name, err)
+		b, err := ShardSidecar(p, open, m, info)
+		if err == nil {
+			err = shard.WriteObject(sink, SidecarName(info.Name), b)
 		}
-		b, err := EncodeSidecarFile(p.Codec, recs)
 		if err != nil {
-			return built, fmt.Errorf("domain: sidecar for %s: %w", info.Name, err)
-		}
-		if err := shard.WriteObject(sink, SidecarName(info.Name), b); err != nil {
 			return built, fmt.Errorf("domain: sidecar for %s: %w", info.Name, err)
 		}
 		built++
 	}
 	return built, nil
+}
+
+// ShardSidecar builds one shard's sidecar image: the shard read through
+// open (checksum verified, decrypted for sealed domains), each record
+// decoded by p's codec, and the records packed with EncodeSidecarFile.
+// It is the only place a native shard record is decoded for serving;
+// both wires then read the sidecar.
+func ShardSidecar(p Plugin, open shard.Opener, m *shard.Manifest, info shard.Info) ([]byte, error) {
+	one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
+	recs := make([]any, 0, info.Records)
+	err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
+		r, _, err := p.Codec.Decode(rec)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return EncodeSidecarFile(p.Codec, recs)
 }

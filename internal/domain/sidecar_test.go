@@ -7,9 +7,13 @@ package domain
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/loader"
 )
 
 // testSidecar builds a sidecar over a small synthetic payload with
@@ -179,10 +183,35 @@ func TestOpenSidecarReadError(t *testing.T) {
 // or over-allocate, anything it accepts must hold the addressing
 // invariants range serving relies on, and OpenSidecar over a reader of
 // the same bytes must agree with it on accept/reject, kind, count and
-// payload.
+// payload. An accepted sidecar of a served kind must also fill NDJSON
+// as json.Marshal would: batch lines built from its Lines fragments
+// equal json.Marshal of the codec's Line over the decoded payload, and
+// Lines fails exactly when that fails, with the same message.
 func FuzzSidecarDecode(f *testing.F) {
 	_, _, _, file := testSidecar(f)
 	f.Add(file)
+	nan, inf := math.NaN(), math.Inf(1)
+	graph := func(energy float64) *WireGraph {
+		return &WireGraph{Nodes: 2, FeatureDim: 1, NodeFeatures: []float64{1, 2},
+			Edges: []int64{0, 1}, EdgeLengths: []float64{1.5}, Energy: energy, ClassID: 1}
+	}
+	for kind, recs := range map[string][]any{
+		KindSamples: {&loader.Sample{Features: edgeF32s(), Label: 3}, &loader.Sample{Features: []float32{}, Label: -1}},
+		KindFusionWindows: {&FusionWindow{Signal: edgeF32s(), Shot: 3, Start: 1, Label: 1, Horizon: 0.2},
+			&FusionWindow{Signal: []float32{0.5}, Horizon: 1e21}},
+		KindMaterialsGraphs: {graph(-3), graph(1e-7)},
+		// Non-finite values pack into a sidecar but cannot be a line.
+		KindSamples + " nan":         {&loader.Sample{Features: []float32{1, float32(nan)}}},
+		KindFusionWindows + " inf":   {&FusionWindow{Signal: []float32{1}, Horizon: float32(inf)}},
+		KindMaterialsGraphs + " nan": {graph(nan)},
+	} {
+		codec, _ := CodecByKind(strings.Fields(kind)[0])
+		b, err := EncodeSidecarFile(codec, recs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	for _, cut := range []int{1, len(file) / 2, len(file) - 1} {
 		f.Add(append([]byte(nil), file[:cut]...))
 	}
@@ -227,6 +256,45 @@ func FuzzSidecarDecode(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), sc.payload) {
 			t.Fatal("per-record ranges do not reassemble the payload")
+		}
+
+		codec, ok := CodecByKind(sc.Kind())
+		if !ok {
+			return
+		}
+		lf, lerr := sc.Lines(codec)
+		recs, derr := codec.DecodeFramePayload(sc.payload, n)
+		if derr != nil {
+			if lerr == nil || lerr.Error() != derr.Error() {
+				t.Fatalf("payload decode fails with %v, Lines with %v", derr, lerr)
+			}
+			return
+		}
+		for _, h := range lineHeaders(sc.Kind()) {
+			line, err := codec.Line(h, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, merr := json.Marshal(line)
+			if (lerr == nil) != (merr == nil) || lerr != nil && lerr.Error() != merr.Error() {
+				t.Fatalf("Lines error %v, json.Marshal error %v", lerr, merr)
+			}
+			if lerr != nil || n == 0 {
+				return
+			}
+			if lf.Count() != n {
+				t.Fatalf("Lines holds %d records, sidecar %d", lf.Count(), n)
+			}
+			want = append(want, '\n')
+			splits := [][]LineRange{{{F: lf, A: 0, B: n}}}
+			if n >= 2 {
+				splits = append(splits, []LineRange{{F: lf, A: 0, B: n / 2}, {F: lf, A: n / 2, B: n}})
+			}
+			for _, rs := range splits {
+				if got := assembleLine(t, h, rs); !bytes.Equal(got, want) {
+					t.Fatalf("line from sidecar fragments differs from json.Marshal\n got  %.200s\n want %.200s", got, want)
+				}
+			}
 		}
 	})
 }

@@ -575,6 +575,103 @@ func TestUnusableSidecarReplacedOnce(t *testing.T) {
 	}
 }
 
+// TestNDJSONFillsFromSidecar: an NDJSON cache miss fills from the
+// shard's sidecar, as a frame miss does, so NDJSON readers get the
+// sidecar's CRCs and its backfill. For every kind, sealed bio included:
+// with a job's sidecars deleted, a cold NDJSON stream equals
+// Line+json.Marshal and backfills every sidecar; with one payload byte
+// of one sidecar flipped, the stream is still byte-exact, the damage
+// counts once, the sidecar is rebuilt, and the next cold stream reads
+// only sidecars.
+func TestNDJSONFillsFromSidecar(t *testing.T) {
+	dataDir := t.TempDir()
+	specs := []JobSpec{
+		{Domain: core.Climate, Seed: 8, Months: 24, Lat: 16, Lon: 32},
+		{Domain: core.Fusion, Seed: 8, Shots: 8},
+		{Domain: core.Materials, Seed: 8, Structures: 16},
+		{Domain: core.BioHealth, Seed: 8, Subjects: 16},
+	}
+	ids := buildJobs(t, dataDir, specs)
+	const query = "/batches?batch_size=3"
+	// The reference lines: Line+json.Marshal over the records of each
+	// job's frame stream, read while its sidecars are intact.
+	want := make([][]byte, len(ids))
+	t.Run("reference", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+		for i, id := range ids {
+			want[i] = marshalLines(t, rawFrameStream(t, ts.URL+"/v1/jobs/"+id+query))
+		}
+	})
+	for i, id := range ids {
+		jobDir := filepath.Join(dataDir, "jobs", id)
+		files := sidecarFiles(t, dataDir, id)
+		if len(files) == 0 {
+			t.Fatalf("%s: no sidecars on disk", specs[i].Domain)
+		}
+		pristine := make(map[string][]byte, len(files))
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(jobDir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pristine[f] = b
+		}
+		// stream serves the job's NDJSON stream cold on a fresh server
+		// and requires the reference lines.
+		stream := func(t *testing.T) *Server {
+			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+			if got := rawNDJSONStream(t, ts.URL+"/v1/jobs/"+id+query); !bytes.Equal(got, want[i]) {
+				t.Fatalf("NDJSON stream differs from Line+json.Marshal (%d vs %d bytes)", len(got), len(want[i]))
+			}
+			return s
+		}
+		// rebuilt requires every sidecar back on disk: a plaintext one
+		// byte for byte, a sealed one (fresh nonce) at its original size.
+		rebuilt := func(t *testing.T) {
+			for f, b := range pristine {
+				got, err := os.ReadFile(filepath.Join(jobDir, f))
+				if err != nil || len(got) != len(b) || strings.HasSuffix(f, domain.SidecarSuffix) && !bytes.Equal(got, b) {
+					t.Fatalf("sidecar %s not rebuilt (err %v, %d of %d bytes)", f, err, len(got), len(b))
+				}
+			}
+		}
+		name := strings.ReplaceAll(string(specs[i].Domain), "/", "_")
+		t.Run(name+"/deleted", func(t *testing.T) {
+			for f := range pristine {
+				if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := stream(t)
+			if fills := s.metrics.frameStoreBackfills.Value(); fills < float64(len(files)) {
+				t.Fatalf("NDJSON stream backfilled %v of %d sidecars", fills, len(files))
+			}
+			rebuilt(t)
+		})
+		t.Run(name+"/bitflip", func(t *testing.T) {
+			victim := files[0]
+			bad := append([]byte(nil), pristine[victim]...)
+			at := len(bad) / 2 // inside a sealed image's ciphertext
+			if strings.HasSuffix(victim, domain.SidecarSuffix) {
+				at = 6 + int(bad[5]) // the first payload byte: after magic, version, kind length and kind
+			}
+			bad[at] ^= 0x01
+			if err := os.WriteFile(filepath.Join(jobDir, victim), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := stream(t)
+			if errs, fills := s.metrics.frameStoreErrors.Value(), s.metrics.frameStoreBackfills.Value(); errs != 1 || fills != 1 {
+				t.Fatalf("NDJSON stream over a flipped sidecar: %v errors, %v backfills, want 1 and 1", errs, fills)
+			}
+			rebuilt(t)
+			s = stream(t)
+			if hits, misses := s.metrics.frameStoreHits.Value(), s.metrics.frameStoreMisses.Value(); hits != float64(len(files)) || misses != 0 {
+				t.Fatalf("next cold stream: %v sidecar hits of %d, %v misses", hits, len(files), misses)
+			}
+		})
+	}
+}
+
 // flakyRangeStore is an FSSink whose next fail sidecar OpenRange calls
 // fail with EIO — an I/O error, not a missing object.
 type flakyRangeStore struct {

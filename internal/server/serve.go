@@ -5,21 +5,23 @@
 // a shard resolves to a source and how one buffered batch is written.
 //
 // Every shard read of either wire goes through the serving cache
-// (cache.go), which holds the shard encoded for that wire. A frame-wire
-// miss is loadFrames: the shard's sidecar read whole — one open and one
-// exact-size read — and verified by domain.ParseSidecar (zero codec
-// calls), or, when it has no usable one, the shard read, decoded and
-// encoded into the same sidecar image, which backfills the sidecar so
-// the next cold read takes the sidecar branch. A torn, truncated, or
-// bit-flipped sidecar is rejected by its CRCs, deleted, and rebuilt by
-// the fallback it forces — corrupt bytes are never served, and the
-// damage costs one request, not every cold open. A sidecar that could
-// not be read (an I/O error, not damage) is left in place.
+// (cache.go), which holds the shard encoded for that wire, and every
+// miss of either wire fills from one source, loadFrames: the shard's
+// sidecar read whole — one open and one exact-size read — and verified
+// by domain.ParseSidecar, or, when it has no usable one, the sidecar
+// image built from the shard by domain.ShardSidecar, which backfills
+// the sidecar so the next cold read takes the sidecar branch. A torn,
+// truncated, or bit-flipped sidecar is rejected by its CRCs, deleted,
+// and rebuilt by the fallback it forces — corrupt bytes are never
+// served, and the damage costs one request, not every cold open. A
+// sidecar that could not be read (an I/O error, not damage) is left in
+// place.
 //
-// An NDJSON miss reads, decodes and encodes the shard into per-record
-// JSON fragments (domain.LineFragments); every batch line is then a
-// header plus slices of the fragments, byte-identical to encoding the
-// batch with encoding/json.
+// A frame miss caches the verified image itself (zero codec calls). An
+// NDJSON miss decodes it into per-record JSON fragments
+// (domain.Sidecar.Lines); every batch line is then a header plus slices
+// of the fragments, byte-identical to encoding the batch with
+// encoding/json.
 //
 // A stream writes its batches into one pooled 128 KiB buffer, not
 // straight to the ResponseWriter, and what is buffered reaches the
@@ -424,11 +426,18 @@ type ndjsonWire struct {
 }
 
 func (w *ndjsonWire) source(info shard.Info, miss func()) (shardSource, int, error) {
-	lines, err := w.s.shardLines(w.ctx, w.plan, info, miss)
+	v, err := w.s.fill(w.ctx, w.plan, info, wireLines, miss, func(sc *domain.Sidecar) (any, int64, error) {
+		lf, err := sc.Lines(w.plan.plug.Codec)
+		if err != nil {
+			return nil, 0, err
+		}
+		return lf, lf.MemBytes(), nil
+	})
 	if err != nil {
 		return shardSource{}, 0, err
 	}
-	return shardSource{lines: lines}, lines.Count(), nil
+	lf := v.(*domain.LineFragments)
+	return shardSource{lines: lf}, lf.Count(), nil
 }
 
 func (w *ndjsonWire) encode(h domain.BatchHeader, _ int, _ []batchRange) ([]byte, error) {
@@ -462,10 +471,13 @@ type frameWire struct {
 }
 
 func (w *frameWire) source(info shard.Info, miss func()) (shardSource, int, error) {
-	sc, err := w.s.shardFrames(w.ctx, w.plan, info, miss)
+	v, err := w.s.fill(w.ctx, w.plan, info, wireFrames, miss, func(sc *domain.Sidecar) (any, int64, error) {
+		return sc, int64(len(sc.Bytes())), nil
+	})
 	if err != nil {
 		return shardSource{}, 0, err
 	}
+	sc := v.(*domain.Sidecar)
 	return shardSource{frames: sc}, sc.Count(), nil
 }
 
@@ -488,107 +500,62 @@ func (w *frameWire) writePayload(out io.Writer, rs []batchRange) error {
 
 func (w *frameWire) errorBytes(err error) []byte { return domain.EncodeErrorFrame(err.Error()) }
 
-// shardLines returns one shard's NDJSON line fragments through the
-// serving cache; a miss calls miss, then reads, decodes and
-// fragment-encodes the shard.
-func (s *Server) shardLines(ctx context.Context, p *servePlan, info shard.Info, miss func()) (*domain.LineFragments, error) {
-	v, err := s.cache.Get(cacheKey{wireLines, p.job.id + "/" + info.Name}, miss, func() (any, int64, error) {
-		lf, err := loadShard(s, ctx, p, info, func(recs []any) (*domain.LineFragments, error) {
-			return domain.EncodeRecordJSON(p.plug.Codec, recs)
-		})
+// fill returns one shard's entry for a wire through the serving cache.
+// A miss calls miss, then builds the entry from the shard's verified
+// sidecar (loadFrames) with entry, which also returns the bytes the
+// entry is charged; the whole fill is spanned as frame.fill under the
+// request.
+func (s *Server) fill(ctx context.Context, p *servePlan, info shard.Info, wire cacheWire, miss func(), entry func(*domain.Sidecar) (any, int64, error)) (any, error) {
+	return s.cache.Get(cacheKey{wire, p.job.id + "/" + info.Name}, miss, func() (any, int64, error) {
+		start := time.Now()
+		sc, source, err := s.loadFrames(ctx, p, info)
+		var v any
+		var size int64
+		if err == nil {
+			v, size, err = entry(sc)
+		}
+		wireName := [...]string{wireLines: domain.WireNDJSON, wireFrames: domain.WireFrame}[wire]
+		attrs := map[string]string{"shard": info.Name, "source": source, "wire": wireName}
 		if err != nil {
-			return nil, 0, err
+			attrs["error"] = err.Error()
 		}
-		return lf, lf.MemBytes(), nil
+		s.recordChildSpan(ctx, "frame.fill", start, time.Now(), attrs)
+		return v, size, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*domain.LineFragments), nil
-}
-
-// shardFrames returns one shard's verified sidecar image through the
-// serving cache, charged its whole length; a miss calls miss, then
-// loadFrames.
-func (s *Server) shardFrames(ctx context.Context, p *servePlan, info shard.Info, miss func()) (*domain.Sidecar, error) {
-	v, err := s.cache.Get(cacheKey{wireFrames, p.job.id + "/" + info.Name}, miss, func() (any, int64, error) {
-		sc, err := s.loadFrames(ctx, p, info)
-		if err != nil {
-			return nil, 0, err
-		}
-		return sc, int64(len(sc.Bytes())), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*domain.Sidecar), nil
-}
-
-// loadShard reads one shard off the store (checksum verified), decodes
-// its records through the domain codec and encodes them for a wire.
-// The whole load is timed into the shard-load histogram (with the
-// loading request's trace as exemplar) and spanned as shard.load.
-func loadShard[T any](s *Server, ctx context.Context, p *servePlan, info shard.Info, encode func(recs []any) (T, error)) (T, error) {
-	loadStart := time.Now()
-	one := &shard.Manifest{Prefix: p.manifest.Prefix, Compressed: p.manifest.Compressed, Shards: []shard.Info{info}}
-	var records []any
-	var out T
-	err := shard.ReadAll(p.open, one, func(_ string, rec []byte) error {
-		decoded, _, derr := p.plug.Codec.Decode(rec)
-		if derr != nil {
-			return derr
-		}
-		records = append(records, decoded)
-		return nil
-	})
-	if err == nil {
-		out, err = encode(records)
-	}
-	loadDone := time.Now()
-	outcome := "ok"
-	attrs := map[string]string{"shard": info.Name}
-	if err != nil {
-		outcome = "error"
-		attrs["error"] = err.Error()
-	}
-	s.metrics.shardLoad.With(p.dom, outcome).ObserveWithExemplar(
-		loadDone.Sub(loadStart).Seconds(), telemetry.TraceFrom(ctx))
-	s.recordChildSpan(ctx, "shard.load", loadStart, loadDone, attrs)
-	return out, err
 }
 
 // loadFrames reads one shard's frame-ready sidecar image: the stored
-// sidecar when one is usable, else the shard read, decoded and encoded
-// into the same image, which backfills the sidecar. The load is spanned
-// as frame.fill under the request (a fallback's read+decode+encode
-// appears beside it as shard.load, parented to the request span too).
-func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info) (*domain.Sidecar, error) {
-	start := time.Now()
-	source := "sidecar"
-	sc := s.readFrameSidecar(p, info)
-	if sc == nil {
-		s.metrics.frameStoreMisses.Inc()
-		var err error
-		sc, err = loadShard(s, ctx, p, info, func(recs []any) (*domain.Sidecar, error) {
-			b, err := domain.EncodeSidecarFile(p.plug.Codec, recs)
-			if err != nil {
-				return nil, err
-			}
-			return domain.ParseSidecar(b)
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.backfillSidecar(p, info, sc.Bytes())
-		source = "encode"
+// sidecar when one is usable (source "sidecar"), else one built from
+// the shard by domain.ShardSidecar (source "encode"), which backfills
+// the sidecar. The build is timed into the shard-load histogram (with
+// the loading request's trace as exemplar) and spanned as shard.load.
+func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info) (*domain.Sidecar, string, error) {
+	if sc := s.readFrameSidecar(p, info); sc != nil {
+		return sc, "sidecar", nil
 	}
-	s.recordChildSpan(ctx, "frame.fill", start, time.Now(),
-		map[string]string{"shard": info.Name, "source": source})
-	return sc, nil
+	s.metrics.frameStoreMisses.Inc()
+	start := time.Now()
+	b, err := domain.ShardSidecar(p.plug, p.open, p.manifest, info)
+	var sc *domain.Sidecar
+	if err == nil {
+		sc, err = domain.ParseSidecar(b)
+	}
+	done := time.Now()
+	outcome, attrs := "ok", map[string]string{"shard": info.Name}
+	if err != nil {
+		outcome, attrs["error"] = "error", err.Error()
+	}
+	s.metrics.shardLoad.With(p.dom, outcome).ObserveWithExemplar(done.Sub(start).Seconds(), telemetry.TraceFrom(ctx))
+	s.recordChildSpan(ctx, "shard.load", start, done, attrs)
+	if err != nil {
+		return nil, "encode", err
+	}
+	s.backfillSidecar(p, info, b)
+	return sc, "encode", nil
 }
 
 // readFrameSidecar reads one shard's sidecar into memory. nil means "no
-// usable sidecar", and the caller falls back to decode+encode. The
+// usable sidecar", and the caller builds one from the shard. The
 // sidecar is then absent (silent), damaged (rejectSidecar counts and
 // deletes it), or could not be read this time (counted and logged; the
 // file stays, and the next cold read tries it again).

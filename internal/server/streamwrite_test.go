@@ -199,9 +199,9 @@ func (s *heldStore) OpenRange(name string) (shard.ReaderAtCloser, int64, error) 
 }
 
 // TestNoBatchWaitsBehindMiss: a cold stream sends what it has produced
-// before it loads a shard. The read of the third shard — its sidecar on
-// the frame wire, its shard file on NDJSON — is held; while it is, the
-// client must already hold every batch from shards 0 and 1. After the
+// before it loads a shard. The read of the third shard's sidecar, which
+// both wires fill from, is held; while it is, the client must already
+// hold every batch from shards 0 and 1. After the
 // release the stream is byte-exact to an unheld one.
 func TestNoBatchWaitsBehindMiss(t *testing.T) {
 	dataDir := t.TempDir()
@@ -241,10 +241,7 @@ func TestNoBatchWaitsBehindMiss(t *testing.T) {
 			}
 			wantPrefix := ref[:prefix]
 
-			held := &heldStore{name: shards[2].Name, entered: make(chan struct{}), released: make(chan struct{})}
-			if wire == domain.WireFrame {
-				held.name = domain.SidecarName(shards[2].Name)
-			}
+			held := &heldStore{name: domain.SidecarName(shards[2].Name), entered: make(chan struct{}), released: make(chan struct{})}
 			released := false
 			release := func() {
 				if !released {

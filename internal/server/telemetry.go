@@ -93,8 +93,8 @@ func newServerMetrics() *serverMetrics {
 		serveErrors:    reg.Counter1("draid_serve_errors_total", "Mid-stream serving failures reported in-band."),
 		serveThrottled: reg.Counter1("draid_serve_throttled_total", "Streams that hit the pacing token bucket."),
 
-		frameStoreHits:      reg.Counter1("draid_frame_store_hits_total", "Frame-wire shard reads served from an on-store sidecar (zero codec calls)."),
-		frameStoreMisses:    reg.Counter1("draid_frame_store_misses_total", "Frame-wire shard reads that found no usable sidecar and fell back to decode+encode."),
+		frameStoreHits:      reg.Counter1("draid_frame_store_hits_total", "Shard cache fills (either wire) served from an on-store sidecar."),
+		frameStoreMisses:    reg.Counter1("draid_frame_store_misses_total", "Shard cache fills (either wire) that found no usable sidecar and built one from the shard."),
 		frameStoreBackfills: reg.Counter1("draid_frame_store_backfills_total", "Sidecars lazily materialized for shards that lacked one (replayed jobs, recovered corruption)."),
 		frameStoreBytes:     reg.Counter1("draid_frame_store_bytes_total", "Payload bytes read from frame sidecars."),
 		frameStoreErrors:    reg.Counter1("draid_frame_store_errors_total", "Sidecars rejected as torn/corrupt or failed to build (served by decode+encode instead)."),
@@ -109,7 +109,7 @@ func newServerMetrics() *serverMetrics {
 			"Per-batch encode time: NDJSON header fields or frame envelope (payloads are sliced from encoded shards; excludes network writes).",
 			telemetry.FastBuckets, "domain", "wire"),
 		shardLoad: reg.Histogram("draid_shard_load_seconds",
-			"Shard load time: read, verify, decode and wire-encode one shard (line-cache miss, or frame load without a usable sidecar).",
+			"Sidecar build time of a cache fill without a usable sidecar: read, verify, decode and pack one shard.",
 			telemetry.DefBuckets, "domain", "outcome"),
 
 		stageSeconds: reg.Counter("draid_stage_seconds_total", "Pipeline stage wall time.", "stage"),
@@ -149,7 +149,7 @@ func (s *Server) registerCollectors() {
 		func() float64 { return float64(s.cache.Stats(wireLines).Bytes) })
 	reg.CounterFunc("draid_shard_cache_hits_total", "NDJSON shard reads served from cached line fragments.",
 		func() float64 { return float64(s.cache.Stats(wireLines).Hits) })
-	reg.CounterFunc("draid_shard_cache_misses_total", "NDJSON shard reads that had to load, decode and fragment-encode the shard.",
+	reg.CounterFunc("draid_shard_cache_misses_total", "NDJSON shard reads that filled line fragments from the shard's sidecar.",
 		func() float64 { return float64(s.cache.Stats(wireLines).Misses) })
 	reg.CounterFunc("draid_shard_cache_evictions_total", "Line-fragment shards evicted by byte-budget pressure.",
 		func() float64 { return float64(s.cache.Stats(wireLines).Evictions) })

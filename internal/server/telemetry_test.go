@@ -67,7 +67,7 @@ func TestMetricsStrictExposition(t *testing.T) {
 		`draid_jobs_done_total{}`: 1,
 		`draid_first_batch_seconds_count{domain="climate",wire="ndjson"}`:  1,
 		`draid_batch_encode_seconds_count{domain="climate",wire="ndjson"}`: 1,
-		`draid_shard_load_seconds_count{domain="climate",outcome="ok"}`:    1,
+		`draid_frame_store_hits_total{}`:                                   1,
 		`draid_stage_calls_total{stage="serve:batches"}`:                   1,
 		`draid_stage_calls_total{stage="job:climate"}`:                     1,
 	} {

@@ -29,8 +29,8 @@ var serverSpanNames = []string{
 	"job.wait",      // queue wait: submission accepted -> worker pickup
 	"job.run",       // pipeline execution on the worker
 	"job.stage",     // one pipeline stage inside job.run
-	"shard.load",    // shard read, verify, decode and wire encode
-	"frame.fill",    // frame-wire shard load: sidecar open, or shard.load
+	"shard.load",    // sidecar build from the shard: read, verify, decode, pack
+	"frame.fill",    // cache fill of either wire: sidecar read (or shard.load), NDJSON fragment encode
 	"batch.encode",  // per-batch header assembly (NDJSON header or frame envelope)
 	"pace.stall",    // token-bucket sleep inside a paced stream
 	"ledger.append", // wait for a request's audit record to be durable

@@ -122,7 +122,7 @@ func TestTraceSpanTreeSingleNode(t *testing.T) {
 		t.Fatalf("stream status %d", resp.StatusCode)
 	}
 
-	want := []string{"http.request", "job.wait", "job.run", "job.stage", "shard.load", "batch.encode", "ledger.append"}
+	want := []string{"http.request", "job.wait", "job.run", "job.stage", "frame.fill", "batch.encode", "ledger.append"}
 	view := fetchTrace(t, c, trace, func(v *client.TraceView) bool {
 		got := spanByName(v)
 		for _, name := range want {
