@@ -6,6 +6,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"log"
 	"strings"
@@ -46,23 +48,32 @@ func main() {
 	fmt.Printf("fused samples: %d (features = 64 k-mers + GC + 3 clinical)\n", len(prod.Fused))
 	fmt.Printf("final readiness: %s\n", snaps[len(snaps)-1].Assessment.Level)
 
-	// Security proof: the sink holds only sealed shards; decryption with
-	// the right key and shard name recovers the payload.
+	// Security proof: the sink holds only sealed shards; unsealing with
+	// the right key and shard name recovers the payload the manifest
+	// checksums.
 	fmt.Println("\nsecure-shard check:")
 	for _, name := range sink.Names() {
-		if !strings.HasSuffix(name, ".enc") {
+		if !strings.HasSuffix(name, bio.SealedSuffix) {
 			log.Fatalf("plaintext shard leaked: %s", name)
 		}
 	}
-	for name, sealed := range prod.Sealed {
-		plain, err := anonymize.DecryptShard(encKey, name, sealed)
+	for _, info := range prod.Manifest.Shards {
+		stored := info.Name + bio.SealedSuffix
+		sealed, err := shard.ReadObject(sink, stored)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %s.enc: %d sealed bytes -> %d plaintext bytes OK\n", name, len(sealed), len(plain))
+		plain, err := anonymize.DecryptShard(encKey, info.Name, sealed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if sum := sha256.Sum256(plain); hex.EncodeToString(sum[:]) != info.SHA256 {
+			log.Fatalf("%s: unsealed payload does not match the manifest checksum", stored)
+		}
+		fmt.Printf("  %s: %d sealed bytes -> %d plaintext bytes OK\n", stored, len(sealed), len(plain))
 		// Wrong key must fail.
 		wrong := bytes.Repeat([]byte{0x00}, 32)
-		if _, err := anonymize.DecryptShard(wrong, name, sealed); err == nil {
+		if _, err := anonymize.DecryptShard(wrong, info.Name, sealed); err == nil {
 			log.Fatal("decryption succeeded with the wrong key")
 		}
 	}

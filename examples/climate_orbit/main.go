@@ -1,8 +1,8 @@
 // climate_orbit reproduces the ORBIT/ClimaX-style climate preparation at
 // a larger scale: decode NetCDF, regrid with both methods (comparing
-// conservation), normalize, shard to NPZ, and sweep parallel regridding
-// workers to show the preprocessing-scaling behaviour the paper's §3.1
-// ("pipeline throughput") calls out.
+// conservation), normalize, shard, export the ClimaX-style NPZ archive,
+// and sweep parallel regridding workers to show the preprocessing-scaling
+// behaviour the paper's §3.1 ("pipeline throughput") calls out.
 package main
 
 import (
@@ -71,11 +71,15 @@ func main() {
 		log.Fatal(err)
 	}
 	prod := ds.Payload.(*climate.Product)
-	fmt.Printf("\nAI-ready outputs: %d train shards (%d bytes), NPZ %d bytes\n",
-		len(prod.Manifest.Shards), prod.Manifest.TotalStoredBytes(), len(prod.NPZ))
+	npz, err := climate.ExportNPZ(prod)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nAI-ready outputs: %d train shards (%d bytes), NPZ export %d bytes\n",
+		len(prod.Manifest.Shards), prod.Manifest.TotalStoredBytes(), len(npz))
 
-	// Verify the NPZ artifact decodes and its stats denormalize sanely.
-	arrs, err := npy.ReadNPZBytes(prod.NPZ)
+	// Verify the NPZ export decodes and its stats denormalize sanely.
+	arrs, err := npy.ReadNPZBytes(npz)
 	if err != nil {
 		log.Fatal(err)
 	}

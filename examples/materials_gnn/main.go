@@ -1,8 +1,9 @@
 // materials_gnn reproduces the HydraGNN/OMat24-style materials
 // preparation: parse POSCAR structures, build periodic cutoff graphs,
 // normalize descriptors against dataset statistics, and shard the train
-// split into an ADIOS-style BP container written by simulated parallel
-// ranks — then read the container back the way a GNN trainer would.
+// split as BP process groups marshalled by simulated parallel ranks —
+// then export them as an ADIOS-style BP container and read it back the
+// way a GNN trainer would.
 package main
 
 import (
@@ -29,7 +30,8 @@ func main() {
 		poscars[i] = s.ToPOSCAR()
 	}
 	sink := shard.NewMemSink()
-	p, err := materials.NewPipeline(materials.Config{Cutoff: 4, Workers: 8, Ranks: 4, Seed: 17}, sink)
+	cfg := materials.Config{Cutoff: 4, Workers: 8, Ranks: 4, Seed: 17}
+	p, err := materials.NewPipeline(cfg, sink)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,13 +52,18 @@ func main() {
 	fmt.Printf("train split imbalance: %.1f:1 (stratified split preserves the archive's skew)\n", prod.Imbalance)
 	fmt.Printf("final readiness: %s\n", snaps[len(snaps)-1].Assessment.Level)
 
-	// Consume the BP container like HydraGNN's reader: gather energies
-	// across all process groups and check extensivity.
-	f, err := bp.Open(prod.BP)
+	// Export the train split as a BP container and consume it like
+	// HydraGNN's reader: gather energies across all process groups and
+	// check extensivity.
+	container, err := materials.ExportBP(prod)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nBP container: %d bytes, %d process groups from 4 ranks\n", len(prod.BP), len(f.PGs()))
+	f, err := bp.Open(container)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nBP container: %d bytes, %d process groups from %d ranks\n", len(container), len(f.PGs()), prod.Ranks)
 	energies, err := f.ReadVar("energy")
 	if err != nil {
 		log.Fatal(err)

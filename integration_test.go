@@ -260,7 +260,7 @@ func TestBioPipelineOnParallelFS(t *testing.T) {
 	}
 	prod := ds.Payload.(*bio.Product)
 	for _, info := range prod.Manifest.Shards {
-		sealed, err := fs.ReadFile(info.Name + ".enc")
+		sealed, err := fs.ReadFile(info.Name + bio.SealedSuffix)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package bio
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/anonymize"
 	"repro/internal/core"
+	"repro/internal/loader"
 	"repro/internal/pipeline"
 	"repro/internal/shard"
 )
@@ -239,23 +241,54 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("feature dims=%d", got)
 	}
 
-	// Security invariants: only sealed shards in the sink, and they decrypt.
-	for _, name := range sink.Names() {
-		if !strings.HasSuffix(name, ".enc") {
+	// Security invariants: the sink holds exactly the manifest's shards,
+	// each sealed under its plaintext name; unsealed, they match the
+	// manifest's checksums and hold the train split.
+	names := sink.Names()
+	if len(names) == 0 || len(names) != len(prod.Manifest.Shards) {
+		t.Fatalf("sink holds %d objects, manifest %d shards", len(names), len(prod.Manifest.Shards))
+	}
+	for _, name := range names {
+		if !strings.HasSuffix(name, SealedSuffix) {
 			t.Fatalf("plaintext shard %q leaked", name)
 		}
 	}
-	if len(prod.Sealed) == 0 {
-		t.Fatal("no sealed shards")
-	}
-	for name, sealed := range prod.Sealed {
-		plain, err := anonymize.DecryptShard(enc, name, sealed)
+	unsealed := shard.NewMemSink()
+	for _, info := range prod.Manifest.Shards {
+		sealed, err := shard.ReadObject(sink, info.Name+SealedSuffix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plain) == 0 {
-			t.Fatal("empty shard payload")
+		plain, err := anonymize.DecryptShard(enc, info.Name, sealed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if int64(len(plain)) != info.StoredBytes {
+			t.Fatalf("shard %s: %d plaintext bytes, manifest says %d", info.Name, len(plain), info.StoredBytes)
+		}
+		if _, err := anonymize.DecryptShard(bytes.Repeat([]byte{0}, 32), info.Name, sealed); err == nil {
+			t.Fatalf("shard %s opened under the wrong key", info.Name)
+		}
+		if err := shard.WriteObject(unsealed, info.Name, plain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := 0
+	if err := shard.ReadAll(unsealed, prod.Manifest, func(_ string, rec []byte) error {
+		s, err := loader.DecodeSample(rec)
+		if err != nil {
+			return err
+		}
+		if len(s.Features) != 64+1+3 {
+			return fmt.Errorf("record %d: %d features", records, len(s.Features))
+		}
+		records++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if records != len(prod.Split.Train) {
+		t.Fatalf("unsealed %d records, train=%d", records, len(prod.Split.Train))
 	}
 }
 

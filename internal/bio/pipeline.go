@@ -1,8 +1,10 @@
 package bio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/anonymize"
 	"repro/internal/core"
@@ -48,9 +50,44 @@ type Product struct {
 	Audit     anonymize.AuditSummary
 	Fused     []FusedSample
 	Split     *split.Result
-	Manifest  *shard.Manifest
-	// Sealed maps shard name -> AES-GCM sealed payload.
-	Sealed map[string][]byte
+	// Manifest indexes the train split's shards by plaintext name; the
+	// sink holds each one sealed as "<name>"+SealedSuffix.
+	Manifest *shard.Manifest
+}
+
+// SealedSuffix names a sealed shard object: a shard written under the
+// plaintext name N is stored as N.enc. The shard stage, the serving
+// tier's decrypting read path and its restore-time probe all use it.
+const SealedSuffix = ".enc"
+
+// SealingSink seals every object created through it with AES-256-GCM
+// under Key, bound to its plaintext name, and stores it in Sink as
+// name+SealedSuffix; anonymize.DecryptShard opens it under the plaintext
+// name. The sealed blob is written in one shot at Close, so an
+// underlying exists/collision error also surfaces there.
+type SealingSink struct {
+	Sink shard.Sink
+	Key  []byte
+}
+
+// Create implements shard.Sink.
+func (s SealingSink) Create(name string) (io.WriteCloser, error) {
+	return &sealingShard{sink: s.Sink, key: s.Key, name: name}, nil
+}
+
+type sealingShard struct {
+	bytes.Buffer
+	sink shard.Sink
+	key  []byte
+	name string
+}
+
+func (w *sealingShard) Close() error {
+	sealed, err := anonymize.EncryptShard(w.key, w.name, w.Bytes())
+	if err != nil {
+		return err
+	}
+	return shard.WriteObject(w.sink, w.name+SealedSuffix, sealed)
 }
 
 // NewDataset wraps raw FASTA + clinical records for the pipeline.
@@ -203,10 +240,11 @@ func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
 		}
 		p.Split = res
 
-		// Write plaintext shards to a staging sink, then seal each shard
-		// into the real sink under AES-GCM.
-		staging := shard.NewMemSink()
-		w, err := shard.NewWriter(staging, shard.Options{Prefix: "bio-train", TargetBytes: cfg.ShardTarget})
+		// Each shard is sealed under AES-GCM as it closes; the manifest
+		// carries the plaintext names and checksums readers verify after
+		// unsealing.
+		w, err := shard.NewWriter(SealingSink{Sink: sink, Key: cfg.EncryptionKey},
+			shard.Options{Prefix: "bio-train", TargetBytes: cfg.ShardTarget})
 		if err != nil {
 			return err
 		}
@@ -224,21 +262,6 @@ func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
 		p.Manifest, err = w.Close()
 		if err != nil {
 			return err
-		}
-		p.Sealed = make(map[string][]byte, len(p.Manifest.Shards))
-		for _, info := range p.Manifest.Shards {
-			plain, err := shard.ReadObject(staging, info.Name)
-			if err != nil {
-				return err
-			}
-			sealed, err := anonymize.EncryptShard(cfg.EncryptionKey, info.Name, plain)
-			if err != nil {
-				return err
-			}
-			if err := shard.WriteObject(sink, info.Name+".enc", sealed); err != nil {
-				return err
-			}
-			p.Sealed[info.Name] = sealed
 		}
 		ds.Facts.SplitDone = true
 		ds.Facts.Sharded = true

@@ -277,7 +277,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if prod.Manifest.TotalRecords() != len(prod.Split.Train) {
 		t.Fatalf("sharded %d, train=%d", prod.Manifest.TotalRecords(), len(prod.Split.Train))
 	}
-	if len(prod.NPZ) == 0 {
+	npz, err := ExportNPZ(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(npz) == 0 {
 		t.Fatal("no NPZ artifact")
 	}
 
@@ -319,6 +323,12 @@ func TestPipelineConfigErrors(t *testing.T) {
 	}
 	if _, err := NewPipeline(Config{TargetLat: 1, TargetLon: 1}, shard.NewMemSink()); err == nil {
 		t.Fatal("want grid error")
+	}
+}
+
+func TestExportNPZNeedsNormalizedProduct(t *testing.T) {
+	if _, err := ExportNPZ(&Product{}); err == nil {
+		t.Fatal("want error exporting a product with no fields")
 	}
 }
 

@@ -125,7 +125,11 @@ func TestMultiVariablePipeline(t *testing.T) {
 		t.Fatalf("feature dims=%d", got)
 	}
 	// NPZ holds one member + stats per variable plus legacy members.
-	arrs, err := npy.ReadNPZBytes(prod.NPZ)
+	npz, err := ExportNPZ(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrs, err := npy.ReadNPZBytes(npz)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ type Product struct {
 	Samples  []*loader.Sample
 	Split    *split.Result
 	Manifest *shard.Manifest
-	NPZ      []byte // the ClimaX-style sharded NumPy artifact
 }
 
 // NewPipeline assembles the Table 1 climate workflow over the sink:
@@ -188,6 +187,8 @@ func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
 		return nil
 	}}
 
+	// The stage keeps its Table 1 name; the NPZ archive itself is
+	// ExportNPZ's, built on demand from the product.
 	shardStage := pipeline.StageFunc{StageName: "split-shard-npz", StageKind: core.Shard, Fn: func(ds *pipeline.Dataset) error {
 		p, err := product(ds)
 		if err != nil {
@@ -214,38 +215,45 @@ func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
 			return err
 		}
 
-		// The ClimaX-style artifact: sharded NPZ with data + stats.
-		var npz bytes.Buffer
-		zw := npy.NewNPZWriter(&npz)
-		for _, f := range p.Fields {
-			if err := zw.Add(f.Name, f.Data.Data(), f.Data.Shape(), npy.Float32); err != nil {
-				return err
-			}
-			st := p.Stats[f.Name]
-			if err := zw.Add(f.Name+"_stats", st[:], []int{2}, npy.Float64); err != nil {
-				return err
-			}
-		}
-		// Legacy single-variable members for the primary field.
-		if err := zw.Add("mean", []float64{p.Mean}, []int{1}, npy.Float64); err != nil {
-			return err
-		}
-		if err := zw.Add("std", []float64{p.Std}, []int{1}, npy.Float64); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		p.NPZ = npz.Bytes()
-
 		ds.Facts.SplitDone = true
 		ds.Facts.Sharded = true
 		ds.Facts.PipelineAutomated = true
-		ds.Bytes = p.Manifest.TotalStoredBytes() + int64(len(p.NPZ))
+		ds.Bytes = p.Manifest.TotalStoredBytes()
 		return nil
 	}}
 
 	return pipeline.New("climate-archetype", ingest, clean, regrid, normalize, structure, shardStage)
+}
+
+// ExportNPZ builds the ClimaX-style NumPy archive of a normalized
+// product: one float32 member per field, "<field>_stats" (mean, std) per
+// field, and the primary field's "mean" and "std" as legacy
+// single-variable members. The served shard set does not depend on it.
+func ExportNPZ(p *Product) ([]byte, error) {
+	if len(p.Fields) == 0 || p.Stats == nil {
+		return nil, errors.New("climate: export needs a normalized product")
+	}
+	var npz bytes.Buffer
+	zw := npy.NewNPZWriter(&npz)
+	for _, f := range p.Fields {
+		if err := zw.Add(f.Name, f.Data.Data(), f.Data.Shape(), npy.Float32); err != nil {
+			return nil, err
+		}
+		st := p.Stats[f.Name]
+		if err := zw.Add(f.Name+"_stats", st[:], []int{2}, npy.Float64); err != nil {
+			return nil, err
+		}
+	}
+	if err := zw.Add("mean", []float64{p.Mean}, []int{1}, npy.Float64); err != nil {
+		return nil, err
+	}
+	if err := zw.Add("std", []float64{p.Std}, []int{1}, npy.Float64); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return npz.Bytes(), nil
 }
 
 // product extracts the typed payload.

@@ -1,7 +1,9 @@
 // Package climate implements the climate archetype (paper §3.1, Table 1):
 // CMIP6-like gridded fields are ingested from NetCDF/GRIB, cleaned,
-// regridded, normalized per variable, and sharded to NPZ — the
-// download → regrid → normalize → shard pattern of ClimaX/ORBIT.
+// regridded, normalized per variable, and sharded as one loader.Sample
+// per month — the download → regrid → normalize → shard pattern of
+// ClimaX/ORBIT. ExportNPZ builds the ClimaX-style NumPy archive from a
+// finished product.
 package climate
 
 import (

@@ -154,8 +154,8 @@ type Plugin struct {
 	WrapOpener func(open shard.Opener, key []byte) shard.Opener
 	// WrapSink is WrapOpener's write-path mirror: it wraps a raw sink
 	// so late-written objects (frame sidecars) are sealed under the
-	// same per-job key as the shards themselves (nil for plaintext
-	// domains).
+	// same per-job key, through the same sealing sink, as the shards
+	// themselves (nil for plaintext domains).
 	WrapSink func(sink shard.Sink, key []byte) shard.Sink
 	// SealedSuffix is appended to manifest shard names to obtain the
 	// stored object name when the job has a key ("" for plaintext).

@@ -50,25 +50,20 @@ func manifestOf[P any](get func(p P) *shard.Manifest) func(ds *pipeline.Dataset)
 	}
 }
 
-// bioSealedSuffix is the single source of truth for the sealed-shard
-// object naming rule: both the plugin's StoredName (restore-time
-// existence probe) and the decrypting read path derive from it.
-const bioSealedSuffix = ".enc"
-
 // decryptOpener presents a bio job's sealed shard set as plaintext: the
-// sink stores "<name><suffix>" AES-GCM blobs; readers see the
-// manifest's plaintext names and checksums.
+// store holds the "<name>"+bio.SealedSuffix AES-GCM blobs that
+// bio.SealingSink wrote; readers see the manifest's plaintext names and
+// checksums.
 type decryptOpener struct {
-	sink   shard.Opener
-	key    []byte
-	suffix string
+	sink shard.Opener
+	key  []byte
 }
 
 // Open implements shard.Opener over sealed shards. A sealed object that
 // was read but does not open under the key fails with ErrCorrupt; the
 // store's own errors pass through unwrapped.
 func (o decryptOpener) Open(name string) (io.ReadCloser, error) {
-	sealed, err := shard.ReadObject(o.sink, name+o.suffix)
+	sealed, err := shard.ReadObject(o.sink, name+bio.SealedSuffix)
 	if err != nil {
 		return nil, err
 	}
@@ -84,59 +79,6 @@ func (o decryptOpener) Open(name string) (io.ReadCloser, error) {
 type plainObject struct{ *bytes.Reader }
 
 func (plainObject) Close() error { return nil }
-
-// encryptSink is decryptOpener's write-path mirror: objects created
-// under a plaintext name are sealed on Close and stored as
-// "<name><suffix>", bound to the plaintext name exactly the way the
-// pipeline seals shards — so decryptOpener reopens them unchanged.
-type encryptSink struct {
-	sink   shard.Sink
-	key    []byte
-	suffix string
-}
-
-// Create implements shard.Sink. The sealed blob is written in one shot
-// at Close, so an underlying exists/collision error also surfaces
-// there.
-func (s encryptSink) Create(name string) (io.WriteCloser, error) {
-	return &encryptShard{sink: s.sink, key: s.key, name: name, stored: name + s.suffix}, nil
-}
-
-type encryptShard struct {
-	sink   shard.Sink
-	key    []byte
-	name   string
-	stored string
-	buf    bytes.Buffer
-	done   bool
-}
-
-func (w *encryptShard) Write(p []byte) (int, error) {
-	if w.done {
-		return 0, fmt.Errorf("domain: write to sealed shard %q after close", w.name)
-	}
-	return w.buf.Write(p)
-}
-
-func (w *encryptShard) Close() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	sealed, err := anonymize.EncryptShard(w.key, w.name, w.buf.Bytes())
-	if err != nil {
-		return err
-	}
-	wc, err := w.sink.Create(w.stored)
-	if err != nil {
-		return err
-	}
-	if _, err := wc.Write(sealed); err != nil {
-		wc.Close()
-		return err
-	}
-	return wc.Close()
-}
 
 func init() {
 	must := func(err error) {
@@ -197,7 +139,7 @@ func init() {
 	must(Register(Plugin{
 		Domain:       core.BioHealth,
 		Codec:        sampleCodec{},
-		SealedSuffix: bioSealedSuffix,
+		SealedSuffix: bio.SealedSuffix,
 		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			// The bio template tiles at the default length; shorter synthetic
@@ -229,10 +171,10 @@ func init() {
 		},
 		Manifest: manifestOf(func(p *bio.Product) *shard.Manifest { return p.Manifest }),
 		WrapOpener: func(open shard.Opener, key []byte) shard.Opener {
-			return decryptOpener{sink: open, key: key, suffix: bioSealedSuffix}
+			return decryptOpener{sink: open, key: key}
 		},
 		WrapSink: func(sink shard.Sink, key []byte) shard.Sink {
-			return encryptSink{sink: sink, key: key, suffix: bioSealedSuffix}
+			return bio.SealingSink{Sink: sink, Key: key}
 		},
 	}))
 	must(Register(Plugin{

@@ -338,9 +338,8 @@ func RunTable1(seed int64) ([]Table1Row, error) {
 		for i, s := range structs {
 			poscars[i] = s.ToPOSCAR()
 		}
-		// nil sink: Table 1 only measures the pipeline; the durable
-		// per-graph shard set would be built and thrown away.
-		p, err := materials.NewPipeline(materials.DefaultConfig(), nil)
+		sink := shard.NewMemSink()
+		p, err := materials.NewPipeline(materials.DefaultConfig(), sink)
 		if err != nil {
 			return nil, err
 		}
@@ -460,11 +459,18 @@ type ScalingPoint struct {
 // instead of bending the curve at one of them.
 const scalingRuns = 3
 
+// scalingWindow is the least time one worker count spends writing in a
+// round: it repeats the write, each time on a fresh filesystem, until
+// the window has passed, and its round time is the mean write. A write
+// of a few MiB lasts a few scheduler time slices, so on a busy box one
+// write alone times the scheduler as much as the I/O.
+const scalingWindow = 60 * time.Millisecond
+
 // RunScaling shards totalMB of records across worker counts on a
 // simulated striped parallel filesystem and reports the scaling curve
 // (paper C1: efficient training at scale requires high-throughput,
-// parallel file I/O). Each point is the minimum of scalingRuns runs,
-// each on a fresh filesystem.
+// parallel file I/O). Each point is the minimum of scalingRuns round
+// times, each the mean write over at least scalingWindow.
 func RunScaling(totalMB int, workerCounts []int, osts int) ([]ScalingPoint, error) {
 	recSize := 64 << 10
 	n := totalMB << 20 / recSize
@@ -476,23 +482,36 @@ func RunScaling(totalMB int, workerCounts []int, osts int) ([]ScalingPoint, erro
 		}
 		records[i] = rec
 	}
+	write := func(workers int) (time.Duration, error) {
+		fs, err := parfs.New(parfs.Config{OSTs: osts, StripeSize: 1 << 20, BandwidthMBps: 2048, LatencyMicros: 30})
+		if err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		m, err := shard.ParallelWrite(fs, shard.Options{Prefix: "scale", TargetBytes: 4 << 20}, workers, records)
+		if err != nil {
+			return 0, err
+		}
+		d := time.Since(start)
+		if m.TotalRecords() != n {
+			return 0, fmt.Errorf("scaling: lost records (%d/%d)", m.TotalRecords(), n)
+		}
+		return d, nil
+	}
 	best := make([]time.Duration, len(workerCounts))
 	for run := 0; run < scalingRuns; run++ {
 		for i, w := range workerCounts {
-			fs, err := parfs.New(parfs.Config{OSTs: osts, StripeSize: 1 << 20, BandwidthMBps: 2048, LatencyMicros: 30})
-			if err != nil {
-				return nil, err
+			var spent time.Duration
+			writes := 0
+			for writes == 0 || spent < scalingWindow {
+				d, err := write(w)
+				if err != nil {
+					return nil, err
+				}
+				spent += d
+				writes++
 			}
-			start := time.Now()
-			m, err := shard.ParallelWrite(fs, shard.Options{Prefix: "scale", TargetBytes: 4 << 20}, w, records)
-			if err != nil {
-				return nil, err
-			}
-			d := time.Since(start)
-			if m.TotalRecords() != n {
-				return nil, fmt.Errorf("scaling: lost records (%d/%d)", m.TotalRecords(), n)
-			}
-			if run == 0 || d < best[i] {
+			if d := spent / time.Duration(writes); run == 0 || d < best[i] {
 				best[i] = d
 			}
 		}

@@ -462,15 +462,13 @@ func BenchmarkWindowize(b *testing.B) {
 	}
 }
 
-func TestPipelineEmitSciH5(t *testing.T) {
+func TestPipelineExportSciH5(t *testing.T) {
 	st, err := SynthesizeCampaign(SynthConfig{Shots: 5, DisruptionRate: 0.4, FlattopSeconds: 1, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.EmitSciH5 = true
 	sink := shard.NewMemSink()
-	p, err := NewPipeline(cfg, sink)
+	p, err := NewPipeline(DefaultConfig(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,10 +477,14 @@ func TestPipelineEmitSciH5(t *testing.T) {
 		t.Fatal(err)
 	}
 	prod := ds.Payload.(*Product)
-	if len(prod.SciH5) == 0 {
+	h5, err := ExportSciH5(prod.Aligned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h5) == 0 {
 		t.Fatal("no SciH5 artifact")
 	}
-	back, err := ImportSciH5(prod.SciH5)
+	back, err := ImportSciH5(h5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,7 @@ type Config struct {
 	Horizon       float64 // disruption-label lookahead (seconds)
 	Workers       int
 	ShardTarget   int64
-	// EmitSciH5 additionally exports the aligned campaign as a
-	// hierarchical container (Table 1: "TFRecord/HDF5").
-	EmitSciH5 bool
-	Seed      int64
+	Seed          int64
 }
 
 // DefaultConfig matches the reproduction experiments.
@@ -39,9 +36,6 @@ type Product struct {
 	Windows  []Window
 	Split    *split.Result
 	Manifest *shard.Manifest
-	// SciH5 holds the hierarchical-container export when
-	// Config.EmitSciH5 is set.
-	SciH5 []byte
 }
 
 // NewDataset wraps a shot store for the pipeline.
@@ -227,16 +221,10 @@ func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
 		if err != nil {
 			return err
 		}
-		if cfg.EmitSciH5 {
-			p.SciH5, err = ExportSciH5(p.Aligned)
-			if err != nil {
-				return err
-			}
-		}
 		ds.Facts.SplitDone = true
 		ds.Facts.Sharded = true
 		ds.Facts.PipelineAutomated = true
-		ds.Bytes = p.Manifest.TotalStoredBytes() + int64(len(p.SciH5))
+		ds.Bytes = p.Manifest.TotalStoredBytes()
 		return nil
 	}}
 

@@ -2,8 +2,9 @@
 // Table 1): DFT-style simulation outputs are parsed from a POSCAR-like
 // text format, atomic descriptors are normalized, structures are encoded
 // as periodic cutoff graphs for GNN training (HydraGNN-style), and the
-// graphs are sharded to an ADIOS-style BP container — parse → normalize →
-// encode → shard.
+// train split is sharded as self-describing ADIOS-style BP process groups,
+// one graph per record — parse → normalize → encode → shard. ExportBP
+// assembles the same process groups into a BP container.
 package materials
 
 import (

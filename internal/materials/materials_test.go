@@ -3,6 +3,7 @@ package materials
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -296,8 +297,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("imbalance=%v, expected skew preserved", prod.Imbalance)
 	}
 
-	// The BP container decodes and holds one PG per train graph.
-	f, err := bp.Open(prod.BP)
+	// The BP export decodes and holds one PG per train graph.
+	container, err := ExportBP(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := bp.Open(container)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +323,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The durable shard set mirrors the container: one self-describing
-	// PG record per train graph, replayable through the verifying reader.
+	// The durable shard set mirrors the export: one self-describing PG
+	// record per train graph, replayable through the verifying reader.
 	if prod.Manifest == nil {
 		t.Fatal("no shard manifest on product")
 	}
@@ -331,12 +336,20 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	records := 0
 	if err := shard.ReadAll(sink, prod.Manifest, func(_ string, rec []byte) error {
-		_, _, vars, err := bp.UnmarshalPG(rec)
+		rank, step, vars, err := bp.UnmarshalPG(rec)
 		if err != nil {
 			return err
 		}
 		if len(vars) != 5 {
 			return fmt.Errorf("record %d: %d vars", records, len(vars))
+		}
+		wantRank, wantStep, wantVars, err := f.ReadPG(records)
+		if err != nil {
+			return err
+		}
+		if rank != wantRank || step != wantStep || !reflect.DeepEqual(vars, wantVars) {
+			return fmt.Errorf("record %d: PG (rank %d, step %d) differs from the export's (rank %d, step %d)",
+				records, rank, step, wantRank, wantStep)
 		}
 		records++
 		return nil
@@ -354,6 +367,15 @@ func TestPipelineConfigErrors(t *testing.T) {
 	}
 	if _, err := NewPipeline(Config{Cutoff: 1, Ranks: 0}, shard.NewMemSink()); err == nil {
 		t.Fatal("want ranks error")
+	}
+	if _, err := NewPipeline(DefaultConfig(), nil); err == nil {
+		t.Fatal("want nil-sink error")
+	}
+}
+
+func TestExportBPErrors(t *testing.T) {
+	if _, err := ExportBP(&Product{}); err == nil {
+		t.Fatal("want error exporting an unsharded product")
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 type Config struct {
 	Cutoff  float64 // neighbor cutoff (Angstrom)
 	Workers int
-	// Ranks is the number of simulated parallel writers producing BP
-	// process groups (the ADIOS aggregation pattern).
+	// Ranks is the number of simulated parallel writers marshalling the
+	// train split's BP process groups (the ADIOS aggregation pattern):
+	// each PG's rank and step are part of its served record.
 	Ranks int
 	// ShardTarget rotates the persisted per-graph shard series at this
 	// raw size. <=0 means 8 KiB.
@@ -35,13 +36,14 @@ type Product struct {
 	Graphs     []*Graph
 	Stats      *DescriptorStats
 	Split      *split.Result
-	// BP is the finalized ADIOS-style container holding the train split.
-	BP       []byte
-	ClassIDs map[string]int
+	ClassIDs   map[string]int
 	// Manifest indexes the durable per-graph shard set (one
 	// self-describing BP process group per record) written to the
 	// pipeline's sink — the replayable serving artifact.
 	Manifest *shard.Manifest
+	// Ranks is the number of simulated writers the shard stage
+	// marshalled the process groups on (Config.Ranks).
+	Ranks int
 	// Imbalance is the train-split class imbalance ratio (Table 1
 	// challenge diagnostics).
 	Imbalance float64
@@ -67,13 +69,17 @@ func product(ds *pipeline.Dataset) (*Product, error) {
 	return p, nil
 }
 
-// NewPipeline assembles the Table 1 materials workflow: parse simulations
-// → normalize descriptors → graph encoding → shard (ADIOS/BP). The shard
-// stage both finalizes the in-memory BP container (Product.BP) and, when
-// sink is non-nil, persists the train split as a durable shard set — one
-// self-describing BP process group per record — so materials jobs are
-// replayable and streamable like every other domain's.
+// NewPipeline assembles the Table 1 materials workflow over the sink:
+// parse simulations → normalize descriptors → graph encoding → shard
+// (ADIOS/BP). The shard stage persists the train split as a durable
+// shard set — one self-describing BP process group per record — so
+// materials jobs are replayable and streamable like every other
+// domain's; ExportBP assembles the same process groups into a BP
+// container.
 func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
+	if sink == nil {
+		return nil, errors.New("materials: nil sink")
+	}
 	if cfg.Cutoff <= 0 {
 		return nil, fmt.Errorf("materials: cutoff %v must be positive", cfg.Cutoff)
 	}
@@ -189,73 +195,91 @@ func NewPipeline(cfg Config, sink shard.Sink) (*pipeline.Pipeline, error) {
 		}
 		p.Imbalance = stats.NewClassBalance(trainLabels).ImbalanceRatio()
 
-		// Ranks marshal their PGs concurrently; a coordinator appends.
-		type pgOut struct {
-			payload []byte
-			metas   []bp.VarMeta
-			step    int
-		}
-		perRank := make([][]pgOut, cfg.Ranks)
-		if err := pipeline.ForEach(cfg.Ranks, cfg.Workers, func(rank int) error {
-			step := 0
-			for k := rank; k < len(res.Train); k += cfg.Ranks {
-				g := p.Graphs[res.Train[k]]
-				names, shapes, data := g.Flatten(p.ClassIDs)
-				vars := make([]bp.Variable, len(names))
-				for v := range names {
-					vars[v] = bp.Variable{Name: names[v], Shape: shapes[v], Data: data[v]}
-				}
-				payload, metas, err := bp.MarshalPG(rank, step, vars)
-				if err != nil {
-					return err
-				}
-				perRank[rank] = append(perRank[rank], pgOut{payload: payload, metas: metas, step: step})
-				step++
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		w := bp.NewWriter()
-		for rank, pgs := range perRank {
-			for _, pg := range pgs {
-				if err := w.AppendRawPG(rank, pg.step, pg.payload, pg.metas); err != nil {
-					return err
-				}
-			}
-		}
-		p.BP, err = w.Finalize()
+		// One self-describing PG per train graph is one record, so the
+		// shard set streams back out without a container's footer index.
+		perRank, err := marshalRanks(p, cfg.Ranks, cfg.Workers)
 		if err != nil {
 			return err
 		}
-		// Persist the same PG payloads as a durable shard set: each block
-		// is self-describing, so one block per record streams back out
-		// without the container's footer index.
-		if sink != nil {
-			sw, err := shard.NewWriter(sink, shard.Options{
-				Prefix: "materials-train", TargetBytes: cfg.ShardTarget})
-			if err != nil {
-				return err
-			}
-			for rank := range perRank {
-				for _, pg := range perRank[rank] {
-					if err := sw.Write(pg.payload); err != nil {
-						return err
-					}
+		w, err := shard.NewWriter(sink, shard.Options{
+			Prefix: "materials-train", TargetBytes: cfg.ShardTarget})
+		if err != nil {
+			return err
+		}
+		for _, pgs := range perRank {
+			for _, pg := range pgs {
+				if err := w.Write(pg.payload); err != nil {
+					return err
 				}
 			}
-			p.Manifest, err = sw.Close()
-			if err != nil {
-				return err
-			}
 		}
+		p.Manifest, err = w.Close()
+		if err != nil {
+			return err
+		}
+		p.Ranks = cfg.Ranks
 		ds.Facts.SplitDone = true
 		ds.Facts.Sharded = true
 		ds.Facts.PipelineAutomated = true
-		ds.Bytes = int64(len(p.BP))
+		ds.Bytes = p.Manifest.TotalStoredBytes()
 		ds.Records = int64(len(res.Train))
 		return nil
 	}}
 
 	return pipeline.New("materials-archetype", parse, encode, normalize, structure, shardStage)
+}
+
+// rankPG is one BP process group as a simulated rank marshals it.
+type rankPG struct {
+	payload []byte
+	metas   []bp.VarMeta
+}
+
+// marshalRanks marshals the train split as BP process groups: graph k
+// of the split goes to rank k mod ranks as that rank's next step, and
+// the ranks marshal concurrently on up to workers goroutines. The result
+// is indexed by rank, then step — the order both the shard set and the
+// container append them.
+func marshalRanks(p *Product, ranks, workers int) ([][]rankPG, error) {
+	train := p.Split.Train
+	perRank := make([][]rankPG, ranks)
+	err := pipeline.ForEach(ranks, workers, func(rank int) error {
+		for k := rank; k < len(train); k += ranks {
+			names, shapes, data := p.Graphs[train[k]].Flatten(p.ClassIDs)
+			vars := make([]bp.Variable, len(names))
+			for v := range names {
+				vars[v] = bp.Variable{Name: names[v], Shape: shapes[v], Data: data[v]}
+			}
+			payload, metas, err := bp.MarshalPG(rank, len(perRank[rank]), vars)
+			if err != nil {
+				return err
+			}
+			perRank[rank] = append(perRank[rank], rankPG{payload: payload, metas: metas})
+		}
+		return nil
+	})
+	return perRank, err
+}
+
+// ExportBP builds the finalized ADIOS-style BP container of a sharded
+// product's train split, marshalled on the shard stage's p.Ranks
+// simulated writers, so its process groups are exactly the records of
+// the served shard set.
+func ExportBP(p *Product) ([]byte, error) {
+	if p.Manifest == nil {
+		return nil, errors.New("materials: export needs a sharded product")
+	}
+	perRank, err := marshalRanks(p, p.Ranks, p.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	w := bp.NewWriter()
+	for rank, pgs := range perRank {
+		for step, pg := range pgs {
+			if err := w.AppendRawPG(rank, step, pg.payload, pg.metas); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return w.Finalize()
 }

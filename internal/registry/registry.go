@@ -103,7 +103,7 @@ func init() {
 	}
 	must(Register(Template{
 		Domain:      core.Climate,
-		Description: "CMIP6/ERA5-style gridded fields → regridded, normalized NPZ shards",
+		Description: "CMIP6/ERA5-style gridded fields → regridded, normalized per-month sample shards",
 		Build: func(sink shard.Sink, opts any) (*pipeline.Pipeline, error) {
 			cfg, ok := opts.(climate.Config)
 			if !ok {
@@ -139,7 +139,7 @@ func init() {
 	}))
 	must(Register(Template{
 		Domain:      core.Materials,
-		Description: "POSCAR structures → normalized periodic graphs in a BP container",
+		Description: "POSCAR structures → normalized periodic graphs as BP process-group shards",
 		Build: func(sink shard.Sink, opts any) (*pipeline.Pipeline, error) {
 			cfg, ok := opts.(materials.Config)
 			if !ok {
