@@ -22,7 +22,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/provenance"
 	"repro/internal/quality"
-	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/tensor"
 )
@@ -51,9 +50,9 @@ func TestClimateOnParallelFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := registry.New(core.Climate, fs, climate.Config{
+	p, err := climate.NewPipeline(climate.Config{
 		TargetLat: 8, TargetLon: 16, Method: climate.Conservative, Workers: 4,
-		ShardTargetBytes: 4 << 10, Seed: 3})
+		ShardTargetBytes: 4 << 10, Seed: 3}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +246,7 @@ func TestBioPipelineOnParallelFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := bytes.Repeat([]byte{9}, 32)
-	p, err := registry.New(core.BioHealth, fs, registry.BioSecrets{
-		EncryptionKey:   key,
-		PseudonymSecret: []byte("integration-pseudonym-secret"),
-	})
+	p, err := bio.NewPipeline(bio.DefaultConfig(key, []byte("integration-pseudonym-secret")), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +276,7 @@ func TestProvenanceExportAcrossPipelines(t *testing.T) {
 	fs := newFastFS(t)
 	field, _ := climate.Synthesize(climate.SynthConfig{Months: 6, Lat: 8, Lon: 16, Seed: 9})
 	raw, _ := field.ToNetCDF()
-	p, err := registry.New(core.Climate, fs, climate.Config{TargetLat: 4, TargetLon: 8, Workers: 2, ShardTargetBytes: 4 << 10, Seed: 9})
+	p, err := climate.NewPipeline(climate.Config{TargetLat: 4, TargetLon: 8, Workers: 2, ShardTargetBytes: 4 << 10, Seed: 9}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,15 @@
-// Package domain is the plugin seam between the archetype pipelines and
-// the draid serving tier. Each surveyed domain registers one Plugin:
-// how to synthesize a scale-controlled input from a job spec and build
-// the registry pipeline over a shard sink, how to pull the durable
-// shard manifest out of the finished product, how to wrap the shard
-// read path with a per-job secret, and a Codec that turns shard records
-// into typed wire batches. The serving tier programs against this
-// package only — it never type-switches on core.Domain or on a
+// Package domain is draid's one catalog of domain templates — the
+// paper's envisioned "reusable scientific AI-readiness framework
+// composed of domain-specific templates" (§6) — and the plugin seam
+// between the archetype pipelines and the serving tier. Each surveyed
+// domain registers one Plugin: a description for the catalog, how to
+// synthesize a scale-controlled input from a job spec and build the
+// domain's archetype pipeline over a shard sink, how to pull the
+// durable shard manifest out of the finished product, and a Codec that
+// turns shard records into typed wire batches. A job whose Build
+// returns a key has its shards sealed under it; Opener, Sink and
+// StoredName follow that key alone. The serving tier programs against
+// this package only — it never type-switches on core.Domain or on a
 // pipeline's product type.
 package domain
 
@@ -14,6 +18,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/bio"
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/shard"
@@ -87,9 +92,9 @@ func (s Spec) Validate() error {
 type Run struct {
 	Pipeline *pipeline.Pipeline
 	Dataset  *pipeline.Dataset
-	// Key is the per-job shard secret (nil for domains whose shards
-	// rest in plaintext). The serving tier seals it into the job's done
-	// record in its ledger.
+	// Key is the per-job shard secret, and the only sign that the job
+	// is sealed (nil for domains whose shards rest in plaintext). The
+	// serving tier seals it into the job's done record in its ledger.
 	Key []byte
 }
 
@@ -139,55 +144,50 @@ type Codec interface {
 	DecodeFramePayload(payload []byte, count int) ([]any, error)
 }
 
-// Plugin wires one domain into the serving tier.
+// Plugin is one domain's catalog entry and its wiring into the serving
+// tier. Sealing is not a plugin property: a job is sealed exactly when
+// its Run carries a Key, and Opener, Sink and StoredName take that key
+// (or its presence) from the caller.
 type Plugin struct {
 	Domain core.Domain
+	// Description is the one-line summary /v1/templates shows.
+	Description string
 	// Build synthesizes the spec-scale input and instantiates the
-	// domain's registry pipeline over sink.
+	// domain's archetype pipeline over sink.
 	Build func(spec Spec, sink shard.Sink) (*Run, error)
 	// Manifest extracts the durable shard manifest from the completed
 	// dataset's product.
 	Manifest func(ds *pipeline.Dataset) (*shard.Manifest, error)
-	// WrapOpener wraps the raw store read path with the per-job key
-	// (nil when the domain stores plaintext shards; then the identity
-	// is used).
-	WrapOpener func(open shard.Opener, key []byte) shard.Opener
-	// WrapSink is WrapOpener's write-path mirror: it wraps a raw sink
-	// so late-written objects (frame sidecars) are sealed under the
-	// same per-job key, through the same sealing sink, as the shards
-	// themselves (nil for plaintext domains).
-	WrapSink func(sink shard.Sink, key []byte) shard.Sink
-	// SealedSuffix is appended to manifest shard names to obtain the
-	// stored object name when the job has a key ("" for plaintext).
-	SealedSuffix string
 	// Codec translates this domain's shard records to the wire.
 	Codec Codec
 }
 
-// StoredName maps a manifest shard name to its on-store object name.
+// StoredName maps a manifest shard name to its on-store object name:
+// a sealed job's shards are stored as name+bio.SealedSuffix.
 func (p Plugin) StoredName(name string, sealed bool) string {
 	if sealed {
-		return name + p.SealedSuffix
+		return name + bio.SealedSuffix
 	}
 	return name
 }
 
-// Opener returns the read path over a job's shard store: the identity
-// for plaintext domains, the key-wrapping opener otherwise.
+// Opener returns the read path over a job's shard store: open itself
+// for a job without a key, the unsealing opener otherwise.
 func (p Plugin) Opener(open shard.Opener, key []byte) shard.Opener {
-	if p.WrapOpener == nil || key == nil {
+	if key == nil {
 		return open
 	}
-	return p.WrapOpener(open, key)
+	return decryptOpener{sink: open, key: key}
 }
 
-// Sink returns the write path over a job's shard store: the identity
-// for plaintext domains, the key-wrapping (sealing) sink otherwise.
+// Sink returns the write path over a job's shard store: sink itself
+// for a job without a key, the sealing sink otherwise, so late-written
+// objects (frame sidecars) are sealed under the same key as the shards.
 func (p Plugin) Sink(sink shard.Sink, key []byte) shard.Sink {
-	if p.WrapSink == nil || key == nil {
+	if key == nil {
 		return sink
 	}
-	return p.WrapSink(sink, key)
+	return bio.SealingSink{Sink: sink, Key: key}
 }
 
 var (

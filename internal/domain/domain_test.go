@@ -3,9 +3,13 @@ package domain
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/bio"
 	"repro/internal/core"
 	"repro/internal/formats/bp"
 	"repro/internal/formats/tfrecord"
@@ -32,6 +36,120 @@ func TestAllDomainsHavePlugins(t *testing.T) {
 		if !kinds[want] {
 			t.Fatalf("no plugin serves kind %q", want)
 		}
+	}
+	t.Run("descriptions", func(t *testing.T) {
+		for _, p := range Plugins() {
+			if p.Description == "" {
+				t.Fatalf("%s: empty description", p.Domain)
+			}
+		}
+	})
+	t.Run("sorted", func(t *testing.T) {
+		plugs := Plugins()
+		for i := 1; i < len(plugs); i++ {
+			if plugs[i-1].Domain >= plugs[i].Domain {
+				t.Fatalf("catalog not sorted: %v before %v", plugs[i-1].Domain, plugs[i].Domain)
+			}
+		}
+	})
+	t.Run("unknown", func(t *testing.T) {
+		if _, err := Lookup(core.Domain("astro")); err == nil {
+			t.Fatal("want not-found error")
+		}
+	})
+	t.Run("register_validation", func(t *testing.T) {
+		if err := Register(Plugin{}); err == nil {
+			t.Fatal("empty plugin registered")
+		}
+		if err := Register(Plugin{Domain: "astro"}); err == nil {
+			t.Fatal("incomplete plugin registered")
+		}
+		if _, err := Lookup(core.Domain("astro")); err == nil {
+			t.Fatal("rejected plugin is in the catalog")
+		}
+	})
+	// E7 through the catalog: every plugin's pipeline is its domain's
+	// archetype and walks ingest→…→shard.
+	t.Run("archetype_stages", func(t *testing.T) {
+		for _, p := range Plugins() {
+			run, err := p.Build(Spec{Domain: p.Domain}, shard.NewMemSink())
+			if err != nil {
+				t.Fatalf("%s: %v", p.Domain, err)
+			}
+			if name := run.Pipeline.Name(); !strings.HasSuffix(name, "-archetype") {
+				t.Fatalf("%s: pipeline %q", p.Domain, name)
+			}
+			kinds := run.Pipeline.StageKinds()
+			if kinds[0] != core.Ingest || kinds[len(kinds)-1] != core.Shard {
+				t.Fatalf("%s kinds=%v", p.Domain, kinds)
+			}
+		}
+	})
+	// A spec that names only its domain builds that domain's default
+	// archetype pipeline.
+	defaultName := func(t *testing.T, d core.Domain) string {
+		t.Helper()
+		p, err := Lookup(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := p.Build(Spec{Domain: d}, shard.NewMemSink())
+		if err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+		return run.Pipeline.Name()
+	}
+	t.Run("climate_default", func(t *testing.T) {
+		if name := defaultName(t, core.Climate); name != "climate-archetype" {
+			t.Fatalf("name=%q", name)
+		}
+	})
+	t.Run("fusion_materials_defaults", func(t *testing.T) {
+		for d, want := range map[core.Domain]string{
+			core.Fusion:    "fusion-archetype",
+			core.Materials: "materials-archetype",
+		} {
+			if name := defaultName(t, d); name != want {
+				t.Fatalf("%s name=%q, want %q", d, name, want)
+			}
+		}
+	})
+}
+
+// TestConcurrentPluginAccess races re-registration of the catalog's own
+// plugins against lookups and listings, the way draid reads the catalog
+// under parallel requests. Run with -race. It registers nothing new, so
+// the catalog other tests see is unchanged.
+func TestConcurrentPluginAccess(t *testing.T) {
+	const workers, rounds = 8, 50
+	plugs := Plugins()
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				p := plugs[(w+r)%len(plugs)]
+				if err := Register(p); err != nil {
+					errs <- err
+					return
+				}
+				if got, err := Lookup(p.Domain); err != nil || got.Description != p.Description {
+					errs <- fmt.Errorf("round %d: lookup %s: %v", r, p.Domain, err)
+					return
+				}
+				if got := len(Plugins()); got != len(plugs) {
+					errs <- fmt.Errorf("round %d: %d plugins, want %d", r, got, len(plugs))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -323,25 +441,28 @@ func TestCodecsRejectForeignRecords(t *testing.T) {
 	}
 }
 
-// TestPluginHelpers covers StoredName/Opener defaults.
+// TestPluginHelpers: the key alone decides sealing. With no key every
+// plugin's opener and sink are the store's own; with one, every
+// plugin's are the sealing pair, and stored names carry the sealed
+// suffix.
 func TestPluginHelpers(t *testing.T) {
-	bioPlug, err := Lookup(core.BioHealth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bioPlug.StoredName("s-00000", true); got != "s-00000.enc" {
-		t.Fatalf("sealed name %q", got)
-	}
-	if got := bioPlug.StoredName("s-00000", false); got != "s-00000" {
-		t.Fatalf("plain name %q", got)
-	}
 	sink := shard.NewMemSink()
-	clim, _ := Lookup(core.Climate)
-	if clim.Opener(sink, nil) != shard.Opener(sink) {
-		t.Fatal("plaintext opener not identity")
-	}
-	if bioPlug.Opener(sink, []byte("k")) == shard.Opener(sink) {
-		t.Fatal("bio opener not wrapped")
+	for _, p := range Plugins() {
+		if got := p.StoredName("s-00000", true); got != "s-00000"+bio.SealedSuffix {
+			t.Fatalf("%s: sealed name %q", p.Domain, got)
+		}
+		if got := p.StoredName("s-00000", false); got != "s-00000" {
+			t.Fatalf("%s: plain name %q", p.Domain, got)
+		}
+		if p.Opener(sink, nil) != shard.Opener(sink) || p.Sink(sink, nil) != shard.Sink(sink) {
+			t.Fatalf("%s: keyless opener or sink is wrapped", p.Domain)
+		}
+		if _, ok := p.Opener(sink, []byte("k")).(decryptOpener); !ok {
+			t.Fatalf("%s: keyed opener does not unseal", p.Domain)
+		}
+		if _, ok := p.Sink(sink, []byte("k")).(bio.SealingSink); !ok {
+			t.Fatalf("%s: keyed sink does not seal", p.Domain)
+		}
 	}
 }
 

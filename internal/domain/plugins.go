@@ -1,7 +1,6 @@
-// The four surveyed domains' plugin registrations: spec-driven input
-// synthesis (moved out of the serving tier's former per-domain switch),
-// registry pipeline construction, product→manifest extraction, and the
-// bio read-path decryption wrapper.
+// The four surveyed domains' catalog entries: description, spec-driven
+// input synthesis, archetype pipeline construction, product→manifest
+// extraction, and the sealed-job read-path decryption wrapper.
 package domain
 
 import (
@@ -17,7 +16,6 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/materials"
 	"repro/internal/pipeline"
-	"repro/internal/registry"
 	"repro/internal/shard"
 )
 
@@ -50,7 +48,7 @@ func manifestOf[P any](get func(p P) *shard.Manifest) func(ds *pipeline.Dataset)
 	}
 }
 
-// decryptOpener presents a bio job's sealed shard set as plaintext: the
+// decryptOpener presents a sealed job's shard set as plaintext: the
 // store holds the "<name>"+bio.SealedSuffix AES-GCM blobs that
 // bio.SealingSink wrote; readers see the manifest's plaintext names and
 // checksums.
@@ -87,8 +85,9 @@ func init() {
 		}
 	}
 	must(Register(Plugin{
-		Domain: core.Climate,
-		Codec:  sampleCodec{},
+		Domain:      core.Climate,
+		Description: "CMIP6/ERA5-style gridded fields → regridded, normalized per-month sample shards",
+		Codec:       sampleCodec{},
 		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			months, lat, lon := orDefault(spec.Months, 24), orDefault(spec.Lat, 16), orDefault(spec.Lon, 32)
@@ -101,9 +100,9 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			p, err := registry.New(spec.Domain, sink, climate.Config{
+			p, err := climate.NewPipeline(climate.Config{
 				TargetLat: lat / 2, TargetLon: lon / 2, Method: climate.Bilinear,
-				Workers: 2, ShardTargetBytes: 8 << 10, Seed: seed})
+				Workers: 2, ShardTargetBytes: 8 << 10, Seed: seed}, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -112,8 +111,9 @@ func init() {
 		Manifest: manifestOf(func(p *climate.Product) *shard.Manifest { return p.Manifest }),
 	}))
 	must(Register(Plugin{
-		Domain: core.Fusion,
-		Codec:  fusionCodec{},
+		Domain:      core.Fusion,
+		Description: "MDSplus-style shot trees → aligned, windowed TFRecord shards",
+		Codec:       fusionCodec{},
 		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			st, err := fusion.SynthesizeCampaign(fusion.SynthConfig{
@@ -128,7 +128,7 @@ func init() {
 			// a whole interactive-scale campaign into one shard, making
 			// cursor resume and cache eviction all-or-nothing.
 			cfg.ShardTarget = 16 << 10
-			p, err := registry.New(spec.Domain, sink, cfg)
+			p, err := fusion.NewPipeline(cfg, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -137,9 +137,9 @@ func init() {
 		Manifest: manifestOf(func(p *fusion.Product) *shard.Manifest { return p.Manifest }),
 	}))
 	must(Register(Plugin{
-		Domain:       core.BioHealth,
-		Codec:        sampleCodec{},
-		SealedSuffix: bio.SealedSuffix,
+		Domain:      core.BioHealth,
+		Description: "FASTA + clinical records → anonymized, fused, encrypted shards",
+		Codec:       sampleCodec{},
 		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			// The bio template tiles at the default length; shorter synthetic
@@ -161,8 +161,7 @@ func init() {
 			if _, err := rand.Read(secret); err != nil {
 				return nil, err
 			}
-			p, err := registry.New(spec.Domain, sink, registry.BioSecrets{
-				EncryptionKey: key, PseudonymSecret: secret})
+			p, err := bio.NewPipeline(bio.DefaultConfig(key, secret), sink)
 			if err != nil {
 				return nil, err
 			}
@@ -170,16 +169,11 @@ func init() {
 			return &Run{Pipeline: p, Dataset: ds, Key: key}, nil
 		},
 		Manifest: manifestOf(func(p *bio.Product) *shard.Manifest { return p.Manifest }),
-		WrapOpener: func(open shard.Opener, key []byte) shard.Opener {
-			return decryptOpener{sink: open, key: key}
-		},
-		WrapSink: func(sink shard.Sink, key []byte) shard.Sink {
-			return bio.SealingSink{Sink: sink, Key: key}
-		},
 	}))
 	must(Register(Plugin{
-		Domain: core.Materials,
-		Codec:  materialsCodec{},
+		Domain:      core.Materials,
+		Description: "POSCAR structures → normalized periodic graphs as BP process-group shards",
+		Codec:       materialsCodec{},
 		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			structs, err := materials.Synthesize(materials.SynthConfig{
@@ -194,7 +188,7 @@ func init() {
 			}
 			cfg := materials.DefaultConfig()
 			cfg.Seed = seed
-			p, err := registry.New(spec.Domain, sink, cfg)
+			p, err := materials.NewPipeline(cfg, sink)
 			if err != nil {
 				return nil, err
 			}

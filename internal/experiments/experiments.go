@@ -549,75 +549,41 @@ type CurationResult struct {
 	AutoSpeedup         float64
 }
 
+// curationRuns is how many times RunCuration times each workflow. Each
+// takes a few milliseconds, so one GC or preemption can double a single
+// timing; the fastest of several alternating runs is the workflow's own
+// cost.
+const curationRuns = 3
+
 // RunCuration measures the fraction of end-to-end time spent on curation
 // stages in a manual-equivalent fusion workflow (serial, with per-shot
 // re-validation overhead emulating hand curation) versus the automated
 // pipeline (paper C2: "scientists spend upwards of 70% of their time on
-// data curation").
+// data curation"). The two workflows run curationRuns times each,
+// alternating, and each is reported by its fastest run.
 func RunCuration(shots int, seed int64) (*CurationResult, error) {
 	st, err := fusion.SynthesizeCampaign(fusion.SynthConfig{
 		Shots: shots, DisruptionRate: 0.35, FlattopSeconds: 1.5, DropoutRate: 0.02, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-
-	// Manual-equivalent: per-shot serial extract + validate + re-validate
-	// (the repeated inspection loop of hand curation), then one quick
-	// model-prep step.
-	var curation, rest time.Duration
-	start := time.Now()
-	var aligned []*fusion.AlignedShot
-	for _, num := range st.Shots() {
-		s, err := st.Get(num)
+	var curation, manualTotal, autoTotal time.Duration
+	for i := 0; i < curationRuns; i++ {
+		c, rest, err := manualCuration(st)
 		if err != nil {
 			return nil, err
 		}
-		// Hand curation revisits each shot several times (format checks,
-		// visual inspection proxies, re-alignment).
-		for pass := 0; pass < 3; pass++ {
-			a, err := fusion.Align(s, 0.005)
-			if err != nil {
-				return nil, err
-			}
-			if pass == 2 {
-				if err := a.AddDerivativeChannels(); err != nil {
-					return nil, err
-				}
-				if _, err := a.NormalizePerShot(); err != nil {
-					return nil, err
-				}
-				aligned = append(aligned, a)
-			}
+		if i == 0 || c+rest < manualTotal {
+			curation, manualTotal = c, c+rest
 		}
-	}
-	curation = time.Since(start)
-
-	start = time.Now()
-	var windows []fusion.Window
-	for _, a := range aligned {
-		ws, err := fusion.Windowize(a, 50, 25, 0.3)
+		a, err := autoCuration(st)
 		if err != nil {
 			return nil, err
 		}
-		windows = append(windows, ws...)
+		if i == 0 || a < autoTotal {
+			autoTotal = a
+		}
 	}
-	_ = windows
-	rest = time.Since(start)
-	manualTotal := curation + rest
-
-	// Automated pipeline: one pass, parallel.
-	sink := shard.NewMemSink()
-	p, err := fusion.NewPipeline(fusion.DefaultConfig(), sink)
-	if err != nil {
-		return nil, err
-	}
-	ds := fusion.NewDataset("auto", st)
-	start = time.Now()
-	if _, err := p.Run(ds); err != nil {
-		return nil, err
-	}
-	autoTotal := time.Since(start)
-
 	res := &CurationResult{
 		ManualCurationShare: float64(curation) / float64(manualTotal),
 		ManualTotal:         manualTotal,
@@ -627,6 +593,61 @@ func RunCuration(shots int, seed int64) (*CurationResult, error) {
 		res.AutoSpeedup = float64(manualTotal) / float64(autoTotal)
 	}
 	return res, nil
+}
+
+// manualCuration times the manual-equivalent workflow: per-shot serial
+// extract + validate + re-validate (the repeated inspection loop of hand
+// curation), then one quick model-prep step. It returns the curation
+// time and the model-prep time.
+func manualCuration(st *fusion.Store) (curation, rest time.Duration, err error) {
+	start := time.Now()
+	var aligned []*fusion.AlignedShot
+	for _, num := range st.Shots() {
+		s, err := st.Get(num)
+		if err != nil {
+			return 0, 0, err
+		}
+		// Hand curation revisits each shot several times (format checks,
+		// visual inspection proxies, re-alignment).
+		for pass := 0; pass < 3; pass++ {
+			a, err := fusion.Align(s, 0.005)
+			if err != nil {
+				return 0, 0, err
+			}
+			if pass == 2 {
+				if err := a.AddDerivativeChannels(); err != nil {
+					return 0, 0, err
+				}
+				if _, err := a.NormalizePerShot(); err != nil {
+					return 0, 0, err
+				}
+				aligned = append(aligned, a)
+			}
+		}
+	}
+	curation = time.Since(start)
+
+	start = time.Now()
+	for _, a := range aligned {
+		if _, err := fusion.Windowize(a, 50, 25, 0.3); err != nil {
+			return 0, 0, err
+		}
+	}
+	return curation, time.Since(start), nil
+}
+
+// autoCuration times the automated pipeline: one pass, parallel.
+func autoCuration(st *fusion.Store) (time.Duration, error) {
+	p, err := fusion.NewPipeline(fusion.DefaultConfig(), shard.NewMemSink())
+	if err != nil {
+		return 0, err
+	}
+	ds := fusion.NewDataset("auto", st)
+	start := time.Now()
+	if _, err := p.Run(ds); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
 }
 
 // Render prints the curation comparison.

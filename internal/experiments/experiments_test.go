@@ -76,6 +76,16 @@ func TestRunTable1AllDomains(t *testing.T) {
 	if !strings.Contains(out, "climate") || !strings.Contains(out, "imbalance") {
 		t.Fatalf("render:\n%s", out)
 	}
+	// One seed prints one Table 1: a second run counts the same records.
+	again, err := RunTable1(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range again {
+		if r.Domain != rows[i].Domain || r.Records != rows[i].Records {
+			t.Fatalf("%s: %d records, then %s: %d, for seed 1", rows[i].Domain, rows[i].Records, r.Domain, r.Records)
+		}
+	}
 }
 
 func TestRunTable2(t *testing.T) {

@@ -3,6 +3,7 @@ package fusion
 import (
 	"io"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,43 @@ func TestSynthesizeCampaign(t *testing.T) {
 	}
 	if disrupted == 0 || disrupted == 10 {
 		t.Fatalf("disrupted=%d, want mixed outcomes", disrupted)
+	}
+}
+
+// TestSynthesizeCampaignDeterministic: one seed yields one campaign, bit
+// for bit — NaN dropouts included, hence the comparison of float bits.
+func TestSynthesizeCampaignDeterministic(t *testing.T) {
+	cfg := SynthConfig{Shots: 6, DisruptionRate: 0.35, FlattopSeconds: 1, DropoutRate: 0.02, Seed: 1}
+	a, err := SynthesizeCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SynthesizeCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(vs []float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for _, n := range a.Shots() {
+		sa, _ := a.Get(n)
+		sb, err := b.Get(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa.Disrupted != sb.Disrupted || sa.TDisrupt != sb.TDisrupt {
+			t.Fatalf("shot %d: disruption differs", n)
+		}
+		for name, ga := range sa.Signals {
+			gb := sb.Signals[name]
+			if gb == nil || !slices.Equal(bits(ga.Times), bits(gb.Times)) || !slices.Equal(bits(ga.Data), bits(gb.Data)) {
+				t.Fatalf("shot %d channel %s differs between two runs of one seed", n, name)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package fusion
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // SynthConfig sizes the synthetic tokamak campaign generator.
@@ -66,7 +68,10 @@ func SynthesizeCampaign(cfg SynthConfig) (*Store, error) {
 
 		shot := &Shot{Number: num, Signals: make(map[string]*Signal),
 			Disrupted: disrupted, TDisrupt: tDisrupt}
-		for name, rate := range diagnosticRates {
+		// Sorted, not map order: every draw comes from the one seeded
+		// rng, so the channel order fixes the campaign a seed yields.
+		for _, name := range slices.Sorted(maps.Keys(diagnosticRates)) {
+			rate := diagnosticRates[name]
 			dt := 1 / rate
 			n := int(tEnd / dt)
 			sig := &Signal{Name: name, Times: make([]float64, 0, n), Data: make([]float64, 0, n)}

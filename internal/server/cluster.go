@@ -253,28 +253,8 @@ func (s *Server) nodeLockFresh(nodeID string) bool {
 // local view is scoped exactly as ours was ("" = admin or auth off).
 func (s *Server) mergeClusterList(out []JobStatus, tenantID string) []JobStatus {
 	c := s.opts.Cluster
-	nodes := c.Nodes()
-	perPeer := make([][]JobStatus, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		if n.ID == c.Self().ID || !c.Alive(n.ID) {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, n cluster.Node) {
-			defer wg.Done()
-			b, err := c.FetchPeer(n, "/v1/jobs?scope=local", tenantID, 5*time.Second)
-			if err != nil {
-				return // a dying peer hides its jobs until adoption catches up
-			}
-			var peer []JobStatus
-			if json.Unmarshal(b, &peer) == nil {
-				perPeer[i] = peer
-			}
-		}(i, n)
-	}
-	wg.Wait() // concurrent fetches: one slow peer costs one timeout, not N
-	for _, peer := range perPeer {
+	// A dying peer hides its jobs until adoption catches up.
+	for _, peer := range fetchPeers[[]JobStatus](c, "/v1/jobs?scope=local", tenantID) {
 		out = append(out, peer...)
 	}
 	best := make(map[string]int, len(out)) // job ID -> index of kept copy
@@ -297,5 +277,35 @@ func (s *Server) mergeClusterList(out []JobStatus, tenantID string) []JobStatus 
 		}
 		return out[i].ID < out[j].ID
 	})
+	return out
+}
+
+// fetchPeers GETs path from every alive peer except this node, all at
+// once (one slow peer costs one timeout, not N), and decodes each answer
+// as a T. FetchPeer marks each fetch as forwarded, so peers answer from
+// local state and the fan-out never cascades. A peer that fails or
+// answers something that does not decode contributes T's zero value.
+func fetchPeers[T any](c *cluster.Cluster, path, tenantID string) []T {
+	nodes := c.Nodes()
+	out := make([]T, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		if n.ID == c.Self().ID || !c.Alive(n.ID) {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, n cluster.Node) {
+			defer wg.Done()
+			b, err := c.FetchPeer(n, path, tenantID, 5*time.Second)
+			if err != nil {
+				return
+			}
+			var v T
+			if json.Unmarshal(b, &v) == nil {
+				out[i] = v
+			}
+		}(i, n)
+	}
+	wg.Wait()
 	return out
 }

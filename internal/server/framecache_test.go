@@ -171,34 +171,52 @@ func TestFrameCacheByteExact(t *testing.T) {
 }
 
 // TestNegativeMaxBatchesRejected: ?max_batches=-1 is a client error,
-// not an unlimited stream.
+// not an unlimited stream — and so is every negative or non-integer
+// count of /batches and /v1/traces, and a batch_size of 0.
 func TestNegativeMaxBatchesRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	id, err := SubmitAndWait(ts.URL, JobSpec{Domain: core.Climate, Seed: 2, Months: 12, Lat: 8, Lon: 16}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"max_batches=-1", "max_batches=-9000"} {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2&" + q)
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("?%s: status %d, want 400", q, resp.StatusCode)
+		return resp.StatusCode
+	}
+	batches := ts.URL + "/v1/jobs/" + id + "/batches?"
+	traces := ts.URL + "/v1/traces?"
+	for _, url := range []string{
+		batches + "batch_size=-1",
+		batches + "batch_size=0",
+		batches + "batch_size=two",
+		batches + "batch_size=2&max_batches=-1",
+		batches + "batch_size=2&max_batches=-9000",
+		batches + "batch_size=2&max_batches=1.5",
+		batches + "batch_size=2&max_kbps=-3",
+		batches + "batch_size=2&max_kbps=fast",
+		traces + "limit=-1",
+		traces + "limit=ten",
+	} {
+		if got := status(url); got != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", url, got)
 		}
 	}
 	// Zero and positive stay valid; zero means unlimited.
-	for _, q := range []string{"max_batches=0", "max_batches=2"} {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2&" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("?%s: status %d, want 200", q, resp.StatusCode)
+	for _, url := range []string{
+		batches + "batch_size=2&max_batches=0",
+		batches + "batch_size=2&max_batches=2",
+		batches + "batch_size=2&max_batches=2&max_kbps=0",
+		traces + "limit=0",
+		traces + "limit=5",
+	} {
+		if got := status(url); got != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", url, got)
 		}
 	}
 }

@@ -124,33 +124,21 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	batchSize, err := queryInt(r, "batch_size", 32)
+	// A max_batches or max_kbps of 0 means unlimited; a negative one is a
+	// malformed request, not a synonym for it.
+	batchSize, err := queryCount(r, "batch_size", 32, 1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	maxBatches, err := queryInt(r, "max_batches", 0)
+	maxBatches, err := queryCount(r, "max_batches", 0, 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if batchSize <= 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch_size must be positive"))
-		return
-	}
-	// 0 means unlimited; a negative cap is a malformed request, not a
-	// synonym for it — same contract as batch_size and max_kbps.
-	if maxBatches < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("max_batches must not be negative"))
-		return
-	}
-	maxKBps, err := queryInt(r, "max_kbps", 0)
+	maxKBps, err := queryCount(r, "max_kbps", 0, 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if maxKBps < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("max_kbps must not be negative"))
 		return
 	}
 	// Rates beyond ~1 TiB/s are indistinguishable from unpaced and

@@ -29,7 +29,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/domain"
 	"repro/internal/ledger"
-	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -501,12 +500,8 @@ func (s *Server) handleTemplates(w http.ResponseWriter, _ *http.Request) {
 	plugs := domain.Plugins()
 	out := make([]TemplateInfo, len(plugs))
 	for i, p := range plugs {
-		info := TemplateInfo{Domain: string(p.Domain), Kind: p.Codec.Kind(),
-			Wires: domain.Wires(), Servable: true}
-		if t, err := registry.Lookup(p.Domain); err == nil {
-			info.Description = t.Description
-		}
-		out[i] = info
+		out[i] = TemplateInfo{Domain: string(p.Domain), Description: p.Description,
+			Kind: p.Codec.Kind(), Wires: domain.Wires(), Servable: true}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -699,14 +694,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.reg.WritePrometheus(w)
 }
 
-func queryInt(r *http.Request, key string, def int) (int, error) {
+// queryCount parses an integer query parameter that must be at least
+// min: 0 where 0 means "none" or "unlimited", 1 for a size. An absent
+// parameter is def.
+func queryCount(r *http.Request, key string, def, min int) (int, error) {
 	v := r.URL.Query().Get(key)
 	if v == "" {
 		return def, nil
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("query %s=%q is not an integer", key, v)
+	if err != nil || n < min {
+		return 0, fmt.Errorf("query %s=%q must be an integer >= %d", key, v, min)
 	}
 	return n, nil
 }

@@ -6,13 +6,10 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
@@ -59,9 +56,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		errorsOnly = b
 	}
-	limit, err := queryInt(r, "limit", 100)
-	if err != nil || limit < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("query limit must be a non-negative integer"))
+	limit, err := queryCount(r, "limit", 100, 0)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ident := tenant.FromContext(r.Context())
@@ -101,7 +98,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ident := tenant.FromContext(r.Context())
 	spans := s.spans.Trace(id)
 	if c := s.opts.Cluster; c != nil && r.URL.Query().Get("scope") != "local" && !cluster.Forwarded(r) {
-		spans = telemetry.MergeTraces(append([][]telemetry.SpanData{spans}, s.peerTraceFragments(id, ident.ID)...)...)
+		// A dead or evicted peer contributes nothing — partial assembly
+		// beats none.
+		frags := [][]telemetry.SpanData{spans}
+		for _, v := range fetchPeers[client.TraceView](c, "/v1/traces/"+url.PathEscape(id)+"?scope=local", ident.ID) {
+			frags = append(frags, v.Spans)
+		}
+		spans = telemetry.MergeTraces(frags...)
 	}
 	if len(spans) == 0 {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no spans for trace %q", id))
@@ -118,34 +121,4 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, client.TraceView{TraceID: id, Spans: spans})
-}
-
-// peerTraceFragments collects the trace's spans from every alive peer.
-// FetchPeer marks the fetch as forwarded, so peers answer from their
-// local store and the fan-out never cascades. A dead or evicted peer
-// contributes nothing — partial assembly beats none.
-func (s *Server) peerTraceFragments(id, tenantID string) [][]telemetry.SpanData {
-	c := s.opts.Cluster
-	nodes := c.Nodes()
-	frags := make([][]telemetry.SpanData, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		if n.ID == c.Self().ID || !c.Alive(n.ID) {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, n cluster.Node) {
-			defer wg.Done()
-			b, err := c.FetchPeer(n, "/v1/traces/"+url.PathEscape(id)+"?scope=local", tenantID, 5*time.Second)
-			if err != nil {
-				return
-			}
-			var view client.TraceView
-			if json.Unmarshal(b, &view) == nil {
-				frags[i] = view.Spans
-			}
-		}(i, n)
-	}
-	wg.Wait()
-	return frags
 }
