@@ -39,8 +39,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/domain"
 	"repro/internal/ledger"
+	"repro/internal/wire"
 	"repro/pkg/client"
 )
 
@@ -53,7 +53,7 @@ type node struct {
 }
 
 var (
-	wire        string
+	streamWire  string
 	verifyTrace bool
 )
 
@@ -66,15 +66,15 @@ func main() {
 	basePort := flag.Int("base-port", 18081, "first of three consecutive listen ports")
 	keep := flag.Bool("keep", false, "keep the data dir for inspection")
 	tenancy := flag.Bool("tenancy", false, "run the multi-tenant smoke instead (auth, cross-tenant 403s across proxy and redirect, audit proofs)")
-	flag.StringVar(&wire, "wire", domain.WireNDJSON, "stream wire format to exercise (ndjson|frame)")
+	flag.StringVar(&streamWire, "wire", wire.WireNDJSON, "stream wire format to exercise (ndjson|frame)")
 	flag.BoolVar(&verifyTrace, "verify-trace", true, "assert X-Draid-Trace IDs survive every fleet hop")
 	flag.Parse()
 	log.SetFlags(0)
 	if *draid == "" {
 		log.Fatal("clustersmoke: -draid is required")
 	}
-	if wire != domain.WireNDJSON && wire != domain.WireFrame {
-		log.Fatalf("clustersmoke: unknown -wire %q (want ndjson|frame)", wire)
+	if streamWire != wire.WireNDJSON && streamWire != wire.WireFrame {
+		log.Fatalf("clustersmoke: unknown -wire %q (want ndjson|frame)", streamWire)
 	}
 
 	dataDir, err := os.MkdirTemp("", "clustersmoke-")
@@ -84,7 +84,7 @@ func main() {
 	if !*keep {
 		defer os.RemoveAll(dataDir)
 	}
-	log.Printf("clustersmoke: shared data dir %s, wire %s", dataDir, wire)
+	log.Printf("clustersmoke: shared data dir %s, wire %s", dataDir, streamWire)
 
 	nodes := make([]*node, 3)
 	var peers []string
@@ -92,7 +92,7 @@ func main() {
 		id := fmt.Sprintf("n%d", i+1)
 		url := fmt.Sprintf("http://127.0.0.1:%d", *basePort+i)
 		nodes[i] = &node{id: id, url: url,
-			cli: client.New(url, client.WithWire(wire), client.WithTrace("smoke-"+id))}
+			cli: client.New(url, client.WithWire(streamWire), client.WithTrace("smoke-"+id))}
 		peers = append(peers, id+"="+url)
 	}
 	var tenantsPath string
@@ -193,13 +193,13 @@ func main() {
 			}
 			proxied := streamBytes(n.url, id, "")
 			if string(proxied) != string(direct) {
-				log.Fatalf("clustersmoke: %s stream of %s via %s differs from owner-direct", wire, id, n.id)
+				log.Fatalf("clustersmoke: %s stream of %s via %s differs from owner-direct", streamWire, id, n.id)
 			}
 		}
 		fullStreams[id] = direct
 		decoded[id] = streamDecoded(owners[id].cli, id, "")
 		log.Printf("clustersmoke: %s owned by %s; proxied %s streams byte-identical (%d batches)",
-			id, owner, wire, len(decoded[id]))
+			id, owner, streamWire, len(decoded[id]))
 	}
 
 	// Redirect path: a 307 hop must land on the owner with the client's
@@ -264,7 +264,7 @@ func main() {
 
 	resumed := streamDecoded(survivor.cli, ids[0], cursor)
 	checkResume(decoded[ids[0]], resumed, prefixBatches, ids[0])
-	log.Printf("clustersmoke: cursor resume after owner death is exact in %s wire", wire)
+	log.Printf("clustersmoke: cursor resume after owner death is exact in %s wire", streamWire)
 
 	// Every job — including any others the victim owned — must still
 	// stream completely (and byte-identically) via the survivors.
@@ -280,7 +280,7 @@ func main() {
 			}
 		}
 	}
-	log.Printf("clustersmoke: all %d jobs fully streamable via survivors (%s wire) — PASS", len(ids), wire)
+	log.Printf("clustersmoke: all %d jobs fully streamable via survivors (%s wire) — PASS", len(ids), streamWire)
 }
 
 // Tenancy smoke tokens — throwaway credentials for the local fleet the
@@ -500,8 +500,8 @@ func verifyAssembledTrace(ctx context.Context, nodes []*node, owner *node, jobID
 	if err != nil {
 		log.Fatalf("clustersmoke: trace stream: %v", err)
 	}
-	if wire == domain.WireFrame {
-		req.Header.Set("Accept", domain.ContentTypeFrame)
+	if streamWire == wire.WireFrame {
+		req.Header.Set("Accept", wire.ContentTypeFrame)
 	}
 	req.Header.Set(client.TraceHeader, spanTrace)
 	resp, err := http.DefaultClient.Do(req)
@@ -600,8 +600,8 @@ func streamBytes(baseURL, jobID, cursor string) []byte {
 	if err != nil {
 		log.Fatalf("clustersmoke: stream %s: %v", jobID, err)
 	}
-	if wire == domain.WireFrame {
-		req.Header.Set("Accept", domain.ContentTypeFrame)
+	if streamWire == wire.WireFrame {
+		req.Header.Set("Accept", wire.ContentTypeFrame)
 	}
 	req.Header.Set(client.TraceHeader, smokeTrace)
 	resp, err := http.DefaultClient.Do(req)
@@ -616,8 +616,8 @@ func streamBytes(baseURL, jobID, cursor string) []byte {
 	if resp.StatusCode != http.StatusOK {
 		log.Fatalf("clustersmoke: stream %s: status %d: %s", jobID, resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(domain.HeaderWire); got != wire {
-		log.Fatalf("clustersmoke: stream %s negotiated wire %q, want %q", jobID, got, wire)
+	if got := resp.Header.Get(wire.HeaderWire); got != streamWire {
+		log.Fatalf("clustersmoke: stream %s negotiated wire %q, want %q", jobID, got, streamWire)
 	}
 	if verifyTrace {
 		if got := resp.Header.Values(client.TraceHeader); len(got) != 1 || got[0] != smokeTrace {

@@ -1,33 +1,34 @@
 // Wire codecs: one per shard-record encoding. A codec's Decode and
 // AppendFramePayload run once per record when a shard's sidecar is
-// built; an NDJSON fill decodes the sidecar (DecodeFramePayload) and
-// runs AppendRecordJSON once per record. Batches are then sliced out of
-// the encoded bytes. Line is the reference NDJSON encoder the fragments
-// are tested against; no serving path calls it.
+// built, and nowhere else on a serving path: both wires serve from the
+// sidecar, which the wire package's decoder alone reads back. Line is
+// the reference NDJSON encoder the fragments are tested against; no
+// serving path calls it.
 package domain
 
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"repro/internal/formats/bp"
 	"repro/internal/formats/tfrecord"
 	"repro/internal/loader"
+	"repro/internal/wire"
 )
 
-// Wire kind names, the values of BatchHeader.Kind.
+// The wire kind names, as wire names them. Only bench/ uses these
+// aliases; they go once it names wire's.
 const (
-	KindSamples         = "samples"
-	KindFusionWindows   = "fusion_windows"
-	KindMaterialsGraphs = "materials_graphs"
+	KindSamples         = wire.KindSamples
+	KindFusionWindows   = wire.KindFusionWindows
+	KindMaterialsGraphs = wire.KindMaterialsGraphs
 )
 
 // sampleCodec serves loader.Sample shards (climate, bio): flat float32
 // feature vectors with integer labels.
 type sampleCodec struct{}
 
-func (sampleCodec) Kind() string { return KindSamples }
+func (sampleCodec) Kind() string { return wire.KindSamples }
 
 func (sampleCodec) Decode(rec []byte) (any, int64, error) {
 	s, err := loader.DecodeSample(rec)
@@ -40,26 +41,12 @@ func (sampleCodec) Decode(rec []byte) (any, int64, error) {
 // sampleLine keeps the pre-plugin wire layout: features and labels at
 // the top level, now tagged with a kind.
 type sampleLine struct {
-	BatchHeader
+	wire.BatchHeader
 	Features [][]float32 `json:"features"`
 	Labels   []int32     `json:"labels"`
 }
 
-func (sampleCodec) LineColumns() []string { return []string{"features", "labels"} }
-
-func (sampleCodec) AppendRecordJSON(cols [][]byte, r any) (err error) {
-	s, ok := r.(*loader.Sample)
-	if !ok {
-		return fmt.Errorf("domain: samples codec got %T", r)
-	}
-	if cols[0], err = appendJSONFloat32s(cols[0], s.Features); err != nil {
-		return err
-	}
-	cols[1] = strconv.AppendInt(cols[1], int64(s.Label), 10)
-	return nil
-}
-
-func (sampleCodec) Line(h BatchHeader, recs []any) (any, error) {
+func (sampleCodec) Line(h wire.BatchHeader, recs []any) (any, error) {
 	ln := &sampleLine{BatchHeader: h,
 		Features: make([][]float32, len(recs)), Labels: make([]int32, len(recs))}
 	for i, r := range recs {
@@ -87,7 +74,7 @@ type FusionWindow struct {
 // fusionCodec serves the fusion pipeline's TFRecord tf.train.Examples.
 type fusionCodec struct{}
 
-func (fusionCodec) Kind() string { return KindFusionWindows }
+func (fusionCodec) Kind() string { return wire.KindFusionWindows }
 
 func (fusionCodec) Decode(rec []byte) (any, int64, error) {
 	ex, err := tfrecord.Unmarshal(rec)
@@ -127,7 +114,7 @@ func (fusionCodec) Decode(rec []byte) (any, int64, error) {
 }
 
 type fusionLine struct {
-	BatchHeader
+	wire.BatchHeader
 	Labels   []int64     `json:"labels"`
 	Signals  [][]float32 `json:"signals"`
 	Shots    []int64     `json:"shots"`
@@ -135,26 +122,7 @@ type fusionLine struct {
 	Horizons []float32   `json:"horizons"`
 }
 
-func (fusionCodec) LineColumns() []string {
-	return []string{"labels", "signals", "shots", "starts", "horizons"}
-}
-
-func (fusionCodec) AppendRecordJSON(cols [][]byte, r any) (err error) {
-	w, ok := r.(*FusionWindow)
-	if !ok {
-		return fmt.Errorf("domain: fusion codec got %T", r)
-	}
-	cols[0] = strconv.AppendInt(cols[0], w.Label, 10)
-	if cols[1], err = appendJSONFloat32s(cols[1], w.Signal); err != nil {
-		return err
-	}
-	cols[2] = strconv.AppendInt(cols[2], w.Shot, 10)
-	cols[3] = strconv.AppendInt(cols[3], w.Start, 10)
-	cols[4], err = appendJSONFloat(cols[4], float64(w.Horizon), 32)
-	return err
-}
-
-func (fusionCodec) Line(h BatchHeader, recs []any) (any, error) {
+func (fusionCodec) Line(h wire.BatchHeader, recs []any) (any, error) {
 	ln := &fusionLine{BatchHeader: h,
 		Labels: make([]int64, len(recs)), Signals: make([][]float32, len(recs)),
 		Shots: make([]int64, len(recs)), Starts: make([]int64, len(recs)),
@@ -173,24 +141,11 @@ func (fusionCodec) Line(h BatchHeader, recs []any) (any, error) {
 	return ln, nil
 }
 
-// WireGraph is one decoded materials shard record: a periodic cutoff
-// graph with ragged per-graph tensors flattened row-major alongside
-// their shapes (nodes × feature_dim node features, 2-wide edge list).
-type WireGraph struct {
-	Nodes        int       `json:"nodes"`
-	FeatureDim   int       `json:"feature_dim"`
-	NodeFeatures []float64 `json:"node_features"`
-	Edges        []int64   `json:"edges"`
-	EdgeLengths  []float64 `json:"edge_lengths"`
-	Energy       float64   `json:"energy"`
-	ClassID      int64     `json:"class_id"`
-}
-
 // materialsCodec serves the materials pipeline's per-graph BP process
 // groups.
 type materialsCodec struct{}
 
-func (materialsCodec) Kind() string { return KindMaterialsGraphs }
+func (materialsCodec) Kind() string { return wire.KindMaterialsGraphs }
 
 func (materialsCodec) Decode(rec []byte) (any, int64, error) {
 	_, _, vars, err := bp.UnmarshalPG(rec)
@@ -225,7 +180,7 @@ func (materialsCodec) Decode(rec []byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("domain: materials record with %d edge_lengths for %d edges",
 			len(byName["edge_lengths"].Data), ed.Shape[0])
 	}
-	g := &WireGraph{
+	g := &wire.Graph{
 		Nodes:        nf.Shape[0],
 		FeatureDim:   nf.Shape[1],
 		NodeFeatures: nf.Data,
@@ -252,49 +207,14 @@ func (materialsCodec) Decode(rec []byte) (any, int64, error) {
 }
 
 type materialsLine struct {
-	BatchHeader
-	Graphs []*WireGraph `json:"graphs"`
+	wire.BatchHeader
+	Graphs []*wire.Graph `json:"graphs"`
 }
 
-func (materialsCodec) LineColumns() []string { return []string{"graphs"} }
-
-func (materialsCodec) AppendRecordJSON(cols [][]byte, r any) (err error) {
-	g, ok := r.(*WireGraph)
-	if !ok {
-		return fmt.Errorf("domain: materials codec got %T", r)
-	}
-	if g == nil {
-		cols[0] = append(cols[0], "null"...)
-		return nil
-	}
-	b := append(cols[0], `{"nodes":`...)
-	b = strconv.AppendInt(b, int64(g.Nodes), 10)
-	b = append(b, `,"feature_dim":`...)
-	b = strconv.AppendInt(b, int64(g.FeatureDim), 10)
-	b = append(b, `,"node_features":`...)
-	if b, err = appendJSONFloat64s(b, g.NodeFeatures); err != nil {
-		return err
-	}
-	b = append(b, `,"edges":`...)
-	b = appendJSONInt64s(b, g.Edges)
-	b = append(b, `,"edge_lengths":`...)
-	if b, err = appendJSONFloat64s(b, g.EdgeLengths); err != nil {
-		return err
-	}
-	b = append(b, `,"energy":`...)
-	if b, err = appendJSONFloat(b, g.Energy, 64); err != nil {
-		return err
-	}
-	b = append(b, `,"class_id":`...)
-	b = strconv.AppendInt(b, g.ClassID, 10)
-	cols[0] = append(b, '}')
-	return nil
-}
-
-func (materialsCodec) Line(h BatchHeader, recs []any) (any, error) {
-	ln := &materialsLine{BatchHeader: h, Graphs: make([]*WireGraph, len(recs))}
+func (materialsCodec) Line(h wire.BatchHeader, recs []any) (any, error) {
+	ln := &materialsLine{BatchHeader: h, Graphs: make([]*wire.Graph, len(recs))}
 	for i, r := range recs {
-		g, ok := r.(*WireGraph)
+		g, ok := r.(*wire.Graph)
 		if !ok {
 			return nil, fmt.Errorf("domain: materials codec got %T", r)
 		}

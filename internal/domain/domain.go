@@ -6,11 +6,14 @@
 // synthesize a scale-controlled input from a job spec and build the
 // domain's archetype pipeline over a shard sink, how to pull the
 // durable shard manifest out of the finished product, and a Codec that
-// turns shard records into typed wire batches. A job whose Build
-// returns a key has its shards sealed under it; Opener, Sink and
-// StoredName follow that key alone. The serving tier programs against
-// this package only — it never type-switches on core.Domain or on a
-// pipeline's product type.
+// packs shard records into the frame payload both wires serve. A job
+// whose Build returns a key has its shards sealed under it; Opener,
+// Sink and StoredName follow that key alone. The package also owns the
+// sidecar that holds a shard's payload and the NDJSON fragments filled
+// from it. The serving tier never type-switches on core.Domain or on a
+// pipeline's product type. What both ends of the wire agree on — spec,
+// header, frame layout and its one decoder — is internal/wire, which
+// this package produces for and the SDK reads with.
 package domain
 
 import (
@@ -22,69 +25,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
-// Spec is a serving-tier job submission: which domain template to run
-// and how large a synthetic input to prepare. Zero-valued knobs pick
-// per-domain defaults sized for interactive turnaround.
-type Spec struct {
-	Domain core.Domain `json:"domain"`
-	Name   string      `json:"name,omitempty"`
-	Seed   int64       `json:"seed,omitempty"`
-	// Climate: source grid before regridding.
-	Months int `json:"months,omitempty"`
-	Lat    int `json:"lat,omitempty"`
-	Lon    int `json:"lon,omitempty"`
-	// Fusion.
-	Shots int `json:"shots,omitempty"`
-	// Bio/health.
-	Subjects int `json:"subjects,omitempty"`
-	SeqLen   int `json:"seq_len,omitempty"`
-	// Materials.
-	Structures int `json:"structures,omitempty"`
-}
-
-// Scale-knob ceilings: submissions are unauthenticated, so a single
-// oversized spec must not be able to allocate the server to death.
-const (
-	maxMonths     = 1200
-	maxGridDim    = 512
-	maxShots      = 256
-	maxSubjects   = 5000
-	maxSeqLen     = 100000
-	maxStructures = 5000
-)
-
-// Validate rejects specs whose synthetic input would exceed the
-// per-job resource ceilings.
-func (s Spec) Validate() error {
-	check := func(name string, v, max int) error {
-		if v > max {
-			return fmt.Errorf("domain: %s=%d exceeds limit %d", name, v, max)
-		}
-		if v < 0 {
-			return fmt.Errorf("domain: %s=%d must not be negative", name, v)
-		}
-		return nil
-	}
-	for _, c := range []struct {
-		name   string
-		v, max int
-	}{
-		{"months", s.Months, maxMonths},
-		{"lat", s.Lat, maxGridDim},
-		{"lon", s.Lon, maxGridDim},
-		{"shots", s.Shots, maxShots},
-		{"subjects", s.Subjects, maxSubjects},
-		{"seq_len", s.SeqLen, maxSeqLen},
-		{"structures", s.Structures, maxStructures},
-	} {
-		if err := check(c.name, c.v, c.max); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Spec is the job submission, wire.Spec. Only bench/ uses this alias;
+// it goes once bench/ names wire.Spec.
+type Spec = wire.Spec
 
 // Run is one instantiated pipeline execution: the pipeline, the
 // synthesized dataset it will consume, and the per-job secret (if the
@@ -98,21 +44,16 @@ type Run struct {
 	Key []byte
 }
 
-// BatchHeader is the envelope of every streamed NDJSON batch line. The
-// cursor names the position after the batch; kind names the payload
-// schema that follows, so clients pick a decoder without probing.
-type BatchHeader struct {
-	Batch  int    `json:"batch"`
-	Cursor string `json:"cursor"`
-	Kind   string `json:"kind"`
-}
+// BatchHeader is wire.BatchHeader, which the codecs' Line takes. Only
+// bench/ names it here; the alias goes once bench/ names wire's.
+type BatchHeader = wire.BatchHeader
 
-// Codec decodes one domain's shard records into wire records and
-// encodes them, record by record, for both wire formats: NDJSON line
-// fragments and binary frame payloads. The serving tier packs each
-// shard once into a frame-payload sidecar; both wires fill from it and
-// slice batches out of the bytes, so both encodings must make a batch
-// the concatenation of its records' encodings.
+// Codec turns one domain's shard records into wire records: it
+// decodes a native shard record and packs records into the frame
+// payload a sidecar holds. Both wires then serve from that payload,
+// decoded by the wire package alone, so a codec never reads a payload
+// back. A batch payload must be the concatenation of its records'
+// payloads.
 type Codec interface {
 	// Kind names the wire payload schema ("samples", "fusion_windows",
 	// "materials_graphs").
@@ -125,23 +66,10 @@ type Codec interface {
 	// previously produced by Decode. It is the reference encoding:
 	// json.Marshal of it is what a served line must equal byte for
 	// byte (see lines.go); serving itself uses the fragments.
-	Line(h BatchHeader, recs []any) (any, error)
-	// LineColumns names the line's payload columns, in line order.
-	LineColumns() []string
-	// AppendRecordJSON appends one record's element of each line
-	// column, exactly as encoding/json writes it inside Line's
-	// arrays, to cols[i] (one buffer per LineColumns entry).
-	AppendRecordJSON(cols [][]byte, rec any) error
+	Line(h wire.BatchHeader, recs []any) (any, error)
 	// AppendFramePayload appends the records' packed little-endian
-	// binary frame payload (see frames.go for the per-kind layout).
+	// binary frame payload (see internal/wire for the per-kind layout).
 	AppendFramePayload(buf []byte, recs []any) ([]byte, error)
-	// DecodeFramePayload parses exactly count records back out of a
-	// frame payload, consuming it fully. It must tolerate hostile
-	// input: every length is validated before allocation. It serves
-	// NDJSON fills (Sidecar.Lines decodes a verified sidecar with it),
-	// and it is the reference (through DecodeFrame) that the SDK's
-	// typed frame decoder is tested against.
-	DecodeFramePayload(payload []byte, count int) ([]any, error)
 }
 
 // Plugin is one domain's catalog entry and its wiring into the serving
@@ -154,7 +82,7 @@ type Plugin struct {
 	Description string
 	// Build synthesizes the spec-scale input and instantiates the
 	// domain's archetype pipeline over sink.
-	Build func(spec Spec, sink shard.Sink) (*Run, error)
+	Build func(spec wire.Spec, sink shard.Sink) (*Run, error)
 	// Manifest extracts the durable shard manifest from the completed
 	// dataset's product.
 	Manifest func(ds *pipeline.Dataset) (*shard.Manifest, error)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/formats/tfrecord"
 	"repro/internal/loader"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 func TestAllDomainsHavePlugins(t *testing.T) {
@@ -32,7 +33,7 @@ func TestAllDomainsHavePlugins(t *testing.T) {
 		}
 		kinds[p.Codec.Kind()] = true
 	}
-	for _, want := range []string{KindSamples, KindFusionWindows, KindMaterialsGraphs} {
+	for _, want := range []string{wire.KindSamples, wire.KindFusionWindows, wire.KindMaterialsGraphs} {
 		if !kinds[want] {
 			t.Fatalf("no plugin serves kind %q", want)
 		}
@@ -72,7 +73,7 @@ func TestAllDomainsHavePlugins(t *testing.T) {
 	// archetype and walks ingest→…→shard.
 	t.Run("archetype_stages", func(t *testing.T) {
 		for _, p := range Plugins() {
-			run, err := p.Build(Spec{Domain: p.Domain}, shard.NewMemSink())
+			run, err := p.Build(wire.Spec{Domain: p.Domain}, shard.NewMemSink())
 			if err != nil {
 				t.Fatalf("%s: %v", p.Domain, err)
 			}
@@ -93,7 +94,7 @@ func TestAllDomainsHavePlugins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := p.Build(Spec{Domain: d}, shard.NewMemSink())
+		run, err := p.Build(wire.Spec{Domain: d}, shard.NewMemSink())
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
@@ -154,12 +155,12 @@ func TestConcurrentPluginAccess(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	if err := (Spec{Domain: core.Climate, Months: 24}).Validate(); err != nil {
+	if err := (wire.Spec{Domain: core.Climate, Months: 24}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []Spec{
-		{Months: maxMonths + 1}, {Lat: -1}, {Shots: maxShots + 1},
-		{Subjects: maxSubjects + 1}, {SeqLen: -2}, {Structures: maxStructures + 1},
+	for _, bad := range []wire.Spec{
+		{Months: 1201}, {Lat: -1}, {Lon: 513}, {Shots: 257},
+		{Subjects: 5001}, {SeqLen: -2}, {SeqLen: 100001}, {Structures: 5001},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("spec %+v accepted", bad)
@@ -189,7 +190,7 @@ func TestSampleCodecRoundTrip(t *testing.T) {
 		}
 		recs = append(recs, r)
 	}
-	line, err := c.Line(BatchHeader{Batch: 2, Cursor: "1:0", Kind: c.Kind()}, recs)
+	line, err := c.Line(wire.BatchHeader{Batch: 2, Cursor: "1:0", Kind: c.Kind()}, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,21 +198,21 @@ func TestSampleCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire struct {
+	var ln struct {
 		Batch    int         `json:"batch"`
 		Cursor   string      `json:"cursor"`
 		Kind     string      `json:"kind"`
 		Features [][]float32 `json:"features"`
 		Labels   []int32     `json:"labels"`
 	}
-	if err := json.Unmarshal(b, &wire); err != nil {
+	if err := json.Unmarshal(b, &ln); err != nil {
 		t.Fatal(err)
 	}
-	if wire.Kind != KindSamples || wire.Cursor != "1:0" || wire.Batch != 2 {
-		t.Fatalf("header %+v", wire)
+	if ln.Kind != wire.KindSamples || ln.Cursor != "1:0" || ln.Batch != 2 {
+		t.Fatalf("header %+v", ln)
 	}
 	for i, s := range samples {
-		if !reflect.DeepEqual(wire.Features[i], s.Features) || wire.Labels[i] != s.Label {
+		if !reflect.DeepEqual(ln.Features[i], s.Features) || ln.Labels[i] != s.Label {
 			t.Fatalf("sample %d differs on the wire", i)
 		}
 	}
@@ -244,12 +245,12 @@ func TestFusionCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(w, want) {
 		t.Fatalf("decoded %+v, want %+v", w, want)
 	}
-	line, err := c.Line(BatchHeader{Kind: c.Kind()}, []any{w})
+	line, err := c.Line(wire.BatchHeader{Kind: c.Kind()}, []any{w})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := json.Marshal(line)
-	var wire struct {
+	var ln struct {
 		Kind     string      `json:"kind"`
 		Labels   []int64     `json:"labels"`
 		Signals  [][]float32 `json:"signals"`
@@ -257,12 +258,12 @@ func TestFusionCodecRoundTrip(t *testing.T) {
 		Starts   []int64     `json:"starts"`
 		Horizons []float32   `json:"horizons"`
 	}
-	if err := json.Unmarshal(b, &wire); err != nil {
+	if err := json.Unmarshal(b, &ln); err != nil {
 		t.Fatal(err)
 	}
-	if wire.Shots[0] != 42 || wire.Starts[0] != 25 || wire.Labels[0] != 1 ||
-		wire.Horizons[0] != 0.3 || !reflect.DeepEqual(wire.Signals[0], want.Signal) {
-		t.Fatalf("wire %+v", wire)
+	if ln.Shots[0] != 42 || ln.Starts[0] != 25 || ln.Labels[0] != 1 ||
+		ln.Horizons[0] != 0.3 || !reflect.DeepEqual(ln.Signals[0], want.Signal) {
+		t.Fatalf("wire %+v", ln)
 	}
 
 	// A record without signal floats is not a fusion window.
@@ -338,26 +339,26 @@ func TestMaterialsCodecRoundTrip(t *testing.T) {
 	if size <= 0 {
 		t.Fatalf("size %d", size)
 	}
-	g := r.(*WireGraph)
+	g := r.(*wire.Graph)
 	if g.Nodes != 3 || g.FeatureDim != 2 || len(g.NodeFeatures) != 6 ||
 		!reflect.DeepEqual(g.Edges, []int64{0, 1, 1, 2}) ||
 		len(g.EdgeLengths) != 2 || g.Energy != -7.25 || g.ClassID != 1 {
 		t.Fatalf("decoded %+v", g)
 	}
-	line, err := c.Line(BatchHeader{Kind: c.Kind()}, []any{g})
+	line, err := c.Line(wire.BatchHeader{Kind: c.Kind()}, []any{g})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := json.Marshal(line)
-	var wire struct {
-		Kind   string       `json:"kind"`
-		Graphs []*WireGraph `json:"graphs"`
+	var ln struct {
+		Kind   string        `json:"kind"`
+		Graphs []*wire.Graph `json:"graphs"`
 	}
-	if err := json.Unmarshal(b, &wire); err != nil {
+	if err := json.Unmarshal(b, &ln); err != nil {
 		t.Fatal(err)
 	}
-	if len(wire.Graphs) != 1 || !reflect.DeepEqual(wire.Graphs[0], g) {
-		t.Fatalf("wire %+v", wire)
+	if len(ln.Graphs) != 1 || !reflect.DeepEqual(ln.Graphs[0], g) {
+		t.Fatalf("line %+v", ln)
 	}
 
 	// A PG without the graph layout must be rejected, not mis-served.
@@ -482,7 +483,7 @@ func FuzzFusionCodecDecode(f *testing.F) {
 		if size <= 0 {
 			t.Fatalf("accepted record with size %d", size)
 		}
-		if _, err := c.Line(BatchHeader{Kind: c.Kind()}, []any{r}); err != nil {
+		if _, err := c.Line(wire.BatchHeader{Kind: c.Kind()}, []any{r}); err != nil {
 			t.Fatalf("decoded record fails line building: %v", err)
 		}
 	})
@@ -509,7 +510,7 @@ func FuzzMaterialsCodecDecode(f *testing.F) {
 		if size <= 0 {
 			t.Fatalf("accepted record with size %d", size)
 		}
-		if _, err := c.Line(BatchHeader{Kind: c.Kind()}, []any{r}); err != nil {
+		if _, err := c.Line(wire.BatchHeader{Kind: c.Kind()}, []any{r}); err != nil {
 			t.Fatalf("decoded record fails line building: %v", err)
 		}
 	})

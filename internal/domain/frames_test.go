@@ -5,12 +5,81 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
 
 	"repro/internal/loader"
+	"repro/internal/wire"
 )
+
+// codecByKind returns the registered codec serving a wire kind.
+func codecByKind(kind string) (Codec, bool) {
+	for _, p := range Plugins() {
+		if p.Codec.Kind() == kind {
+			return p.Codec, true
+		}
+	}
+	return nil, false
+}
+
+// recordsOf boxes a decoded batch's records as its kind's codec
+// produces them, so they can be compared with the codec's own
+// records and fed to its Line and AppendFramePayload.
+func recordsOf(b *wire.Batch) []any {
+	recs := make([]any, b.Count())
+	for i := range recs {
+		switch b.Kind {
+		case KindSamples:
+			recs[i] = &loader.Sample{Features: b.Features[i], Label: int32(b.Labels[i])}
+		case KindFusionWindows:
+			recs[i] = &FusionWindow{Signal: b.Signals[i], Shot: b.Shots[i], Start: b.Starts[i],
+				Label: b.Labels[i], Horizon: b.Horizons[i]}
+		case KindMaterialsGraphs:
+			g := b.Graphs[i]
+			recs[i] = &g
+		}
+	}
+	return recs
+}
+
+// decodeFrame parses one frame off the front of b with the wire
+// decoder and returns its records boxed, and the remainder. An empty b
+// is io.EOF; a frame cut short is io.ErrUnexpectedEOF.
+func decodeFrame(b []byte) (wire.BatchHeader, []any, []byte, error) {
+	if len(b) == 0 {
+		return wire.BatchHeader{}, nil, nil, io.EOF
+	}
+	ln, sz := binary.Uvarint(b)
+	if sz == 0 {
+		return wire.BatchHeader{}, nil, nil, io.ErrUnexpectedEOF
+	}
+	if sz < 0 || ln == 0 || ln > wire.MaxFrameBytes {
+		return wire.BatchHeader{}, nil, nil, fmt.Errorf("bad frame length %d", ln)
+	}
+	if uint64(len(b)-sz) < ln {
+		return wire.BatchHeader{}, nil, nil, io.ErrUnexpectedEOF
+	}
+	rest := b[sz+int(ln):]
+	w, err := new(wire.Decoder).Decode(b[sz : sz+int(ln)])
+	if err != nil {
+		return wire.BatchHeader{}, nil, rest, err
+	}
+	return wire.BatchHeader{Batch: w.Batch, Cursor: w.Cursor, Kind: w.Kind}, recordsOf(w), rest, nil
+}
+
+// rawFrame frames a header announcing count records over a raw
+// payload, so tests can state frames the encoders refuse to write.
+func rawFrame(h wire.BatchHeader, count uint64, payload []byte) []byte {
+	body := binary.AppendUvarint(nil, uint64(len(h.Kind)))
+	body = append(body, h.Kind...)
+	body = binary.AppendUvarint(body, uint64(h.Batch))
+	body = binary.AppendUvarint(body, uint64(len(h.Cursor)))
+	body = append(body, h.Cursor...)
+	body = append(binary.AppendUvarint(body, count), payload...)
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
 
 // frameFixtures returns, per codec, shard-encoded records the way each
 // domain's shard stage writes them.
@@ -34,10 +103,11 @@ func frameFixtures(t *testing.T) map[string][][]byte {
 }
 
 // TestFrameRoundTrip: for every codec, shard records decoded then
-// framed then frame-decoded reproduce the records and the header.
+// framed then frame-decoded by the wire decoder reproduce the records
+// and the header.
 func TestFrameRoundTrip(t *testing.T) {
 	for kind, raws := range frameFixtures(t) {
-		codec, ok := CodecByKind(kind)
+		codec, ok := codecByKind(kind)
 		if !ok {
 			t.Fatalf("no codec for kind %q", kind)
 		}
@@ -49,12 +119,12 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 			recs = append(recs, r)
 		}
-		h := BatchHeader{Batch: 7, Cursor: "3:12", Kind: kind}
+		h := wire.BatchHeader{Batch: 7, Cursor: "3:12", Kind: kind}
 		frame, err := EncodeFrame(codec, h, recs)
 		if err != nil {
 			t.Fatalf("%s: encode frame: %v", kind, err)
 		}
-		gotH, gotRecs, rest, err := DecodeFrame(frame)
+		gotH, gotRecs, rest, err := decodeFrame(frame)
 		if err != nil {
 			t.Fatalf("%s: decode frame: %v", kind, err)
 		}
@@ -69,7 +139,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		// Two concatenated frames parse in sequence.
 		double := append(append([]byte{}, frame...), frame...)
-		_, _, rest, err = DecodeFrame(double)
+		_, _, rest, err = decodeFrame(double)
 		if err != nil || len(rest) != len(frame) {
 			t.Fatalf("%s: concatenated frames: rest=%d err=%v", kind, len(rest), err)
 		}
@@ -83,7 +153,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // original NDJSON line byte-for-byte.
 func TestFrameNDJSONEquivalence(t *testing.T) {
 	for kind, raws := range frameFixtures(t) {
-		codec, _ := CodecByKind(kind)
+		codec, _ := codecByKind(kind)
 		var recs []any
 		for _, raw := range raws {
 			r, _, err := codec.Decode(raw)
@@ -92,7 +162,7 @@ func TestFrameNDJSONEquivalence(t *testing.T) {
 			}
 			recs = append(recs, r)
 		}
-		h := BatchHeader{Batch: 0, Cursor: "1:0", Kind: kind}
+		h := wire.BatchHeader{Batch: 0, Cursor: "1:0", Kind: kind}
 		line, err := codec.Line(h, recs)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +175,7 @@ func TestFrameNDJSONEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, frameRecs, _, err := DecodeFrame(frame)
+		_, frameRecs, _, err := decodeFrame(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +206,7 @@ func TestFrameNDJSONEquivalence(t *testing.T) {
 // here.
 func TestFramePayloadConcatenation(t *testing.T) {
 	for kind, raws := range frameFixtures(t) {
-		codec, _ := CodecByKind(kind)
+		codec, _ := codecByKind(kind)
 		var recs []any
 		for _, raw := range raws {
 			r, _, err := codec.Decode(raw)
@@ -177,12 +247,12 @@ func TestFramePayloadConcatenation(t *testing.T) {
 
 		// FrameEnvelope over the cached payload reproduces EncodeFrame's
 		// bytes exactly: envelope + payload == full frame.
-		h := BatchHeader{Batch: 3, Cursor: "2:5", Kind: kind}
+		h := wire.BatchHeader{Batch: 3, Cursor: "2:5", Kind: kind}
 		frame, err := EncodeFrame(codec, h, recs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := FrameEnvelope(h, len(recs), len(payload))
+		env, err := wire.FrameEnvelope(h, len(recs), len(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,19 +264,19 @@ func TestFramePayloadConcatenation(t *testing.T) {
 
 // TestFrameEnvelopeRejects: oversized and negative payloads error.
 func TestFrameEnvelopeRejects(t *testing.T) {
-	if _, err := FrameEnvelope(BatchHeader{Kind: KindSamples}, 1, -1); err == nil {
+	if _, err := wire.FrameEnvelope(wire.BatchHeader{Kind: wire.KindSamples}, 1, -1); err == nil {
 		t.Fatal("negative payload length accepted")
 	}
-	if _, err := FrameEnvelope(BatchHeader{Kind: KindSamples}, 1, MaxFrameBytes); err == nil {
+	if _, err := wire.FrameEnvelope(wire.BatchHeader{Kind: wire.KindSamples}, 1, wire.MaxFrameBytes); err == nil {
 		t.Fatal("over-cap frame body accepted")
 	}
 }
 
 // TestErrorFrame: the in-band failure frame surfaces as *StreamError.
 func TestErrorFrame(t *testing.T) {
-	f := EncodeErrorFrame("shard s-00002 vanished")
-	_, _, _, err := DecodeFrame(f)
-	var se *StreamError
+	f := wire.EncodeErrorFrame("shard s-00002 vanished")
+	_, _, _, err := decodeFrame(f)
+	var se *wire.StreamError
 	if !errors.As(err, &se) || se.Msg != "shard s-00002 vanished" {
 		t.Fatalf("error frame decoded as %v", err)
 	}
@@ -215,50 +285,48 @@ func TestErrorFrame(t *testing.T) {
 // TestFrameDecodeRejects: hostile frames — truncations, oversized
 // counts, lying lengths, bad varints, foreign kinds — error cleanly.
 func TestFrameDecodeRejects(t *testing.T) {
-	codec, _ := CodecByKind(KindSamples)
+	codec, _ := codecByKind(wire.KindSamples)
 	rec, _, err := codec.Decode((&loader.Sample{Features: []float32{1, 2}, Label: 5}).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, err := EncodeFrame(codec, BatchHeader{Batch: 1, Cursor: "0:1", Kind: KindSamples}, []any{rec})
+	valid, err := EncodeFrame(codec, wire.BatchHeader{Batch: 1, Cursor: "0:1", Kind: wire.KindSamples}, []any{rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Empty buffer is a clean EOF, not an error.
-	if _, _, _, err := DecodeFrame(nil); err != io.EOF {
+	if _, _, _, err := decodeFrame(nil); err != io.EOF {
 		t.Fatalf("empty buffer: %v", err)
 	}
 	// Every truncation of a valid frame must fail without panicking.
 	for n := 1; n < len(valid); n++ {
-		if _, _, _, err := DecodeFrame(valid[:n]); err == nil {
+		if _, _, _, err := decodeFrame(valid[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
 	// Oversized record count.
-	body := appendFrameHeader(nil, BatchHeader{Kind: KindSamples}, 1<<30)
-	if _, _, _, err := DecodeFrame(prefixFrame(body)); err == nil {
+	if _, _, _, err := decodeFrame(rawFrame(wire.BatchHeader{Kind: wire.KindSamples}, 1<<30, nil)); err == nil {
 		t.Fatal("oversized count accepted")
 	}
 	// Frame length beyond the cap.
-	huge := binary.AppendUvarint(nil, MaxFrameBytes+1)
-	if _, _, _, err := DecodeFrame(append(huge, 0)); err == nil {
+	huge := binary.AppendUvarint(nil, wire.MaxFrameBytes+1)
+	if _, _, _, err := decodeFrame(append(huge, 0)); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 	// Unknown kind.
-	body = appendFrameHeader(nil, BatchHeader{Kind: "astral_cubes"}, 1)
-	if _, _, _, err := DecodeFrame(prefixFrame(append(body, 0, 0))); err == nil {
+	if _, _, _, err := decodeFrame(rawFrame(wire.BatchHeader{Kind: "astral_cubes"}, 1, []byte{0, 0})); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	// Trailing garbage after the declared records.
 	_, sz := binary.Uvarint(valid)
-	tampered := prefixFrame(append(append([]byte{}, valid[sz:]...), 0xFF))
-	if _, _, _, err := DecodeFrame(tampered); err == nil {
+	body := append(append([]byte{}, valid[sz:]...), 0xFF)
+	tampered := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	if _, _, _, err := decodeFrame(tampered); err == nil {
 		t.Fatal("trailing payload bytes accepted")
 	}
 	// A materials payload whose edge endpoint exceeds its node count
 	// must be rejected — clients index node_features by endpoints.
-	mat, _ := CodecByKind(KindMaterialsGraphs)
 	bad := binary.AppendUvarint(nil, 1) // nodes
 	bad = binary.AppendUvarint(bad, 1)  // feature_dim
 	bad = binary.LittleEndian.AppendUint64(bad, 0)
@@ -268,44 +336,45 @@ func TestFrameDecodeRejects(t *testing.T) {
 	bad = binary.LittleEndian.AppendUint64(bad, 0) // edge length
 	bad = binary.LittleEndian.AppendUint64(bad, 0) // energy
 	bad = binary.AppendVarint(bad, 0)              // class_id
-	if _, err := mat.DecodeFramePayload(bad, 1); err == nil {
+	if _, err := new(wire.Decoder).DecodePayload(wire.KindMaterialsGraphs, bad, 1); err == nil {
 		t.Fatal("out-of-range edge endpoint accepted")
 	}
 }
 
-// FuzzFrameDecode hardens the binary frame parser — header varints and
-// all three codec payloads — against hostile bytes: it must never
-// panic or over-allocate, and whatever it accepts must re-encode.
+// FuzzFrameDecode hardens the wire decoder — header varints and all
+// three kinds' payloads — against hostile bytes: it must never panic
+// or over-allocate, and whatever it accepts must re-encode through the
+// kind's codec.
 func FuzzFrameDecode(f *testing.F) {
 	// Valid single frames for each codec as seeds.
 	sample := &loader.Sample{Features: []float32{1, 2}, Label: 5}
 	w := &FusionWindow{Signal: []float32{0.5}, Shot: 3, Start: 1, Label: 1, Horizon: 0.2}
-	g := &WireGraph{Nodes: 2, FeatureDim: 1, NodeFeatures: []float64{1, 2},
+	g := &wire.Graph{Nodes: 2, FeatureDim: 1, NodeFeatures: []float64{1, 2},
 		Edges: []int64{0, 1}, EdgeLengths: []float64{1.5}, Energy: -3, ClassID: 1}
 	for kind, rec := range map[string]any{
 		KindSamples: sample, KindFusionWindows: w, KindMaterialsGraphs: g,
 	} {
-		codec, _ := CodecByKind(kind)
-		frame, err := EncodeFrame(codec, BatchHeader{Batch: 1, Cursor: "0:1", Kind: kind}, []any{rec})
+		codec, _ := codecByKind(kind)
+		frame, err := EncodeFrame(codec, wire.BatchHeader{Batch: 1, Cursor: "0:1", Kind: kind}, []any{rec})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
 	}
-	f.Add(EncodeErrorFrame("boom"))
+	f.Add(wire.EncodeErrorFrame("boom"))
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Add(binary.AppendUvarint(nil, 1<<40))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		h, recs, _, err := DecodeFrame(b)
+		h, recs, _, err := decodeFrame(b)
 		if err != nil {
 			return
 		}
 		if len(recs) == 0 {
 			t.Fatalf("accepted data frame with no records: %+v", h)
 		}
-		codec, ok := CodecByKind(h.Kind)
+		codec, ok := codecByKind(h.Kind)
 		if !ok {
 			t.Fatalf("accepted frame with unresolvable kind %q", h.Kind)
 		}

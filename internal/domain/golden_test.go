@@ -11,14 +11,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/served_bytes.golden from the current code")
 
 // goldenSpec is the benchmark's scale-16 spec for a domain and seed, its
 // values written out here so the pin does not move with the benchmark.
-func goldenSpec(d core.Domain, seed int64) Spec {
-	s := Spec{Domain: d, Seed: seed}
+func goldenSpec(d core.Domain, seed int64) wire.Spec {
+	s := wire.Spec{Domain: d, Seed: seed}
 	switch d {
 	case core.Climate:
 		s.Months, s.Lat, s.Lon = 37, 32, 64
@@ -37,7 +38,7 @@ func goldenSpec(d core.Domain, seed int64) Spec {
 // sidecar's plaintext (a sealed job's sidecar is read back unsealed,
 // since its key is random) and of the NDJSON line holding all of the
 // shard's records under a fixed header.
-func servedDigests(t *testing.T, p Plugin, spec Spec) string {
+func servedDigests(t *testing.T, p Plugin, spec wire.Spec) string {
 	t.Helper()
 	store := shard.NewMemSink()
 	run, err := p.Build(spec, store)
@@ -70,11 +71,11 @@ func servedDigests(t *testing.T, p Plugin, spec Spec) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, err := sc.Lines(p.Codec)
+		lf, err := sc.Lines()
 		if err != nil {
 			t.Fatal(err)
 		}
-		line := bytes.NewBuffer(AppendLineHeader(nil, BatchHeader{Batch: 0, Cursor: "0:0", Kind: sc.Kind()}))
+		line := bytes.NewBuffer(AppendLineHeader(nil, wire.BatchHeader{Batch: 0, Cursor: "0:0", Kind: sc.Kind()}))
 		if err := WriteLineColumns(line, []LineRange{{F: lf, A: 0, B: lf.Count()}}); err != nil {
 			t.Fatal(err)
 		}

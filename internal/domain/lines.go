@@ -1,16 +1,18 @@
 // NDJSON batch lines from per-record JSON fragments. A batch line is
 //
 //	{"batch":N,"cursor":"…","kind":"…"     header fields
-//	,"<col>":[e_a,…,e_b-1]                   one per codec line column
+//	,"<col>":[e_a,…,e_b-1]                   one per line column of the kind
 //	}\n
 //
 // where e_i is record i's element of that column, exactly as
 // encoding/json writes it. Each element depends on its record alone,
 // so a shard's records are encoded once into per-column fragments
-// (EncodeRecordJSON) and any record range of any batch is a contiguous
-// slice of them — the NDJSON sibling of EncodeRecordPayloads. The line
-// built this way is byte-identical to json.Marshal(Codec.Line(h, recs))
-// plus "\n" (pinned by TestLineFragmentsMatchMarshal).
+// (EncodeBatchJSON, straight from the columns of the wire.Batch the
+// sidecar payload decodes into) and any record range of any batch is a
+// contiguous slice of them — the NDJSON sibling of
+// EncodeRecordPayloads. The line built this way is byte-identical to
+// json.Marshal(Codec.Line(h, recs)) plus "\n" (pinned by
+// TestLineFragmentsMatchMarshal).
 package domain
 
 import (
@@ -20,6 +22,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+
+	"repro/internal/wire"
 )
 
 // LineFragments is one shard's records encoded as NDJSON line
@@ -45,19 +49,52 @@ func (f *LineFragments) MemBytes() int64 {
 	return n
 }
 
-// EncodeRecordJSON encodes recs into per-column line fragments through
-// the codec's per-record JSON encoder. It fails where json.Marshal of
-// a line holding the same records fails (NaN or ±Inf), with the same
-// message.
-func EncodeRecordJSON(c Codec, recs []any) (*LineFragments, error) {
-	names := c.LineColumns()
+// EncodeBatchJSON encodes every record of b into per-column line
+// fragments, the columns and element encoding chosen by b's kind. It
+// fails where json.Marshal of a line holding the same records fails
+// (NaN or ±Inf), with the same message.
+func EncodeBatchJSON(b *wire.Batch) (*LineFragments, error) {
+	var names []string
+	var appendRecord func(cols [][]byte, i int) error
+	switch b.Kind {
+	case wire.KindSamples:
+		names = []string{"features", "labels"}
+		appendRecord = func(cols [][]byte, i int) (err error) {
+			if cols[0], err = appendJSONFloat32s(cols[0], b.Features[i]); err != nil {
+				return err
+			}
+			cols[1] = strconv.AppendInt(cols[1], b.Labels[i], 10)
+			return nil
+		}
+	case wire.KindFusionWindows:
+		names = []string{"labels", "signals", "shots", "starts", "horizons"}
+		appendRecord = func(cols [][]byte, i int) (err error) {
+			cols[0] = strconv.AppendInt(cols[0], b.Labels[i], 10)
+			if cols[1], err = appendJSONFloat32s(cols[1], b.Signals[i]); err != nil {
+				return err
+			}
+			cols[2] = strconv.AppendInt(cols[2], b.Shots[i], 10)
+			cols[3] = strconv.AppendInt(cols[3], b.Starts[i], 10)
+			cols[4], err = appendJSONFloat(cols[4], float64(b.Horizons[i]), 32)
+			return err
+		}
+	case wire.KindMaterialsGraphs:
+		names = []string{"graphs"}
+		appendRecord = func(cols [][]byte, i int) (err error) {
+			cols[0], err = appendGraphJSON(cols[0], &b.Graphs[i])
+			return err
+		}
+	default:
+		return nil, fmt.Errorf("domain: no NDJSON line for wire kind %q", b.Kind)
+	}
+	n := b.Count()
 	f := &LineFragments{opens: make([][]byte, len(names)), cols: make([][]byte, len(names)), offs: make([][]int64, len(names))}
 	for k, name := range names {
 		f.opens[k] = []byte(`,"` + name + `":[`)
-		f.offs[k] = make([]int64, len(recs)+1)
+		f.offs[k] = make([]int64, n+1)
 	}
-	for i, r := range recs {
-		if err := c.AppendRecordJSON(f.cols, r); err != nil {
+	for i := range n {
+		if err := appendRecord(f.cols, i); err != nil {
 			return nil, err
 		}
 		for k := range f.cols {
@@ -75,6 +112,32 @@ func EncodeRecordJSON(c Codec, recs []any) (*LineFragments, error) {
 	return f, nil
 }
 
+// appendGraphJSON appends one graph object as encoding/json writes a
+// wire.Graph.
+func appendGraphJSON(b []byte, g *wire.Graph) (_ []byte, err error) {
+	b = append(b, `{"nodes":`...)
+	b = strconv.AppendInt(b, int64(g.Nodes), 10)
+	b = append(b, `,"feature_dim":`...)
+	b = strconv.AppendInt(b, int64(g.FeatureDim), 10)
+	b = append(b, `,"node_features":`...)
+	if b, err = appendJSONFloat64s(b, g.NodeFeatures); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"edges":`...)
+	b = appendJSONInt64s(b, g.Edges)
+	b = append(b, `,"edge_lengths":`...)
+	if b, err = appendJSONFloat64s(b, g.EdgeLengths); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"energy":`...)
+	if b, err = appendJSONFloat(b, g.Energy, 64); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"class_id":`...)
+	b = strconv.AppendInt(b, g.ClassID, 10)
+	return append(b, '}'), nil
+}
+
 // LineRange is the records [A, B) of one shard's fragments.
 type LineRange struct {
 	F    *LineFragments
@@ -83,7 +146,7 @@ type LineRange struct {
 
 // AppendLineHeader appends the opening of a batch line: the brace and
 // the header fields, without the payload columns that follow them.
-func AppendLineHeader(buf []byte, h BatchHeader) []byte {
+func AppendLineHeader(buf []byte, h wire.BatchHeader) []byte {
 	buf = append(buf, `{"batch":`...)
 	buf = strconv.AppendInt(buf, int64(h.Batch), 10)
 	buf = append(buf, `,"cursor":`...)
@@ -95,7 +158,7 @@ func AppendLineHeader(buf []byte, h BatchHeader) []byte {
 // WriteLineColumns writes the rest of a batch line after its header:
 // each column's elements over the ranges in order — ranges from
 // different shards joined by a comma — and the closing "}\n". Every
-// range must be non-empty and come from fragments of the same codec.
+// range must be non-empty and come from fragments of the same kind.
 func WriteLineColumns(w io.Writer, rs []LineRange) error {
 	if len(rs) == 0 {
 		return fmt.Errorf("domain: batch line without records")

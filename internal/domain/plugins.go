@@ -17,6 +17,7 @@ import (
 	"repro/internal/materials"
 	"repro/internal/pipeline"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 func orDefault(v, def int) int {
@@ -26,7 +27,7 @@ func orDefault(v, def int) int {
 	return v
 }
 
-func specSeed(spec Spec) int64 {
+func specSeed(spec wire.Spec) int64 {
 	if spec.Seed == 0 {
 		return 1
 	}
@@ -88,7 +89,7 @@ func init() {
 		Domain:      core.Climate,
 		Description: "CMIP6/ERA5-style gridded fields → regridded, normalized per-month sample shards",
 		Codec:       sampleCodec{},
-		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
+		Build: func(spec wire.Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			months, lat, lon := orDefault(spec.Months, 24), orDefault(spec.Lat, 16), orDefault(spec.Lon, 32)
 			field, err := climate.Synthesize(climate.SynthConfig{
@@ -114,7 +115,7 @@ func init() {
 		Domain:      core.Fusion,
 		Description: "MDSplus-style shot trees → aligned, windowed TFRecord shards",
 		Codec:       fusionCodec{},
-		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
+		Build: func(spec wire.Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			st, err := fusion.SynthesizeCampaign(fusion.SynthConfig{
 				Shots: orDefault(spec.Shots, 8), DisruptionRate: 0.35,
@@ -140,7 +141,7 @@ func init() {
 		Domain:      core.BioHealth,
 		Description: "FASTA + clinical records → anonymized, fused, encrypted shards",
 		Codec:       sampleCodec{},
-		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
+		Build: func(spec wire.Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			// The bio template tiles at the default length; shorter synthetic
 			// sequences would fail every job, so floor SeqLen there.
@@ -174,7 +175,7 @@ func init() {
 		Domain:      core.Materials,
 		Description: "POSCAR structures → normalized periodic graphs as BP process-group shards",
 		Codec:       materialsCodec{},
-		Build: func(spec Spec, sink shard.Sink) (*Run, error) {
+		Build: func(spec wire.Spec, sink shard.Sink) (*Run, error) {
 			seed := specSeed(spec)
 			structs, err := materials.Synthesize(materials.SynthConfig{
 				Structures: orDefault(spec.Structures, 24), MinAtoms: 4, MaxAtoms: 10,

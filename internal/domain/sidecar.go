@@ -5,8 +5,9 @@
 // ParseSidecar and served as byte ranges of that one image under fresh
 // FrameEnvelope headers — zero codec Encode/Decode calls — instead of
 // decode+encode per request. A cold NDJSON read fills from the same
-// verified image (Sidecar.Lines), so the native shard is decoded only
-// to build a sidecar (ShardSidecar).
+// verified image (Sidecar.Lines: the wire package's decoder, then the
+// line fragments written from its columns), so the native shard is
+// decoded only to build a sidecar (ShardSidecar).
 //
 // Sidecar layout (all fixed-width integers little-endian):
 //
@@ -35,8 +36,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // SidecarSuffix names a shard's frame-ready companion object:
@@ -65,8 +68,8 @@ var (
 // memory — shards are capped at tens of KiB by every domain's shard
 // target, so there is nothing to stream.
 func AppendSidecar(dst []byte, kind string, payload []byte, offsets []int64) ([]byte, error) {
-	if kind == "" || len(kind) > maxKindLen {
-		return nil, fmt.Errorf("domain: sidecar kind %q out of range (1..%d bytes)", kind, maxKindLen)
+	if kind == "" || len(kind) > wire.MaxKindLen {
+		return nil, fmt.Errorf("domain: sidecar kind %q out of range (1..%d bytes)", kind, wire.MaxKindLen)
 	}
 	if len(offsets) == 0 || offsets[0] != 0 || offsets[len(offsets)-1] != int64(len(payload)) {
 		return nil, fmt.Errorf("domain: sidecar offsets do not span the %d-byte payload", len(payload))
@@ -76,8 +79,8 @@ func AppendSidecar(dst []byte, kind string, payload []byte, offsets []int64) ([]
 			return nil, fmt.Errorf("domain: sidecar offsets decrease at record %d", i-1)
 		}
 	}
-	if len(payload) > MaxFrameBytes {
-		return nil, fmt.Errorf("domain: sidecar payload %d bytes exceeds %d", len(payload), MaxFrameBytes)
+	if len(payload) > wire.MaxFrameBytes {
+		return nil, fmt.Errorf("domain: sidecar payload %d bytes exceeds %d", len(payload), wire.MaxFrameBytes)
 	}
 	metaStart := len(dst)
 	dst = append(dst, sidecarMagic[:]...)
@@ -129,7 +132,7 @@ func corruptf(format string, args ...any) error {
 // one index entry per payload byte (every record costs at least one),
 // plus header and footer. OpenSidecar refuses a larger size before it
 // allocates anything.
-const maxSidecarBytes = sidecarHeaderMin + maxKindLen + MaxFrameBytes + (MaxFrameBytes+1)*8 + sidecarFooterLen
+const maxSidecarBytes = sidecarHeaderMin + wire.MaxKindLen + wire.MaxFrameBytes + (wire.MaxFrameBytes+1)*8 + sidecarFooterLen
 
 // Sidecar is a parsed and fully verified sidecar held in memory: its
 // kind, payload and offset index are sub-slices of the one image it was
@@ -160,7 +163,7 @@ func ParseSidecar(b []byte) (*Sidecar, error) {
 		return nil, corruptf("domain: sidecar version %d not supported (want %d)", b[4], sidecarVersion)
 	}
 	kindLen := uint64(b[5])
-	if kindLen == 0 || kindLen > maxKindLen || sidecarHeaderMin+kindLen > size-sidecarFooterLen {
+	if kindLen == 0 || kindLen > wire.MaxKindLen || sidecarHeaderMin+kindLen > size-sidecarFooterLen {
 		return nil, corruptf("domain: sidecar kind length %d out of range", kindLen)
 	}
 	headerLen := sidecarHeaderMin + kindLen
@@ -171,8 +174,8 @@ func ParseSidecar(b []byte) (*Sidecar, error) {
 	}
 	count := binary.LittleEndian.Uint64(foot[0:8])
 	payloadLen := binary.LittleEndian.Uint64(foot[8:16])
-	if payloadLen > MaxFrameBytes {
-		return nil, corruptf("domain: sidecar payload %d bytes exceeds %d", payloadLen, MaxFrameBytes)
+	if payloadLen > wire.MaxFrameBytes {
+		return nil, corruptf("domain: sidecar payload %d bytes exceeds %d", payloadLen, wire.MaxFrameBytes)
 	}
 	// Every record costs at least one payload byte (matching the frame
 	// decoder's bound), so count<=payloadLen bounds the index, and the
@@ -264,17 +267,23 @@ func (s *Sidecar) WriteRange(w io.Writer, a, b int) error {
 	return err
 }
 
-// Lines decodes the sidecar's records with c and encodes them as NDJSON
-// line fragments: the NDJSON wire's fill from a verified sidecar. It
-// fails where json.Marshal of a line holding the records fails (NaN or
-// ±Inf), with the same message.
-func (s *Sidecar) Lines(c Codec) (*LineFragments, error) {
-	recs, err := c.DecodeFramePayload(s.payload, s.Count())
+// Lines decodes the sidecar's payload with the wire decoder, keyed by
+// the sidecar's kind, and encodes the records as NDJSON line fragments
+// from the decoded columns: the NDJSON wire's fill from a verified
+// sidecar. It fails where json.Marshal of a line holding the records
+// fails (NaN or ±Inf), with the same message.
+func (s *Sidecar) Lines() (*LineFragments, error) {
+	d := decoders.Get().(*wire.Decoder)
+	b, err := d.DecodePayload(s.kind, s.payload, s.Count())
+	decoders.Put(d)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeRecordJSON(c, recs)
+	return EncodeBatchJSON(b)
 }
+
+// decoders keeps wire decoders, with their edge scratch, between fills.
+var decoders = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
 // VerifyPayload reports whether the payload matches its CRC. ParseSidecar
 // checks it before it returns a Sidecar, so this is always nil; it stays

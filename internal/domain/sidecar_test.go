@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/loader"
+	"repro/internal/wire"
 )
 
 // testSidecar builds a sidecar over a small synthetic payload with
@@ -107,7 +108,7 @@ func TestAppendSidecarRejects(t *testing.T) {
 		want    string
 	}{
 		{"empty kind", "", []int64{0, 4}, "kind"},
-		{"long kind", strings.Repeat("k", maxKindLen+1), []int64{0, 4}, "kind"},
+		{"long kind", strings.Repeat("k", wire.MaxKindLen+1), []int64{0, 4}, "kind"},
 		{"no offsets", "k", nil, "span"},
 		{"offsets not from zero", "k", []int64{1, 4}, "span"},
 		{"offsets short of payload", "k", []int64{0, 3}, "span"},
@@ -183,16 +184,17 @@ func TestOpenSidecarReadError(t *testing.T) {
 // or over-allocate, anything it accepts must hold the addressing
 // invariants range serving relies on, and OpenSidecar over a reader of
 // the same bytes must agree with it on accept/reject, kind, count and
-// payload. An accepted sidecar of a served kind must also fill NDJSON
-// as json.Marshal would: batch lines built from its Lines fragments
-// equal json.Marshal of the codec's Line over the decoded payload, and
-// Lines fails exactly when that fails, with the same message.
+// payload. An accepted sidecar must also fill NDJSON as json.Marshal
+// would: Lines fails exactly when the wire decoder refuses its payload,
+// and otherwise batch lines built from its fragments equal json.Marshal
+// of the codec's Line over the decoded records, and Lines fails exactly
+// when that fails, with the same message.
 func FuzzSidecarDecode(f *testing.F) {
 	_, _, _, file := testSidecar(f)
 	f.Add(file)
 	nan, inf := math.NaN(), math.Inf(1)
-	graph := func(energy float64) *WireGraph {
-		return &WireGraph{Nodes: 2, FeatureDim: 1, NodeFeatures: []float64{1, 2},
+	graph := func(energy float64) *wire.Graph {
+		return &wire.Graph{Nodes: 2, FeatureDim: 1, NodeFeatures: []float64{1, 2},
 			Edges: []int64{0, 1}, EdgeLengths: []float64{1.5}, Energy: energy, ClassID: 1}
 	}
 	for kind, recs := range map[string][]any{
@@ -201,11 +203,11 @@ func FuzzSidecarDecode(f *testing.F) {
 			&FusionWindow{Signal: []float32{0.5}, Horizon: 1e21}},
 		KindMaterialsGraphs: {graph(-3), graph(1e-7)},
 		// Non-finite values pack into a sidecar but cannot be a line.
-		KindSamples + " nan":         {&loader.Sample{Features: []float32{1, float32(nan)}}},
-		KindFusionWindows + " inf":   {&FusionWindow{Signal: []float32{1}, Horizon: float32(inf)}},
-		KindMaterialsGraphs + " nan": {graph(nan)},
+		wire.KindSamples + " nan":         {&loader.Sample{Features: []float32{1, float32(nan)}}},
+		wire.KindFusionWindows + " inf":   {&FusionWindow{Signal: []float32{1}, Horizon: float32(inf)}},
+		wire.KindMaterialsGraphs + " nan": {graph(nan)},
 	} {
-		codec, _ := CodecByKind(strings.Fields(kind)[0])
+		codec, _ := codecByKind(strings.Fields(kind)[0])
 		b, err := EncodeSidecarFile(codec, recs)
 		if err != nil {
 			f.Fatal(err)
@@ -258,18 +260,16 @@ func FuzzSidecarDecode(f *testing.F) {
 			t.Fatal("per-record ranges do not reassemble the payload")
 		}
 
-		codec, ok := CodecByKind(sc.Kind())
-		if !ok {
-			return
-		}
-		lf, lerr := sc.Lines(codec)
-		recs, derr := codec.DecodeFramePayload(sc.payload, n)
+		lf, lerr := sc.Lines()
+		b, derr := new(wire.Decoder).DecodePayload(sc.Kind(), sc.payload, n)
 		if derr != nil {
 			if lerr == nil || lerr.Error() != derr.Error() {
 				t.Fatalf("payload decode fails with %v, Lines with %v", derr, lerr)
 			}
 			return
 		}
+		codec, _ := codecByKind(sc.Kind())
+		recs := recordsOf(b)
 		for _, h := range lineHeaders(sc.Kind()) {
 			line, err := codec.Line(h, recs)
 			if err != nil {

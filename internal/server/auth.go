@@ -235,8 +235,11 @@ func (s *Server) quotaOverage() map[string]int64 {
 	return over
 }
 
-// manifestStoredBytes is the on-disk footprint a manifest pins — the
-// unit of the retained-byte quota.
+// manifestStoredBytes is the stored size of a manifest's native shards,
+// the unit of the retained-byte quota. It counts no frame sidecar, so
+// it is less than what the job keeps on disk (the native shards were
+// 0.50–0.71 of that at the last measurement); ROADMAP direction 16,
+// storing each record once, would make the two equal.
 func manifestStoredBytes(m *shard.Manifest) int64 {
 	if m == nil {
 		return 0

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,30 +13,30 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/domain"
+	"repro/internal/wire"
 )
 
-// openRaw starts one batch stream in the given wire (domain.WireFrame
-// or domain.WireNDJSON) and checks that the server answered 200 in it.
-func openRaw(t *testing.T, url, wire string) *http.Response {
+// openRaw starts one batch stream in the given wire (wire.WireFrame
+// or wire.WireNDJSON) and checks that the server answered 200 in it.
+func openRaw(t *testing.T, url, wireName string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accept := domain.ContentTypeNDJSON
-	if wire == domain.WireFrame {
-		accept = domain.ContentTypeFrame
+	accept := wire.ContentTypeNDJSON
+	if wireName == wire.WireFrame {
+		accept = wire.ContentTypeFrame
 	}
 	req.Header.Set("Accept", accept)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(domain.HeaderWire) != wire {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(wire.HeaderWire) != wireName {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		t.Fatalf("%s: status %d, wire %q, want 200 and %q: %s", url, resp.StatusCode, resp.Header.Get(domain.HeaderWire), wire, body)
+		t.Fatalf("%s: status %d, wire %q, want 200 and %q: %s", url, resp.StatusCode, resp.Header.Get(wire.HeaderWire), wireName, body)
 	}
 	return resp
 }
@@ -43,9 +44,9 @@ func openRaw(t *testing.T, url, wire string) *http.Response {
 // rawStream fetches url as a stream in the given wire and returns the
 // raw response bytes, unparsed — the unit of comparison for
 // byte-exactness.
-func rawStream(t *testing.T, url, wire string) []byte {
+func rawStream(t *testing.T, url, wireName string) []byte {
 	t.Helper()
-	resp := openRaw(t, url, wire)
+	resp := openRaw(t, url, wireName)
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -57,12 +58,23 @@ func rawStream(t *testing.T, url, wire string) []byte {
 // rawFrameStream and rawNDJSONStream are rawStream for one wire.
 func rawFrameStream(t *testing.T, url string) []byte {
 	t.Helper()
-	return rawStream(t, url, domain.WireFrame)
+	return rawStream(t, url, wire.WireFrame)
 }
 
 func rawNDJSONStream(t *testing.T, url string) []byte {
 	t.Helper()
-	return rawStream(t, url, domain.WireNDJSON)
+	return rawStream(t, url, wire.WireNDJSON)
+}
+
+// splitFrame cuts the first whole frame off a raw frame stream and
+// returns its body and the rest of the stream.
+func splitFrame(t *testing.T, stream []byte) (body, rest []byte) {
+	t.Helper()
+	ln, sz := binary.Uvarint(stream)
+	if sz <= 0 || uint64(len(stream)-sz) < ln {
+		t.Fatalf("frame stream cut inside a frame: % x", stream[:min(len(stream), 16)])
+	}
+	return stream[sz : sz+int(ln)], stream[sz+int(ln):]
 }
 
 // frameCursors parses a raw frame stream into its batch cursors.
@@ -71,7 +83,8 @@ func frameCursors(t *testing.T, stream []byte) []string {
 	var cursors []string
 	rest := stream
 	for len(rest) > 0 {
-		h, _, r, err := domain.DecodeFrame(rest)
+		body, r := splitFrame(t, rest)
+		h, _, _, err := wire.ParseFrameHeader(body)
 		if err != nil {
 			t.Fatal(err)
 		}

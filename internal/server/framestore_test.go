@@ -24,7 +24,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/loader"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // buildJobs runs one job per spec on a fresh server over dataDir and
@@ -161,31 +163,63 @@ func referenceCases(t *testing.T, url string) []byteExactCase {
 }
 
 // marshalLines re-encodes a frame stream the reference NDJSON way:
-// each frame's records through the codec's Line and json.Marshal.
+// each frame decoded, its records boxed as the codec's own, and put
+// through the codec's Line and json.Marshal.
 func marshalLines(t *testing.T, frames []byte) []byte {
 	t.Helper()
 	var out []byte
+	var dec wire.Decoder
 	for rest := frames; len(rest) > 0; {
-		h, recs, r, err := domain.DecodeFrame(rest)
+		body, r := splitFrame(t, rest)
+		b, err := dec.Decode(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		codec, ok := domain.CodecByKind(h.Kind)
-		if !ok {
-			t.Fatalf("no codec for kind %q", h.Kind)
-		}
-		line, err := codec.Line(h, recs)
+		codec := codecFor(t, b.Kind)
+		h := wire.BatchHeader{Batch: b.Batch, Cursor: b.Cursor, Kind: b.Kind}
+		line, err := codec.Line(h, boxRecords(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(line)
+		j, err := json.Marshal(line)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(append(out, b...), '\n')
+		out = append(append(out, j...), '\n')
 		rest = r
 	}
 	return out
+}
+
+// codecFor returns the registered codec serving a wire kind.
+func codecFor(t *testing.T, kind string) domain.Codec {
+	t.Helper()
+	for _, p := range domain.Plugins() {
+		if p.Codec.Kind() == kind {
+			return p.Codec
+		}
+	}
+	t.Fatalf("no codec for kind %q", kind)
+	return nil
+}
+
+// boxRecords turns a decoded batch back into its codec's records, the
+// input of the reference Line.
+func boxRecords(b *wire.Batch) []any {
+	recs := make([]any, b.Count())
+	for i := range recs {
+		switch b.Kind {
+		case wire.KindSamples:
+			recs[i] = &loader.Sample{Features: b.Features[i], Label: int32(b.Labels[i])}
+		case wire.KindFusionWindows:
+			recs[i] = &domain.FusionWindow{Signal: b.Signals[i], Shot: b.Shots[i], Start: b.Starts[i],
+				Label: b.Labels[i], Horizon: b.Horizons[i]}
+		case wire.KindMaterialsGraphs:
+			g := b.Graphs[i]
+			recs[i] = &g
+		}
+	}
+	return recs
 }
 
 // checkCase streams one table row from url ("/batches?"-terminated) on
@@ -270,8 +304,9 @@ func TestFrameDiskByteExact(t *testing.T) {
 	}
 }
 
-// countingCodec wraps a real codec and counts every Encode/Decode-side
-// call, so a test can prove a serving path never touched the codec.
+// countingCodec wraps a real codec and counts every call but Kind —
+// native decode, reference line, payload encode — so a test can prove
+// a serving path never touched the codec.
 type countingCodec struct {
 	domain.Codec
 	calls atomic.Int64
@@ -282,7 +317,7 @@ func (c *countingCodec) Decode(rec []byte) (any, int64, error) {
 	return c.Codec.Decode(rec)
 }
 
-func (c *countingCodec) Line(h domain.BatchHeader, recs []any) (any, error) {
+func (c *countingCodec) Line(h wire.BatchHeader, recs []any) (any, error) {
 	c.calls.Add(1)
 	return c.Codec.Line(h, recs)
 }
@@ -290,11 +325,6 @@ func (c *countingCodec) Line(h domain.BatchHeader, recs []any) (any, error) {
 func (c *countingCodec) AppendFramePayload(buf []byte, recs []any) ([]byte, error) {
 	c.calls.Add(1)
 	return c.Codec.AppendFramePayload(buf, recs)
-}
-
-func (c *countingCodec) DecodeFramePayload(payload []byte, count int) ([]any, error) {
-	c.calls.Add(1)
-	return c.Codec.DecodeFramePayload(payload, count)
 }
 
 // TestFrameDiskZeroCodecCalls pins the acceptance criterion directly:
@@ -358,7 +388,13 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 					t.Fatal("warm stream went back to the sidecars instead of the frame cache")
 				}
 			}
-			// Sanity: the counter does trip on paths that must use the codec.
+			// Sanity: the counter does trip on the path that must use the
+			// codec. A shard whose sidecar is gone is decoded natively and
+			// its sidecar rebuilt and written back, for the next subtest.
+			gone := sidecarFiles(t, dataDir, id)[0]
+			if err := os.Remove(filepath.Join(dataDir, "jobs", id, gone)); err != nil {
+				t.Fatal(err)
+			}
 			resp, err := http.Get(url)
 			if err != nil {
 				t.Fatal(err)
@@ -366,7 +402,10 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if counting.calls.Load() == 0 {
-				t.Fatal("NDJSON stream made no codec calls — counting codec is not wired in")
+				t.Fatal("sidecar rebuild made no codec calls — counting codec is not wired in")
+			}
+			if _, err := os.Stat(filepath.Join(dataDir, "jobs", id, gone)); err != nil {
+				t.Fatalf("rebuilt sidecar not written back: %v", err)
 			}
 		})
 	}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 	"repro/pkg/client"
 )
 
@@ -48,9 +49,9 @@ const (
 )
 
 // JobSpec is the submission body: which domain template to run and how
-// large a synthetic input to prepare (see domain.Spec for the knobs and
+// large a synthetic input to prepare (see wire.Spec for the knobs and
 // their ceilings).
-type JobSpec = domain.Spec
+type JobSpec = wire.Spec
 
 // TrajectoryPoint is one stage of the job's readiness trajectory — the
 // Table 2 walk exposed over the API.
@@ -137,7 +138,7 @@ func (j *Job) Status() JobStatus {
 	}
 	if plug, err := domain.Lookup(j.spec.Domain); err == nil {
 		st.Kind = plug.Codec.Kind()
-		st.Wires = domain.Wires()
+		st.Wires = wire.Wires()
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -18,10 +18,10 @@
 // place.
 //
 // A frame miss caches the verified image itself (zero codec calls). An
-// NDJSON miss decodes it into per-record JSON fragments
-// (domain.Sidecar.Lines); every batch line is then a header plus slices
-// of the fragments, byte-identical to encoding the batch with
-// encoding/json.
+// NDJSON miss decodes it with the wire decoder into columns and writes
+// per-record JSON fragments from them (domain.Sidecar.Lines, zero codec
+// calls too); every batch line is then a header plus slices of the
+// fragments, byte-identical to encoding the batch with encoding/json.
 //
 // A stream writes its batches into one pooled 128 KiB buffer, not
 // straight to the ResponseWriter, and what is buffered reaches the
@@ -54,6 +54,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
+	"repro/internal/wire"
 )
 
 // streamBufSize is each batch stream's write buffer: batches are
@@ -177,14 +178,14 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	// the binary frame format. X-Draid-Wire names the format actually
 	// chosen, so clients need not re-parse the content type.
 	ctx := r.Context()
-	wireName, contentType := domain.WireNDJSON, domain.ContentTypeNDJSON
-	var wire batchWire = &ndjsonWire{s: s, ctx: ctx, plan: plan}
+	wireName, contentType := wire.WireNDJSON, wire.ContentTypeNDJSON
+	var enc batchWire = &ndjsonWire{s: s, ctx: ctx, plan: plan}
 	if acceptsFrames(r) {
-		wireName, contentType = domain.WireFrame, domain.ContentTypeFrame
-		wire = &frameWire{s: s, ctx: ctx, plan: plan}
+		wireName, contentType = wire.WireFrame, wire.ContentTypeFrame
+		enc = &frameWire{s: s, ctx: ctx, plan: plan}
 	}
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set(domain.HeaderWire, wireName)
+	w.Header().Set(wire.HeaderWire, wireName)
 	w.Header().Set("X-Draid-Cursor", start.String())
 	cw := &countingResponseWriter{w: w}
 	bw := streamBufs.Get().(*bufio.Writer)
@@ -255,7 +256,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 	emitError := func(err error) {
 		s.metrics.serveErrors.Inc()
 		telemetry.SpanFromContext(ctx).SetError(err.Error())
-		_, _ = bw.Write(wire.errorBytes(err))
+		_, _ = bw.Write(enc.errorBytes(err))
 	}
 	// miss runs before the stream waits on a shard load, its own or
 	// another stream's.
@@ -289,13 +290,13 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
-		h := domain.BatchHeader{Batch: served, Cursor: pos.String(), Kind: kind}
+		h := wire.BatchHeader{Batch: served, Cursor: pos.String(), Kind: kind}
 		before := produced()
 		// Encode and write are timed apart: the encode histogram is
 		// codec cost only, so a slow client (or the pacer) cannot
 		// masquerade as an expensive codec.
 		encStart := time.Now()
-		head, err := wire.encode(h, count, ranges)
+		head, err := enc.encode(h, count, ranges)
 		if err != nil {
 			// Encode failure with a healthy connection: nothing was
 			// written yet, so the client can still be told — same
@@ -310,7 +311,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		if _, err := bw.Write(head); err != nil {
 			return err
 		}
-		if err := wire.writePayload(bw, ranges); err != nil {
+		if err := enc.writePayload(bw, ranges); err != nil {
 			return err
 		}
 		if served == 0 {
@@ -330,7 +331,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 
 shards:
 	for si := start.Shard; si < len(plan.manifest.Shards); si++ {
-		src, n, err := wire.source(plan.manifest.Shards[si], miss)
+		src, n, err := enc.source(plan.manifest.Shards[si], miss)
 		if err != nil {
 			// Headers are gone; the in-band error is the only channel
 			// left — but the counter makes the failure observable
@@ -383,7 +384,7 @@ shards:
 // the sources.
 type batchWire interface {
 	source(info shard.Info, miss func()) (src shardSource, n int, err error)
-	encode(h domain.BatchHeader, count int, rs []batchRange) ([]byte, error)
+	encode(h wire.BatchHeader, count int, rs []batchRange) ([]byte, error)
 	writePayload(w io.Writer, rs []batchRange) error
 	errorBytes(err error) []byte
 }
@@ -415,7 +416,7 @@ type ndjsonWire struct {
 
 func (w *ndjsonWire) source(info shard.Info, miss func()) (shardSource, int, error) {
 	v, err := w.s.fill(w.ctx, w.plan, info, wireLines, miss, func(sc *domain.Sidecar) (any, int64, error) {
-		lf, err := sc.Lines(w.plan.plug.Codec)
+		lf, err := sc.Lines()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -428,7 +429,7 @@ func (w *ndjsonWire) source(info shard.Info, miss func()) (shardSource, int, err
 	return shardSource{lines: lf}, lf.Count(), nil
 }
 
-func (w *ndjsonWire) encode(h domain.BatchHeader, _ int, _ []batchRange) ([]byte, error) {
+func (w *ndjsonWire) encode(h wire.BatchHeader, _ int, _ []batchRange) ([]byte, error) {
 	w.head = domain.AppendLineHeader(w.head[:0], h)
 	return w.head, nil
 }
@@ -469,12 +470,12 @@ func (w *frameWire) source(info shard.Info, miss func()) (shardSource, int, erro
 	return shardSource{frames: sc}, sc.Count(), nil
 }
 
-func (w *frameWire) encode(h domain.BatchHeader, count int, rs []batchRange) ([]byte, error) {
+func (w *frameWire) encode(h wire.BatchHeader, count int, rs []batchRange) ([]byte, error) {
 	payloadLen := 0
 	for _, rg := range rs {
 		payloadLen += int(rg.src.frames.RangeLen(rg.a, rg.b))
 	}
-	return domain.FrameEnvelope(h, count, payloadLen)
+	return wire.FrameEnvelope(h, count, payloadLen)
 }
 
 func (w *frameWire) writePayload(out io.Writer, rs []batchRange) error {
@@ -486,15 +487,15 @@ func (w *frameWire) writePayload(out io.Writer, rs []batchRange) error {
 	return nil
 }
 
-func (w *frameWire) errorBytes(err error) []byte { return domain.EncodeErrorFrame(err.Error()) }
+func (w *frameWire) errorBytes(err error) []byte { return wire.EncodeErrorFrame(err.Error()) }
 
 // fill returns one shard's entry for a wire through the serving cache.
 // A miss calls miss, then builds the entry from the shard's verified
 // sidecar (loadFrames) with entry, which also returns the bytes the
 // entry is charged; the whole fill is spanned as frame.fill under the
 // request.
-func (s *Server) fill(ctx context.Context, p *servePlan, info shard.Info, wire cacheWire, miss func(), entry func(*domain.Sidecar) (any, int64, error)) (any, error) {
-	return s.cache.Get(cacheKey{wire, p.job.id + "/" + info.Name}, miss, func() (any, int64, error) {
+func (s *Server) fill(ctx context.Context, p *servePlan, info shard.Info, cw cacheWire, miss func(), entry func(*domain.Sidecar) (any, int64, error)) (any, error) {
+	return s.cache.Get(cacheKey{cw, p.job.id + "/" + info.Name}, miss, func() (any, int64, error) {
 		start := time.Now()
 		sc, source, err := s.loadFrames(ctx, p, info)
 		var v any
@@ -502,7 +503,7 @@ func (s *Server) fill(ctx context.Context, p *servePlan, info shard.Info, wire c
 		if err == nil {
 			v, size, err = entry(sc)
 		}
-		wireName := [...]string{wireLines: domain.WireNDJSON, wireFrames: domain.WireFrame}[wire]
+		wireName := [...]string{wireLines: wire.WireNDJSON, wireFrames: wire.WireFrame}[cw]
 		attrs := map[string]string{"shard": info.Name, "source": source, "wire": wireName}
 		if err != nil {
 			attrs["error"] = err.Error()
@@ -722,9 +723,9 @@ func acceptsFrames(r *http.Request) bool {
 			mt, params, _ := strings.Cut(part, ";")
 			q := acceptQ(params)
 			switch strings.ToLower(strings.TrimSpace(mt)) {
-			case domain.ContentTypeFrame:
+			case wire.ContentTypeFrame:
 				keep(&frameQ, q)
-			case domain.ContentTypeNDJSON:
+			case wire.ContentTypeNDJSON:
 				keep(&ndjsonQ, q)
 			case "*/*", "application/*":
 				keep(&wildQ, q)

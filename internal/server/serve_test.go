@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/wire"
 	"repro/pkg/client"
 )
 
@@ -48,12 +49,12 @@ func metricValue(t *testing.T, baseURL, name string) int64 {
 // wire format: NDJSON is read raw off the HTTP body, frames go through
 // the SDK decoder — both land in the kind-agnostic streamLine form so
 // cross-format equality is a map comparison.
-func streamWire(t *testing.T, url, cursor, wire string) []streamLine {
+func streamWire(t *testing.T, url, cursor, wireName string) []streamLine {
 	t.Helper()
-	if wire == domain.WireNDJSON {
+	if wireName == wire.WireNDJSON {
 		return streamFrom(t, url, cursor)
 	}
-	st, err := client.OpenStreamURL(context.Background(), nil, url, cursor, wire, -1)
+	st, err := client.OpenStreamURL(context.Background(), nil, url, cursor, wireName, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestAllDomainsStreamAndResumeAcrossRestart(t *testing.T) {
 		}
 		// The binary frame stream must carry the same records with the
 		// same cursors as the NDJSON reference.
-		framed := streamWire(t, url, "", domain.WireFrame)
+		framed := streamWire(t, url, "", wire.WireFrame)
 		assertSuffix(t, fmt.Sprintf("%s frame/ndjson equivalence", d), framed, ref)
 		jobs[d] = &jobRef{id: id, kind: plug.Codec.Kind(), ref: ref, cursorAt: len(ref) / 2}
 	}
@@ -156,9 +157,9 @@ func TestAllDomainsStreamAndResumeAcrossRestart(t *testing.T) {
 		// suffix must reproduce the original stream exactly — in both
 		// wire formats.
 		url := ts2.URL + "/v1/jobs/" + j.id + "/batches?batch_size=2"
-		for _, wire := range domain.Wires() {
-			got := streamWire(t, url, j.ref[j.cursorAt].cursor, wire)
-			assertSuffix(t, fmt.Sprintf("%s %s resume across restart", d, wire), got, j.ref[j.cursorAt+1:])
+		for _, wireName := range wire.Wires() {
+			got := streamWire(t, url, j.ref[j.cursorAt].cursor, wireName)
+			assertSuffix(t, fmt.Sprintf("%s %s resume across restart", d, wireName), got, j.ref[j.cursorAt+1:])
 		}
 	}
 }
@@ -220,7 +221,7 @@ func TestWireNegotiation(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("Accept %q: status %d", tc.accept, resp.StatusCode)
 		}
-		if got := resp.Header.Get(domain.HeaderWire); got != tc.wantWire {
+		if got := resp.Header.Get(wire.HeaderWire); got != tc.wantWire {
 			t.Fatalf("Accept %q: X-Draid-Wire %q, want %q", tc.accept, got, tc.wantWire)
 		}
 		if got := resp.Header.Get("Content-Type"); got != tc.wantCT {
@@ -312,9 +313,9 @@ func TestServeErrorMetric(t *testing.T) {
 // burst — half, to stay robust under scheduler slop; there is no
 // upper bound to check in the other direction), and a throttled-
 // counter tick. Returns the KiB/s rate it paced at.
-func assertPaced(t *testing.T, s *Server, url, wire string) int {
+func assertPaced(t *testing.T, s *Server, url, wireName string) int {
 	t.Helper()
-	_, _, bytes, _, err := streamConsume(url, "", wire)
+	_, _, bytes, _, err := streamConsume(url, "", wireName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +325,13 @@ func assertPaced(t *testing.T, s *Server, url, wire string) int {
 	}
 	throttledBefore := int64(s.metrics.serveThrottled.Value())
 	start := time.Now()
-	_, _, paced, _, err := streamConsume(fmt.Sprintf("%s&max_kbps=%d", url, kbps), "", wire)
+	_, _, paced, _, err := streamConsume(fmt.Sprintf("%s&max_kbps=%d", url, kbps), "", wireName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	if paced != bytes {
-		t.Fatalf("paced %s stream served %d bytes, want %d", wire, paced, bytes)
+		t.Fatalf("paced %s stream served %d bytes, want %d", wireName, paced, bytes)
 	}
 	// Recompute the pacer's burst clamp to find the paced remainder.
 	rate := float64(int64(kbps) << 10)
@@ -343,13 +344,13 @@ func assertPaced(t *testing.T, s *Server, url, wire string) int {
 	}
 	rem := float64(bytes) - burst
 	if rem <= 0 {
-		t.Fatalf("%s stream too small (%d bytes) to exercise pacing beyond the %d-byte burst", wire, bytes, int64(burst))
+		t.Fatalf("%s stream too small (%d bytes) to exercise pacing beyond the %d-byte burst", wireName, bytes, int64(burst))
 	}
 	if minTime := time.Duration(rem / rate / 2 * float64(time.Second)); elapsed < minTime {
-		t.Fatalf("paced %s stream of %d bytes at %d KiB/s finished in %s (< %s)", wire, bytes, kbps, elapsed, minTime)
+		t.Fatalf("paced %s stream of %d bytes at %d KiB/s finished in %s (< %s)", wireName, bytes, kbps, elapsed, minTime)
 	}
 	if int64(s.metrics.serveThrottled.Value()) == throttledBefore {
-		t.Fatalf("paced %s stream not counted in draid_serve_throttled_total", wire)
+		t.Fatalf("paced %s stream not counted in draid_serve_throttled_total", wireName)
 	}
 	return kbps
 }
@@ -372,9 +373,9 @@ func TestCappedStreamEndsUnpaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=16&max_batches=1"
-	for _, wire := range domain.Wires() {
+	for _, wireName := range wire.Wires() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		st, err := client.OpenStreamURL(ctx, nil, url, "", wire, -1)
+		st, err := client.OpenStreamURL(ctx, nil, url, "", wireName, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,17 +385,17 @@ func TestCappedStreamEndsUnpaced(t *testing.T) {
 		// 1 KiB/s against a batch of about 32 KiB: its deficit is ~28 s.
 		deficit := time.Duration(float64(st.Bytes()-4<<10) / 1024 * float64(time.Second))
 		if deficit < 20*time.Second {
-			t.Fatalf("%s batch of %d bytes too small to show the pacing deficit", wire, st.Bytes())
+			t.Fatalf("%s batch of %d bytes too small to show the pacing deficit", wireName, st.Bytes())
 		}
 		start := time.Now()
 		if _, err := st.Next(); err != io.EOF {
-			t.Fatalf("%s: Next at the cap: %v", wire, err)
+			t.Fatalf("%s: Next at the cap: %v", wireName, err)
 		}
 		if d := time.Since(start); d > deficit/10 {
-			t.Fatalf("%s: Next at the cap took %s; the last batch's deficit is %s", wire, d, deficit)
+			t.Fatalf("%s: Next at the cap took %s; the last batch's deficit is %s", wireName, d, deficit)
 		}
 		if n := metricValue(t, ts.URL, "draid_tenant_active_streams"); n != 0 {
-			t.Fatalf("%s: %d active streams after the capped stream ended", wire, n)
+			t.Fatalf("%s: %d active streams after the capped stream ended", wireName, n)
 		}
 		cancel()
 	}
@@ -415,9 +416,9 @@ func TestUncappedStreamEndsUnpaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=100000"
-	for _, wire := range domain.Wires() {
+	for _, wireName := range wire.Wires() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		st, err := client.OpenStreamURL(ctx, nil, url, "", wire, -1)
+		st, err := client.OpenStreamURL(ctx, nil, url, "", wireName, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,17 +427,17 @@ func TestUncappedStreamEndsUnpaced(t *testing.T) {
 		}
 		deficit := time.Duration(float64(st.Bytes()-4<<10) / (8 << 10) * float64(time.Second))
 		if deficit < 3*time.Second {
-			t.Fatalf("%s batch of %d bytes too small to show the pacing deficit", wire, st.Bytes())
+			t.Fatalf("%s batch of %d bytes too small to show the pacing deficit", wireName, st.Bytes())
 		}
 		start := time.Now()
 		if _, err := st.Next(); err != io.EOF {
-			t.Fatalf("%s: Next after the only batch: %v", wire, err)
+			t.Fatalf("%s: Next after the only batch: %v", wireName, err)
 		}
 		if d := time.Since(start); d > deficit/10 {
-			t.Fatalf("%s: the stream took %s to end; its last batch's deficit is %s", wire, d, deficit)
+			t.Fatalf("%s: the stream took %s to end; its last batch's deficit is %s", wireName, d, deficit)
 		}
 		if n := metricValue(t, ts.URL, "draid_tenant_active_streams"); n != 0 {
-			t.Fatalf("%s: %d active streams after the stream ended", wire, n)
+			t.Fatalf("%s: %d active streams after the stream ended", wireName, n)
 		}
 		st.Close()
 		cancel()
@@ -470,8 +471,8 @@ func TestServeRateControl(t *testing.T) {
 
 	// Both wire formats are paced by the same token bucket over their
 	// own encoded bytes.
-	kbps := assertPaced(t, s, url, domain.WireNDJSON)
-	assertPaced(t, s, url, domain.WireFrame)
+	kbps := assertPaced(t, s, url, wire.WireNDJSON)
+	assertPaced(t, s, url, wire.WireFrame)
 
 	// The server-wide ceiling clamps client requests above it.
 	s2, err := New(Options{Workers: 1, ServeMaxKBps: kbps})

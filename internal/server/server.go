@@ -32,6 +32,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
+	"repro/internal/wire"
 	"repro/pkg/client"
 )
 
@@ -501,7 +502,7 @@ func (s *Server) handleTemplates(w http.ResponseWriter, _ *http.Request) {
 	out := make([]TemplateInfo, len(plugs))
 	for i, p := range plugs {
 		out[i] = TemplateInfo{Domain: string(p.Domain), Description: p.Description,
-			Kind: p.Codec.Kind(), Wires: domain.Wires(), Servable: true}
+			Kind: p.Codec.Kind(), Wires: wire.Wires(), Servable: true}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/shard"
+	"repro/internal/wire"
 	"repro/pkg/client"
 )
 
@@ -78,27 +79,27 @@ func TestWarmStreamWritesLargePieces(t *testing.T) {
 			t.Fatalf("%s: %v", spec.Domain, err)
 		}
 		url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=32"
-		for _, wire := range domain.Wires() {
-			if _, _, _, _, err := streamConsume(url, "", wire); err != nil {
-				t.Fatalf("%s %s warm-up: %v", spec.Domain, wire, err)
+		for _, wireName := range wire.Wires() {
+			if _, _, _, _, err := streamConsume(url, "", wireName); err != nil {
+				t.Fatalf("%s %s warm-up: %v", spec.Domain, wireName, err)
 			}
 			before := writes.Load()
-			st, err := client.OpenStreamURL(context.Background(), nil, url, "", wire, -1)
+			st, err := client.OpenStreamURL(context.Background(), nil, url, "", wireName, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, _, _, err := st.Drain(); err != nil {
-				t.Fatalf("%s %s: %v", spec.Domain, wire, err)
+				t.Fatalf("%s %s: %v", spec.Domain, wireName, err)
 			}
 			n := writes.Load() - before
 			if n == 0 {
-				t.Fatalf("%s %s: no connection writes counted", spec.Domain, wire)
+				t.Fatalf("%s %s: no connection writes counted", spec.Domain, wireName)
 			}
 			per := st.Bytes() / n
-			t.Logf("%s %s: %d stream bytes in %d connection writes, %d B each", spec.Domain, wire, st.Bytes(), n, per)
+			t.Logf("%s %s: %d stream bytes in %d connection writes, %d B each", spec.Domain, wireName, st.Bytes(), n, per)
 			if per < minPerWrite {
 				t.Fatalf("%s %s: %d stream bytes in %d connection writes (%d B each), want at least %d B each",
-					spec.Domain, wire, st.Bytes(), n, per, minPerWrite)
+					spec.Domain, wireName, st.Bytes(), n, per, minPerWrite)
 			}
 		}
 	}
@@ -113,12 +114,12 @@ type rawBatch struct {
 }
 
 // splitBatches cuts a raw stream body into its NDJSON lines or frames.
-func splitBatches(t *testing.T, wire string, body []byte) []rawBatch {
+func splitBatches(t *testing.T, wireName string, body []byte) []rawBatch {
 	t.Helper()
 	var out []rawBatch
 	for len(body) > 0 {
 		var rb rawBatch
-		if wire == domain.WireNDJSON {
+		if wireName == wire.WireNDJSON {
 			end := bytes.IndexByte(body, '\n')
 			if end < 0 {
 				t.Fatalf("stream ends in a partial line %q", body)
@@ -138,8 +139,8 @@ func splitBatches(t *testing.T, wire string, body []byte) []rawBatch {
 				t.Fatalf("stream ends in a partial frame after %d frames", len(out))
 			}
 			rb.b = body[:sz+int(ln)]
-			h, _, _, err := domain.ParseFrameHeader(body[sz : sz+int(ln)])
-			var se *domain.StreamError
+			h, _, _, err := wire.ParseFrameHeader(body[sz : sz+int(ln)])
+			var se *wire.StreamError
 			switch {
 			case errors.As(err, &se):
 				rb.errMsg = se.Msg
@@ -216,21 +217,21 @@ func TestNoBatchWaitsBehindMiss(t *testing.T) {
 	refTS := httptest.NewServer(refSrv.Handler())
 	shards := jobShards(t, refSrv, id)
 	refs := map[string][]byte{}
-	for _, wire := range domain.Wires() {
-		refs[wire] = rawStream(t, refTS.URL+"/v1/jobs/"+id+path, wire)
+	for _, wireName := range wire.Wires() {
+		refs[wireName] = rawStream(t, refTS.URL+"/v1/jobs/"+id+path, wireName)
 	}
 	refTS.Close()
 	refSrv.Close()
 	if len(shards) < 4 {
 		t.Fatalf("job has %d shards; the test needs at least 4", len(shards))
 	}
-	for _, wire := range domain.Wires() {
-		t.Run(wire, func(t *testing.T) {
-			ref := refs[wire]
+	for _, wireName := range wire.Wires() {
+		t.Run(wireName, func(t *testing.T) {
+			ref := refs[wireName]
 			// Shards 0-1 end with the batch of shard 1's last record, whose
 			// cursor is "2:0".
 			prefix, found := 0, false
-			for _, b := range splitBatches(t, wire, ref) {
+			for _, b := range splitBatches(t, wireName, ref) {
 				prefix += len(b.b)
 				if found = b.cursor == "2:0"; found {
 					break
@@ -259,7 +260,7 @@ func TestNoBatchWaitsBehindMiss(t *testing.T) {
 					held.FSSink = fs
 					return held, nil
 				}})
-			resp := openRaw(t, ts.URL+"/v1/jobs/"+id+path, wire)
+			resp := openRaw(t, ts.URL+"/v1/jobs/"+id+path, wireName)
 			defer resp.Body.Close()
 			// The reader signals reached once it holds shards 0-1's bytes.
 			var mu sync.Mutex
@@ -328,8 +329,8 @@ func TestServeErrorAfterBufferedBatches(t *testing.T) {
 	}
 	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=4"
 	refs := map[string][]byte{}
-	for _, wire := range domain.Wires() {
-		refs[wire] = rawStream(t, url, wire)
+	for _, wireName := range wire.Wires() {
+		refs[wireName] = rawStream(t, url, wireName)
 	}
 	// Remove the last shard and its sidecar: both wires stream fine up
 	// to it, then fail to read it.
@@ -339,11 +340,11 @@ func TestServeErrorAfterBufferedBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, wire := range domain.Wires() {
+	for _, wireName := range wire.Wires() {
 		// The batches that precede the victim: every one whose cursor is
 		// at most victim:0.
 		var want []rawBatch
-		for _, b := range splitBatches(t, wire, refs[wire]) {
+		for _, b := range splitBatches(t, wireName, refs[wireName]) {
 			c, err := ParseCursor(b.cursor)
 			if err != nil {
 				t.Fatal(err)
@@ -353,19 +354,19 @@ func TestServeErrorAfterBufferedBatches(t *testing.T) {
 			}
 		}
 		if len(want) == 0 {
-			t.Fatalf("%s: no batch precedes the victim shard", wire)
+			t.Fatalf("%s: no batch precedes the victim shard", wireName)
 		}
-		got := splitBatches(t, wire, rawStream(t, url, wire))
+		got := splitBatches(t, wireName, rawStream(t, url, wireName))
 		if len(got) != len(want)+1 {
-			t.Fatalf("%s: %d batches and lines, want %d batches then the error", wire, len(got), len(want))
+			t.Fatalf("%s: %d batches and lines, want %d batches then the error", wireName, len(got), len(want))
 		}
 		for i, b := range want {
 			if !bytes.Equal(got[i].b, b.b) {
-				t.Fatalf("%s: batch %d (cursor %q) differs from the reference's (cursor %q)", wire, i, got[i].cursor, b.cursor)
+				t.Fatalf("%s: batch %d (cursor %q) differs from the reference's (cursor %q)", wireName, i, got[i].cursor, b.cursor)
 			}
 		}
 		if last := got[len(got)-1]; last.errMsg == "" {
-			t.Fatalf("%s: the stream ends in a batch (cursor %q), not an in-band error", wire, last.cursor)
+			t.Fatalf("%s: the stream ends in a batch (cursor %q), not an in-band error", wireName, last.cursor)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func newServerMetrics() *serverMetrics {
 			"Sidecar build time of a cache fill without a usable sidecar: read, verify, decode and pack one shard.",
 			telemetry.DefBuckets, "domain", "outcome"),
 
-		stageSeconds: reg.Counter("draid_stage_seconds_total", "Pipeline stage wall time.", "stage"),
+		stageSeconds: reg.Counter("draid_stage_seconds_total", "Stage wall time: each pipeline stage by name, and stage job:<domain> for a whole job's input synthesis plus its pipeline run.", "stage"),
 		stageCalls:   reg.Counter("draid_stage_calls_total", "Pipeline stage invocations.", "stage"),
 		stageBytes:   reg.Counter("draid_stage_bytes_total", "Bytes processed per pipeline stage.", "stage"),
 

@@ -9,15 +9,15 @@ package client
 import (
 	"time"
 
-	"repro/internal/domain"
 	"repro/internal/ledger"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // JobSpec is the submission body: which domain template to run and how
-// large a synthetic input to prepare (see domain.Spec for the knobs
+// large a synthetic input to prepare (see wire.Spec for the knobs
 // and their ceilings).
-type JobSpec = domain.Spec
+type JobSpec = wire.Spec
 
 // JobState is the lifecycle position of a submitted job.
 type JobState string

@@ -27,6 +27,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/loader"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/pkg/client"
 )
 
@@ -244,7 +245,7 @@ func TestStreamResumeOnDisconnect(t *testing.T) {
 
 	done := submitDone(t, client.New(clean.URL), client.JobSpec{Domain: core.Climate, Seed: 4, Months: 24, Lat: 16, Lon: 32})
 
-	for _, wire := range domain.Wires() {
+	for _, wire := range wire.Wires() {
 		t.Run(wire, func(t *testing.T) {
 			ctx := context.Background()
 			ref, err := client.New(clean.URL).StreamBatches(ctx, done.ID, client.StreamOptions{BatchSize: 1, Wire: wire})
@@ -337,8 +338,8 @@ func TestStreamCorruptFrameIsTerminal(t *testing.T) {
 			mux := http.NewServeMux()
 			mux.HandleFunc("GET /v1/jobs/{id}/batches", func(w http.ResponseWriter, r *http.Request) {
 				requests.Add(1)
-				w.Header().Set(domain.HeaderWire, domain.WireFrame)
-				w.Header().Set("Content-Type", domain.ContentTypeFrame)
+				w.Header().Set(wire.HeaderWire, wire.WireFrame)
+				w.Header().Set("Content-Type", wire.ContentTypeFrame)
 				_, _ = w.Write(body)
 			})
 			ts := httptest.NewServer(mux)
@@ -366,10 +367,14 @@ func TestStreamCorruptFrameIsTerminal(t *testing.T) {
 // buffer), and its records are clipped, so appending to one cannot
 // overwrite the next.
 func TestFrameBatchesBelongToCaller(t *testing.T) {
-	codec, _ := domain.CodecByKind(domain.KindSamples)
+	plug, err := domain.Lookup(core.Climate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := plug.Codec
 	var stream []byte
 	for i, feats := range [][2][]float32{{{1, 2, 3}, {4, 5, 6}}, {{-1, -2, -3}, {-4, -5, -6}}} {
-		h := domain.BatchHeader{Batch: i, Cursor: fmt.Sprintf("0:%d", 2*i+2), Kind: domain.KindSamples}
+		h := wire.BatchHeader{Batch: i, Cursor: fmt.Sprintf("0:%d", 2*i+2), Kind: wire.KindSamples}
 		frame, err := domain.EncodeFrame(codec, h, []any{
 			&loader.Sample{Features: feats[0], Label: 1},
 			&loader.Sample{Features: feats[1], Label: 2},
@@ -381,7 +386,7 @@ func TestFrameBatchesBelongToCaller(t *testing.T) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs/{id}/batches", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(domain.HeaderWire, domain.WireFrame)
+		w.Header().Set(wire.HeaderWire, wire.WireFrame)
 		_, _ = w.Write(stream)
 	})
 	ts := httptest.NewServer(mux)
@@ -417,8 +422,8 @@ func TestFrameBatchesBelongToCaller(t *testing.T) {
 func TestStreamServerErrorIsTerminal(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs/{id}/batches", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(domain.HeaderWire, domain.WireNDJSON)
-		w.Header().Set("Content-Type", domain.ContentTypeNDJSON)
+		w.Header().Set(wire.HeaderWire, wire.WireNDJSON)
+		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 		_, _ = w.Write([]byte(`{"error":"shard vanished"}` + "\n"))
 	})
 	ts := httptest.NewServer(mux)
@@ -433,7 +438,7 @@ func TestStreamServerErrorIsTerminal(t *testing.T) {
 	if err == nil || err == io.EOF {
 		t.Fatalf("server error line not surfaced: %v", err)
 	}
-	var se *domain.StreamError
+	var se *wire.StreamError
 	if !errors.As(err, &se) || se.Msg != "shard vanished" {
 		t.Fatalf("error %v not a StreamError", err)
 	}
@@ -447,8 +452,8 @@ func ndjsonServer(t *testing.T, handler func(w http.ResponseWriter, r *http.Requ
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs/{id}/batches", func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)
-		w.Header().Set(domain.HeaderWire, domain.WireNDJSON)
-		w.Header().Set("Content-Type", domain.ContentTypeNDJSON)
+		w.Header().Set(wire.HeaderWire, wire.WireNDJSON)
+		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 		handler(w, r)
 	})
 	ts := httptest.NewServer(mux)
@@ -483,6 +488,64 @@ func TestStreamMalformedLineIsTerminal(t *testing.T) {
 	}
 	if _, err := st.Next(); err != io.EOF {
 		t.Fatalf("stream after a terminal error: %v", err)
+	}
+}
+
+// TestNDJSONHoldsFrameInvariants: a line that decodes but breaks a
+// record invariant the frame decoder enforces — one a trainer indexing
+// node_features[n*feature_dim+f] or edges by node relies on — is a
+// terminal bad batch on the NDJSON wire too, never a delivered batch.
+func TestNDJSONHoldsFrameInvariants(t *testing.T) {
+	const head = `{"batch":0,"cursor":"0:1","kind":`
+	graph := func(nodes, dim int, feats, edges, lengths string) string {
+		return fmt.Sprintf(`%q,"graphs":[{"nodes":%d,"feature_dim":%d,"node_features":%s,"edges":%s,"edge_lengths":%s,"energy":0,"class_id":0}]}`,
+			wire.KindMaterialsGraphs, nodes, dim, feats, edges, lengths)
+	}
+	fusion := func(signal string) string {
+		return fmt.Sprintf(`%q,"labels":[0],"signals":[%s],"shots":[1],"starts":[0],"horizons":[0.5]}`, wire.KindFusionWindows, signal)
+	}
+	for _, tc := range []struct {
+		name, line string
+		ok         bool
+	}{
+		{"graph", graph(2, 1, "[1,2]", "[0,1]", "[1.5]"), true},
+		{"graph endpoint at nodes", graph(2, 1, "[1,2]", "[0,2]", "[1.5]"), false},
+		{"graph negative endpoint", graph(2, 1, "[1,2]", "[-1,0]", "[1.5]"), false},
+		{"graph features short of nodes*dim", graph(2, 2, "[1,2,3]", "[]", "[]"), false},
+		{"graph features beyond nodes*dim", graph(1, 1, "[1,2]", "[]", "[]"), false},
+		{"graph edges not twice lengths", graph(2, 1, "[1,2]", "[0,1]", "[1.5,2.5]"), false},
+		{"graph without nodes", graph(0, 1, "[]", "[]", "[]"), false},
+		{"graph without features", graph(1, 0, "[]", "[]", "[]"), false},
+		{"fusion", fusion("[0.25]"), true},
+		{"fusion empty signal", fusion("[]"), false},
+		{"fusion null signal", fusion("null"), false},
+		{"samples", fmt.Sprintf(`%q,"features":[[1],[]],"labels":[-2147483648,2147483647]}`, wire.KindSamples), true},
+		{"samples label above int32", fmt.Sprintf(`%q,"features":[[1]],"labels":[2147483648]}`, wire.KindSamples), false},
+		{"samples label below int32", fmt.Sprintf(`%q,"features":[[1]],"labels":[-2147483649]}`, wire.KindSamples), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, requests := ndjsonServer(t, func(w http.ResponseWriter, r *http.Request) {
+				_, _ = io.WriteString(w, head+tc.line+"\n")
+			})
+			st, err := client.New(ts.URL).StreamBatches(context.Background(), "job-000001",
+				client.StreamOptions{Wire: client.WireNDJSON, MaxResumes: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := st.Next()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("valid line refused: %v", err)
+				}
+				return
+			}
+			if err == nil || err == io.EOF {
+				t.Fatalf("invalid line delivered as %+v (%v)", b, err)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Fatalf("invalid line was retried: %d requests", n)
+			}
+		})
 	}
 }
 

@@ -11,77 +11,117 @@ import (
 
 	"repro/internal/domain"
 	"repro/internal/loader"
+	"repro/internal/wire"
 )
 
-// fromRecords converts one reference-decoded frame (header + boxed
-// codec records from domain.DecodeFrame) into the BatchWire union — the
-// conversion the SDK ran before it decoded frames itself, kept as the
-// reference the typed decoder is compared against.
-func fromRecords(h domain.BatchHeader, recs []any) (*BatchWire, error) {
-	w := &BatchWire{Batch: h.Batch, Cursor: h.Cursor, Kind: h.Kind}
-	switch h.Kind {
-	case domain.KindSamples:
-		w.Features = make([][]float32, len(recs))
-		w.Labels = make([]int64, len(recs))
-		for i, r := range recs {
-			s, ok := r.(*loader.Sample)
-			if !ok {
-				return nil, fmt.Errorf("frame record %d is %T, want sample", i, r)
-			}
-			w.Features[i] = s.Features
-			w.Labels[i] = int64(s.Label)
+// codecFor returns the domain codec serving a wire kind, for encoding
+// test frames.
+func codecFor(t testing.TB, kind string) domain.Codec {
+	t.Helper()
+	for _, p := range domain.Plugins() {
+		if p.Codec.Kind() == kind {
+			return p.Codec
 		}
-	case domain.KindFusionWindows:
-		w.Labels = make([]int64, len(recs))
-		w.Signals = make([][]float32, len(recs))
-		w.Shots = make([]int64, len(recs))
-		w.Starts = make([]int64, len(recs))
-		w.Horizons = make([]float32, len(recs))
-		for i, r := range recs {
-			f, ok := r.(*domain.FusionWindow)
-			if !ok {
-				return nil, fmt.Errorf("frame record %d is %T, want fusion window", i, r)
-			}
-			w.Labels[i] = f.Label
-			w.Signals[i] = f.Signal
-			w.Shots[i] = f.Shot
-			w.Starts[i] = f.Start
-			w.Horizons[i] = f.Horizon
-		}
-	case domain.KindMaterialsGraphs:
-		w.Graphs = make([]Graph, len(recs))
-		for i, r := range recs {
-			g, ok := r.(*domain.WireGraph)
-			if !ok {
-				return nil, fmt.Errorf("frame record %d is %T, want graph", i, r)
-			}
-			w.Graphs[i] = Graph{
-				Nodes:        g.Nodes,
-				FeatureDim:   g.FeatureDim,
-				NodeFeatures: g.NodeFeatures,
-				Edges:        g.Edges,
-				EdgeLengths:  g.EdgeLengths,
-				Energy:       g.Energy,
-				ClassID:      g.ClassID,
-			}
-		}
-	default:
-		return nil, fmt.Errorf("frame with unknown wire kind %q", h.Kind)
 	}
-	return w, nil
+	t.Fatalf("no codec serves kind %q", kind)
+	return nil
 }
 
-// referenceFrame decodes the first frame of b the way the SDK did
-// before: domain.DecodeFrame, fromRecords, Validate. A parse failure of
-// a complete frame is returned bare, as DecodeFrame returns it.
+// referenceFrame decodes the first frame of b the plain way, as the
+// reference wire.Decoder is compared against: the length prefix with
+// binary.Uvarint, the header with wire.ParseFrameHeader, then one
+// record at a time with each check written out again and a fresh
+// slice per tensor, then Validate. A parse failure of a complete frame
+// is returned bare; a batch Validate refuses is a badBatchError.
 func referenceFrame(b []byte) (*BatchWire, error) {
-	h, recs, _, err := domain.DecodeFrame(b)
+	if len(b) == 0 {
+		return nil, io.EOF
+	}
+	ln, sz := binary.Uvarint(b)
+	if sz == 0 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	if sz < 0 || ln == 0 || ln > wire.MaxFrameBytes {
+		return nil, fmt.Errorf("bad frame length %d", ln)
+	}
+	if uint64(len(b)-sz) < ln {
+		return nil, io.ErrUnexpectedEOF
+	}
+	h, count, payload, err := wire.ParseFrameHeader(b[sz : sz+int(ln)])
 	if err != nil {
 		return nil, err
 	}
-	w, err := fromRecords(h, recs)
-	if err != nil {
-		return nil, &badBatchError{err}
+	p := wire.NewFrameParser(payload)
+	f32s := func(n int, what string) []float32 {
+		raw := p.Bytes(4*n, what)
+		out := make([]float32, len(raw)/4)
+		for i := range out {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		return out
+	}
+	f64s := func(n int, what string) []float64 {
+		raw := p.Bytes(8*n, what)
+		out := make([]float64, len(raw)/8)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		return out
+	}
+	w := &BatchWire{Batch: h.Batch, Cursor: h.Cursor, Kind: h.Kind}
+	for i := 0; i < count && p.Err() == nil; i++ {
+		switch h.Kind {
+		case wire.KindSamples:
+			feats := f32s(p.Length(4, "feature count"), "features")
+			label := p.Varint("label")
+			if p.Err() == nil && (label < math.MinInt32 || label > math.MaxInt32) {
+				p.Fail("label %d out of int32 range", label)
+			}
+			w.Features = append(w.Features, feats)
+			w.Labels = append(w.Labels, label)
+		case wire.KindFusionWindows:
+			n := p.Length(4, "signal length")
+			if p.Err() == nil && n == 0 {
+				p.Fail("fusion window without signal floats")
+			}
+			w.Signals = append(w.Signals, f32s(n, "signal"))
+			w.Shots = append(w.Shots, p.Varint("shot"))
+			w.Starts = append(w.Starts, p.Varint("start"))
+			w.Labels = append(w.Labels, p.Varint("label"))
+			w.Horizons = append(w.Horizons, f32s(1, "horizon")...)
+		case wire.KindMaterialsGraphs:
+			nodes := p.Uvarint("node count")
+			dim := p.Uvarint("feature dim")
+			if p.Err() == nil && (nodes < 1 || dim < 1 || nodes > wire.MaxFrameBytes || dim > wire.MaxFrameBytes) {
+				p.Fail("graph shape [%d,%d] out of range", nodes, dim)
+			}
+			if p.Err() == nil && nodes*dim > uint64(p.Len())/8 {
+				p.Fail("node_features [%d,%d] exceeds %d remaining payload bytes", nodes, dim, p.Len())
+			}
+			if p.Err() != nil {
+				break
+			}
+			g := Graph{Nodes: int(nodes), FeatureDim: int(dim), NodeFeatures: f64s(int(nodes*dim), "node_features")}
+			ne := p.Length(2, "edge count")
+			g.Edges = make([]int64, 0, min(2*ne, 1024))
+			for j := 0; j < 2*ne && p.Err() == nil; j++ {
+				e := p.Uvarint("edge endpoint")
+				if p.Err() == nil && e >= nodes {
+					p.Fail("edge endpoint %d outside %d nodes", e, nodes)
+				}
+				g.Edges = append(g.Edges, int64(e))
+			}
+			g.EdgeLengths = f64s(ne, "edge_lengths")
+			energy := f64s(1, "energy")
+			g.ClassID = p.Varint("class_id")
+			if p.Err() == nil {
+				g.Energy = energy[0]
+			}
+			w.Graphs = append(w.Graphs, g)
+		}
+	}
+	if err := p.Finish(); err != nil {
+		return nil, err
 	}
 	if err := w.Validate(); err != nil {
 		return nil, &badBatchError{err}
@@ -90,18 +130,11 @@ func referenceFrame(b []byte) (*BatchWire, error) {
 }
 
 // streamFrame decodes the first frame of b through the stream reader,
-// validated as Stream.readOne validates it.
+// as Stream.readOne does: a frame batch is not validated again.
 func streamFrame(b []byte, loop bool) (*BatchWire, error) {
 	f := newFrameReader(bytes.NewReader(b))
-	f.loop = loop
-	w, err := f.next()
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Validate(); err != nil {
-		return nil, &badBatchError{err}
-	}
-	return w, nil
+	f.dec.Loop = loop
+	return f.next()
 }
 
 // errClass names what a stream does with an error: a clean end, a
@@ -135,30 +168,30 @@ func rawFrame(kind string, count int, payload []byte) []byte {
 // no features and graphs without edges.
 func validFrames(t testing.TB) [][]byte {
 	batches := map[string][]any{
-		domain.KindSamples: {
+		wire.KindSamples: {
 			&loader.Sample{Features: []float32{1.5, -2.25, 0}, Label: 3},
 			&loader.Sample{Features: []float32{}, Label: -1},
 			&loader.Sample{Features: []float32{0.125, float32(math.NaN()), float32(math.Copysign(0, -1))}, Label: 2147483647},
 		},
-		domain.KindFusionWindows: {
+		wire.KindFusionWindows: {
 			&domain.FusionWindow{Signal: []float32{0.5, -1, 2.75}, Shot: 42, Start: 25, Label: 1, Horizon: 0.3},
 			&domain.FusionWindow{Signal: []float32{9}, Shot: -7, Start: 0, Label: 0, Horizon: 1.25},
 		},
-		domain.KindMaterialsGraphs: {
-			&domain.WireGraph{Nodes: 3, FeatureDim: 2, NodeFeatures: []float64{1, 2, 3, 4, 5, 6},
+		wire.KindMaterialsGraphs: {
+			&wire.Graph{Nodes: 3, FeatureDim: 2, NodeFeatures: []float64{1, 2, 3, 4, 5, 6},
 				Edges: []int64{0, 1, 1, 2}, EdgeLengths: []float64{1.5, 2.5}, Energy: -7.25, ClassID: 1},
-			&domain.WireGraph{Nodes: 1, FeatureDim: 1, NodeFeatures: []float64{0},
+			&wire.Graph{Nodes: 1, FeatureDim: 1, NodeFeatures: []float64{0},
 				Edges: []int64{}, EdgeLengths: []float64{}, Energy: 0, ClassID: 0},
 		},
 	}
 	var out [][]byte
-	for _, kind := range []string{domain.KindSamples, domain.KindFusionWindows, domain.KindMaterialsGraphs} {
-		codec, _ := domain.CodecByKind(kind)
+	for _, kind := range []string{wire.KindSamples, wire.KindFusionWindows, wire.KindMaterialsGraphs} {
+		codec := codecFor(t, kind)
 		recs := batches[kind]
 		// The whole batch, and each record alone (so one frame is all
 		// empty features, or a graph batch without a single edge).
 		for _, batch := range append([][]any{recs}, splitRecords(recs)...) {
-			frame, err := domain.EncodeFrame(codec, domain.BatchHeader{Batch: 4, Cursor: "2:9", Kind: kind}, batch)
+			frame, err := domain.EncodeFrame(codec, wire.BatchHeader{Batch: 4, Cursor: "2:9", Kind: kind}, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,16 +230,16 @@ func frameSeeds(t testing.TB) [][]byte {
 	badEndpoint = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(badEndpoint, 0), 0)
 	badEndpoint = binary.AppendVarint(badEndpoint, 0)
 	return append(seeds,
-		domain.EncodeErrorFrame("shard s-00002 vanished"),
+		wire.EncodeErrorFrame("shard s-00002 vanished"),
 		rawFrame("astral_cubes", 1, []byte{0, 0}),
-		rawFrame(domain.KindSamples, 0, []byte{0, 0}),
-		rawFrame(domain.KindSamples, 3, []byte{0, 0}),
-		rawFrame(domain.KindSamples, 1, maxLabel),
-		rawFrame(domain.KindFusionWindows, 1, []byte{0, 0, 0, 0, 0, 0, 0, 0}),
-		rawFrame(domain.KindMaterialsGraphs, 1, badEndpoint),
+		rawFrame(wire.KindSamples, 0, []byte{0, 0}),
+		rawFrame(wire.KindSamples, 3, []byte{0, 0}),
+		rawFrame(wire.KindSamples, 1, maxLabel),
+		rawFrame(wire.KindFusionWindows, 1, []byte{0, 0, 0, 0, 0, 0, 0, 0}),
+		rawFrame(wire.KindMaterialsGraphs, 1, badEndpoint),
 		[]byte{},
 		[]byte{0},
-		binary.AppendUvarint(nil, domain.MaxFrameBytes+1),
+		binary.AppendUvarint(nil, wire.MaxFrameBytes+1),
 		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 		[]byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
@@ -254,8 +287,8 @@ func TestFrameDecodeLoopMatchesCopy(t *testing.T) {
 			t.Fatalf("% x: copy path %v (%v), loop path %v (%v)", b, viaCopy, err, viaLoop, err2)
 		}
 	}
-	if !littleEndian {
-		t.Log("big-endian host: the copy path is never taken outside this test")
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		t.Log("big-endian host: both runs take the byte-order loop")
 	}
 }
 
@@ -263,9 +296,9 @@ func TestFrameDecodeLoopMatchesCopy(t *testing.T) {
 // frames up to maxKeptScratch and dropped beyond it, and the reader
 // counts every wire byte.
 func TestFrameReaderKeepsSmallBodies(t *testing.T) {
-	codec, _ := domain.CodecByKind(domain.KindSamples)
+	codec := codecFor(t, wire.KindSamples)
 	frame := func(nfeat int) []byte {
-		f, err := domain.EncodeFrame(codec, domain.BatchHeader{Kind: domain.KindSamples},
+		f, err := domain.EncodeFrame(codec, wire.BatchHeader{Kind: wire.KindSamples},
 			[]any{&loader.Sample{Features: make([]float32, nfeat)}})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +326,7 @@ func TestFrameReaderKeepsSmallBodies(t *testing.T) {
 }
 
 // FuzzDecodeFrameBatch: on any bytes, the stream reader agrees with the
-// reference — domain.DecodeFrame, then fromRecords, then Validate — on
+// reference — referenceFrame, which ends in Validate — on
 // acceptance, on the decoded BatchWire, and on whether an error ends
 // the stream or resumes it, on both float paths.
 func FuzzDecodeFrameBatch(f *testing.F) {

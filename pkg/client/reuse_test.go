@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/pkg/client"
 )
 
@@ -93,7 +93,7 @@ func cursors(t *testing.T, url, jobID string) []string {
 // first must reuse the connection.
 func assertCappedReuse(t *testing.T, url, jobID string, starts []string) {
 	t.Helper()
-	for _, wire := range domain.Wires() {
+	for _, wire := range wire.Wires() {
 		t.Run(wire, func(t *testing.T) {
 			ct := newConnTracker(url)
 			fresh := 0
@@ -122,7 +122,7 @@ func TestCappedStreamReusesConnection(t *testing.T) {
 	assertCappedReuse(t, ts.URL, done.ID, cursors(t, ts.URL, done.ID))
 
 	t.Run("close before cap", func(t *testing.T) {
-		for _, wire := range domain.Wires() {
+		for _, wire := range wire.Wires() {
 			ct := newConnTracker(ts.URL)
 			opts := client.StreamOptions{BatchSize: reuseBatch, MaxBatches: reuseCap, Wire: wire}
 			st, _ := ct.open(t, done.ID, opts)
@@ -161,7 +161,7 @@ func TestCapIgnoredDropsConnection(t *testing.T) {
 	}))
 	t.Cleanup(stripped.Close)
 
-	for _, wire := range domain.Wires() {
+	for _, wire := range wire.Wires() {
 		t.Run(wire, func(t *testing.T) {
 			opts := client.StreamOptions{BatchSize: reuseBatch, MaxBatches: reuseCap, Wire: wire}
 			ref, _ := newConnTracker(ts.URL).open(t, done.ID, opts)

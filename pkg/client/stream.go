@@ -18,8 +18,8 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/domain"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // StreamOptions tunes StreamBatches.
@@ -234,11 +234,11 @@ func (s *Stream) connect() error {
 	}
 	switch s.wire {
 	case WireFrame:
-		req.Header.Set("Accept", domain.ContentTypeFrame)
+		req.Header.Set("Accept", wire.ContentTypeFrame)
 	case WireNDJSON:
-		req.Header.Set("Accept", domain.ContentTypeNDJSON)
+		req.Header.Set("Accept", wire.ContentTypeNDJSON)
 	default: // auto: prefer frames, accept anything
-		req.Header.Set("Accept", domain.ContentTypeFrame+", "+domain.ContentTypeNDJSON+";q=0.9, */*;q=0.1")
+		req.Header.Set("Accept", wire.ContentTypeFrame+", "+wire.ContentTypeNDJSON+";q=0.9, */*;q=0.1")
 	}
 	resp, err := s.httpc.Do(req)
 	if err != nil {
@@ -249,27 +249,27 @@ func (s *Stream) connect() error {
 		resp.Body.Close()
 		return fmt.Errorf("client: stream: status %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
 	}
-	negotiated := resp.Header.Get(domain.HeaderWire)
+	negotiated := resp.Header.Get(wire.HeaderWire)
 	if negotiated == "" {
 		// Pre-negotiation servers: infer from the content type.
-		if strings.HasPrefix(resp.Header.Get("Content-Type"), domain.ContentTypeFrame) {
-			negotiated = domain.WireFrame
+		if strings.HasPrefix(resp.Header.Get("Content-Type"), wire.ContentTypeFrame) {
+			negotiated = WireFrame
 		} else {
-			negotiated = domain.WireNDJSON
+			negotiated = WireNDJSON
 		}
 	}
-	if s.wire == WireFrame && negotiated != domain.WireFrame {
+	if s.wire == WireFrame && negotiated != WireFrame {
 		resp.Body.Close()
 		return fmt.Errorf("client: server answered wire %q, frames required", negotiated)
 	}
-	if s.wire == WireNDJSON && negotiated != domain.WireNDJSON {
+	if s.wire == WireNDJSON && negotiated != WireNDJSON {
 		resp.Body.Close()
 		return fmt.Errorf("client: server answered wire %q to an NDJSON request", negotiated)
 	}
 	s.negotiated = negotiated
 	s.body = resp.Body
 	s.sc, s.fr = nil, nil
-	if negotiated == domain.WireFrame {
+	if negotiated == WireFrame {
 		s.fr = newFrameReader(resp.Body)
 	} else {
 		// The scanner starts at its small default buffer and doubles up to
@@ -350,7 +350,7 @@ func (s *Stream) Next() (*BatchWire, error) {
 // received) batches or frames, and lines over the cap, as opposed to
 // cut connections.
 func terminal(err error) bool {
-	var se *domain.StreamError
+	var se *StreamError
 	if errors.As(err, &se) {
 		return true
 	}
@@ -375,14 +375,12 @@ func (e *badBatchError) Unwrap() error { return e.err }
 func (s *Stream) readOne() (*BatchWire, int64, error) {
 	if s.fr != nil {
 		start := s.fr.n
+		// The frame decoder has checked everything Validate would.
 		w, err := s.fr.next()
 		if err != nil {
 			// io.EOF only surfaces at a frame boundary (clean end);
 			// mid-frame cuts arrive as io.ErrUnexpectedEOF and resume.
 			return nil, 0, err
-		}
-		if err := w.Validate(); err != nil {
-			return nil, 0, &badBatchError{err}
 		}
 		return w, s.fr.n - start, nil
 	}
@@ -404,7 +402,7 @@ func (s *Stream) readOne() (*BatchWire, int64, error) {
 		return nil, 0, &badBatchError{err}
 	}
 	if err := w.Validate(); err != nil {
-		var se *domain.StreamError
+		var se *StreamError
 		if errors.As(err, &se) {
 			return nil, 0, err // in-band server error line
 		}

@@ -1,21 +1,17 @@
-// BatchWire: the single client-side union of every wire kind's batch
-// payload. Both wire formats decode into it — NDJSON lines through the
-// one-pass line decoder (decode.go), binary frames through the typed
-// frame decoder (frames.go) — so generic tooling handles any domain's
-// stream in either format.
+// The SDK's names for the wire contract (internal/wire): the batch
+// union both wire formats decode into — NDJSON lines through the
+// one-pass line decoder (decode.go), binary frames through the wire
+// package's typed frame decoder (frames.go) — so generic tooling
+// handles any domain's stream in either format.
 package client
 
-import (
-	"fmt"
-
-	"repro/internal/domain"
-)
+import "repro/internal/wire"
 
 // StreamError is a failure the server reported in-band (an error line
 // or error frame). It is terminal — reconnecting with the same cursor
 // hits the same condition — and is re-exported here so SDK consumers
 // can errors.As against it without reaching into internal packages.
-type StreamError = domain.StreamError
+type StreamError = wire.StreamError
 
 // Wire format selectors for Client / StreamOptions.
 const (
@@ -23,10 +19,10 @@ const (
 	// server does not negotiate them — the default.
 	WireAuto = "auto"
 	// WireNDJSON pins the debuggable NDJSON stream.
-	WireNDJSON = domain.WireNDJSON
+	WireNDJSON = wire.WireNDJSON
 	// WireFrame requires the binary frame stream; opening fails
 	// against a server that cannot serve it.
-	WireFrame = domain.WireFrame
+	WireFrame = wire.WireFrame
 )
 
 // Graph is one materials wire record: a periodic cutoff graph with
@@ -35,15 +31,7 @@ const (
 // interleaved (src, dst) pairs. The field order matches the server's
 // NDJSON emission exactly, so unmarshal → re-marshal reproduces a
 // graph object byte-for-byte.
-type Graph struct {
-	Nodes        int       `json:"nodes"`
-	FeatureDim   int       `json:"feature_dim"`
-	NodeFeatures []float64 `json:"node_features"`
-	Edges        []int64   `json:"edges"`
-	EdgeLengths  []float64 `json:"edge_lengths"`
-	Energy       float64   `json:"energy"`
-	ClassID      int64     `json:"class_id"`
-}
+type Graph = wire.Graph
 
 // BatchWire is one streamed batch of /v1/jobs/{id}/batches — the union
 // of every kind's payload schema. The field order matches the per-kind
@@ -68,52 +56,6 @@ type Graph struct {
 // edges), each record's slice clipped to its own length, so appending
 // to one record reallocates it instead of overwriting its neighbour.
 // Every batch Next returns belongs to the caller: the stream never
-// reuses or modifies it.
-type BatchWire struct {
-	Batch    int         `json:"batch"`
-	Cursor   string      `json:"cursor"`
-	Kind     string      `json:"kind,omitempty"`
-	Features [][]float32 `json:"features,omitempty"`
-	Labels   []int64     `json:"labels,omitempty"`
-	Signals  [][]float32 `json:"signals,omitempty"`
-	Shots    []int64     `json:"shots,omitempty"`
-	Starts   []int64     `json:"starts,omitempty"`
-	Horizons []float32   `json:"horizons,omitempty"`
-	Graphs   []Graph     `json:"graphs,omitempty"`
-	Error    string      `json:"error,omitempty"`
-}
-
-// Count returns the number of records in the batch, whatever its kind.
-func (w *BatchWire) Count() int {
-	if len(w.Graphs) > 0 {
-		return len(w.Graphs)
-	}
-	return len(w.Labels)
-}
-
-// Validate checks the batch's per-kind shape invariants.
-func (w *BatchWire) Validate() error {
-	if w.Error != "" {
-		return &domain.StreamError{Msg: w.Error}
-	}
-	switch w.Kind {
-	case domain.KindSamples:
-		if len(w.Features) == 0 || len(w.Features) != len(w.Labels) {
-			return fmt.Errorf("%d feature rows vs %d labels", len(w.Features), len(w.Labels))
-		}
-	case domain.KindFusionWindows:
-		if len(w.Signals) == 0 || len(w.Signals) != len(w.Labels) ||
-			len(w.Shots) != len(w.Labels) || len(w.Starts) != len(w.Labels) ||
-			len(w.Horizons) != len(w.Labels) {
-			return fmt.Errorf("ragged fusion batch: %d signals / %d labels / %d shots / %d starts / %d horizons",
-				len(w.Signals), len(w.Labels), len(w.Shots), len(w.Starts), len(w.Horizons))
-		}
-	case domain.KindMaterialsGraphs:
-		if len(w.Graphs) == 0 {
-			return fmt.Errorf("empty graph batch")
-		}
-	default:
-		return fmt.Errorf("unknown wire kind %q", w.Kind)
-	}
-	return nil
-}
+// reuses or modifies it, and it holds every invariant the frame
+// decoder checks, whichever wire it came over (Validate).
+type BatchWire = wire.Batch
