@@ -11,8 +11,9 @@
 //	draid -data-dir /mnt/pfs/draid -node-id n1 -advertise http://host1:8080 \
 //	      -peers n1=http://host1:8080,n2=http://host2:8080,n3=http://host3:8080
 //
-// Completed jobs' shard sets are written to <data-dir>/jobs/<id> with
-// an atomic MANIFEST.json and every job transition replay needs is
+// Completed jobs' shard sets are written to <data-dir>/jobs/<id>, each
+// shard stored once as its frame sidecar, with an atomic MANIFEST.json
+// describing those sidecars, and every job transition replay needs is
 // appended to the node's one log, its audit ledger; a restarted draid
 // replays the ledger and re-serves completed jobs from disk. A data dir
 // holding a jobs*.log from an earlier version is refused. Without -data-dir, draid runs the same durable server on a
@@ -66,7 +67,8 @@
 // Every request carries an X-Draid-Trace ID (inherited from the client
 // or generated) that is echoed in the response, logged, and propagated
 // across fleet hops — plus a span tree recording where its time went
-// (queue wait, shard loads, per-batch encodes, pacing stalls, proxy
+// (queue wait, synthesis, pipeline stages, commit, sidecar fills,
+// per-batch encodes, pacing stalls, proxy
 // hops), browsable via /v1/traces. Traces slower than -trace-slow or
 // ending in error are tail-sampled into a notable ring and logged at
 // Info. -debug additionally mounts /debug/pprof, exports runtime

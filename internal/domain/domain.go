@@ -60,7 +60,7 @@ type Codec interface {
 	Kind() string
 	// Decode parses one shard record into an opaque wire record and
 	// reports an estimate of its decoded in-memory size. It runs only
-	// to build a sidecar (ShardSidecar).
+	// to build a sidecar (SidecarSink, BuildShardSidecars).
 	Decode(rec []byte) (any, int64, error)
 	// Line builds one marshalable NDJSON batch line from records
 	// previously produced by Decode. It is the reference encoding:

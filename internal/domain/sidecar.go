@@ -1,13 +1,15 @@
-// Frame-ready shard sidecars: each sealed shard can carry a
-// `<shard>.fpay` companion holding its records already packed in the
-// frame wire's payload encoding, plus the per-record boundary offsets.
-// A cold frame read is then one read of the whole sidecar, verified by
-// ParseSidecar and served as byte ranges of that one image under fresh
-// FrameEnvelope headers — zero codec Encode/Decode calls — instead of
-// decode+encode per request. A cold NDJSON read fills from the same
-// verified image (Sidecar.Lines: the wire package's decoder, then the
-// line fragments written from its columns), so the native shard is
-// decoded only to build a sidecar (ShardSidecar).
+// Frame-ready shard sidecars: a `<shard>.fpay` object holds a shard's
+// records already packed in the frame wire's payload encoding, plus the
+// per-record boundary offsets. It is what a draid job stores for each
+// shard, and all it stores: SidecarSink turns each native shard into
+// its sidecar as the shard stage writes it, so the native shard never
+// reaches the job's store. A cold frame read is one read of the whole
+// sidecar, verified by ParseSidecar and served as byte ranges of that
+// one image under fresh FrameEnvelope headers — zero codec calls. A
+// cold NDJSON read fills from the same verified image (Sidecar.Lines:
+// the wire package's decoder, then the line fragments written from its
+// columns). Library callers that keep native shards build sidecars from
+// them with BuildShardSidecars.
 //
 // Sidecar layout (all fixed-width integers little-endian):
 //
@@ -31,13 +33,20 @@
 package domain
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 	"sync"
 
+	"repro/internal/anonymize"
+	"repro/internal/bio"
+	"repro/internal/formats/tfrecord"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
@@ -292,21 +301,28 @@ func (s *Sidecar) VerifyPayload() error { return nil }
 
 // BuildShardSidecars materializes the frame-ready sidecar for every
 // shard in m that does not already have one, reading records through
-// p's opener (decrypting sealed shards) and writing through p's sink
-// (re-sealing sidecars under the same key). It is idempotent —
-// existing sidecars are kept — and returns how many were built.
-// Callers treat failure as a lost optimization, not a failed job: the
-// serving tier builds a missing sidecar on its first read.
+// p's opener (checksums verified, sealed shards decrypted) and writing
+// through p's sink (re-sealing sidecars under the same key). It is
+// idempotent — existing sidecars are kept — and returns how many were
+// built. It is the library path for callers that keep native shards; a
+// draid job decodes its records once, in SidecarSink.
 func BuildShardSidecars(p Plugin, store shard.Store, m *shard.Manifest, key []byte) (int, error) {
-	open := p.Opener(store, key)
-	sink := p.Sink(store, key)
-	sealed := key != nil
+	open, sink := p.Opener(store, key), p.Sink(store, key)
 	built := 0
 	for _, info := range m.Shards {
-		if store.Size(p.StoredName(SidecarName(info.Name), sealed)) > 0 {
+		if store.Size(p.StoredName(SidecarName(info.Name), key != nil)) > 0 {
 			continue
 		}
-		b, err := ShardSidecar(p, open, m, info)
+		one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
+		var frames [][]byte
+		err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
+			frames = append(frames, rec)
+			return nil
+		})
+		var b []byte
+		if err == nil {
+			b, err = sidecarOf(p.Codec, frames)
+		}
 		if err == nil {
 			err = shard.WriteObject(sink, SidecarName(info.Name), b)
 		}
@@ -318,24 +334,117 @@ func BuildShardSidecars(p Plugin, store shard.Store, m *shard.Manifest, key []by
 	return built, nil
 }
 
-// ShardSidecar builds one shard's sidecar image: the shard read through
-// open (checksum verified, decrypted for sealed domains), each record
-// decoded by p's codec, and the records packed with EncodeSidecarFile.
-// It is the only place a native shard record is decoded for serving;
-// both wires then read the sidecar.
-func ShardSidecar(p Plugin, open shard.Opener, m *shard.Manifest, info shard.Info) ([]byte, error) {
-	one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
-	recs := make([]any, 0, info.Records)
-	err := shard.ReadAll(open, one, func(_ string, rec []byte) error {
-		r, _, err := p.Codec.Decode(rec)
-		if err != nil {
-			return err
+// sidecarOf decodes a shard's native records with c and packs them into
+// its sidecar image.
+func sidecarOf(c Codec, frames [][]byte) ([]byte, error) {
+	recs := make([]any, len(frames))
+	for i, f := range frames {
+		var err error
+		if recs[i], _, err = c.Decode(f); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return EncodeSidecarFile(p.Codec, recs)
+	return EncodeSidecarFile(c, recs)
+}
+
+// SidecarSink is the shard sink of a job that stores each record once,
+// as its shard's sidecar. Each object the shard stage creates is held
+// in memory until its Close; Close reads its TFRecord frames back (for
+// a sealed job, after opening the sealed blob under Key), decodes every
+// record with the plugin's codec, packs the records with
+// EncodeSidecarFile and writes only SidecarName(shard) through
+// Plugin.Sink. Native bytes never reach the store. StoredManifest then
+// rewrites the product's manifest to describe the sidecars. It is safe
+// for concurrent writers.
+type SidecarSink struct {
+	Plugin Plugin
+	Store  shard.Store
+	// Key is the job key (nil: the job is not sealed). Set it once Build
+	// has returned it, before the pipeline runs.
+	Key []byte
+
+	mu    sync.Mutex
+	built map[string]builtSidecar // by shard name
+}
+
+// builtSidecar is what SidecarSink learned of one shard while storing
+// its sidecar.
+type builtSidecar struct {
+	native  [sha256.Size]byte // the native shard's plaintext, as its writer hashed it
+	records int
+	stored  int64             // the sidecar object's size on the store
+	image   [sha256.Size]byte // the sidecar's plaintext image
+}
+
+// Create implements shard.Sink.
+func (s *SidecarSink) Create(name string) (io.WriteCloser, error) {
+	return &sidecarShard{sink: s, name: name}, nil
+}
+
+type sidecarShard struct {
+	bytes.Buffer
+	sink *SidecarSink
+	name string
+}
+
+func (w *sidecarShard) Close() error { return w.sink.transcode(w.name, w.Bytes()) }
+
+// transcode turns one native shard object into its stored sidecar.
+func (s *SidecarSink) transcode(object string, native []byte) error {
+	name := object
+	if s.Key != nil {
+		var ok bool
+		if name, ok = strings.CutSuffix(object, bio.SealedSuffix); !ok {
+			return fmt.Errorf("domain: sealed job wrote unsealed object %q", object)
+		}
+		plain, err := anonymize.DecryptShard(s.Key, name, native)
+		if err != nil {
+			return fmt.Errorf("domain: open %s: %w", object, err)
+		}
+		native = plain
+	}
+	frames, err := tfrecord.NewReader(bytes.NewReader(native)).ReadAll()
+	var image []byte
+	if err == nil {
+		image, err = sidecarOf(s.Plugin.Codec, frames)
+	}
+	if err == nil {
+		err = shard.WriteObject(s.Plugin.Sink(s.Store, s.Key), SidecarName(name), image)
+	}
+	if err != nil {
+		return fmt.Errorf("domain: sidecar for %s: %w", name, err)
+	}
+	b := builtSidecar{native: sha256.Sum256(native), records: len(frames), image: sha256.Sum256(image),
+		stored: s.Store.Size(s.Plugin.StoredName(SidecarName(name), s.Key != nil))}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.built == nil {
+		s.built = make(map[string]builtSidecar)
+	}
+	s.built[name] = b
+	return nil
+}
+
+// StoredManifest returns m rewritten to describe what the store holds:
+// each shard's StoredBytes becomes its sidecar object's stored size
+// (sealed, for a sealed job) and its SHA256 the hash of the sidecar's
+// plaintext image; Name, Records and RawBytes stay. A shard with no
+// sidecar, or whose sidecar was built from other bytes than m
+// describes, is an error.
+func (s *SidecarSink) StoredManifest(m *shard.Manifest) (*shard.Manifest, error) {
+	out := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: make([]shard.Info, len(m.Shards))}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, info := range m.Shards {
+		b, ok := s.built[info.Name]
+		if !ok {
+			return nil, fmt.Errorf("domain: shard %s has no sidecar", info.Name)
+		}
+		if hex.EncodeToString(b.native[:]) != info.SHA256 || b.records != info.Records {
+			return nil, fmt.Errorf("domain: sidecar of %s was built from other bytes than the manifest describes", info.Name)
+		}
+		info.StoredBytes, info.SHA256 = b.stored, hex.EncodeToString(b.image[:])
+		out.Shards[i] = info
+	}
+	return out, nil
 }

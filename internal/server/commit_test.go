@@ -207,8 +207,8 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestPowerCutBeforeBarrier: a data directory frozen after the pipeline
-// but before the barrier, with two shards cut to zero bytes the way an
-// unsynced file comes back, must never be served. Reopened plainly the
+// but before the barrier, with two shards' sidecars cut to zero bytes
+// the way an unsynced file comes back, must never be served. Reopened plainly the
 // job is failed; reopened with Requeue it is rerun from a wiped
 // directory and streams what a fresh run of the same spec streams.
 func TestPowerCutBeforeBarrier(t *testing.T) {
@@ -239,7 +239,7 @@ func TestPowerCutBeforeBarrier(t *testing.T) {
 		}
 		cut = cut[:0]
 		for _, e := range entries {
-			if len(cut) < 2 && !strings.HasSuffix(e.Name(), ".fpay") {
+			if len(cut) < 2 {
 				if err := os.Truncate(filepath.Join(jobDir, e.Name()), 0); err != nil {
 					t.Fatal(err)
 				}
@@ -247,7 +247,7 @@ func TestPowerCutBeforeBarrier(t *testing.T) {
 			}
 		}
 		if len(cut) != 2 {
-			t.Fatalf("snapshot holds %d shards to cut, want 2", len(cut))
+			t.Fatalf("snapshot holds %d sidecars to cut, want 2", len(cut))
 		}
 	}
 
@@ -268,7 +268,7 @@ func TestPowerCutBeforeBarrier(t *testing.T) {
 	for _, name := range cut {
 		fi, err := os.Stat(filepath.Join(snapshots[1], "jobs", st.ID, name))
 		if err != nil || fi.Size() == 0 {
-			t.Fatalf("shard %s not rebuilt by the rerun (err %v)", name, err)
+			t.Fatalf("sidecar %s not rebuilt by the rerun (err %v)", name, err)
 		}
 	}
 }

@@ -96,21 +96,14 @@ func frameCursors(t *testing.T, stream []byte) []string {
 
 // TestFrameCacheByteExact is the zero-copy acceptance proof: for every
 // codec, the frame stream served by slicing the encoded-frame cache is
-// byte-identical to the encode-per-request stream — cold (cache fill),
-// warm (cache hit), at a different batch size, resumed from a
-// mid-stream cursor, capped by max_batches, and under ?max_kbps=
-// pacing — and so is every NDJSON line sliced out of the line cache,
-// against Line+json.Marshal over the same records. The reference bytes
-// come from a server with the serving cache off whose store has no frame
-// sidecars; the cached server reads the same data dir after a restart.
+// byte-identical to the library pipeline's records encoded per batch —
+// cold (cache fill), warm (cache hit), at a different batch size,
+// resumed from a mid-stream cursor, capped by max_batches, and under
+// ?max_kbps= pacing — and so is every NDJSON line sliced out of the
+// line cache, against Line+json.Marshal over the same records. The
+// cached server reads the jobs' data dir after a restart.
 func TestFrameCacheByteExact(t *testing.T) {
 	dataDir := t.TempDir()
-	s1, err := New(Options{Workers: 4, DataDir: dataDir, ServeCacheBytes: 0, NewStore: noFrameStore(dataDir)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-
 	// One job per codec kind: climate (samples), fusion (windowed
 	// TFRecord examples), materials (BP graphs).
 	specs := []JobSpec{
@@ -118,21 +111,11 @@ func TestFrameCacheByteExact(t *testing.T) {
 		{Domain: core.Fusion, Seed: 3, Shots: 8},
 		{Domain: core.Materials, Seed: 3, Structures: 16},
 	}
-	ids := make([]string, len(specs))
+	ids := buildJobs(t, dataDir, specs)
 	cases := make([][]byteExactCase, len(specs))
 	for i, spec := range specs {
-		id, err := SubmitAndWait(ts1.URL, spec, 120*time.Second)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Domain, err)
-		}
-		ids[i] = id
-		cases[i] = referenceCases(t, ts1.URL+"/v1/jobs/"+id+"/batches?")
+		cases[i] = referenceCases(t, spec)
 	}
-	if hits := s1.cache.Stats(wireFrames).Hits; hits != 0 {
-		t.Fatalf("disabled frame cache recorded %d hits", hits)
-	}
-	ts1.Close()
-	s1.Close()
 
 	s2, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 64 << 20})
 	if err != nil {

@@ -1,8 +1,10 @@
-// Acceptance tests for the disk tier of the zero-copy frame path:
-// fully-cold frame streams served from shard sidecars must be
-// byte-identical to encode-per-request, make zero codec calls, lazily
-// backfill sidecars for replayed pre-sidecar jobs, and survive torn or
-// corrupt sidecars by falling back — never by serving bad bytes.
+// Acceptance tests for the disk tier of the zero-copy frame path: a
+// job stores one sidecar per shard and nothing else, fully-cold
+// streams served from those sidecars are byte-identical to the records
+// the library pipeline writes encoded per batch, make zero codec calls,
+// and a missing, unreadable, torn or corrupt sidecar ends its stream
+// with an in-band error — counted, the file left as it is, and never a
+// bad byte.
 package server
 
 import (
@@ -69,63 +71,7 @@ func sidecarFiles(t *testing.T, dataDir, id string) []string {
 	return out
 }
 
-// noSidecarStore is an FSSink without the frame store: sidecar objects
-// read as absent — to Size, Open and OpenRange alike, since a cold read
-// opens the sidecar without a stat first — and can be neither created
-// nor removed. A server over it encodes every cold frame stream per
-// request — the reference the byte-exactness tests compare the cache
-// and disk tiers against — and leaves the real sidecars in a shared
-// data dir untouched.
-type noSidecarStore struct{ *shard.FSSink }
-
 func isSidecar(name string) bool { return strings.Contains(name, domain.SidecarSuffix) }
-
-func (s noSidecarStore) Size(name string) int64 {
-	if isSidecar(name) {
-		return 0
-	}
-	return s.FSSink.Size(name)
-}
-
-func (s noSidecarStore) Open(name string) (io.ReadCloser, error) {
-	if isSidecar(name) {
-		return nil, fs.ErrNotExist
-	}
-	return s.FSSink.Open(name)
-}
-
-func (s noSidecarStore) OpenRange(name string) (shard.ReaderAtCloser, int64, error) {
-	if isSidecar(name) {
-		return nil, 0, fs.ErrNotExist
-	}
-	return s.FSSink.OpenRange(name)
-}
-
-func (s noSidecarStore) Create(name string) (io.WriteCloser, error) {
-	if isSidecar(name) {
-		return nil, errors.New("no frame store")
-	}
-	return s.FSSink.Create(name)
-}
-
-func (s noSidecarStore) Remove(name string) error {
-	if isSidecar(name) {
-		return errors.New("no frame store")
-	}
-	return s.FSSink.Remove(name)
-}
-
-// noFrameStore is the Options.NewStore of an encode-per-request
-// reference server over dataDir.
-func noFrameStore(dataDir string) func(string) (shard.Store, error) {
-	return func(id string) (shard.Store, error) {
-		fs, err := shard.NewFSSink(filepath.Join(dataDir, "jobs", id))
-		if err != nil {
-			return nil, err
-		}
-		return noSidecarStore{fs}, nil
-	}
-}
 
 // byteExactCase is one row of a byte-exactness table: a /batches query
 // and the reference streams it must reproduce on each wire.
@@ -137,27 +83,115 @@ type byteExactCase struct {
 	wantLines []byte
 }
 
-// referenceCases streams the byte-exactness table from a reference
-// server: two batch sizes, a mid-stream cursor resume, two max_batches
-// caps, and a ?max_kbps= pacing row (pacing charges the bytes but must
-// not change them). url ends in "/batches?".
-func referenceCases(t *testing.T, url string) []byteExactCase {
+// libraryRecords runs spec the library way — the plugin's pipeline
+// over an in-memory store that keeps its native shards — and decodes
+// each shard's records with the codec: what the job must serve, found
+// without the server's sidecar sink.
+func libraryRecords(t *testing.T, spec JobSpec) (domain.Codec, [][]any) {
 	t.Helper()
-	full := rawFrameStream(t, url+"batch_size=2")
+	plug, err := domain.Lookup(spec.Domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := shard.NewMemSink()
+	run, err := plug.Build(spec, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Pipeline.Run(run.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	m, err := plug.Manifest(run.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([][]any, len(m.Shards))
+	for i, info := range m.Shards {
+		one := &shard.Manifest{Prefix: m.Prefix, Compressed: m.Compressed, Shards: []shard.Info{info}}
+		err := shard.ReadAll(plug.Opener(store, run.Key), one, func(_ string, rec []byte) error {
+			r, _, err := plug.Codec.Decode(rec)
+			shards[i] = append(shards[i], r)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return plug.Codec, shards
+}
+
+// referenceFrames is the frame stream a /batches request must return
+// over shards: from start, batches of size records (a batch may span
+// shards), at most maxBatches of them (0: all), each encoded by the codec
+// under its header — the batch number in this stream and the cursor
+// after its last record.
+func referenceFrames(t *testing.T, codec domain.Codec, shards [][]any, size int, start Cursor, maxBatches int) []byte {
+	t.Helper()
+	var out []byte
+	var recs []any
+	batch := 0
+	emit := func(after Cursor) bool {
+		f, err := domain.EncodeFrame(codec, wire.BatchHeader{Batch: batch, Cursor: after.String(), Kind: codec.Kind()}, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, recs = append(out, f...), recs[:0]
+		batch++
+		return maxBatches > 0 && batch == maxBatches
+	}
+	after := start
+	for si := start.Shard; si < len(shards); si++ {
+		j := 0
+		if si == start.Shard {
+			j = start.Record
+		}
+		for ; j < len(shards[si]); j++ {
+			recs = append(recs, shards[si][j])
+			after = Cursor{Shard: si, Record: j + 1}
+			if j+1 == len(shards[si]) {
+				after = Cursor{Shard: si + 1}
+			}
+			if len(recs) == size && emit(after) {
+				return out
+			}
+		}
+	}
+	if len(recs) > 0 {
+		emit(after)
+	}
+	return out
+}
+
+// referenceCases builds the byte-exactness table for spec's job from
+// libraryRecords: two batch sizes, a mid-stream cursor resume, two
+// max_batches caps, and a ?max_kbps= pacing row (pacing charges the
+// bytes but must not change them).
+func referenceCases(t *testing.T, spec JobSpec) []byteExactCase {
+	t.Helper()
+	codec, shards := libraryRecords(t, spec)
+	full := referenceFrames(t, codec, shards, 2, Cursor{}, 0)
 	cursors := frameCursors(t, full)
 	if len(cursors) < 3 {
-		t.Fatalf("%s: only %d batches", url, len(cursors))
+		t.Fatalf("%s: only %d batches", spec.Domain, len(cursors))
+	}
+	mid, err := ParseCursor(cursors[len(cursors)/2])
+	if err != nil {
+		t.Fatal(err)
 	}
 	var cases []byteExactCase
-	for _, q := range []string{
-		"batch_size=2",
-		"batch_size=3",
-		"batch_size=2&cursor=" + cursors[len(cursors)/2],
-		"batch_size=2&max_batches=1",
-		"batch_size=3&max_batches=2",
+	for _, row := range []struct {
+		query            string
+		size, maxBatches int
+		start            Cursor
+	}{
+		{"batch_size=2", 2, 0, Cursor{}},
+		{"batch_size=3", 3, 0, Cursor{}},
+		{"batch_size=2&cursor=" + mid.String(), 2, 0, mid},
+		{"batch_size=2&max_batches=1", 2, 1, Cursor{}},
+		{"batch_size=3&max_batches=2", 3, 2, Cursor{}},
 	} {
-		frames := rawFrameStream(t, url+q)
-		cases = append(cases, byteExactCase{q, frames, marshalLines(t, frames)})
+		frames := referenceFrames(t, codec, shards, row.size, row.start, row.maxBatches)
+		cases = append(cases, byteExactCase{row.query, frames, marshalLines(t, frames)})
 	}
 	return append(cases, byteExactCase{fmt.Sprintf("batch_size=2&max_kbps=%d", len(full)/1024+1), full, marshalLines(t, full)})
 }
@@ -239,41 +273,27 @@ func checkCase(t *testing.T, url string, c byteExactCase) {
 // TestFrameDiskByteExact is the disk tier's wire-invisibility proof:
 // for every codec — including the sealed bio domain, whose sidecars
 // are encrypted under the per-job key — a fully-cold frame stream
-// served from sidecars is byte-identical to the encode-per-request
-// reference, across batch sizes, cursor resume, max_batches caps, and
-// ?max_kbps= pacing. With the serving cache off, every NDJSON line
-// (fragments encoded per stream) equals Line+json.Marshal too.
+// served from sidecars is byte-identical to the library pipeline's
+// records encoded per batch, across batch sizes, cursor resume,
+// max_batches caps, and ?max_kbps= pacing. With the serving cache off,
+// every NDJSON line (fragments encoded per stream) equals
+// Line+json.Marshal too.
 func TestFrameDiskByteExact(t *testing.T) {
 	dataDir := t.TempDir()
-	ids := buildJobs(t, dataDir, []JobSpec{
+	specs := []JobSpec{
 		{Domain: core.Climate, Seed: 3, Months: 24, Lat: 16, Lon: 32},
 		{Domain: core.Fusion, Seed: 3, Shots: 8},
 		{Domain: core.Materials, Seed: 3, Structures: 16},
 		{Domain: core.BioHealth, Seed: 3, Subjects: 16},
-	})
-	doms := []core.Domain{core.Climate, core.Fusion, core.Materials, core.BioHealth}
-	for i, id := range ids {
-		if len(sidecarFiles(t, dataDir, id)) == 0 {
-			t.Fatalf("%s: job completed without sidecars on disk", doms[i])
-		}
 	}
-
-	// Reference bytes from a replay server that cannot see the
-	// sidecars — a true encode-per-request server.
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, NewStore: noFrameStore(dataDir)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTS := httptest.NewServer(ref.Handler())
+	ids := buildJobs(t, dataDir, specs)
 	cases := make([][]byteExactCase, len(ids))
 	for i, id := range ids {
-		cases[i] = referenceCases(t, refTS.URL+"/v1/jobs/"+id+"/batches?")
+		if len(sidecarFiles(t, dataDir, id)) == 0 {
+			t.Fatalf("%s: job completed without sidecars on disk", specs[i].Domain)
+		}
+		cases[i] = referenceCases(t, specs[i])
 	}
-	if hits := ref.metrics.frameStoreHits.Value(); hits != 0 {
-		t.Fatalf("reference server recorded %v sidecar hits", hits)
-	}
-	refTS.Close()
-	ref.Close()
 
 	// The disk server runs with the serving cache off: every stream below is
 	// fully cold and must be served from the sidecars.
@@ -334,17 +354,26 @@ func (c *countingCodec) AppendFramePayload(buf []byte, recs []any) ([]byte, erro
 // the stream), and with the cache on, both the cold stream that
 // fills the frame cache from sidecars and the warm stream that slices
 // the cached payloads. The fusion plugin's codec is swapped for a
-// counting wrapper after the job is built, so any decode, line build,
-// or payload encode during serving trips the counter.
+// counting wrapper before the job is built, so the counter first shows
+// it is wired in — the job's sidecar sink decodes and packs every
+// record through it — and then that serving never touches it.
 func TestFrameDiskZeroCodecCalls(t *testing.T) {
-	dataDir := t.TempDir()
-	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 4, Shots: 8}})[0]
-
 	plug, err := domain.Lookup(core.Fusion)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer domain.Register(plug)
+	counting := &countingCodec{Codec: plug.Codec}
+	wrapped := plug
+	wrapped.Codec = counting
+	if err := domain.Register(wrapped); err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 4, Shots: 8}})[0]
+	if counting.calls.Load() == 0 {
+		t.Fatal("the job made no codec calls — counting codec is not wired in")
+	}
 
 	for _, tc := range []struct {
 		name       string
@@ -354,13 +383,7 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 		{"cache", 64 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			counting := &countingCodec{Codec: plug.Codec}
-			wrapped := plug
-			wrapped.Codec = counting
-			if err := domain.Register(wrapped); err != nil {
-				t.Fatal(err)
-			}
-
+			counting.calls.Store(0)
 			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: tc.cacheBytes})
 			url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=3"
 			cold := rawFrameStream(t, url)
@@ -388,187 +411,282 @@ func TestFrameDiskZeroCodecCalls(t *testing.T) {
 					t.Fatal("warm stream went back to the sidecars instead of the frame cache")
 				}
 			}
-			// Sanity: the counter does trip on the path that must use the
-			// codec. A shard whose sidecar is gone is decoded natively and
-			// its sidecar rebuilt and written back, for the next subtest.
-			gone := sidecarFiles(t, dataDir, id)[0]
-			if err := os.Remove(filepath.Join(dataDir, "jobs", id, gone)); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Get(url)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if counting.calls.Load() == 0 {
-				t.Fatal("sidecar rebuild made no codec calls — counting codec is not wired in")
-			}
-			if _, err := os.Stat(filepath.Join(dataDir, "jobs", id, gone)); err != nil {
-				t.Fatalf("rebuilt sidecar not written back: %v", err)
-			}
 		})
 	}
 }
 
-// TestSidecarBackfillReplayedJobs: a job built before the disk tier
-// existed (simulated by deleting its sidecars) has no sidecars; the
-// first frame access on a current server backfills them, and the next
-// cold stream is served from disk.
-func TestSidecarBackfillReplayedJobs(t *testing.T) {
-	dataDir := t.TempDir()
-	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Materials, Seed: 5, Structures: 16}})[0]
-	files := sidecarFiles(t, dataDir, id)
-	if len(files) == 0 {
-		t.Fatal("job completed without sidecars on disk")
-	}
-	for _, f := range files {
-		if err := os.Remove(filepath.Join(dataDir, "jobs", id, f)); err != nil {
+// readFiles reads the named files of dir.
+func readFiles(t *testing.T, dir string, names []string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte, len(names))
+	for _, f := range names {
+		b, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
 			t.Fatal(err)
 		}
+		out[f] = b
 	}
+	return out
+}
 
-	s, err := New(Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(s.Close)
-
-	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
-	first := rawFrameStream(t, url)
-	if v := s.metrics.frameStoreMisses.Value(); v == 0 {
-		t.Fatal("first stream over a sidecar-less job recorded no misses")
-	}
-	if v := s.metrics.frameStoreBackfills.Value(); v == 0 {
-		t.Fatal("first frame access did not backfill sidecars")
-	}
-	if files := sidecarFiles(t, dataDir, id); len(files) == 0 {
-		t.Fatal("no .fpay files on disk after backfill")
-	}
-	hitsBefore := s.metrics.frameStoreHits.Value()
-	second := rawFrameStream(t, url)
-	if !bytes.Equal(first, second) {
-		t.Fatal("backfilled stream differs from the encode-per-request stream")
-	}
-	if v := s.metrics.frameStoreHits.Value(); v <= hitsBefore {
-		t.Fatal("second stream was not served from the backfilled sidecars")
+// requireFiles requires every file of want in dir with exactly its
+// bytes; a nil value requires the file to be absent.
+func requireFiles(t *testing.T, dir string, want map[string][]byte) {
+	t.Helper()
+	for f, b := range want {
+		got, err := os.ReadFile(filepath.Join(dir, f))
+		if b == nil {
+			if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s: want it absent, read %d bytes (err %v)", f, len(got), err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("%s was removed or changed (err %v, %d of %d bytes)", f, err, len(got), len(b))
+		}
 	}
 }
 
-// TestSidecarCorruptionFallback: torn, bit-flipped, or deleted
-// sidecars must never surface on the wire — streams stay byte-exact
-// via decode+encode fallback, and the error counter records each
-// rejected sidecar. A deleted sidecar counts as absent and is lazily
-// re-backfilled.
+// splitAtError cuts a raw stream of either wire before its in-band
+// error, which must be its last frame or line, and returns what came
+// before it and the error's message ("" when the stream has none).
+func splitAtError(t *testing.T, stream []byte, wireName string) (good []byte, msg string) {
+	t.Helper()
+	if wireName == wire.WireNDJSON {
+		for at := 0; at < len(stream); {
+			end := at + bytes.IndexByte(stream[at:], '\n') + 1
+			if end == at {
+				t.Fatalf("NDJSON stream ends inside a line: %.80q", stream[at:])
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if json.Unmarshal(stream[at:end], &e) == nil && e.Error != "" {
+				if end != len(stream) {
+					t.Fatalf("NDJSON stream goes on after its error line %q", e.Error)
+				}
+				return stream[:at], e.Error
+			}
+			at = end
+		}
+		return stream, ""
+	}
+	for rest := stream; len(rest) > 0; {
+		body, r := splitFrame(t, rest)
+		var se *wire.StreamError
+		if _, _, _, err := wire.ParseFrameHeader(body); errors.As(err, &se) {
+			if len(r) != 0 {
+				t.Fatalf("frame stream goes on after its error frame %q", se.Msg)
+			}
+			return stream[:len(stream)-len(rest)], se.Msg
+		}
+		rest = r
+	}
+	return stream, ""
+}
+
+// requireInBandError streams url on one wire and requires it to end in
+// an in-band error naming shardName after a prefix of want — a
+// stream cut short, never one serving a byte the intact sidecars do
+// not hold.
+func requireInBandError(t *testing.T, url, wireName string, want []byte, shardName string) {
+	t.Helper()
+	good, msg := splitAtError(t, rawStream(t, url, wireName), wireName)
+	if msg == "" {
+		t.Fatalf("%s stream over a damaged sidecar ended without an in-band error", wireName)
+	}
+	if !strings.Contains(msg, shardName) {
+		t.Fatalf("%s stream error %q does not name shard %s", wireName, msg, shardName)
+	}
+	if !bytes.HasPrefix(want, good) {
+		t.Fatalf("%s stream served %d bytes that are not a prefix of the intact stream", wireName, len(good))
+	}
+}
+
+// shardOf is the shard a sidecar object belongs to.
+func shardOf(sidecar string) string {
+	name, _, _ := strings.Cut(sidecar, domain.SidecarSuffix)
+	return name
+}
+
+// TestParentFormatJobServesSidecars: a job dir written before a job
+// stored only its sidecars also holds the native shards, under a
+// manifest describing them. Such a job is served from its sidecars
+// alone — its native shards are never opened — and byte for byte as
+// before.
+func TestParentFormatJobServesSidecars(t *testing.T) {
+	dataDir := t.TempDir()
+	spec := JobSpec{Domain: core.Materials, Seed: 5, Structures: 16}
+	id := buildJobs(t, dataDir, []JobSpec{spec})[0]
+	var want []byte
+	t.Run("intact", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+		want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
+	})
+
+	// Write the native shards beside the sidecars, and their manifest
+	// over the job's, as the job's pipeline wrote them before.
+	jobDir := filepath.Join(dataDir, "jobs", id)
+	native, err := shard.NewFSSink(jobDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plug, err := domain.Lookup(spec.Domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := plug.Build(spec, native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Pipeline.Run(run.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	m, err := plug.Manifest(run.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := native.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := native.WriteManifest(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range m.Shards {
+		if native.Size(info.Name) == 0 {
+			t.Fatalf("native shard %s not written", info.Name)
+		}
+	}
+
+	var opened atomic.Int64
+	s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0,
+		NewStore: func(jobID string) (shard.Store, error) {
+			fs, err := shard.NewFSSink(filepath.Join(dataDir, "jobs", jobID))
+			if err != nil {
+				return nil, err
+			}
+			return nativeOpenCountingStore{fs, &opened}, nil
+		}})
+	if got := rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2"); !bytes.Equal(got, want) {
+		t.Fatalf("stream of a job with native shards differs (%d vs %d bytes)", len(got), len(want))
+	}
+	if n := opened.Load(); n != 0 {
+		t.Fatalf("serving opened %d native shards", n)
+	}
+	if hits := s.metrics.frameStoreHits.Value(); hits != float64(len(m.Shards)) {
+		t.Fatalf("%v of %d shards served from sidecars", hits, len(m.Shards))
+	}
+}
+
+// nativeOpenCountingStore is an FSSink that counts every open of an
+// object that is not a sidecar.
+type nativeOpenCountingStore struct {
+	*shard.FSSink
+	opened *atomic.Int64
+}
+
+func (s nativeOpenCountingStore) Open(name string) (io.ReadCloser, error) {
+	if !isSidecar(name) {
+		s.opened.Add(1)
+	}
+	return s.FSSink.Open(name)
+}
+
+func (s nativeOpenCountingStore) OpenRange(name string) (shard.ReaderAtCloser, int64, error) {
+	if !isSidecar(name) {
+		s.opened.Add(1)
+	}
+	return s.FSSink.OpenRange(name)
+}
+
+// TestSidecarCorruptionFallback: what a stream falls back to over a
+// torn, bit-flipped or deleted sidecar is an in-band error. On both
+// wires and in both cold serving modes (no cache, and a frame-cache
+// fill) the stream serves the shards before the damaged one byte for
+// byte and then ends with an error naming it; each stream counts one
+// store error, and the damage is left as it is.
 func TestSidecarCorruptionFallback(t *testing.T) {
 	dataDir := t.TempDir()
 	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
 	jobDir := filepath.Join(dataDir, "jobs", id)
 	files := sidecarFiles(t, dataDir, id)
-	if len(files) == 0 {
-		t.Fatal("no sidecars on disk")
+	if len(files) < 3 {
+		t.Fatalf("%d sidecars on disk; the test needs at least 3", len(files))
 	}
-	pristine := make(map[string][]byte, len(files))
-	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(jobDir, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pristine[f] = b
-	}
-
-	ref, err := New(Options{Workers: 2, DataDir: dataDir, NewStore: noFrameStore(dataDir)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTS := httptest.NewServer(ref.Handler())
-	want := rawFrameStream(t, refTS.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
-	refTS.Close()
-	ref.Close()
+	victim := files[2]
+	pristine := readFiles(t, jobDir, files)
+	const query = "/batches?batch_size=2"
+	var want, wantLines []byte
+	t.Run("intact", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+		want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+query)
+		wantLines = rawNDJSONStream(t, ts.URL+"/v1/jobs/"+id+query)
+	})
 
 	corrupt := map[string]func(b []byte) []byte{
 		"bitflip":  func(b []byte) []byte { m := append([]byte(nil), b...); m[len(m)/2] ^= 0x01; return m },
 		"truncate": func(b []byte) []byte { return b[:len(b)*2/3] },
 		"deleted":  nil, // removed from disk instead of rewritten
 	}
-	// Each corruption mode runs against both cold serving modes: direct
-	// sidecar streaming (no caches) and frame-cache fill.
-	caches := map[string]Options{
-		"disk":  {Workers: 2, DataDir: dataDir, ServeCacheBytes: 0},
-		"cache": {Workers: 2, DataDir: dataDir, ServeCacheBytes: 64 << 20},
-	}
+	caches := map[string]int64{"disk": 0, "cache": 64 << 20}
 	for mode, mutate := range corrupt {
-		for cacheName, opts := range caches {
+		for cacheName, cacheBytes := range caches {
 			t.Run(mode+"/"+cacheName, func(t *testing.T) {
-				for f, b := range pristine {
-					if mutate == nil {
-						if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
-							t.Fatal(err)
-						}
-						continue
-					}
-					if err := os.WriteFile(filepath.Join(jobDir, f), mutate(b), 0o644); err != nil {
+				// The server starts over intact sidecars: restore refuses
+				// a job missing one, so the damage happens while it serves.
+				s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: cacheBytes})
+				damaged := map[string][]byte{victim: nil}
+				if mutate != nil {
+					damaged[victim] = mutate(pristine[victim])
+					if err := os.WriteFile(filepath.Join(jobDir, victim), damaged[victim], 0o644); err != nil {
 						t.Fatal(err)
 					}
-				}
-				t.Cleanup(func() {
-					for f, b := range pristine {
-						if err := os.WriteFile(filepath.Join(jobDir, f), b, 0o644); err != nil {
-							t.Fatal(err)
-						}
-					}
-				})
-				s, err := New(opts)
-				if err != nil {
+				} else if err := os.Remove(filepath.Join(jobDir, victim)); err != nil {
 					t.Fatal(err)
 				}
-				ts := httptest.NewServer(s.Handler())
-				t.Cleanup(ts.Close)
-				t.Cleanup(s.Close)
-				got := rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
-				if !bytes.Equal(got, want) {
-					t.Fatalf("stream over %s sidecars differs from reference (%d vs %d bytes)", mode, len(got), len(want))
-				}
-				if mode == "deleted" {
-					// Absent means lost, not corrupt: lazily rebuilt.
-					if v := s.metrics.frameStoreBackfills.Value(); v == 0 {
-						t.Fatal("deleted sidecars were not backfilled")
+				t.Cleanup(func() {
+					if err := os.WriteFile(filepath.Join(jobDir, victim), pristine[victim], 0o644); err != nil {
+						t.Fatal(err)
 					}
-				} else if v := s.metrics.frameStoreErrors.Value(); v == 0 {
-					t.Fatalf("%s sidecars were served without tripping the error counter", mode)
+				})
+				url := ts.URL + "/v1/jobs/" + id + query
+				requireInBandError(t, url, wire.WireFrame, want, shardOf(victim))
+				requireInBandError(t, url, wire.WireNDJSON, wantLines, shardOf(victim))
+				if errs := s.metrics.frameStoreErrors.Value(); errs != 2 {
+					t.Fatalf("%v store errors over two streams, want 2", errs)
 				}
+				if v := s.metrics.serveErrors.Value(); v != 2 {
+					t.Fatalf("%v serve errors over two streams, want 2", v)
+				}
+				requireFiles(t, jobDir, damaged)
 			})
 		}
 	}
 }
 
 // TestUnusableSidecarReplacedOnce: a sidecar the CRCs reject — or an
-// empty one, which reads as absent but still holds the name — is
-// deleted and rebuilt by the first stream that trips over it. The
-// damage is counted once and the second cold stream is all disk hits.
-// A sealed (bio) sidecar whose bytes do not decrypt is damage too. It
-// is rebuilt under a fresh nonce, so only a plaintext sidecar can be
-// compared with its original bytes.
+// empty one — fails every cold stream that reaches it, on both wires,
+// and is never deleted or rebuilt by the server: each stream counts
+// one store error and the damaged bytes stay as they are. Once the
+// file is replaced with its intact bytes, the next cold stream is
+// byte-exact again and reads only sidecars. A sealed (bio) sidecar
+// whose bytes do not decrypt is damage too.
 func TestUnusableSidecarReplacedOnce(t *testing.T) {
 	dataDir := t.TempDir()
 	ids := buildJobs(t, dataDir, []JobSpec{
 		{Domain: core.Fusion, Seed: 6, Shots: 8},
 		{Domain: core.BioHealth, Seed: 6},
 	})
+	const query = "/batches?batch_size=2"
 	for i, id := range ids {
 		prefix := []string{"", "sealed/"}[i] // subtest name prefix
 		files := sidecarFiles(t, dataDir, id)
 		if len(files) == 0 {
 			t.Fatal("no sidecars on disk")
 		}
-		victim := filepath.Join(dataDir, "jobs", id, files[0])
-		sealed := strings.HasSuffix(victim, ".enc")
-		pristine, err := os.ReadFile(victim)
-		if err != nil {
-			t.Fatal(err)
-		}
+		jobDir := filepath.Join(dataDir, "jobs", id)
+		victim := files[0]
+		pristine := readFiles(t, jobDir, files)[victim]
 		flipped := append([]byte(nil), pristine...)
 		flipped[len(flipped)/2] ^= 0x01
 		damage := map[string][]byte{
@@ -576,38 +694,39 @@ func TestUnusableSidecarReplacedOnce(t *testing.T) {
 			"truncate": pristine[:len(pristine)*2/3],
 			"empty":    {},
 		}
-		var want []byte
+		var want, wantLines []byte
 		t.Run(prefix+"intact", func(t *testing.T) {
 			_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
-			want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+"/batches?batch_size=2")
+			want = rawFrameStream(t, ts.URL+"/v1/jobs/"+id+query)
+			wantLines = rawNDJSONStream(t, ts.URL+"/v1/jobs/"+id+query)
 		})
 		for mode, bad := range damage {
 			t.Run(prefix+mode, func(t *testing.T) {
-				if err := os.WriteFile(victim, bad, 0o644); err != nil {
+				s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+				if err := os.WriteFile(filepath.Join(jobDir, victim), bad, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
-				url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
-				if first := rawFrameStream(t, url); !bytes.Equal(first, want) {
-					t.Fatalf("stream over a %s sidecar differs (%d vs %d bytes)", mode, len(first), len(want))
+				url := ts.URL + "/v1/jobs/" + id + query
+				for round := 1; round <= 2; round++ {
+					requireInBandError(t, url, wire.WireFrame, want, shardOf(victim))
+					requireInBandError(t, url, wire.WireNDJSON, wantLines, shardOf(victim))
+					if errs := s.metrics.frameStoreErrors.Value(); errs != float64(2*round) {
+						t.Fatalf("round %d: %v store errors, want %d", round, errs, 2*round)
+					}
+					requireFiles(t, jobDir, map[string][]byte{victim: bad})
 				}
-				if errs, fills := s.metrics.frameStoreErrors.Value(), s.metrics.frameStoreBackfills.Value(); errs != 1 || fills != 1 {
-					t.Fatalf("first stream: %v errors, %v backfills, want 1 and 1", errs, fills)
+				if err := os.WriteFile(filepath.Join(jobDir, victim), pristine, 0o644); err != nil {
+					t.Fatal(err)
 				}
-				rebuilt, err := os.ReadFile(victim)
-				if err != nil || len(rebuilt) != len(pristine) || !sealed && !bytes.Equal(rebuilt, pristine) {
-					t.Fatalf("sidecar not rebuilt to its original bytes (err %v, %d bytes)", err, len(rebuilt))
-				}
-				hits, misses := s.metrics.frameStoreHits.Value(), s.metrics.frameStoreMisses.Value()
-				if second := rawFrameStream(t, url); !bytes.Equal(second, want) {
-					t.Fatal("second stream differs")
+				hits := s.metrics.frameStoreHits.Value()
+				if got := rawFrameStream(t, url); !bytes.Equal(got, want) {
+					t.Fatal("stream after the sidecar was replaced differs")
 				}
 				if got := s.metrics.frameStoreHits.Value() - hits; got != float64(len(files)) {
-					t.Fatalf("second stream hit %v of %d sidecars", got, len(files))
+					t.Fatalf("stream after the replacement hit %v of %d sidecars", got, len(files))
 				}
-				if s.metrics.frameStoreMisses.Value() != misses || s.metrics.frameStoreErrors.Value() != 1 {
-					t.Fatalf("second stream still paid for the damage: %v misses, %v errors",
-						s.metrics.frameStoreMisses.Value()-misses, s.metrics.frameStoreErrors.Value())
+				if s.metrics.frameStoreErrors.Value() != 4 {
+					t.Fatalf("stream after the replacement still failed: %v errors", s.metrics.frameStoreErrors.Value())
 				}
 			})
 		}
@@ -616,12 +735,11 @@ func TestUnusableSidecarReplacedOnce(t *testing.T) {
 
 // TestNDJSONFillsFromSidecar: an NDJSON cache miss fills from the
 // shard's sidecar, as a frame miss does, so NDJSON readers get the
-// sidecar's CRCs and its backfill. For every kind, sealed bio included:
-// with a job's sidecars deleted, a cold NDJSON stream equals
-// Line+json.Marshal and backfills every sidecar; with one payload byte
-// of one sidecar flipped, the stream is still byte-exact, the damage
-// counts once, the sidecar is rebuilt, and the next cold stream reads
-// only sidecars.
+// sidecar's CRCs. For every kind, sealed bio included: a cold NDJSON
+// stream over intact sidecars equals Line+json.Marshal; with the
+// sidecars deleted, or one payload byte of the first flipped, it ends
+// with an in-band error naming the first shard before any line, the
+// damage counts once, and the files are left as they are.
 func TestNDJSONFillsFromSidecar(t *testing.T) {
 	dataDir := t.TempDir()
 	specs := []JobSpec{
@@ -639,6 +757,9 @@ func TestNDJSONFillsFromSidecar(t *testing.T) {
 		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
 		for i, id := range ids {
 			want[i] = marshalLines(t, rawFrameStream(t, ts.URL+"/v1/jobs/"+id+query))
+			if got := rawNDJSONStream(t, ts.URL+"/v1/jobs/"+id+query); !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s: NDJSON stream differs from Line+json.Marshal (%d vs %d bytes)", specs[i].Domain, len(got), len(want[i]))
+			}
 		}
 	})
 	for i, id := range ids {
@@ -647,65 +768,63 @@ func TestNDJSONFillsFromSidecar(t *testing.T) {
 		if len(files) == 0 {
 			t.Fatalf("%s: no sidecars on disk", specs[i].Domain)
 		}
-		pristine := make(map[string][]byte, len(files))
-		for _, f := range files {
-			b, err := os.ReadFile(filepath.Join(jobDir, f))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pristine[f] = b
-		}
-		// stream serves the job's NDJSON stream cold on a fresh server
-		// and requires the reference lines.
-		stream := func(t *testing.T) *Server {
-			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
-			if got := rawNDJSONStream(t, ts.URL+"/v1/jobs/"+id+query); !bytes.Equal(got, want[i]) {
-				t.Fatalf("NDJSON stream differs from Line+json.Marshal (%d vs %d bytes)", len(got), len(want[i]))
-			}
-			return s
-		}
-		// rebuilt requires every sidecar back on disk: a plaintext one
-		// byte for byte, a sealed one (fresh nonce) at its original size.
-		rebuilt := func(t *testing.T) {
+		pristine := readFiles(t, jobDir, files)
+		restore := func(t *testing.T) {
 			for f, b := range pristine {
-				got, err := os.ReadFile(filepath.Join(jobDir, f))
-				if err != nil || len(got) != len(b) || strings.HasSuffix(f, domain.SidecarSuffix) && !bytes.Equal(got, b) {
-					t.Fatalf("sidecar %s not rebuilt (err %v, %d of %d bytes)", f, err, len(got), len(b))
-				}
-			}
-		}
-		name := strings.ReplaceAll(string(specs[i].Domain), "/", "_")
-		t.Run(name+"/deleted", func(t *testing.T) {
-			for f := range pristine {
-				if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
+				if err := os.WriteFile(filepath.Join(jobDir, f), b, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			s := stream(t)
-			if fills := s.metrics.frameStoreBackfills.Value(); fills < float64(len(files)) {
-				t.Fatalf("NDJSON stream backfilled %v of %d sidecars", fills, len(files))
+		}
+		// stream starts a cold server over the intact sidecars, damages
+		// them with damage, and requires one NDJSON stream to fail on the
+		// first shard, counted once, with the damage left in place.
+		stream := func(t *testing.T, damage func() map[string][]byte) *Server {
+			t.Cleanup(func() { restore(t) })
+			s, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
+			damaged := damage()
+			good, msg := splitAtError(t, rawNDJSONStream(t, ts.URL+"/v1/jobs/"+id+query), wire.WireNDJSON)
+			if len(good) != 0 || !strings.Contains(msg, shardOf(files[0])) {
+				t.Fatalf("NDJSON stream: %d bytes, then error %q; want only an error naming %s", len(good), msg, shardOf(files[0]))
 			}
-			rebuilt(t)
+			if errs := s.metrics.frameStoreErrors.Value(); errs != 1 {
+				t.Fatalf("%v store errors, want 1", errs)
+			}
+			requireFiles(t, jobDir, damaged)
+			return s
+		}
+		name := strings.ReplaceAll(string(specs[i].Domain), "/", "_")
+		t.Run(name+"/deleted", func(t *testing.T) {
+			s := stream(t, func() map[string][]byte {
+				gone := make(map[string][]byte, len(files))
+				for _, f := range files {
+					if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
+						t.Fatal(err)
+					}
+					gone[f] = nil
+				}
+				return gone
+			})
+			if misses := s.metrics.frameStoreMisses.Value(); misses != 1 {
+				t.Fatalf("%v store misses, want 1", misses)
+			}
 		})
 		t.Run(name+"/bitflip", func(t *testing.T) {
 			victim := files[0]
-			bad := append([]byte(nil), pristine[victim]...)
-			at := len(bad) / 2 // inside a sealed image's ciphertext
-			if strings.HasSuffix(victim, domain.SidecarSuffix) {
-				at = 6 + int(bad[5]) // the first payload byte: after magic, version, kind length and kind
-			}
-			bad[at] ^= 0x01
-			if err := os.WriteFile(filepath.Join(jobDir, victim), bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			s := stream(t)
-			if errs, fills := s.metrics.frameStoreErrors.Value(), s.metrics.frameStoreBackfills.Value(); errs != 1 || fills != 1 {
-				t.Fatalf("NDJSON stream over a flipped sidecar: %v errors, %v backfills, want 1 and 1", errs, fills)
-			}
-			rebuilt(t)
-			s = stream(t)
-			if hits, misses := s.metrics.frameStoreHits.Value(), s.metrics.frameStoreMisses.Value(); hits != float64(len(files)) || misses != 0 {
-				t.Fatalf("next cold stream: %v sidecar hits of %d, %v misses", hits, len(files), misses)
+			s := stream(t, func() map[string][]byte {
+				bad := append([]byte(nil), pristine[victim]...)
+				at := len(bad) / 2 // inside a sealed image's ciphertext
+				if strings.HasSuffix(victim, domain.SidecarSuffix) {
+					at = 6 + int(bad[5]) // the first payload byte: after magic, version, kind length and kind
+				}
+				bad[at] ^= 0x01
+				if err := os.WriteFile(filepath.Join(jobDir, victim), bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return map[string][]byte{victim: bad}
+			})
+			if misses := s.metrics.frameStoreMisses.Value(); misses != 0 {
+				t.Fatalf("a damaged sidecar counted %v misses, want 0", misses)
 			}
 		})
 	}
@@ -726,9 +845,9 @@ func (s flakyRangeStore) OpenRange(name string) (shard.ReaderAtCloser, int64, er
 }
 
 // TestSidecarIOErrorKeepsFile: a sidecar that cannot be opened this
-// time is not damage. The stream falls back to decode+encode and stays
-// byte-exact, the failure counts one store error, the file is neither
-// deleted nor rewritten, and the next cold read is a store hit.
+// time fails the stream that met it with an in-band error and counts
+// one store error (not a miss); the file is neither deleted nor
+// rewritten, and the next cold stream is byte-exact and all store hits.
 func TestSidecarIOErrorKeepsFile(t *testing.T) {
 	dataDir := t.TempDir()
 	id := buildJobs(t, dataDir, []JobSpec{{Domain: core.Fusion, Seed: 6, Shots: 8}})[0]
@@ -737,14 +856,7 @@ func TestSidecarIOErrorKeepsFile(t *testing.T) {
 		t.Fatal("no sidecars on disk")
 	}
 	jobDir := filepath.Join(dataDir, "jobs", id)
-	pristine := make(map[string][]byte, len(files))
-	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(jobDir, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pristine[f] = b
-	}
+	pristine := readFiles(t, jobDir, files)
 	var want []byte
 	t.Run("intact", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{Workers: 2, DataDir: dataDir, ServeCacheBytes: 0})
@@ -762,18 +874,12 @@ func TestSidecarIOErrorKeepsFile(t *testing.T) {
 			return flakyRangeStore{fs, &fail}, nil
 		}})
 	url := ts.URL + "/v1/jobs/" + id + "/batches?batch_size=2"
-	if got := rawFrameStream(t, url); !bytes.Equal(got, want) {
-		t.Fatalf("stream past an unreadable sidecar differs (%d vs %d bytes)", len(got), len(want))
-	}
+	requireInBandError(t, url, wire.WireFrame, want, shardOf(files[0]))
 	m := s.metrics
-	if errs, misses, fills := m.frameStoreErrors.Value(), m.frameStoreMisses.Value(), m.frameStoreBackfills.Value(); errs != 1 || misses != 1 || fills != 0 {
-		t.Fatalf("first stream: %v errors, %v misses, %v backfills; want 1, 1, 0", errs, misses, fills)
+	if errs, misses := m.frameStoreErrors.Value(), m.frameStoreMisses.Value(); errs != 1 || misses != 0 {
+		t.Fatalf("first stream: %v errors, %v misses; want 1, 0", errs, misses)
 	}
-	for f, b := range pristine {
-		if got, err := os.ReadFile(filepath.Join(jobDir, f)); err != nil || !bytes.Equal(got, b) {
-			t.Fatalf("sidecar %s was removed or changed by an I/O error (err %v)", f, err)
-		}
-	}
+	requireFiles(t, jobDir, pristine)
 	hits := m.frameStoreHits.Value()
 	if got := rawFrameStream(t, url); !bytes.Equal(got, want) {
 		t.Fatal("second stream differs")
@@ -781,7 +887,7 @@ func TestSidecarIOErrorKeepsFile(t *testing.T) {
 	if got := m.frameStoreHits.Value() - hits; got != float64(len(files)) {
 		t.Fatalf("second stream hit %v of %d sidecars", got, len(files))
 	}
-	if m.frameStoreMisses.Value() != 1 || m.frameStoreErrors.Value() != 1 {
+	if m.frameStoreMisses.Value() != 0 || m.frameStoreErrors.Value() != 1 {
 		t.Fatalf("second stream missed the store: %v misses, %v errors", m.frameStoreMisses.Value(), m.frameStoreErrors.Value())
 	}
 }

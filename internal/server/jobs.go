@@ -156,11 +156,11 @@ func (j *Job) Status() JobStatus {
 
 // jobResult carries a finished pipeline run back onto the Job.
 type jobResult struct {
-	plug       domain.Plugin
-	store      jobStore // nil when none could be allocated
+	store      jobStore  // nil when none could be allocated
+	built      time.Time // when Build returned: synthesis ends, the pipeline starts
 	trajectory []TrajectoryPoint
 	records    int64
-	manifest   *shard.Manifest
+	manifest   *shard.Manifest // describes the stored sidecars
 	tracker    *provenance.Tracker
 	pipe       *pipeline.Pipeline
 	key        []byte
@@ -168,20 +168,26 @@ type jobResult struct {
 }
 
 // runSpec resolves the domain plugin, synthesizes the input, and runs
-// the archetype pipeline over the job's shard store — the body of one
-// worker-pool slot. The result is never nil: a failed run still hands
-// back its store and whatever trajectory and lineage it produced.
-func runSpec(spec JobSpec, sink jobStore) (*jobResult, error) {
-	res := &jobResult{store: sink}
+// the archetype pipeline over one domain.SidecarSink on the job's
+// store — the body of one worker-pool slot. The shard stage so stores
+// each shard as its frame sidecar and nothing else, and the manifest
+// the result carries describes those sidecars. The result is never
+// nil: a failed run still hands back its store and whatever trajectory
+// and lineage it produced.
+func runSpec(spec JobSpec, store jobStore) (*jobResult, error) {
+	res := &jobResult{store: store}
 	plug, err := domain.Lookup(spec.Domain)
 	if err != nil {
 		return res, err
 	}
+	sink := &domain.SidecarSink{Plugin: plug, Store: store}
 	run, err := plug.Build(spec, sink)
+	res.built = time.Now()
 	if err != nil {
 		return res, err
 	}
-	res.plug, res.pipe = plug, run.Pipeline
+	sink.Key = run.Key
+	res.pipe = run.Pipeline
 	snaps, err := run.Pipeline.Run(run.Dataset)
 	res.trajectory = toTrajectory(snaps)
 	res.tracker = run.Pipeline.Tracker
@@ -190,6 +196,9 @@ func runSpec(spec JobSpec, sink jobStore) (*jobResult, error) {
 	}
 	res.records = run.Dataset.Records
 	manifest, err := plug.Manifest(run.Dataset)
+	if err == nil {
+		manifest, err = sink.StoredManifest(manifest)
+	}
 	if err != nil {
 		return res, err
 	}
@@ -365,7 +374,8 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 // caught queued or running come back as failed (their partial output
 // is gone) — or, with Options.Requeue, as queued again (restore
 // requeues them). Done jobs reattach to their on-disk shard set and
-// reimport their persisted provenance DAG. The timeline newJob starts
+// reimport their persisted provenance DAG; one missing any shard's
+// sidecar comes back failed. The timeline newJob starts
 // gets the event records (adoption, requeue) and what the terminal
 // record implies — running and the end — so no other transition is
 // ever appended; Job.Events orders the whole.
@@ -435,11 +445,16 @@ func (s *Server) restoreJob(st *replayState) (job *Job, requeue bool, err error)
 		}
 		job.key = key
 	}
-	if len(job.manifest.Shards) > 0 &&
-		store.Size(plug.StoredName(job.manifest.Shards[0].Name, job.key != nil)) == 0 {
-		job.state = JobFailed
-		job.err = "restore: shard files missing from data dir"
-		job.servable = false
+	// A job is served whole or not at all: every shard's sidecar must be
+	// there. A job dir from before sidecars were all a job stored also
+	// holds native shards; nothing reads them, and they go with the dir.
+	for _, info := range job.manifest.Shards {
+		if store.Size(plug.StoredName(domain.SidecarName(info.Name), job.key != nil)) == 0 {
+			job.state = JobFailed
+			job.err = "restore: sidecar files missing from data dir"
+			job.servable = false
+			break
+		}
 	}
 	return job, false, nil
 }
@@ -464,9 +479,10 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob runs one job on a worker: pipeline, sidecar build, commit,
-// then finish. A job's id, spec, trace, tenant and submission time never
-// change once it is in the table, so they are read without job.mu.
+// runJob runs one job on a worker: pipeline (which stores the
+// sidecars), commit, then finish. A job's id, spec, trace, tenant and
+// submission time never change once it is in the table, so they are
+// read without job.mu.
 func (s *Server) runJob(job *Job) {
 	spec, trace, started := job.spec, job.trace, time.Now()
 	job.mu.Lock()
@@ -492,24 +508,25 @@ func (s *Server) runJob(job *Job) {
 		runSpan.SetAttr("job", job.id)
 		runSpan.SetAttr("domain", string(spec.Domain))
 	}
+	// runCtx parents job.run's children; untraced, it records none.
+	runCtx := telemetry.ContextWithSpan(context.Background(), runSpan)
 
 	res := &jobResult{}
-	var pipeStart time.Time
+	var pipeStart, pipeEnd time.Time
 	store, err := s.newStore(job.id)
 	if err == nil {
 		pipeStart = time.Now()
 		res, err = runSpec(spec, store)
-		s.metrics.observeStage("job:"+string(spec.Domain), time.Since(pipeStart).Seconds(), 1, 0)
-	}
-	// Frame-ready sidecars are written before the commit so they ride the
-	// shard set's one barrier and the first cold frame stream already
-	// serves from the disk tier. Best effort: a failed build costs
-	// decode+encode (and a lazy backfill) later, never the job.
-	if err == nil && res.manifest != nil {
-		s.buildJobSidecars(job.id, res)
+		pipeEnd = time.Now()
+		s.metrics.observeStage("job:"+string(spec.Domain), pipeEnd.Sub(pipeStart).Seconds(), 1, 0)
+		if !res.built.IsZero() {
+			s.recordChildSpan(runCtx, "job.synthesize", pipeStart, res.built, nil)
+		}
 	}
 	if err == nil {
+		start := time.Now()
 		err = s.commitJob(job.id, res)
+		s.recordChildSpan(runCtx, "job.commit", start, time.Now(), nil)
 	}
 	if err = s.finish(job, res, err); err != nil {
 		runSpan.SetError(err.Error())
@@ -524,31 +541,26 @@ func (s *Server) runJob(job *Job) {
 	}
 
 	// Synthesize job.stage child spans from the pipeline's sample record:
-	// samples were taken sequentially during runSpec, so laying them end
-	// to end from the pipeline start reconstructs the stage timeline
-	// (clamped so children never escape job.run's interval).
+	// samples were taken sequentially while the pipeline ran, so laying
+	// them end to end from the end of Build reconstructs the stage
+	// timeline (clamped so no stage outlasts the pipeline).
 	if runSpan != nil {
-		parent := runSpan.Context()
-		cursor := pipeStart
+		cursor := res.built
 		for _, sm := range res.pipe.Collector.Samples() {
 			end := cursor.Add(sm.Duration)
-			if end.After(time.Now()) {
-				end = time.Now()
+			if end.After(pipeEnd) {
+				end = pipeEnd
 			}
-			s.spans.Record(telemetry.SpanData{
-				TraceID: parent.TraceID, SpanID: telemetry.NewSpanID(), Parent: parent.SpanID,
-				Name: "job.stage", Start: cursor, End: end,
-				Attrs: map[string]string{"stage": sm.Stage, "category": sm.Category},
-			})
+			s.recordChildSpan(runCtx, "job.stage", cursor, end, map[string]string{"stage": sm.Stage, "category": sm.Category})
 			cursor = end
 		}
 		runSpan.End()
 	}
 }
 
-// commitJob is a job's one durability point. Nothing the pipeline and
-// the sidecar build wrote has been fsynced by its writer (shard.FSSink
-// syncs behind them): the barrier makes every file and its directory
+// commitJob is a job's one durability point. No sidecar the pipeline
+// stored has been fsynced by its writer (shard.FSSink syncs behind
+// them): the barrier makes every file and its directory
 // entry durable, only then is the manifest published, and only after
 // this returns may finish append the terminal record. A power cut before
 // that record leaves a job that replay reruns or fails; after it,

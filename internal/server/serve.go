@@ -7,15 +7,12 @@
 // Every shard read of either wire goes through the serving cache
 // (cache.go), which holds the shard encoded for that wire, and every
 // miss of either wire fills from one source, loadFrames: the shard's
-// sidecar read whole — one open and one exact-size read — and verified
-// by domain.ParseSidecar, or, when it has no usable one, the sidecar
-// image built from the shard by domain.ShardSidecar, which backfills
-// the sidecar so the next cold read takes the sidecar branch. A torn,
-// truncated, or bit-flipped sidecar is rejected by its CRCs, deleted,
-// and rebuilt by the fallback it forces — corrupt bytes are never
-// served, and the damage costs one request, not every cold open. A
-// sidecar that could not be read (an I/O error, not damage) is left in
-// place.
+// sidecar — the only thing a job stores for it — read whole, with one
+// open and one exact-size read, and verified by domain.ParseSidecar. A
+// sidecar that is missing, unreadable, torn, truncated or bit-flipped
+// fails the fill: it is counted and logged, the stream ends with an
+// in-band error after the batches before it, and the file is left as
+// it is. Corrupt bytes are never served.
 //
 // A frame miss caches the verified image itself (zero codec calls). An
 // NDJSON miss decodes it with the wire decoder into columns and writes
@@ -70,13 +67,13 @@ var streamBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, str
 
 // servePlan is what one batch stream reads from its job, resolved once
 // when the stream is accepted: the shard set, how to read it, and the
-// domain plugin that decodes and encodes it.
+// domain plugin whose wire kind it serves.
 type servePlan struct {
 	job      *Job
 	dom      string
 	manifest *shard.Manifest
-	store    jobStore     // raw storage: sidecar sizes, range reads, removal
-	open     shard.Opener // record read path (decrypting for sealed domains)
+	store    jobStore     // raw storage: range reads of plaintext sidecars
+	open     shard.Opener // whole-object reads (decrypting for sealed jobs)
 	key      []byte       // per-job shard secret; nil for plaintext shard sets
 	plug     domain.Plugin
 }
@@ -102,11 +99,6 @@ func (j *Job) plan() (*servePlan, error) {
 		job: j, dom: string(j.spec.Domain), manifest: j.manifest,
 		store: j.store, open: plug.Opener(j.store, j.key), key: j.key, plug: plug,
 	}, nil
-}
-
-// storedSidecar is a shard's sidecar object name on the store.
-func (p *servePlan) storedSidecar(info shard.Info) string {
-	return p.plug.StoredName(domain.SidecarName(info.Name), p.key != nil)
 }
 
 func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
@@ -497,14 +489,14 @@ func (w *frameWire) errorBytes(err error) []byte { return wire.EncodeErrorFrame(
 func (s *Server) fill(ctx context.Context, p *servePlan, info shard.Info, cw cacheWire, miss func(), entry func(*domain.Sidecar) (any, int64, error)) (any, error) {
 	return s.cache.Get(cacheKey{cw, p.job.id + "/" + info.Name}, miss, func() (any, int64, error) {
 		start := time.Now()
-		sc, source, err := s.loadFrames(ctx, p, info)
+		sc, err := s.loadFrames(p, info)
 		var v any
 		var size int64
 		if err == nil {
 			v, size, err = entry(sc)
 		}
 		wireName := [...]string{wireLines: wire.WireNDJSON, wireFrames: wire.WireFrame}[cw]
-		attrs := map[string]string{"shard": info.Name, "source": source, "wire": wireName}
+		attrs := map[string]string{"shard": info.Name, "wire": wireName}
 		if err != nil {
 			attrs["error"] = err.Error()
 		}
@@ -513,55 +505,22 @@ func (s *Server) fill(ctx context.Context, p *servePlan, info shard.Info, cw cac
 	})
 }
 
-// loadFrames reads one shard's frame-ready sidecar image: the stored
-// sidecar when one is usable (source "sidecar"), else one built from
-// the shard by domain.ShardSidecar (source "encode"), which backfills
-// the sidecar. The build is timed into the shard-load histogram (with
-// the loading request's trace as exemplar) and spanned as shard.load.
-func (s *Server) loadFrames(ctx context.Context, p *servePlan, info shard.Info) (*domain.Sidecar, string, error) {
-	if sc := s.readFrameSidecar(p, info); sc != nil {
-		return sc, "sidecar", nil
-	}
-	s.metrics.frameStoreMisses.Inc()
-	start := time.Now()
-	b, err := domain.ShardSidecar(p.plug, p.open, p.manifest, info)
-	var sc *domain.Sidecar
-	if err == nil {
-		sc, err = domain.ParseSidecar(b)
-	}
-	done := time.Now()
-	outcome, attrs := "ok", map[string]string{"shard": info.Name}
-	if err != nil {
-		outcome, attrs["error"] = "error", err.Error()
-	}
-	s.metrics.shardLoad.With(p.dom, outcome).ObserveWithExemplar(done.Sub(start).Seconds(), telemetry.TraceFrom(ctx))
-	s.recordChildSpan(ctx, "shard.load", start, done, attrs)
-	if err != nil {
-		return nil, "encode", err
-	}
-	s.backfillSidecar(p, info, b)
-	return sc, "encode", nil
-}
-
-// readFrameSidecar reads one shard's sidecar into memory. nil means "no
-// usable sidecar", and the caller builds one from the shard. The
-// sidecar is then absent (silent), damaged (rejectSidecar counts and
-// deletes it), or could not be read this time (counted and logged; the
-// file stays, and the next cold read tries it again).
-func (s *Server) readFrameSidecar(p *servePlan, info shard.Info) *domain.Sidecar {
+// loadFrames reads one shard's sidecar. One that is missing, could not
+// be read or fails a check is counted and logged, and fails the fill;
+// the file is left as it is, neither deleted nor rebuilt.
+func (s *Server) loadFrames(p *servePlan, info shard.Info) (*domain.Sidecar, error) {
 	sc, err := p.readSidecar(info)
-	switch {
-	case sc != nil:
-		s.metrics.frameStoreHits.Inc()
-		s.metrics.frameStoreBytes.Add(float64(sc.PayloadLen()))
-	case errors.Is(err, domain.ErrCorrupt):
-		s.rejectSidecar(p, info, err)
-	case err != nil:
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			s.metrics.frameStoreMisses.Inc()
+		}
 		s.metrics.frameStoreErrors.Inc()
-		s.logger.Warn("frame sidecar unreadable; falling back to encode",
-			"job", p.job.id, "shard", info.Name, "error", err.Error())
+		s.logger.Warn("frame sidecar unusable", "job", p.job.id, "shard", info.Name, "error", err.Error())
+		return nil, fmt.Errorf("shard %s: %w", info.Name, err)
 	}
-	return sc
+	s.metrics.frameStoreHits.Inc()
+	s.metrics.frameStoreBytes.Add(float64(sc.PayloadLen()))
+	return sc, nil
 }
 
 // readSidecar reads one shard's sidecar with one open and one read of
@@ -569,10 +528,10 @@ func (s *Server) readFrameSidecar(p *servePlan, info shard.Info) *domain.Sidecar
 // both CRCs, kind, and record count against the manifest) before any
 // byte can reach a client. A plaintext sidecar is read by OpenRange and
 // one exact-size ReadAt, through a handle closed before it returns; a
-// sealed one is read whole through the decrypting opener. It returns
-// (nil, nil) for an absent sidecar — no such object, or an empty one —
-// and an error wrapping domain.ErrCorrupt for one whose bytes were read
-// but fail a check.
+// sealed one is read whole through the decrypting opener. A missing
+// sidecar is an error wrapping fs.ErrNotExist, and one whose bytes were
+// read but fail a check — an empty one included — an error wrapping
+// domain.ErrCorrupt.
 func (p *servePlan) readSidecar(info shard.Info) (*domain.Sidecar, error) {
 	name := domain.SidecarName(info.Name)
 	var sc *domain.Sidecar
@@ -581,21 +540,17 @@ func (p *servePlan) readSidecar(info shard.Info) (*domain.Sidecar, error) {
 		var ra shard.ReaderAtCloser
 		var size int64
 		if ra, size, err = p.store.OpenRange(name); err == nil {
-			if size > 0 {
-				sc, err = domain.OpenSidecar(ra, size)
-			}
+			sc, err = domain.OpenSidecar(ra, size)
 			ra.Close()
 		}
 	} else {
 		var b []byte
-		if b, err = shard.ReadObject(p.open, name); err == nil && len(b) > 0 {
+		if b, err = shard.ReadObject(p.open, name); err == nil {
 			sc, err = domain.ParseSidecar(b)
 		}
 	}
 	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		return nil, nil
-	case err != nil || sc == nil:
+	case err != nil:
 		return nil, err
 	case sc.Kind() != p.plug.Codec.Kind():
 		return nil, fmt.Errorf("%w: sidecar kind %q, codec serves %q", domain.ErrCorrupt, sc.Kind(), p.plug.Codec.Kind())
@@ -603,74 +558,6 @@ func (p *servePlan) readSidecar(info shard.Info) (*domain.Sidecar, error) {
 		return nil, fmt.Errorf("%w: sidecar holds %d records, manifest says %d", domain.ErrCorrupt, sc.Count(), info.Records)
 	}
 	return sc, nil
-}
-
-// rejectSidecar counts and logs an unusable sidecar and deletes it:
-// the store refuses to create over a taken name, so a rejected file
-// left in place would block its own backfill and be rejected again on
-// every cold open. A concurrent request that rejected the same file
-// may delete the replacement this one's fallback just built; that
-// costs a second rebuild, never a bad byte.
-func (s *Server) rejectSidecar(p *servePlan, info shard.Info, cause error) {
-	s.metrics.frameStoreErrors.Inc()
-	s.logger.Warn("frame sidecar unusable; falling back to encode and rebuilding",
-		"job", p.job.id, "shard", info.Name, "error", cause.Error())
-	_ = p.store.Remove(p.storedSidecar(info)) // already gone is fine
-}
-
-// backfillSidecar lazily materializes the sidecar for a shard that
-// lacks one — replayed pre-sidecar jobs (or a shard whose sidecar was
-// lost or rejected) converge to the disk tier on first frame access.
-// Failure is a lost optimization, never a request error; a concurrent
-// duplicate backfill loses the store's no-replace commit harmlessly
-// (identical bytes) and is not counted. Nobody waits for a backfilled
-// sidecar's fsync: a power cut can leave it empty or torn, which the
-// next open treats like any other damage.
-func (s *Server) backfillSidecar(p *servePlan, info shard.Info, b []byte) {
-	stored := p.storedSidecar(info)
-	if p.store.Size(stored) > 0 {
-		return
-	}
-	name := domain.SidecarName(info.Name)
-	sink := p.plug.Sink(p.store, p.key)
-	err := shard.WriteObject(sink, name, b)
-	if err != nil && p.store.Size(stored) == 0 {
-		// An empty file holding the name reads as absent to everyone but
-		// the store's commit. Clear it and try once more.
-		if p.store.Remove(stored) == nil {
-			s.metrics.frameStoreErrors.Inc()
-			s.logger.Warn("empty frame sidecar replaced", "job", p.job.id, "shard", info.Name)
-			err = shard.WriteObject(sink, name, b)
-		}
-	}
-	if err != nil {
-		// A concurrent request may have backfilled first and won the
-		// store's commit; that's success, not an error.
-		if p.store.Size(stored) > 0 {
-			return
-		}
-		s.metrics.frameStoreErrors.Inc()
-		s.logger.Debug("sidecar backfill failed", "job", p.job.id, "shard", info.Name, "error", err.Error())
-		return
-	}
-	s.metrics.frameStoreBackfills.Inc()
-	s.logger.Debug("sidecar backfilled", "job", p.job.id, "shard", info.Name, "bytes", len(b))
-}
-
-// buildJobSidecars writes every shard's sidecar at job completion so
-// the first cold frame stream already has the disk tier. Failures are
-// logged and error-counted but never fail the job — serving falls
-// back to decode+encode (and lazy backfill) for whatever is missing.
-func (s *Server) buildJobSidecars(id string, res *jobResult) {
-	built, err := domain.BuildShardSidecars(res.plug, res.store, res.manifest, res.key)
-	if err != nil {
-		s.metrics.frameStoreErrors.Inc()
-		s.logger.Warn("frame sidecar build incomplete", "job", id, "built", built, "error", err.Error())
-		return
-	}
-	if built > 0 {
-		s.logger.Debug("frame sidecars written", "job", id, "shards", built)
-	}
 }
 
 // recordChildSpan records a completed interval as a child of the

@@ -257,30 +257,23 @@ func TestServeErrorMetric(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+id, &st); code != http.StatusOK || st.Shards < 2 {
 		t.Fatalf("need >=2 shards to fail mid-stream, have %+v (code %d)", st, code)
 	}
-	// Delete the last shard file and its sidecar so the stream starts
-	// fine and dies partway through.
+	// Delete the last shard's sidecar — all the job stores for it — so
+	// the stream starts fine and dies partway through.
 	entries, err := os.ReadDir(filepath.Join(dataDir, "jobs", id))
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := ""
 	for _, e := range entries {
-		// Skip frame sidecars: a stream without one rebuilds it from the
-		// shard. The victim is the shard; its sidecar goes with it below.
-		if strings.Contains(e.Name(), "MANIFEST") || strings.HasSuffix(e.Name(), domain.SidecarSuffix) {
-			continue
-		}
-		if e.Name() > victim {
+		if strings.HasSuffix(e.Name(), domain.SidecarSuffix) && e.Name() > victim {
 			victim = e.Name()
 		}
 	}
 	if victim == "" {
-		t.Fatal("no shard file found")
+		t.Fatal("no sidecar found")
 	}
-	for _, name := range []string{victim, domain.SidecarName(victim)} {
-		if err := os.Remove(filepath.Join(dataDir, "jobs", id, name)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(filepath.Join(dataDir, "jobs", id, victim)); err != nil {
+		t.Fatal(err)
 	}
 
 	before := metricValue(t, ts.URL, "draid_serve_errors_total")

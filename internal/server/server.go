@@ -282,8 +282,7 @@ func fileExists(path string) bool {
 
 // jobStore is the storage behind one job: a shard.Store plus the
 // durable methods the server calls on it — range reads for sidecars,
-// the commit barrier and manifest, replacing a damaged sidecar, and
-// removal at eviction or requeue. Every job store has all of them, so
+// the commit barrier and manifest, and removal at eviction or requeue. Every job store has all of them, so
 // no call site asks which it has.
 type jobStore interface {
 	shard.Store
@@ -291,7 +290,6 @@ type jobStore interface {
 	shard.Syncer
 	WriteManifest(*shard.Manifest) error
 	LoadManifest() (*shard.Manifest, error)
-	Remove(name string) error
 	Destroy() error
 }
 
@@ -314,7 +312,7 @@ func (s *Server) newStore(jobID string) (jobStore, error) {
 	}
 	js, ok := st.(jobStore)
 	if !ok {
-		return nil, fmt.Errorf("job store %T lacks the durable methods the server calls (Sync, OpenRange, WriteManifest, LoadManifest, Remove, Destroy)", st)
+		return nil, fmt.Errorf("job store %T lacks the durable methods the server calls (Sync, OpenRange, WriteManifest, LoadManifest, Destroy)", st)
 	}
 	return js, nil
 }

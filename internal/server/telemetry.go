@@ -45,17 +45,15 @@ type serverMetrics struct {
 
 	// Frame-store (on-disk sidecar) traffic: the disk tier of the
 	// zero-copy frame path.
-	frameStoreHits      *telemetry.Counter
-	frameStoreMisses    *telemetry.Counter
-	frameStoreBackfills *telemetry.Counter
-	frameStoreBytes     *telemetry.Counter
-	frameStoreErrors    *telemetry.Counter
+	frameStoreHits   *telemetry.Counter
+	frameStoreMisses *telemetry.Counter
+	frameStoreBytes  *telemetry.Counter
+	frameStoreErrors *telemetry.Counter
 
 	// Serving latency distributions.
 	requestSeconds *telemetry.HistogramVec // route × code
 	firstBatch     *telemetry.HistogramVec // domain × wire
 	batchEncode    *telemetry.HistogramVec // domain × wire
-	shardLoad      *telemetry.HistogramVec // domain × outcome
 
 	// Pipeline stage accounting, folded in at job completion.
 	stageSeconds *telemetry.CounterVec
@@ -93,11 +91,10 @@ func newServerMetrics() *serverMetrics {
 		serveErrors:    reg.Counter1("draid_serve_errors_total", "Mid-stream serving failures reported in-band."),
 		serveThrottled: reg.Counter1("draid_serve_throttled_total", "Streams that hit the pacing token bucket."),
 
-		frameStoreHits:      reg.Counter1("draid_frame_store_hits_total", "Shard cache fills (either wire) served from an on-store sidecar."),
-		frameStoreMisses:    reg.Counter1("draid_frame_store_misses_total", "Shard cache fills (either wire) that found no usable sidecar and built one from the shard."),
-		frameStoreBackfills: reg.Counter1("draid_frame_store_backfills_total", "Sidecars lazily materialized for shards that lacked one (replayed jobs, recovered corruption)."),
-		frameStoreBytes:     reg.Counter1("draid_frame_store_bytes_total", "Payload bytes read from frame sidecars."),
-		frameStoreErrors:    reg.Counter1("draid_frame_store_errors_total", "Sidecars rejected as torn/corrupt or failed to build (served by decode+encode instead)."),
+		frameStoreHits:   reg.Counter1("draid_frame_store_hits_total", "Shard cache fills (either wire) served from an on-store sidecar."),
+		frameStoreMisses: reg.Counter1("draid_frame_store_misses_total", "Shard cache fills (either wire) that found no sidecar for the shard; each fails its stream with an in-band error."),
+		frameStoreBytes:  reg.Counter1("draid_frame_store_bytes_total", "Payload bytes read from frame sidecars."),
+		frameStoreErrors: reg.Counter1("draid_frame_store_errors_total", "Shard cache fills (either wire) whose sidecar was absent, unreadable or failed a check (an empty one fails it); each fails its stream with an in-band error and leaves the file as it is."),
 
 		requestSeconds: reg.Histogram("draid_request_seconds",
 			"HTTP request latency by route pattern and status code.",
@@ -108,10 +105,6 @@ func newServerMetrics() *serverMetrics {
 		batchEncode: reg.Histogram("draid_batch_encode_seconds",
 			"Per-batch encode time: NDJSON header fields or frame envelope (payloads are sliced from encoded shards; excludes network writes).",
 			telemetry.FastBuckets, "domain", "wire"),
-		shardLoad: reg.Histogram("draid_shard_load_seconds",
-			"Sidecar build time of a cache fill without a usable sidecar: read, verify, decode and pack one shard.",
-			telemetry.DefBuckets, "domain", "outcome"),
-
 		stageSeconds: reg.Counter("draid_stage_seconds_total", "Stage wall time: each pipeline stage by name, and stage job:<domain> for a whole job's input synthesis plus its pipeline run.", "stage"),
 		stageCalls:   reg.Counter("draid_stage_calls_total", "Pipeline stage invocations.", "stage"),
 		stageBytes:   reg.Counter("draid_stage_bytes_total", "Bytes processed per pipeline stage.", "stage"),
@@ -163,7 +156,7 @@ func (s *Server) registerCollectors() {
 		func() float64 { return float64(s.cache.Stats(wireFrames).Bytes) })
 	reg.CounterFunc("draid_frame_cache_hits_total", "Frame-wire shard reads served from cached payload bytes.",
 		func() float64 { return float64(s.cache.Stats(wireFrames).Hits) })
-	reg.CounterFunc("draid_frame_cache_misses_total", "Frame-wire shard reads that had to load the shard's payload (sidecar, or decode+encode).",
+	reg.CounterFunc("draid_frame_cache_misses_total", "Frame-wire shard reads that had to load the shard's sidecar.",
 		func() float64 { return float64(s.cache.Stats(wireFrames).Misses) })
 	reg.CounterFunc("draid_frame_cache_evictions_total", "Frame-payload shards evicted by byte-budget pressure.",
 		func() float64 { return float64(s.cache.Stats(wireFrames).Evictions) })

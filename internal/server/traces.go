@@ -21,16 +21,17 @@ import (
 // closed on purpose: the docs-hygiene test holds each name to the
 // README span table, and the clustersmoke trace verifier keys on them.
 var serverSpanNames = []string{
-	"http.request",  // middleware root span, one per traced request
-	"proxy.forward", // client span around a transparent proxy hop
-	"job.wait",      // queue wait: submission accepted -> worker pickup
-	"job.run",       // pipeline execution on the worker
-	"job.stage",     // one pipeline stage inside job.run
-	"shard.load",    // sidecar build from the shard: read, verify, decode, pack
-	"frame.fill",    // cache fill of either wire: sidecar read (or shard.load), NDJSON fragment encode
-	"batch.encode",  // per-batch header assembly (NDJSON header or frame envelope)
-	"pace.stall",    // token-bucket sleep inside a paced stream
-	"ledger.append", // wait for a request's audit record to be durable
+	"http.request",   // middleware root span, one per traced request
+	"proxy.forward",  // client span around a transparent proxy hop
+	"job.wait",       // queue wait: submission accepted -> worker pickup
+	"job.run",        // the job on the worker: synthesis, pipeline, commit
+	"job.synthesize", // input synthesis and pipeline construction (Plugin.Build)
+	"job.stage",      // one pipeline stage inside job.run
+	"job.commit",     // the job's commit barrier, manifest and sealed key
+	"frame.fill",     // cache fill of either wire: sidecar read and verify, NDJSON fragment encode
+	"batch.encode",   // per-batch header assembly (NDJSON header or frame envelope)
+	"pace.stall",     // token-bucket sleep inside a paced stream
+	"ledger.append",  // wait for a request's audit record to be durable
 }
 
 // handleTraces serves GET /v1/traces: this node's trace summaries,

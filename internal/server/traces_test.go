@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -195,6 +196,57 @@ func TestTraceSpanTreeSingleNode(t *testing.T) {
 	// under their job.run parent.
 	if tree := view.RenderTree(); !strings.Contains(tree, "http.request") || !strings.Contains(tree, "\n  job.stage") {
 		t.Errorf("RenderTree output unexpected:\n%s", tree)
+	}
+}
+
+// TestJobSpansInOrder: a traced job's job.run children lie inside it,
+// are disjoint and in order — job.synthesize first, then the pipeline
+// stages, then job.commit — and every job.stage starts at or after
+// job.synthesize ends, so the stages are not drawn a synthesis early.
+func TestJobSpansInOrder(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const trace = "job-spans-in-order.1"
+	c := client.New(ts.URL, client.WithPollInterval(5*time.Millisecond), client.WithTrace(trace))
+	st, err := c.SubmitJob(ctx, JobSpec{Domain: core.Climate, Seed: 3, Months: 37, Lat: 32, Lon: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitDone(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	view := fetchTrace(t, c, trace, func(v *client.TraceView) bool {
+		got := spanByName(v)
+		_, stage := got["job.stage"]
+		_, commit := got["job.commit"]
+		return stage && commit
+	})
+	assertNested(t, view)
+	run := spanByName(view)["job.run"]
+	var kids []client.Span
+	for _, sp := range view.Spans {
+		if sp.Parent == run.SpanID {
+			kids = append(kids, sp)
+		}
+	}
+	sort.SliceStable(kids, func(i, k int) bool { return kids[i].Start.Before(kids[k].Start) })
+	if len(kids) < 3 || kids[0].Name != "job.synthesize" || kids[len(kids)-1].Name != "job.commit" {
+		t.Fatalf("job.run children are not synthesize, stages, commit:\n%s", view.RenderTree())
+	}
+	for i, sp := range kids {
+		if i > 0 && sp.Start.Before(kids[i-1].End) {
+			t.Errorf("%s starts at %v, before %s ends at %v", sp.Name, sp.Start, kids[i-1].Name, kids[i-1].End)
+		}
+		if sp.End.Before(sp.Start) {
+			t.Errorf("%s ends before it starts", sp.Name)
+		}
+		if i > 0 && i < len(kids)-1 && sp.Name != "job.stage" {
+			t.Errorf("child %d of job.run is %s, want job.stage", i, sp.Name)
+		}
+		if sp.Name == "job.stage" && sp.Start.Before(kids[0].End) {
+			t.Errorf("job.stage %s starts at %v, before job.synthesize ends at %v", sp.Attrs["stage"], sp.Start, kids[0].End)
+		}
 	}
 }
 

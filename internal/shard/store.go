@@ -321,15 +321,6 @@ func (s *FSSink) Size(name string) int64 {
 	return fi.Size()
 }
 
-// Remove deletes one committed object, freeing its name for a new
-// Create — how a damaged object is replaced.
-func (s *FSSink) Remove(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	return os.Remove(filepath.Join(s.root, name))
-}
-
 // WriteManifest atomically and durably replaces the store's
 // MANIFEST.json: the encoded manifest is staged in a temp file, synced,
 // renamed over the old one, and the directory is synced, so a

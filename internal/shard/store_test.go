@@ -321,28 +321,6 @@ func TestFSSinkSyncReportsBackgroundFailure(t *testing.T) {
 	}
 }
 
-func TestFSSinkRemoveFreesName(t *testing.T) {
-	s, err := NewFSSink(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteObject(s, "obj", []byte("damaged")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Remove("obj"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteObject(s, "obj", []byte("rebuilt")); err != nil {
-		t.Fatalf("name not freed: %v", err)
-	}
-	if got := readObject(t, s, "obj"); got != "rebuilt" {
-		t.Fatalf("object holds %q", got)
-	}
-	if err := s.Remove("../obj"); err == nil {
-		t.Fatal("Remove accepted a path outside the root")
-	}
-}
-
 // TestFSSinkCrashLeavesNoPartials: an unclosed shard (a crash
 // mid-write) must stay invisible, and reopening the root sweeps the
 // temp file.

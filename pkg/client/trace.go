@@ -63,7 +63,7 @@ func (c *Client) Trace(ctx context.Context, id string) (*TraceView, error) {
 //	http.request  12.40ms  [node-a]
 //	  proxy.forward  11.90ms  [node-a] peer=node-b
 //	    http.request  11.20ms  [node-b]
-//	      shard.load  3.10ms  [node-b] shard=s0
+//	      frame.fill  3.10ms  [node-b] shard=s0 wire=frame
 //
 // Children sort by start time under their parent; spans whose parent
 // is absent (top-level, or the parent evicted) print at the root
