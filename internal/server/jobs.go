@@ -361,7 +361,7 @@ func (s *Server) restore(states []*replayState, anyOwner bool, added func(*Job))
 		}
 		s.quotaActivate(job.tenant)
 		if _, err := s.admit(context.Background(), job, nil); err != nil {
-			s.finish(job, &jobResult{}, fmt.Errorf("requeue: %w", err))
+			s.finish(context.Background(), job, &jobResult{}, fmt.Errorf("requeue: %w", err))
 			continue
 		}
 		s.addDurableEvent(job, client.EventRequeued, "interrupted job resubmitted after restart")
@@ -528,7 +528,7 @@ func (s *Server) runJob(job *Job) {
 		err = s.commitJob(job.id, res)
 		s.recordChildSpan(runCtx, "job.commit", start, time.Now(), nil)
 	}
-	if err = s.finish(job, res, err); err != nil {
+	if err = s.finish(runCtx, job, res, err); err != nil {
 		runSpan.SetError(err.Error())
 		runSpan.End()
 		return
@@ -588,9 +588,10 @@ func (s *Server) commitJob(id string, res *jobResult) (err error) {
 // with an error naming the audit ledger — the ledger is sticky-failed
 // by then, so a restart finds no terminal record and replays the job as
 // interrupted. The record is built and appended outside job.mu, so
-// status polls never wait on its fsync. finish returns the job's final
-// error: nil when it is done.
-func (s *Server) finish(job *Job, res *jobResult, err error) error {
+// status polls never wait on its fsync. The record's ledger.append span
+// is a child of ctx's span (runJob's job.run). finish returns the job's
+// final error: nil when it is done.
+func (s *Server) finish(ctx context.Context, job *Job, res *jobResult, err error) error {
 	// Only runJob writes job.started, and it is finish's caller then.
 	typ, body := ledger.TypeDone, jobBody{Started: job.started}
 	if err == nil {
@@ -606,7 +607,7 @@ func (s *Server) finish(job *Job, res *jobResult, err error) error {
 			body.Provenance = b
 		}
 	}
-	if lerr := s.audit(context.Background(), typ, job.tenant, job.id, "", &body); lerr != nil && err == nil {
+	if lerr := s.audit(ctx, typ, job.tenant, job.id, "", &body); lerr != nil && err == nil {
 		err = lerr
 	}
 

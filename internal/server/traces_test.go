@@ -201,8 +201,9 @@ func TestTraceSpanTreeSingleNode(t *testing.T) {
 
 // TestJobSpansInOrder: a traced job's job.run children lie inside it,
 // are disjoint and in order — job.synthesize first, then the pipeline
-// stages, then job.commit — and every job.stage starts at or after
-// job.synthesize ends, so the stages are not drawn a synthesis early.
+// stages, then job.commit, then the ledger.append of the done record —
+// and every job.stage starts at or after job.synthesize ends, so the
+// stages are not drawn a synthesis early.
 func TestJobSpansInOrder(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -220,7 +221,8 @@ func TestJobSpansInOrder(t *testing.T) {
 		got := spanByName(v)
 		_, stage := got["job.stage"]
 		_, commit := got["job.commit"]
-		return stage && commit
+		_, appended := got["ledger.append"]
+		return stage && commit && appended
 	})
 	assertNested(t, view)
 	run := spanByName(view)["job.run"]
@@ -231,8 +233,9 @@ func TestJobSpansInOrder(t *testing.T) {
 		}
 	}
 	sort.SliceStable(kids, func(i, k int) bool { return kids[i].Start.Before(kids[k].Start) })
-	if len(kids) < 3 || kids[0].Name != "job.synthesize" || kids[len(kids)-1].Name != "job.commit" {
-		t.Fatalf("job.run children are not synthesize, stages, commit:\n%s", view.RenderTree())
+	if n := len(kids); n < 4 || kids[0].Name != "job.synthesize" || kids[n-2].Name != "job.commit" ||
+		kids[n-1].Name != "ledger.append" || kids[n-1].Attrs["type"] != ledger.TypeDone {
+		t.Fatalf("job.run children are not synthesize, stages, commit, ledger.append (done):\n%s", view.RenderTree())
 	}
 	for i, sp := range kids {
 		if i > 0 && sp.Start.Before(kids[i-1].End) {
@@ -241,7 +244,7 @@ func TestJobSpansInOrder(t *testing.T) {
 		if sp.End.Before(sp.Start) {
 			t.Errorf("%s ends before it starts", sp.Name)
 		}
-		if i > 0 && i < len(kids)-1 && sp.Name != "job.stage" {
+		if i > 0 && i < len(kids)-2 && sp.Name != "job.stage" {
 			t.Errorf("child %d of job.run is %s, want job.stage", i, sp.Name)
 		}
 		if sp.Name == "job.stage" && sp.Start.Before(kids[0].End) {

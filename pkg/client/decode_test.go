@@ -3,6 +3,8 @@ package client
 import (
 	"encoding/json"
 	"math"
+	"math/big"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,8 +167,50 @@ var numberSeeds = []string{
 	// Float32 midpoints: 2^24+1, 2^24+3, 2^20+2^-4 and 2^12+2^-12 are
 	// exact within the fast path; 1+2^-24 has 25 digits.
 	"16777217", "-16777219", "1048576.0625", "4096.000244140625", "1.000000059604644775390625",
+	// 16- to 19-digit mantissas, as integers, fractions and scaled.
+	"1234567890123456", "12345678901234567", "123456789012345678", "-0.1234567890123456",
+	"1.2345678901234567", "-12.345678901234567", "1.23456789012345678", "0.9999999999999999999",
+	"9999999999999999", "99999999999999999", "999999999999999999e-5", "1234567890123456789e3",
+	"-7.4771947345802900", "4.0616993502859020e-3", "1.4117911315895848e-15",
+	// Mantissas around 2^53 and 2^64, which Clinger's path and a uint64
+	// stop at.
+	"9007199254740991e-5", "9007199254740993e-5", "9007199254740993e5", "-9.007199254740993e-25",
+	"18446744073709551615", "18446744073709551614e-10", "1844674407370955161", "1.844674407370955161e-7",
+	"18446744073709551617e3", "1.8446744073709551615e30", "0.18446744073709551616",
+	// Leading zeros of a fraction, which are not significant digits.
+	"0.000001234567890123456", "-0.000001234567890123456", "0.00000000000000000000000000001234567890123456",
+	"0.000000000000000000001", "0.0000000000000000000000000000000", "-0.00000000000000000000000000000000001",
+	// The ends of Eisel-Lemire's table, 1e-30 and 1e22, and one past.
+	"1e-30", "1e-31", "12345678901234567e-30", "12345678901234567e-31", "9999999999999999999e-30",
+	"1e22", "12345678901234567e22", "12345678901234567e23", "9999999999999999999e22", "9999999999999999999e23",
+	"-1.2345678901234567e-14", "1.2345678901234567e-15", "1.2345678901234567e38", "1.2345678901234567e39",
+	"3.4028235677973366e38", "3.4028235677973367e38", "1.0000000000000001e41", // float32 overflow
+	// Products whose rounding bits Eisel-Lemire gets right only by also
+	// multiplying the power's low word.
+	"2687678610659748750e-3", "9564637559445599000e-3", "8891677553105425090e-11",
+	// 1+2^-53, halfway between 1 and the next float64, and a digit
+	// past it: the first 19 digits of both lie below the halfway point.
+	"1.00000000000000011102230246251565404236316680908203125",
+	"1.000000000000000111022302462515654042363166809082031251",
 	// Not numbers, or not only a number.
 	"", "-", "01", "1.", ".5", "+1", "1e", "1e+", "0x10", "1_0", "NaN", "Infinity", "1 ", " 1", "1,",
+}
+
+// shortestFloat64s returns the shortest decimals of seeded random
+// float64s across magnitudes — mostly 16 or 17 digits, the NDJSON
+// wire's graph floats — in 'g' form and as encoding/json writes them.
+func shortestFloat64s() []string {
+	r := rand.New(rand.NewSource(1))
+	var out []string
+	for i := 0; i < 64; i++ {
+		x := r.NormFloat64() * math.Pow(10, float64(r.Intn(60)-30))
+		b, err := json.Marshal(x)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, strconv.FormatFloat(x, 'g', -1, 64), string(b))
+	}
+	return out
 }
 
 // float32Midpoints returns the float64 halfway between each of a few
@@ -202,9 +246,9 @@ func midpointTokens(m float64) []string {
 }
 
 // checkNumber runs the decoder's float32, float64 and int64 readers on
-// tok and requires what encoding/json would do: accept exactly the
-// JSON number tokens strconv can parse into the type, and yield
-// strconv's value bit for bit.
+// tok, scalar and array, and requires what encoding/json would do:
+// accept exactly the JSON number tokens strconv can parse into the
+// type, and yield strconv's value bit for bit.
 func checkNumber(t *testing.T, tok string) {
 	t.Helper()
 	if strings.HasPrefix(tok, "null") {
@@ -248,6 +292,61 @@ func checkNumber(t *testing.T, tok string) {
 	if ok && gotInt != wantInt {
 		t.Fatalf("i64 %q: decoder %d, strconv %d", tok, gotInt, wantInt)
 	}
+
+	f32 := func(s string) (float32, error) {
+		v, err := strconv.ParseFloat(s, 32)
+		return float32(v), err
+	}
+	f64 := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+	i64 := func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
+	for _, a := range []struct {
+		line  string
+		elems int
+	}{{"[" + tok + "]", 1}, {"[" + tok + "," + tok + "]", 2}, {"[ " + tok + " , " + tok + " ]", 2}} {
+		checkArray(t, a.line, tok, a.elems, valid, "f32s", (*lineDecoder).f32s, f32,
+			func(v float32) uint64 { return uint64(math.Float32bits(v)) })
+		checkArray(t, a.line, tok, a.elems, valid, "f64s", (*lineDecoder).f64s, f64, math.Float64bits)
+		checkArray(t, a.line, tok, a.elems, valid, "i64s", (*lineDecoder).i64s, i64,
+			func(v int64) uint64 { return uint64(v) })
+	}
+}
+
+// checkArray reads line, an array of elems copies of tok, with an
+// array reader. When tok is one JSON number (single), the reader must
+// accept exactly what parse accepts and yield its value bit for bit in
+// every element; for any other tok it must agree with json.Unmarshal,
+// which then sees what the array holds.
+func checkArray[T any](t *testing.T, line, tok string, elems int, single bool, name string,
+	read func(*lineDecoder) ([]T, error), parse func(string) (T, error), bits func(T) uint64) {
+	t.Helper()
+	d := lineDecoder{b: []byte(line)}
+	got, err := read(&d)
+	ok := err == nil && d.pos == len(line)
+	var want []T
+	var wantOK bool
+	if single {
+		v, err := parse(tok)
+		wantOK = err == nil
+		for range elems {
+			want = append(want, v)
+		}
+	} else {
+		wantOK = json.Unmarshal([]byte(line), &want) == nil
+	}
+	if ok != wantOK {
+		t.Fatalf("%s %q: decoder accepts %v (%v), want %v", name, line, ok, err, wantOK)
+	}
+	if !ok {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s %q: decoder %v, want %v", name, line, got, want)
+	}
+	for i := range got {
+		if bits(got[i]) != bits(want[i]) {
+			t.Fatalf("%s %q: element %d is %v (%#x), want %v (%#x)", name, line, i, got[i], bits(got[i]), want[i], bits(want[i]))
+		}
+	}
 }
 
 // TestLineNumberFloat32Midpoints walks float32 midpoints across every
@@ -263,11 +362,14 @@ func TestLineNumberFloat32Midpoints(t *testing.T) {
 	}
 }
 
-// FuzzLineNumber: the float32, float64 and int64 readers accept the
-// tokens strconv accepts, within the JSON grammar, and yield strconv's
-// values bit for bit.
+// FuzzLineNumber: the float32, float64 and int64 readers, scalar and
+// array, accept the tokens strconv accepts, within the JSON grammar,
+// and yield strconv's values bit for bit.
 func FuzzLineNumber(f *testing.F) {
 	for _, tok := range numberSeeds {
+		f.Add(tok)
+	}
+	for _, tok := range shortestFloat64s() {
 		f.Add(tok)
 	}
 	for _, e := range []int{-149, -127, -126, -40, -24, -1, 0, 23, 24, 53, 100, 127} {
@@ -278,4 +380,86 @@ func FuzzLineNumber(f *testing.F) {
 		}
 	}
 	f.Fuzz(checkNumber)
+}
+
+// TestEiselLemireTable recomputes every row of pow10x128 with math/big:
+// the 128 leading bits of 10^q, exact for q >= 0 and rounded down for
+// q < 0.
+func TestEiselLemireTable(t *testing.T) {
+	for q := minPow10; q <= maxPow10; q++ {
+		var m big.Int
+		if q >= 0 {
+			m.Exp(big.NewInt(10), big.NewInt(int64(q)), nil)
+			m.Lsh(&m, uint(128-m.BitLen()))
+		} else {
+			// floor(2^s / 10^-q), s chosen to give 128 bits.
+			var p big.Int
+			p.Exp(big.NewInt(10), big.NewInt(int64(-q)), nil)
+			m.Lsh(big.NewInt(1), uint(127+p.BitLen()))
+			m.Quo(&m, &p)
+		}
+		if m.BitLen() != 128 {
+			t.Fatalf("1e%d: %d bits", q, m.BitLen())
+		}
+		var lo big.Int
+		lo.And(&m, new(big.Int).SetUint64(math.MaxUint64))
+		want := [2]uint64{new(big.Int).Rsh(&m, 64).Uint64(), lo.Uint64()}
+		if got := pow10x128[q-minPow10]; got != want {
+			t.Errorf("1e%d: table {%#x, %#x}, want {%#x, %#x}", q, got[0], got[1], want[0], want[1])
+		}
+	}
+}
+
+// TestLineDecoderDropsOversizedScratch: a line whose arrays outgrow
+// maxKeptScratch leaves no scratch behind, and a small line after it
+// keeps its own small scratch.
+func TestLineDecoderDropsOversizedScratch(t *testing.T) {
+	array := func(n int) string { return "[" + strings.Repeat("0,", n) + "0]" }
+	big32, big64 := maxKeptScratch/4, maxKeptScratch/8
+	line := `{"features":[` + array(big32) + `],"labels":` + array(big64) +
+		`,"graphs":[{"node_features":` + array(big64) + `}]}`
+	var d lineDecoder
+	var w BatchWire
+	if err := d.decode([]byte(line), &w); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Features[0]) != big32+1 || len(w.Labels) != big64+1 || len(w.Graphs[0].NodeFeatures) != big64+1 {
+		t.Fatalf("decoded %d, %d and %d elements", len(w.Features[0]), len(w.Labels), len(w.Graphs[0].NodeFeatures))
+	}
+	if d.buf32 != nil || d.buf64 != nil || d.bufInt != nil {
+		t.Fatalf("oversized scratch kept: capacities %d, %d, %d", cap(d.buf32), cap(d.buf64), cap(d.bufInt))
+	}
+	if err := d.decode([]byte(`{"features":[[1,2]],"labels":[1],"graphs":[{"node_features":[1.5]}]}`), &w); err != nil {
+		t.Fatal(err)
+	}
+	if c32, c64, cInt := cap(d.buf32), cap(d.buf64), cap(d.bufInt); c32 == 0 || c64 == 0 || cInt == 0 ||
+		c32*4 > maxKeptScratch || c64*8 > maxKeptScratch || cInt*8 > maxKeptScratch {
+		t.Fatalf("small line's scratch capacities %d, %d, %d", c32, c64, cInt)
+	}
+}
+
+// TestLineRowsBelongToCaller: a line's feature rows share one backing
+// array, each clipped to its own length, so appending to one row
+// leaves the next alone; null and empty rows stay nil and empty.
+func TestLineRowsBelongToCaller(t *testing.T) {
+	var d lineDecoder
+	var w BatchWire
+	if err := d.decode([]byte(`{"features":[[1,2],[3,4],null,[]],"labels":[1,2,3,4]}`), &w); err != nil {
+		t.Fatal(err)
+	}
+	f := w.Features
+	if len(f) != 4 || f[2] != nil || f[3] == nil || len(f[3]) != 0 || cap(f[0]) != 2 || cap(f[1]) != 2 {
+		t.Fatalf("rows %#v (capacities %d, %d)", f, cap(f[0]), cap(f[1]))
+	}
+	_ = append(f[0], 9)
+	if f[1][0] != 3 {
+		t.Fatalf("appending to row 0 changed row 1 to %v", f[1])
+	}
+	// The next line reuses the scratch, not the rows handed out.
+	if err := d.decode([]byte(`{"features":[[5,6],[7,8]],"labels":[1,2]}`), &w); err != nil {
+		t.Fatal(err)
+	}
+	if f[0][0] != 1 || f[1][1] != 4 {
+		t.Fatalf("the next line overwrote the rows: %v", f)
+	}
 }
